@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,7 +70,7 @@ def cmd_classify(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         roots = find_positive_roots(p)
-        families = classify(p, args.mu0)
+        families = classify(p, args.mu0, roots=roots)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
         print("warning: %d degenerate root(s) excluded: %s"
@@ -174,9 +173,7 @@ def cmd_sweep(args) -> int:
     # validate the endpoints up front so bad ranges fail before any work
     for v in (values[0], values[-1]):
         _sweep_value((base, args.param, float(v)))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(_sweep_value,
-                                [(base, args.param, float(v)) for v in values]))
+    results = [_sweep_value((base, args.param, float(v))) for v in values]
     fh, close = _open_out(args.out)
     try:
         writer = csv.writer(fh)

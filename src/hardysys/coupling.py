@@ -276,18 +276,21 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
 
 
 def classify(p: ProblemParams, mu0: float = 1.0,
-             opts: RootSearchOptions | None = None) -> list[SynchronizedFamily]:
+             opts: RootSearchOptions | None = None, *,
+             roots: list[CouplingRoot] | None = None) -> list[SynchronizedFamily]:
     """One synchronized family per simple positive root of f, shared scale mu0.
 
     Degenerate (tangential) roots are excluded with a warning: the constants
     map is still defined there, but the sign-change structure the
-    classification rests on is not.
+    classification rests on is not.  ``roots``, when given, is the result of
+    ``find_positive_roots(p, opts)`` and spares searching again.
     """
     gamma = p.gamma  # raises for gamma1 != gamma2
     del gamma
     if mu0 <= 0:
         raise ParameterError(f"scale must be positive, got mu0={mu0}")
-    roots = find_positive_roots(p, opts)
+    if roots is None:
+        roots = find_positive_roots(p, opts)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
         values = ", ".join(f"{r.c_tilde:.12g}" for r in degenerate)

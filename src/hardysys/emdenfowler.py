@@ -13,6 +13,13 @@ integrator with error-per-unit-step control (global error scales like
 tol^(5/4), i.e. better than a factor 16 per tolerance decade), shooting
 recovery of the homoclinic amplitude, and residual checks of all three
 radial encodings of one and the same solution.
+
+Shooting is an oracle independent of the closed form: each trial integrates
+from a symmetric maximum (a, 0, a/s, 0) to its first event, a rebound or a
+zero crossing, and scores it by a signed miss m (kappa times the minimum of
+y_u, or the slope y_u' at the crossing).  Bracketed regula falsi with the
+Illinois-type end scaling on m |m|, which is nearly linear in a, stops once
+the bracket around the homoclinic amplitude is rel_width * hi wide.
 """
 
 from __future__ import annotations
@@ -179,7 +186,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 
     ``stop(t, y_u, p_u, y_v, p_v)`` is an optional early-exit predicate
     evaluated after every accepted step; a truthy value ends the run with
-    termination 'completed'.
+    termination 'completed'.  The initial state and ``t_span`` are read as
+    Python floats.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -212,9 +220,10 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             fv -= nub * yu ** alpha * yv ** eb
         return fu, fv
 
-    # forward-time state; derivative components flipped for backward spans
-    yu, pu = initial.y_u, sign * initial.p_u
-    yv, pv = initial.y_v, sign * initial.p_v
+    # forward-time state; derivative components flipped for backward spans.
+    # Python floats: numpy scalars would make every step about twice as slow
+    yu, pu = float(initial.y_u), sign * float(initial.p_u)
+    yv, pv = float(initial.y_v), sign * float(initial.p_v)
 
     ss = [0.0]
     yus, pus, yvs, pvs = [yu], [pu], [yv], [pv]
@@ -356,24 +365,54 @@ class ShootConfig:
     bracket: tuple[float, float] | None = None
     tol: float = 1e-9
     t_max: float | None = None
-    decay_threshold: float = 1e-8
     blowup_threshold: float = BLOWUP_THRESHOLD
     rel_width: float = 1e-8
     max_iter: int = 120
+
+
+def _hermite_min(h: float, y0: float, p0: float, y1: float, p1: float) -> float:
+    """Minimum of the cubic Hermite interpolant of one step with p0 <= 0 < p1."""
+    d0, d1, dy = h * p0, h * p1, y1 - y0
+    c2 = 3.0 * dy - 2.0 * d0 - d1
+    c3 = d0 + d1 - 2.0 * dy
+    # the derivative 3 c3 th^2 + 2 c2 th + d0 turns positive exactly once on
+    # [0, 1]; both branches give that root without cancellation
+    a, b = 3.0 * c3, 2.0 * c2
+    r = math.sqrt(max(b * b - 4.0 * a * d0, 0.0))
+    th = (r - b) / (2.0 * a) if b <= 0.0 else 2.0 * d0 / (-b - r)
+    th = min(max(th, 0.0), 1.0)
+    return y0 + th * (d0 + th * (c2 + th * c3))
 
 
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
                        config: ShootConfig | None = None) -> float:
     """Recover the symmetric-maximum amplitude of the decaying orbit.
 
-    Starting from (y_u, y_u', y_v, y_v') = (a, 0, a/s, 0) with s the coupling
-    root, amplitudes above the homoclinic one descend monotonically through
-    zero (extinction) while amplitudes below turn around at a positive
-    minimum; bisection on that dichotomy converges to the decaying orbit's
-    amplitude a*.  Each trial run ends at its first definitive event (zero
-    crossing, dip below the decay threshold, or turning point): the
-    synchronized orbit is transversally unstable, so integrating an
-    already-classified trial any further only lets roundoff asymmetry grow.
+    A trial starts from (y_u, y_u', y_v, y_v') = (a, 0, a/s, 0), with s the
+    coupling root, and runs to its first event.  Amplitudes above the
+    homoclinic one a* descend through zero (extinction), those below turn
+    around at a positive minimum; the event fixes the sign of the miss
+
+        m(a) = kappa * min y_u    (rebound: y_u' turns positive)
+        m(a) = y_u' at extinction or blow-up (negative),
+
+    and m = 0, which ends the search, when t_max passes without an event
+    (the trial followed the decaying orbit all the way).  Both kinds of |m|
+    grow like sqrt|a - a*|, so the iteration runs on g = m |m|, which is
+    close to linear in a.  The minimum is read off the cubic Hermite interpolant of the last
+    step; an extinct trial stores y_u = 0 at the step's end, which puts the
+    crossing there.  No integration beyond the event is needed, and none is
+    wanted: the synchronized orbit is transversally unstable, so running a
+    trial any further only lets roundoff asymmetry grow.
+
+    The bracket (lo, hi) around a* shrinks by regula falsi on g.  When one
+    end is kept twice in a row its g is scaled by 1 - g_new/g_old, or by 1/2
+    when that is not positive (the Anderson-Bjorck form of the Illinois
+    rule).  A secant point closer than rel_width * hi / 4 to an end is moved
+    that far inside, so that a converged estimate closes the bracket on the
+    next trial and a stalled one moves it: a short secant step from a far,
+    steep end proves nothing about a*.  The search stops when the bracket is
+    at most rel_width * hi wide and returns the regula-falsi point inside it.
     """
     config = config or ShootConfig()
     s = root.c_tilde
@@ -386,39 +425,60 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
     y_eq = (kappa2 / k_u) ** (1.0 / (ts - 2.0))
     t_max = config.t_max if config.t_max is not None else 60.0 / d.kappa
-    rebound_floor = 100.0 * config.decay_threshold
 
     def rebounded(t, yu, pu, yv, pv):
-        return pu > 0.0 and yu > rebound_floor
+        return pu > 0.0
 
-    def crosses(a: float) -> bool:
+    def miss(a: float) -> float:
         state = EFState(t=0.0, y_u=a, p_u=0.0, y_v=a / s, p_v=0.0)
         traj = integrate(state, (0.0, t_max), p, tol=config.tol,
                          blowup_threshold=config.blowup_threshold,
                          stop=rebounded)
+        p1 = float(traj.p_u[-1])
         if traj.termination != "completed":
-            return True
-        return bool(np.min(traj.y_u) < config.decay_threshold)
+            m = -abs(p1)
+        elif p1 <= 0.0:
+            m = 0.0
+        else:
+            y0, y1 = float(traj.y_u[-2]), float(traj.y_u[-1])
+            y_min = _hermite_min(float(traj.t[-1] - traj.t[-2]), y0,
+                                 float(traj.p_u[-2]), y1, p1)
+            # the event, not the interpolant, decides the sign
+            m = d.kappa * (y_min if y_min > 0.0 else min(y0, y1))
+        return m * abs(m)
 
     if config.bracket is not None:
-        lo, hi = config.bracket
+        lo, hi = map(float, config.bracket)
     else:
         lo, hi = 1.01 * y_eq, 3.0 * y_eq
     if not (0 < lo < hi):
         raise BracketError(f"invalid bracket ({lo}, {hi})")
-    if crosses(lo) or not crosses(hi):
+    g_lo, g_hi = miss(lo), miss(hi)
+    if g_lo <= 0.0 or g_hi > 0.0:
         raise BracketError(
             f"shooting dichotomy not observed on bracket ({lo:.6g}, {hi:.6g})"
         )
+    last = 0  # side of the last move: +1 lo, -1 hi
     for _ in range(config.max_iter):
-        if hi - lo <= config.rel_width * hi:
+        x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+        width = config.rel_width * hi
+        if hi - lo <= width:
             break
-        mid = 0.5 * (lo + hi)
-        if crosses(mid):
-            hi = mid
+        x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)
+        g = miss(x)
+        if g == 0.0:
+            break
+        if g > 0.0:
+            if last > 0:
+                scale = 1.0 - g / g_lo
+                g_hi *= scale if scale > 0.0 else 0.5
+            lo, g_lo, last = x, g, 1
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            if last < 0:
+                scale = 1.0 - g / g_hi
+                g_lo *= scale if scale > 0.0 else 0.5
+            hi, g_hi, last = x, g, -1
+    return x
 
 
 # --- trajectory diagnostics ---------------------------------------------------

@@ -67,6 +67,23 @@ def test_classify_degenerate_only_exit3():
     assert "degenerate" in err
 
 
+def test_classify_searches_roots_once(monkeypatch):
+    calls = []
+    search = hs.coupling.find_positive_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hs.coupling, "find_positive_roots", counting)
+    monkeypatch.setattr(hs.cli, "find_positive_roots", counting)
+    code, out, _ = run_cli(["classify", "--n", "3", "--gamma", "0",
+                            "--nu", "1", "--alpha", "3"])
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert len(calls) == 1
+
+
 def test_classify_split_gamma_flags_mismatch_exit2():
     code, _, err = run_cli(["classify", "--n", "4", "--gamma1", "0.1",
                             "--gamma2", "0.3", "--nu", "1", "--alpha", "2"])

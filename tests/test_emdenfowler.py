@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardysys as hs
-from hardysys import DomainError, EFState, ParameterError, TrajectoryError
+from hardysys import (DomainError, EFState, ParameterError, TrajectoryError,
+                      emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
                                   exact_ef_solution, exact_trajectory, integrate)
 from hardysys.verify import convergence_order
@@ -175,6 +176,26 @@ def test_zero_length_span(benchmark4):
     assert traj.t[0] == 0.3
 
 
+def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
+    p, fam = benchmark4
+    exact = exact_ef_solution(fam, 0.2)
+    values = (exact.t, exact.y_u, exact.p_u, exact.y_v, exact.p_v)
+    for span in ((0.2, 4.0), (0.2, -3.0)):
+        seen = []
+
+        def stop(*state):
+            seen.extend(type(v) for v in state)
+            return False
+
+        plain = integrate(EFState(*map(float, values)), span, p, tol=1e-10)
+        wrapped = integrate(EFState(*map(np.float64, values)),
+                            tuple(map(np.float64, span)), p, tol=1e-10, stop=stop)
+        for name in ("t", "y_u", "p_u", "y_v", "p_v"):
+            assert np.array_equal(getattr(plain, name), getattr(wrapped, name))
+        assert (plain.accepted, plain.rejected) == (wrapped.accepted, wrapped.rejected)
+        assert seen and set(seen) == {float}
+
+
 def test_shoot_with_custom_window(benchmark4):
     p, fam = benchmark4
     target = math.sqrt(2.0 / 3.0)
@@ -259,6 +280,44 @@ def test_shoot_bracket_failure(benchmark4):
     p, fam = benchmark4
     with pytest.raises(hs.BracketError):
         hs.shoot_synchronized(p, fam.root, hs.ShootConfig(bracket=(100.0, 200.0)))
+
+
+def test_shoot_bracket_wholly_below_homoclinic(benchmark4):
+    p, fam = benchmark4  # a* = sqrt(2/3) ~ 0.8165, ray equilibrium 1/sqrt(3)
+    for bracket in ((0.6, 0.8), (0.1, 0.5)):
+        with pytest.raises(hs.BracketError):
+            hs.shoot_synchronized(p, fam.root, hs.ShootConfig(bracket=bracket))
+
+
+@pytest.mark.parametrize("bracket", [(0.6, 100.0), (0.01, 1e4)])
+def test_shoot_wide_bracket(benchmark4, bracket):
+    # the far end is steep: early secant steps from lo are tiny although a*
+    # is far from lo, so a small step alone must not end the search
+    p, fam = benchmark4
+    a = hs.shoot_synchronized(p, fam.root, hs.ShootConfig(bracket=bracket))
+    target = math.sqrt(2.0 / 3.0)
+    assert abs(a - target) / target <= 1e-6
+
+
+def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
+    amplitudes = []
+
+    def counting(initial, *args, **kwargs):
+        amplitudes.append(initial.y_u)
+        return integrate(initial, *args, **kwargs)
+
+    monkeypatch.setattr(emdenfowler, "integrate", counting)
+    (p4, fam4), (p3, fams3) = benchmark4, benchmark3
+    assert len(fams3) == 3
+    for p, fam in [(p4, fam4)] + [(p3, f) for f in fams3]:
+        amplitudes.clear()
+        a = hs.shoot_synchronized(p, fam.root)
+        d = p.derived()
+        target = fam.c1 * d.amplitude * 2.0 ** (-d.delta)
+        assert abs(a - target) / target <= 1e-6
+        assert 3 <= len(amplitudes) <= 15
+        # numpy scalars here would make every step of every trial slower
+        assert all(type(x) is float for x in amplitudes)
 
 
 # --- trajectory diagnostics -------------------------------------------------------
