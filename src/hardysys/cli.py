@@ -151,8 +151,7 @@ def cmd_shoot(args) -> int:
     return EXIT_OK
 
 
-def _sweep_value(item):
-    base, name, value = item
+def _sweep_value(base, name, value):
     kwargs = {"n": base.n, "gamma1": base.gamma1, "gamma2": base.gamma2,
               "nu": base.nu, "alpha": base.alpha, "beta": base.beta}
     kwargs[name] = value
@@ -169,11 +168,12 @@ def cmd_sweep(args) -> int:
     base = _build_params(args)
     if args.samples < 2:
         raise ParameterError("a sweep needs at least two samples")
-    values = np.linspace(args.start, args.stop, args.samples)
-    # validate the endpoints up front so bad ranges fail before any work
-    for v in (values[0], values[-1]):
-        _sweep_value((base, args.param, float(v)))
-    results = [_sweep_value((base, args.param, float(v))) for v in values]
+    values = np.linspace(args.start, args.stop, args.samples).tolist()
+    # the endpoints go first so that bad ranges fail before any other work
+    first = _sweep_value(base, args.param, values[0])
+    last = _sweep_value(base, args.param, values[-1])
+    results = ([first] + [_sweep_value(base, args.param, v) for v in values[1:-1]]
+               + [last])
     fh, close = _open_out(args.out)
     try:
         writer = csv.writer(fh)

@@ -285,8 +285,7 @@ def classify(p: ProblemParams, mu0: float = 1.0,
     classification rests on is not.  ``roots``, when given, is the result of
     ``find_positive_roots(p, opts)`` and spares searching again.
     """
-    gamma = p.gamma  # raises for gamma1 != gamma2
-    del gamma
+    p.gamma  # validation: raises ParameterError for gamma1 != gamma2
     if mu0 <= 0:
         raise ParameterError(f"scale must be positive, got mu0={mu0}")
     if roots is None:

@@ -246,6 +246,39 @@ def test_sweep_bad_range_exit2():
     assert code == 2
 
 
+def _count_root_searches(monkeypatch):
+    calls = []
+    search = hs.cli.find_positive_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(hs.cli, "find_positive_roots", counting)
+    return calls
+
+
+def test_sweep_searches_once_per_sample(monkeypatch, tmp_path):
+    calls = _count_root_searches(monkeypatch)
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(["sweep", "--n", "3", "--gamma", "0", "--alpha", "3",
+                          "--nu", "1", "--param", "nu", "--start", "0.5",
+                          "--stop", "1.5", "--samples", "9", "--out", str(out_file)])
+    assert code == 0
+    assert len(calls) == 9
+    rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
+    assert [float(r["nu"]) for r in rows] == np.linspace(0.5, 1.5, 9).tolist()
+
+
+def test_sweep_bad_endpoint_fails_before_the_interior(monkeypatch):
+    # beta = 2* - alpha turns negative at the last value
+    calls = _count_root_searches(monkeypatch)
+    code, _, _ = run_cli(["sweep", *N4, "--param", "alpha", "--start", "1.5",
+                          "--stop", "4.5", "--samples", "50"])
+    assert code == 2
+    assert len(calls) == 1
+
+
 def test_sweep_deterministic(tmp_path):
     args = ["sweep", "--n", "3", "--gamma", "0", "--alpha", "3", "--nu", "1",
             "--param", "nu", "--start", "0.5", "--stop", "1.5", "--samples", "8"]

@@ -196,6 +196,72 @@ def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
         assert seen and set(seen) == {float}
 
 
+# Step counts and the exact last state (t, y_u, p_u, y_v, p_v) of fixed runs,
+# recorded from the table-driven form of the kernel: any change in the order
+# of its floating-point operations shows up here.
+KERNEL_PINS = {
+    "n4-forward": (672, 0, "completed", (
+        "0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "-0x1.36f46dcf0d2edp-14",
+        "0x1.36f53ac6bdc18p-14", "-0x1.36f46dcf0d2edp-14")),
+    "n4-backward": (672, 0, "completed", (
+        "-0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14",
+        "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14")),
+    "n3-forward-tol12": (1170, 2, "completed", (
+        "0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "-0x1.ab20adfd02593p-10",
+        "0x1.178f05b1ca8c3p-7", "-0x1.178f059e5c24dp-8")),
+    "n3-backward-tol12": (1170, 2, "completed", (
+        "-0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "0x1.ab20adfd02593p-10",
+        "0x1.178f05b1ca8c3p-7", "0x1.178f059e5c24dp-8")),
+    "n4-shooting-trial": (175, 28, "extinction", (
+        "0x1.a7128e109664ap+1", "0x0.0p+0", "-0x1.dee3431449a67p-4",
+        "0x0.0p+0", "-0x1.dee3431449a67p-4")),
+    "n4-low-blowup-threshold": (106, 0, "blowup", (
+        "-0x1.11129b4b66825p+0", "0x1.01448ea2158afp-1", "0x1.9590072665c0cp-2",
+        "0x1.01448ea2158afp-1", "0x1.9590072665c0cp-2")),
+    "n4-scalar-forward": (672, 0, "completed", (
+        "0x1.4000000000000p+3", "0x1.0d4c263d2548fp-13", "-0x1.0d4b759e76aefp-13",
+        "0x1.0d4c263d2548fp-13", "-0x1.0d4b759e76aefp-13")),
+}
+
+
+def _pinned_run(name):
+    n4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    fam4 = hs.classify(n4, 1.0)[0]
+    if name.startswith("n3"):
+        n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+        start = exact_ef_solution(hs.classify(n3, 1.0)[0], 0.0)
+        end = 10.0 if "forward" in name else -10.0
+        return integrate(start, (0.0, end), n3, tol=1e-12)
+    if name == "n4-shooting-trial":
+        d = n4.derived()
+        a = 1.01 * fam4.c1 * d.amplitude * 2.0 ** (-d.delta)
+        start = EFState(0.0, a, 0.0, a / fam4.c_tilde, 0.0)
+        return integrate(start, (0.0, 60.0 / d.kappa), n4, tol=1e-9,
+                         stop=lambda t, yu, pu, yv, pv: pu > 0.0)
+    if name == "n4-low-blowup-threshold":
+        return integrate(exact_ef_solution(fam4, -3.0), (-3.0, 10.0), n4,
+                         blowup_threshold=0.5)
+    if name == "n4-scalar-forward":
+        scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+        start = exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.0)
+        return integrate(start, (0.0, 10.0), scalar)
+    end = 10.0 if name == "n4-forward" else -10.0
+    return integrate(exact_ef_solution(fam4, 0.0), (0.0, end), n4)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_PINS))
+def test_kernel_bitwise_regression(name):
+    traj = _pinned_run(name)
+    last = tuple(float(getattr(traj, k)[-1]).hex()
+                 for k in ("t", "y_u", "p_u", "y_v", "p_v"))
+    assert (traj.accepted, traj.rejected, traj.termination, last) == KERNEL_PINS[name]
+
+
+def test_shoot_bitwise_regression(benchmark4):
+    p, fam = benchmark4
+    assert hs.shoot_synchronized(p, fam.root).hex() == "0x1.a20bd700c5ac0p-1"
+
+
 def test_shoot_with_custom_window(benchmark4):
     p, fam = benchmark4
     target = math.sqrt(2.0 / 3.0)
@@ -213,12 +279,9 @@ def test_integration_rejects_bad_inputs(benchmark4):
         integrate(EFState(0.0, math.nan, 0.0, 0.0, 0.0), (0.0, 1.0), p)
 
 
-def test_trajectory_states_and_csv(benchmark4):
+def test_trajectory_csv(benchmark4):
     p, fam = benchmark4
     traj = exact_trajectory(fam, np.linspace(-1.0, 1.0, 5))
-    states = traj.states
-    assert len(states) == 5
-    assert states[0].t == -1.0
     buf = io.StringIO()
     traj.write_csv(buf)
     lines = buf.getvalue().splitlines()

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import hardysys as hs
 from hardysys import ConvergenceError, DomainError
+from hardysys.emdenfowler import exact_ef_solution, integrate
 from hardysys.verify import RadialGrid, convergence_order, fd_derivative
 
 
@@ -124,6 +125,54 @@ def test_full_verification_flags_perturbed_amplitude(benchmark4):
     failed = {c.name.split(".", 1)[1] for c in report.checks if not c.passed}
     assert "radial_residual" in failed
     assert "ef_residual" in failed
+
+
+def test_backward_leg_is_the_forward_leg_mirrored(matrix_families):
+    # full_verification integrates one leg per family over (0, 10) and mirrors it
+    for p, mu0, fam in matrix_families:
+        t0 = math.log(mu0)
+        start = exact_ef_solution(fam, t0)
+        leg = integrate(start, (0.0, 10.0), p)
+        for sign in (1.0, -1.0):
+            run = integrate(start, (t0, t0 + sign * 10.0), p)
+            assert (run.accepted, run.rejected) == (leg.accepted, leg.rejected)
+            assert run.y_u.tobytes() == leg.y_u.tobytes()
+            assert run.y_v.tobytes() == leg.y_v.tobytes()
+            assert np.array_equal(run.t, t0 + sign * leg.t)
+            # == rather than bytes: the slopes at the start are zeros of either sign
+            assert np.array_equal(run.p_u, sign * leg.p_u)
+            assert np.array_equal(run.p_v, sign * leg.p_v)
+
+
+def test_full_verification_integrates_one_leg_per_family(monkeypatch, benchmark3):
+    p, fams = benchmark3
+    legs, trials, per_shot = [], [], []
+
+    def counting(calls):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+        return wrapped
+
+    shoot = hs.verify.shoot_synchronized
+
+    def counting_shoot(*args, **kwargs):
+        before = len(trials)
+        try:
+            return shoot(*args, **kwargs)
+        finally:
+            per_shot.append(len(trials) - before)
+
+    monkeypatch.setattr(hs.verify, "integrate", counting(legs))
+    monkeypatch.setattr(hs.emdenfowler, "integrate", counting(trials))
+    monkeypatch.setattr(hs.verify, "shoot_synchronized", counting_shoot)
+    report = hs.full_verification(p, 1.0)
+    assert report.overall
+    assert len(legs) == len(fams) == 3
+    # every other integration is a shooting trial
+    assert len(per_shot) == 3
+    assert sum(per_shot) == len(trials)
+    assert all(3 <= k <= 15 for k in per_shot)
 
 
 def test_report_deterministic(benchmark4):
