@@ -19,7 +19,7 @@ import numpy as np
 from .coupling import classify, find_positive_roots
 from .emdenfowler import ShootConfig, exact_trajectory, shoot_synchronized
 from .errors import BracketError, ParameterError
-from .params import ProblemParams
+from .params import ProblemParams, critical_exponent
 from .verify import RadialGrid, full_verification
 
 EXIT_OK = 0
@@ -51,12 +51,10 @@ def _build_params(args) -> ProblemParams:
     else:
         g1 = args.gamma1 if args.gamma1 is not None else 0.0
         g2 = args.gamma2 if args.gamma2 is not None else g1
-    if args.beta is None:
-        return ProblemParams.symmetric(args.n, g1, args.nu, args.alpha) \
-            if g1 == g2 else ProblemParams(args.n, g1, g2, args.nu, args.alpha,
-                                           2.0 * args.n / (args.n - 2) - args.alpha)
+    # critical_exponent validates n before it divides by n - 2
+    beta = critical_exponent(args.n) - args.alpha if args.beta is None else args.beta
     return ProblemParams(n=args.n, gamma1=g1, gamma2=g2, nu=args.nu,
-                         alpha=args.alpha, beta=args.beta)
+                         alpha=args.alpha, beta=beta)
 
 
 def _open_out(path):
@@ -103,8 +101,7 @@ def cmd_verify(args) -> int:
     p = _build_params(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = full_verification(p, args.mu0, integration_tol=args.tol,
-                                   amplitude_factor=args.perturb_amplitude)
+        report = full_verification(p, args.mu0, integration_tol=args.tol)
     if report.n_families == 0:
         print("no usable root of the coupling function; nothing to verify",
               file=sys.stderr)
@@ -129,16 +126,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall else EXIT_CHECK_FAILED
 
 
-def cmd_shoot(args) -> int:
-    p = _build_params(args)
+def _selected_family(p, args):
+    """The family at ``--root-index``; None, after a message, if there is none."""
     families = classify(p, args.mu0)
     if not families:
         print("no usable root of the coupling function", file=sys.stderr)
-        return EXIT_DEGENERATE_ONLY
+        return None
     if not 0 <= args.root_index < len(families):
         raise ParameterError(
             f"root index {args.root_index} out of range (found {len(families)} families)")
-    fam = families[args.root_index]
+    return families[args.root_index]
+
+
+def cmd_shoot(args) -> int:
+    p = _build_params(args)
+    fam = _selected_family(p, args)
+    if fam is None:
+        return EXIT_DEGENERATE_ONLY
     config = ShootConfig(bracket=tuple(args.bracket) if args.bracket else None,
                          tol=args.tol)
     recovered = shoot_synchronized(p, fam.root, config)
@@ -156,7 +160,7 @@ def _sweep_value(base, name, value):
               "nu": base.nu, "alpha": base.alpha, "beta": base.beta}
     kwargs[name] = value
     if name == "alpha":
-        kwargs["beta"] = 2.0 * base.n / (base.n - 2) - value
+        kwargs["beta"] = critical_exponent(base.n) - value
     p = ProblemParams(**kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -189,14 +193,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     p = _build_params(args)
-    families = classify(p, args.mu0)
-    if not families:
-        print("no usable root of the coupling function", file=sys.stderr)
+    fam = _selected_family(p, args)
+    if fam is None:
         return EXIT_DEGENERATE_ONLY
-    if not 0 <= args.root_index < len(families):
-        raise ParameterError(
-            f"root index {args.root_index} out of range (found {len(families)} families)")
-    fam = families[args.root_index]
     d = p.derived()
 
     targets = []
@@ -253,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--tol", type=float, default=1e-10,
                     help="integration tolerance used inside the checks")
-    sp.add_argument("--perturb-amplitude", type=float, default=1.0,
-                    help=argparse.SUPPRESS)  # sensitivity hook for testing
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("shoot", help="recover the homoclinic amplitude by shooting")

@@ -29,7 +29,6 @@ class RootSearchOptions:
     s_hi: float = 1e8
     grid_points: int = 4096
     bisect_width: float = 1e-13
-    newton_tol: float = 1e-14
     degeneracy_threshold: float = 1e-8
     tangency_tol: float = 1e-10
 

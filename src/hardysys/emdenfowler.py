@@ -95,20 +95,23 @@ def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float
 # --- closed-form synchronized trajectories ---------------------------------
 
 
-def _closed_form_arrays(fam: SynchronizedFamily, t):
-    """(y_u, p_u, y_v, p_v) of the closed form, stable for any |t|.
+def _closed_form_core(fam: SynchronizedFamily, t):
+    """(theta, log 2cosh theta, A (2 cosh theta)^(-delta)), stable for any |t|.
 
-    y(t) = c A (2 cosh(kappa (t - t0)/delta))^(-delta) with t0 = log mu.
+    theta = kappa (t - t0) / delta with t0 = log mu.
     """
     d = fam.profile.derived
     t = np.asarray(t, dtype=float)
-    s = t - math.log(fam.profile.mu)
-    theta = d.kappa * s / d.delta
+    theta = d.kappa * (t - math.log(fam.profile.mu)) / d.delta
     # log(2 cosh theta) = |theta| + log1p(exp(-2|theta|))
     log2cosh = np.abs(theta) + np.log1p(np.exp(-2.0 * np.abs(theta)))
-    base = (fam.profile.derived.amplitude * fam.profile.amplitude_factor
-            * np.exp(-d.delta * log2cosh))
-    slope = -d.kappa * np.tanh(theta)
+    return theta, log2cosh, d.amplitude * np.exp(-d.delta * log2cosh)
+
+
+def _closed_form_arrays(fam: SynchronizedFamily, t):
+    """(y_u, p_u, y_v, p_v) of the closed form y(t) = c A (2 cosh theta)^(-delta)."""
+    theta, _, base = _closed_form_core(fam, t)
+    slope = -fam.profile.derived.kappa * np.tanh(theta)
     y_u = fam.c1 * base
     y_v = fam.c2 * base
     return y_u, slope * y_u, y_v, slope * y_v
@@ -117,14 +120,9 @@ def _closed_form_arrays(fam: SynchronizedFamily, t):
 def _closed_form_accel(fam: SynchronizedFamily, t):
     """Second derivatives (y_u'', y_v'') of the closed form."""
     d = fam.profile.derived
-    t = np.asarray(t, dtype=float)
-    s = t - math.log(fam.profile.mu)
-    theta = d.kappa * s / d.delta
-    log2cosh = np.abs(theta) + np.log1p(np.exp(-2.0 * np.abs(theta)))
+    theta, log2cosh, base = _closed_form_core(fam, t)
     sech2 = np.exp(-2.0 * log2cosh) * 4.0
     tanh2 = np.tanh(theta) ** 2
-    base = (fam.profile.derived.amplitude * fam.profile.amplitude_factor
-            * np.exp(-d.delta * log2cosh))
     curv = d.kappa ** 2 * (tanh2 - sech2 / d.delta)
     return fam.c1 * base * curv, fam.c2 * base * curv
 
@@ -568,6 +566,13 @@ def _grid_array(grid) -> np.ndarray:
     return r
 
 
+def _max_normalized(terms) -> float:
+    """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...)."""
+    total = sum(terms[1:], terms[0])  # ((t1 + t2) + t3) + ...
+    scale = np.maximum.reduce([np.ones_like(terms[0])] + [np.abs(t) for t in terms])
+    return float(np.max(np.abs(total) / scale))
+
+
 def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
     """Max normalized residual of the radial system for (c1 W, c2 W).
 
@@ -581,19 +586,15 @@ def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]
     n = p.n
     gamma = p.gamma
     u, u1, u2 = fam.profile.derivatives(r)
-    res = []
-    for c_own, c_oth, e_own, e_oth, factor in (
-            (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
-            (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)):
-        t1 = c_own * u2
-        t2 = (n - 1.0) * c_own * u1 / r
-        t3 = gamma * c_own * u / (r * r)
-        t4 = np.power(c_own * u, ts - 1.0)
-        t5 = factor * np.power(c_own * u, e_own) * np.power(c_oth * u, e_oth)
-        scale = np.maximum.reduce([np.ones_like(r), np.abs(t1), np.abs(t2),
-                                   np.abs(t3), np.abs(t4), np.abs(t5)])
-        res.append(float(np.max(np.abs(t1 + t2 + t3 + t4 + t5) / scale)))
-    return res[0], res[1]
+    return tuple(_max_normalized((
+        c_own * u2,
+        (n - 1.0) * c_own * u1 / r,
+        gamma * c_own * u / (r * r),
+        np.power(c_own * u, ts - 1.0),
+        factor * np.power(c_own * u, e_own) * np.power(c_oth * u, e_oth),
+    )) for c_own, c_oth, e_own, e_oth, factor in (
+        (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
+        (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)))
 
 
 def weighted_system_residual(fam: SynchronizedFamily, tau: float,
@@ -616,18 +617,14 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
     ts = p.two_star
     g, g1, g2 = fam.profile.weighted_derivatives(tau, r)
     weight = np.power(r, -(ts - 2.0) * tau)
-    res = []
-    for c_own, c_oth, e_own, e_oth, factor in (
-            (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
-            (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)):
-        t1 = c_own * g2
-        t2 = (n - 1.0 - 2.0 * tau) * c_own * g1 / r
-        t3 = weight * np.power(c_own * g, ts - 1.0)
-        t4 = weight * factor * np.power(c_own * g, e_own) * np.power(c_oth * g, e_oth)
-        scale = np.maximum.reduce([np.ones_like(r), np.abs(t1), np.abs(t2),
-                                   np.abs(t3), np.abs(t4)])
-        res.append(float(np.max(np.abs(t1 + t2 + t3 + t4) / scale)))
-    return res[0], res[1]
+    return tuple(_max_normalized((
+        c_own * g2,
+        (n - 1.0 - 2.0 * tau) * c_own * g1 / r,
+        weight * np.power(c_own * g, ts - 1.0),
+        weight * factor * np.power(c_own * g, e_own) * np.power(c_oth * g, e_oth),
+    )) for c_own, c_oth, e_own, e_oth, factor in (
+        (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
+        (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)))
 
 
 def ef_system_residual(fam: SynchronizedFamily, t_grid) -> tuple[float, float]:
@@ -637,15 +634,11 @@ def ef_system_residual(fam: SynchronizedFamily, t_grid) -> tuple[float, float]:
     t = np.asarray(t_grid, dtype=float)
     y_u, _, y_v, _ = _closed_form_arrays(fam, t)
     a_u, a_v = _closed_form_accel(fam, t)
-    res = []
-    for acc, y_own, y_oth, e_own, e_oth, factor in (
-            (a_u, y_u, y_v, alpha - 1.0, beta, nu * alpha),
-            (a_v, y_v, y_u, beta - 1.0, alpha, nu * beta)):
-        t1 = acc
-        t2 = -kappa2 * y_own
-        t3 = np.power(y_own, ts - 1.0)
-        t4 = factor * np.power(y_own, e_own) * np.power(y_oth, e_oth)
-        scale = np.maximum.reduce([np.ones_like(t1), np.abs(t1), np.abs(t2),
-                                   np.abs(t3), np.abs(t4)])
-        res.append(float(np.max(np.abs(t1 + t2 + t3 + t4) / scale)))
-    return res[0], res[1]
+    return tuple(_max_normalized((
+        acc,
+        -kappa2 * y_own,
+        np.power(y_own, ts - 1.0),
+        factor * np.power(y_own, e_own) * np.power(y_oth, e_oth),
+    )) for acc, y_own, y_oth, e_own, e_oth, factor in (
+        (a_u, y_u, y_v, alpha - 1.0, beta, nu * alpha),
+        (a_v, y_v, y_u, beta - 1.0, alpha, nu * beta)))

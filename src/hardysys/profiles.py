@@ -58,22 +58,14 @@ def _sigmoid(t):
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """The explicit radial profile at scale mu (Aubin-Talenti bubble if gamma=0).
-
-    ``amplitude_factor`` rescales the closed-form amplitude; any value other
-    than 1.0 deliberately breaks the equation and exists for sensitivity
-    checks of the residual machinery.
-    """
+    """The explicit radial profile at scale mu (Aubin-Talenti bubble if gamma=0)."""
 
     params: ProblemParams
     mu: float = 1.0
-    amplitude_factor: float = 1.0
 
     def __post_init__(self):
         if self.mu <= 0:
             raise ParameterError(f"scale must be positive, got mu={self.mu}")
-        if self.amplitude_factor <= 0:
-            raise ParameterError("amplitude_factor must be positive")
         object.__setattr__(self, "derived", derived_constants(self.params.n, self.params.gamma))
 
     # --- internal pieces -------------------------------------------------
@@ -94,7 +86,7 @@ class ScalarProfile:
         t = self._q * rho_log
         # log(1+rho^q) written to stay accurate on both sides of rho = 1
         log1p_term = np.where(t > 0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
-        log_amp = math.log(d.amplitude * self.amplitude_factor) - d.delta * math.log(self.mu)
+        log_amp = math.log(d.amplitude) - d.delta * math.log(self.mu)
         return log_amp - d.tau1 * rho_log - d.delta * log1p_term
 
     # --- public evaluators ------------------------------------------------

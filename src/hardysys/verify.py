@@ -42,7 +42,7 @@ from .emdenfowler import (ShootConfig, ef_system_residual, exact_ef_solution,
                           _closed_form_arrays, _system_constants)
 from .errors import ConvergenceError, DomainError
 from .params import ProblemParams
-from .profiles import ScalarProfile, asymptotic_limits
+from .profiles import asymptotic_limits
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,11 @@ def _merge_legs(backward, forward):
 
 def full_verification(p: ProblemParams, mu0: float = 1.0, *,
                       integration_tol: float = 1e-10,
-                      shoot_config: ShootConfig | None = None,
-                      amplitude_factor: float = 1.0) -> VerificationReport:
+                      shoot_config: ShootConfig | None = None) -> VerificationReport:
     """Classify the parameter set and run every check on every family.
 
     Individual check failures are recorded, not raised; classification errors
-    propagate.  ``amplitude_factor`` deliberately perturbs the profile
-    amplitude so that the residual checks can be shown to fire.
+    propagate.
 
     Each family is integrated once, over ten log-radius units from its
     maximum at t0 = log mu0, and the backward leg is that run mirrored.  The
@@ -206,9 +204,6 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     for bit, and its slopes are the forward ones negated.
     """
     families = classify(p, mu0)
-    if amplitude_factor != 1.0:
-        perturbed = ScalarProfile(p, mu0, amplitude_factor)
-        families = [replace(f, profile=perturbed) for f in families]
     grid = RadialGrid.log_uniform()
     d = p.derived()
     t0 = math.log(mu0)

@@ -91,6 +91,14 @@ def test_classify_split_gamma_flags_mismatch_exit2():
     assert "equal Hardy coefficients" in err
 
 
+def test_classify_dimension_two_with_split_gamma_exit2():
+    # 2* = 2n/(n-2) must not be formed before n is validated
+    code, _, err = run_cli(["classify", "--n", "2", "--gamma1", "0",
+                            "--gamma2", "0.1", "--alpha", "2"])
+    assert code == 2
+    assert "dimension too small" in err
+
+
 def test_classify_split_gamma_equal_ok():
     code, out, _ = run_cli(["classify", "--n", "4", "--gamma1", "0.25",
                             "--gamma2", "0.25", "--nu", "1", "--alpha", "2",
@@ -127,11 +135,13 @@ def test_verify_benchmark_exit0():
 
 
 def test_verify_perturbed_amplitude_exit1():
-    code, out, _ = run_cli(["verify", *N4, "--perturb-amplitude", "1.1"])
+    # a loose tolerance lets the integrated orbit drift from the closed form
+    code, out, _ = run_cli(["verify", *N4, "--tol", "1e-2"])
     assert code == 1
     report = json.loads(out)
     assert report["overall"] is False
-    assert any(not c["passed"] for c in report["checks"])
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    assert "f0.integration_deviation" in failed
 
 
 def test_verify_gamma_at_hardy_constant_exit2():

@@ -462,8 +462,8 @@ def test_radial_residual_scalar():
 def test_radial_residual_detects_wrong_amplitude(benchmark4):
     from dataclasses import replace
 
-    p, fam = benchmark4
-    wrong = replace(fam, profile=hs.ScalarProfile(p, 1.0, amplitude_factor=1.1))
+    _, fam = benchmark4
+    wrong = replace(fam, c1=1.1 * fam.c1, c2=1.1 * fam.c2)
     ru, rv = hs.radial_system_residual(wrong, GRID)
     assert max(ru, rv) >= 1e-2
 

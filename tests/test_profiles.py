@@ -13,9 +13,9 @@ from hardysys.verify import convergence_order, fd_derivative
 SAMPLE_RADII = np.array([1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6])
 
 
-def _profile(n, gamma, mu=1.0, **kw):
+def _profile(n, gamma, mu=1.0):
     p = hs.ProblemParams.symmetric(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
-    return ScalarProfile(p, mu, **kw)
+    return ScalarProfile(p, mu)
 
 
 def test_value_n4_at_r1():
@@ -130,9 +130,16 @@ def test_collapsed_linear_part_matches_term_assembly():
         assert np.max(gap) <= 1e-12
 
 
+class _TallProfile(ScalarProfile):
+    """The profile with its value 10% too large; the linear part is unchanged."""
+
+    def value(self, r):
+        return 1.1 * super().value(r)
+
+
 def test_wrong_amplitude_breaks_the_equation():
-    prof = _profile(4, 0.0, amplitude_factor=1.1)
-    res = scalar_equation_residual(prof, np.geomspace(0.1, 10, 64))
+    p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    res = scalar_equation_residual(_TallProfile(p), np.geomspace(0.1, 10, 64))
     assert np.max(res) >= 1e-2
 
 

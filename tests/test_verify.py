@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,9 +119,13 @@ def test_full_verification_scalar_regression():
     assert "energy_invariant" in {c.name.split(".", 1)[1] for c in report.checks}
 
 
-def test_full_verification_flags_perturbed_amplitude(benchmark4):
+def test_full_verification_flags_perturbed_amplitude(monkeypatch, benchmark4):
     p, _ = benchmark4
-    report = hs.full_verification(p, 1.0, amplitude_factor=1.1)
+    exact = hs.verify.classify
+    # every family 10% too tall: the equations no longer hold
+    monkeypatch.setattr(hs.verify, "classify", lambda p, mu0: [
+        replace(f, c1=1.1 * f.c1, c2=1.1 * f.c2) for f in exact(p, mu0)])
+    report = hs.full_verification(p, 1.0)
     assert not report.overall
     failed = {c.name.split(".", 1)[1] for c in report.checks if not c.passed}
     assert "radial_residual" in failed
@@ -204,3 +209,52 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
     for report in (hs.full_verification(p, 1.0), hs.full_verification(scalar, 1.0)):
         seen |= _base_names(report)
     assert seen == DOCUMENTED_CHECKS
+
+
+# float.hex of every check value, recorded before the residual helpers and the
+# closed-form core were shared: any change in a report's numbers shows up here.
+REPORT_PINS = {
+    "n4-nu1-alpha2": ((
+        "0x0.0p+0", "0x0.0p+0", "0x1.d64d5275b2829p-49", "0x1.d64d5275b2829p-49",
+        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.99c473d6c0000p-32",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.3988e1409212ep-53", "0x1.d64d51e0db1c6p-51", "0x0.0p+0",
+        "0x1.c7ae7fdfe84cap-40"),),
+    "n3-nu1-alpha3": ((
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
+        "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
+        "0x1.61b0000000000p-44", "0x1.ec9f570383bdfp-46", "0x0.0p+0", "0x0.0p+0",
+        "0x1.93e4a264df4bap-39", "0x1.93e4a264df4bap-39", "0x1.08a9310f53ce1p-53",
+        "0x1.3a48ea423384bp-49", "0x0.0p+0", "0x1.949ff048fa194p-43"), (
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.ca7bb15d402e5p-49",
+        "0x1.ca7bb15d402e5p-49", "0x1.6d18c00cb0000p-35", "0x1.4000000000000p-52",
+        "0x1.06e0000000000p-44", "0x1.2ebf3d6c79db4p-47", "0x0.0p+0", "0x0.0p+0",
+        "0x1.f070000000000p-41", "0x1.f070000000000p-41", "0x1.131703da7272bp-53",
+        "0x1.3579e455c0c10p-49", "0x0.0p+0", "0x1.94fe0f444a814p-43"), (
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
+        "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
+        "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.945daa5a56f0ep-53",
+        "0x1.488c1a6966a3cp-49", "0x0.0p+0", "0x1.9334ad98eae7dp-43")),
+}
+
+# the check order of one coupled (nu > 0) family
+COUPLED_CHECKS = (
+    "constants_residual", "ratio_identity", "radial_residual",
+    "weighted_residual_tau1", "weighted_residual_tau2", "ef_residual",
+    "integration_deviation", "proportionality_defect", "simultaneous_max_gap",
+    "max_location_error", "quotient_limit_minus", "quotient_limit_plus",
+    "asymptotic_u0", "asymptotic_uinf", "asymptotic_ratio", "shooting_recovery",
+)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_report_bitwise_regression(name):
+    p = (hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0) if name.startswith("n4")
+         else hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0))
+    report = hs.full_verification(p, 1.0)
+    expected = [(f"f{i}.{check}", value)
+                for i, values in enumerate(REPORT_PINS[name])
+                for check, value in zip(COUPLED_CHECKS, values)]
+    assert [(c.name, c.value.hex()) for c in report.checks] == expected
+    assert report.overall
