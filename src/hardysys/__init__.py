@@ -11,9 +11,9 @@ from .profiles import (AsymptoticData, ScalarProfile, asymptotic_limits,
                        aubin_talenti_value, hardy_weight, hardy_weight_dx1,
                        kelvin_transform, scalar_equation_residual,
                        weighted_transform)
-from .coupling import (CouplingRoot, RootSearchOptions, SynchronizedFamily,
-                       classify, constants_from_root, coupling_f,
-                       coupling_f_prime, endpoint_signs, find_positive_roots,
+from .coupling import (CouplingRoot, SynchronizedFamily, classify,
+                       constants_from_root, coupling_f, coupling_f_prime,
+                       endpoint_signs, find_positive_roots,
                        verify_constants_system)
 from .emdenfowler import (EFState, EFTrajectory, ShootConfig, ef_energy,
                           ef_rhs, ef_system_residual, exact_ef_solution,
@@ -29,7 +29,7 @@ __all__ = [
     "AsymptoticData", "BracketError", "CheckResult", "ConvergenceError",
     "CouplingRoot", "DerivedConstants", "DomainError", "EFState",
     "EFTrajectory", "IntegrationError", "ParameterError", "ProblemParams",
-    "RadialGrid", "RootSearchOptions", "ScalarProfile", "ShootConfig",
+    "RadialGrid", "ScalarProfile", "ShootConfig",
     "SynchronizedFamily", "TrajectoryError", "VerificationReport",
     "amplitude", "asymptotic_limits", "aubin_talenti_value", "classify",
     "constants_from_root", "convergence_order", "coupling_f",

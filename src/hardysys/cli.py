@@ -1,8 +1,9 @@
 """Command-line interface: classify, verify, shoot, sweep, export.
 
-Exit codes: 0 success, 1 failed verification check, 2 invalid parameters,
-3 no usable (non-degenerate) root, 4 shooting bracket not found,
-5 unwritable output path.
+Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
+(among them a root of the coupling function beyond the range of a double,
+named by its log s), 3 no usable (non-degenerate) root, 4 shooting bracket
+not found, 5 unwritable output path.
 """
 
 from __future__ import annotations
@@ -63,12 +64,12 @@ def _open_out(path):
     return open(path, "w", newline=""), True
 
 
-def cmd_classify(args) -> int:
-    p = _build_params(args)
+def _families(p, mu0):
+    """classify's families; degenerate roots and no family are stderr lines."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         roots = find_positive_roots(p)
-        families = classify(p, args.mu0, roots=roots)
+        families = classify(p, mu0, roots=roots)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
         print("warning: %d degenerate root(s) excluded: %s"
@@ -77,6 +78,13 @@ def cmd_classify(args) -> int:
               file=sys.stderr)
     if not families:
         print("no usable root of the coupling function", file=sys.stderr)
+    return families
+
+
+def cmd_classify(args) -> int:
+    p = _build_params(args)
+    families = _families(p, args.mu0)
+    if not families:
         return EXIT_DEGENERATE_ONLY
     rows = [{"c_tilde": f.c_tilde, "c1": f.c1, "c2": f.c2,
              "f_prime": f.root.f_prime} for f in families]
@@ -128,9 +136,8 @@ def cmd_verify(args) -> int:
 
 def _selected_family(p, args):
     """The family at ``--root-index``; None, after a message, if there is none."""
-    families = classify(p, args.mu0)
+    families = _families(p, args.mu0)
     if not families:
-        print("no usable root of the coupling function", file=sys.stderr)
         return None
     if not 0 <= args.root_index < len(families):
         raise ParameterError(

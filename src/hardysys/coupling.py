@@ -6,13 +6,16 @@ ratio s = c1/c2 is a positive root of
     f(s) = s^(2*-2) + nu alpha s^(alpha-2) - 1 - nu beta s^alpha,
 
 after which c2 = (1 + nu beta s^alpha)^(-1/(2*-2)) and c1 = s c2 solve the
-algebraic two-by-two constants system.  Root isolation is a dense log-grid
-sign scan followed by bisection and a safeguarded Newton polish; tangential
-near-roots (extrema of f touching zero) are reported but flagged degenerate.
+algebraic two-by-two constants system.  In x = log s, f is a sum of at most
+four exponentials; recursion on its critical points isolates every root, with
+no grid or search window, and Newton in s polishes each.  Tangential roots
+(critical points where f vanishes) are reported but flagged degenerate.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,15 +25,12 @@ from .errors import ConvergenceError, DomainError, ParameterError
 from .params import ProblemParams
 from .profiles import ScalarProfile
 
-
-@dataclass(frozen=True)
-class RootSearchOptions:
-    s_lo: float = 1e-8
-    s_hi: float = 1e8
-    grid_points: int = 4096
-    bisect_width: float = 1e-13
-    degeneracy_threshold: float = 1e-8
-    tangency_tol: float = 1e-10
+# bisection width in x = log s, relative to max(1, |x|); a root is degenerate
+# when |f'| at a sign change, or |f| at a critical point, is this small
+# against the sum of the magnitudes of its terms
+BISECT_WIDTH = 1e-13
+DEGENERACY_THRESHOLD = 1e-8
+TANGENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,142 +103,135 @@ def _fprime_scale(s: float, p: ProblemParams) -> float:
                + p.nu * p.beta * p.alpha * s ** (p.alpha - 1.0))
 
 
+def _merged_terms(p: ProblemParams) -> tuple[list[float], list[float]]:
+    """f(e^x) = sum c_i exp(a_i x) as ([c_i], [a_i]), exponents ascending, with
+    equal exponents merged and vanishing coefficients dropped."""
+    merged: dict[float, float] = {}
+    for c, a in ((1.0, p.two_star - 2.0), (p.nu * p.alpha, p.alpha - 2.0),
+                 (-1.0, 0.0), (-p.nu * p.beta, p.alpha)):
+        merged[a] = merged.get(a, 0.0) + c
+    expos = sorted(a for a, c in merged.items() if c != 0.0)
+    return [merged[a] for a in expos], expos
+
+
 def endpoint_signs(p: ProblemParams) -> tuple[int, int]:
-    """Signs of f near 0+ and near infinity from the dominant exponents.
+    """Signs of f near 0+ and near infinity: those of its lowest and highest
+    merged coefficients, or (0, 0) when f vanishes identically (e.g. alpha =
+    beta = 2 at nu = 1/2)."""
+    coefs, _ = _merged_terms(p)
+    if not coefs:
+        return 0, 0
+    return (1 if coefs[0] > 0 else -1), (1 if coefs[-1] > 0 else -1)
 
-    Near 0 the s^(alpha-2) term decides for alpha < 2; for alpha = 2 the
-    constant part nu*alpha - 1 decides (falling back to the next-smallest
-    exponent when it vanishes); otherwise the -1 survives.  Near infinity
-    the larger of the exponents 2*-2 and alpha decides; they tie exactly
-    when beta = 2, where the combined coefficient 1 - nu*beta decides.
-    A vanishing dominant coefficient at either end means f degenerates
-    (e.g. alpha = beta = 2 at nu = 1/2, where f is identically zero) and
-    sign 0 is returned for that end.
+
+def _sum_roots(coefs: list[float], expos: list[float], lo: float,
+               hi: float) -> list[tuple[float, bool]]:
+    """Roots of G(x) = sum c_i exp(a_i x) in (lo, hi), ascending, as (x, tangential).
+
+    exp(-a_0 x) G shares the roots of G and is monotone between those of its
+    derivative, a sum with one term fewer (two terms: closed form).  So each
+    strict sign change between consecutive nodes (lo, critical points, hi) is
+    one root, and a critical point where G vanishes to rounding is tangential:
+    Laguerre's proof of Descartes' rule of signs, run as an algorithm.
     """
-    ts = p.two_star
-    if p.nu > 0 and p.alpha < 2.0:
-        near_zero = 1
-    elif p.nu > 0 and p.alpha == 2.0:
-        near_zero = int(np.sign(p.nu * p.alpha - 1.0))
-        if near_zero == 0:
-            # constants cancel; remaining terms s^(2*-2) - nu*beta*s^2
-            if ts - 2.0 < 2.0:
-                near_zero = 1
-            elif ts - 2.0 > 2.0:
-                near_zero = -1
-            else:
-                near_zero = int(np.sign(1.0 - p.nu * p.beta))
-    else:
-        near_zero = -1
-    if p.nu == 0:
-        return near_zero, 1
-    if p.alpha > ts - 2.0:
-        at_inf = -1
-    elif p.alpha < ts - 2.0:
-        at_inf = 1
-    else:
-        at_inf = int(np.sign(1.0 - p.nu * p.beta))
-    return near_zero, at_inf
+    if len(coefs) == 2:
+        ratio = -coefs[1] / coefs[0]
+        x = math.log(ratio) / (expos[0] - expos[1]) if ratio > 0 else lo
+        return [(x, False)] if lo < x < hi else []
+    shifted = [a - expos[0] for a in expos[1:]]
+    crit = _sum_roots([c * a for c, a in zip(coefs[1:], shifted)], shifted, lo, hi)
+    logc = [math.log(abs(c)) for c in coefs]
+
+    def scaled(x: float) -> tuple[float, float]:
+        # G and the sum of its term magnitudes, both over the largest term
+        e = [lc + a * x for lc, a in zip(logc, expos)]
+        top = max(e)
+        w = [math.exp(v - top) for v in e]
+        return sum(wi if c > 0 else -wi for wi, c in zip(w, coefs)), sum(w)
+
+    roots: list[tuple[float, bool]] = []
+    a, ga = lo, scaled(lo)[0]
+    for b, _ in crit + [(hi, False)]:
+        gb, total = scaled(b)
+        tangential = b < hi and abs(gb) <= TANGENCY_TOL * total
+        if ga * gb < 0.0 and not tangential:
+            left, right = a, b
+            while right - left > BISECT_WIDTH * max(1.0, abs(left), abs(right)):
+                mid = 0.5 * (left + right)
+                if (scaled(mid)[0] > 0.0) == (ga > 0.0):
+                    left = mid
+                else:
+                    right = mid
+            roots.append((0.5 * (left + right), False))
+        if tangential:
+            roots.append((b, True))
+        a, ga = b, 0.0 if tangential else gb
+    return roots
 
 
-def _bisect(fun, a: float, b: float, fa: float, fb: float, width: float) -> tuple[float, float]:
-    while b - a > width * max(1.0, abs(b)):
-        m = 0.5 * (a + b)
-        fm = fun(m)
-        if fm == 0.0:
-            return m, m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return a, b
+def _root_at(x: float, p: ProblemParams) -> float:
+    """s = e^x; ParameterError if s, or a power or the term sum of f or f' at
+    s, is not a finite normal double."""
+    try:
+        s = math.exp(x)
+        if s >= sys.float_info.min and math.isfinite(_f_scale(s, p) + _fprime_scale(s, p)):
+            return s
+    except OverflowError:
+        pass
+    raise ParameterError(f"the coupling function has a root at log s = {x:.6g}, "
+                         "beyond the range of a double")
 
 
-def find_positive_roots(p: ProblemParams, opts: RootSearchOptions | None = None) -> list[CouplingRoot]:
-    """All positive roots of f in the search window, sorted ascending.
+def _polish(s: float, p: ProblemParams) -> float:
+    """Safeguarded Newton on f from s.  When rounding leaves the iterates
+    alternating between two doubles, it keeps the larger one, so the result
+    does not depend on where the polish started."""
+    before = None
+    for _ in range(12):
+        fs, fps = coupling_f(s, p), coupling_f_prime(s, p)
+        if fps == 0.0:
+            break
+        step = fs / fps
+        if not math.isfinite(step) or abs(step) > 0.5 * s:
+            break
+        s, previous = s - step, s
+        if abs(step) <= 1e-16 * s:
+            break
+        if s == before:
+            return max(s, previous)
+        before = previous
+    return s
 
-    Simple roots come from sign changes (bisection + Newton polish);
-    tangential candidates come from extrema of f whose value is at the
-    tangency tolerance.  Degenerate roots carry ``is_degenerate=True``.
+
+def find_positive_roots(p: ProblemParams) -> list[CouplingRoot]:
+    """All positive roots of f, ascending.
+
+    Sign-change roots are bisected in x = log s and polished by Newton in s;
+    those with |f'| at the degeneracy threshold, and all tangential roots,
+    are flagged degenerate.  A root beyond the range of a double raises
+    ParameterError.
     """
-    opts = opts or RootSearchOptions()
-    grid = np.geomspace(opts.s_lo, opts.s_hi, opts.grid_points)
-    fv = coupling_f(grid, p)
-    ts = p.two_star
-    term_scale = (np.power(grid, ts - 2.0) + p.nu * p.alpha * np.power(grid, p.alpha - 2.0)
-                  + 1.0 + p.nu * p.beta * np.power(grid, p.alpha))
-    if np.max(np.abs(fv) / term_scale) <= 1e-14:
-        # e.g. alpha = beta = 2 at nu = 1/2: f collapses to the zero function
-        # and grid values are pure roundoff
-        warnings.warn("the coupling function vanishes identically on the search "
-                      "grid; no isolated roots exist", RuntimeWarning, stacklevel=2)
+    coefs, expos = _merged_terms(p)
+    if not coefs:
+        warnings.warn("the coupling function vanishes identically (every merged "
+                      "coefficient is zero); no isolated roots exist",
+                      RuntimeWarning, stacklevel=2)
         return []
-
-    def f(s):
-        return coupling_f(s, p)
-
-    def fp(s):
-        return coupling_f_prime(s, p)
-
-    roots: list[CouplingRoot] = []
-
-    def polish_and_append(s: float, degenerate_hint: bool) -> None:
-        for _ in range(12):
-            fs, fps = f(s), fp(s)
-            if fps == 0.0:
-                break
-            step = fs / fps
-            if not np.isfinite(step) or abs(step) > 0.5 * s:
-                break
-            s -= step
-            if abs(step) <= 1e-16 * s:
-                break
-        fs, fps = f(s), fp(s)
-        degenerate = degenerate_hint or abs(fps) <= opts.degeneracy_threshold * _fprime_scale(s, p)
+    # beyond these ends the lowest, or the highest, term of f outweighs the
+    # sum of the others, so every root lies between them
+    k, logc = len(coefs), [math.log(abs(c)) for c in coefs]
+    lo = min((logc[0] - logc[j] - math.log(k - 1)) / (expos[j] - expos[0])
+             for j in range(1, k))
+    hi = max((logc[j] - logc[-1] + math.log(k - 1)) / (expos[-1] - expos[j])
+             for j in range(k - 1))
+    roots = []
+    for x, tangential in _sum_roots(coefs, expos, lo - 1.0, hi + 1.0):
+        s = _root_at(x, p) if tangential else _polish(_root_at(x, p), p)
+        fs, fps = coupling_f(s, p), coupling_f_prime(s, p)
+        degenerate = tangential or abs(fps) <= DEGENERACY_THRESHOLD * _fprime_scale(s, p)
         roots.append(CouplingRoot(c_tilde=s, f_residual=abs(fs), f_prime=fps,
                                   is_degenerate=degenerate))
-
-    # sign-change roots
-    exact_hits = np.flatnonzero(fv == 0.0)
-    for i in exact_hits:
-        polish_and_append(float(grid[i]), False)
-    changes = np.flatnonzero(fv[:-1] * fv[1:] < 0.0)
-    for i in changes:
-        a, b = _bisect(f, float(grid[i]), float(grid[i + 1]),
-                       float(fv[i]), float(fv[i + 1]), opts.bisect_width)
-        polish_and_append(0.5 * (a + b), False)
-
-    # tangential candidates: extrema of f with |f| at the tangency tolerance
-    fpv = coupling_f_prime(grid, p)
-    extrema = np.flatnonzero(fpv[:-1] * fpv[1:] < 0.0)
-    for i in extrema:
-        a, b = _bisect(fp, float(grid[i]), float(grid[i + 1]),
-                       float(fpv[i]), float(fpv[i + 1]), opts.bisect_width)
-        s_ext = 0.5 * (a + b)
-        if abs(f(s_ext)) > opts.tangency_tol * _f_scale(s_ext, p):
-            continue
-        if any(abs(s_ext - r.c_tilde) <= 1e-9 * max(1.0, s_ext) for r in roots):
-            continue
-        roots.append(CouplingRoot(c_tilde=s_ext, f_residual=abs(f(s_ext)),
-                                  f_prime=fp(s_ext), is_degenerate=True))
-
-    if not roots:
-        lo_sign, hi_sign = endpoint_signs(p)
-        warnings.warn(
-            "no sign change of the coupling function in "
-            f"[{opts.s_lo:g}, {opts.s_hi:g}]; endpoint sign classification is "
-            f"({lo_sign:+d} near 0, {hi_sign:+d} at infinity)",
-            RuntimeWarning, stacklevel=2,
-        )
-
-    roots.sort(key=lambda root: root.c_tilde)
-    # collapse duplicates produced by adjacent brackets around one root
-    merged: list[CouplingRoot] = []
-    for root in roots:
-        if merged and abs(root.c_tilde - merged[-1].c_tilde) <= 1e-12 * max(1.0, root.c_tilde):
-            continue
-        merged.append(root)
-    return merged
+    return roots
 
 
 def verify_constants_system(c1: float, c2: float, p: ProblemParams) -> tuple[float, float]:
@@ -274,21 +267,20 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
     return c1, c2
 
 
-def classify(p: ProblemParams, mu0: float = 1.0,
-             opts: RootSearchOptions | None = None, *,
+def classify(p: ProblemParams, mu0: float = 1.0, *,
              roots: list[CouplingRoot] | None = None) -> list[SynchronizedFamily]:
     """One synchronized family per simple positive root of f, shared scale mu0.
 
     Degenerate (tangential) roots are excluded with a warning: the constants
     map is still defined there, but the sign-change structure the
     classification rests on is not.  ``roots``, when given, is the result of
-    ``find_positive_roots(p, opts)`` and spares searching again.
+    ``find_positive_roots(p)`` and spares searching again.
     """
     p.gamma  # validation: raises ParameterError for gamma1 != gamma2
     if mu0 <= 0:
         raise ParameterError(f"scale must be positive, got mu0={mu0}")
     if roots is None:
-        roots = find_positive_roots(p, opts)
+        roots = find_positive_roots(p)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
         values = ", ".join(f"{r.c_tilde:.12g}" for r in degenerate)

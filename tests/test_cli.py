@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -65,6 +66,25 @@ def test_classify_degenerate_only_exit3():
                             "--nu", str(2.0 / 3.0), "--alpha", "3"])
     assert code == 3
     assert "degenerate" in err
+
+
+def test_classify_tiny_coupling_prints_both_roots():
+    code, out, _ = run_cli(["classify", "--n", "3", "--gamma", "0", "--nu", "1e-8",
+                            "--alpha", "1.05"])
+    assert code == 0
+    roots = [float(r["c_tilde"]) for r in csv.DictReader(io.StringIO(out))]
+    assert len(roots) == 2
+    assert abs(roots[0] / 3.99256e-9 - 1.0) <= 1e-5
+    assert abs(roots[1] - 1.00000001) <= 1e-9
+
+
+def test_classify_root_beyond_double_range_exit2():
+    code, out, err = run_cli(["classify", "--n", "4", "--gamma", "0", "--nu", "1.6e-8",
+                              "--alpha", "2.0136"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid parameters:") and "log s = 1269." in err
+    assert len(err.splitlines()) == 1
 
 
 def test_classify_searches_roots_once(monkeypatch):
@@ -203,6 +223,22 @@ def test_shoot_root_index_out_of_range_exit2():
     code, _, err = run_cli(["shoot", *N4, "--root-index", "5"])
     assert code == 2
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("command", ["shoot", "export"])
+def test_degenerate_only_reported_as_one_line_exit3(command, tmp_path):
+    # f = (s-1)^3 (s+1): the only root is tangential; classify prints the same record
+    argv = [command, "--n", "3", "--gamma", "0", "--nu", str(2.0 / 3.0), "--alpha", "3"]
+    if command == "export":
+        argv += ["--out", str(tmp_path / "deg")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv)
+    assert code == 3
+    assert caught == []
+    assert "RuntimeWarning" not in err
+    assert err.splitlines() == ["warning: 1 degenerate root(s) excluded: 1",
+                                "no usable root of the coupling function"]
 
 
 def test_shoot_absurd_bracket_exit4():

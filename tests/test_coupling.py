@@ -1,4 +1,7 @@
+import importlib
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -115,6 +118,8 @@ def test_endpoint_sign_classification_matches_evaluation():
         hs.ProblemParams.symmetric(4, 0.0, 0.25, 2.0),   # alpha = 2, nu*alpha < 1
         hs.ProblemParams.symmetric(5, 0.0, 0.0, 5.0 / 3.0),  # decoupled
         hs.ProblemParams.symmetric(3, 0.0, 1.0, 1.5),    # alpha < 2*-2: f -> +inf
+        hs.ProblemParams.symmetric(3, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^4 - 2 s^2
+        hs.ProblemParams.symmetric(5, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^(4/3) - (2/3) s^2
     ]
     for p in cases:
         lo_sign, hi_sign = hs.endpoint_signs(p)
@@ -179,21 +184,36 @@ def test_classify_constants_independent_of_scale():
         assert other == reference
 
 
-def test_restricted_window_warns_when_empty():
-    # the only root (s = 1) lies outside the custom search window
-    p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
-    opts = hs.RootSearchOptions(s_lo=2.0, s_hi=3.0, grid_points=256)
-    with pytest.warns(RuntimeWarning, match="no sign change"):
-        roots = hs.find_positive_roots(p, opts)
-    assert roots == []
-
-
 def test_identically_zero_coupling_function_warns():
     # alpha = beta = 2 at nu = 1/2: f = (1-2 nu)(s^2-1) collapses to zero
     p = hs.ProblemParams.symmetric(4, 0.0, 0.5, 2.0)
     with pytest.warns(RuntimeWarning, match="identically"):
         roots = hs.find_positive_roots(p)
     assert roots == []
+
+
+def test_double_root_reported_once_as_degenerate():
+    # f = A + nu B with A = s^4 - 1, B = alpha s^(alpha-2) - beta s^alpha at
+    # n = 3: two roots merge where nu(s) = -A/B is stationary, A'B = AB'
+    alpha, beta = 2.5, 3.5
+
+    def stationarity(s):
+        a, da = s ** 4 - 1.0, 4.0 * s ** 3
+        b = alpha * s ** (alpha - 2.0) - beta * s ** alpha
+        db = alpha * (alpha - 2.0) * s ** (alpha - 3.0) - beta * alpha * s ** (alpha - 1.0)
+        return da * b - a * db
+
+    lo, hi = 0.3, 0.5
+    assert stationarity(lo) * stationarity(hi) < 0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stationarity(mid) * stationarity(lo) > 0 else (lo, mid)
+    s0 = 0.5 * (lo + hi)
+    nu = -(s0 ** 4 - 1.0) / (alpha * s0 ** (alpha - 2.0) - beta * s0 ** alpha)
+    roots = hs.find_positive_roots(hs.ProblemParams.symmetric(3, 0.0, nu, alpha))
+    near = [r for r in roots if abs(r.c_tilde / s0 - 1.0) <= 1e-6]
+    assert len(near) == 1 and near[0].is_degenerate
+    assert [r.is_degenerate for r in roots] == [True, False]
 
 
 def test_triple_root_flagged_degenerate_and_excluded():
@@ -206,3 +226,88 @@ def test_triple_root_flagged_degenerate_and_excluded():
     with pytest.warns(RuntimeWarning):
         fams = hs.classify(p, 1.0)
     assert fams == []
+
+
+def test_tiny_coupling_keeps_both_roots():
+    # the small root sits near (nu alpha)^(1/(2-alpha)), far below 1e-8
+    p = hs.ProblemParams.symmetric(3, 0.0, 1e-8, 1.05)
+    small, large = hs.find_positive_roots(p)
+    assert abs(small.c_tilde / 3.99256e-9 - 1.0) <= 1e-5
+    assert abs(large.c_tilde - 1.00000001) <= 1e-9
+    for root in (small, large):
+        assert not root.is_degenerate
+        assert root.f_residual <= 1e-13 * hs.coupling._f_scale(root.c_tilde, p)
+    assert [f.c_tilde for f in hs.classify(p, 1.0)] == [small.c_tilde, large.c_tilde]
+
+
+def test_root_beyond_double_range_raises():
+    # alpha near 2 pushes a root out to log s ~ 1269, where e^x overflows
+    p = hs.ProblemParams.symmetric(4, 0.0, 1.6e-8, 2.0136)
+    with pytest.raises(ParameterError, match=r"log s = 1269\.\d"):
+        hs.find_positive_roots(p)
+    with pytest.raises(ParameterError, match="log s"):
+        hs.classify(p, 1.0)
+
+
+# thresholds of the benchmark's root-box draw: nearer to a tangential root
+# than this, a point's root count is ill-posed
+MIN_ROOT_SLOPE = 1e-3
+MIN_CRITICAL_VALUE = 1e-6
+LOG_MAX = math.log(sys.float_info.max)
+
+
+def _log_largest_term(n, nu, alpha, s):
+    """log of the largest of s, 1/s and every power and term of f and f' at s."""
+    if not 0.0 < s < math.inf:
+        return math.inf
+    ts = hs.critical_exponent(n)
+    beta = ts - alpha
+    x = math.log(s)
+    terms = ((1.0, 1.0), (1.0, -1.0), (1.0, ts - 2.0), (nu * alpha, alpha - 2.0),
+             (nu * beta, alpha), (ts - 2.0, ts - 3.0),
+             (nu * alpha * abs(alpha - 2.0), alpha - 3.0), (nu * beta * alpha, alpha - 1.0))
+    return max(e * x + math.log(max(c, 1.0)) for c, e in terms)
+
+
+def test_root_counts_match_the_exponential_sum_oracle(monkeypatch):
+    # the benchmark's independent root counter, imported read-only
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    oracles = importlib.import_module("oracles")
+    rng = np.random.default_rng(6)
+    points = []
+    for centre in (None, 2.0, -2.0):
+        for _ in range(200):
+            n = int(rng.choice((3, 4, 5)))
+            ts = hs.critical_exponent(n)
+            nu = 10.0 ** rng.uniform(-8.0, 3.0)
+            if centre is None:
+                alpha = rng.uniform(1.05, ts - 1.05)
+            else:  # within 0.1 of 2 or of 2*-2, where roots move out fastest
+                alpha = (centre if centre > 0 else ts + centre) + rng.uniform(-0.1, 0.1)
+            points.append((n, float(nu), float(alpha)))
+    with np.errstate(over="ignore"):
+        oracle = oracles.CouplingOracle(points)
+    checked = raised = 0
+    for i, (n, nu, alpha) in enumerate(points):
+        if oracle.min_slope[i] < MIN_ROOT_SLOPE or oracle.min_crit[i] < MIN_CRITICAL_VALUE:
+            continue
+        expected = oracle.roots[i]
+        largest = max(_log_largest_term(n, nu, alpha, float(s)) for s in expected)
+        if LOG_MAX - 3.0 < largest <= LOG_MAX:
+            continue  # at the edge of the range of a double
+        p = hs.ProblemParams.symmetric(n, 0.0, nu, alpha)
+        if largest > LOG_MAX:
+            with pytest.raises(ParameterError, match=r"log s = \S+, beyond the range"):
+                hs.find_positive_roots(p)
+            raised += 1
+            continue
+        roots = hs.find_positive_roots(p)
+        found = [r.c_tilde for r in roots]
+        assert len(found) == len(expected), (n, nu, alpha)
+        assert_allclose(found, expected, rtol=1e-9)
+        assert len(found) <= oracle.bound[i]
+        lo_sign, hi_sign = hs.endpoint_signs(p)
+        assert len(found) % 2 == (lo_sign != hi_sign), (n, nu, alpha)
+        assert not any(r.is_degenerate for r in roots)
+        checked += 1
+    assert checked >= 500 and raised >= 40, (checked, raised)
