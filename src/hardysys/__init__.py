@@ -15,8 +15,8 @@ from .coupling import (CouplingRoot, SynchronizedFamily, classify,
                        constants_from_root, coupling_f, coupling_f_prime,
                        endpoint_signs, find_positive_roots,
                        verify_constants_system)
-from .emdenfowler import (EFState, EFTrajectory, ShootConfig, ef_energy,
-                          ef_rhs, ef_system_residual, exact_ef_solution,
+from .emdenfowler import (EFState, EFTrajectory, ef_energy, ef_rhs,
+                          ef_system_residual, exact_ef_solution,
                           exact_trajectory, integrate, proportionality_defect,
                           radial_system_residual, shoot_synchronized,
                           simultaneous_max_check, weighted_system_residual)
@@ -29,8 +29,7 @@ __all__ = [
     "AsymptoticData", "BracketError", "CheckResult", "ConvergenceError",
     "CouplingRoot", "DerivedConstants", "DomainError", "EFState",
     "EFTrajectory", "IntegrationError", "ParameterError", "ProblemParams",
-    "RadialGrid", "ScalarProfile", "ShootConfig",
-    "SynchronizedFamily", "TrajectoryError", "VerificationReport",
+    "RadialGrid", "ScalarProfile", "SynchronizedFamily", "TrajectoryError", "VerificationReport",
     "amplitude", "asymptotic_limits", "aubin_talenti_value", "classify",
     "constants_from_root", "convergence_order", "coupling_f",
     "coupling_f_prime", "critical_exponent", "derived_constants", "ef_energy",

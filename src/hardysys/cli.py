@@ -3,7 +3,11 @@
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a root of the coupling function beyond the range of a double,
 named by its log s), 3 no usable (non-degenerate) root, 4 shooting bracket
-not found, 5 unwritable output path.
+not found, 5 unwritable output path, 6 integration failed (step size
+underflow or step budget exceeded).
+
+Every warning the library raises is printed to stderr as one line,
+``warning: <message>``, when it is raised.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import warnings
 import numpy as np
 
 from .coupling import classify, find_positive_roots
-from .emdenfowler import ShootConfig, exact_trajectory, shoot_synchronized
-from .errors import BracketError, ParameterError
+from .emdenfowler import exact_trajectory, shoot_synchronized
+from .errors import BracketError, IntegrationError, ParameterError
 from .params import ProblemParams, critical_exponent
 from .verify import RadialGrid, full_verification
 
@@ -29,6 +33,7 @@ EXIT_BAD_PARAMS = 2
 EXIT_DEGENERATE_ONLY = 3
 EXIT_NO_BRACKET = 4
 EXIT_UNWRITABLE = 5
+EXIT_INTEGRATION_FAILED = 6
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -65,17 +70,8 @@ def _open_out(path):
 
 
 def _families(p, mu0):
-    """classify's families; degenerate roots and no family are stderr lines."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        roots = find_positive_roots(p)
-        families = classify(p, mu0, roots=roots)
-    degenerate = [r for r in roots if r.is_degenerate]
-    if degenerate:
-        print("warning: %d degenerate root(s) excluded: %s"
-              % (len(degenerate),
-                 ", ".join("%.12g" % r.c_tilde for r in degenerate)),
-              file=sys.stderr)
+    """classify's families; no family is a stderr line."""
+    families = classify(p, mu0)
     if not families:
         print("no usable root of the coupling function", file=sys.stderr)
     return families
@@ -107,9 +103,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     p = _build_params(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = full_verification(p, args.mu0, integration_tol=args.tol)
+    report = full_verification(p, args.mu0, integration_tol=args.tol)
     if report.n_families == 0:
         print("no usable root of the coupling function; nothing to verify",
               file=sys.stderr)
@@ -150,9 +144,7 @@ def cmd_shoot(args) -> int:
     fam = _selected_family(p, args)
     if fam is None:
         return EXIT_DEGENERATE_ONLY
-    config = ShootConfig(bracket=tuple(args.bracket) if args.bracket else None,
-                         tol=args.tol)
-    recovered = shoot_synchronized(p, fam.root, config)
+    recovered = shoot_synchronized(p, fam.root, bracket=args.bracket, tol=args.tol)
     d = p.derived()
     target = fam.c1 * d.amplitude * 2.0 ** (-d.delta)
     rel = abs(recovered - target) / target
@@ -169,10 +161,7 @@ def _sweep_value(base, name, value):
     if name == "alpha":
         kwargs["beta"] = critical_exponent(base.n) - value
     p = ProblemParams(**kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        roots = [r for r in find_positive_roots(p) if not r.is_degenerate]
-    return value, roots
+    return value, [r for r in find_positive_roots(p) if not r.is_degenerate]
 
 
 def cmd_sweep(args) -> int:
@@ -294,11 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
@@ -308,6 +304,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
+        return EXIT_INTEGRATION_FAILED
 
 
 if __name__ == "__main__":

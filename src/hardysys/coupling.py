@@ -267,24 +267,22 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
     return c1, c2
 
 
-def classify(p: ProblemParams, mu0: float = 1.0, *,
-             roots: list[CouplingRoot] | None = None) -> list[SynchronizedFamily]:
+def classify(p: ProblemParams, mu0: float = 1.0) -> list[SynchronizedFamily]:
     """One synchronized family per simple positive root of f, shared scale mu0.
 
     Degenerate (tangential) roots are excluded with a warning: the constants
     map is still defined there, but the sign-change structure the
-    classification rests on is not.  ``roots``, when given, is the result of
-    ``find_positive_roots(p)`` and spares searching again.
+    classification rests on is not.
     """
     p.gamma  # validation: raises ParameterError for gamma1 != gamma2
     if mu0 <= 0:
         raise ParameterError(f"scale must be positive, got mu0={mu0}")
-    if roots is None:
-        roots = find_positive_roots(p)
+    roots = find_positive_roots(p)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
-        values = ", ".join(f"{r.c_tilde:.12g}" for r in degenerate)
-        warnings.warn(f"excluding degenerate (tangential) root(s) at s = {values}",
+        warnings.warn("%d degenerate root(s) excluded: %s"
+                      % (len(degenerate),
+                         ", ".join("%.12g" % r.c_tilde for r in degenerate)),
                       RuntimeWarning, stacklevel=2)
     profile = ScalarProfile(p, mu0)
     families = []

@@ -19,7 +19,7 @@ from a symmetric maximum (a, 0, a/s, 0) to its first event, a rebound or a
 zero crossing, and scores it by a signed miss m (kappa times the minimum of
 y_u, or the slope y_u' at the crossing).  Bracketed regula falsi with the
 Illinois-type end scaling on m |m|, which is nearly linear in a, stops once
-the bracket around the homoclinic amplitude is rel_width * hi wide.
+the bracket around the homoclinic amplitude is REL_WIDTH * hi wide.
 """
 
 from __future__ import annotations
@@ -35,8 +35,13 @@ from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
 from .params import ProblemParams
 
 BLOWUP_THRESHOLD = 1e8
+MAX_STEPS = 2_000_000
 MIN_STEP = 1e-14
 MAX_STEP = 1.0
+# shooting stops once its bracket is at most REL_WIDTH * hi wide, or after
+# MAX_ITER regula-falsi trials
+REL_WIDTH = 1e-8
+MAX_ITER = 120
 
 
 @dataclass(frozen=True)
@@ -165,8 +170,7 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 
 def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
-              tol: float = 1e-10, blowup_threshold: float = BLOWUP_THRESHOLD,
-              max_steps: int = 2_000_000, stop=None) -> EFTrajectory:
+              tol: float = 1e-10, stop=None) -> EFTrajectory:
     """Integrate the phase system with an embedded 5(4) pair.
 
     Error control is per unit step: a step of size h is accepted when the
@@ -174,8 +178,10 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     global error scale like tol^(5/4).  Backward spans integrate the
     time-reversed field (flip the derivative components) so there is a single
     forward code path.  Termination is 'completed', or 'blowup' when a
-    component magnitude passes ``blowup_threshold``, or 'extinction' when a
+    component magnitude passes ``BLOWUP_THRESHOLD``, or 'extinction' when a
     component goes negative (the state is clamped at zero and reported).
+    Past ``MAX_STEPS`` attempted steps, or below a step of ``MIN_STEP``, it
+    raises IntegrationError.
 
     ``stop(t, y_u, p_u, y_v, p_v)`` is an optional early-exit predicate
     evaluated after every accepted step; a truthy value ends the run with
@@ -189,8 +195,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     ``y + h * (a1 * k1 + a2 * k2 + ...)``, in the same order, so trajectories
     are bit-identical to it, and a step runs 1.7-1.9 times as fast.
     """
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ParameterError("tolerance must be positive and finite")
     for name in ("y_u", "p_u", "y_v", "p_v"):
         if not math.isfinite(getattr(initial, name)):
             raise ParameterError("initial state must be finite")
@@ -200,6 +206,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     span = abs(t1 - t0)
     sign = -1.0 if backward else 1.0
 
+    # locals, read once: the step loop tests them on every step
+    blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
     kappa2, ts, alpha, beta, nu = _system_constants(p)
     e1 = ts - 1.0
     ea = alpha - 1.0
@@ -399,18 +407,6 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 # --- shooting ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShootConfig:
-    """Bracket and tolerance settings for homoclinic shooting."""
-
-    bracket: tuple[float, float] | None = None
-    tol: float = 1e-9
-    t_max: float | None = None
-    blowup_threshold: float = BLOWUP_THRESHOLD
-    rel_width: float = 1e-8
-    max_iter: int = 120
-
-
 def _hermite_min(h: float, y0: float, p0: float, y1: float, p1: float) -> float:
     """Minimum of the cubic Hermite interpolant of one step with p0 <= 0 < p1."""
     d0, d1, dy = h * p0, h * p1, y1 - y0
@@ -426,7 +422,8 @@ def _hermite_min(h: float, y0: float, p0: float, y1: float, p1: float) -> float:
 
 
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
-                       config: ShootConfig | None = None) -> float:
+                       bracket: tuple[float, float] | None = None,
+                       tol: float = 1e-9) -> float:
     """Recover the symmetric-maximum amplitude of the decaying orbit.
 
     A trial starts from (y_u, y_u', y_v, y_v') = (a, 0, a/s, 0), with s the
@@ -437,25 +434,28 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         m(a) = kappa * min y_u    (rebound: y_u' turns positive)
         m(a) = y_u' at extinction or blow-up (negative),
 
-    and m = 0, which ends the search, when t_max passes without an event
-    (the trial followed the decaying orbit all the way).  Both kinds of |m|
-    grow like sqrt|a - a*|, so the iteration runs on g = m |m|, which is
-    close to linear in a.  The minimum is read off the cubic Hermite interpolant of the last
-    step; an extinct trial stores y_u = 0 at the step's end, which puts the
-    crossing there.  No integration beyond the event is needed, and none is
-    wanted: the synchronized orbit is transversally unstable, so running a
+    and m = 0, which ends the search, when t = 60 / kappa passes without an
+    event (the trial followed the decaying orbit all the way).  Each trial
+    integrates at tolerance ``tol``.  Both kinds of |m| grow like
+    sqrt|a - a*|, so the iteration runs on g = m |m|, which is close to
+    linear in a.  The minimum is read off the cubic Hermite interpolant of the
+    last step; an extinct trial stores y_u = 0 at the step's end, which puts
+    the crossing there.  No integration beyond the event is needed, and none
+    is wanted: the synchronized orbit is transversally unstable, so running a
     trial any further only lets roundoff asymmetry grow.
 
-    The bracket (lo, hi) around a* shrinks by regula falsi on g.  When one
-    end is kept twice in a row its g is scaled by 1 - g_new/g_old, or by 1/2
-    when that is not positive (the Anderson-Bjorck form of the Illinois
-    rule).  A secant point closer than rel_width * hi / 4 to an end is moved
-    that far inside, so that a converged estimate closes the bracket on the
-    next trial and a stalled one moves it: a short secant step from a far,
-    steep end proves nothing about a*.  The search stops when the bracket is
-    at most rel_width * hi wide and returns the regula-falsi point inside it.
+    The bracket (lo, hi) around a* is ``bracket``, by default 1.01 and 3
+    times the equilibrium amplitude of the invariant ray.  While hi > 10 lo
+    it is bisected in log a, because regula falsi creeps from a far, steep
+    end.  Then it shrinks by regula falsi on g.  When one end is kept twice
+    in a row its g is scaled by 1 - g_new/g_old, or by 1/2 when that is not
+    positive (the Anderson-Bjorck form of the Illinois rule).  A secant point
+    closer than REL_WIDTH * hi / 4 to an end is moved that far inside, so
+    that a converged estimate closes the bracket on the next trial and a
+    stalled one moves it: a short secant step from a far, steep end proves
+    nothing about a*.  The search stops when the bracket is at most
+    REL_WIDTH * hi wide and returns the regula-falsi point inside it.
     """
-    config = config or ShootConfig()
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
         raise ParameterError("shooting requires a root of the coupling function")
@@ -465,16 +465,14 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     # equilibrium amplitude of the invariant ray y_v = y_u / s
     k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
     y_eq = (kappa2 / k_u) ** (1.0 / (ts - 2.0))
-    t_max = config.t_max if config.t_max is not None else 60.0 / d.kappa
+    t_max = 60.0 / d.kappa
 
     def rebounded(t, yu, pu, yv, pv):
         return pu > 0.0
 
     def miss(a: float) -> float:
         state = EFState(t=0.0, y_u=a, p_u=0.0, y_v=a / s, p_v=0.0)
-        traj = integrate(state, (0.0, t_max), p, tol=config.tol,
-                         blowup_threshold=config.blowup_threshold,
-                         stop=rebounded)
+        traj = integrate(state, (0.0, t_max), p, tol=tol, stop=rebounded)
         p1 = float(traj.p_u[-1])
         if traj.termination != "completed":
             m = -abs(p1)
@@ -488,8 +486,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
             m = d.kappa * (y_min if y_min > 0.0 else min(y0, y1))
         return m * abs(m)
 
-    if config.bracket is not None:
-        lo, hi = map(float, config.bracket)
+    if bracket is not None:
+        lo, hi = map(float, bracket)
     else:
         lo, hi = 1.01 * y_eq, 3.0 * y_eq
     if not (0 < lo < hi):
@@ -499,10 +497,19 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         raise BracketError(
             f"shooting dichotomy not observed on bracket ({lo:.6g}, {hi:.6g})"
         )
+    while hi > 10.0 * lo:
+        x = math.sqrt(lo * hi)
+        g = miss(x)
+        if g == 0.0:
+            return x
+        if g > 0.0:
+            lo, g_lo = x, g
+        else:
+            hi, g_hi = x, g
     last = 0  # side of the last move: +1 lo, -1 hi
-    for _ in range(config.max_iter):
+    for _ in range(MAX_ITER):
         x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-        width = config.rel_width * hi
+        width = REL_WIDTH * hi
         if hi - lo <= width:
             break
         x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)

@@ -33,6 +33,8 @@ from .params import ProblemParams, derived_constants
 
 #: radii below this are rejected instead of returning infinities
 MIN_RADIUS = 1e-300
+#: largest relative spread of the last two Aitken extrapolants of a limit
+LIMIT_RTOL = 1e-6
 
 
 def _as_radii(r):
@@ -97,17 +99,11 @@ class ScalarProfile:
         return _maybe_scalar(np.exp(self._log_value(arr)), scalar)
 
     def derivatives(self, r):
-        """(u, u', u'') with exact closed-form radial derivatives."""
-        arr, scalar = _as_radii(r)
-        d = self.derived
-        u = np.exp(self._log_value(arr))
-        w, om = self._w(arr)
-        phi = d.tau1 + 2.0 * d.kappa * w
-        u1 = -phi * u / arr
-        u2 = u * (phi * phi + phi - 2.0 * d.kappa * self._q * w * om) / (arr * arr)
-        if scalar:
-            return float(u), float(u1), float(u2)
-        return u, u1, u2
+        """(u, u', u'') with exact closed-form radial derivatives.
+
+        The weighted form at tau = 0, where chi = -phi exactly.
+        """
+        return self.weighted_derivatives(0.0, r)
 
     def linear_radial_part(self, r):
         """u'' + (n-1) u'/r + gamma u/r^2 via the collapsed closed form.
@@ -229,7 +225,7 @@ class AsymptoticData:
     L_plus: float
 
 
-def _aitken_limit(values, rtol: float, label: str) -> float:
+def _aitken_limit(values, label: str) -> float:
     """Limit of a power-law sequence via Aitken acceleration.
 
     Falls back to the raw tail when the increments are already at roundoff.
@@ -249,29 +245,30 @@ def _aitken_limit(values, rtol: float, label: str) -> float:
         return tail
     if len(accel) >= 2:
         spread = abs(accel[-1] - accel[-2])
-        if spread > rtol * max(1.0, abs(accel[-1])):
+        if spread > LIMIT_RTOL * max(1.0, abs(accel[-1])):
             raise ConvergenceError(
-                f"{label}: extrapolants differ by {spread:.3e} (> {rtol:.1e} relative)"
+                f"{label}: extrapolants differ by {spread:.3e} "
+                f"(> {LIMIT_RTOL:.1e} relative)"
             )
     return accel[-1]
 
 
-def asymptotic_limits(family, exponents=range(4, 9), rtol: float = 1e-6) -> AsymptoticData:
+def asymptotic_limits(family) -> AsymptoticData:
     """Estimate the limits of r^tau1 u at 0 and r^tau2 u at infinity.
 
     ``family`` provides (c1, c2, profile); the compensated values are sampled
-    along r = 10^(-k) and r = 10^k for k in ``exponents`` and accelerated.
+    along r = 10^(-k) and r = 10^k for k = 4..8 and accelerated.
     The two quotient limits L_minus, L_plus follow from the component ratios.
     """
     prof = family.profile
     d = prof.derived
-    ks = np.asarray(list(exponents), dtype=float)
+    ks = np.arange(4.0, 9.0)
     r_small = np.power(10.0, -ks)
     r_large = np.power(10.0, ks)
     near = np.power(r_small, d.tau1) * prof.value(r_small)
     far = np.power(r_large, d.tau2) * prof.value(r_large)
-    base0 = _aitken_limit(near, rtol, "limit at the origin")
-    base_inf = _aitken_limit(far, rtol, "limit at infinity")
+    base0 = _aitken_limit(near, "limit at the origin")
+    base_inf = _aitken_limit(far, "limit at infinity")
     u0 = family.c1 * base0
     v0 = family.c2 * base0
     u_inf = family.c1 * base_inf

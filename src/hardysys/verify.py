@@ -35,11 +35,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import classify, verify_constants_system
-from .emdenfowler import (ShootConfig, ef_system_residual, exact_ef_solution,
-                          integrate, proportionality_defect,
-                          radial_system_residual, shoot_synchronized,
-                          simultaneous_max_check, weighted_system_residual,
-                          _closed_form_arrays, _system_constants)
+from .emdenfowler import (ef_system_residual, exact_ef_solution, integrate,
+                          proportionality_defect, radial_system_residual,
+                          shoot_synchronized, simultaneous_max_check,
+                          weighted_system_residual, _closed_form_arrays,
+                          _system_constants)
 from .errors import ConvergenceError, DomainError
 from .params import ProblemParams
 from .profiles import asymptotic_limits
@@ -50,7 +50,6 @@ class RadialGrid:
     """A strictly increasing positive radius grid."""
 
     points: np.ndarray
-    spacing: str = "custom"  # 'log-uniform' | 'custom'
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -65,7 +64,7 @@ class RadialGrid:
     @classmethod
     def log_uniform(cls, lo: float = 1e-6, hi: float = 1e6,
                     num: int = 2048) -> "RadialGrid":
-        return cls(points=np.geomspace(lo, hi, num), spacing="log-uniform")
+        return cls(points=np.geomspace(lo, hi, num))
 
 
 def fd_derivative(u, r: float, h: float, order: int = 1) -> float:
@@ -188,8 +187,7 @@ def _merge_legs(backward, forward):
 
 
 def full_verification(p: ProblemParams, mu0: float = 1.0, *,
-                      integration_tol: float = 1e-10,
-                      shoot_config: ShootConfig | None = None) -> VerificationReport:
+                      integration_tol: float = 1e-10) -> VerificationReport:
     """Classify the parameter set and run every check on every family.
 
     Individual check failures are recorded, not raised; classification errors
@@ -263,7 +261,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "asymptotic_ratio",
             abs(limits.u0 / limits.v0 - fam.c1 / fam.c2) / (fam.c1 / fam.c2), 1e-10)
 
-        recovered = shoot_synchronized(p, fam.root, shoot_config)
+        recovered = shoot_synchronized(p, fam.root)
         target = fam.c1 * amp * 2.0 ** (-d.delta)
         add(tag + "shooting_recovery", abs(recovered - target) / target, 1e-6)
 

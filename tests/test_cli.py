@@ -141,7 +141,8 @@ def test_classify_out_file(tmp_path):
     code, _, _ = run_cli(["classify", "--n", "3", "--gamma", "0", "--nu", "1",
                           "--alpha", "3", "--out", str(out_file)])
     assert code == 0
-    assert len(list(csv.DictReader(out_file.open()))) == 3
+    with out_file.open() as fh:
+        assert len(list(csv.DictReader(fh))) == 3
 
 
 # --- verify ---------------------------------------------------------------------
@@ -241,6 +242,39 @@ def test_degenerate_only_reported_as_one_line_exit3(command, tmp_path):
                                 "no usable root of the coupling function"]
 
 
+def test_verify_degenerate_only_reported_as_one_line_exit3():
+    code, out, err = run_cli(["verify", "--n", "3", "--gamma", "0",
+                              "--nu", str(2.0 / 3.0), "--alpha", "3"])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "warning: 1 degenerate root(s) excluded: 1",
+        "no usable root of the coupling function; nothing to verify"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *N4, "--tol", "1e-14"],
+    ["shoot", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3",
+     "--bracket", "0.6", "100"],
+])
+def test_integration_failure_one_line_exit6(argv):
+    # the tolerance is below what doubles resolve; the a = 100 end trial of
+    # the bracket underflows at its first step
+    code, out, err = run_cli(argv)
+    assert code == 6
+    assert out == ""
+    assert err.startswith("integration failed: step size underflow")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,tol", [("verify", "nan"), ("shoot", "nan"),
+                                         ("shoot", "inf")])
+def test_non_finite_tolerance_exit2(command, tol):
+    code, _, err = run_cli([command, *N4, "--tol", tol])
+    assert code == 2
+    assert err == "invalid parameters: tolerance must be positive and finite\n"
+
+
 def test_shoot_absurd_bracket_exit4():
     code, _, err = run_cli(["shoot", *N4, "--bracket", "100", "200"])
     assert code == 4
@@ -256,7 +290,8 @@ def test_sweep_records_root_count_transition(tmp_path):
                           "--nu", "1", "--param", "nu", "--start", "0.1",
                           "--stop", "2", "--samples", "20", "--out", str(out_file)])
     assert code == 0
-    rows = list(csv.DictReader(out_file.open()))
+    with out_file.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 20
     counts = [int(r["root_count"]) for r in rows]
     # single root below the tangency at nu = 2/3, three above
@@ -272,7 +307,8 @@ def test_sweep_through_zero_coupling(tmp_path):
                           "--nu", "1", "--param", "nu", "--start", "0",
                           "--stop", "0.9", "--samples", "4", "--out", str(out_file)])
     assert code == 0
-    rows = list(csv.DictReader(out_file.open()))
+    with out_file.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert int(rows[0]["root_count"]) == 1  # decoupled sample
     assert all(int(r["root_count"]) == 1 for r in rows)
 
@@ -283,6 +319,21 @@ def test_classify_identically_zero_coupling_function_exit3():
                             "--nu", "0.5", "--alpha", "2"])
     assert code == 3
     assert "no usable root" in err
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["classify", "--n", "4", "--gamma", "0", "--nu", "0.5", "--alpha", "2"], 3),
+    (["sweep", "--n", "4", "--gamma", "0", "--alpha", "2", "--param", "nu",
+      "--start", "0", "--stop", "1", "--samples", "3"], 0),
+])
+def test_identically_zero_coupling_function_warns_on_stderr(argv, exit_code):
+    # the sweep's middle sample is nu = 1/2; its row alone cannot tell f = 0
+    # from a lost root
+    code, _, err = run_cli(argv)
+    assert code == exit_code
+    assert err.splitlines()[0] == (
+        "warning: the coupling function vanishes identically (every merged "
+        "coefficient is zero); no isolated roots exist")
 
 
 def test_sweep_bad_range_exit2():

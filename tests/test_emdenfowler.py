@@ -239,8 +239,7 @@ def _pinned_run(name):
         return integrate(start, (0.0, 60.0 / d.kappa), n4, tol=1e-9,
                          stop=lambda t, yu, pu, yv, pv: pu > 0.0)
     if name == "n4-low-blowup-threshold":
-        return integrate(exact_ef_solution(fam4, -3.0), (-3.0, 10.0), n4,
-                         blowup_threshold=0.5)
+        return integrate(exact_ef_solution(fam4, -3.0), (-3.0, 10.0), n4)
     if name == "n4-scalar-forward":
         scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
         start = exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.0)
@@ -250,7 +249,9 @@ def _pinned_run(name):
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_PINS))
-def test_kernel_bitwise_regression(name):
+def test_kernel_bitwise_regression(name, monkeypatch):
+    if name == "n4-low-blowup-threshold":
+        monkeypatch.setattr(emdenfowler, "BLOWUP_THRESHOLD", 0.5)
     traj = _pinned_run(name)
     last = tuple(float(getattr(traj, k)[-1]).hex()
                  for k in ("t", "y_u", "p_u", "y_v", "p_v"))
@@ -265,16 +266,16 @@ def test_shoot_bitwise_regression(benchmark4):
 def test_shoot_with_custom_window(benchmark4):
     p, fam = benchmark4
     target = math.sqrt(2.0 / 3.0)
-    config = hs.ShootConfig(bracket=(0.7, 1.2), t_max=40.0, rel_width=1e-9)
-    a = hs.shoot_synchronized(p, fam.root, config)
+    a = hs.shoot_synchronized(p, fam.root, bracket=(0.7, 1.2))
     assert abs(a - target) / target <= 1e-6
 
 
 def test_integration_rejects_bad_inputs(benchmark4):
     p, fam = benchmark4
     start = exact_ef_solution(fam, 0.0)
-    with pytest.raises(ParameterError):
-        integrate(start, (0.0, 1.0), p, tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            integrate(start, (0.0, 1.0), p, tol=tol)
     with pytest.raises(ParameterError):
         integrate(EFState(0.0, math.nan, 0.0, 0.0, 0.0), (0.0, 1.0), p)
 
@@ -342,14 +343,14 @@ def test_shoot_rejects_non_root(benchmark4):
 def test_shoot_bracket_failure(benchmark4):
     p, fam = benchmark4
     with pytest.raises(hs.BracketError):
-        hs.shoot_synchronized(p, fam.root, hs.ShootConfig(bracket=(100.0, 200.0)))
+        hs.shoot_synchronized(p, fam.root, bracket=(100.0, 200.0))
 
 
 def test_shoot_bracket_wholly_below_homoclinic(benchmark4):
     p, fam = benchmark4  # a* = sqrt(2/3) ~ 0.8165, ray equilibrium 1/sqrt(3)
     for bracket in ((0.6, 0.8), (0.1, 0.5)):
         with pytest.raises(hs.BracketError):
-            hs.shoot_synchronized(p, fam.root, hs.ShootConfig(bracket=bracket))
+            hs.shoot_synchronized(p, fam.root, bracket=bracket)
 
 
 @pytest.mark.parametrize("bracket", [(0.6, 100.0), (0.01, 1e4)])
@@ -357,7 +358,7 @@ def test_shoot_wide_bracket(benchmark4, bracket):
     # the far end is steep: early secant steps from lo are tiny although a*
     # is far from lo, so a small step alone must not end the search
     p, fam = benchmark4
-    a = hs.shoot_synchronized(p, fam.root, hs.ShootConfig(bracket=bracket))
+    a = hs.shoot_synchronized(p, fam.root, bracket=bracket)
     target = math.sqrt(2.0 / 3.0)
     assert abs(a - target) / target <= 1e-6
 
@@ -381,6 +382,10 @@ def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
         assert 3 <= len(amplitudes) <= 15
         # numpy scalars here would make every step of every trial slower
         assert all(type(x) is float for x in amplitudes)
+    # regula falsi alone creeps from a far, steep end: 72 trials here
+    amplitudes.clear()
+    hs.shoot_synchronized(p4, fam4.root, bracket=(0.01, 1e4))
+    assert len(amplitudes) <= 24  # twice the default budget
 
 
 # --- trajectory diagnostics -------------------------------------------------------

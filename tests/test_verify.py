@@ -59,7 +59,6 @@ def test_convergence_order_validation():
 
 def test_log_uniform_grid_contract():
     grid = RadialGrid.log_uniform()
-    assert grid.spacing == "log-uniform"
     assert len(grid.points) == 2048
     assert grid.points[0] == pytest.approx(1e-6)
     assert grid.points[-1] == pytest.approx(1e6)
