@@ -189,6 +189,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     p = _build_params(args)
+    if not 0 < args.grid_lo < args.grid_hi < math.inf:
+        raise ParameterError("the grid needs 0 < --grid-lo < --grid-hi < inf")
+    if args.grid_n < 2 or args.t_points < 2:
+        raise ParameterError("--grid-n and --t-points must be at least 2")
+    if not 0 < args.t_halfspan < math.inf:
+        raise ParameterError("--t-halfspan must be positive and finite")
     fam = _selected_family(p, args)
     if fam is None:
         return EXIT_DEGENERATE_ONLY

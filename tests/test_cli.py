@@ -439,6 +439,23 @@ def test_export_unwritable_exit5():
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize("what, bad", [
+    ("profile", ["--grid-n", "1"]),
+    ("profile", ["--grid-lo", "0"]),
+    ("profile", ["--grid-lo", "10", "--grid-hi", "1"]),
+    ("profile", ["--grid-hi", "inf"]),
+    ("trajectory", ["--t-halfspan", "-1"]),
+    ("trajectory", ["--t-halfspan", "nan"]),
+    ("trajectory", ["--t-points", "-5"]),
+])
+def test_export_bad_grid_exit2_no_file(tmp_path, what, bad):
+    out_file = tmp_path / "x.csv"
+    code, _, err = run_cli(["export", *N4, "--what", what, "--out", str(out_file), *bad])
+    assert code == 2
+    assert err.startswith("invalid parameters:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(["export", *N4, "--what", "profile", "--out", str(a)])[0] == 0

@@ -1,0 +1,149 @@
+"""Start-up: a lazy ``import hardysys``, and a CLI that starts no BLAS threads.
+
+Each test runs in a fresh interpreter, since the test process has long since
+imported numpy and every submodule.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hardysys as hs
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hs.__file__)))
+
+PUBLIC_NAMES = {
+    "AsymptoticData", "BracketError", "CheckResult", "ConvergenceError",
+    "CouplingRoot", "DerivedConstants", "DomainError", "EFState",
+    "EFTrajectory", "IntegrationError", "ParameterError", "ProblemParams",
+    "RadialGrid", "ScalarProfile", "SynchronizedFamily", "TrajectoryError",
+    "VerificationReport", "amplitude", "asymptotic_limits",
+    "aubin_talenti_value", "classify", "constants_from_root",
+    "convergence_order", "coupling_f", "coupling_f_prime", "critical_exponent",
+    "derived_constants", "ef_energy", "ef_rhs", "ef_system_residual",
+    "endpoint_signs", "exact_ef_solution", "exact_trajectory", "fd_derivative",
+    "find_positive_roots", "full_verification", "hardy_constant",
+    "hardy_weight", "hardy_weight_dx1", "integrate", "kelvin_transform",
+    "proportionality_defect", "radial_system_residual",
+    "scalar_equation_residual", "shoot_synchronized", "simultaneous_max_check",
+    "tau_exponents", "verify_constants_system", "weighted_system_residual",
+    "weighted_transform",
+}
+
+
+def run_python(code, env_update=None):
+    """Run ``python -c code`` on this checkout; return the JSON it prints last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    for key, value in (env_update or {}).items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# --- lazy package -----------------------------------------------------------------
+
+
+def test_import_loads_no_numpy():
+    assert run_python("import json, sys, hardysys; "
+                      "print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_all_keeps_the_public_names():
+    assert len(PUBLIC_NAMES) == 50
+    names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
+    assert set(names) == PUBLIC_NAMES
+    assert len(names) == len(PUBLIC_NAMES)
+
+
+def test_each_name_is_its_submodules_object():
+    code = """
+import importlib, json, hardysys
+wrong = []
+for module, names in hardysys._EXPORTS.items():
+    sub = importlib.import_module("hardysys." + module)
+    wrong += [n for n in names if getattr(hardysys, n) is not getattr(sub, n)]
+print(json.dumps(wrong))
+"""
+    assert run_python(code) == []
+
+
+def test_submodules_resolve_on_bare_import():
+    code = """
+import json, hardysys
+print(json.dumps([hardysys.verify.full_verification.__module__,
+                  hardysys.cli.main.__module__,
+                  hardysys.coupling.__name__]))
+"""
+    assert run_python(code) == ["hardysys.verify", "hardysys.cli", "hardysys.coupling"]
+
+
+def test_star_import_binds_every_name():
+    code = """
+import json
+ns = {}
+exec("from hardysys import *", ns)
+print(json.dumps(sorted(k for k in ns if not k.startswith("__"))))
+"""
+    assert set(run_python(code)) == PUBLIC_NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    code = """
+import json, hardysys
+try:
+    hardysys.no_such_name
+except AttributeError as exc:
+    print(json.dumps(str(exc)))
+"""
+    assert "no_such_name" in run_python(code)
+
+
+def test_dir_lists_lazy_names():
+    names = run_python("import json, hardysys; print(json.dumps(dir(hardysys)))")
+    assert PUBLIC_NAMES <= set(names) and "cli" in names
+
+
+# --- BLAS threads of the CLI ------------------------------------------------------
+
+CLASSIFY_IN_PROCESS = """
+import contextlib, io, json, os, runpy, sys
+sys.argv = ["hardysys", "classify", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("hardysys", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+with open("/proc/self/status") as fh:
+    threads = int(next(ln for ln in fh if ln.startswith("Threads:")).split()[1])
+print(json.dumps([threads, os.environ["OPENBLAS_NUM_THREADS"]]))
+"""
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="reads the thread count from /proc/self/status")
+
+
+def test_console_script_target_imports_without_running():
+    # argparse would exit 2 on the empty argv if importing the module ran main
+    code = "import json, hardysys.__main__ as m; print(json.dumps(m.main.__module__))"
+    assert run_python(code) == "hardysys.cli"
+
+
+@needs_proc
+def test_cli_starts_no_blas_pool():
+    threads, setting = run_python(CLASSIFY_IN_PROCESS, {"OPENBLAS_NUM_THREADS": None})
+    assert (threads, setting) == (1, "1")
+
+
+@needs_proc
+def test_cli_keeps_the_callers_blas_setting():
+    _, setting = run_python(CLASSIFY_IN_PROCESS, {"OPENBLAS_NUM_THREADS": "2"})
+    assert setting == "2"
