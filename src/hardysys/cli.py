@@ -8,6 +8,10 @@ underflow or step budget exceeded).
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
+
+``classify`` and ``sweep`` run on Python floats and never load numpy;
+``verify``, ``shoot`` and ``export`` import the modules they use, and numpy
+with them.
 """
 
 from __future__ import annotations
@@ -19,13 +23,9 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .coupling import classify, find_positive_roots
-from .emdenfowler import exact_trajectory, shoot_synchronized
 from .errors import BracketError, IntegrationError, ParameterError
 from .params import ProblemParams, critical_exponent
-from .verify import RadialGrid, full_verification
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,6 +102,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import full_verification
     p = _build_params(args)
     report = full_verification(p, args.mu0, integration_tol=args.tol)
     if report.n_families == 0:
@@ -140,6 +141,7 @@ def _selected_family(p, args):
 
 
 def cmd_shoot(args) -> int:
+    from .emdenfowler import shoot_synchronized
     p = _build_params(args)
     fam = _selected_family(p, args)
     if fam is None:
@@ -152,6 +154,13 @@ def cmd_shoot(args) -> int:
     print(f"closed_form_target: {target:.17g}")
     print(f"relative_error: {rel:.17g}")
     return EXIT_OK
+
+
+def _samples(start, stop, count):
+    """np.linspace(start, stop, count).tolist() without numpy: the same
+    formula, so the same bits unless the step underflows to zero."""
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count - 1)] + [stop]
 
 
 def _sweep_value(base, name, value):
@@ -168,7 +177,7 @@ def cmd_sweep(args) -> int:
     base = _build_params(args)
     if args.samples < 2:
         raise ParameterError("a sweep needs at least two samples")
-    values = np.linspace(args.start, args.stop, args.samples).tolist()
+    values = _samples(args.start, args.stop, args.samples)
     # the endpoints go first so that bad ranges fail before any other work
     first = _sweep_value(base, args.param, values[0])
     last = _sweep_value(base, args.param, values[-1])
@@ -188,6 +197,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
+    import numpy as np
+
+    from .emdenfowler import exact_trajectory
+    from .verify import RadialGrid
     p = _build_params(args)
     if not 0 < args.grid_lo < args.grid_hi < math.inf:
         raise ParameterError("the grid needs 0 < --grid-lo < --grid-hi < inf")

@@ -10,6 +10,8 @@ algebraic two-by-two constants system.  In x = log s, f is a sum of at most
 four exponentials; recursion on its critical points isolates every root, with
 no grid or search window, and Newton in s polishes each.  Tangential roots
 (critical points where f vanishes) are reported but flagged degenerate.
+All of it runs on Python floats; numpy is loaded only when coupling_f or
+coupling_f_prime is given an array.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .params import ProblemParams
@@ -63,30 +63,43 @@ class SynchronizedFamily:
         return self.c2 * self.profile.value(r)
 
 
-def _check_positive(s) -> None:
-    if np.any(np.asarray(s) <= 0):
+def _positive(s):
+    """s as a float if it is a number, else as a float array (a 0-d one as a
+    float, so the formulas below give a float for it); DomainError if any
+    value is <= 0.  Only arrays load numpy."""
+    if isinstance(s, (int, float)):
+        s = float(s)
+        nonpositive = s <= 0
+    else:
+        import numpy as np
+        s = np.asarray(s, dtype=float)
+        nonpositive = np.any(s <= 0)
+        if s.ndim == 0:
+            s = float(s)
+    if nonpositive:
         raise DomainError("the coupling function is defined for positive arguments only")
+    return s
 
 
 def coupling_f(s, p: ProblemParams):
-    """f(s) = s^(2*-2) + nu alpha s^(alpha-2) - 1 - nu beta s^alpha."""
-    _check_positive(s)
-    s = np.asarray(s, dtype=float)
+    """f(s) = s^(2*-2) + nu alpha s^(alpha-2) - 1 - nu beta s^alpha.
+
+    A float for a number or a 0-d array, an ndarray otherwise.  Where a power
+    of a number overflows, Python's float power raises OverflowError.
+    """
+    s = _positive(s)
     ts = p.two_star
-    out = (np.power(s, ts - 2.0) + p.nu * p.alpha * np.power(s, p.alpha - 2.0)
-           - 1.0 - p.nu * p.beta * np.power(s, p.alpha))
-    return float(out) if out.ndim == 0 else out
+    return (s ** (ts - 2.0) + p.nu * p.alpha * s ** (p.alpha - 2.0)
+            - 1.0 - p.nu * p.beta * s ** p.alpha)
 
 
 def coupling_f_prime(s, p: ProblemParams):
-    """Analytic derivative of the coupling function."""
-    _check_positive(s)
-    s = np.asarray(s, dtype=float)
+    """Analytic derivative of the coupling function (same types as coupling_f)."""
+    s = _positive(s)
     ts = p.two_star
-    out = ((ts - 2.0) * np.power(s, ts - 3.0)
-           + p.nu * p.alpha * (p.alpha - 2.0) * np.power(s, p.alpha - 3.0)
-           - p.nu * p.beta * p.alpha * np.power(s, p.alpha - 1.0))
-    return float(out) if out.ndim == 0 else out
+    return ((ts - 2.0) * s ** (ts - 3.0)
+            + p.nu * p.alpha * (p.alpha - 2.0) * s ** (p.alpha - 3.0)
+            - p.nu * p.beta * p.alpha * s ** (p.alpha - 1.0))
 
 
 def _f_scale(s: float, p: ProblemParams) -> float:
@@ -274,9 +287,8 @@ def classify(p: ProblemParams, mu0: float = 1.0) -> list[SynchronizedFamily]:
     map is still defined there, but the sign-change structure the
     classification rests on is not.
     """
-    p.gamma  # validation: raises ParameterError for gamma1 != gamma2
-    if mu0 <= 0:
-        raise ParameterError(f"scale must be positive, got mu0={mu0}")
+    # validates mu0 and, before any search, that gamma1 == gamma2
+    profile = ScalarProfile(p, mu0)
     roots = find_positive_roots(p)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
@@ -284,7 +296,6 @@ def classify(p: ProblemParams, mu0: float = 1.0) -> list[SynchronizedFamily]:
                       % (len(degenerate),
                          ", ".join("%.12g" % r.c_tilde for r in degenerate)),
                       RuntimeWarning, stacklevel=2)
-    profile = ScalarProfile(p, mu0)
     families = []
     for root in roots:
         if root.is_degenerate:

@@ -62,7 +62,11 @@ def amplitude(n: int, gamma: float) -> float:
 
 
 def _check_dimension(n) -> None:
-    if int(n) != n:
+    try:
+        integral = int(n) == n
+    except (ValueError, OverflowError):  # NaN or an infinity
+        integral = False
+    if not integral:
         raise ParameterError(f"dimension must be an integer, got {n!r}")
     if n < 3:
         raise ParameterError(f"dimension too small: n={n} (need n >= 3)")
@@ -110,6 +114,7 @@ class ProblemParams:
 
     Invariants enforced at construction:
 
+    * every value finite
     * n >= 3 (integer dimension)
     * 0 <= gamma_i < lambda_n for both Hardy coefficients
     * nu >= 0 (nu = 0 is the decoupled scalar mode)
@@ -127,7 +132,10 @@ class ProblemParams:
         _check_dimension(self.n)
         object.__setattr__(self, "n", int(self.n))
         for name in ("gamma1", "gamma2", "nu", "alpha", "beta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         lam = hardy_constant(self.n)
         _check_gamma(self.gamma1, lam)
         _check_gamma(self.gamma2, lam)

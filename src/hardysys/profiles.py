@@ -19,14 +19,15 @@ and the full second-order radial operator collapses algebraically to
 which cancels the pure power u^(2*-1) exactly.  The same trick with
 chi = (tau - tau1) - 2 kappa w yields stable derivatives of the weighted
 profile r^tau u(r) for any tau.
+
+numpy is imported inside the array evaluators, so building a ScalarProfile
+(as classify does) loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .params import ProblemParams, derived_constants
@@ -39,6 +40,7 @@ LIMIT_RTOL = 1e-6
 
 def _as_radii(r):
     """Validate positive radii; return (array, was_scalar)."""
+    import numpy as np
     arr = np.asarray(r, dtype=float)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < MIN_RADIUS)):
         raise DomainError("radius must be finite and >= 1e-300")
@@ -51,6 +53,7 @@ def _maybe_scalar(out, scalar):
 
 def _sigmoid(t):
     """exp(t)/(1+exp(t)) without overflow; also returns the complement."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     pos = t >= 0
     et = np.exp(np.where(pos, -t, t))
@@ -66,8 +69,8 @@ class ScalarProfile:
     mu: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ParameterError(f"scale must be positive, got mu={self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ParameterError(f"scale must be positive and finite, got mu={self.mu}")
         object.__setattr__(self, "derived", derived_constants(self.params.n, self.params.gamma))
 
     # --- internal pieces -------------------------------------------------
@@ -79,10 +82,12 @@ class ScalarProfile:
 
     def _w(self, r):
         """w = rho^q/(1+rho^q) and 1-w, rho = r/mu, both cancellation-free."""
+        import numpy as np
         t = self._q * (np.log(r) - math.log(self.mu))
         return _sigmoid(t)
 
     def _log_value(self, r):
+        import numpy as np
         d = self.derived
         rho_log = np.log(r) - math.log(self.mu)
         t = self._q * rho_log
@@ -95,6 +100,7 @@ class ScalarProfile:
 
     def value(self, r):
         """Profile value, vectorized over positive radii."""
+        import numpy as np
         arr, scalar = _as_radii(r)
         return _maybe_scalar(np.exp(self._log_value(arr)), scalar)
 
@@ -112,6 +118,7 @@ class ScalarProfile:
         singular terms, so the result is accurate relative to u^(2*-1) even
         deep inside the r -> 0 regime.
         """
+        import numpy as np
         arr, scalar = _as_radii(r)
         d = self.derived
         u = np.exp(self._log_value(arr))
@@ -125,6 +132,7 @@ class ScalarProfile:
         Assembling g' and g'' from u, u', u'' term by term loses up to eight
         digits near r -> 0 when tau = tau1; the chi-form below does not.
         """
+        import numpy as np
         arr, scalar = _as_radii(r)
         d = self.derived
         u = np.exp(self._log_value(arr))
@@ -148,6 +156,7 @@ def aubin_talenti_value(n: int, scale: float, r):
 
     Independent of ScalarProfile; used as a cross-check of the gamma = 0 case.
     """
+    import numpy as np
     if scale <= 0:
         raise ParameterError("scale must be positive")
     arr, scalar = _as_radii(r)
@@ -157,6 +166,7 @@ def aubin_talenti_value(n: int, scale: float, r):
 
 def kelvin_transform(u, n: int, r):
     """Radial Kelvin transform r^(2-n) * u(1/r); an involution."""
+    import numpy as np
     arr, scalar = _as_radii(r)
     out = np.power(arr, 2.0 - n) * u(1.0 / arr)
     return _maybe_scalar(out, scalar)
@@ -164,6 +174,7 @@ def kelvin_transform(u, n: int, r):
 
 def weighted_transform(u, tau: float, r):
     """Compensated profile r^tau * u(r)."""
+    import numpy as np
     arr, scalar = _as_radii(r)
     return _maybe_scalar(np.power(arr, tau) * u(arr), scalar)
 
@@ -173,6 +184,7 @@ def scalar_equation_residual(profile: ScalarProfile, r):
 
     Normalization is by max(1, |u^(2*-1)|) pointwise.
     """
+    import numpy as np
     arr, scalar = _as_radii(r)
     ts = profile.params.two_star
     u = profile.value(arr)
@@ -186,6 +198,7 @@ def scalar_equation_residual(profile: ScalarProfile, r):
 
 def hardy_weight(x, x0) -> float:
     """|x - x0 |x|^2|^2, the denominator produced by inverting the shifted pole."""
+    import numpy as np
     xa = np.asarray(x, dtype=float)
     x0a = np.asarray(x0, dtype=float)
     if xa.shape != x0a.shape:
@@ -200,6 +213,7 @@ def hardy_weight_dx1(x, x0) -> float:
     Equals 2 x1 (1 - 2 <x, x0> + 2 |x0|^2 |x|^2), which is nonnegative for
     x1 >= 0 (complete the square).
     """
+    import numpy as np
     xa = np.asarray(x, dtype=float)
     x0a = np.asarray(x0, dtype=float)
     if xa.shape != x0a.shape:
@@ -230,6 +244,7 @@ def _aitken_limit(values, label: str) -> float:
 
     Falls back to the raw tail when the increments are already at roundoff.
     """
+    import numpy as np
     vals = np.asarray(values, dtype=float)
     tail = float(vals[-1])
     diffs = np.diff(vals)
@@ -260,6 +275,7 @@ def asymptotic_limits(family) -> AsymptoticData:
     along r = 10^(-k) and r = 10^k for k = 4..8 and accelerated.
     The two quotient limits L_minus, L_plus follow from the component ratios.
     """
+    import numpy as np
     prof = family.profile
     d = prof.derived
     ks = np.arange(4.0, 9.0)

@@ -61,6 +61,25 @@ def test_classify_invalid_params_exit2():
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["classify", "--n", "3", "--gamma", "0", "--nu", "nan", "--alpha", "3"], "nu"),
+    (["classify", "--n", "3", "--gamma", "0", "--nu", "inf", "--alpha", "3"], "nu"),
+    (["classify", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "nan"], "alpha"),
+    (["classify", *N4, "--beta", "nan"], "beta"),
+    (["classify", *N4, "--mu0", "nan"], "scale"),
+    (["classify", *N4, "--mu0", "inf"], "scale"),
+    (["verify", *N4, "--mu0", "nan"], "scale"),
+    (["verify", *N4, "--mu0", "inf"], "scale"),
+    (["sweep", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3", "--param", "nu",
+      "--start", "0.1", "--stop", "nan", "--samples", "5"], "nu"),
+])
+def test_non_finite_parameters_exit2(argv, name):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"invalid parameters: {name} must be ")
+
+
 def test_classify_degenerate_only_exit3():
     code, _, err = run_cli(["classify", "--n", "3", "--gamma", "0",
                             "--nu", str(2.0 / 3.0), "--alpha", "3"])
@@ -358,13 +377,27 @@ def _count_root_searches(monkeypatch):
 def test_sweep_searches_once_per_sample(monkeypatch, tmp_path):
     calls = _count_root_searches(monkeypatch)
     out_file = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(["sweep", "--n", "3", "--gamma", "0", "--alpha", "3",
-                          "--nu", "1", "--param", "nu", "--start", "0.5",
-                          "--stop", "1.5", "--samples", "9", "--out", str(out_file)])
-    assert code == 0
-    assert len(calls) == 9
-    rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
-    assert [float(r["nu"]) for r in rows] == np.linspace(0.5, 1.5, 9).tolist()
+    # forward, reversed, two-sample and the benchmark's range
+    for start, stop, samples in ((0.5, 1.5, 9), (1.5, 0.5, 9), (0.5, 1.5, 2),
+                                 (1.9, 0.1, 2), (0.1, 2.0, 200)):
+        calls.clear()
+        code, _, _ = run_cli(["sweep", "--n", "3", "--gamma", "0", "--alpha", "3",
+                              "--nu", "1", "--param", "nu", "--start", str(start),
+                              "--stop", str(stop), "--samples", str(samples),
+                              "--out", str(out_file)])
+        assert code == 0
+        assert len(calls) == samples
+        rows = list(csv.DictReader(io.StringIO(out_file.read_text())))
+        # %.17g round-trips a double, so this compares bits
+        assert [float(r["nu"]) for r in rows] == np.linspace(start, stop, samples).tolist()
+
+
+@pytest.mark.parametrize("start,stop,samples", [
+    (-2.5, -0.3, 7), (-0.3, -2.5, 7), (-1.0, 1.0, 11), (3.0, -7.25, 2),
+    (-1e-3, -1e-9, 50), (0.1, 0.1, 4), (1e6, -1e-6, 33)])
+def test_sweep_samples_are_linspace_bits(start, stop, samples):
+    # ranges no valid sweep reaches (negative nu or alpha) included
+    assert hs.cli._samples(start, stop, samples) == np.linspace(start, stop, samples).tolist()
 
 
 def test_sweep_bad_endpoint_fails_before_the_interior(monkeypatch):

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 
 import hardysys as hs
 from hardysys import DomainError, ParameterError
+from hardysys.coupling import _f_scale, _fprime_scale
 from hardysys.verify import convergence_order, fd_derivative
 
+EPS = sys.float_info.epsilon
 # positive roots of s^4 - 3 s^3 + 3 s - 1 = (s-1)(s+1)(s^2-3s+1)
 N3_ROOTS = ((3.0 - math.sqrt(5.0)) / 2.0, 1.0, (3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -42,6 +44,41 @@ def test_coupling_f_rejects_nonpositive():
         hs.coupling_f(0.0, p4())
     with pytest.raises(DomainError):
         hs.coupling_f_prime(-1.0, p4())
+
+
+@pytest.mark.parametrize("fn", [hs.coupling_f, hs.coupling_f_prime])
+@pytest.mark.parametrize("s", [0, -1.0, [1.0, 0.0], np.array([2.0, -3.0]), np.array(0.0)])
+def test_coupling_f_rejects_nonpositive_on_both_paths(fn, s):
+    with pytest.raises(DomainError):
+        fn(s, p3())
+
+
+@pytest.mark.parametrize("fn", [hs.coupling_f, hs.coupling_f_prime])
+def test_coupling_f_return_types(fn):
+    # a number or a 0-d array gives a float; anything else an ndarray
+    for s in (2.0, 2, np.float64(2.0), np.array(2.0)):
+        assert type(fn(s, p3())) is float
+    for s in ([0.5, 2.0], np.array([0.5, 2.0]), np.array([[2.0]])):
+        out = fn(s, p3())
+        assert isinstance(out, np.ndarray) and out.shape == np.shape(s)
+
+
+@pytest.mark.parametrize("fn", [hs.coupling_f, hs.coupling_f_prime])
+def test_coupling_f_nan_in_nan_out(fn):
+    assert math.isnan(fn(math.nan, p3()))
+    assert np.isnan(fn(np.array([1.0, math.nan]), p3())).tolist() == [False, True]
+
+
+def test_coupling_f_scalar_and_array_paths_agree():
+    # the scalar path uses Python's float power, the array path numpy's:
+    # the two may differ in the last digits of each term, no more
+    grid = np.geomspace(1e-6, 1e6, 121)
+    for p in (p3(), p4(), hs.ProblemParams.symmetric(5, 1.0, 0.3, 1.4),
+              hs.ProblemParams.symmetric(7, 2.0, 40.0, 1.5)):
+        f, fp = hs.coupling_f(grid, p), hs.coupling_f_prime(grid, p)
+        for s, fa, fpa in zip(grid.tolist(), f, fp):
+            assert abs(hs.coupling_f(s, p) - fa) <= 8 * EPS * _f_scale(s, p)
+            assert abs(hs.coupling_f_prime(s, p) - fpa) <= 8 * EPS * _fprime_scale(s, p)
 
 
 def test_coupling_f_prime_values():
@@ -174,6 +211,12 @@ def test_classify_requires_equal_gamma():
     p = hs.ProblemParams(4, 0.1, 0.2, 1.0, 2.0, 2.0)
     with pytest.raises(ParameterError):
         hs.classify(p, 1.0)
+
+
+@pytest.mark.parametrize("mu0", [0.0, -1.0, math.nan, math.inf])
+def test_classify_requires_positive_finite_scale(mu0):
+    with pytest.raises(ParameterError, match="scale"):
+        hs.classify(p3(), mu0)
 
 
 def test_classify_constants_independent_of_scale():

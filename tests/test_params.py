@@ -117,3 +117,19 @@ def test_alpha_beta_tolerance_boundary():
 def test_decoupled_mode_allowed():
     p = hs.ProblemParams.symmetric(4, 0.5, 0.0, 2.0)
     assert p.nu == 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "nu", "alpha", "beta"])
+def test_non_finite_values_rejected(name, value):
+    # NaN passes every ordered comparison's negation, so it needs its own test
+    kwargs = dict(n=4, gamma1=0.0, gamma2=0.0, nu=1.0, alpha=2.0, beta=2.0)
+    kwargs[name] = value
+    with pytest.raises(ParameterError):
+        hs.ProblemParams(**kwargs)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_non_finite_dimension_rejected(n):
+    with pytest.raises(ParameterError):
+        hs.ProblemParams(n=n, gamma1=0.0, gamma2=0.0, nu=1.0, alpha=2.0, beta=2.0)

@@ -44,6 +44,12 @@ def test_nonpositive_radius_rejected():
             prof.value(bad)
 
 
+@pytest.mark.parametrize("mu", [0.0, -2.0, math.nan, math.inf])
+def test_scale_must_be_positive_and_finite(mu):
+    with pytest.raises(ParameterError, match="scale"):
+        ScalarProfile(hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0), mu)
+
+
 def test_scaling_covariance():
     # value at scale mu equals mu^((2-n)/2) * value at scale 1 of r/mu
     for n, gamma in ((3, 0.0), (4, 0.5), (5, 2.0)):

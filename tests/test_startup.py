@@ -1,4 +1,5 @@
-"""Start-up: a lazy ``import hardysys``, and a CLI that starts no BLAS threads.
+"""Start-up: a lazy ``import hardysys``, a CLI whose scalar commands load no
+numpy, and one that starts no BLAS threads when it does.
 
 Each test runs in a fresh interpreter, since the test process has long since
 imported numpy and every submodule.
@@ -112,20 +113,38 @@ def test_dir_lists_lazy_names():
     assert PUBLIC_NAMES <= set(names) and "cli" in names
 
 
-# --- BLAS threads of the CLI ------------------------------------------------------
+# --- what a CLI command loads ------------------------------------------------------
 
-CLASSIFY_IN_PROCESS = """
+CLI_IN_PROCESS = """
 import contextlib, io, json, os, runpy, sys
-sys.argv = ["hardysys", "classify", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3"]
+sys.argv = ["hardysys", *%r]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("hardysys", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         assert exc.code == 0, exc.code
-with open("/proc/self/status") as fh:
-    threads = int(next(ln for ln in fh if ln.startswith("Threads:")).split()[1])
-print(json.dumps([threads, os.environ["OPENBLAS_NUM_THREADS"]]))
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = int(next(ln for ln in fh if ln.startswith("Threads:")).split()[1])
+print(json.dumps([threads, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]))
 """
+
+PARAMS = ["--gamma", "0", "--nu", "1"]
+CLASSIFY = ["classify", "--n", "3", *PARAMS, "--alpha", "3"]
+SWEEP = ["sweep", "--n", "3", *PARAMS, "--alpha", "3", "--param", "nu",
+         "--start", "0.5", "--stop", "1.5", "--samples", "5"]
+VERIFY = ["verify", "--n", "4", *PARAMS, "--alpha", "2"]
+# shoot loads numpy, and so OpenBLAS, which starts its worker thread unless
+# the entry point's one-thread default is in force
+SHOOT = ["shoot", "--n", "4", *PARAMS, "--alpha", "2"]
+
+
+def run_cli_in_process(argv, env_update=None):
+    """``python -m hardysys argv`` in a fresh interpreter, through runpy; return
+    [threads (None without /proc), OPENBLAS_NUM_THREADS, numpy loaded]."""
+    return run_python(CLI_IN_PROCESS % (argv,), env_update)
+
 
 needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                                 reason="reads the thread count from /proc/self/status")
@@ -137,13 +156,19 @@ def test_console_script_target_imports_without_running():
     assert run_python(code) == "hardysys.cli"
 
 
+@pytest.mark.parametrize("argv,loaded", [(CLASSIFY, False), (SWEEP, False), (VERIFY, True)],
+                         ids=["classify", "sweep", "verify"])
+def test_only_array_commands_load_numpy(argv, loaded):
+    assert run_cli_in_process(argv)[2] is loaded
+
+
 @needs_proc
 def test_cli_starts_no_blas_pool():
-    threads, setting = run_python(CLASSIFY_IN_PROCESS, {"OPENBLAS_NUM_THREADS": None})
-    assert (threads, setting) == (1, "1")
+    threads, setting, loaded = run_cli_in_process(SHOOT, {"OPENBLAS_NUM_THREADS": None})
+    assert (threads, setting, loaded) == (1, "1", True)
 
 
 @needs_proc
 def test_cli_keeps_the_callers_blas_setting():
-    _, setting = run_python(CLASSIFY_IN_PROCESS, {"OPENBLAS_NUM_THREADS": "2"})
+    _, setting, _ = run_cli_in_process(SHOOT, {"OPENBLAS_NUM_THREADS": "2"})
     assert setting == "2"
