@@ -17,21 +17,16 @@ _EXPORTS = {
     "params": ("DerivedConstants", "ProblemParams", "amplitude",
                "critical_exponent", "derived_constants", "hardy_constant",
                "tau_exponents"),
-    "profiles": ("AsymptoticData", "ScalarProfile", "asymptotic_limits",
-                 "aubin_talenti_value", "hardy_weight", "hardy_weight_dx1",
-                 "kelvin_transform", "scalar_equation_residual",
-                 "weighted_transform"),
+    "profiles": ("AsymptoticData", "ScalarProfile", "asymptotic_limits"),
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",
                  "constants_from_root", "coupling_f", "coupling_f_prime",
-                 "endpoint_signs", "find_positive_roots",
-                 "verify_constants_system"),
-    "emdenfowler": ("EFState", "EFTrajectory", "ef_energy", "ef_rhs",
-                    "ef_system_residual", "exact_ef_solution",
-                    "exact_trajectory", "integrate", "proportionality_defect",
-                    "radial_system_residual", "shoot_synchronized",
-                    "simultaneous_max_check", "weighted_system_residual"),
-    "verify": ("CheckResult", "RadialGrid", "VerificationReport",
-               "convergence_order", "fd_derivative", "full_verification"),
+                 "find_positive_roots", "verify_constants_system"),
+    "emdenfowler": ("EFState", "EFTrajectory", "ef_system_residual",
+                    "exact_ef_solution", "exact_trajectory", "integrate",
+                    "proportionality_defect", "radial_system_residual",
+                    "shoot_synchronized", "simultaneous_max_check",
+                    "weighted_system_residual"),
+    "verify": ("CheckResult", "VerificationReport", "full_verification"),
     "cli": (),
 }
 

@@ -26,6 +26,7 @@ import warnings
 from .coupling import classify, find_positive_roots
 from .errors import BracketError, IntegrationError, ParameterError
 from .params import ProblemParams, critical_exponent
+from .profiles import MIN_RADIUS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,10 +39,8 @@ EXIT_INTEGRATION_FAILED = 6
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="space dimension (>= 3)")
-    sub.add_argument("--gamma", type=float, default=None,
-                     help="common Hardy coefficient (sets gamma1 = gamma2)")
-    sub.add_argument("--gamma1", type=float, default=None)
-    sub.add_argument("--gamma2", type=float, default=None)
+    sub.add_argument("--gamma", type=float, default=0.0,
+                     help="Hardy coefficient of both equations")
     sub.add_argument("--nu", type=float, default=0.0, help="coupling strength (>= 0)")
     sub.add_argument("--alpha", type=float, required=True)
     sub.add_argument("--beta", type=float, default=None,
@@ -50,17 +49,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_params(args) -> ProblemParams:
-    if args.gamma is not None and (args.gamma1 is not None or args.gamma2 is not None):
-        raise ParameterError("give either --gamma or the --gamma1/--gamma2 pair")
-    if args.gamma is not None:
-        g1 = g2 = args.gamma
-    else:
-        g1 = args.gamma1 if args.gamma1 is not None else 0.0
-        g2 = args.gamma2 if args.gamma2 is not None else g1
-    # critical_exponent validates n before it divides by n - 2
-    beta = critical_exponent(args.n) - args.alpha if args.beta is None else args.beta
-    return ProblemParams(n=args.n, gamma1=g1, gamma2=g2, nu=args.nu,
-                         alpha=args.alpha, beta=beta)
+    return ProblemParams.symmetric(args.n, args.gamma, args.nu, args.alpha, args.beta)
 
 
 def _open_out(path):
@@ -200,10 +189,9 @@ def cmd_export(args) -> int:
     import numpy as np
 
     from .emdenfowler import exact_trajectory
-    from .verify import RadialGrid
     p = _build_params(args)
-    if not 0 < args.grid_lo < args.grid_hi < math.inf:
-        raise ParameterError("the grid needs 0 < --grid-lo < --grid-hi < inf")
+    if not MIN_RADIUS <= args.grid_lo < args.grid_hi < math.inf:
+        raise ParameterError("the grid needs 1e-300 <= --grid-lo < --grid-hi < inf")
     if args.grid_n < 2 or args.t_points < 2:
         raise ParameterError("--grid-n and --t-points must be at least 2")
     if not 0 < args.t_halfspan < math.inf:
@@ -229,8 +217,7 @@ def cmd_export(args) -> int:
             return EXIT_UNWRITABLE
         with fh:
             if kind == "profile":
-                grid = RadialGrid.log_uniform(args.grid_lo, args.grid_hi, args.grid_n)
-                r = grid.points
+                r = np.geomspace(args.grid_lo, args.grid_hi, args.grid_n)
                 u = fam.u(r)
                 v = fam.v(r)
                 fh.write("r,u,v,r_tau1_u,r_tau2_u\n")

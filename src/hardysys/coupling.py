@@ -127,16 +127,6 @@ def _merged_terms(p: ProblemParams) -> tuple[list[float], list[float]]:
     return [merged[a] for a in expos], expos
 
 
-def endpoint_signs(p: ProblemParams) -> tuple[int, int]:
-    """Signs of f near 0+ and near infinity: those of its lowest and highest
-    merged coefficients, or (0, 0) when f vanishes identically (e.g. alpha =
-    beta = 2 at nu = 1/2)."""
-    coefs, _ = _merged_terms(p)
-    if not coefs:
-        return 0, 0
-    return (1 if coefs[0] > 0 else -1), (1 if coefs[-1] > 0 else -1)
-
-
 def _sum_roots(coefs: list[float], expos: list[float], lo: float,
                hi: float) -> list[tuple[float, bool]]:
     """Roots of G(x) = sum c_i exp(a_i x) in (lo, hi), ascending, as (x, tangential).

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketError, DomainError, IntegrationError,
-                     ParameterError, TrajectoryError)
+from .errors import (BracketError, IntegrationError, ParameterError,
+                     TrajectoryError)
 from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
 from .params import ProblemParams
 
@@ -46,9 +46,8 @@ MAX_ITER = 120
 
 @dataclass(frozen=True)
 class EFState:
-    """Phase state (t, y_u, y_u', y_v, y_v') at one log-radius."""
+    """Phase state (y_u, y_u', y_v, y_v') at one log-radius."""
 
-    t: float
     y_u: float
     p_u: float
     y_v: float
@@ -79,22 +78,6 @@ def _system_constants(p: ProblemParams):
     d = p.derived()
     kappa2 = d.delta * d.delta - p.gamma
     return kappa2, p.two_star, p.alpha, p.beta, p.nu
-
-
-def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float]:
-    """(y_u', y_u'', y_v', y_v'') of the autonomous system at one state."""
-    if state.y_u < 0 or state.y_v < 0:
-        raise DomainError(
-            "negative component: fractional powers are undefined for y < 0"
-        )
-    kappa2, ts, alpha, beta, nu = _system_constants(p)
-    yu, yv = state.y_u, state.y_v
-    fu = kappa2 * yu - yu ** (ts - 1.0)
-    fv = kappa2 * yv - yv ** (ts - 1.0)
-    if nu:
-        fu -= nu * alpha * yu ** (alpha - 1.0) * yv ** beta
-        fv -= nu * beta * yu ** alpha * yv ** (beta - 1.0)
-    return state.p_u, fu, state.p_v, fv
 
 
 # --- closed-form synchronized trajectories ---------------------------------
@@ -135,8 +118,7 @@ def _closed_form_accel(fam: SynchronizedFamily, t):
 def exact_ef_solution(fam: SynchronizedFamily, t: float) -> EFState:
     """Closed-form phase state of a synchronized family at log-radius t."""
     y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
-    return EFState(t=float(t), y_u=float(y_u), p_u=float(p_u),
-                   y_v=float(y_v), p_v=float(p_v))
+    return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
 
 
 def exact_trajectory(fam: SynchronizedFamily, t_grid) -> EFTrajectory:
@@ -145,16 +127,6 @@ def exact_trajectory(fam: SynchronizedFamily, t_grid) -> EFTrajectory:
     y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
     return EFTrajectory(t=t, y_u=y_u, p_u=p_u, y_v=y_v, p_v=p_v,
                         accepted=0, rejected=0, termination="completed")
-
-
-def ef_energy(y: float, slope: float, p: ProblemParams) -> float:
-    """First integral H = p^2/2 - kappa^2 y^2/2 + y^(2*)/2* of the scalar case.
-
-    Constant along nu = 0 trajectories and identically zero on the homoclinic
-    orbit.
-    """
-    kappa2, ts, _, _, _ = _system_constants(p)
-    return 0.5 * slope * slope - 0.5 * kappa2 * y * y + y ** ts / ts
 
 
 # --- adaptive integration ----------------------------------------------------
@@ -189,9 +161,9 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     Python floats.
 
     The kernel is inlined by hand: the tableau lives in local floats, the
-    field of ``ef_rhs`` (trial stages clamped at zero) is written out at every
-    stage, and ``abs``, ``min`` and ``max`` are comparisons.  Every
-    floating-point operation is the one of the table form
+    field (``ef_rhs`` in ``tests/reference.py``, with trial stages clamped at
+    zero) is written out at every stage, and ``abs``, ``min`` and ``max`` are
+    comparisons.  Every floating-point operation is the one of the table form
     ``y + h * (a1 * k1 + a2 * k2 + ...)``, in the same order, so trajectories
     are bit-identical to it, and a step runs 1.7-1.9 times as fast.
     """
@@ -471,7 +443,7 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         return pu > 0.0
 
     def miss(a: float) -> float:
-        state = EFState(t=0.0, y_u=a, p_u=0.0, y_v=a / s, p_v=0.0)
+        state = EFState(y_u=a, p_u=0.0, y_v=a / s, p_v=0.0)
         traj = integrate(state, (0.0, t_max), p, tol=tol, stop=rebounded)
         p1 = float(traj.p_u[-1])
         if traj.termination != "completed":
@@ -566,13 +538,6 @@ def simultaneous_max_check(traj: EFTrajectory) -> tuple[float, float]:
 # --- residuals of the three radial encodings ----------------------------------
 
 
-def _grid_array(grid) -> np.ndarray:
-    r = np.asarray(grid, dtype=float)
-    if r.size == 0 or np.any(r <= 0) or np.any(~np.isfinite(r)):
-        raise DomainError("grid radii must be positive and finite")
-    return r
-
-
 def _max_normalized(terms) -> float:
     """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...)."""
     total = sum(terms[1:], terms[0])  # ((t1 + t2) + t3) + ...
@@ -587,7 +552,7 @@ def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]
     + coupling, normalized pointwise by the largest term magnitude (floored
     at 1 so that vanishing tails do not inflate the quotient).
     """
-    r = _grid_array(grid)
+    r = np.asarray(grid, dtype=float)
     p = fam.profile.params
     ts = p.two_star
     n = p.n
@@ -620,7 +585,7 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
             f"tau={tau} is not a root of the characteristic equation "
             f"(residual {char:.3e})"
         )
-    r = _grid_array(grid)
+    r = np.asarray(grid, dtype=float)
     ts = p.two_star
     g, g1, g2 = fam.profile.weighted_derivatives(tau, r)
     weight = np.power(r, -(ts - 2.0) * tau)

@@ -1,4 +1,4 @@
-"""Closed-form radial profiles and the geometry of the singular weight.
+"""Closed-form radial profiles and their limits at the origin and at infinity.
 
 The central object is the explicit radial profile
 
@@ -10,15 +10,10 @@ endpoints of the usual log grids: with w = r^q / (1 + r^q) and
 phi = tau1 + 2 kappa w, one has
 
     u'  = -phi u / r,
-    u'' = u (phi^2 + phi - 2 kappa q w (1 - w)) / r^2,
+    u'' = u (phi^2 + phi - 2 kappa q w (1 - w)) / r^2.
 
-and the full second-order radial operator collapses algebraically to
-
-    u'' + (n-1) u'/r + gamma u/r^2 = -2 kappa (2 kappa + q) w (1-w) u / r^2,
-
-which cancels the pure power u^(2*-1) exactly.  The same trick with
-chi = (tau - tau1) - 2 kappa w yields stable derivatives of the weighted
-profile r^tau u(r) for any tau.
+The same trick with chi = (tau - tau1) - 2 kappa w yields stable derivatives
+of the weighted profile r^tau u(r) for any tau.
 
 numpy is imported inside the array evaluators, so building a ScalarProfile
 (as classify does) loads none.
@@ -39,16 +34,12 @@ LIMIT_RTOL = 1e-6
 
 
 def _as_radii(r):
-    """Validate positive radii; return (array, was_scalar)."""
+    """Validate positive radii; return them as a float array."""
     import numpy as np
     arr = np.asarray(r, dtype=float)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < MIN_RADIUS)):
         raise DomainError("radius must be finite and >= 1e-300")
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(out, scalar):
-    return float(out) if scalar else out
+    return arr
 
 
 def _sigmoid(t):
@@ -101,8 +92,7 @@ class ScalarProfile:
     def value(self, r):
         """Profile value, vectorized over positive radii."""
         import numpy as np
-        arr, scalar = _as_radii(r)
-        return _maybe_scalar(np.exp(self._log_value(arr)), scalar)
+        return np.exp(self._log_value(_as_radii(r)))
 
     def derivatives(self, r):
         """(u, u', u'') with exact closed-form radial derivatives.
@@ -111,21 +101,6 @@ class ScalarProfile:
         """
         return self.weighted_derivatives(0.0, r)
 
-    def linear_radial_part(self, r):
-        """u'' + (n-1) u'/r + gamma u/r^2 via the collapsed closed form.
-
-        The collapse removes the numerical cancellation among the three
-        singular terms, so the result is accurate relative to u^(2*-1) even
-        deep inside the r -> 0 regime.
-        """
-        import numpy as np
-        arr, scalar = _as_radii(r)
-        d = self.derived
-        u = np.exp(self._log_value(arr))
-        w, om = self._w(arr)
-        coeff = -2.0 * d.kappa * (2.0 * d.kappa + self._q)
-        return _maybe_scalar(coeff * w * om * u / (arr * arr), scalar)
-
     def weighted_derivatives(self, tau: float, r):
         """(g, g', g'') for g(r) = r^tau u(r), stable for any fixed tau.
 
@@ -133,7 +108,7 @@ class ScalarProfile:
         digits near r -> 0 when tau = tau1; the chi-form below does not.
         """
         import numpy as np
-        arr, scalar = _as_radii(r)
+        arr = _as_radii(r)
         d = self.derived
         u = np.exp(self._log_value(arr))
         g = np.power(arr, tau) * u
@@ -146,82 +121,7 @@ class ScalarProfile:
             chi = (tau - d.tau2) + 2.0 * d.kappa * om
         g1 = g * chi / arr
         g2 = g * (chi * chi - chi - 2.0 * d.kappa * self._q * w * om) / (arr * arr)
-        if scalar:
-            return float(g), float(g1), float(g2)
         return g, g1, g2
-
-
-def aubin_talenti_value(n: int, scale: float, r):
-    """Radial Aubin-Talenti bubble (scale*sqrt(n(n-2)) / (scale^2+r^2))^((n-2)/2).
-
-    Independent of ScalarProfile; used as a cross-check of the gamma = 0 case.
-    """
-    import numpy as np
-    if scale <= 0:
-        raise ParameterError("scale must be positive")
-    arr, scalar = _as_radii(r)
-    base = scale * math.sqrt(n * (n - 2.0)) / (scale * scale + arr * arr)
-    return _maybe_scalar(np.power(base, (n - 2) / 2.0), scalar)
-
-
-def kelvin_transform(u, n: int, r):
-    """Radial Kelvin transform r^(2-n) * u(1/r); an involution."""
-    import numpy as np
-    arr, scalar = _as_radii(r)
-    out = np.power(arr, 2.0 - n) * u(1.0 / arr)
-    return _maybe_scalar(out, scalar)
-
-
-def weighted_transform(u, tau: float, r):
-    """Compensated profile r^tau * u(r)."""
-    import numpy as np
-    arr, scalar = _as_radii(r)
-    return _maybe_scalar(np.power(arr, tau) * u(arr), scalar)
-
-
-def scalar_equation_residual(profile: ScalarProfile, r):
-    """Normalized residual of u'' + (n-1)u'/r + gamma u/r^2 + u^(2*-1) = 0.
-
-    Normalization is by max(1, |u^(2*-1)|) pointwise.
-    """
-    import numpy as np
-    arr, scalar = _as_radii(r)
-    ts = profile.params.two_star
-    u = profile.value(arr)
-    nonlinear = np.power(u, ts - 1.0)
-    res = np.abs(profile.linear_radial_part(arr) + nonlinear)
-    return _maybe_scalar(res / np.maximum(1.0, np.abs(nonlinear)), scalar)
-
-
-# --- translated singular weight ------------------------------------------
-
-
-def hardy_weight(x, x0) -> float:
-    """|x - x0 |x|^2|^2, the denominator produced by inverting the shifted pole."""
-    import numpy as np
-    xa = np.asarray(x, dtype=float)
-    x0a = np.asarray(x0, dtype=float)
-    if xa.shape != x0a.shape:
-        raise DomainError(f"dimension mismatch: {xa.shape} vs {x0a.shape}")
-    diff = xa - x0a * float(xa @ xa)
-    return float(diff @ diff)
-
-
-def hardy_weight_dx1(x, x0) -> float:
-    """d/dx1 of the weight, valid when the pole offset has first coordinate 0.
-
-    Equals 2 x1 (1 - 2 <x, x0> + 2 |x0|^2 |x|^2), which is nonnegative for
-    x1 >= 0 (complete the square).
-    """
-    import numpy as np
-    xa = np.asarray(x, dtype=float)
-    x0a = np.asarray(x0, dtype=float)
-    if xa.shape != x0a.shape:
-        raise DomainError(f"dimension mismatch: {xa.shape} vs {x0a.shape}")
-    if x0a[0] != 0.0:
-        raise ParameterError("the offset must satisfy x0[0] == 0")
-    xx = float(xa @ xa)
-    return 2.0 * float(xa[0]) * (1.0 - 2.0 * float(xa @ x0a) + 2.0 * float(x0a @ x0a) * xx)
 
 
 # --- asymptotic limits -----------------------------------------------------

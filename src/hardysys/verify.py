@@ -1,4 +1,4 @@
-"""Finite-difference oracles, convergence studies, and the bundled verifier.
+"""The bundled verifier.
 
 ``full_verification`` runs every closed-form family of a parameter set
 through the whole battery of checks and returns a deterministic report.
@@ -40,67 +40,8 @@ from .emdenfowler import (ef_system_residual, exact_ef_solution, integrate,
                           shoot_synchronized, simultaneous_max_check,
                           weighted_system_residual, _closed_form_arrays,
                           _system_constants)
-from .errors import ConvergenceError, DomainError
 from .params import ProblemParams
 from .profiles import asymptotic_limits
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """A strictly increasing positive radius grid."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise DomainError("grid needs at least two radii")
-        if np.any(pts <= 0) or np.any(~np.isfinite(pts)):
-            raise DomainError("grid radii must be positive and finite")
-        if np.any(np.diff(pts) <= 0):
-            raise DomainError("grid radii must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def log_uniform(cls, lo: float = 1e-6, hi: float = 1e6,
-                    num: int = 2048) -> "RadialGrid":
-        return cls(points=np.geomspace(lo, hi, num))
-
-
-def fd_derivative(u, r: float, h: float, order: int = 1) -> float:
-    """Centered finite difference of first or second order, error O(h^2).
-
-    Used as the independent oracle against the analytic derivatives.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if h <= 0:
-        raise DomainError("step must be positive")
-    if r - 2 * h <= 0:
-        raise DomainError("stencil leaves the domain (need r - 2h > 0)")
-    if order == 1:
-        return (float(u(r + h)) - float(u(r - h))) / (2.0 * h)
-    return (float(u(r + h)) - 2.0 * float(u(r)) + float(u(r - h))) / (h * h)
-
-
-def convergence_order(errors) -> float:
-    """Least-squares slope of log err versus log h.
-
-    ``errors`` is a sequence of (h, err) pairs with h strictly decreasing.
-    """
-    pairs = list(errors)
-    if len(pairs) < 3:
-        raise ValueError("need at least three (h, err) points")
-    h = np.asarray([q[0] for q in pairs], dtype=float)
-    e = np.asarray([q[1] for q in pairs], dtype=float)
-    if np.any(np.diff(h) >= 0):
-        raise ValueError("step sizes must be strictly decreasing")
-    if np.max(e) < 1e-14:
-        raise ConvergenceError("all errors at the roundoff floor; order undefined")
-    if np.any(e <= 0):
-        raise ConvergenceError("nonpositive error entries; order undefined")
-    slope, _ = np.polyfit(np.log(h), np.log(e), 1)
-    return float(slope)
 
 
 @dataclass(frozen=True)
@@ -202,7 +143,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     for bit, and its slopes are the forward ones negated.
     """
     families = classify(p, mu0)
-    grid = RadialGrid.log_uniform()
+    grid = np.geomspace(1e-6, 1e6, 2048)
     d = p.derived()
     t0 = math.log(mu0)
     checks: list[CheckResult] = []
@@ -221,10 +162,10 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "constants_residual", max(res1, res2), 1e-12)
         add(tag + "ratio_identity", abs(fam.c1 / fam.c2 - s) / s, 1e-13)
 
-        ru, rv = radial_system_residual(fam, grid.points)
+        ru, rv = radial_system_residual(fam, grid)
         add(tag + "radial_residual", max(ru, rv), 1e-9)
         for tau, label in ((d.tau1, "tau1"), (d.tau2, "tau2")):
-            wu, wv = weighted_system_residual(fam, tau, grid.points)
+            wu, wv = weighted_system_residual(fam, tau, grid)
             add(tag + f"weighted_residual_{label}", max(wu, wv), 1e-9)
 
         t_grid = np.linspace(t0 - 14.0, t0 + 14.0, 801)
@@ -266,7 +207,8 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "shooting_recovery", abs(recovered - target) / target, 1e-6)
 
         if p.nu == 0.0:
-            # |H| of ef_energy at each point, its constants computed once
+            # |H| at each point: ef_energy of tests/reference.py, its
+            # constants computed once
             kappa2, ts = _system_constants(p)[:2]
             y_u, p_u, _, _ = _closed_form_arrays(fam, t_grid)
             h_vals = [abs(0.5 * q * q - 0.5 * kappa2 * y * y + y ** ts / ts)

@@ -123,27 +123,11 @@ def test_classify_searches_roots_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_classify_split_gamma_flags_mismatch_exit2():
-    code, _, err = run_cli(["classify", "--n", "4", "--gamma1", "0.1",
-                            "--gamma2", "0.3", "--nu", "1", "--alpha", "2"])
-    assert code == 2
-    assert "equal Hardy coefficients" in err
-
-
 def test_classify_dimension_two_with_split_gamma_exit2():
     # 2* = 2n/(n-2) must not be formed before n is validated
-    code, _, err = run_cli(["classify", "--n", "2", "--gamma1", "0",
-                            "--gamma2", "0.1", "--alpha", "2"])
+    code, _, err = run_cli(["classify", "--n", "2", "--gamma", "0.1", "--alpha", "2"])
     assert code == 2
     assert "dimension too small" in err
-
-
-def test_classify_split_gamma_equal_ok():
-    code, out, _ = run_cli(["classify", "--n", "4", "--gamma1", "0.25",
-                            "--gamma2", "0.25", "--nu", "1", "--alpha", "2",
-                            "--format", "json"])
-    assert code == 0
-    assert len(json.loads(out)) == 1
 
 
 def test_classify_explicit_beta():
@@ -484,6 +468,16 @@ def test_export_unwritable_exit5():
 def test_export_bad_grid_exit2_no_file(tmp_path, what, bad):
     out_file = tmp_path / "x.csv"
     code, _, err = run_cli(["export", *N4, "--what", what, "--out", str(out_file), *bad])
+    assert code == 2
+    assert err.startswith("invalid parameters:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_grid_below_min_radius_exit2_no_file(tmp_path):
+    # a positive --grid-lo that the profile evaluators would reject
+    out_file = tmp_path / "lo.csv"
+    code, _, err = run_cli(["export", *N4, "--what", "profile", "--out", str(out_file),
+                            "--grid-lo", "1e-310", "--grid-hi", "1"])
     assert code == 2
     assert err.startswith("invalid parameters:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []

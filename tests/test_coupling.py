@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import DomainError, ParameterError
 from hardysys.coupling import _f_scale, _fprime_scale
-from hardysys.verify import convergence_order, fd_derivative
+from reference import convergence_order, endpoint_signs, fd_derivative
 
 EPS = sys.float_info.epsilon
 # positive roots of s^4 - 3 s^3 + 3 s - 1 = (s-1)(s+1)(s^2-3s+1)
@@ -159,7 +159,7 @@ def test_endpoint_sign_classification_matches_evaluation():
         hs.ProblemParams.symmetric(5, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^(4/3) - (2/3) s^2
     ]
     for p in cases:
-        lo_sign, hi_sign = hs.endpoint_signs(p)
+        lo_sign, hi_sign = endpoint_signs(p)
         assert np.sign(hs.coupling_f(1e-8, p)) == lo_sign, p
         assert np.sign(hs.coupling_f(1e8, p)) == hi_sign, p
 
@@ -349,7 +349,7 @@ def test_root_counts_match_the_exponential_sum_oracle(monkeypatch):
         assert len(found) == len(expected), (n, nu, alpha)
         assert_allclose(found, expected, rtol=1e-9)
         assert len(found) <= oracle.bound[i]
-        lo_sign, hi_sign = hs.endpoint_signs(p)
+        lo_sign, hi_sign = endpoint_signs(p)
         assert len(found) % 2 == (lo_sign != hi_sign), (n, nu, alpha)
         assert not any(r.is_degenerate for r in roots)
         checked += 1

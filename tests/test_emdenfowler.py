@@ -10,7 +10,7 @@ from hardysys import (DomainError, EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
                                   exact_ef_solution, exact_trajectory, integrate)
-from hardysys.verify import convergence_order
+from reference import convergence_order, ef_energy, ef_rhs
 
 GRID = np.geomspace(1e-6, 1e6, 2048)
 
@@ -20,28 +20,28 @@ GRID = np.geomspace(1e-6, 1e6, 2048)
 
 def test_rhs_vanishes_at_phase_origin(benchmark4):
     p, _ = benchmark4
-    assert hs.ef_rhs(EFState(0.0, 0.0, 0.0, 0.0, 0.0), p) == (0.0, 0.0, 0.0, 0.0)
+    assert ef_rhs(EFState(0.0, 0.0, 0.0, 0.0), p) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_rhs_rejects_negative_components(benchmark4):
     p, _ = benchmark4
     with pytest.raises(DomainError):
-        hs.ef_rhs(EFState(0.0, -0.1, 0.0, 1.0, 0.0), p)
+        ef_rhs(EFState(-0.1, 0.0, 1.0, 0.0), p)
 
 
 def test_rhs_matches_closed_form_acceleration(benchmark4):
     p, fam = benchmark4
     for t in (-2.0, 0.0, 1.5):
         state = exact_ef_solution(fam, t)
-        _, acc_u, _, acc_v = hs.ef_rhs(state, p)
+        _, acc_u, _, acc_v = ef_rhs(state, p)
         ref_u, ref_v = _closed_form_accel(fam, t)
         assert_allclose((acc_u, acc_v), (float(ref_u), float(ref_v)), rtol=1e-12)
 
 
 def test_rhs_decouples_at_zero_nu():
     p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
-    out_a = hs.ef_rhs(EFState(0.0, 0.3, 0.1, 0.8, -0.2), p)
-    out_b = hs.ef_rhs(EFState(0.0, 0.9, 0.1, 0.8, -0.2), p)
+    out_a = ef_rhs(EFState(0.3, 0.1, 0.8, -0.2), p)
+    out_b = ef_rhs(EFState(0.9, 0.1, 0.8, -0.2), p)
     assert out_a[2:] == out_b[2:]  # v-equations blind to y_u
 
 
@@ -154,14 +154,14 @@ def test_trajectory_monotone_time_and_stats(benchmark4):
 def test_perturbed_amplitude_terminates(benchmark4):
     p, fam = benchmark4
     exact = exact_ef_solution(fam, 0.0)
-    bumped = EFState(0.0, exact.y_u * 1.01, 0.0, exact.y_v * 1.01, 0.0)
+    bumped = EFState(exact.y_u * 1.01, 0.0, exact.y_v * 1.01, 0.0)
     traj = integrate(bumped, (0.0, 50.0), p, tol=1e-10)
     assert traj.termination != "completed"
 
 
 def test_zero_initial_state_stays_zero(benchmark4):
     p, _ = benchmark4
-    traj = integrate(EFState(0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 10.0), p, tol=1e-10)
+    traj = integrate(EFState(0.0, 0.0, 0.0, 0.0), (0.0, 10.0), p, tol=1e-10)
     assert traj.termination == "completed"
     assert np.max(np.abs(traj.y_u)) == 0.0
     assert np.max(np.abs(traj.y_v)) == 0.0
@@ -179,7 +179,7 @@ def test_zero_length_span(benchmark4):
 def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
     p, fam = benchmark4
     exact = exact_ef_solution(fam, 0.2)
-    values = (exact.t, exact.y_u, exact.p_u, exact.y_v, exact.p_v)
+    values = (exact.y_u, exact.p_u, exact.y_v, exact.p_v)
     for span in ((0.2, 4.0), (0.2, -3.0)):
         seen = []
 
@@ -235,7 +235,7 @@ def _pinned_run(name):
     if name == "n4-shooting-trial":
         d = n4.derived()
         a = 1.01 * fam4.c1 * d.amplitude * 2.0 ** (-d.delta)
-        start = EFState(0.0, a, 0.0, a / fam4.c_tilde, 0.0)
+        start = EFState(a, 0.0, a / fam4.c_tilde, 0.0)
         return integrate(start, (0.0, 60.0 / d.kappa), n4, tol=1e-9,
                          stop=lambda t, yu, pu, yv, pv: pu > 0.0)
     if name == "n4-low-blowup-threshold":
@@ -277,7 +277,7 @@ def test_integration_rejects_bad_inputs(benchmark4):
         with pytest.raises(ParameterError, match="positive and finite"):
             integrate(start, (0.0, 1.0), p, tol=tol)
     with pytest.raises(ParameterError):
-        integrate(EFState(0.0, math.nan, 0.0, 0.0, 0.0), (0.0, 1.0), p)
+        integrate(EFState(math.nan, 0.0, 0.0, 0.0), (0.0, 1.0), p)
 
 
 def test_trajectory_csv(benchmark4):
@@ -301,7 +301,7 @@ def test_scalar_energy_zero_on_homoclinic():
         fam = hs.classify(p, 1.0)[0]
         t = np.linspace(-20.0, 20.0, 1601)
         y, q, _, _ = _closed_form_arrays(fam, t)
-        h_vals = np.array([hs.ef_energy(float(a), float(b), p) for a, b in zip(y, q)])
+        h_vals = np.array([ef_energy(float(a), float(b), p) for a, b in zip(y, q)])
         assert np.max(np.abs(h_vals)) <= 1e-10
         assert np.max(h_vals) - np.min(h_vals) <= 1e-10
 

@@ -1,10 +1,14 @@
-"""Start-up: a lazy ``import hardysys``, a CLI whose scalar commands load no
-numpy, and one that starts no BLAS threads when it does.
+"""Start-up: a lazy ``import hardysys`` that exports only what the package
+runs, a CLI whose scalar commands load no numpy, and one that starts no BLAS
+threads when it does.
 
 Each test runs in a fresh interpreter, since the test process has long since
 imported numpy and every submodule.
 """
 
+import ast
+import glob
+import inspect
 import json
 import os
 import subprocess
@@ -20,18 +24,15 @@ PUBLIC_NAMES = {
     "AsymptoticData", "BracketError", "CheckResult", "ConvergenceError",
     "CouplingRoot", "DerivedConstants", "DomainError", "EFState",
     "EFTrajectory", "IntegrationError", "ParameterError", "ProblemParams",
-    "RadialGrid", "ScalarProfile", "SynchronizedFamily", "TrajectoryError",
-    "VerificationReport", "amplitude", "asymptotic_limits",
-    "aubin_talenti_value", "classify", "constants_from_root",
-    "convergence_order", "coupling_f", "coupling_f_prime", "critical_exponent",
-    "derived_constants", "ef_energy", "ef_rhs", "ef_system_residual",
-    "endpoint_signs", "exact_ef_solution", "exact_trajectory", "fd_derivative",
-    "find_positive_roots", "full_verification", "hardy_constant",
-    "hardy_weight", "hardy_weight_dx1", "integrate", "kelvin_transform",
-    "proportionality_defect", "radial_system_residual",
-    "scalar_equation_residual", "shoot_synchronized", "simultaneous_max_check",
-    "tau_exponents", "verify_constants_system", "weighted_system_residual",
-    "weighted_transform",
+    "ScalarProfile", "SynchronizedFamily", "TrajectoryError",
+    "VerificationReport", "amplitude", "asymptotic_limits", "classify",
+    "constants_from_root", "coupling_f", "coupling_f_prime",
+    "critical_exponent", "derived_constants", "ef_system_residual",
+    "exact_ef_solution", "exact_trajectory", "find_positive_roots",
+    "full_verification", "hardy_constant", "integrate",
+    "proportionality_defect", "radial_system_residual", "shoot_synchronized",
+    "simultaneous_max_check", "tau_exponents", "verify_constants_system",
+    "weighted_system_residual",
 }
 
 
@@ -59,7 +60,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 38
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)
@@ -111,6 +112,23 @@ except AttributeError as exc:
 def test_dir_lists_lazy_names():
     names = run_python("import json, hardysys; print(json.dumps(dir(hardysys)))")
     assert PUBLIC_NAMES <= set(names) and "cli" in names
+
+
+def test_every_exported_function_is_used_by_the_package():
+    # a helper that only tests call belongs in tests/reference.py
+    loaded = set()
+    for path in glob.glob(os.path.join(SRC, "hardysys", "*.py")):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    functions = {name for name in hs.__all__ if not inspect.isclass(getattr(hs, name))}
+    assert sorted(functions - loaded) == []
 
 
 # --- what a CLI command loads ------------------------------------------------------

