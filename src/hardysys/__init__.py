@@ -14,9 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("BracketError", "ConvergenceError", "DomainError",
                "IntegrationError", "ParameterError", "TrajectoryError"),
-    "params": ("DerivedConstants", "ProblemParams", "amplitude",
-               "critical_exponent", "derived_constants", "hardy_constant",
-               "tau_exponents"),
+    "params": ("ProblemParams", "critical_exponent", "hardy_constant"),
     "profiles": ("AsymptoticData", "ScalarProfile", "asymptotic_limits"),
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",
                  "constants_from_root", "coupling_f", "coupling_f_prime",

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a root of the coupling function beyond the range of a double,
 named by its log s), 3 no usable (non-degenerate) root, 4 shooting bracket
 not found, 5 unwritable output path, 6 integration failed (step size
-underflow or step budget exceeded).
+underflow, step budget exceeded or floating-point overflow).
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -25,7 +25,7 @@ import warnings
 
 from .coupling import classify, find_positive_roots
 from .errors import BracketError, IntegrationError, ParameterError
-from .params import ProblemParams, critical_exponent
+from .params import ProblemParams
 from .profiles import MIN_RADIUS
 
 EXIT_OK = 0
@@ -136,8 +136,7 @@ def cmd_shoot(args) -> int:
     if fam is None:
         return EXIT_DEGENERATE_ONLY
     recovered = shoot_synchronized(p, fam.root, bracket=args.bracket, tol=args.tol)
-    d = p.derived()
-    target = fam.c1 * d.amplitude * 2.0 ** (-d.delta)
+    target = fam.peak_amplitude
     rel = abs(recovered - target) / target
     print(f"recovered_amplitude: {recovered:.17g}")
     print(f"closed_form_target: {target:.17g}")
@@ -153,12 +152,10 @@ def _samples(start, stop, count):
 
 
 def _sweep_value(base, name, value):
-    kwargs = {"n": base.n, "gamma1": base.gamma1, "gamma2": base.gamma2,
-              "nu": base.nu, "alpha": base.alpha, "beta": base.beta}
-    kwargs[name] = value
-    if name == "alpha":
-        kwargs["beta"] = critical_exponent(base.n) - value
-    p = ProblemParams(**kwargs)
+    if name == "nu":
+        p = ProblemParams.symmetric(base.n, base.gamma, value, base.alpha, base.beta)
+    else:  # alpha, with beta = 2* - alpha
+        p = ProblemParams.symmetric(base.n, base.gamma, base.nu, value)
     return value, [r for r in find_positive_roots(p) if not r.is_degenerate]
 
 
@@ -199,7 +196,6 @@ def cmd_export(args) -> int:
     fam = _selected_family(p, args)
     if fam is None:
         return EXIT_DEGENERATE_ONLY
-    d = p.derived()
 
     targets = []
     if args.what in ("profile", "both"):
@@ -221,8 +217,8 @@ def cmd_export(args) -> int:
                 u = fam.u(r)
                 v = fam.v(r)
                 fh.write("r,u,v,r_tau1_u,r_tau2_u\n")
-                wt1 = np.power(r, d.tau1) * u
-                wt2 = np.power(r, d.tau2) * u
+                wt1 = np.power(r, p.tau1) * u
+                wt2 = np.power(r, p.tau2) * u
                 for vals in zip(r, u, v, wt1, wt2):
                     fh.write(",".join("%.17g" % x for x in vals) + "\n")
             else:

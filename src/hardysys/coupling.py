@@ -56,6 +56,13 @@ class SynchronizedFamily:
     def c_tilde(self) -> float:
         return self.root.c_tilde
 
+    @property
+    def peak_amplitude(self) -> float:
+        """c1 A 2^(-delta): the maximum of y_u = r^delta u over t = log r,
+        the symmetric-maximum amplitude that shooting recovers."""
+        p = self.profile.params
+        return self.c1 * p.amplitude * 2.0 ** (-p.delta)
+
     def u(self, r):
         return self.c1 * self.profile.value(r)
 
@@ -277,7 +284,6 @@ def classify(p: ProblemParams, mu0: float = 1.0) -> list[SynchronizedFamily]:
     map is still defined there, but the sign-change structure the
     classification rests on is not.
     """
-    # validates mu0 and, before any search, that gamma1 == gamma2
     profile = ScalarProfile(p, mu0)
     roots = find_positive_roots(p)
     degenerate = [r for r in roots if r.is_degenerate]

@@ -74,12 +74,6 @@ class EFTrajectory:
             fh.write(",".join("%.17g" % v for v in vals) + "\n")
 
 
-def _system_constants(p: ProblemParams):
-    d = p.derived()
-    kappa2 = d.delta * d.delta - p.gamma
-    return kappa2, p.two_star, p.alpha, p.beta, p.nu
-
-
 # --- closed-form synchronized trajectories ---------------------------------
 
 
@@ -88,18 +82,18 @@ def _closed_form_core(fam: SynchronizedFamily, t):
 
     theta = kappa (t - t0) / delta with t0 = log mu.
     """
-    d = fam.profile.derived
+    p = fam.profile.params
     t = np.asarray(t, dtype=float)
-    theta = d.kappa * (t - math.log(fam.profile.mu)) / d.delta
+    theta = p.kappa * (t - math.log(fam.profile.mu)) / p.delta
     # log(2 cosh theta) = |theta| + log1p(exp(-2|theta|))
     log2cosh = np.abs(theta) + np.log1p(np.exp(-2.0 * np.abs(theta)))
-    return theta, log2cosh, d.amplitude * np.exp(-d.delta * log2cosh)
+    return theta, log2cosh, p.amplitude * np.exp(-p.delta * log2cosh)
 
 
 def _closed_form_arrays(fam: SynchronizedFamily, t):
     """(y_u, p_u, y_v, p_v) of the closed form y(t) = c A (2 cosh theta)^(-delta)."""
     theta, _, base = _closed_form_core(fam, t)
-    slope = -fam.profile.derived.kappa * np.tanh(theta)
+    slope = -fam.profile.params.kappa * np.tanh(theta)
     y_u = fam.c1 * base
     y_v = fam.c2 * base
     return y_u, slope * y_u, y_v, slope * y_v
@@ -107,11 +101,11 @@ def _closed_form_arrays(fam: SynchronizedFamily, t):
 
 def _closed_form_accel(fam: SynchronizedFamily, t):
     """Second derivatives (y_u'', y_v'') of the closed form."""
-    d = fam.profile.derived
+    p = fam.profile.params
     theta, log2cosh, base = _closed_form_core(fam, t)
     sech2 = np.exp(-2.0 * log2cosh) * 4.0
     tanh2 = np.tanh(theta) ** 2
-    curv = d.kappa ** 2 * (tanh2 - sech2 / d.delta)
+    curv = p.kappa ** 2 * (tanh2 - sech2 / p.delta)
     return fam.c1 * base * curv, fam.c2 * base * curv
 
 
@@ -152,8 +146,9 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     forward code path.  Termination is 'completed', or 'blowup' when a
     component magnitude passes ``BLOWUP_THRESHOLD``, or 'extinction' when a
     component goes negative (the state is clamped at zero and reported).
-    Past ``MAX_STEPS`` attempted steps, or below a step of ``MIN_STEP``, it
-    raises IntegrationError.
+    Past ``MAX_STEPS`` attempted steps, below a step of ``MIN_STEP``, or when
+    a float power overflows (a tiny ``tol`` can do that), it raises
+    IntegrationError.
 
     ``stop(t, y_u, p_u, y_v, p_v)`` is an optional early-exit predicate
     evaluated after every accepted step; a truthy value ends the run with
@@ -180,7 +175,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
-    kappa2, ts, alpha, beta, nu = _system_constants(p)
+    kappa2 = p.delta * p.delta - p.gamma
+    ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
     e1 = ts - 1.0
     ea = alpha - 1.0
     eb = beta - 1.0
@@ -207,160 +203,164 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     s = 0.0
     atol = 1e-8  # relative to tol; keeps the scale positive on decaying tails
     h = min(MAX_STEP, span, 1e-3) if span > 0 else 0.0
-    # the stage derivatives are (p, f): f is the field at the stage state,
-    # whose components are clamped at zero for the powers (trial stages may
-    # dip below zero).  Stage 1 is the field at the step's start (FSAL).
-    cu = 0.0 if yu < 0.0 else yu
-    cv = 0.0 if yv < 0.0 else yv
-    fu1 = kappa2 * cu - cu ** e1
-    fv1 = kappa2 * cv - cv ** e1
-    if nua:
-        fu1 -= nua * cu ** ea * cv ** beta
-        fv1 -= nub * cu ** alpha * cv ** eb
+    # float powers raise OverflowError where a product would give inf
+    try:
+        # the stage derivatives are (p, f): f is the field at the stage state,
+        # whose components are clamped at zero for the powers (trial stages may
+        # dip below zero).  Stage 1 is the field at the step's start (FSAL).
+        cu = 0.0 if yu < 0.0 else yu
+        cv = 0.0 if yv < 0.0 else yv
+        fu1 = kappa2 * cu - cu ** e1
+        fv1 = kappa2 * cv - cv ** e1
+        if nua:
+            fu1 -= nua * cu ** ea * cv ** beta
+            fv1 -= nub * cu ** alpha * cv ** eb
 
-    # the remaining sliver below the cutoff is roundoff, not unfinished work
-    end_slack = 1e-13 * max(1.0, span)
-    while span - s > end_slack:
-        if accepted + rejected > max_steps:
-            raise IntegrationError(f"step budget exceeded ({max_steps} steps)")
-        if span - s < h:
-            h = span - s
+        # the remaining sliver below the cutoff is roundoff, not unfinished work
+        end_slack = 1e-13 * max(1.0, span)
+        while span - s > end_slack:
+            if accepted + rejected > max_steps:
+                raise IntegrationError(f"step budget exceeded ({max_steps} steps)")
+            if span - s < h:
+                h = span - s
 
-        # stage 2
-        ha = h * a21
-        yu2 = yu + ha * pu
-        pu2 = pu + ha * fu1
-        yv2 = yv + ha * pv
-        pv2 = pv + ha * fv1
-        cu = 0.0 if yu2 < 0.0 else yu2
-        cv = 0.0 if yv2 < 0.0 else yv2
-        fu2 = kappa2 * cu - cu ** e1
-        fv2 = kappa2 * cv - cv ** e1
-        if nua:
-            fu2 -= nua * cu ** ea * cv ** beta
-            fv2 -= nub * cu ** alpha * cv ** eb
-        # stage 3
-        yu3 = yu + h * (a31 * pu + a32 * pu2)
-        pu3 = pu + h * (a31 * fu1 + a32 * fu2)
-        yv3 = yv + h * (a31 * pv + a32 * pv2)
-        pv3 = pv + h * (a31 * fv1 + a32 * fv2)
-        cu = 0.0 if yu3 < 0.0 else yu3
-        cv = 0.0 if yv3 < 0.0 else yv3
-        fu3 = kappa2 * cu - cu ** e1
-        fv3 = kappa2 * cv - cv ** e1
-        if nua:
-            fu3 -= nua * cu ** ea * cv ** beta
-            fv3 -= nub * cu ** alpha * cv ** eb
-        # stage 4
-        yu4 = yu + h * (a41 * pu + a42 * pu2 + a43 * pu3)
-        pu4 = pu + h * (a41 * fu1 + a42 * fu2 + a43 * fu3)
-        yv4 = yv + h * (a41 * pv + a42 * pv2 + a43 * pv3)
-        pv4 = pv + h * (a41 * fv1 + a42 * fv2 + a43 * fv3)
-        cu = 0.0 if yu4 < 0.0 else yu4
-        cv = 0.0 if yv4 < 0.0 else yv4
-        fu4 = kappa2 * cu - cu ** e1
-        fv4 = kappa2 * cv - cv ** e1
-        if nua:
-            fu4 -= nua * cu ** ea * cv ** beta
-            fv4 -= nub * cu ** alpha * cv ** eb
-        # stage 5
-        yu5 = yu + h * (a51 * pu + a52 * pu2 + a53 * pu3 + a54 * pu4)
-        pu5 = pu + h * (a51 * fu1 + a52 * fu2 + a53 * fu3 + a54 * fu4)
-        yv5 = yv + h * (a51 * pv + a52 * pv2 + a53 * pv3 + a54 * pv4)
-        pv5 = pv + h * (a51 * fv1 + a52 * fv2 + a53 * fv3 + a54 * fv4)
-        cu = 0.0 if yu5 < 0.0 else yu5
-        cv = 0.0 if yv5 < 0.0 else yv5
-        fu5 = kappa2 * cu - cu ** e1
-        fv5 = kappa2 * cv - cv ** e1
-        if nua:
-            fu5 -= nua * cu ** ea * cv ** beta
-            fv5 -= nub * cu ** alpha * cv ** eb
-        # stage 6
-        yu6 = yu + h * (a61 * pu + a62 * pu2 + a63 * pu3 + a64 * pu4 + a65 * pu5)
-        pu6 = pu + h * (a61 * fu1 + a62 * fu2 + a63 * fu3 + a64 * fu4 + a65 * fu5)
-        yv6 = yv + h * (a61 * pv + a62 * pv2 + a63 * pv3 + a64 * pv4 + a65 * pv5)
-        pv6 = pv + h * (a61 * fv1 + a62 * fv2 + a63 * fv3 + a64 * fv4 + a65 * fv5)
-        cu = 0.0 if yu6 < 0.0 else yu6
-        cv = 0.0 if yv6 < 0.0 else yv6
-        fu6 = kappa2 * cu - cu ** e1
-        fv6 = kappa2 * cv - cv ** e1
-        if nua:
-            fu6 -= nua * cu ** ea * cv ** beta
-            fv6 -= nub * cu ** alpha * cv ** eb
-        # 5th-order solution
-        yu_new = yu + h * (b1 * pu + b3 * pu3 + b4 * pu4 + b5 * pu5 + b6 * pu6)
-        pu_new = pu + h * (b1 * fu1 + b3 * fu3 + b4 * fu4 + b5 * fu5 + b6 * fu6)
-        yv_new = yv + h * (b1 * pv + b3 * pv3 + b4 * pv4 + b5 * pv5 + b6 * pv6)
-        pv_new = pv + h * (b1 * fv1 + b3 * fv3 + b4 * fv4 + b5 * fv5 + b6 * fv6)
-        # stage 7 = field at the new point (FSAL)
-        cu = 0.0 if yu_new < 0.0 else yu_new
-        cv = 0.0 if yv_new < 0.0 else yv_new
-        fu7 = kappa2 * cu - cu ** e1
-        fv7 = kappa2 * cv - cv ** e1
-        if nua:
-            fu7 -= nua * cu ** ea * cv ** beta
-            fv7 -= nub * cu ** alpha * cv ** eb
+            # stage 2
+            ha = h * a21
+            yu2 = yu + ha * pu
+            pu2 = pu + ha * fu1
+            yv2 = yv + ha * pv
+            pv2 = pv + ha * fv1
+            cu = 0.0 if yu2 < 0.0 else yu2
+            cv = 0.0 if yv2 < 0.0 else yv2
+            fu2 = kappa2 * cu - cu ** e1
+            fv2 = kappa2 * cv - cv ** e1
+            if nua:
+                fu2 -= nua * cu ** ea * cv ** beta
+                fv2 -= nub * cu ** alpha * cv ** eb
+            # stage 3
+            yu3 = yu + h * (a31 * pu + a32 * pu2)
+            pu3 = pu + h * (a31 * fu1 + a32 * fu2)
+            yv3 = yv + h * (a31 * pv + a32 * pv2)
+            pv3 = pv + h * (a31 * fv1 + a32 * fv2)
+            cu = 0.0 if yu3 < 0.0 else yu3
+            cv = 0.0 if yv3 < 0.0 else yv3
+            fu3 = kappa2 * cu - cu ** e1
+            fv3 = kappa2 * cv - cv ** e1
+            if nua:
+                fu3 -= nua * cu ** ea * cv ** beta
+                fv3 -= nub * cu ** alpha * cv ** eb
+            # stage 4
+            yu4 = yu + h * (a41 * pu + a42 * pu2 + a43 * pu3)
+            pu4 = pu + h * (a41 * fu1 + a42 * fu2 + a43 * fu3)
+            yv4 = yv + h * (a41 * pv + a42 * pv2 + a43 * pv3)
+            pv4 = pv + h * (a41 * fv1 + a42 * fv2 + a43 * fv3)
+            cu = 0.0 if yu4 < 0.0 else yu4
+            cv = 0.0 if yv4 < 0.0 else yv4
+            fu4 = kappa2 * cu - cu ** e1
+            fv4 = kappa2 * cv - cv ** e1
+            if nua:
+                fu4 -= nua * cu ** ea * cv ** beta
+                fv4 -= nub * cu ** alpha * cv ** eb
+            # stage 5
+            yu5 = yu + h * (a51 * pu + a52 * pu2 + a53 * pu3 + a54 * pu4)
+            pu5 = pu + h * (a51 * fu1 + a52 * fu2 + a53 * fu3 + a54 * fu4)
+            yv5 = yv + h * (a51 * pv + a52 * pv2 + a53 * pv3 + a54 * pv4)
+            pv5 = pv + h * (a51 * fv1 + a52 * fv2 + a53 * fv3 + a54 * fv4)
+            cu = 0.0 if yu5 < 0.0 else yu5
+            cv = 0.0 if yv5 < 0.0 else yv5
+            fu5 = kappa2 * cu - cu ** e1
+            fv5 = kappa2 * cv - cv ** e1
+            if nua:
+                fu5 -= nua * cu ** ea * cv ** beta
+                fv5 -= nub * cu ** alpha * cv ** eb
+            # stage 6
+            yu6 = yu + h * (a61 * pu + a62 * pu2 + a63 * pu3 + a64 * pu4 + a65 * pu5)
+            pu6 = pu + h * (a61 * fu1 + a62 * fu2 + a63 * fu3 + a64 * fu4 + a65 * fu5)
+            yv6 = yv + h * (a61 * pv + a62 * pv2 + a63 * pv3 + a64 * pv4 + a65 * pv5)
+            pv6 = pv + h * (a61 * fv1 + a62 * fv2 + a63 * fv3 + a64 * fv4 + a65 * fv5)
+            cu = 0.0 if yu6 < 0.0 else yu6
+            cv = 0.0 if yv6 < 0.0 else yv6
+            fu6 = kappa2 * cu - cu ** e1
+            fv6 = kappa2 * cv - cv ** e1
+            if nua:
+                fu6 -= nua * cu ** ea * cv ** beta
+                fv6 -= nub * cu ** alpha * cv ** eb
+            # 5th-order solution
+            yu_new = yu + h * (b1 * pu + b3 * pu3 + b4 * pu4 + b5 * pu5 + b6 * pu6)
+            pu_new = pu + h * (b1 * fu1 + b3 * fu3 + b4 * fu4 + b5 * fu5 + b6 * fu6)
+            yv_new = yv + h * (b1 * pv + b3 * pv3 + b4 * pv4 + b5 * pv5 + b6 * pv6)
+            pv_new = pv + h * (b1 * fv1 + b3 * fv3 + b4 * fv4 + b5 * fv5 + b6 * fv6)
+            # stage 7 = field at the new point (FSAL)
+            cu = 0.0 if yu_new < 0.0 else yu_new
+            cv = 0.0 if yv_new < 0.0 else yv_new
+            fu7 = kappa2 * cu - cu ** e1
+            fv7 = kappa2 * cv - cv ** e1
+            if nua:
+                fu7 -= nua * cu ** ea * cv ** beta
+                fv7 -= nub * cu ** alpha * cv ** eb
 
-        err_yu = h * (w1 * pu + w3 * pu3 + w4 * pu4 + w5 * pu5 + w6 * pu6
-                      + w7 * pu_new)
-        err_pu = h * (w1 * fu1 + w3 * fu3 + w4 * fu4 + w5 * fu5 + w6 * fu6
-                      + w7 * fu7)
-        err_yv = h * (w1 * pv + w3 * pv3 + w4 * pv4 + w5 * pv5 + w6 * pv6
-                      + w7 * pv_new)
-        err_pv = h * (w1 * fv1 + w3 * fv3 + w4 * fv4 + w5 * fv5 + w6 * fv6
-                      + w7 * fv7)
+            err_yu = h * (w1 * pu + w3 * pu3 + w4 * pu4 + w5 * pu5 + w6 * pu6
+                          + w7 * pu_new)
+            err_pu = h * (w1 * fu1 + w3 * fu3 + w4 * fu4 + w5 * fu5 + w6 * fu6
+                          + w7 * fu7)
+            err_yv = h * (w1 * pv + w3 * pv3 + w4 * pv4 + w5 * pv5 + w6 * pv6
+                          + w7 * pv_new)
+            err_pv = h * (w1 * fv1 + w3 * fv3 + w4 * fv4 + w5 * fv5 + w6 * fv6
+                          + w7 * fv7)
 
-        # each component scaled by tol * (atol + max(|old|, |new|))
-        a = yu if yu >= 0.0 else -yu
-        b = yu_new if yu_new >= 0.0 else -yu_new
-        q_yu = err_yu / (tol * (atol + (b if b > a else a)))
-        a = pu if pu >= 0.0 else -pu
-        b = pu_new if pu_new >= 0.0 else -pu_new
-        q_pu = err_pu / (tol * (atol + (b if b > a else a)))
-        a = yv if yv >= 0.0 else -yv
-        b = yv_new if yv_new >= 0.0 else -yv_new
-        q_yv = err_yv / (tol * (atol + (b if b > a else a)))
-        a = pv if pv >= 0.0 else -pv
-        b = pv_new if pv_new >= 0.0 else -pv_new
-        q_pv = err_pv / (tol * (atol + (b if b > a else a)))
-        enorm = math.sqrt(0.25 * (q_yu ** 2 + q_pu ** 2 + q_yv ** 2 + q_pv ** 2))
+            # each component scaled by tol * (atol + max(|old|, |new|))
+            a = yu if yu >= 0.0 else -yu
+            b = yu_new if yu_new >= 0.0 else -yu_new
+            q_yu = err_yu / (tol * (atol + (b if b > a else a)))
+            a = pu if pu >= 0.0 else -pu
+            b = pu_new if pu_new >= 0.0 else -pu_new
+            q_pu = err_pu / (tol * (atol + (b if b > a else a)))
+            a = yv if yv >= 0.0 else -yv
+            b = yv_new if yv_new >= 0.0 else -yv_new
+            q_yv = err_yv / (tol * (atol + (b if b > a else a)))
+            a = pv if pv >= 0.0 else -pv
+            b = pv_new if pv_new >= 0.0 else -pv_new
+            q_pv = err_pv / (tol * (atol + (b if b > a else a)))
+            enorm = math.sqrt(0.25 * (q_yu ** 2 + q_pu ** 2 + q_yv ** 2 + q_pv ** 2))
 
-        if enorm <= h:  # error-per-unit-step acceptance
-            s += h
-            yu, pu, yv, pv = yu_new, pu_new, yv_new, pv_new
-            fu1, fv1 = fu7, fv7
-            accepted += 1
-            stop_reason = None
-            if yu < 0.0 or yv < 0.0:
-                yu, yv = max(yu, 0.0), max(yv, 0.0)
-                stop_reason = "extinction"
-            elif yu > blowup_threshold or yv > blowup_threshold:
-                stop_reason = "blowup"
-            ss.append(s)
-            yus.append(yu)
-            pus.append(pu)
-            yvs.append(yv)
-            pvs.append(pv)
-            if stop_reason:
-                termination = stop_reason
-                break
-            if stop is not None and stop(t0 + sign * s, yu, sign * pu, yv, sign * pv):
-                break
-            if enorm == 0.0:
-                factor = 5.0
-            else:  # clamped to [0.2, 5]
+            if enorm <= h:  # error-per-unit-step acceptance
+                s += h
+                yu, pu, yv, pv = yu_new, pu_new, yv_new, pv_new
+                fu1, fv1 = fu7, fv7
+                accepted += 1
+                stop_reason = None
+                if yu < 0.0 or yv < 0.0:
+                    yu, yv = max(yu, 0.0), max(yv, 0.0)
+                    stop_reason = "extinction"
+                elif yu > blowup_threshold or yv > blowup_threshold:
+                    stop_reason = "blowup"
+                ss.append(s)
+                yus.append(yu)
+                pus.append(pu)
+                yvs.append(yv)
+                pvs.append(pv)
+                if stop_reason:
+                    termination = stop_reason
+                    break
+                if stop is not None and stop(t0 + sign * s, yu, sign * pu, yv, sign * pv):
+                    break
+                if enorm == 0.0:
+                    factor = 5.0
+                else:  # clamped to [0.2, 5]
+                    factor = 0.9 * (h / enorm) ** 0.25
+                    factor = factor if factor > 0.2 else 0.2
+                    factor = factor if factor < 5.0 else 5.0
+                h = h * factor
+                if not h < MAX_STEP:
+                    h = MAX_STEP
+            else:
+                rejected += 1
                 factor = 0.9 * (h / enorm) ** 0.25
-                factor = factor if factor > 0.2 else 0.2
-                factor = factor if factor < 5.0 else 5.0
-            h = h * factor
-            if not h < MAX_STEP:
-                h = MAX_STEP
-        else:
-            rejected += 1
-            factor = 0.9 * (h / enorm) ** 0.25
-            h = h * (factor if factor > 0.2 else 0.2)
-            if h < MIN_STEP:
-                raise IntegrationError(f"step size underflow at t-offset {s:.6g}")
+                h = h * (factor if factor > 0.2 else 0.2)
+                if h < MIN_STEP:
+                    raise IntegrationError(f"step size underflow at t-offset {s:.6g}")
+    except OverflowError as exc:
+        raise IntegrationError(f"floating-point overflow at t-offset {s:.6g}") from exc
 
     offsets = np.asarray(ss)
     t_out = t0 + sign * offsets
@@ -431,13 +431,12 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
         raise ParameterError("shooting requires a root of the coupling function")
-    d = p.derived()
-    kappa2 = d.kappa ** 2
+    kappa2 = p.kappa ** 2
     ts = p.two_star
     # equilibrium amplitude of the invariant ray y_v = y_u / s
     k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
     y_eq = (kappa2 / k_u) ** (1.0 / (ts - 2.0))
-    t_max = 60.0 / d.kappa
+    t_max = 60.0 / p.kappa
 
     def rebounded(t, yu, pu, yv, pv):
         return pu > 0.0
@@ -455,7 +454,7 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
             y_min = _hermite_min(float(traj.t[-1] - traj.t[-2]), y0,
                                  float(traj.p_u[-2]), y1, p1)
             # the event, not the interpolant, decides the sign
-            m = d.kappa * (y_min if y_min > 0.0 else min(y0, y1))
+            m = p.kappa * (y_min if y_min > 0.0 else min(y0, y1))
         return m * abs(m)
 
     if bracket is not None:
@@ -602,7 +601,8 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
 def ef_system_residual(fam: SynchronizedFamily, t_grid) -> tuple[float, float]:
     """Max normalized residual of the phase-plane encoding on a log-radius grid."""
     p = fam.profile.params
-    kappa2, ts, alpha, beta, nu = _system_constants(p)
+    kappa2 = p.delta * p.delta - p.gamma
+    ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
     t = np.asarray(t_grid, dtype=float)
     y_u, _, y_v, _ = _closed_form_arrays(fam, t)
     a_u, a_v = _closed_form_accel(fam, t)

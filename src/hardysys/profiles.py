@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .params import ProblemParams, derived_constants
+from .params import ProblemParams
 
 #: radii below this are rejected instead of returning infinities
 MIN_RADIUS = 1e-300
@@ -62,14 +62,13 @@ class ScalarProfile:
     def __post_init__(self):
         if not 0 < self.mu < math.inf:
             raise ParameterError(f"scale must be positive and finite, got mu={self.mu}")
-        object.__setattr__(self, "derived", derived_constants(self.params.n, self.params.gamma))
 
     # --- internal pieces -------------------------------------------------
 
     @property
     def _q(self) -> float:
-        d = self.derived
-        return 2.0 * d.kappa / d.delta
+        p = self.params
+        return 2.0 * p.kappa / p.delta
 
     def _w(self, r):
         """w = rho^q/(1+rho^q) and 1-w, rho = r/mu, both cancellation-free."""
@@ -79,13 +78,13 @@ class ScalarProfile:
 
     def _log_value(self, r):
         import numpy as np
-        d = self.derived
+        p = self.params
         rho_log = np.log(r) - math.log(self.mu)
         t = self._q * rho_log
         # log(1+rho^q) written to stay accurate on both sides of rho = 1
         log1p_term = np.where(t > 0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
-        log_amp = math.log(d.amplitude) - d.delta * math.log(self.mu)
-        return log_amp - d.tau1 * rho_log - d.delta * log1p_term
+        log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
+        return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 
     # --- public evaluators ------------------------------------------------
 
@@ -109,18 +108,18 @@ class ScalarProfile:
         """
         import numpy as np
         arr = _as_radii(r)
-        d = self.derived
+        p = self.params
         u = np.exp(self._log_value(arr))
         g = np.power(arr, tau) * u
         w, om = self._w(arr)
-        if tau - d.tau1 <= d.kappa:
-            chi = (tau - d.tau1) - 2.0 * d.kappa * w
+        if tau - p.tau1 <= p.kappa:
+            chi = (tau - p.tau1) - 2.0 * p.kappa * w
         else:
             # same value, written against the upper root so that w -> 1
             # (large radii) produces a product instead of a cancellation
-            chi = (tau - d.tau2) + 2.0 * d.kappa * om
+            chi = (tau - p.tau2) + 2.0 * p.kappa * om
         g1 = g * chi / arr
-        g2 = g * (chi * chi - chi - 2.0 * d.kappa * self._q * w * om) / (arr * arr)
+        g2 = g * (chi * chi - chi - 2.0 * p.kappa * self._q * w * om) / (arr * arr)
         return g, g1, g2
 
 
@@ -172,17 +171,18 @@ def asymptotic_limits(family) -> AsymptoticData:
     """Estimate the limits of r^tau1 u at 0 and r^tau2 u at infinity.
 
     ``family`` provides (c1, c2, profile); the compensated values are sampled
-    along r = 10^(-k) and r = 10^k for k = 4..8 and accelerated.
-    The two quotient limits L_minus, L_plus follow from the component ratios.
+    along r = mu 10^(-k) and r = mu 10^k for k = 4..8, relative to the
+    profile's scale mu, and accelerated.  The two quotient limits L_minus,
+    L_plus follow from the component ratios.
     """
     import numpy as np
     prof = family.profile
-    d = prof.derived
+    p = prof.params
     ks = np.arange(4.0, 9.0)
-    r_small = np.power(10.0, -ks)
-    r_large = np.power(10.0, ks)
-    near = np.power(r_small, d.tau1) * prof.value(r_small)
-    far = np.power(r_large, d.tau2) * prof.value(r_large)
+    r_small = prof.mu * np.power(10.0, -ks)
+    r_large = prof.mu * np.power(10.0, ks)
+    near = np.power(r_small, p.tau1) * prof.value(r_small)
+    far = np.power(r_large, p.tau2) * prof.value(r_large)
     base0 = _aitken_limit(near, "limit at the origin")
     base_inf = _aitken_limit(far, "limit at infinity")
     u0 = family.c1 * base0

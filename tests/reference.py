@@ -24,7 +24,7 @@ import numpy as np
 
 from hardysys import ConvergenceError, DomainError, ParameterError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import EFState, _system_constants
+from hardysys.emdenfowler import EFState
 from hardysys.params import ProblemParams
 from hardysys.profiles import ScalarProfile, _as_radii
 
@@ -80,7 +80,8 @@ def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float
         raise DomainError(
             "negative component: fractional powers are undefined for y < 0"
         )
-    kappa2, ts, alpha, beta, nu = _system_constants(p)
+    kappa2 = p.delta * p.delta - p.gamma
+    ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
     yu, yv = state.y_u, state.y_v
     fu = kappa2 * yu - yu ** (ts - 1.0)
     fv = kappa2 * yv - yv ** (ts - 1.0)
@@ -97,7 +98,7 @@ def ef_energy(y: float, slope: float, p: ProblemParams) -> float:
     orbit; ``full_verification`` evaluates the same expression inline for its
     ``energy_invariant`` check.
     """
-    kappa2, ts, _, _, _ = _system_constants(p)
+    kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
     return 0.5 * slope * slope - 0.5 * kappa2 * y * y + y ** ts / ts
 
 
@@ -126,10 +127,10 @@ def linear_radial_part(profile: ScalarProfile, r):
     inside the r -> 0 regime.
     """
     arr = _as_radii(r)
-    d = profile.derived
+    kappa = profile.params.kappa
     u = np.exp(profile._log_value(arr))
     w, om = profile._w(arr)
-    coeff = -2.0 * d.kappa * (2.0 * d.kappa + profile._q)
+    coeff = -2.0 * kappa * (2.0 * kappa + profile._q)
     return coeff * w * om * u / (arr * arr)
 
 

@@ -49,9 +49,8 @@ def test_criterion_02_exact_solution_residuals(matrix_families):
     grid = np.geomspace(1e-6, 1e6, 2048)
     worst = 0.0
     for p, mu0, fam in matrix_families:
-        d = fam.profile.derived
         worst = max(worst, *hs.radial_system_residual(fam, grid))
-        for tau in (d.tau1, d.tau2):
+        for tau in (p.tau1, p.tau2):
             worst = max(worst, *hs.weighted_system_residual(fam, tau, grid))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -90,7 +89,7 @@ def test_criterion_04_proportionality(matrix_trajectories):
     fam = hs.classify(p, 1.0)[0]
     control_traj = [c for c in matrix_trajectories
                     if c["params"].n == 4 and c["params"].nu == 1.0
-                    and c["params"].gamma1 == 0.0 and c["mu0"] == 1.0][0]["merged"]
+                    and c["params"].gamma == 0.0 and c["mu0"] == 1.0][0]["merged"]
     control = hs.proportionality_defect(control_traj, fam.c_tilde * 1.1)
     ok = worst <= 1e-8 and control >= 0.05
     _report(4, "proportionality of integrated components",
@@ -114,15 +113,13 @@ def test_criterion_06_shooting_recovery():
     p4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
     fam4 = hs.classify(p4, 1.0)[0]
     a4 = hs.shoot_synchronized(p4, fam4.root)
-    d4 = p4.derived()
-    target4 = fam4.c1 * d4.amplitude * 2.0 ** (-d4.delta)
+    target4 = fam4.c1 * p4.amplitude * 2.0 ** (-p4.delta)
     rel4 = abs(a4 - target4) / target4
 
     p3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
     fam3 = [f for f in hs.classify(p3, 1.0) if abs(f.c_tilde - 1.0) < 1e-9][0]
     a3 = hs.shoot_synchronized(p3, fam3.root)
-    d3 = p3.derived()
-    target3 = fam3.c1 * d3.amplitude * 2.0 ** (-d3.delta)
+    target3 = fam3.c1 * p3.amplitude * 2.0 ** (-p3.delta)
     rel3 = abs(a3 - target3) / target3
     elapsed = time.perf_counter() - t_start
 
@@ -135,11 +132,11 @@ def test_criterion_07_asymptotics(matrix_trajectories):
     worst_limit = worst_ratio = worst_quot = 0.0
     for case in matrix_trajectories:
         fam = case["family"]
-        d = fam.profile.derived
+        p = fam.profile.params
         mu0 = case["mu0"]
         limits = hs.asymptotic_limits(fam)
-        u0_exact = fam.c1 * d.amplitude * mu0 ** (-d.kappa)
-        uinf_exact = fam.c1 * d.amplitude * mu0 ** d.kappa
+        u0_exact = fam.c1 * p.amplitude * mu0 ** (-p.kappa)
+        uinf_exact = fam.c1 * p.amplitude * mu0 ** p.kappa
         worst_limit = max(worst_limit,
                           abs(limits.u0 - u0_exact) / u0_exact,
                           abs(limits.u_inf - uinf_exact) / uinf_exact)

@@ -196,6 +196,30 @@ def test_verify_text_format():
     assert out.rstrip().endswith("overall: pass")
 
 
+@pytest.mark.parametrize("mu0", ["1e5", "1e-5"])
+def test_verify_far_scale_exit0(mu0):
+    # the asymptotic limits are sampled relative to mu0; at fixed radii
+    # 1e-8..1e8 these scales never reach the limit regime
+    code, out, err = run_cli(["verify", *N4, "--mu0", mu0])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["overall"] is True
+
+
+def test_verify_unconverged_limit_recorded_exit1():
+    # gamma = 0.96 lambda_3: kappa is small, so the origin limit does not
+    # settle by r = 1e-8; the three asymptotic checks fail, nothing raises
+    code, out, err = run_cli(["verify", "--n", "3", "--gamma", "0.24", "--nu", "1",
+                              "--alpha", "3"])
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    failed = {c["name"].split(".")[1] for c in report["checks"] if not c["passed"]}
+    assert failed == {"asymptotic_u0", "asymptotic_uinf", "asymptotic_ratio"}
+    assert all(c["value"] is None for c in report["checks"]
+               if c["name"].split(".")[1] in failed)
+    assert report["families"] == 3
+
+
 def test_verify_output_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(["verify", *N4, "--out", str(a)])[0] == 0
@@ -268,6 +292,22 @@ def test_integration_failure_one_line_exit6(argv):
     assert out == ""
     assert err.startswith("integration failed: step size underflow")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "shoot"])
+def test_tiny_tolerance_overflow_one_line_exit6(command):
+    # scaling the error estimate by tol = 1e-170 overflows its square
+    code, out, err = run_cli([command, *N4, "--tol", "1e-170"])
+    assert code == 6
+    assert out == ""
+    assert err == "integration failed: floating-point overflow at t-offset 0\n"
+
+
+def test_shoot_huge_bracket_end_exit6():
+    # the field at the a = 1e200 start overflows a float power
+    code, out, err = run_cli(["shoot", *N4, "--bracket", "0.1", "1e200"])
+    assert (code, out) == (6, "")
+    assert err.startswith("integration failed: floating-point overflow")
 
 
 @pytest.mark.parametrize("command,tol", [("verify", "nan"), ("shoot", "nan"),

@@ -207,12 +207,6 @@ def test_classify_counts_and_invariants():
         assert fam.c1 > 0 and fam.c2 > 0
 
 
-def test_classify_requires_equal_gamma():
-    p = hs.ProblemParams(4, 0.1, 0.2, 1.0, 2.0, 2.0)
-    with pytest.raises(ParameterError):
-        hs.classify(p, 1.0)
-
-
 @pytest.mark.parametrize("mu0", [0.0, -1.0, math.nan, math.inf])
 def test_classify_requires_positive_finite_scale(mu0):
     with pytest.raises(ParameterError, match="scale"):

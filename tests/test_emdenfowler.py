@@ -74,7 +74,7 @@ def test_exact_solution_scale_translation():
 
 def test_exact_solution_decay_rate(benchmark4):
     _, fam = benchmark4
-    kappa = fam.profile.derived.kappa
+    kappa = fam.profile.params.kappa
     y8 = exact_ef_solution(fam, 8.0).y_u
     y10 = exact_ef_solution(fam, 10.0).y_u
     slope = (math.log(y10) - math.log(y8)) / 2.0
@@ -83,11 +83,11 @@ def test_exact_solution_decay_rate(benchmark4):
 
 def test_two_sided_exponential_bounds(matrix_families):
     for _, mu0, fam in matrix_families:
-        d = fam.profile.derived
+        kappa = fam.profile.params.kappa
         t0 = math.log(mu0)
         s = np.concatenate([-np.linspace(10, 30, 41), np.linspace(10, 30, 41)])
         y_u, _, _, _ = _closed_form_arrays(fam, t0 + s)
-        compensated = np.exp(d.kappa * np.abs(s)) * y_u
+        compensated = np.exp(kappa * np.abs(s)) * y_u
         assert np.all(np.isfinite(compensated))
         assert np.min(compensated) > 0
         # converges to c1*A at both ends: tiny spread on |s| >= 10
@@ -233,10 +233,9 @@ def _pinned_run(name):
         end = 10.0 if "forward" in name else -10.0
         return integrate(start, (0.0, end), n3, tol=1e-12)
     if name == "n4-shooting-trial":
-        d = n4.derived()
-        a = 1.01 * fam4.c1 * d.amplitude * 2.0 ** (-d.delta)
+        a = 1.01 * fam4.c1 * n4.amplitude * 2.0 ** (-n4.delta)
         start = EFState(a, 0.0, a / fam4.c_tilde, 0.0)
-        return integrate(start, (0.0, 60.0 / d.kappa), n4, tol=1e-9,
+        return integrate(start, (0.0, 60.0 / n4.kappa), n4, tol=1e-9,
                          stop=lambda t, yu, pu, yv, pv: pu > 0.0)
     if name == "n4-low-blowup-threshold":
         return integrate(exact_ef_solution(fam4, -3.0), (-3.0, 10.0), n4)
@@ -320,8 +319,7 @@ def test_shoot_recovers_scalar_amplitude():
     p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
     a = hs.shoot_synchronized(p, fam.root)
-    d = p.derived()
-    target = d.amplitude * 2.0 ** (-d.delta)
+    target = p.amplitude * 2.0 ** (-p.delta)
     assert abs(a - target) / target <= 1e-6
 
 
@@ -376,8 +374,7 @@ def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
     for p, fam in [(p4, fam4)] + [(p3, f) for f in fams3]:
         amplitudes.clear()
         a = hs.shoot_synchronized(p, fam.root)
-        d = p.derived()
-        target = fam.c1 * d.amplitude * 2.0 ** (-d.delta)
+        target = fam.c1 * p.amplitude * 2.0 ** (-p.delta)
         assert abs(a - target) / target <= 1e-6
         assert 3 <= len(amplitudes) <= 15
         # numpy scalars here would make every step of every trial slower
@@ -480,9 +477,8 @@ def test_radial_residual_rejects_bad_grid(benchmark4):
 
 
 def test_weighted_residual_both_roots(benchmark4):
-    _, fam = benchmark4
-    d = fam.profile.derived
-    for tau in (d.tau1, d.tau2):
+    p, fam = benchmark4
+    for tau in (p.tau1, p.tau2):
         wu, wv = hs.weighted_system_residual(fam, tau, GRID)
         assert max(wu, wv) <= 1e-9
 
@@ -491,16 +487,15 @@ def test_weighted_residual_rejects_non_root_exponent():
     p = hs.ProblemParams.symmetric(5, 1.125, 1.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
     with pytest.raises(ParameterError):
-        hs.weighted_system_residual(fam, p.derived().delta, GRID)
+        hs.weighted_system_residual(fam, p.delta, GRID)
 
 
 def test_three_encodings_agree(matrix_families):
     # one solution, three formulations, all residuals at the same tolerance
     for p, mu0, fam in matrix_families:
-        d = fam.profile.derived
         ru, rv = hs.radial_system_residual(fam, GRID)
         assert max(ru, rv) <= 1e-9
-        for tau in (d.tau1, d.tau2):
+        for tau in (p.tau1, p.tau2):
             wu, wv = hs.weighted_system_residual(fam, tau, GRID)
             assert max(wu, wv) <= 1e-9
         t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)

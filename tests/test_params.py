@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,45 +28,53 @@ def test_small_dimension_rejected():
         hs.critical_exponent(1)
 
 
+def _params(n, gamma):
+    """A valid system at (n, gamma): nu = 1, alpha = beta = 2*/2."""
+    return hs.ProblemParams.symmetric(n, gamma, 1.0, hs.critical_exponent(n) / 2.0)
+
+
 def test_tau_exponents_examples():
-    assert hs.tau_exponents(3, 0.0) == (0.0, 1.0)
+    p = _params(3, 0.0)
+    assert (p.tau1, p.tau2) == (0.0, 1.0)
     # quadratic formula: sqrt(0.25 - 0.1875) = 0.25
-    np.testing.assert_allclose(hs.tau_exponents(3, 0.1875), (0.25, 0.75), rtol=0, atol=1e-15)
+    p = _params(3, 0.1875)
+    np.testing.assert_allclose((p.tau1, p.tau2), (0.25, 0.75), rtol=0, atol=1e-15)
     # lambda_5 = 2.25, sqrt(2.25 - 2) = 0.5
-    np.testing.assert_allclose(hs.tau_exponents(5, 2.0), (1.0, 2.0), rtol=0, atol=1e-15)
+    p = _params(5, 2.0)
+    np.testing.assert_allclose((p.tau1, p.tau2), (1.0, 2.0), rtol=0, atol=1e-15)
 
 
 def test_tau_exponents_gamma_range():
     with pytest.raises(ParameterError):
-        hs.tau_exponents(3, -0.1)
+        _params(3, -0.1)
     with pytest.raises(ParameterError):
-        hs.tau_exponents(3, 0.25)  # equals lambda_3
+        _params(3, 0.25)  # equals lambda_3
 
 
 def test_amplitude_examples():
     # tau1 = 0 cases reduce to (n(n-2))^((n-2)/4)
-    np.testing.assert_allclose(hs.amplitude(4, 0.0), math.sqrt(8.0), rtol=1e-15)
-    np.testing.assert_allclose(hs.amplitude(3, 0.0), 3.0 ** 0.25, rtol=1e-15)
+    np.testing.assert_allclose(_params(4, 0.0).amplitude, math.sqrt(8.0), rtol=1e-15)
+    np.testing.assert_allclose(_params(3, 0.0).amplitude, 3.0 ** 0.25, rtol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_amplitude_gamma_zero_closed_form(n):
-    np.testing.assert_allclose(hs.amplitude(n, 0.0), (n * (n - 2.0)) ** ((n - 2) / 4.0),
+    np.testing.assert_allclose(_params(n, 0.0).amplitude, (n * (n - 2.0)) ** ((n - 2) / 4.0),
                                rtol=1e-12)
 
 
 @given(st.integers(3, 10), st.floats(0.0, 1.0, exclude_max=True))
 def test_tau_vieta_identities(n, frac):
     gamma = frac * hs.hardy_constant(n)
-    tau1, tau2 = hs.tau_exponents(n, gamma)
+    p = _params(n, gamma)
+    tau1, tau2 = p.tau1, p.tau2
     assert abs(tau1 + tau2 - (n - 2)) <= 1e-12
     assert abs(tau1 * tau2 - gamma) <= 1e-12 * max(1.0, gamma)
-    d = hs.derived_constants(n, gamma)
-    assert tau1 <= d.delta <= tau2
+    assert tau1 <= p.delta <= tau2
     # kappa^2 = lambda_n - gamma = delta^2 - gamma
-    assert abs(d.kappa ** 2 - (d.lambda_n - gamma)) <= 1e-14 * max(1.0, d.lambda_n)
-    assert abs(d.kappa ** 2 - (d.delta ** 2 - gamma)) <= 1e-14 * max(1.0, d.lambda_n)
-    assert d.amplitude > 0
+    assert abs(p.kappa ** 2 - (p.lambda_n - gamma)) <= 1e-14 * max(1.0, p.lambda_n)
+    assert abs(p.kappa ** 2 - (p.delta ** 2 - gamma)) <= 1e-14 * max(1.0, p.lambda_n)
+    assert p.amplitude > 0
 
 
 def test_symmetric_constructor_derives_beta():
@@ -75,43 +84,49 @@ def test_symmetric_constructor_derives_beta():
     assert p.two_star == hs.critical_exponent(5)
 
 
-def test_unequal_gamma_property_raises():
-    p = hs.ProblemParams(4, 0.1, 0.2, 1.0, 2.0, 2.0)
-    with pytest.raises(ParameterError):
-        _ = p.gamma
+def test_derived_constants_are_attributes_not_settings():
+    p = hs.ProblemParams(4, 0.5, 1.0, 2.0, 2.0)
+    settable = [f.name for f in dataclasses.fields(p) if f.init]
+    assert settable == ["n", "gamma", "nu", "alpha", "beta"]
+    assert repr(p) == "ProblemParams(n=4, gamma=0.5, nu=1.0, alpha=2.0, beta=2.0)"
+    assert p == hs.ProblemParams.symmetric(4, 0.5, 1.0, 2.0)
+    assert p.lambda_n == hs.hardy_constant(4)
+    assert p.kappa == p.delta - p.tau1  # as written, not sqrt(lambda_n - gamma)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.kappa = 1.0
 
 
 _invalid_tuples = st.one_of(
     # dimension too small
-    st.tuples(st.integers(-5, 2), st.just(0.0), st.just(0.0), st.just(1.0),
-              st.just(2.0), st.just(2.0)),
+    st.tuples(st.integers(-5, 2), st.just(0.0), st.just(1.0), st.just(2.0),
+              st.just(2.0)),
     # gamma below 0 or at/above lambda_n
     st.tuples(st.just(4), st.one_of(st.floats(-10.0, -1e-9), st.floats(1.0, 10.0)),
-              st.just(0.0), st.just(1.0), st.just(2.0), st.just(2.0)),
+              st.just(1.0), st.just(2.0), st.just(2.0)),
     # negative coupling
-    st.tuples(st.just(4), st.just(0.0), st.just(0.0), st.floats(-10.0, -1e-12),
-              st.just(2.0), st.just(2.0)),
+    st.tuples(st.just(4), st.just(0.0), st.floats(-10.0, -1e-12), st.just(2.0),
+              st.just(2.0)),
     # exponents at or below 1
-    st.tuples(st.just(4), st.just(0.0), st.just(0.0), st.just(1.0),
-              st.floats(-2.0, 1.0), st.just(2.0)),
+    st.tuples(st.just(4), st.just(0.0), st.just(1.0), st.floats(-2.0, 1.0),
+              st.just(2.0)),
     # broken linear constraint
-    st.tuples(st.just(4), st.just(0.0), st.just(0.0), st.just(1.0), st.just(2.0),
+    st.tuples(st.just(4), st.just(0.0), st.just(1.0), st.just(2.0),
               st.floats(1.1, 5.0).filter(lambda b: abs(b - 2.0) > 1e-9)),
 )
 
 
 @given(_invalid_tuples)
 def test_invalid_tuples_rejected(tup):
-    n, g1, g2, nu, alpha, beta = tup
+    n, gamma, nu, alpha, beta = tup
     with pytest.raises(ParameterError):
-        hs.ProblemParams(n=n, gamma1=g1, gamma2=g2, nu=nu, alpha=alpha, beta=beta)
+        hs.ProblemParams(n=n, gamma=gamma, nu=nu, alpha=alpha, beta=beta)
 
 
 def test_alpha_beta_tolerance_boundary():
     ts = hs.critical_exponent(4)
-    hs.ProblemParams(4, 0.0, 0.0, 1.0, 2.0, ts - 2.0 + 5e-13)  # inside tolerance
+    hs.ProblemParams(4, 0.0, 1.0, 2.0, ts - 2.0 + 5e-13)  # inside tolerance
     with pytest.raises(ParameterError):
-        hs.ProblemParams(4, 0.0, 0.0, 1.0, 2.0, ts - 2.0 + 1e-11)
+        hs.ProblemParams(4, 0.0, 1.0, 2.0, ts - 2.0 + 1e-11)
 
 
 def test_decoupled_mode_allowed():
@@ -122,9 +137,11 @@ def test_decoupled_mode_allowed():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["gamma1", "gamma2", "nu", "alpha", "beta"])
 def test_non_finite_values_rejected(name, value):
-    # NaN passes every ordered comparison's negation, so it needs its own test
-    kwargs = dict(n=4, gamma1=0.0, gamma2=0.0, nu=1.0, alpha=2.0, beta=2.0)
-    kwargs[name] = value
+    # NaN passes every ordered comparison's negation, so it needs its own test.
+    # gamma1 and gamma2, the Hardy coefficients of the two equations, are both
+    # the one field gamma.
+    kwargs = dict(n=4, gamma=0.0, nu=1.0, alpha=2.0, beta=2.0)
+    kwargs["gamma" if name.startswith("gamma") else name] = value
     with pytest.raises(ParameterError):
         hs.ProblemParams(**kwargs)
 
@@ -132,4 +149,4 @@ def test_non_finite_values_rejected(name, value):
 @pytest.mark.parametrize("n", [math.nan, math.inf])
 def test_non_finite_dimension_rejected(n):
     with pytest.raises(ParameterError):
-        hs.ProblemParams(n=n, gamma1=0.0, gamma2=0.0, nu=1.0, alpha=2.0, beta=2.0)
+        hs.ProblemParams(n=n, gamma=0.0, nu=1.0, alpha=2.0, beta=2.0)

@@ -36,7 +36,7 @@ def test_gamma_zero_profile_is_aubin_talenti_bubble():
 def test_value_n3_with_hardy_term():
     # r^tau1 = 1 at r = 1, so U(1) = A * 2^(-(n-2)/2)
     prof = _profile(3, 0.1875)
-    assert_allclose(prof.value(1.0), hs.amplitude(3, 0.1875) * 2.0 ** -0.5, rtol=1e-15)
+    assert_allclose(prof.value(1.0), prof.params.amplitude * 2.0 ** -0.5, rtol=1e-15)
 
 
 def test_nonpositive_radius_rejected():
@@ -68,7 +68,7 @@ def test_positivity_and_compensated_unimodality():
         prof = _profile(n, gamma)
         vals = prof.value(r)
         assert np.all(vals > 0)
-        comp = r ** prof.derived.delta * vals
+        comp = r ** prof.params.delta * vals
         peak = int(np.argmax(comp))
         assert 0 < peak < len(r) - 1
         assert np.all(np.diff(comp[:peak + 1]) > 0)
@@ -207,17 +207,18 @@ def test_weighted_transform_rejects_nonpositive_radius():
 
 def test_weighted_transform_inner_limit_is_amplitude():
     prof = _profile(3, 0.1875)
-    tau1 = prof.derived.tau1
+    tau1 = prof.params.tau1
     vals = [weighted_transform(prof.value, tau1, 10.0 ** -k) for k in (4, 6, 8)]
-    gaps = [abs(v - hs.amplitude(3, 0.1875)) for v in vals]
+    gaps = [abs(v - prof.params.amplitude) for v in vals]
     assert gaps[-1] <= 1e-6
     assert gaps == sorted(gaps, reverse=True)
 
 
 def test_weighted_transform_outer_tail():
     prof = _profile(4, 0.0)
-    val = weighted_transform(prof.value, prof.derived.tau2, 1e6)
-    assert abs(val - hs.amplitude(4, 0.0)) / hs.amplitude(4, 0.0) <= 1e-4
+    val = weighted_transform(prof.value, prof.params.tau2, 1e6)
+    amp = prof.params.amplitude
+    assert abs(val - amp) / amp <= 1e-4
 
 
 def test_weighted_transform_bounded():
@@ -227,17 +228,17 @@ def test_weighted_transform_bounded():
     r = np.geomspace(1e-6, 1e6, 2048)
     for mu in (0.5, 1.0, 2.0):
         prof = _profile(5, 1.125, mu=mu)
-        comp = weighted_transform(prof.value, prof.derived.tau1, r)
+        comp = weighted_transform(prof.value, prof.params.tau1, r)
         assert np.all(np.isfinite(comp))
         assert np.all(comp > 0)
         assert np.all(np.diff(comp) < 0)
-        d = prof.derived
-        assert np.max(comp) <= d.amplitude * mu ** (-d.kappa) * (1 + 1e-12)
+        p = prof.params
+        assert np.max(comp) <= p.amplitude * mu ** (-p.kappa) * (1 + 1e-12)
 
 
 def test_weighted_derivatives_match_fd():
     prof = _profile(5, 1.125)
-    tau = prof.derived.tau1
+    tau = prof.params.tau1
 
     def g(r):
         return weighted_transform(prof.value, tau, r)
@@ -336,7 +337,7 @@ def test_asymptotic_limits_decoupled():
     p = hs.ProblemParams.symmetric(3, 0.1875, 0.0, 3.0)
     fam = hs.classify(p, 1.0)[0]
     data = hs.asymptotic_limits(fam)
-    assert abs(data.u0 - hs.amplitude(3, 0.1875)) <= 1e-6
+    assert abs(data.u0 - p.amplitude) <= 1e-6
     for field in ("u0", "v0", "u_inf", "v_inf", "L_minus", "L_plus"):
         assert getattr(data, field) > 0
 
@@ -359,11 +360,12 @@ def test_asymptotic_limits_nonconvergence_error():
 
     @dataclass
     class Wobbly:
-        derived: object
+        params: object
+        mu: float = 1.0
 
         def value(self, r):
             # oscillating compensated profile has no limit at the origin
-            return np.power(r, -self.derived.tau1) * (1.0 + 0.5 * np.sin(np.log(r)))
+            return np.power(r, -self.params.tau1) * (1.0 + 0.5 * np.sin(np.log(r)))
 
     @dataclass
     class FakeFamily:
@@ -371,6 +373,6 @@ def test_asymptotic_limits_nonconvergence_error():
         c2: float
         profile: object
 
-    fake = FakeFamily(1.0, 1.0, Wobbly(real.profile.derived))
+    fake = FakeFamily(1.0, 1.0, Wobbly(real.profile.params))
     with pytest.raises(hs.ConvergenceError):
         hs.asymptotic_limits(fake)

@@ -22,16 +22,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(hs.__file__)))
 
 PUBLIC_NAMES = {
     "AsymptoticData", "BracketError", "CheckResult", "ConvergenceError",
-    "CouplingRoot", "DerivedConstants", "DomainError", "EFState",
-    "EFTrajectory", "IntegrationError", "ParameterError", "ProblemParams",
-    "ScalarProfile", "SynchronizedFamily", "TrajectoryError",
-    "VerificationReport", "amplitude", "asymptotic_limits", "classify",
-    "constants_from_root", "coupling_f", "coupling_f_prime",
-    "critical_exponent", "derived_constants", "ef_system_residual",
+    "CouplingRoot", "DomainError", "EFState", "EFTrajectory",
+    "IntegrationError", "ParameterError", "ProblemParams", "ScalarProfile",
+    "SynchronizedFamily", "TrajectoryError", "VerificationReport",
+    "asymptotic_limits", "classify", "constants_from_root", "coupling_f",
+    "coupling_f_prime", "critical_exponent", "ef_system_residual",
     "exact_ef_solution", "exact_trajectory", "find_positive_roots",
     "full_verification", "hardy_constant", "integrate",
     "proportionality_defect", "radial_system_residual", "shoot_synchronized",
-    "simultaneous_max_check", "tau_exponents", "verify_constants_system",
+    "simultaneous_max_check", "verify_constants_system",
     "weighted_system_residual",
 }
 
@@ -60,7 +59,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 34
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)

@@ -238,6 +238,14 @@ REPORT_PINS = {
         "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
         "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.945daa5a56f0ep-53",
         "0x1.488c1a6966a3cp-49", "0x0.0p+0", "0x1.9334ad98eae7dp-43")),
+    # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
+    # agree to the last bit
+    "n4-gamma0.5-nu1-alpha2": ((
+        "0x0.0p+0", "0x0.0p+0", "0x1.11bbee6c6bee0p-51", "0x1.6f2d60f23a893p-48",
+        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.82022ac000000p-36",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.bb67ae8584cabp-53", "0x1.d71e296ddd176p-49", "0x0.0p+0",
+        "0x1.65a434a7f9877p-39"),),
 }
 
 # the check order of one coupled (nu > 0) family
@@ -250,10 +258,17 @@ COUPLED_CHECKS = (
 )
 
 
+# (n, gamma, nu, alpha) of each pinned report, all at mu0 = 1
+REPORT_CASES = {
+    "n4-nu1-alpha2": (4, 0.0, 1.0, 2.0),
+    "n3-nu1-alpha3": (3, 0.0, 1.0, 3.0),
+    "n4-gamma0.5-nu1-alpha2": (4, 0.5, 1.0, 2.0),
+}
+
+
 @pytest.mark.parametrize("name", sorted(REPORT_PINS))
 def test_report_bitwise_regression(name):
-    p = (hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0) if name.startswith("n4")
-         else hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0))
+    p = hs.ProblemParams.symmetric(*REPORT_CASES[name])
     report = hs.full_verification(p, 1.0)
     expected = [(f"f{i}.{check}", value)
                 for i, values in enumerate(REPORT_PINS[name])
