@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "errors": ("BracketError", "ConvergenceError", "DomainError",
-               "IntegrationError", "ParameterError", "TrajectoryError"),
+    "errors": ("BracketError", "ConvergenceError", "IntegrationError",
+               "ParameterError", "TrajectoryError"),
     "params": ("ProblemParams", "critical_exponent", "hardy_constant"),
-    "profiles": ("AsymptoticData", "ScalarProfile", "asymptotic_limits"),
+    "profiles": ("ScalarProfile", "asymptotic_limits"),
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",
                  "constants_from_root", "coupling_f", "coupling_f_prime",
                  "find_positive_roots", "verify_constants_system"),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -42,14 +43,13 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=0.0,
                      help="Hardy coefficient of both equations")
     sub.add_argument("--nu", type=float, default=0.0, help="coupling strength (>= 0)")
-    sub.add_argument("--alpha", type=float, required=True)
-    sub.add_argument("--beta", type=float, default=None,
-                     help="defaults to 2* - alpha; explicit values must keep the sum at 2*")
+    sub.add_argument("--alpha", type=float, required=True,
+                     help="coupling exponent; beta = 2* - alpha")
     sub.add_argument("--mu0", type=float, default=1.0, help="profile scale")
 
 
 def _build_params(args) -> ProblemParams:
-    return ProblemParams.symmetric(args.n, args.gamma, args.nu, args.alpha, args.beta)
+    return ProblemParams(args.n, args.gamma, args.nu, args.alpha)
 
 
 def _open_out(path):
@@ -152,10 +152,7 @@ def _samples(start, stop, count):
 
 
 def _sweep_value(base, name, value):
-    if name == "nu":
-        p = ProblemParams.symmetric(base.n, base.gamma, value, base.alpha, base.beta)
-    else:  # alpha, with beta = 2* - alpha
-        p = ProblemParams.symmetric(base.n, base.gamma, base.nu, value)
+    p = dataclasses.replace(base, **{name: value})
     return value, [r for r in find_positive_roots(p) if not r.is_degenerate]
 
 

@@ -10,8 +10,7 @@ algebraic two-by-two constants system.  In x = log s, f is a sum of at most
 four exponentials; recursion on its critical points isolates every root, with
 no grid or search window, and Newton in s polishes each.  Tangential roots
 (critical points where f vanishes) are reported but flagged degenerate.
-All of it runs on Python floats; numpy is loaded only when coupling_f or
-coupling_f_prime is given an array.
+All of it runs on Python floats and loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .params import ProblemParams
 from .profiles import ScalarProfile
 
@@ -70,29 +69,18 @@ class SynchronizedFamily:
         return self.c2 * self.profile.value(r)
 
 
-def _positive(s):
-    """s as a float if it is a number, else as a float array (a 0-d one as a
-    float, so the formulas below give a float for it); DomainError if any
-    value is <= 0.  Only arrays load numpy."""
-    if isinstance(s, (int, float)):
-        s = float(s)
-        nonpositive = s <= 0
-    else:
-        import numpy as np
-        s = np.asarray(s, dtype=float)
-        nonpositive = np.any(s <= 0)
-        if s.ndim == 0:
-            s = float(s)
-    if nonpositive:
-        raise DomainError("the coupling function is defined for positive arguments only")
+def _positive(s) -> float:
+    """s as a float; ParameterError if it is <= 0."""
+    s = float(s)
+    if s <= 0:
+        raise ParameterError("the coupling function is defined for positive arguments only")
     return s
 
 
-def coupling_f(s, p: ProblemParams):
-    """f(s) = s^(2*-2) + nu alpha s^(alpha-2) - 1 - nu beta s^alpha.
+def coupling_f(s: float, p: ProblemParams) -> float:
+    """f(s) = s^(2*-2) + nu alpha s^(alpha-2) - 1 - nu beta s^alpha, as a float.
 
-    A float for a number or a 0-d array, an ndarray otherwise.  Where a power
-    of a number overflows, Python's float power raises OverflowError.
+    Where a power overflows, Python's float power raises OverflowError.
     """
     s = _positive(s)
     ts = p.two_star
@@ -100,8 +88,8 @@ def coupling_f(s, p: ProblemParams):
             - 1.0 - p.nu * p.beta * s ** p.alpha)
 
 
-def coupling_f_prime(s, p: ProblemParams):
-    """Analytic derivative of the coupling function (same types as coupling_f)."""
+def coupling_f_prime(s: float, p: ProblemParams) -> float:
+    """Analytic derivative of the coupling function, as a float."""
     s = _positive(s)
     ts = p.two_star
     return ((ts - 2.0) * s ** (ts - 3.0)
@@ -247,7 +235,7 @@ def find_positive_roots(p: ProblemParams) -> list[CouplingRoot]:
 def verify_constants_system(c1: float, c2: float, p: ProblemParams) -> tuple[float, float]:
     """Residuals of the two algebraic equations for the constants (c1, c2)."""
     if c1 <= 0 or c2 <= 0:
-        raise DomainError(f"constants must be positive, got ({c1}, {c2})")
+        raise ParameterError(f"constants must be positive, got ({c1}, {c2})")
     ts = p.two_star
     res1 = abs(c1 ** (ts - 2.0) + p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta - 1.0)
     res2 = abs(c2 ** (ts - 2.0) + p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0) - 1.0)

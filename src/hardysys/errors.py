@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """Invalid problem parameters or a violated operation precondition."""
 
 
-class DomainError(ValueError):
-    """Evaluation requested outside a function's domain."""
-
-
 class BracketError(RuntimeError):
     """A root or shooting bracket could not be established."""
 

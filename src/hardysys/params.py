@@ -4,9 +4,11 @@ The system under study couples two semilinear equations through a term
 ``nu * alpha * u^(alpha-1) v^beta`` (and symmetrically for v), with an
 inverse-square potential of strength gamma and a pure power at the critical
 Sobolev exponent.  Everything downstream is controlled by the tuple
-(n, gamma, nu, alpha, beta) together with a handful of constants derived
-from (n, gamma), which ``ProblemParams`` holds as attributes:
+(n, gamma, nu, alpha); the system is doubly critical, alpha + beta = 2*, so
+beta follows from (n, alpha).  ``ProblemParams`` holds beta and a handful of
+constants derived from (n, gamma) as attributes:
 
+* ``beta``       the second coupling exponent 2* - alpha
 * ``two_star``   critical Sobolev exponent 2n/(n-2)
 * ``lambda_n``   best Hardy constant ((n-2)/2)^2
 * ``delta``      (n-2)/2, the decay rate of the log-radius variables
@@ -23,9 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-
-#: tolerance for the linear constraint alpha + beta = 2*
-ALPHA_BETA_TOL = 1e-12
 
 
 def hardy_constant(n: int) -> float:
@@ -53,8 +52,9 @@ def _check_dimension(n) -> None:
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """The tuple (n, gamma, nu, alpha, beta) defining one system, with the
-    constants derived from (n, gamma), computed once at construction.
+    """The tuple (n, gamma, nu, alpha) defining one system, with
+    beta = 2* - alpha and the constants derived from (n, gamma), computed
+    once at construction.
 
     Invariants enforced at construction:
 
@@ -62,14 +62,14 @@ class ProblemParams:
     * n >= 3 (integer dimension)
     * 0 <= gamma < lambda_n (one Hardy coefficient for both equations)
     * nu >= 0 (nu = 0 is the decoupled scalar mode)
-    * alpha > 1, beta > 1 and alpha + beta = 2* to within 1e-12
+    * alpha > 1 and beta > 1
     """
 
     n: int
     gamma: float
     nu: float
     alpha: float
-    beta: float
+    beta: float = field(init=False, repr=False, compare=False)
     two_star: float = field(init=False, repr=False, compare=False)
     lambda_n: float = field(init=False, repr=False, compare=False)
     delta: float = field(init=False, repr=False, compare=False)
@@ -82,7 +82,7 @@ class ProblemParams:
         _check_dimension(self.n)
         n = int(self.n)
         object.__setattr__(self, "n", n)
-        for name in ("gamma", "nu", "alpha", "beta"):
+        for name in ("gamma", "nu", "alpha"):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
@@ -95,15 +95,11 @@ class ProblemParams:
             )
         if self.nu < 0:
             raise ParameterError(f"coupling strength must be nonnegative, got nu={self.nu}")
+        two_star = critical_exponent(n)
+        object.__setattr__(self, "beta", two_star - self.alpha)
         if self.alpha <= 1 or self.beta <= 1:
             raise ParameterError(
                 f"exponents must exceed 1, got alpha={self.alpha}, beta={self.beta}"
-            )
-        two_star = critical_exponent(n)
-        if abs(self.alpha + self.beta - two_star) > ALPHA_BETA_TOL:
-            raise ParameterError(
-                f"alpha + beta = {self.alpha + self.beta} != 2* = {two_star} "
-                f"(tolerance {ALPHA_BETA_TOL})"
             )
         delta = (n - 2) / 2.0
         root = math.sqrt(lam - self.gamma)
@@ -116,9 +112,6 @@ class ProblemParams:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def symmetric(cls, n: int, gamma: float, nu: float, alpha: float,
-                  beta: float | None = None) -> "ProblemParams":
-        """The constructor with beta defaulting to 2* - alpha."""
-        if beta is None:
-            beta = critical_exponent(n) - alpha
-        return cls(n=n, gamma=gamma, nu=nu, alpha=alpha, beta=beta)
+    def symmetric(cls, n: int, gamma: float, nu: float, alpha: float) -> "ProblemParams":
+        """Same as ``ProblemParams(n, gamma, nu, alpha)``; kept for existing callers."""
+        return cls(n, gamma, nu, alpha)

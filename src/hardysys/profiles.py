@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, ParameterError
 from .params import ProblemParams
 
 #: radii below this are rejected instead of returning infinities
@@ -38,7 +38,7 @@ def _as_radii(r):
     import numpy as np
     arr = np.asarray(r, dtype=float)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < MIN_RADIUS)):
-        raise DomainError("radius must be finite and >= 1e-300")
+        raise ParameterError("radius must be finite and >= 1e-300")
     return arr
 
 
@@ -126,18 +126,6 @@ class ScalarProfile:
 # --- asymptotic limits -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticData:
-    """Limits of the compensated components at the origin and at infinity."""
-
-    u0: float
-    v0: float
-    u_inf: float
-    v_inf: float
-    L_minus: float
-    L_plus: float
-
-
 def _aitken_limit(values, label: str) -> float:
     """Limit of a power-law sequence via Aitken acceleration.
 
@@ -167,27 +155,29 @@ def _aitken_limit(values, label: str) -> float:
     return accel[-1]
 
 
-def asymptotic_limits(family) -> AsymptoticData:
-    """Estimate the limits of r^tau1 u at 0 and r^tau2 u at infinity.
+def asymptotic_limits(profile) -> tuple[float, float]:
+    """(limit at 0 of r^tau1 U, limit at infinity of r^tau2 U) for U = ``profile``.
 
-    ``family`` provides (c1, c2, profile); the compensated values are sampled
-    along r = mu 10^(-k) and r = mu 10^k for k = 4..8, relative to the
-    profile's scale mu, and accelerated.  The two quotient limits L_minus,
-    L_plus follow from the component ratios.
+    Both compensated values approach their limits like a power rho^(+-q) of
+    rho = r/mu, q = 2 kappa/delta, so they are sampled along r = mu 10^(-k m)
+    and r = mu 10^(k m) for k = 4..8, m = max(1, 1/q), relative to the
+    profile's scale mu, and accelerated.  Near gamma = lambda_n, q is small
+    and m stretches the samples over as many decades as the rate needs.
+    ConvergenceError if a sample radius would fall below MIN_RADIUS or make
+    r^tau2 overflow, or if the extrapolants do not settle.
     """
     import numpy as np
-    prof = family.profile
-    p = prof.params
-    ks = np.arange(4.0, 9.0)
-    r_small = prof.mu * np.power(10.0, -ks)
-    r_large = prof.mu * np.power(10.0, ks)
-    near = np.power(r_small, p.tau1) * prof.value(r_small)
-    far = np.power(r_large, p.tau2) * prof.value(r_large)
-    base0 = _aitken_limit(near, "limit at the origin")
-    base_inf = _aitken_limit(far, "limit at infinity")
-    u0 = family.c1 * base0
-    v0 = family.c2 * base0
-    u_inf = family.c1 * base_inf
-    v_inf = family.c2 * base_inf
-    return AsymptoticData(u0=u0, v0=v0, u_inf=u_inf, v_inf=v_inf,
-                          L_minus=u0 / v0, L_plus=u_inf / v_inf)
+    p = profile.params
+    decades = np.arange(4.0, 9.0) * max(1.0, p.delta / (2.0 * p.kappa))
+    r_small = profile.mu * np.power(10.0, -decades)
+    with np.errstate(over="ignore"):
+        r_large = profile.mu * np.power(10.0, decades)
+        weight = np.power(r_large, p.tau2)
+    if r_small[-1] < MIN_RADIUS or not math.isfinite(weight[-1]):
+        raise ConvergenceError(
+            f"sampling {decades[-1]:.4g} decades from mu = {profile.mu:.6g} "
+            "leaves the range of a double")
+    near = np.power(r_small, p.tau1) * profile.value(r_small)
+    far = weight * profile.value(r_large)
+    return (_aitken_limit(near, "limit at the origin"),
+            _aitken_limit(far, "limit at infinity"))

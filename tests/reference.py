@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from hardysys import ConvergenceError, DomainError, ParameterError
+from hardysys import ConvergenceError, ParameterError
 from hardysys.coupling import _merged_terms
 from hardysys.emdenfowler import EFState
 from hardysys.params import ProblemParams
@@ -39,9 +39,9 @@ def fd_derivative(u, r: float, h: float, order: int = 1) -> float:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     if h <= 0:
-        raise DomainError("step must be positive")
+        raise ParameterError("step must be positive")
     if r - 2 * h <= 0:
-        raise DomainError("stencil leaves the domain (need r - 2h > 0)")
+        raise ParameterError("stencil leaves the domain (need r - 2h > 0)")
     if order == 1:
         return (float(u(r + h)) - float(u(r - h))) / (2.0 * h)
     return (float(u(r + h)) - 2.0 * float(u(r)) + float(u(r - h))) / (h * h)
@@ -77,7 +77,7 @@ def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float
     every stage; the kernel must match it bit for bit.
     """
     if state.y_u < 0 or state.y_v < 0:
-        raise DomainError(
+        raise ParameterError(
             "negative component: fractional powers are undefined for y < 0"
         )
     kappa2 = p.delta * p.delta - p.gamma
@@ -171,7 +171,7 @@ def hardy_weight(x, x0) -> float:
     xa = np.asarray(x, dtype=float)
     x0a = np.asarray(x0, dtype=float)
     if xa.shape != x0a.shape:
-        raise DomainError(f"dimension mismatch: {xa.shape} vs {x0a.shape}")
+        raise ParameterError(f"dimension mismatch: {xa.shape} vs {x0a.shape}")
     diff = xa - x0a * float(xa @ xa)
     return float(diff @ diff)
 
@@ -185,7 +185,7 @@ def hardy_weight_dx1(x, x0) -> float:
     xa = np.asarray(x, dtype=float)
     x0a = np.asarray(x0, dtype=float)
     if xa.shape != x0a.shape:
-        raise DomainError(f"dimension mismatch: {xa.shape} vs {x0a.shape}")
+        raise ParameterError(f"dimension mismatch: {xa.shape} vs {x0a.shape}")
     if x0a[0] != 0.0:
         raise ParameterError("the offset must satisfy x0[0] == 0")
     xx = float(xa @ xa)

@@ -134,14 +134,15 @@ def test_criterion_07_asymptotics(matrix_trajectories):
         fam = case["family"]
         p = fam.profile.params
         mu0 = case["mu0"]
-        limits = hs.asymptotic_limits(fam)
+        limit0, limit_inf = hs.asymptotic_limits(fam.profile)
         u0_exact = fam.c1 * p.amplitude * mu0 ** (-p.kappa)
         uinf_exact = fam.c1 * p.amplitude * mu0 ** p.kappa
         worst_limit = max(worst_limit,
-                          abs(limits.u0 - u0_exact) / u0_exact,
-                          abs(limits.u_inf - uinf_exact) / uinf_exact)
+                          abs(fam.c1 * limit0 - u0_exact) / u0_exact,
+                          abs(fam.c1 * limit_inf - uinf_exact) / uinf_exact)
         ratio = fam.c1 / fam.c2
-        worst_ratio = max(worst_ratio, abs(limits.u0 / limits.v0 - ratio) / ratio)
+        worst_ratio = max(worst_ratio,
+                          abs(fam.c1 * limit0 / (fam.c2 * limit0) - ratio) / ratio)
         merged = case["merged"]
         s = fam.c_tilde
         worst_quot = max(worst_quot,

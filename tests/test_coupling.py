@@ -9,11 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardysys as hs
-from hardysys import DomainError, ParameterError
-from hardysys.coupling import _f_scale, _fprime_scale
+from hardysys import ParameterError
 from reference import convergence_order, endpoint_signs, fd_derivative
 
-EPS = sys.float_info.epsilon
 # positive roots of s^4 - 3 s^3 + 3 s - 1 = (s-1)(s+1)(s^2-3s+1)
 N3_ROOTS = ((3.0 - math.sqrt(5.0)) / 2.0, 1.0, (3.0 + math.sqrt(5.0)) / 2.0)
 
@@ -36,49 +34,34 @@ def test_coupling_f_decoupled_monotone():
     p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
     assert hs.coupling_f(1.0, p) == 0.0
     s = np.geomspace(1e-3, 1e3, 200)
-    assert np.all(np.diff(hs.coupling_f(s, p)) > 0)
+    assert np.all(np.diff([hs.coupling_f(x, p) for x in s]) > 0)
 
 
 def test_coupling_f_rejects_nonpositive():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         hs.coupling_f(0.0, p4())
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         hs.coupling_f_prime(-1.0, p4())
 
 
 @pytest.mark.parametrize("fn", [hs.coupling_f, hs.coupling_f_prime])
-@pytest.mark.parametrize("s", [0, -1.0, [1.0, 0.0], np.array([2.0, -3.0]), np.array(0.0)])
+@pytest.mark.parametrize("s", [0, -1.0, np.array(0.0), np.float64(-2.0), np.array(-3.0)])
 def test_coupling_f_rejects_nonpositive_on_both_paths(fn, s):
-    with pytest.raises(DomainError):
+    # Python numbers, a numpy scalar and 0-d arrays, all taken by float()
+    with pytest.raises(ParameterError):
         fn(s, p3())
 
 
 @pytest.mark.parametrize("fn", [hs.coupling_f, hs.coupling_f_prime])
 def test_coupling_f_return_types(fn):
-    # a number or a 0-d array gives a float; anything else an ndarray
+    # a number or a 0-d array gives a float
     for s in (2.0, 2, np.float64(2.0), np.array(2.0)):
         assert type(fn(s, p3())) is float
-    for s in ([0.5, 2.0], np.array([0.5, 2.0]), np.array([[2.0]])):
-        out = fn(s, p3())
-        assert isinstance(out, np.ndarray) and out.shape == np.shape(s)
 
 
 @pytest.mark.parametrize("fn", [hs.coupling_f, hs.coupling_f_prime])
 def test_coupling_f_nan_in_nan_out(fn):
     assert math.isnan(fn(math.nan, p3()))
-    assert np.isnan(fn(np.array([1.0, math.nan]), p3())).tolist() == [False, True]
-
-
-def test_coupling_f_scalar_and_array_paths_agree():
-    # the scalar path uses Python's float power, the array path numpy's:
-    # the two may differ in the last digits of each term, no more
-    grid = np.geomspace(1e-6, 1e6, 121)
-    for p in (p3(), p4(), hs.ProblemParams.symmetric(5, 1.0, 0.3, 1.4),
-              hs.ProblemParams.symmetric(7, 2.0, 40.0, 1.5)):
-        f, fp = hs.coupling_f(grid, p), hs.coupling_f_prime(grid, p)
-        for s, fa, fpa in zip(grid.tolist(), f, fp):
-            assert abs(hs.coupling_f(s, p) - fa) <= 8 * EPS * _f_scale(s, p)
-            assert abs(hs.coupling_f_prime(s, p) - fpa) <= 8 * EPS * _fprime_scale(s, p)
 
 
 def test_coupling_f_prime_values():
@@ -141,7 +124,7 @@ def test_dense_grid_sign_change_oracle():
     for n in (3, 4, 5):
         for nu in (0.0, 1.0):
             p = hs.ProblemParams.symmetric(n, 0.0, nu, hs.critical_exponent(n) / 2.0)
-            fv = hs.coupling_f(grid, p)
+            fv = np.array([hs.coupling_f(s, p) for s in grid.tolist()])
             sign_changes = int(np.count_nonzero(fv[:-1] * fv[1:] < 0))
             simple = [r for r in hs.find_positive_roots(p) if not r.is_degenerate]
             assert sign_changes == len(simple), (n, nu)
@@ -190,7 +173,7 @@ def test_verify_constants_system_values():
     pdec = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
     assert hs.verify_constants_system(1.0, 1.0, pdec) == (0.0, 0.0)
     assert_allclose(hs.verify_constants_system(1.0, 1.0, p4()), (2.0, 2.0), rtol=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         hs.verify_constants_system(-1.0, 1.0, p4())
 
 

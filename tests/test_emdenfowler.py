@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardysys as hs
-from hardysys import (DomainError, EFState, ParameterError, TrajectoryError,
+from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
                                   exact_ef_solution, exact_trajectory, integrate)
@@ -25,7 +25,7 @@ def test_rhs_vanishes_at_phase_origin(benchmark4):
 
 def test_rhs_rejects_negative_components(benchmark4):
     p, _ = benchmark4
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         ef_rhs(EFState(-0.1, 0.0, 1.0, 0.0), p)
 
 
@@ -472,7 +472,7 @@ def test_radial_residual_detects_wrong_amplitude(benchmark4):
 
 def test_radial_residual_rejects_bad_grid(benchmark4):
     _, fam = benchmark4
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         hs.radial_system_residual(fam, np.array([-1.0, 1.0]))
 
 

@@ -80,16 +80,18 @@ def test_tau_vieta_identities(n, frac):
 def test_symmetric_constructor_derives_beta():
     p = hs.ProblemParams.symmetric(5, 1.0, 0.5, 2.0)
     assert abs(p.alpha + p.beta - hs.critical_exponent(5)) <= 1e-12
+    assert p.beta == hs.critical_exponent(5) - 2.0
     assert p.gamma == 1.0
     assert p.two_star == hs.critical_exponent(5)
 
 
 def test_derived_constants_are_attributes_not_settings():
-    p = hs.ProblemParams(4, 0.5, 1.0, 2.0, 2.0)
+    p = hs.ProblemParams(4, 0.5, 1.0, 2.0)
     settable = [f.name for f in dataclasses.fields(p) if f.init]
-    assert settable == ["n", "gamma", "nu", "alpha", "beta"]
-    assert repr(p) == "ProblemParams(n=4, gamma=0.5, nu=1.0, alpha=2.0, beta=2.0)"
+    assert settable == ["n", "gamma", "nu", "alpha"]
+    assert repr(p) == "ProblemParams(n=4, gamma=0.5, nu=1.0, alpha=2.0)"
     assert p == hs.ProblemParams.symmetric(4, 0.5, 1.0, 2.0)
+    assert p.beta == 2.0
     assert p.lambda_n == hs.hardy_constant(4)
     assert p.kappa == p.delta - p.tau1  # as written, not sqrt(lambda_n - gamma)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -98,35 +100,23 @@ def test_derived_constants_are_attributes_not_settings():
 
 _invalid_tuples = st.one_of(
     # dimension too small
-    st.tuples(st.integers(-5, 2), st.just(0.0), st.just(1.0), st.just(2.0),
-              st.just(2.0)),
+    st.tuples(st.integers(-5, 2), st.just(0.0), st.just(1.0), st.just(2.0)),
     # gamma below 0 or at/above lambda_n
     st.tuples(st.just(4), st.one_of(st.floats(-10.0, -1e-9), st.floats(1.0, 10.0)),
-              st.just(1.0), st.just(2.0), st.just(2.0)),
+              st.just(1.0), st.just(2.0)),
     # negative coupling
-    st.tuples(st.just(4), st.just(0.0), st.floats(-10.0, -1e-12), st.just(2.0),
-              st.just(2.0)),
-    # exponents at or below 1
-    st.tuples(st.just(4), st.just(0.0), st.just(1.0), st.floats(-2.0, 1.0),
-              st.just(2.0)),
-    # broken linear constraint
-    st.tuples(st.just(4), st.just(0.0), st.just(1.0), st.just(2.0),
-              st.floats(1.1, 5.0).filter(lambda b: abs(b - 2.0) > 1e-9)),
+    st.tuples(st.just(4), st.just(0.0), st.floats(-10.0, -1e-12), st.just(2.0)),
+    # alpha at or below 1, or at or above 2* - 1 (beta = 2* - alpha <= 1)
+    st.tuples(st.just(4), st.just(0.0), st.just(1.0),
+              st.one_of(st.floats(-2.0, 1.0), st.floats(3.0, 10.0))),
 )
 
 
 @given(_invalid_tuples)
 def test_invalid_tuples_rejected(tup):
-    n, gamma, nu, alpha, beta = tup
+    n, gamma, nu, alpha = tup
     with pytest.raises(ParameterError):
-        hs.ProblemParams(n=n, gamma=gamma, nu=nu, alpha=alpha, beta=beta)
-
-
-def test_alpha_beta_tolerance_boundary():
-    ts = hs.critical_exponent(4)
-    hs.ProblemParams(4, 0.0, 1.0, 2.0, ts - 2.0 + 5e-13)  # inside tolerance
-    with pytest.raises(ParameterError):
-        hs.ProblemParams(4, 0.0, 1.0, 2.0, ts - 2.0 + 1e-11)
+        hs.ProblemParams(n=n, gamma=gamma, nu=nu, alpha=alpha)
 
 
 def test_decoupled_mode_allowed():
@@ -135,12 +125,12 @@ def test_decoupled_mode_allowed():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["gamma1", "gamma2", "nu", "alpha", "beta"])
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "nu", "alpha"])
 def test_non_finite_values_rejected(name, value):
     # NaN passes every ordered comparison's negation, so it needs its own test.
     # gamma1 and gamma2, the Hardy coefficients of the two equations, are both
     # the one field gamma.
-    kwargs = dict(n=4, gamma=0.0, nu=1.0, alpha=2.0, beta=2.0)
+    kwargs = dict(n=4, gamma=0.0, nu=1.0, alpha=2.0)
     kwargs["gamma" if name.startswith("gamma") else name] = value
     with pytest.raises(ParameterError):
         hs.ProblemParams(**kwargs)
@@ -149,4 +139,4 @@ def test_non_finite_values_rejected(name, value):
 @pytest.mark.parametrize("n", [math.nan, math.inf])
 def test_non_finite_dimension_rejected(n):
     with pytest.raises(ParameterError):
-        hs.ProblemParams(n=n, gamma=0.0, nu=1.0, alpha=2.0, beta=2.0)
+        hs.ProblemParams(n=n, gamma=0.0, nu=1.0, alpha=2.0)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardysys as hs
-from hardysys import DomainError, ParameterError, ScalarProfile
+from hardysys import ParameterError, ScalarProfile
 from reference import (aubin_talenti_value, convergence_order, fd_derivative,
                        hardy_weight, hardy_weight_dx1, kelvin_transform,
                        linear_radial_part, scalar_equation_residual,
@@ -42,7 +42,7 @@ def test_value_n3_with_hardy_term():
 def test_nonpositive_radius_rejected():
     prof = _profile(4, 0.0)
     for bad in (0.0, -1.0, 1e-301):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             prof.value(bad)
 
 
@@ -201,7 +201,7 @@ def test_weighted_transform_tau_zero_is_identity():
 
 def test_weighted_transform_rejects_nonpositive_radius():
     prof = _profile(4, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         weighted_transform(prof.value, 1.0, -2.0)
 
 
@@ -272,7 +272,7 @@ def test_hardy_weight_matches_expanded_form():
 
 
 def test_hardy_weight_dimension_mismatch():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         hardy_weight(np.zeros(3), np.zeros(4))
 
 
@@ -336,23 +336,41 @@ def test_hardy_weight_dx1_matches_fd():
 def test_asymptotic_limits_decoupled():
     p = hs.ProblemParams.symmetric(3, 0.1875, 0.0, 3.0)
     fam = hs.classify(p, 1.0)[0]
-    data = hs.asymptotic_limits(fam)
-    assert abs(data.u0 - p.amplitude) <= 1e-6
-    for field in ("u0", "v0", "u_inf", "v_inf", "L_minus", "L_plus"):
-        assert getattr(data, field) > 0
+    limit0, limit_inf = hs.asymptotic_limits(fam.profile)
+    assert abs(fam.c1 * limit0 - p.amplitude) <= 1e-6
+    assert limit0 > 0 and limit_inf > 0
 
 
 def test_asymptotic_limits_synchronized_ratio(benchmark3):
     _, fams = benchmark3
     for fam in fams:
-        data = hs.asymptotic_limits(fam)
+        limit0, limit_inf = hs.asymptotic_limits(fam.profile)
+        u0, v0 = fam.c1 * limit0, fam.c2 * limit0
+        u_inf, v_inf = fam.c1 * limit_inf, fam.c2 * limit_inf
         ratio = fam.c1 / fam.c2
-        assert abs(data.u0 / data.v0 - ratio) <= 1e-10 * ratio
-        assert abs(data.L_minus - ratio) <= 1e-10 * ratio
-        assert abs(data.L_plus - ratio) <= 1e-10 * ratio
-        # internal consistency of the bundle
-        assert abs(data.L_minus - data.u0 / data.v0) <= 1e-10 * ratio
-        assert abs(data.L_plus - data.u_inf / data.v_inf) <= 1e-10 * ratio
+        assert abs(u0 / v0 - ratio) <= 1e-10 * ratio
+        assert abs(u_inf / v_inf - ratio) <= 1e-10 * ratio
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_asymptotic_limits_near_the_hardy_constant(n):
+    # r^tau1 U approaches its limit like rho^q, q = 2 kappa/delta -> 0 as
+    # gamma -> lambda_n; the samples stretch to max(1, 1/q) times the decades
+    p = hs.ProblemParams(n, 0.99 * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
+    for mu in (0.5, 1.0, 2.0):
+        limit0, limit_inf = hs.asymptotic_limits(ScalarProfile(p, mu))
+        assert abs(limit0 / (p.amplitude * mu ** -p.kappa) - 1.0) <= 1e-6
+        assert abs(limit_inf / (p.amplitude * mu ** p.kappa) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("n,frac", [(3, 0.9999), (8, 0.999), (10, 0.998)])
+def test_asymptotic_limits_out_of_range_samples_raise(n, frac):
+    # the stretched samples would leave the range of a double: below
+    # MIN_RADIUS at the origin (n = 3) or with r^tau2 past the largest
+    # double (n = 8, 10)
+    p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
+    with pytest.raises(hs.ConvergenceError, match="range of a double"):
+        hs.asymptotic_limits(ScalarProfile(p))
 
 
 def test_asymptotic_limits_nonconvergence_error():
@@ -367,12 +385,5 @@ def test_asymptotic_limits_nonconvergence_error():
             # oscillating compensated profile has no limit at the origin
             return np.power(r, -self.params.tau1) * (1.0 + 0.5 * np.sin(np.log(r)))
 
-    @dataclass
-    class FakeFamily:
-        c1: float
-        c2: float
-        profile: object
-
-    fake = FakeFamily(1.0, 1.0, Wobbly(real.profile.params))
     with pytest.raises(hs.ConvergenceError):
-        hs.asymptotic_limits(fake)
+        hs.asymptotic_limits(Wobbly(real.profile.params))

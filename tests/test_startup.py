@@ -21,8 +21,8 @@ import hardysys as hs
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hs.__file__)))
 
 PUBLIC_NAMES = {
-    "AsymptoticData", "BracketError", "CheckResult", "ConvergenceError",
-    "CouplingRoot", "DomainError", "EFState", "EFTrajectory",
+    "BracketError", "CheckResult", "ConvergenceError", "CouplingRoot",
+    "EFState", "EFTrajectory",
     "IntegrationError", "ParameterError", "ProblemParams", "ScalarProfile",
     "SynchronizedFamily", "TrajectoryError", "VerificationReport",
     "asymptotic_limits", "classify", "constants_from_root", "coupling_f",
@@ -59,7 +59,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 32
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)

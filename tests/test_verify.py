@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardysys as hs
-from hardysys import ConvergenceError, DomainError
+from hardysys import ConvergenceError, ParameterError
 from hardysys.emdenfowler import exact_ef_solution, integrate
 from reference import convergence_order, fd_derivative
 
@@ -26,9 +26,9 @@ def test_fd_second_derivative_on_cubic():
 
 
 def test_fd_rejects_bad_stencils():
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         fd_derivative(lambda r: r, 0.1, 0.05, order=1)  # r - 2h = 0
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError):
         fd_derivative(lambda r: r, 1.0, -1e-3, order=1)
     with pytest.raises(ValueError):
         fd_derivative(lambda r: r, 1.0, 1e-3, order=3)
@@ -246,6 +246,23 @@ REPORT_PINS = {
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
         "0x1.bb67ae8584cabp-53", "0x1.d71e296ddd176p-49", "0x0.0p+0",
         "0x1.65a434a7f9877p-39"),),
+    # mu0 = 2: t0 = log 2 != 0, so the mirrored leg's times t0 - t are rounded
+    "n3-nu1-alpha3-mu2": ((
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
+        "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
+        "0x1.61b0000000000p-44", "0x1.ec9f570383bdfp-46", "0x0.0p+0", "0x0.0p+0",
+        "0x1.93e4a264df4bap-39", "0x1.93e4a264df4bap-39", "0x1.76497b85e02d9p-53",
+        "0x1.d3dbda675838fp-49", "0x0.0p+0", "0x1.949ff048fa194p-43"), (
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.8000000000000p-50",
+        "0x1.8000000000000p-50", "0x1.097ed09580000p-35", "0x1.4000000000000p-52",
+        "0x1.06e0000000000p-44", "0x1.2ebf3d6c79db4p-47", "0x0.0p+0", "0x0.0p+0",
+        "0x1.f070000000000p-41", "0x1.f070000000000p-41", "0x1.85092ed86a26ap-53",
+        "0x1.e64b7a8e84b05p-49", "0x0.0p+0", "0x1.94fe0f444a814p-43"), (
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
+        "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
+        "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.1dee0b0f8aecbp-52",
+        "0x1.e281b2aa3a6f7p-49", "0x0.0p+0", "0x1.9334ad98eae7dp-43")),
 }
 
 # the check order of one coupled (nu > 0) family
@@ -258,18 +275,19 @@ COUPLED_CHECKS = (
 )
 
 
-# (n, gamma, nu, alpha) of each pinned report, all at mu0 = 1
+# ((n, gamma, nu, alpha), mu0) of each pinned report
 REPORT_CASES = {
-    "n4-nu1-alpha2": (4, 0.0, 1.0, 2.0),
-    "n3-nu1-alpha3": (3, 0.0, 1.0, 3.0),
-    "n4-gamma0.5-nu1-alpha2": (4, 0.5, 1.0, 2.0),
+    "n4-nu1-alpha2": ((4, 0.0, 1.0, 2.0), 1.0),
+    "n3-nu1-alpha3": ((3, 0.0, 1.0, 3.0), 1.0),
+    "n4-gamma0.5-nu1-alpha2": ((4, 0.5, 1.0, 2.0), 1.0),
+    "n3-nu1-alpha3-mu2": ((3, 0.0, 1.0, 3.0), 2.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_PINS))
 def test_report_bitwise_regression(name):
-    p = hs.ProblemParams.symmetric(*REPORT_CASES[name])
-    report = hs.full_verification(p, 1.0)
+    args, mu0 = REPORT_CASES[name]
+    report = hs.full_verification(hs.ProblemParams.symmetric(*args), mu0)
     expected = [(f"f{i}.{check}", value)
                 for i, values in enumerate(REPORT_PINS[name])
                 for check, value in zip(COUPLED_CHECKS, values)]
