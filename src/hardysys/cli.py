@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--root-index", type=int, default=0)
     sp.add_argument("--bracket", type=float, nargs=2, default=None,
                     metavar=("LO", "HI"))
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="final integration tolerance; trials far from the "
+                         "amplitude run at max(tol, 1e-7)")
     sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("sweep", help="root counts over a parameter range")

@@ -19,7 +19,9 @@ from a symmetric maximum (a, 0, a/s, 0) to its first event, a rebound or a
 zero crossing, and scores it by a signed miss m (kappa times the minimum of
 y_u, or the slope y_u' at the crossing).  Bracketed regula falsi with the
 Illinois-type end scaling on m |m|, which is nearly linear in a, stops once
-the bracket around the homoclinic amplitude is REL_WIDTH * hi wide.
+the bracket around the homoclinic amplitude is REL_WIDTH * hi wide.  Trials
+far from it run at the looser LOOSE_TOL; the bracket that ends the search has
+both ends integrated at the final tolerance.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ MAX_STEP = 1.0
 # MAX_ITER regula-falsi trials
 REL_WIDTH = 1e-8
 MAX_ITER = 120
+# shooting trials run at LOOSE_TOL (or tol, when that is larger) until the
+# bracket is LOOSE_WIDTH * hi wide
+LOOSE_TOL = 1e-7
+LOOSE_WIDTH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -406,9 +412,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         m(a) = kappa * min y_u    (rebound: y_u' turns positive)
         m(a) = y_u' at extinction or blow-up (negative),
 
-    and m = 0, which ends the search, when t = 60 / kappa passes without an
-    event (the trial followed the decaying orbit all the way).  Each trial
-    integrates at tolerance ``tol``.  Both kinds of |m| grow like
+    and m = 0 when t = 60 / kappa passes without an event (the trial followed
+    the decaying orbit all the way).  Both kinds of |m| grow like
     sqrt|a - a*|, so the iteration runs on g = m |m|, which is close to
     linear in a.  The minimum is read off the cubic Hermite interpolant of the
     last step; an extinct trial stores y_u = 0 at the step's end, which puts
@@ -422,11 +427,21 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     end.  Then it shrinks by regula falsi on g.  When one end is kept twice
     in a row its g is scaled by 1 - g_new/g_old, or by 1/2 when that is not
     positive (the Anderson-Bjorck form of the Illinois rule).  A secant point
-    closer than REL_WIDTH * hi / 4 to an end is moved that far inside, so
-    that a converged estimate closes the bracket on the next trial and a
-    stalled one moves it: a short secant step from a far, steep end proves
-    nothing about a*.  The search stops when the bracket is at most
-    REL_WIDTH * hi wide and returns the regula-falsi point inside it.
+    closer than width / 4 to an end is moved that far inside, so that a
+    converged estimate closes the bracket on the next trial and a stalled one
+    moves it: a short secant step from a far, steep end proves nothing about
+    a*.
+
+    A trial far from a* only has to get the sign of its miss right, so the
+    search runs in two stages.  Stage 1 integrates at LOOSE_TOL until the
+    bracket is LOOSE_WIDTH * hi wide; stage 2 goes on from that bracket at
+    ``tol`` until it is REL_WIDTH * hi wide, and returns the regula-falsi
+    point inside it, or a trial that scored m = 0.  The result stands only
+    when both ends of the final bracket are stage-2 trials, so it is proven
+    at ``tol``.  In every other case (no dichotomy at LOOSE_TOL, a loose
+    trial that scored 0, an end stage 2 never replaced, an integration
+    failure) the search starts again at ``tol`` on the original bracket as
+    one stage, which is also the whole search when ``tol >= LOOSE_TOL``.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
@@ -441,7 +456,7 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     def rebounded(t, yu, pu, yv, pv):
         return pu > 0.0
 
-    def miss(a: float) -> float:
+    def miss(a: float, tol: float) -> float:
         state = EFState(y_u=a, p_u=0.0, y_v=a / s, p_v=0.0)
         traj = integrate(state, (0.0, t_max), p, tol=tol, stop=rebounded)
         p1 = float(traj.p_u[-1])
@@ -457,47 +472,68 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
             m = p.kappa * (y_min if y_min > 0.0 else min(y0, y1))
         return m * abs(m)
 
+    def narrow(lo, hi, g_lo, g_hi, tol, rel_width):
+        """Shrink a dichotomy bracket with trials at ``tol`` to rel_width * hi.
+
+        Returns (x, lo, hi, g_lo, g_hi), x the point to return.  A trial that
+        scores 0 closes the bracket on its own point.
+        """
+        while hi > 10.0 * lo:
+            x = math.sqrt(lo * hi)
+            g = miss(x, tol)
+            if g == 0.0:
+                return x, x, x, g, g
+            if g > 0.0:
+                lo, g_lo = x, g
+            else:
+                hi, g_hi = x, g
+        last = 0  # side of the last move: +1 lo, -1 hi
+        for _ in range(MAX_ITER):
+            x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            width = rel_width * hi
+            if hi - lo <= width:
+                break
+            x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)
+            g = miss(x, tol)
+            if g == 0.0:
+                return x, x, x, g, g
+            if g > 0.0:
+                if last > 0:
+                    scale = 1.0 - g / g_lo
+                    g_hi *= scale if scale > 0.0 else 0.5
+                lo, g_lo, last = x, g, 1
+            else:
+                if last < 0:
+                    scale = 1.0 - g / g_hi
+                    g_lo *= scale if scale > 0.0 else 0.5
+                hi, g_hi, last = x, g, -1
+        return x, lo, hi, g_lo, g_hi
+
     if bracket is not None:
         lo, hi = map(float, bracket)
     else:
         lo, hi = 1.01 * y_eq, 3.0 * y_eq
     if not (0 < lo < hi):
         raise BracketError(f"invalid bracket ({lo}, {hi})")
-    g_lo, g_hi = miss(lo), miss(hi)
+    if tol < LOOSE_TOL:
+        try:
+            g_lo, g_hi = miss(lo, LOOSE_TOL), miss(hi, LOOSE_TOL)
+            if g_lo > 0.0 > g_hi:
+                _, lo1, hi1, g_lo1, g_hi1 = narrow(lo, hi, g_lo, g_hi,
+                                                   LOOSE_TOL, LOOSE_WIDTH)
+                if lo1 < hi1:  # no loose trial scored 0
+                    x, lo2, hi2, _, _ = narrow(lo1, hi1, g_lo1, g_hi1,
+                                               tol, REL_WIDTH)
+                    if lo2 > lo1 and hi2 < hi1:  # both ends ran at tol
+                        return x
+        except IntegrationError:
+            pass  # decided below, at tol
+    g_lo, g_hi = miss(lo, tol), miss(hi, tol)
     if g_lo <= 0.0 or g_hi > 0.0:
         raise BracketError(
             f"shooting dichotomy not observed on bracket ({lo:.6g}, {hi:.6g})"
         )
-    while hi > 10.0 * lo:
-        x = math.sqrt(lo * hi)
-        g = miss(x)
-        if g == 0.0:
-            return x
-        if g > 0.0:
-            lo, g_lo = x, g
-        else:
-            hi, g_hi = x, g
-    last = 0  # side of the last move: +1 lo, -1 hi
-    for _ in range(MAX_ITER):
-        x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-        width = REL_WIDTH * hi
-        if hi - lo <= width:
-            break
-        x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)
-        g = miss(x)
-        if g == 0.0:
-            break
-        if g > 0.0:
-            if last > 0:
-                scale = 1.0 - g / g_lo
-                g_hi *= scale if scale > 0.0 else 0.5
-            lo, g_lo, last = x, g, 1
-        else:
-            if last < 0:
-                scale = 1.0 - g / g_hi
-                g_lo *= scale if scale > 0.0 else 0.5
-            hi, g_hi, last = x, g, -1
-    return x
+    return narrow(lo, hi, g_lo, g_hi, tol, REL_WIDTH)[0]
 
 
 # --- trajectory diagnostics ---------------------------------------------------

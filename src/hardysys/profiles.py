@@ -81,8 +81,9 @@ class ScalarProfile:
         p = self.params
         rho_log = np.log(r) - math.log(self.mu)
         t = self._q * rho_log
-        # log(1+rho^q) written to stay accurate on both sides of rho = 1
-        log1p_term = np.where(t > 0, t + np.log1p(np.exp(-t)), np.log1p(np.exp(t)))
+        # log(1+rho^q) written to stay accurate on both sides of rho = 1; exp
+        # sees only -|t|, so neither side overflows
+        log1p_term = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
         log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
         return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 

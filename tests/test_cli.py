@@ -199,6 +199,17 @@ def test_verify_far_scale_exit0(mu0):
     assert report["overall"] is True
 
 
+def test_verify_extreme_scale_no_overflow_warning():
+    # the radii of the checks lie so far below mu = 1e150 that (r/mu)^-q
+    # overflows: the closed form must not evaluate it.  The run still exits 1,
+    # because r^tau2 overflows inside the asymptotic checks
+    code, out, err = run_cli(["verify", *N4, "--mu0", "1e150"])
+    assert (code, err) == (1, "")
+    failed = {c["name"].split(".")[1] for c in json.loads(out)["checks"]
+              if not c["passed"]}
+    assert failed <= {"asymptotic_u0", "asymptotic_uinf", "asymptotic_ratio"}
+
+
 @pytest.mark.parametrize("gamma", ["0.24", "0.2475"])
 def test_verify_near_hardy_constant_exit0(gamma):
     # gamma = 0.96 and 0.99 lambda_3: kappa is small, so the compensated
@@ -284,14 +295,26 @@ def test_verify_degenerate_only_reported_as_one_line_exit3():
         "no usable root of the coupling function; nothing to verify"]
 
 
+def test_shoot_wide_bracket_recovers_amplitude():
+    # at the final tolerance the a = 100 end trial underflows at its first
+    # step; far from a* it runs at the loose tolerance, where it does not
+    code, out, err = run_cli(["shoot", "--n", "3", "--gamma", "0", "--nu", "1",
+                              "--alpha", "3", "--bracket", "0.1", "100"])
+    assert (code, err) == (0, "")
+    lines = dict(ln.split(": ") for ln in out.strip().splitlines())
+    assert abs(float(lines["recovered_amplitude"]) - 0.34198352055495) <= 1e-12
+    assert float(lines["relative_error"]) <= 1e-10
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", *N4, "--tol", "1e-14"],
     ["shoot", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3",
      "--bracket", "0.6", "100"],
 ])
 def test_integration_failure_one_line_exit6(argv):
-    # the tolerance is below what doubles resolve; the a = 100 end trial of
-    # the bracket underflows at its first step
+    # the tolerance is below what doubles resolve; a* = 0.342 lies outside
+    # (0.6, 100), so the search is decided at the final tolerance, where the
+    # a = 100 end trial underflows at its first step
     code, out, err = run_cli(argv)
     assert code == 6
     assert out == ""

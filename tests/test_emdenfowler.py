@@ -259,7 +259,18 @@ def test_kernel_bitwise_regression(name, monkeypatch):
 
 def test_shoot_bitwise_regression(benchmark4):
     p, fam = benchmark4
-    assert hs.shoot_synchronized(p, fam.root).hex() == "0x1.a20bd700c5ac0p-1"
+    a = hs.shoot_synchronized(p, fam.root)
+    assert a.hex() == "0x1.a20bd700c5ac2p-1"
+    # the value when every trial ran at the final tolerance
+    single_stage = float.fromhex("0x1.a20bd700c5ac0p-1")
+    assert abs(a - single_stage) <= 8 * math.ulp(single_stage)
+
+
+def test_shoot_loose_tolerance_is_single_stage(benchmark4):
+    # at tol >= LOOSE_TOL there is no loose stage: the bits of a search whose
+    # every trial runs at tol
+    p, fam = benchmark4
+    assert hs.shoot_synchronized(p, fam.root, tol=1e-7).hex() == "0x1.a20bd705a1b69p-1"
 
 
 def test_shoot_with_custom_window(benchmark4):
@@ -383,6 +394,74 @@ def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
     amplitudes.clear()
     hs.shoot_synchronized(p4, fam4.root, bracket=(0.01, 1e4))
     assert len(amplitudes) <= 24  # twice the default budget
+
+
+def _shoot_case(name, benchmark4, benchmark3):
+    if name == "n4":
+        return benchmark4
+    p3, fams3 = benchmark3
+    return p3, fams3[0]
+
+
+def _record_trials(monkeypatch):
+    """Wrap integrate: list (a, tol, kind) of every trial, kind its event."""
+    trials = []
+
+    def recording(initial, *args, **kwargs):
+        traj = integrate(initial, *args, **kwargs)
+        if traj.termination == "extinction":
+            kind = "extinction"
+        elif traj.termination == "completed" and traj.p_u[-1] > 0.0:
+            kind = "rebound"
+        else:
+            kind = traj.termination
+        trials.append((initial.y_u, kwargs["tol"], kind))
+        return traj
+
+    monkeypatch.setattr(emdenfowler, "integrate", recording)
+    return trials
+
+
+@pytest.mark.parametrize("name", ["n4", "n3"])
+def test_shoot_result_proven_at_final_tolerance(monkeypatch, benchmark4, benchmark3,
+                                                name):
+    # the result lies between a rebound and an extinction that both ran at
+    # tol, REL_WIDTH * hi apart; loose trials only narrowed the bracket
+    p, fam = _shoot_case(name, benchmark4, benchmark3)
+    trials = _record_trials(monkeypatch)
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-9)
+    assert any(tol == emdenfowler.LOOSE_TOL for _, tol, _ in trials)
+    below = max(x for x, tol, kind in trials
+                if tol == 1e-9 and kind == "rebound" and x <= a)
+    above = min(x for x, tol, kind in trials
+                if tol == 1e-9 and kind == "extinction" and x >= a)
+    assert above - below <= emdenfowler.REL_WIDTH * above
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3])
+@pytest.mark.parametrize("name", ["n4", "n3"])
+def test_shoot_restarts_when_loose_trials_mislead(monkeypatch, benchmark4, benchmark3,
+                                                  name, shift):
+    # loose trials that start at a (1 + shift) put the stage-1 bracket beside
+    # a*, so stage 2 never replaces one of its ends: the search starts again
+    # at tol and gives the bits of the single-stage search
+    p, fam = _shoot_case(name, benchmark4, benchmark3)
+    monkeypatch.setattr(emdenfowler, "LOOSE_TOL", 1e-9)
+    single_stage = hs.shoot_synchronized(p, fam.root, tol=1e-9)
+    monkeypatch.undo()
+    loose = []
+
+    def misled(initial, *args, **kwargs):
+        if kwargs["tol"] == emdenfowler.LOOSE_TOL:
+            loose.append(initial.y_u)
+            initial = EFState(initial.y_u * (1.0 + shift), 0.0,
+                              initial.y_v * (1.0 + shift), 0.0)
+        return integrate(initial, *args, **kwargs)
+
+    monkeypatch.setattr(emdenfowler, "integrate", misled)
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-9)
+    assert loose
+    assert a.hex() == single_stage.hex()
 
 
 # --- trajectory diagnostics -------------------------------------------------------

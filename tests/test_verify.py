@@ -215,29 +215,31 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 
 # float.hex of every check value, recorded before the residual helpers and the
 # closed-form core were shared: any change in a report's numbers shows up here.
+# The shooting_recovery values were recorded again when far shooting trials
+# moved to a looser tolerance.
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.d64d5275b2829p-49", "0x1.d64d5275b2829p-49",
         "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.99c473d6c0000p-32",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
         "0x1.3988e1409212ep-53", "0x1.d64d51e0db1c6p-51", "0x0.0p+0",
-        "0x1.c7ae7fdfe84cap-40"),),
+        "0x1.c7c2186dfc55cp-40"),),
     "n3-nu1-alpha3": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
         "0x1.61b0000000000p-44", "0x1.ec9f570383bdfp-46", "0x0.0p+0", "0x0.0p+0",
         "0x1.93e4a264df4bap-39", "0x1.93e4a264df4bap-39", "0x1.08a9310f53ce1p-53",
-        "0x1.3a48ea423384bp-49", "0x0.0p+0", "0x1.949ff048fa194p-43"), (
+        "0x1.3a48ea423384bp-49", "0x0.0p+0", "0x1.93e4cb8b37293p-43"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.ca7bb15d402e5p-49",
         "0x1.ca7bb15d402e5p-49", "0x1.6d18c00cb0000p-35", "0x1.4000000000000p-52",
         "0x1.06e0000000000p-44", "0x1.2ebf3d6c79db4p-47", "0x0.0p+0", "0x0.0p+0",
         "0x1.f070000000000p-41", "0x1.f070000000000p-41", "0x1.131703da7272bp-53",
-        "0x1.3579e455c0c10p-49", "0x0.0p+0", "0x1.94fe0f444a814p-43"), (
+        "0x1.3579e455c0c10p-49", "0x0.0p+0", "0x1.9317c3c9bbfc9p-43"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
         "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
         "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.945daa5a56f0ep-53",
-        "0x1.488c1a6966a3cp-49", "0x0.0p+0", "0x1.9334ad98eae7dp-43")),
+        "0x1.488c1a6966a3cp-49", "0x0.0p+0", "0x1.93c3a49e72ad4p-43")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
@@ -245,24 +247,24 @@ REPORT_PINS = {
         "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.82022ac000000p-36",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
         "0x1.bb67ae8584cabp-53", "0x1.d71e296ddd176p-49", "0x0.0p+0",
-        "0x1.65a434a7f9877p-39"),),
+        "0x1.65ab2246b39d8p-39"),),
     # mu0 = 2: t0 = log 2 != 0, so the mirrored leg's times t0 - t are rounded
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
         "0x1.61b0000000000p-44", "0x1.ec9f570383bdfp-46", "0x0.0p+0", "0x0.0p+0",
         "0x1.93e4a264df4bap-39", "0x1.93e4a264df4bap-39", "0x1.76497b85e02d9p-53",
-        "0x1.d3dbda675838fp-49", "0x0.0p+0", "0x1.949ff048fa194p-43"), (
+        "0x1.d3dbda675838fp-49", "0x0.0p+0", "0x1.93e4cb8b37293p-43"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.8000000000000p-50",
         "0x1.8000000000000p-50", "0x1.097ed09580000p-35", "0x1.4000000000000p-52",
         "0x1.06e0000000000p-44", "0x1.2ebf3d6c79db4p-47", "0x0.0p+0", "0x0.0p+0",
         "0x1.f070000000000p-41", "0x1.f070000000000p-41", "0x1.85092ed86a26ap-53",
-        "0x1.e64b7a8e84b05p-49", "0x0.0p+0", "0x1.94fe0f444a814p-43"), (
+        "0x1.e64b7a8e84b05p-49", "0x0.0p+0", "0x1.9317c3c9bbfc9p-43"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
         "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
         "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.1dee0b0f8aecbp-52",
-        "0x1.e281b2aa3a6f7p-49", "0x0.0p+0", "0x1.9334ad98eae7dp-43")),
+        "0x1.e281b2aa3a6f7p-49", "0x0.0p+0", "0x1.93c3a49e72ad4p-43")),
 }
 
 # the check order of one coupled (nu > 0) family
