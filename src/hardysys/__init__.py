@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "errors": ("BracketError", "ConvergenceError", "IntegrationError",
-               "ParameterError", "TrajectoryError"),
+    "errors": ("ConvergenceError", "IntegrationError", "ParameterError",
+               "TrajectoryError"),
     "params": ("ProblemParams", "critical_exponent", "hardy_constant"),
     "profiles": ("ScalarProfile", "asymptotic_limits"),
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",

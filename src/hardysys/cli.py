@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a root of the coupling function beyond the range of a double,
-named by its log s), 3 no usable (non-degenerate) root, 4 shooting bracket
-not found, 5 unwritable output path, 6 integration failed (step size
-underflow, step budget exceeded or floating-point overflow).
+named by its log s), 3 no usable (non-degenerate) root, 5 unwritable output
+path, 6 integration failed (step size underflow, step budget exceeded,
+floating-point overflow, or a shooting run that did not turn).  Exit code 4,
+once "shooting bracket not found", is retired.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -25,7 +26,7 @@ import sys
 import warnings
 
 from .coupling import classify, find_positive_roots
-from .errors import BracketError, IntegrationError, ParameterError
+from .errors import IntegrationError, ParameterError
 from .params import ProblemParams
 from .profiles import MIN_RADIUS
 
@@ -33,7 +34,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_DEGENERATE_ONLY = 3
-EXIT_NO_BRACKET = 4
 EXIT_UNWRITABLE = 5
 EXIT_INTEGRATION_FAILED = 6
 
@@ -135,7 +135,7 @@ def cmd_shoot(args) -> int:
     fam = _selected_family(p, args)
     if fam is None:
         return EXIT_DEGENERATE_ONLY
-    recovered = shoot_synchronized(p, fam.root, bracket=args.bracket, tol=args.tol)
+    recovered = shoot_synchronized(p, fam.root, tol=args.tol)
     target = fam.peak_amplitude
     rel = abs(recovered - target) / target
     print(f"recovered_amplitude: {recovered:.17g}")
@@ -252,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shoot", help="recover the homoclinic amplitude by shooting")
     _add_param_flags(sp)
     sp.add_argument("--root-index", type=int, default=0)
-    sp.add_argument("--bracket", type=float, nargs=2, default=None,
-                    metavar=("LO", "HI"))
     sp.add_argument("--tol", type=float, default=1e-9,
-                    help="final integration tolerance; trials far from the "
-                         "amplitude run at max(tol, 1e-7)")
+                    help="integration tolerance of the one shooting run")
     sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("sweep", help="root counts over a parameter range")
@@ -299,9 +296,6 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except BracketError as exc:
-        print(f"bracket not found: {exc}", file=sys.stderr)
-        return EXIT_NO_BRACKET
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -14,14 +14,11 @@ tol^(5/4), i.e. better than a factor 16 per tolerance decade), shooting
 recovery of the homoclinic amplitude, and residual checks of all three
 radial encodings of one and the same solution.
 
-Shooting is an oracle independent of the closed form: each trial integrates
-from a symmetric maximum (a, 0, a/s, 0) to its first event, a rebound or a
-zero crossing, and scores it by a signed miss m (kappa times the minimum of
-y_u, or the slope y_u' at the crossing).  Bracketed regula falsi with the
-Illinois-type end scaling on m |m|, which is nearly linear in a, stops once
-the bracket around the homoclinic amplitude is REL_WIDTH * hi wide.  Trials
-far from it run at the looser LOOSE_TOL; the bracket that ends the search has
-both ends integrated at the final tolerance.
+Shooting is an oracle independent of the closed form: one run leaves the
+origin along the unstable direction of the invariant ray y_v = y_u / s and
+stops where y_u turns.  The field is reversible, so that turning point is
+the symmetric maximum of the homoclinic orbit, and y_u there is its
+amplitude.
 """
 
 from __future__ import annotations
@@ -31,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BracketError, IntegrationError, ParameterError,
-                     TrajectoryError)
+from .errors import IntegrationError, ParameterError, TrajectoryError
 from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
 from .params import ProblemParams
 
@@ -40,14 +36,6 @@ BLOWUP_THRESHOLD = 1e8
 MAX_STEPS = 2_000_000
 MIN_STEP = 1e-14
 MAX_STEP = 1.0
-# shooting stops once its bracket is at most REL_WIDTH * hi wide, or after
-# MAX_ITER regula-falsi trials
-REL_WIDTH = 1e-8
-MAX_ITER = 120
-# shooting trials run at LOOSE_TOL (or tol, when that is larger) until the
-# bracket is LOOSE_WIDTH * hi wide
-LOOSE_TOL = 1e-7
-LOOSE_WIDTH = 1e-4
 
 
 @dataclass(frozen=True)
@@ -385,155 +373,88 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 # --- shooting ----------------------------------------------------------------
 
 
-def _hermite_min(h: float, y0: float, p0: float, y1: float, p1: float) -> float:
-    """Minimum of the cubic Hermite interpolant of one step with p0 <= 0 < p1."""
-    d0, d1, dy = h * p0, h * p1, y1 - y0
-    c2 = 3.0 * dy - 2.0 * d0 - d1
-    c3 = d0 + d1 - 2.0 * dy
-    # the derivative 3 c3 th^2 + 2 c2 th + d0 turns positive exactly once on
-    # [0, 1]; both branches give that root without cancellation
-    a, b = 3.0 * c3, 2.0 * c2
-    r = math.sqrt(max(b * b - 4.0 * a * d0, 0.0))
-    th = (r - b) / (2.0 * a) if b <= 0.0 else 2.0 * d0 / (-b - r)
-    th = min(max(th, 0.0), 1.0)
-    return y0 + th * (d0 + th * (c2 + th * c3))
+def _quintic_max(h: float, y0: float, p0: float, f0: float,
+                 y1: float, p1: float, f1: float) -> float:
+    """Maximum of the quintic Hermite interpolant of one step with p0 > 0 >= p1.
+
+    (y, y', y'') = (y0, p0, f0) at the step's start and (y1, p1, f1) at its
+    end.  Three Newton steps on the slope, from the root of its linear
+    interpolant, find the turning point.
+    """
+    d0, d1, e0, e1 = h * p0, h * p1, h * h * f0, h * h * f1
+    a = y1 - y0 - d0 - 0.5 * e0
+    b = d1 - d0 - e0
+    c = e1 - e0
+    c3 = 10.0 * a - 4.0 * b + 0.5 * c
+    c4 = -15.0 * a + 7.0 * b - c
+    c5 = 6.0 * a - 3.0 * b + 0.5 * c
+    th = d0 / (d0 - d1)
+    for _ in range(3):
+        slope = d0 + th * (e0 + th * (3.0 * c3 + th * (4.0 * c4 + th * 5.0 * c5)))
+        curv = e0 + th * (6.0 * c3 + th * (12.0 * c4 + th * 20.0 * c5))
+        th -= slope / curv
+    return y0 + th * (d0 + th * (0.5 * e0 + th * (c3 + th * (c4 + th * c5))))
 
 
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
-                       bracket: tuple[float, float] | None = None,
                        tol: float = 1e-9) -> float:
     """Recover the symmetric-maximum amplitude of the decaying orbit.
 
-    A trial starts from (y_u, y_u', y_v, y_v') = (a, 0, a/s, 0), with s the
-    coupling root, and runs to its first event.  Amplitudes above the
-    homoclinic one a* descend through zero (extinction), those below turn
-    around at a positive minimum; the event fixes the sign of the miss
+    The field y'' = F(y) is reversible and leaves the ray y_v = y_u / s of
+    the coupling root s invariant.  An orbit that leaves the origin along the
+    ray's unstable direction and turns (y_u' = 0, hence y_v' = 0) is
+    therefore symmetric about its turning point: it is the homoclinic, and
+    y_u there is its amplitude a*.  One run at ``tol`` traces it, in the
+    direction in which it is well conditioned; the closed form is not used.
 
-        m(a) = kappa * min y_u    (rebound: y_u' turns positive)
-        m(a) = y_u' at extinction or blow-up (negative),
+    The run starts at y_u = eps y_eq, y_v = y_u / s, y' = kappa y, with y_eq
+    the equilibrium amplitude of the ray, and stops at the first accepted
+    step with y_u' <= 0.  a* is the maximum of the quintic Hermite
+    interpolant of that step (y, y' and the field y'' at both ends); the
+    cubic one, without the field, errs up to 7e-11 at tol 1e-9 near
+    gamma = lambda_n, where the steps at the turn are long.
 
-    and m = 0 when t = 60 / kappa passes without an event (the trial followed
-    the decaying orbit all the way).  Both kinds of |m| grow like
-    sqrt|a - a*|, so the iteration runs on g = m |m|, which is close to
-    linear in a.  The minimum is read off the cubic Hermite interpolant of the
-    last step; an extinct trial stores y_u = 0 at the step's end, which puts
-    the crossing there.  No integration beyond the event is needed, and none
-    is wanted: the synchronized orbit is transversally unstable, so running a
-    trial any further only lets roundoff asymmetry grow.
-
-    The bracket (lo, hi) around a* is ``bracket``, by default 1.01 and 3
-    times the equilibrium amplitude of the invariant ray.  While hi > 10 lo
-    it is bisected in log a, because regula falsi creeps from a far, steep
-    end.  Then it shrinks by regula falsi on g.  When one end is kept twice
-    in a row its g is scaled by 1 - g_new/g_old, or by 1/2 when that is not
-    positive (the Anderson-Bjorck form of the Illinois rule).  A secant point
-    closer than width / 4 to an end is moved that far inside, so that a
-    converged estimate closes the bracket on the next trial and a stalled one
-    moves it: a short secant step from a far, steep end proves nothing about
-    a*.
-
-    A trial far from a* only has to get the sign of its miss right, so the
-    search runs in two stages.  Stage 1 integrates at LOOSE_TOL until the
-    bracket is LOOSE_WIDTH * hi wide; stage 2 goes on from that bracket at
-    ``tol`` until it is REL_WIDTH * hi wide, and returns the regula-falsi
-    point inside it, or a trial that scored m = 0.  The result stands only
-    when both ends of the final bracket are stage-2 trials, so it is proven
-    at ``tol``.  In every other case (no dichotomy at LOOSE_TOL, a loose
-    trial that scored 0, an end stage 2 never replaced, an integration
-    failure) the search starts again at ``tol`` on the original bracket as
-    one stage, which is also the whole search when ``tol >= LOOSE_TOL``.
+    On the ray the start carries the energy K y_u^(2*) / 2*, with
+    K = 1 + nu alpha s^-beta, where the homoclinic carries none.  That raises
+    the turning point by c eps^(2*) relative, with
+    c = (y_eq / a*)^2 / (2* (2*/2 - 1)): 0.048 at n = 3, 0.47 at n = 8, 1.02
+    at n = 14, about n / 11 for large n.  eps = (1e-3 tol)^(1/2*) keeps that
+    offset about a thousand times below ``tol``, and the run grows only like
+    log(1/eps) / kappa.  y_u reaches a* within log(a* 2^delta / y_eq) <
+    delta + 1 e-folds of the linear growth from eps y_eq, so a run that
+    turns never uses up its span of log(1/eps) + delta + 10 e-folds.  A run
+    that ends without turning (blow-up, extinction, or the whole span)
+    raises IntegrationError.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
         raise ParameterError("shooting requires a root of the coupling function")
-    kappa2 = p.kappa ** 2
-    ts = p.two_star
+    if not (0.0 < tol < math.inf):
+        raise ParameterError("tolerance must be positive and finite")
+    kappa = p.kappa
     # equilibrium amplitude of the invariant ray y_v = y_u / s
     k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
-    y_eq = (kappa2 / k_u) ** (1.0 / (ts - 2.0))
-    t_max = 60.0 / p.kappa
+    y_eq = (kappa * kappa / k_u) ** (1.0 / (p.two_star - 2.0))
+    eps = (1e-3 * tol) ** (1.0 / p.two_star)
+    y0 = eps * y_eq
+    start = EFState(y_u=y0, p_u=kappa * y0, y_v=y0 / s, p_v=kappa * y0 / s)
+    t_end = (math.log(1.0 / eps) + p.delta + 10.0) / kappa
 
-    def rebounded(t, yu, pu, yv, pv):
-        return pu > 0.0
+    def turned(t, yu, pu, yv, pv):
+        return pu <= 0.0
 
-    def miss(a: float, tol: float) -> float:
-        state = EFState(y_u=a, p_u=0.0, y_v=a / s, p_v=0.0)
-        traj = integrate(state, (0.0, t_max), p, tol=tol, stop=rebounded)
-        p1 = float(traj.p_u[-1])
-        if traj.termination != "completed":
-            m = -abs(p1)
-        elif p1 <= 0.0:
-            m = 0.0
-        else:
-            y0, y1 = float(traj.y_u[-2]), float(traj.y_u[-1])
-            y_min = _hermite_min(float(traj.t[-1] - traj.t[-2]), y0,
-                                 float(traj.p_u[-2]), y1, p1)
-            # the event, not the interpolant, decides the sign
-            m = p.kappa * (y_min if y_min > 0.0 else min(y0, y1))
-        return m * abs(m)
-
-    def narrow(lo, hi, g_lo, g_hi, tol, rel_width):
-        """Shrink a dichotomy bracket with trials at ``tol`` to rel_width * hi.
-
-        Returns (x, lo, hi, g_lo, g_hi), x the point to return.  A trial that
-        scores 0 closes the bracket on its own point.
-        """
-        while hi > 10.0 * lo:
-            x = math.sqrt(lo * hi)
-            g = miss(x, tol)
-            if g == 0.0:
-                return x, x, x, g, g
-            if g > 0.0:
-                lo, g_lo = x, g
-            else:
-                hi, g_hi = x, g
-        last = 0  # side of the last move: +1 lo, -1 hi
-        for _ in range(MAX_ITER):
-            x = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-            width = rel_width * hi
-            if hi - lo <= width:
-                break
-            x = min(max(x, lo + 0.25 * width), hi - 0.25 * width)
-            g = miss(x, tol)
-            if g == 0.0:
-                return x, x, x, g, g
-            if g > 0.0:
-                if last > 0:
-                    scale = 1.0 - g / g_lo
-                    g_hi *= scale if scale > 0.0 else 0.5
-                lo, g_lo, last = x, g, 1
-            else:
-                if last < 0:
-                    scale = 1.0 - g / g_hi
-                    g_lo *= scale if scale > 0.0 else 0.5
-                hi, g_hi, last = x, g, -1
-        return x, lo, hi, g_lo, g_hi
-
-    if bracket is not None:
-        lo, hi = map(float, bracket)
-    else:
-        lo, hi = 1.01 * y_eq, 3.0 * y_eq
-    if not (0 < lo < hi):
-        raise BracketError(f"invalid bracket ({lo}, {hi})")
-    if tol < LOOSE_TOL:
-        try:
-            g_lo, g_hi = miss(lo, LOOSE_TOL), miss(hi, LOOSE_TOL)
-            if g_lo > 0.0 > g_hi:
-                _, lo1, hi1, g_lo1, g_hi1 = narrow(lo, hi, g_lo, g_hi,
-                                                   LOOSE_TOL, LOOSE_WIDTH)
-                if lo1 < hi1:  # no loose trial scored 0
-                    x, lo2, hi2, _, _ = narrow(lo1, hi1, g_lo1, g_hi1,
-                                               tol, REL_WIDTH)
-                    if lo2 > lo1 and hi2 < hi1:  # both ends ran at tol
-                        return x
-        except IntegrationError:
-            pass  # decided below, at tol
-    g_lo, g_hi = miss(lo, tol), miss(hi, tol)
-    if g_lo <= 0.0 or g_hi > 0.0:
-        raise BracketError(
-            f"shooting dichotomy not observed on bracket ({lo:.6g}, {hi:.6g})"
-        )
-    return narrow(lo, hi, g_lo, g_hi, tol, REL_WIDTH)[0]
+    traj = integrate(start, (0.0, t_end), p, tol=tol, stop=turned)
+    p1 = float(traj.p_u[-1])
+    if traj.termination != "completed" or p1 > 0.0:
+        raise IntegrationError(
+            f"the unstable manifold did not turn ({traj.termination}, "
+            f"y_u' = {p1:.6g} at t = {float(traj.t[-1]):.6g})")
+    kappa2, e1, nua = p.delta * p.delta - p.gamma, p.two_star - 1.0, p.nu * p.alpha
+    y_u, p_u, y_v = traj.y_u[-2:].tolist(), traj.p_u[-2:].tolist(), traj.y_v[-2:].tolist()
+    f_u = [kappa2 * yu - yu ** e1 - nua * yu ** (p.alpha - 1.0) * yv ** p.beta
+           for yu, yv in zip(y_u, y_v)]
+    return _quintic_max(float(traj.t[-1] - traj.t[-2]), y_u[0], p_u[0], f_u[0],
+                        y_u[1], p_u[1], f_u[1])
 
 
 # --- trajectory diagnostics ---------------------------------------------------

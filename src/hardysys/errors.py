@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """Invalid problem parameters or a violated operation precondition."""
 
 
-class BracketError(RuntimeError):
-    """A root or shooting bracket could not be established."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative estimate failed to reach the requested tolerance."""
 

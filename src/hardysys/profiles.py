@@ -130,13 +130,15 @@ class ScalarProfile:
 def _aitken_limit(values, label: str) -> float:
     """Limit of a power-law sequence via Aitken acceleration.
 
-    Falls back to the raw tail when the increments are already at roundoff.
+    The sequence is divided by its last term first, so both tolerance tests
+    are relative and no square of a difference overflows; the limit is scaled
+    back.  Falls back to the raw tail when the increments are already at
+    roundoff.
     """
     import numpy as np
-    vals = np.asarray(values, dtype=float)
-    tail = float(vals[-1])
-    diffs = np.diff(vals)
-    if np.max(np.abs(diffs)) <= 1e-13 * max(1.0, abs(tail)):
+    tail = float(values[-1])
+    vals = np.asarray(values, dtype=float) / tail
+    if np.max(np.abs(np.diff(vals))) <= 1e-13:
         return tail
     accel = []
     for k in range(len(vals) - 2):
@@ -148,12 +150,12 @@ def _aitken_limit(values, label: str) -> float:
         return tail
     if len(accel) >= 2:
         spread = abs(accel[-1] - accel[-2])
-        if spread > LIMIT_RTOL * max(1.0, abs(accel[-1])):
+        if spread > LIMIT_RTOL * abs(accel[-1]):
             raise ConvergenceError(
                 f"{label}: extrapolants differ by {spread:.3e} "
                 f"(> {LIMIT_RTOL:.1e} relative)"
             )
-    return accel[-1]
+    return accel[-1] * tail
 
 
 def asymptotic_limits(profile) -> tuple[float, float]:
@@ -164,8 +166,10 @@ def asymptotic_limits(profile) -> tuple[float, float]:
     and r = mu 10^(k m) for k = 4..8, m = max(1, 1/q), relative to the
     profile's scale mu, and accelerated.  Near gamma = lambda_n, q is small
     and m stretches the samples over as many decades as the rate needs.
-    ConvergenceError if a sample radius would fall below MIN_RADIUS or make
-    r^tau2 overflow, or if the extrapolants do not settle.
+    Each compensated value is formed in logs, tau log r + log U(r), so
+    neither r^tau2 nor U(r) has to be a double.  ConvergenceError if a
+    sample radius would fall below MIN_RADIUS or past the largest double, or
+    if the extrapolants do not settle.
     """
     import numpy as np
     p = profile.params
@@ -173,12 +177,11 @@ def asymptotic_limits(profile) -> tuple[float, float]:
     r_small = profile.mu * np.power(10.0, -decades)
     with np.errstate(over="ignore"):
         r_large = profile.mu * np.power(10.0, decades)
-        weight = np.power(r_large, p.tau2)
-    if r_small[-1] < MIN_RADIUS or not math.isfinite(weight[-1]):
+    if r_small[-1] < MIN_RADIUS or not math.isfinite(r_large[-1]):
         raise ConvergenceError(
             f"sampling {decades[-1]:.4g} decades from mu = {profile.mu:.6g} "
             "leaves the range of a double")
-    near = np.power(r_small, p.tau1) * profile.value(r_small)
-    far = weight * profile.value(r_large)
+    near = np.exp(p.tau1 * np.log(r_small) + profile._log_value(r_small))
+    far = np.exp(p.tau2 * np.log(r_large) + profile._log_value(r_large))
     return (_aitken_limit(near, "limit at the origin"),
             _aitken_limit(far, "limit at infinity"))

@@ -201,13 +201,15 @@ def test_verify_far_scale_exit0(mu0):
 
 def test_verify_extreme_scale_no_overflow_warning():
     # the radii of the checks lie so far below mu = 1e150 that (r/mu)^-q
-    # overflows: the closed form must not evaluate it.  The run still exits 1,
-    # because r^tau2 overflows inside the asymptotic checks
-    code, out, err = run_cli(["verify", *N4, "--mu0", "1e150"])
-    assert (code, err) == (1, "")
-    failed = {c["name"].split(".")[1] for c in json.loads(out)["checks"]
-              if not c["passed"]}
-    assert failed <= {"asymptotic_u0", "asymptotic_uinf", "asymptotic_ratio"}
+    # overflows, and r^tau2 overflows at the far-field samples of 1e150 and
+    # 1e300: neither may be evaluated.  At 1e-250 the squared differences of
+    # the raw Aitken sequence would overflow
+    for mu0 in ("1e150", "1e-250", "1e300"):
+        code, out, err = run_cli(["verify", *N4, "--mu0", mu0])
+        assert (code, err) == (0, "")
+        checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+        for name in ("f0.asymptotic_u0", "f0.asymptotic_uinf", "f0.asymptotic_ratio"):
+            assert checks[name] <= 1e-12
 
 
 @pytest.mark.parametrize("gamma", ["0.24", "0.2475"])
@@ -295,11 +297,22 @@ def test_verify_degenerate_only_reported_as_one_line_exit3():
         "no usable root of the coupling function; nothing to verify"]
 
 
+def test_shoot_strong_coupling_n14_exit0():
+    # a bracketed search from the maximum lost this root to a step size
+    # underflow in a far trial; the trace from the origin does not
+    code, out, err = run_cli(["shoot", "--n", "14", "--gamma", "0", "--nu", "10",
+                              "--alpha", "1.1"])
+    assert (code, err) == (0, "")
+    lines = dict(ln.split(": ") for ln in out.strip().splitlines())
+    assert float(lines["relative_error"]) <= 1e-10
+
+
 def test_shoot_wide_bracket_recovers_amplitude():
-    # at the final tolerance the a = 100 end trial underflows at its first
-    # step; far from a* it runs at the loose tolerance, where it does not
+    # this case once needed a wide bracket, (0.1, 100), and a loose stage to
+    # integrate its far end trial.  The run now climbs through every
+    # amplitude from eps y_eq up to a*, with no end trial at all
     code, out, err = run_cli(["shoot", "--n", "3", "--gamma", "0", "--nu", "1",
-                              "--alpha", "3", "--bracket", "0.1", "100"])
+                              "--alpha", "3"])
     assert (code, err) == (0, "")
     lines = dict(ln.split(": ") for ln in out.strip().splitlines())
     assert abs(float(lines["recovered_amplitude"]) - 0.34198352055495) <= 1e-12
@@ -308,13 +321,10 @@ def test_shoot_wide_bracket_recovers_amplitude():
 
 @pytest.mark.parametrize("argv", [
     ["verify", *N4, "--tol", "1e-14"],
-    ["shoot", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3",
-     "--bracket", "0.6", "100"],
+    ["shoot", *N4, "--tol", "1e-60"],
 ])
 def test_integration_failure_one_line_exit6(argv):
-    # the tolerance is below what doubles resolve; a* = 0.342 lies outside
-    # (0.6, 100), so the search is decided at the final tolerance, where the
-    # a = 100 end trial underflows at its first step
+    # each tolerance is below what doubles resolve
     code, out, err = run_cli(argv)
     assert code == 6
     assert out == ""
@@ -322,20 +332,16 @@ def test_integration_failure_one_line_exit6(argv):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["verify", "shoot"])
-def test_tiny_tolerance_overflow_one_line_exit6(command):
-    # scaling the error estimate by tol = 1e-170 overflows its square
-    code, out, err = run_cli([command, *N4, "--tol", "1e-170"])
+@pytest.mark.parametrize("command,tol", [("verify", "1e-170"), ("shoot", "1e-300")],
+                         ids=["verify", "shoot"])
+def test_tiny_tolerance_overflow_one_line_exit6(command, tol):
+    # scaling the error estimate by tol overflows its square at the first
+    # step.  Shooting starts near the origin, where the first step's error
+    # estimate is about 1e-18 relative, so it needs the smaller tol
+    code, out, err = run_cli([command, *N4, "--tol", tol])
     assert code == 6
     assert out == ""
     assert err == "integration failed: floating-point overflow at t-offset 0\n"
-
-
-def test_shoot_huge_bracket_end_exit6():
-    # the field at the a = 1e200 start overflows a float power
-    code, out, err = run_cli(["shoot", *N4, "--bracket", "0.1", "1e200"])
-    assert (code, out) == (6, "")
-    assert err.startswith("integration failed: floating-point overflow")
 
 
 @pytest.mark.parametrize("command,tol", [("verify", "nan"), ("shoot", "nan"),
@@ -344,12 +350,6 @@ def test_non_finite_tolerance_exit2(command, tol):
     code, _, err = run_cli([command, *N4, "--tol", tol])
     assert code == 2
     assert err == "invalid parameters: tolerance must be positive and finite\n"
-
-
-def test_shoot_absurd_bracket_exit4():
-    code, _, err = run_cli(["shoot", *N4, "--bracket", "100", "200"])
-    assert code == 4
-    assert "bracket" in err
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -259,25 +259,24 @@ def test_kernel_bitwise_regression(name, monkeypatch):
 
 def test_shoot_bitwise_regression(benchmark4):
     p, fam = benchmark4
-    a = hs.shoot_synchronized(p, fam.root)
-    assert a.hex() == "0x1.a20bd700c5ac2p-1"
-    # the value when every trial ran at the final tolerance
-    single_stage = float.fromhex("0x1.a20bd700c5ac0p-1")
-    assert abs(a - single_stage) <= 8 * math.ulp(single_stage)
+    assert hs.shoot_synchronized(p, fam.root).hex() == "0x1.a20bd700c18c3p-1"
 
 
-def test_shoot_loose_tolerance_is_single_stage(benchmark4):
-    # at tol >= LOOSE_TOL there is no loose stage: the bits of a search whose
-    # every trial runs at tol
+def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
+    # at any tolerance, 1e-7 included, a shot is one run at that tolerance
     p, fam = benchmark4
-    assert hs.shoot_synchronized(p, fam.root, tol=1e-7).hex() == "0x1.a20bd705a1b69p-1"
+    tols = []
 
+    def recording(initial, *args, **kwargs):
+        tols.append(kwargs["tol"])
+        return integrate(initial, *args, **kwargs)
 
-def test_shoot_with_custom_window(benchmark4):
-    p, fam = benchmark4
+    monkeypatch.setattr(emdenfowler, "integrate", recording)
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-7)
+    assert tols == [1e-7]
+    assert a.hex() == "0x1.a20bd702879a7p-1"
     target = math.sqrt(2.0 / 3.0)
-    a = hs.shoot_synchronized(p, fam.root, bracket=(0.7, 1.2))
-    assert abs(a - target) / target <= 1e-6
+    assert abs(a - target) / target <= 1e-9
 
 
 def test_integration_rejects_bad_inputs(benchmark4):
@@ -349,119 +348,125 @@ def test_shoot_rejects_non_root(benchmark4):
         hs.shoot_synchronized(p, fake)
 
 
-def test_shoot_bracket_failure(benchmark4):
-    p, fam = benchmark4
-    with pytest.raises(hs.BracketError):
-        hs.shoot_synchronized(p, fam.root, bracket=(100.0, 200.0))
-
-
-def test_shoot_bracket_wholly_below_homoclinic(benchmark4):
-    p, fam = benchmark4  # a* = sqrt(2/3) ~ 0.8165, ray equilibrium 1/sqrt(3)
-    for bracket in ((0.6, 0.8), (0.1, 0.5)):
-        with pytest.raises(hs.BracketError):
-            hs.shoot_synchronized(p, fam.root, bracket=bracket)
-
-
-@pytest.mark.parametrize("bracket", [(0.6, 100.0), (0.01, 1e4)])
-def test_shoot_wide_bracket(benchmark4, bracket):
-    # the far end is steep: early secant steps from lo are tiny although a*
-    # is far from lo, so a small step alone must not end the search
-    p, fam = benchmark4
-    a = hs.shoot_synchronized(p, fam.root, bracket=bracket)
-    target = math.sqrt(2.0 / 3.0)
-    assert abs(a - target) / target <= 1e-6
-
-
 def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
-    amplitudes = []
+    starts = []
 
     def counting(initial, *args, **kwargs):
-        amplitudes.append(initial.y_u)
+        starts.append(initial)
         return integrate(initial, *args, **kwargs)
 
     monkeypatch.setattr(emdenfowler, "integrate", counting)
     (p4, fam4), (p3, fams3) = benchmark4, benchmark3
     assert len(fams3) == 3
     for p, fam in [(p4, fam4)] + [(p3, f) for f in fams3]:
-        amplitudes.clear()
+        starts.clear()
         a = hs.shoot_synchronized(p, fam.root)
-        target = fam.c1 * p.amplitude * 2.0 ** (-p.delta)
-        assert abs(a - target) / target <= 1e-6
-        assert 3 <= len(amplitudes) <= 15
-        # numpy scalars here would make every step of every trial slower
-        assert all(type(x) is float for x in amplitudes)
-    # regula falsi alone creeps from a far, steep end: 72 trials here
-    amplitudes.clear()
-    hs.shoot_synchronized(p4, fam4.root, bracket=(0.01, 1e4))
-    assert len(amplitudes) <= 24  # twice the default budget
+        assert abs(a - fam.peak_amplitude) / fam.peak_amplitude <= 1e-10
+        assert len(starts) == 1
+        # numpy scalars here would make every step of the run slower
+        assert all(type(getattr(starts[0], k)) is float
+                   for k in ("y_u", "p_u", "y_v", "p_v"))
 
 
-def _shoot_case(name, benchmark4, benchmark3):
-    if name == "n4":
-        return benchmark4
-    p3, fams3 = benchmark3
-    return p3, fams3[0]
+def test_shoot_run_that_does_not_turn_raises(benchmark4, monkeypatch):
+    # a* = 0.816 lies above the lowered blow-up threshold, so the run ends in
+    # blow-up before it turns
+    p, fam = benchmark4
+    monkeypatch.setattr(emdenfowler, "BLOWUP_THRESHOLD", 0.5)
+    with pytest.raises(hs.IntegrationError, match="did not turn"):
+        hs.shoot_synchronized(p, fam.root)
 
 
-def _record_trials(monkeypatch):
-    """Wrap integrate: list (a, tol, kind) of every trial, kind its event."""
-    trials = []
+def test_shoot_bracket_failure(monkeypatch, benchmark4):
+    # the span (0, t_end) brackets the turning time as a bracket once held
+    # a*; a span cut to a quarter ends before the turn, and the shot raises
+    p, fam = benchmark4
 
-    def recording(initial, *args, **kwargs):
-        traj = integrate(initial, *args, **kwargs)
-        if traj.termination == "extinction":
-            kind = "extinction"
-        elif traj.termination == "completed" and traj.p_u[-1] > 0.0:
-            kind = "rebound"
-        else:
-            kind = traj.termination
-        trials.append((initial.y_u, kwargs["tol"], kind))
-        return traj
+    def short(initial, span, *args, **kwargs):
+        return integrate(initial, (span[0], 0.25 * span[1]), *args, **kwargs)
 
-    monkeypatch.setattr(emdenfowler, "integrate", recording)
-    return trials
+    monkeypatch.setattr(emdenfowler, "integrate", short)
+    with pytest.raises(hs.IntegrationError, match=r"did not turn \(completed,"):
+        hs.shoot_synchronized(p, fam.root)
 
 
-@pytest.mark.parametrize("name", ["n4", "n3"])
-def test_shoot_result_proven_at_final_tolerance(monkeypatch, benchmark4, benchmark3,
-                                                name):
-    # the result lies between a rebound and an extinction that both ran at
-    # tol, REL_WIDTH * hi apart; loose trials only narrowed the bracket
-    p, fam = _shoot_case(name, benchmark4, benchmark3)
-    trials = _record_trials(monkeypatch)
+def test_shoot_bracket_wholly_below_homoclinic(monkeypatch, benchmark4):
+    # a* = sqrt(2/3) ~ 0.8165, ray equilibrium 1/sqrt(3) ~ 0.577.  y_u climbs
+    # until the turn, so a run stopped at 0.8 (above the equilibrium) or 0.5
+    # (below it) reached only amplitudes below a*, and the shot raises
+    p, fam = benchmark4
+    target = math.sqrt(2.0 / 3.0)
+    for level in (0.8, 0.5):
+        runs = []
+
+        def stopped(initial, *args, stop, **kwargs):
+            traj = integrate(initial, *args, stop=lambda t, yu, pu, yv, pv: yu >= level,
+                             **kwargs)
+            runs.append(traj)
+            return traj
+
+        monkeypatch.setattr(emdenfowler, "integrate", stopped)
+        with pytest.raises(hs.IntegrationError, match="did not turn"):
+            hs.shoot_synchronized(p, fam.root)
+        assert len(runs) == 1
+        assert level <= float(np.max(runs[0].y_u)) < target
+
+
+def _fate(p, s, a):
+    """'rebound' or 'extinction' of a trial from the symmetric maximum (a, 0, a/s, 0)."""
+    traj = integrate(EFState(a, 0.0, a / s, 0.0), (0.0, 60.0 / p.kappa), p, tol=1e-9,
+                     stop=lambda t, yu, pu, yv, pv: pu > 0.0)
+    if traj.termination == "completed" and traj.p_u[-1] > 0.0:
+        return "rebound"
+    return traj.termination
+
+
+def _dichotomy_roots():
+    """(n, gamma / lambda_n, nu, root index) of the 16 distinct roots of the
+    acceptance matrix, alpha = 2*/2; the first four keep their earlier names."""
+    roots = {"n4": (4, 0.0, 1.0, 0), "n3": (3, 0.0, 1.0, 0),
+             "n3-root1": (3, 0.0, 1.0, 1), "n3-root2": (3, 0.0, 1.0, 2)}
+    for n in (3, 4, 5):
+        for frac in (0.0, 0.5):
+            for nu in (0.0, 1.0):
+                for index in range(3 if (n, nu) == (3, 1.0) else 1):
+                    if (n, frac, nu, index) not in roots.values():
+                        roots[f"n{n}-gamma{frac:g}-nu{nu:g}-root{index}"] = (
+                            n, frac, nu, index)
+    return roots
+
+
+DICHOTOMY_ROOTS = _dichotomy_roots()
+
+
+@pytest.mark.parametrize("name", list(DICHOTOMY_ROOTS))
+def test_shoot_result_proven_at_final_tolerance(name):
+    # the traced amplitude separates the two fates of a trial from the
+    # maximum: 1e-8 below it (relative) rebounds, 1e-8 above it goes extinct
+    n, frac, nu, index = DICHOTOMY_ROOTS[name]
+    p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, hs.critical_exponent(n) / 2.0)
+    fam = hs.classify(p, 1.0)[index]
     a = hs.shoot_synchronized(p, fam.root, tol=1e-9)
-    assert any(tol == emdenfowler.LOOSE_TOL for _, tol, _ in trials)
-    below = max(x for x, tol, kind in trials
-                if tol == 1e-9 and kind == "rebound" and x <= a)
-    above = min(x for x, tol, kind in trials
-                if tol == 1e-9 and kind == "extinction" and x >= a)
-    assert above - below <= emdenfowler.REL_WIDTH * above
+    assert _fate(p, fam.c_tilde, a * (1.0 - 1e-8)) == "rebound"
+    assert _fate(p, fam.c_tilde, a * (1.0 + 1e-8)) == "extinction"
 
 
-@pytest.mark.parametrize("shift", [1e-3, -1e-3])
-@pytest.mark.parametrize("name", ["n4", "n3"])
-def test_shoot_restarts_when_loose_trials_mislead(monkeypatch, benchmark4, benchmark3,
-                                                  name, shift):
-    # loose trials that start at a (1 + shift) put the stage-1 bracket beside
-    # a*, so stage 2 never replaces one of its ends: the search starts again
-    # at tol and gives the bits of the single-stage search
-    p, fam = _shoot_case(name, benchmark4, benchmark3)
-    monkeypatch.setattr(emdenfowler, "LOOSE_TOL", 1e-9)
-    single_stage = hs.shoot_synchronized(p, fam.root, tol=1e-9)
-    monkeypatch.undo()
-    loose = []
-
-    def misled(initial, *args, **kwargs):
-        if kwargs["tol"] == emdenfowler.LOOSE_TOL:
-            loose.append(initial.y_u)
-            initial = EFState(initial.y_u * (1.0 + shift), 0.0,
-                              initial.y_v * (1.0 + shift), 0.0)
-        return integrate(initial, *args, **kwargs)
-
-    monkeypatch.setattr(emdenfowler, "integrate", misled)
-    a = hs.shoot_synchronized(p, fam.root, tol=1e-9)
-    assert loose
-    assert a.hex() == single_stage.hex()
+def test_shoot_accuracy_across_dimensions():
+    # 28 roots: n in {3, 6, 14}, gamma at 0 and 0.99 lambda_n, nu in {0, 10},
+    # alpha 5 % of its range (1, 2* - 1) from either end
+    roots = 0
+    for n in (3, 6, 14):
+        ts = hs.critical_exponent(n)
+        for frac in (0.0, 0.99):
+            for nu in (0.0, 10.0):
+                for alpha in (1.0 + 0.05 * (ts - 2.0), ts - 1.0 - 0.05 * (ts - 2.0)):
+                    p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, alpha)
+                    for fam in hs.classify(p, 1.0):
+                        a = hs.shoot_synchronized(p, fam.root)
+                        target = fam.peak_amplitude
+                        assert abs(a - target) / target <= 1e-10, (n, frac, nu, alpha)
+                        roots += 1
+    assert roots == 28
 
 
 # --- trajectory diagnostics -------------------------------------------------------

@@ -363,14 +363,26 @@ def test_asymptotic_limits_near_the_hardy_constant(n):
         assert abs(limit_inf / (p.amplitude * mu ** p.kappa) - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("n,frac", [(3, 0.9999), (8, 0.999), (10, 0.998)])
-def test_asymptotic_limits_out_of_range_samples_raise(n, frac):
+@pytest.mark.parametrize("n,frac", [(8, 0.999), (10, 0.998)])
+def test_asymptotic_limits_far_stretched_samples(n, frac):
+    # the samples reach 1e126 (n = 8) and 1e89 (n = 10), where r^tau2 and
+    # U(r) leave the range of a double but their product does not
+    p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
+    limit0, limit_inf = hs.asymptotic_limits(ScalarProfile(p))
+    assert abs(limit0 / p.amplitude - 1.0) <= 1e-10
+    assert abs(limit_inf / p.amplitude - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n,frac,mu", [(3, 0.9999, 1.0), (8, 0.999, 1e250),
+                                       (10, 0.998, 1e250)],
+                         ids=["3-0.9999", "8-0.999", "10-0.998"])
+def test_asymptotic_limits_out_of_range_samples_raise(n, frac, mu):
     # the stretched samples would leave the range of a double: below
-    # MIN_RADIUS at the origin (n = 3) or with r^tau2 past the largest
-    # double (n = 8, 10)
+    # MIN_RADIUS at the origin (n = 3) or past the largest double (n = 8, 10,
+    # whose samples stay finite at mu = 1)
     p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
     with pytest.raises(hs.ConvergenceError, match="range of a double"):
-        hs.asymptotic_limits(ScalarProfile(p))
+        hs.asymptotic_limits(ScalarProfile(p, mu))
 
 
 def test_asymptotic_limits_nonconvergence_error():
@@ -381,9 +393,9 @@ def test_asymptotic_limits_nonconvergence_error():
         params: object
         mu: float = 1.0
 
-        def value(self, r):
+        def _log_value(self, r):
             # oscillating compensated profile has no limit at the origin
-            return np.power(r, -self.params.tau1) * (1.0 + 0.5 * np.sin(np.log(r)))
+            return -self.params.tau1 * np.log(r) + np.log1p(0.5 * np.sin(np.log(r)))
 
     with pytest.raises(hs.ConvergenceError):
         hs.asymptotic_limits(Wobbly(real.profile.params))

@@ -21,7 +21,7 @@ import hardysys as hs
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hs.__file__)))
 
 PUBLIC_NAMES = {
-    "BracketError", "CheckResult", "ConvergenceError", "CouplingRoot",
+    "CheckResult", "ConvergenceError", "CouplingRoot",
     "EFState", "EFTrajectory",
     "IntegrationError", "ParameterError", "ProblemParams", "ScalarProfile",
     "SynchronizedFamily", "TrajectoryError", "VerificationReport",
@@ -59,7 +59,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 31
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)
