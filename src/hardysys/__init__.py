@@ -20,7 +20,7 @@ _EXPORTS = {
                  "constants_from_root", "coupling_f", "coupling_f_prime",
                  "find_positive_roots", "verify_constants_system"),
     "emdenfowler": ("EFState", "EFTrajectory", "ef_system_residual",
-                    "exact_ef_solution", "exact_trajectory", "integrate",
+                    "exact_trajectory", "integrate",
                     "proportionality_defect", "radial_system_residual",
                     "shoot_synchronized", "simultaneous_max_check",
                     "weighted_system_residual"),

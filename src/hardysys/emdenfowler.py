@@ -10,21 +10,16 @@ whose positive decaying orbits are homoclinic loops of the origin with
 exponential rate kappa = sqrt(delta^2 - gamma).  This module provides the
 closed-form synchronized trajectories, an embedded Dormand-Prince 5(4)
 integrator with error-per-unit-step control (global error scales like
-tol^(5/4), i.e. better than a factor 16 per tolerance decade), shooting
-recovery of the homoclinic amplitude, and residual checks of all three
-radial encodings of one and the same solution.
-
-Shooting is an oracle independent of the closed form: one run leaves the
-origin along the unstable direction of the invariant ray y_v = y_u / s and
-stops where y_u turns.  The field is reversible, so that turning point is
-the symmetric maximum of the homoclinic orbit, and y_u there is its
-amplitude.
+tol^(5/4), i.e. better than a factor 16 per tolerance decade), the shooting
+trace of each homoclinic orbit from the origin up to its maximum (an oracle
+independent of the closed form), and residual checks of all three radial
+encodings of one and the same solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,12 +96,6 @@ def _closed_form_accel(fam: SynchronizedFamily, t):
     tanh2 = np.tanh(theta) ** 2
     curv = p.kappa ** 2 * (tanh2 - sech2 / p.delta)
     return fam.c1 * base * curv, fam.c2 * base * curv
-
-
-def exact_ef_solution(fam: SynchronizedFamily, t: float) -> EFState:
-    """Closed-form phase state of a synchronized family at log-radius t."""
-    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
-    return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
 
 
 def exact_trajectory(fam: SynchronizedFamily, t_grid) -> EFTrajectory:
@@ -373,32 +362,36 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 # --- shooting ----------------------------------------------------------------
 
 
-def _quintic_max(h: float, y0: float, p0: float, f0: float,
-                 y1: float, p1: float, f1: float) -> float:
-    """Maximum of the quintic Hermite interpolant of one step with p0 > 0 >= p1.
+def _quintic_turn(h: float, u, v) -> tuple[float, float, float]:
+    """(theta, y_u, y_v) at the turn of y_u within one step of length h.
 
-    (y, y', y'') = (y0, p0, f0) at the step's start and (y1, p1, f1) at its
-    end.  Three Newton steps on the slope, from the root of its linear
-    interpolant, find the turning point.
+    ``u`` and ``v`` hold (y, y', y'') of each component at the step's start
+    (theta = 0) and end (theta = 1), where y_u' > 0 and y_u' <= 0.  Three
+    Newton steps on the slope of the quintic Hermite interpolant of y_u, from
+    the root of its linear interpolant, find theta.
     """
-    d0, d1, e0, e1 = h * p0, h * p1, h * h * f0, h * h * f1
-    a = y1 - y0 - d0 - 0.5 * e0
-    b = d1 - d0 - e0
-    c = e1 - e0
-    c3 = 10.0 * a - 4.0 * b + 0.5 * c
-    c4 = -15.0 * a + 7.0 * b - c
-    c5 = 6.0 * a - 3.0 * b + 0.5 * c
+    polys = []
+    for y0, p0, f0, y1, p1, f1 in (u, v):
+        d0, d1, e0, e1 = h * p0, h * p1, h * h * f0, h * h * f1
+        a = y1 - y0 - d0 - 0.5 * e0
+        b = d1 - d0 - e0
+        c = e1 - e0
+        polys.append((y0, d0, d1, e0, 10.0 * a - 4.0 * b + 0.5 * c,
+                      -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c))
+    _, d0, d1, e0, c3, c4, c5 = polys[0]
     th = d0 / (d0 - d1)
     for _ in range(3):
         slope = d0 + th * (e0 + th * (3.0 * c3 + th * (4.0 * c4 + th * 5.0 * c5)))
         curv = e0 + th * (6.0 * c3 + th * (12.0 * c4 + th * 20.0 * c5))
         th -= slope / curv
-    return y0 + th * (d0 + th * (0.5 * e0 + th * (c3 + th * (c4 + th * c5))))
+    y_u, y_v = (y0 + th * (d0 + th * (0.5 * e0 + th * (c3 + th * (c4 + th * c5))))
+                for y0, d0, _, e0, c3, c4, c5 in polys)
+    return th, y_u, y_v
 
 
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
-                       tol: float = 1e-9) -> float:
-    """Recover the symmetric-maximum amplitude of the decaying orbit.
+                       tol: float = 1e-9) -> EFTrajectory:
+    """Trace the decaying orbit of a root from the origin up to its maximum.
 
     The field y'' = F(y) is reversible and leaves the ray y_v = y_u / s of
     the coupling root s invariant.  An orbit that leaves the origin along the
@@ -406,13 +399,15 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     therefore symmetric about its turning point: it is the homoclinic, and
     y_u there is its amplitude a*.  One run at ``tol`` traces it, in the
     direction in which it is well conditioned; the closed form is not used.
+    It starts at y_u = eps y_eq, y_v = y_u / s, y' = kappa y (y_eq the ray's
+    equilibrium amplitude) and stops at the first accepted step with
+    y_u' <= 0.
 
-    The run starts at y_u = eps y_eq, y_v = y_u / s, y' = kappa y, with y_eq
-    the equilibrium amplitude of the ray, and stops at the first accepted
-    step with y_u' <= 0.  a* is the maximum of the quintic Hermite
-    interpolant of that step (y, y' and the field y'' at both ends); the
-    cubic one, without the field, errs up to 7e-11 at tol 1e-9 near
-    gamma = lambda_n, where the steps at the turn are long.
+    The result is that half orbit, shifted so that the turn sits at t = 0,
+    with the turn in place of the last step's end: y_u = a* and y_v from the
+    quintic Hermite interpolants of that step (y, y', y'' at both ends), and
+    both slopes 0.  The cubic interpolant, without y'', errs up to 7e-11 at
+    tol 1e-9 near gamma = lambda_n, where the steps at the turn are long.
 
     On the ray the start carries the energy K y_u^(2*) / 2*, with
     K = 1 + nu alpha s^-beta, where the homoclinic carries none.  That raises
@@ -424,13 +419,17 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     delta + 1 e-folds of the linear growth from eps y_eq, so a run that
     turns never uses up its span of log(1/eps) + delta + 10 e-folds.  A run
     that ends without turning (blow-up, extinction, or the whole span)
-    raises IntegrationError.
+    raises IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most
+    tol / 2 relative; a looser ``tol`` (2.4e-3 at 1e-3, n = 3) raises
+    ParameterError.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
         raise ParameterError("shooting requires a root of the coupling function")
     if not (0.0 < tol < math.inf):
         raise ParameterError("tolerance must be positive and finite")
+    if tol > 1e-4:
+        raise ParameterError(f"tolerance must be at most 1e-4, got {tol:g}")
     kappa = p.kappa
     # equilibrium amplitude of the invariant ray y_v = y_u / s
     k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
@@ -439,22 +438,27 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     y0 = eps * y_eq
     start = EFState(y_u=y0, p_u=kappa * y0, y_v=y0 / s, p_v=kappa * y0 / s)
     t_end = (math.log(1.0 / eps) + p.delta + 10.0) / kappa
-
-    def turned(t, yu, pu, yv, pv):
-        return pu <= 0.0
-
-    traj = integrate(start, (0.0, t_end), p, tol=tol, stop=turned)
+    traj = integrate(start, (0.0, t_end), p, tol=tol,
+                     stop=lambda t, yu, pu, yv, pv: pu <= 0.0)
     p1 = float(traj.p_u[-1])
     if traj.termination != "completed" or p1 > 0.0:
         raise IntegrationError(
             f"the unstable manifold did not turn ({traj.termination}, "
             f"y_u' = {p1:.6g} at t = {float(traj.t[-1]):.6g})")
-    kappa2, e1, nua = p.delta * p.delta - p.gamma, p.two_star - 1.0, p.nu * p.alpha
-    y_u, p_u, y_v = traj.y_u[-2:].tolist(), traj.p_u[-2:].tolist(), traj.y_v[-2:].tolist()
-    f_u = [kappa2 * yu - yu ** e1 - nua * yu ** (p.alpha - 1.0) * yv ** p.beta
-           for yu, yv in zip(y_u, y_v)]
-    return _quintic_max(float(traj.t[-1] - traj.t[-2]), y_u[0], p_u[0], f_u[0],
-                        y_u[1], p_u[1], f_u[1])
+    # (y, y', y'') of each component at both ends of the last step
+    kappa2, e1 = p.delta * p.delta - p.gamma, p.two_star - 1.0
+    ends = []
+    for own, slope, other, factor, e_own, e_other in (
+            (traj.y_u, traj.p_u, traj.y_v, p.nu * p.alpha, p.alpha - 1.0, p.beta),
+            (traj.y_v, traj.p_v, traj.y_u, p.nu * p.beta, p.beta - 1.0, p.alpha)):
+        for y, q, z in zip(own[-2:].tolist(), slope[-2:].tolist(), other[-2:].tolist()):
+            ends.append((y, q, kappa2 * y - y ** e1 - factor * y ** e_own * z ** e_other))
+    h = float(traj.t[-1] - traj.t[-2])
+    th, top_u, top_v = _quintic_turn(h, ends[0] + ends[1], ends[2] + ends[3])
+    t = traj.t[:-1] - (float(traj.t[-2]) + th * h)
+    return replace(traj, t=np.append(t, 0.0),
+                   y_u=np.append(traj.y_u[:-1], top_u), p_u=np.append(traj.p_u[:-1], 0.0),
+                   y_v=np.append(traj.y_v[:-1], top_v), p_v=np.append(traj.p_v[:-1], 0.0))
 
 
 # --- trajectory diagnostics ---------------------------------------------------

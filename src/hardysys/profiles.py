@@ -127,17 +127,17 @@ class ScalarProfile:
 # --- asymptotic limits -----------------------------------------------------
 
 
-def _aitken_limit(values, label: str) -> float:
-    """Limit of a power-law sequence via Aitken acceleration.
+def _aitken_limit(logs, label: str) -> float:
+    """Log of the limit of a power-law sequence, given the logs of its terms.
 
-    The sequence is divided by its last term first, so both tolerance tests
-    are relative and no square of a difference overflows; the limit is scaled
-    back.  Falls back to the raw tail when the increments are already at
-    roundoff.
+    The sequence exp(logs) is divided by its last term first, so both
+    tolerance tests are relative, no square of a difference overflows and no
+    term has to be a double; the limit's log is shifted back.  Falls back to
+    the raw tail when the increments are already at roundoff.
     """
     import numpy as np
-    tail = float(values[-1])
-    vals = np.asarray(values, dtype=float) / tail
+    tail = float(logs[-1])
+    vals = np.exp(np.asarray(logs, dtype=float) - tail)
     if np.max(np.abs(np.diff(vals))) <= 1e-13:
         return tail
     accel = []
@@ -155,21 +155,21 @@ def _aitken_limit(values, label: str) -> float:
                 f"{label}: extrapolants differ by {spread:.3e} "
                 f"(> {LIMIT_RTOL:.1e} relative)"
             )
-    return accel[-1] * tail
+    return math.log(accel[-1]) + tail
 
 
 def asymptotic_limits(profile) -> tuple[float, float]:
-    """(limit at 0 of r^tau1 U, limit at infinity of r^tau2 U) for U = ``profile``.
+    """Logs of (limit at 0 of r^tau1 U, limit at infinity of r^tau2 U), U = ``profile``.
 
     Both compensated values approach their limits like a power rho^(+-q) of
     rho = r/mu, q = 2 kappa/delta, so they are sampled along r = mu 10^(-k m)
     and r = mu 10^(k m) for k = 4..8, m = max(1, 1/q), relative to the
     profile's scale mu, and accelerated.  Near gamma = lambda_n, q is small
     and m stretches the samples over as many decades as the rate needs.
-    Each compensated value is formed in logs, tau log r + log U(r), so
-    neither r^tau2 nor U(r) has to be a double.  ConvergenceError if a
-    sample radius would fall below MIN_RADIUS or past the largest double, or
-    if the extrapolants do not settle.
+    Each compensated value is formed in logs, tau log r + log U(r), and the
+    limits stay logs: neither r^tau2, U(r) nor A mu^(-+kappa) has to be a
+    double.  ConvergenceError if a sample radius would fall below MIN_RADIUS
+    or past the largest double, or if the extrapolants do not settle.
     """
     import numpy as np
     p = profile.params
@@ -181,7 +181,7 @@ def asymptotic_limits(profile) -> tuple[float, float]:
         raise ConvergenceError(
             f"sampling {decades[-1]:.4g} decades from mu = {profile.mu:.6g} "
             "leaves the range of a double")
-    near = np.exp(p.tau1 * np.log(r_small) + profile._log_value(r_small))
-    far = np.exp(p.tau2 * np.log(r_large) + profile._log_value(r_large))
+    near = p.tau1 * np.log(r_small) + profile._log_value(r_small)
+    far = p.tau2 * np.log(r_large) + profile._log_value(r_large)
     return (_aitken_limit(near, "limit at the origin"),
             _aitken_limit(far, "limit at infinity"))

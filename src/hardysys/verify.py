@@ -13,21 +13,29 @@ radial_residual             radial encoding residual <= 1e-9
 weighted_residual_tau1      weighted encoding (inner exponent) <= 1e-9
 weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9
 ef_residual                 phase-plane encoding residual <= 1e-9
-integration_deviation       integrated orbit within 1e-6 of the closed form
+integration_deviation       sup |y - y_closed| / max(1, peak of y_u, y_v) <= 1e-6
+                            on the integrated orbit (absolute up to a peak of 1)
 proportionality_defect      sup |y_u - s y_v| / sup y_u <= 1e-8 (integrated)
 simultaneous_max_gap        argmax(y_u) and argmax(y_v) within 1e-6
 max_location_error          common argmax within 1e-6 of log(mu0)
-quotient_limit_minus        y_u/y_v at t0-10 within 1e-6 of the root
-quotient_limit_plus         y_u/y_v at t0+10 within 1e-6 of the root
+quotient_limit_minus        y_u/y_v at the orbit's first point (y_u = eps y_eq)
+                            within 1e-6 of the root
+quotient_limit_plus         y_u/y_v at its last point, the first one mirrored
 asymptotic_u0               origin limit, sampled at mu0 10^-km (k = 4..8,
                             m = max(1, 1/q), q = 2 kappa/delta) and
                             extrapolated, within 1e-6 of the closed form
 asymptotic_uinf             far-field limit, sampled at mu0 10^km, within 1e-6
 asymptotic_ratio            u0/v0 equals c1/c2 to 1e-10 (a limit that does
                             not converge fails all three, value inf)
-shooting_recovery           shooting recovers c1 A 2^-delta within 1e-6
-energy_invariant            |H| <= 1e-10 along the scalar homoclinic (nu=0)
+shooting_recovery           the orbit's maximum is c1 A 2^-delta within 1e-6
+energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
+                            scalar closed form (nu=0)
 ==========================  ====================================================
+
+The integrated orbit starts on the invariant ray y_v = y_u / s and is
+mirrored at its turn, so proportionality_defect, simultaneous_max_gap and
+max_location_error read zero by construction, up to rounding; checks that
+can fail will replace them (ROADMAP.md, item 8).
 """
 
 from __future__ import annotations
@@ -38,10 +46,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coupling import classify, verify_constants_system
-from .emdenfowler import (ef_system_residual, exact_ef_solution, integrate,
-                          proportionality_defect, radial_system_residual,
-                          shoot_synchronized, simultaneous_max_check,
-                          weighted_system_residual, _closed_form_arrays)
+from .emdenfowler import (ef_system_residual, proportionality_defect,
+                          radial_system_residual, shoot_synchronized,
+                          simultaneous_max_check, weighted_system_residual,
+                          _closed_form_arrays, _max_normalized)
 from .errors import ConvergenceError
 from .params import ProblemParams
 from .profiles import asymptotic_limits
@@ -120,14 +128,14 @@ def _quotient_gap(traj, index: int, s: float) -> float:
     return abs(traj.y_u[index] / denom - s) / s
 
 
-def _merge_legs(backward, forward):
-    """Concatenate a backward and a forward leg into one increasing trajectory."""
-    t = np.concatenate([backward.t[::-1][:-1], forward.t])
-    cols = {}
-    for name in ("y_u", "p_u", "y_v", "p_v"):
-        cols[name] = np.concatenate(
-            [getattr(backward, name)[::-1][:-1], getattr(forward, name)])
-    return replace(forward, t=t, **cols)
+def _mirrored(half, t0: float):
+    """``half`` reflected at its turn (t and y' odd, y even), shifted to peak at t0."""
+    def reflect(col, sign):
+        return np.concatenate([col, sign * col[-2::-1]])
+
+    return replace(half, t=t0 + reflect(half.t, -1.0),
+                   y_u=reflect(half.y_u, 1.0), p_u=reflect(half.p_u, -1.0),
+                   y_v=reflect(half.y_v, 1.0), p_v=reflect(half.p_v, -1.0))
 
 
 def full_verification(p: ProblemParams, mu0: float = 1.0, *,
@@ -137,15 +145,13 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     Individual check failures are recorded, not raised, among them an
     asymptotic limit that does not converge; classification and integration
     errors propagate.  The families share one profile, so its asymptotic
-    limits are estimated once.
+    limits are estimated once, as logs; each gap is |expm1| of a difference
+    of logs, so mu0^kappa never has to be a double.
 
-    Each family is integrated once, over ten log-radius units from its
-    maximum at t0 = log mu0, and the backward leg is that run mirrored.  The
-    field y'' = F(y) does not involve y', and ``integrate`` runs a backward
-    span as a forward one with the slopes negated.  The closed-form start
-    has slopes of exactly +-0 (theta = 0), so negating them changes no
-    operation: the backward run has the same y_u, y_v and step counts, bit
-    for bit, and its slopes are the forward ones negated.
+    Each family is integrated once: ``shoot_synchronized`` traces it at
+    ``integration_tol`` from the origin, where errors do not grow like
+    e^(kappa t) as they do into the saddle, up to its turn.  Mirrored there
+    and placed at t0 = log mu0, that trace is the orbit of every orbit check.
     """
     families = classify(p, mu0)
     try:
@@ -180,53 +186,42 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         eu, ev = ef_system_residual(fam, t_grid)
         add(tag + "ef_residual", max(eu, ev), 1e-9)
 
-        # one run serves both legs (see the docstring)
-        run = integrate(exact_ef_solution(fam, t0), (0.0, 10.0), p,
-                        tol=integration_tol)
-        forward = replace(run, t=t0 + run.t)
-        backward = replace(run, t=t0 - run.t, p_u=-run.p_u, p_v=-run.p_v)
-        deviation = 0.0
-        for leg in (forward, backward):
-            ref_u, _, ref_v, _ = _closed_form_arrays(fam, leg.t)
-            deviation = max(deviation,
-                            float(np.max(np.abs(leg.y_u - ref_u))),
-                            float(np.max(np.abs(leg.y_v - ref_v))))
-        add(tag + "integration_deviation", deviation, 1e-6)
+        half = shoot_synchronized(p, fam.root, integration_tol)
+        orbit = _mirrored(half, t0)
+        ref_u, _, ref_v, _ = _closed_form_arrays(fam, orbit.t)
+        peak = max(1.0, half.y_u[-1], half.y_v[-1])
+        deviation = max(np.max(np.abs(orbit.y_u - ref_u)), np.max(np.abs(orbit.y_v - ref_v)))
+        add(tag + "integration_deviation", deviation / peak, 1e-6)
 
-        merged = _merge_legs(backward, forward)
-        add(tag + "proportionality_defect", proportionality_defect(merged, s), 1e-8)
-        t_u, t_v = simultaneous_max_check(merged)
+        add(tag + "proportionality_defect", proportionality_defect(orbit, s), 1e-8)
+        t_u, t_v = simultaneous_max_check(orbit)
         add(tag + "simultaneous_max_gap", abs(t_u - t_v), 1e-6)
         add(tag + "max_location_error", max(abs(t_u - t0), abs(t_v - t0)), 1e-6)
-        add(tag + "quotient_limit_minus", _quotient_gap(merged, 0, s), 1e-6)
-        add(tag + "quotient_limit_plus", _quotient_gap(merged, -1, s), 1e-6)
+        add(tag + "quotient_limit_minus", _quotient_gap(orbit, 0, s), 1e-6)
+        add(tag + "quotient_limit_plus", _quotient_gap(orbit, -1, s), 1e-6)
 
-        u0_exact = fam.c1 * p.amplitude * mu0 ** (-p.kappa)
-        uinf_exact = fam.c1 * p.amplitude * mu0 ** p.kappa
         if limits is None:
             u0_gap = uinf_gap = ratio_gap = math.inf
         else:
-            b0, b_inf = limits
-            u0_gap = abs(fam.c1 * b0 - u0_exact) / u0_exact
-            uinf_gap = abs(fam.c1 * b_inf - uinf_exact) / uinf_exact
-            ratio_gap = (abs(fam.c1 * b0 / (fam.c2 * b0) - fam.c1 / fam.c2)
-                         / (fam.c1 / fam.c2))
+            # the closed-form limits are c1 A mu0^(-+kappa); c1 cancels
+            log_b0, log_b_inf = limits
+            log_a = math.log(p.amplitude)
+            u0_gap = abs(math.expm1(log_b0 - (log_a - p.kappa * t0)))
+            uinf_gap = abs(math.expm1(log_b_inf - (log_a + p.kappa * t0)))
+            ratio_gap = abs(math.expm1(math.log(fam.c1) + log_b0 - (math.log(fam.c2) + log_b0)
+                                       - math.log(fam.c1 / fam.c2)))
         add(tag + "asymptotic_u0", u0_gap, 1e-6)
         add(tag + "asymptotic_uinf", uinf_gap, 1e-6)
         add(tag + "asymptotic_ratio", ratio_gap, 1e-10)
 
-        recovered = shoot_synchronized(p, fam.root)
         target = fam.peak_amplitude
-        add(tag + "shooting_recovery", abs(recovered - target) / target, 1e-6)
+        add(tag + "shooting_recovery", abs(half.y_u[-1] - target) / target, 1e-6)
 
         if p.nu == 0.0:
-            # |H| at each point: ef_energy of tests/reference.py, its
-            # constants computed once
             kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
             y_u, p_u, _, _ = _closed_form_arrays(fam, t_grid)
-            h_vals = [abs(0.5 * q * q - 0.5 * kappa2 * y * y + y ** ts / ts)
-                      for y, q in zip(y_u.tolist(), p_u.tolist())]
-            add(tag + "energy_invariant", max(h_vals), 1e-10)
+            add(tag + "energy_invariant", _max_normalized(
+                (0.5 * p_u * p_u, -0.5 * kappa2 * y_u * y_u, y_u ** ts / ts)), 1e-10)
 
     return VerificationReport(params=p, mu0=float(mu0),
                               n_families=len(families), checks=tuple(checks))

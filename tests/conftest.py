@@ -1,11 +1,11 @@
 """Shared fixtures: benchmark families and cached matrix integrations."""
 
-import numpy as np
+import math
+
 import pytest
 
 import hardysys as hs
-from hardysys.emdenfowler import exact_ef_solution, integrate, _closed_form_arrays
-from hardysys.verify import _merge_legs
+from hardysys.verify import _mirrored
 
 
 @pytest.fixture(scope="session")
@@ -47,20 +47,8 @@ def matrix_families():
 
 @pytest.fixture(scope="session")
 def matrix_trajectories(matrix_families):
-    """tol 1e-10 integrations from the maximum out to +-10, merged and scored."""
-    out = []
-    for p, mu0, fam in matrix_families:
-        t0 = float(np.log(mu0))
-        start = exact_ef_solution(fam, t0)
-        forward = integrate(start, (t0, t0 + 10.0), p, tol=1e-10)
-        backward = integrate(start, (t0, t0 - 10.0), p, tol=1e-10)
-        deviation = 0.0
-        for leg in (forward, backward):
-            ref_u, _, ref_v, _ = _closed_form_arrays(fam, leg.t)
-            deviation = max(deviation,
-                            float(np.max(np.abs(leg.y_u - ref_u))),
-                            float(np.max(np.abs(leg.y_v - ref_v))))
-        merged = _merge_legs(backward, forward)
-        out.append({"params": p, "mu0": mu0, "family": fam,
-                    "merged": merged, "deviation": deviation})
-    return out
+    """Each family's orbit as full_verification builds it: the tol 1e-10
+    shooting trace, mirrored about its turn at log mu0."""
+    return [{"params": p, "mu0": mu0, "family": fam,
+             "orbit": _mirrored(hs.shoot_synchronized(p, fam.root, 1e-10), math.log(mu0))}
+            for p, mu0, fam in matrix_families]

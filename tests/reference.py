@@ -6,7 +6,8 @@ a test checks the package against; no command of the package runs it.
 * ``fd_derivative`` and ``convergence_order``: the finite-difference oracle
   for every analytic derivative, and the observed order of an error sequence.
 * ``ef_rhs`` and ``ef_energy``: the phase-plane field and the first integral
-  of its scalar case.
+  of its scalar case; ``exact_ef_solution``: the closed-form phase state at
+  one log-radius, a start for integrations from the maximum.
 * ``aubin_talenti_value``, ``linear_radial_part``,
   ``scalar_equation_residual``, ``kelvin_transform`` and
   ``weighted_transform``: the scalar profile from other directions.
@@ -24,7 +25,7 @@ import numpy as np
 
 from hardysys import ConvergenceError, ParameterError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import EFState
+from hardysys.emdenfowler import EFState, _closed_form_arrays
 from hardysys.params import ProblemParams
 from hardysys.profiles import ScalarProfile, _as_radii
 
@@ -95,11 +96,17 @@ def ef_energy(y: float, slope: float, p: ProblemParams) -> float:
     """First integral H = p^2/2 - kappa^2 y^2/2 + y^(2*)/2* of the scalar case.
 
     Constant along nu = 0 trajectories and identically zero on the homoclinic
-    orbit; ``full_verification`` evaluates the same expression inline for its
+    orbit; ``full_verification`` sums the same three terms for its
     ``energy_invariant`` check.
     """
     kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
     return 0.5 * slope * slope - 0.5 * kappa2 * y * y + y ** ts / ts
+
+
+def exact_ef_solution(fam, t: float) -> EFState:
+    """Closed-form phase state of a synchronized family at log-radius t."""
+    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
+    return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
 
 
 # --- the scalar profile --------------------------------------------------------

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 import hardysys as hs
-from hardysys.emdenfowler import (_closed_form_arrays, exact_ef_solution,
-                                  integrate)
-from reference import (convergence_order, ef_energy, fd_derivative, hardy_weight,
-                       hardy_weight_dx1, kelvin_transform)
+from hardysys.emdenfowler import _closed_form_arrays, integrate
+from reference import (convergence_order, ef_energy, exact_ef_solution, fd_derivative,
+                       hardy_weight, hardy_weight_dx1, kelvin_transform)
 
 
 def _report(num, name, ok, detail=""):
@@ -83,13 +82,13 @@ def test_criterion_03_ode_fidelity():
 def test_criterion_04_proportionality(matrix_trajectories):
     worst = 0.0
     for case in matrix_trajectories:
-        worst = max(worst, hs.proportionality_defect(case["merged"],
+        worst = max(worst, hs.proportionality_defect(case["orbit"],
                                                      case["family"].c_tilde))
     p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     control_traj = [c for c in matrix_trajectories
                     if c["params"].n == 4 and c["params"].nu == 1.0
-                    and c["params"].gamma == 0.0 and c["mu0"] == 1.0][0]["merged"]
+                    and c["params"].gamma == 0.0 and c["mu0"] == 1.0][0]["orbit"]
     control = hs.proportionality_defect(control_traj, fam.c_tilde * 1.1)
     ok = worst <= 1e-8 and control >= 0.05
     _report(4, "proportionality of integrated components",
@@ -99,7 +98,7 @@ def test_criterion_04_proportionality(matrix_trajectories):
 def test_criterion_05_simultaneous_maximum(matrix_trajectories):
     worst_gap = worst_loc = 0.0
     for case in matrix_trajectories:
-        t_u, t_v = hs.simultaneous_max_check(case["merged"])
+        t_u, t_v = hs.simultaneous_max_check(case["orbit"])
         t0 = math.log(case["mu0"])
         worst_gap = max(worst_gap, abs(t_u - t_v))
         worst_loc = max(worst_loc, abs(t_u - t0), abs(t_v - t0))
@@ -112,13 +111,13 @@ def test_criterion_06_shooting_recovery():
     t_start = time.perf_counter()
     p4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
     fam4 = hs.classify(p4, 1.0)[0]
-    a4 = hs.shoot_synchronized(p4, fam4.root)
+    a4 = hs.shoot_synchronized(p4, fam4.root).y_u[-1]
     target4 = fam4.c1 * p4.amplitude * 2.0 ** (-p4.delta)
     rel4 = abs(a4 - target4) / target4
 
     p3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
     fam3 = [f for f in hs.classify(p3, 1.0) if abs(f.c_tilde - 1.0) < 1e-9][0]
-    a3 = hs.shoot_synchronized(p3, fam3.root)
+    a3 = hs.shoot_synchronized(p3, fam3.root).y_u[-1]
     target3 = fam3.c1 * p3.amplitude * 2.0 ** (-p3.delta)
     rel3 = abs(a3 - target3) / target3
     elapsed = time.perf_counter() - t_start
@@ -134,20 +133,22 @@ def test_criterion_07_asymptotics(matrix_trajectories):
         fam = case["family"]
         p = fam.profile.params
         mu0 = case["mu0"]
+        # logs of the limits of r^tau1 U and r^tau2 U; u = c1 U, v = c2 U
         limit0, limit_inf = hs.asymptotic_limits(fam.profile)
-        u0_exact = fam.c1 * p.amplitude * mu0 ** (-p.kappa)
-        uinf_exact = fam.c1 * p.amplitude * mu0 ** p.kappa
+        log_u0, log_v0 = math.log(fam.c1) + limit0, math.log(fam.c2) + limit0
+        log_uinf = math.log(fam.c1) + limit_inf
+        # closed form: u0 = c1 A mu0^-kappa, uinf = c1 A mu0^kappa
+        log_c1a = math.log(fam.c1 * p.amplitude)
         worst_limit = max(worst_limit,
-                          abs(fam.c1 * limit0 - u0_exact) / u0_exact,
-                          abs(fam.c1 * limit_inf - uinf_exact) / uinf_exact)
-        ratio = fam.c1 / fam.c2
+                          abs(math.expm1(log_u0 - (log_c1a - p.kappa * math.log(mu0)))),
+                          abs(math.expm1(log_uinf - (log_c1a + p.kappa * math.log(mu0)))))
         worst_ratio = max(worst_ratio,
-                          abs(fam.c1 * limit0 / (fam.c2 * limit0) - ratio) / ratio)
-        merged = case["merged"]
+                          abs(math.expm1(log_u0 - log_v0 - math.log(fam.c1 / fam.c2))))
+        orbit = case["orbit"]
         s = fam.c_tilde
         worst_quot = max(worst_quot,
-                         abs(merged.y_u[0] / merged.y_v[0] - s) / s,
-                         abs(merged.y_u[-1] / merged.y_v[-1] - s) / s)
+                         abs(orbit.y_u[0] / orbit.y_v[0] - s) / s,
+                         abs(orbit.y_u[-1] / orbit.y_v[-1] - s) / s)
     ok = worst_limit <= 1e-6 and worst_ratio <= 1e-10 and worst_quot <= 1e-6
     _report(7, "asymptotic limits and quotients",
             ok, f"limit {worst_limit:.1e}, ratio {worst_ratio:.1e}, quot {worst_quot:.1e}")

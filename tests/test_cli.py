@@ -151,9 +151,23 @@ def test_verify_benchmark_exit0():
     assert report["overall"] is True
 
 
+@pytest.mark.parametrize("n", [6, 8, 10, 14])
+@pytest.mark.parametrize("nu", ["0", "1"])
+def test_verify_high_dimension_exit0(n, nu):
+    # gamma = 0, alpha = 2*/2.  An orbit integrated from the maximum into the
+    # saddle grew its error like e^(kappa t), kappa = (n - 2) / 2, and failed
+    # here; the trace from the origin does not
+    alpha = repr(hs.critical_exponent(n) / 2.0)
+    code, out, err = run_cli(["verify", "--n", str(n), "--gamma", "0", "--nu", nu,
+                              "--alpha", alpha])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
+
+
 def test_verify_perturbed_amplitude_exit1():
-    # a loose tolerance lets the integrated orbit drift from the closed form
-    code, out, _ = run_cli(["verify", *N4, "--tol", "1e-2"])
+    # the loosest tolerance accepted lets the integrated orbit drift from the
+    # closed form (3.8e-5)
+    code, out, _ = run_cli(["verify", *N4, "--tol", "1e-4"])
     assert code == 1
     report = json.loads(out)
     assert report["overall"] is False
@@ -197,6 +211,16 @@ def test_verify_far_scale_exit0(mu0):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["overall"] is True
+
+
+def test_verify_scale_past_the_range_of_a_double_exit0():
+    # n = 6: kappa = 2, so mu0^kappa = 1e600 and the limit at infinity are
+    # not doubles; the gaps are taken in logs
+    code, out, err = run_cli(["verify", "--n", "6", "--gamma", "0", "--nu", "0",
+                              "--alpha", "1.5", "--mu0", "1e300"])
+    assert (code, err) == (0, "")
+    checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+    assert checks["f0.asymptotic_uinf"] <= 1e-12
 
 
 def test_verify_extreme_scale_no_overflow_warning():
@@ -332,16 +356,19 @@ def test_integration_failure_one_line_exit6(argv):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command,tol", [("verify", "1e-170"), ("shoot", "1e-300")],
-                         ids=["verify", "shoot"])
-def test_tiny_tolerance_overflow_one_line_exit6(command, tol):
-    # scaling the error estimate by tol overflows its square at the first
-    # step.  Shooting starts near the origin, where the first step's error
-    # estimate is about 1e-18 relative, so it needs the smaller tol
+@pytest.mark.parametrize("command,tol,message", [
+    ("verify", "1e-170", "step size underflow at t-offset "),
+    ("shoot", "1e-300", "floating-point overflow at t-offset 0\n"),
+], ids=["verify", "shoot"])
+def test_tiny_tolerance_overflow_one_line_exit6(command, tol, message):
+    # at 1e-300, scaling the error estimate by tol overflows its square at
+    # the first step.  verify integrates only in its shooting run, and at
+    # 1e-170 that run's steps shrink below the smallest step instead
     code, out, err = run_cli([command, *N4, "--tol", tol])
     assert code == 6
     assert out == ""
-    assert err == "integration failed: floating-point overflow at t-offset 0\n"
+    assert err.startswith(f"integration failed: {message}")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command,tol", [("verify", "nan"), ("shoot", "nan"),
@@ -350,6 +377,16 @@ def test_non_finite_tolerance_exit2(command, tol):
     code, _, err = run_cli([command, *N4, "--tol", tol])
     assert code == 2
     assert err == "invalid parameters: tolerance must be positive and finite\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "shoot"])
+@pytest.mark.parametrize("tol", ["2e-4", "10", "1e10"])
+def test_loose_tolerance_exit2(command, tol):
+    # above 1e-4 the shooting start is no longer near the origin, and the
+    # amplitude errs by more than tol / 2 (38.8 relative at 1e10)
+    code, out, err = run_cli([command, *N4, "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"invalid parameters: tolerance must be at most 1e-4, got {float(tol):g}\n"
 
 
 # --- sweep ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
-                                  exact_ef_solution, exact_trajectory, integrate)
-from reference import convergence_order, ef_energy, ef_rhs
+                                  exact_trajectory, integrate)
+from reference import convergence_order, ef_energy, ef_rhs, exact_ef_solution
 
 GRID = np.geomspace(1e-6, 1e6, 2048)
 
@@ -259,7 +259,33 @@ def test_kernel_bitwise_regression(name, monkeypatch):
 
 def test_shoot_bitwise_regression(benchmark4):
     p, fam = benchmark4
-    assert hs.shoot_synchronized(p, fam.root).hex() == "0x1.a20bd700c18c3p-1"
+    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700c18c3p-1"
+
+
+def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):
+    # from the start on the ray to the turn, which sits at t = 0 with both
+    # slopes 0 and y_u = a*, the interpolant's maximum
+    p, fams = benchmark3
+    for fam in fams:
+        s = fam.c_tilde
+        half = hs.shoot_synchronized(p, fam.root)
+        assert half.termination == "completed"
+        assert half.y_v[0] == half.y_u[0] / s
+        assert half.t[-1] == 0.0 and np.all(np.diff(half.t) > 0.0)
+        assert np.all(half.p_u[:-1] > 0.0)
+        assert (half.p_u[-1], half.p_v[-1]) == (0.0, 0.0)
+        assert half.y_u[-1] == np.max(half.y_u)
+        assert abs(half.y_v[-1] * s / half.y_u[-1] - 1.0) <= 1e-12
+        assert abs(half.y_u[-1] - fam.peak_amplitude) <= 1e-10 * fam.peak_amplitude
+
+
+def test_shoot_tolerance_bound(benchmark4):
+    # up to 1e-4 the amplitude errs by at most tol / 2; looser is refused
+    p, fam = benchmark4
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-4).y_u[-1]
+    assert abs(a - fam.peak_amplitude) <= 0.5e-4 * fam.peak_amplitude
+    with pytest.raises(ParameterError, match="at most 1e-4"):
+        hs.shoot_synchronized(p, fam.root, tol=1.01e-4)
 
 
 def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
@@ -272,7 +298,7 @@ def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
         return integrate(initial, *args, **kwargs)
 
     monkeypatch.setattr(emdenfowler, "integrate", recording)
-    a = hs.shoot_synchronized(p, fam.root, tol=1e-7)
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-7).y_u[-1]
     assert tols == [1e-7]
     assert a.hex() == "0x1.a20bd702879a7p-1"
     target = math.sqrt(2.0 / 3.0)
@@ -320,7 +346,7 @@ def test_scalar_energy_zero_on_homoclinic():
 
 def test_shoot_recovers_n4_amplitude(benchmark4):
     p, fam = benchmark4
-    a = hs.shoot_synchronized(p, fam.root)
+    a = hs.shoot_synchronized(p, fam.root).y_u[-1]
     target = math.sqrt(2.0 / 3.0)
     assert abs(a - target) / target <= 1e-6
 
@@ -328,7 +354,7 @@ def test_shoot_recovers_n4_amplitude(benchmark4):
 def test_shoot_recovers_scalar_amplitude():
     p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
-    a = hs.shoot_synchronized(p, fam.root)
+    a = hs.shoot_synchronized(p, fam.root).y_u[-1]
     target = p.amplitude * 2.0 ** (-p.delta)
     assert abs(a - target) / target <= 1e-6
 
@@ -336,7 +362,7 @@ def test_shoot_recovers_scalar_amplitude():
 def test_shoot_recovers_n3_amplitude(benchmark3):
     p, fams = benchmark3
     fam = [f for f in fams if abs(f.c_tilde - 1.0) < 1e-9][0]
-    a = hs.shoot_synchronized(p, fam.root)
+    a = hs.shoot_synchronized(p, fam.root).y_u[-1]
     target = 3.0 ** 0.25 / 2.0  # c1 A 2^-delta = 2^-1/2 * 3^1/4 * 2^-1/2
     assert abs(a - target) / target <= 1e-6
 
@@ -360,7 +386,7 @@ def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
     assert len(fams3) == 3
     for p, fam in [(p4, fam4)] + [(p3, f) for f in fams3]:
         starts.clear()
-        a = hs.shoot_synchronized(p, fam.root)
+        a = hs.shoot_synchronized(p, fam.root).y_u[-1]
         assert abs(a - fam.peak_amplitude) / fam.peak_amplitude <= 1e-10
         assert len(starts) == 1
         # numpy scalars here would make every step of the run slower
@@ -446,7 +472,7 @@ def test_shoot_result_proven_at_final_tolerance(name):
     n, frac, nu, index = DICHOTOMY_ROOTS[name]
     p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, hs.critical_exponent(n) / 2.0)
     fam = hs.classify(p, 1.0)[index]
-    a = hs.shoot_synchronized(p, fam.root, tol=1e-9)
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-9).y_u[-1]
     assert _fate(p, fam.c_tilde, a * (1.0 - 1e-8)) == "rebound"
     assert _fate(p, fam.c_tilde, a * (1.0 + 1e-8)) == "extinction"
 
@@ -462,7 +488,7 @@ def test_shoot_accuracy_across_dimensions():
                 for alpha in (1.0 + 0.05 * (ts - 2.0), ts - 1.0 - 0.05 * (ts - 2.0)):
                     p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, alpha)
                     for fam in hs.classify(p, 1.0):
-                        a = hs.shoot_synchronized(p, fam.root)
+                        a = hs.shoot_synchronized(p, fam.root).y_u[-1]
                         target = fam.peak_amplitude
                         assert abs(a - target) / target <= 1e-10, (n, frac, nu, alpha)
                         roots += 1
@@ -481,7 +507,7 @@ def test_proportionality_exact_and_mismatched(benchmark4):
 
 def test_proportionality_integrated(matrix_trajectories):
     for case in matrix_trajectories:
-        defect = hs.proportionality_defect(case["merged"], case["family"].c_tilde)
+        defect = hs.proportionality_defect(case["orbit"], case["family"].c_tilde)
         assert defect <= 1e-8
 
 
@@ -589,7 +615,7 @@ def test_three_encodings_agree(matrix_families):
 
 def test_quotient_limits_integrated(matrix_trajectories):
     for case in matrix_trajectories:
-        merged = case["merged"]
+        orbit = case["orbit"]
         s = case["family"].c_tilde
-        assert abs(merged.y_u[0] / merged.y_v[0] - s) <= 1e-6 * s
-        assert abs(merged.y_u[-1] / merged.y_v[-1] - s) <= 1e-6 * s
+        assert abs(orbit.y_u[0] / orbit.y_v[0] - s) <= 1e-6 * s
+        assert abs(orbit.y_u[-1] / orbit.y_v[-1] - s) <= 1e-6 * s

@@ -333,18 +333,27 @@ def test_hardy_weight_dx1_matches_fd():
 # --- asymptotic limits ---------------------------------------------------------
 
 
+def _limit_gaps(profile):
+    """Relative gaps of both limits from A mu^(-+kappa); asymptotic_limits returns logs."""
+    p = profile.params
+    log0, log_inf = hs.asymptotic_limits(profile)
+    log_a, log_mu = math.log(p.amplitude), math.log(profile.mu)
+    return (abs(math.expm1(log0 - (log_a - p.kappa * log_mu))),
+            abs(math.expm1(log_inf - (log_a + p.kappa * log_mu))))
+
+
 def test_asymptotic_limits_decoupled():
     p = hs.ProblemParams.symmetric(3, 0.1875, 0.0, 3.0)
     fam = hs.classify(p, 1.0)[0]
-    limit0, limit_inf = hs.asymptotic_limits(fam.profile)
-    assert abs(fam.c1 * limit0 - p.amplitude) <= 1e-6
-    assert limit0 > 0 and limit_inf > 0
+    log0, log_inf = hs.asymptotic_limits(fam.profile)
+    assert abs(fam.c1 * math.exp(log0) - p.amplitude) <= 1e-6
+    assert math.isfinite(log0) and math.isfinite(log_inf)
 
 
 def test_asymptotic_limits_synchronized_ratio(benchmark3):
     _, fams = benchmark3
     for fam in fams:
-        limit0, limit_inf = hs.asymptotic_limits(fam.profile)
+        limit0, limit_inf = map(math.exp, hs.asymptotic_limits(fam.profile))
         u0, v0 = fam.c1 * limit0, fam.c2 * limit0
         u_inf, v_inf = fam.c1 * limit_inf, fam.c2 * limit_inf
         ratio = fam.c1 / fam.c2
@@ -358,9 +367,7 @@ def test_asymptotic_limits_near_the_hardy_constant(n):
     # gamma -> lambda_n; the samples stretch to max(1, 1/q) times the decades
     p = hs.ProblemParams(n, 0.99 * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
     for mu in (0.5, 1.0, 2.0):
-        limit0, limit_inf = hs.asymptotic_limits(ScalarProfile(p, mu))
-        assert abs(limit0 / (p.amplitude * mu ** -p.kappa) - 1.0) <= 1e-6
-        assert abs(limit_inf / (p.amplitude * mu ** p.kappa) - 1.0) <= 1e-6
+        assert max(_limit_gaps(ScalarProfile(p, mu))) <= 1e-6
 
 
 @pytest.mark.parametrize("n,frac", [(8, 0.999), (10, 0.998)])
@@ -368,9 +375,17 @@ def test_asymptotic_limits_far_stretched_samples(n, frac):
     # the samples reach 1e126 (n = 8) and 1e89 (n = 10), where r^tau2 and
     # U(r) leave the range of a double but their product does not
     p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
-    limit0, limit_inf = hs.asymptotic_limits(ScalarProfile(p))
-    assert abs(limit0 / p.amplitude - 1.0) <= 1e-10
-    assert abs(limit_inf / p.amplitude - 1.0) <= 1e-10
+    assert max(_limit_gaps(ScalarProfile(p))) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [1e-250, 1e300])
+def test_asymptotic_limits_beyond_the_range_of_a_double(mu):
+    # n = 6, gamma = 0: kappa = 2, so the limits A mu^(-+2) are about 1e-600
+    # and 1e600; their logs are doubles
+    p = hs.ProblemParams(6, 0.0, 0.0, 1.5)
+    log0, log_inf = hs.asymptotic_limits(ScalarProfile(p, mu))
+    assert abs(log_inf - log0 - 4.0 * math.log(mu)) <= 1e-12 * abs(4.0 * math.log(mu))
+    assert max(_limit_gaps(ScalarProfile(p, mu))) <= 1e-12
 
 
 @pytest.mark.parametrize("n,frac,mu", [(3, 0.9999, 1.0), (8, 0.999, 1e250),

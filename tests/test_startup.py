@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     "SynchronizedFamily", "TrajectoryError", "VerificationReport",
     "asymptotic_limits", "classify", "constants_from_root", "coupling_f",
     "coupling_f_prime", "critical_exponent", "ef_system_residual",
-    "exact_ef_solution", "exact_trajectory", "find_positive_roots",
+    "exact_trajectory", "find_positive_roots",
     "full_verification", "hardy_constant", "integrate",
     "proportionality_defect", "radial_system_residual", "shoot_synchronized",
     "simultaneous_max_check", "verify_constants_system",
@@ -59,7 +59,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 31
+    assert len(PUBLIC_NAMES) == 30
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)

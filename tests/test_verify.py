@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import hardysys as hs
 from hardysys import ConvergenceError, ParameterError
-from hardysys.emdenfowler import exact_ef_solution, integrate
+from hardysys.emdenfowler import integrate
 from reference import convergence_order, fd_derivative
 
 
@@ -134,52 +134,65 @@ def test_full_verification_flags_perturbed_amplitude(monkeypatch, benchmark4):
     assert "ef_residual" in failed
 
 
-def test_backward_leg_is_the_forward_leg_mirrored(matrix_families):
-    # full_verification integrates one leg per family over (0, 10) and mirrors it
-    for p, mu0, fam in matrix_families:
-        t0 = math.log(mu0)
-        start = exact_ef_solution(fam, t0)
-        leg = integrate(start, (0.0, 10.0), p)
-        for sign in (1.0, -1.0):
-            run = integrate(start, (t0, t0 + sign * 10.0), p)
-            assert (run.accepted, run.rejected) == (leg.accepted, leg.rejected)
-            assert run.y_u.tobytes() == leg.y_u.tobytes()
-            assert run.y_v.tobytes() == leg.y_v.tobytes()
-            assert np.array_equal(run.t, t0 + sign * leg.t)
-            # == rather than bytes: the slopes at the start are zeros of either sign
-            assert np.array_equal(run.p_u, sign * leg.p_u)
-            assert np.array_equal(run.p_v, sign * leg.p_v)
+def test_verified_orbit_is_mirror_symmetric(matrix_trajectories):
+    # full_verification mirrors the half orbit that shooting traces about its
+    # turn: y is even about t0 bit for bit, y' odd, and the turn is the peak
+    for case in matrix_trajectories:
+        orbit, t0 = case["orbit"], math.log(case["mu0"])
+        mid = orbit.t.size // 2
+        assert orbit.t.size % 2 == 1 and orbit.t[mid] == t0
+        assert np.all(np.diff(orbit.t) > 0)
+        assert_allclose(orbit.t - t0, t0 - orbit.t[::-1], rtol=0, atol=1e-14)
+        for y, slope in ((orbit.y_u, orbit.p_u), (orbit.y_v, orbit.p_v)):
+            assert y.tobytes() == y[::-1].tobytes()
+            # == rather than bytes: the slopes at the turn are zeros of either sign
+            assert np.array_equal(slope, -slope[::-1])
+            assert slope[mid] == 0.0 and y[mid] == np.max(y)
 
 
 def test_full_verification_integrates_one_leg_per_family(monkeypatch, benchmark3):
+    # exactly one integrate call per family, made inside shoot_synchronized
+    # at the verification tolerance
     p, fams = benchmark3
-    legs, trials, per_shot = [], [], []
+    tols, per_shot = [], []
 
-    def counting(calls):
-        def wrapped(*args, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
-        return wrapped
+    def counting(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return integrate(*args, **kwargs)
 
     shoot = hs.verify.shoot_synchronized
 
     def counting_shoot(*args, **kwargs):
-        before = len(trials)
+        before = len(tols)
         try:
             return shoot(*args, **kwargs)
         finally:
-            per_shot.append(len(trials) - before)
+            per_shot.append(len(tols) - before)
 
-    monkeypatch.setattr(hs.verify, "integrate", counting(legs))
-    monkeypatch.setattr(hs.emdenfowler, "integrate", counting(trials))
+    monkeypatch.setattr(hs.emdenfowler, "integrate", counting)
     monkeypatch.setattr(hs.verify, "shoot_synchronized", counting_shoot)
-    report = hs.full_verification(p, 1.0)
+    assert not hasattr(hs.verify, "integrate")
+    report = hs.full_verification(p, 1.0, integration_tol=1e-11)
     assert report.overall
-    assert len(legs) == len(fams) == 3
-    # every other integration is a shooting run, one per family
-    assert len(per_shot) == 3
-    assert sum(per_shot) == len(trials)
+    assert len(fams) == 3
     assert per_shot == [1, 1, 1]
+    assert tols == [1e-11] * 3
+
+
+#: (n, gamma / lambda_n, nu, f), alpha = 1 + f (2* - 2): f = 0.5 is alpha = beta
+THINNED_BOX = [(n, frac, nu, 0.5) for n in (6, 8, 10, 14) for frac in (0.0, 0.99)
+               for nu in (0.0, 1.0, 10.0)] + [(14, 0.0, 1.0, 0.2)]
+
+
+def test_full_verification_passes_on_a_thinned_box():
+    # n >= 6, where an orbit integrated from its maximum into the saddle grew
+    # its error like e^(kappa t) and failed at gamma = 0
+    for n, frac, nu, f in THINNED_BOX:
+        ts = hs.critical_exponent(n)
+        p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, 1.0 + f * (ts - 2.0))
+        report = hs.full_verification(p, 2.0)
+        assert report.n_families >= 1, (n, frac, nu, f)
+        assert report.overall, (n, frac, nu, f, [c for c in report.checks if not c.passed])
 
 
 def test_report_deterministic(benchmark4):
@@ -217,55 +230,57 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # closed-form core were shared: any change in a report's numbers shows up here.
 # The shooting_recovery values were recorded again when shooting became one
 # run along the unstable manifold, and the asymptotic_* values when the
-# compensated values moved to logs.
+# compensated values moved to logs.  The orbit checks, shooting_recovery and
+# asymptotic_u0/uinf were recorded again when the shooting trace, mirrored,
+# became the one integrated orbit and the limits' gaps were taken in logs.
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.d64d5275b2829p-49", "0x1.d64d5275b2829p-49",
-        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.99c473d6c0000p-32",
+        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.c392a1a000000p-37",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x1.9b83a7a4bfb8dp-49", "0x0.0p+0",
-        "0x1.7dbcd7c04dd96p-41"),),
+        "0x0.0p+0", "0x1.a00000000000bp-49", "0x0.0p+0",
+        "0x1.907dd7b97a962p-45"),),
     "n3-nu1-alpha3": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
-        "0x1.61b0000000000p-44", "0x1.ec9f570383bdfp-46", "0x0.0p+0", "0x0.0p+0",
-        "0x1.93e4a264df4bap-39", "0x1.93e4a264df4bap-39", "0x1.08a9310f53ce1p-53",
-        "0x1.08a9310f53ce1p-51", "0x0.0p+0", "0x1.46a21073ccaacp-40"), (
+        "0x1.de24a00000000p-41", "0x1.301bb45cc6164p-49", "0x0.0p+0", "0x0.0p+0",
+        "0x1.4f1bbcdcbfa54p-53", "0x1.4f1bbcdcbfa54p-53", "0x1.0000000000000p-54",
+        "0x1.1ffffffffffffp-51", "0x0.0p+0", "0x1.8dae133e3e307p-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.ca7bb15d402e5p-49",
         "0x1.ca7bb15d402e5p-49", "0x1.6d18c00cb0000p-35", "0x1.4000000000000p-52",
-        "0x1.06e0000000000p-44", "0x1.2ebf3d6c79db4p-47", "0x0.0p+0", "0x0.0p+0",
-        "0x1.f070000000000p-41", "0x1.f070000000000p-41", "0x1.131703da7272bp-53",
-        "0x1.131703da7272bp-51", "0x0.0p+0", "0x1.46bab657c1267p-40"), (
+        "0x1.5f60e00000000p-41", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
+        "0x1.1ffffffffffffp-51", "0x0.0p+0", "0x1.9bd4b897185efp-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
-        "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.945daa5a56f0ep-53",
-        "0x1.2f463fc3c134bp-51", "0x0.0p+0", "0x1.46a98c32e9bf2p-40")),
+        "0x1.de15400000000p-41", "0x1.89274f355ef19p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
+        "0x1.1ffffffffffffp-51", "0x0.0p+0", "0x1.9f7de81295e00p-45")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.11bbee6c6bee0p-51", "0x1.6f2d60f23a893p-48",
-        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.82022ac000000p-36",
+        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.3f5233f000000p-37",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x1.bb67ae8584cabp-52", "0x1.bb67ae8584cabp-50", "0x0.0p+0",
-        "0x1.23d9be5ee1e76p-40"),),
-    # mu0 = 2: t0 = log 2 != 0, so the mirrored leg's times t0 - t are rounded
+        "0x1.7ffffffffffffp-52", "0x1.e000000000007p-50", "0x0.0p+0",
+        "0x1.4bb00f0ce0d5ap-44"),),
+    # mu0 = 2: t0 = log 2 != 0, so the mirrored orbit's times t0 -+ t are rounded
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
-        "0x1.61b0000000000p-44", "0x1.ec9f570383bdfp-46", "0x0.0p+0", "0x0.0p+0",
-        "0x1.93e4a264df4bap-39", "0x1.93e4a264df4bap-39", "0x1.76497b85e02d9p-53",
-        "0x1.d3dbda675838fp-49", "0x0.0p+0", "0x1.46a21073ccaacp-40"), (
+        "0x1.de24a00000000p-41", "0x1.301bb45cc6164p-49", "0x0.0p+0", "0x0.0p+0",
+        "0x1.4f1bbcdcbfa54p-53", "0x1.4f1bbcdcbfa54p-53", "0x1.0000000000000p-54",
+        "0x1.bfffffffffff4p-49", "0x0.0p+0", "0x1.8dae133e3e307p-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.8000000000000p-50",
         "0x1.8000000000000p-50", "0x1.097ed09580000p-35", "0x1.4000000000000p-52",
-        "0x1.06e0000000000p-44", "0x1.2ebf3d6c79db4p-47", "0x0.0p+0", "0x0.0p+0",
-        "0x1.f070000000000p-41", "0x1.f070000000000p-41", "0x1.85092ed86a26ap-53",
-        "0x1.e64b7a8e84b05p-49", "0x0.0p+0", "0x1.46bab657c1267p-40"), (
+        "0x1.5f60e00000000p-41", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
+        "0x1.bfffffffffff4p-49", "0x0.0p+0", "0x1.9bd4b897185efp-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
-        "0x1.c0be000000000p-44", "0x1.b54589ea44f51p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x1.66aa84849a19dp-43", "0x1.66aa84849a19dp-43", "0x1.1dee0b0f8aecbp-52",
-        "0x1.e281b2aa3a6f7p-49", "0x0.0p+0", "0x1.46a98c32e9bf2p-40")),
+        "0x1.de15400000000p-41", "0x1.89274f355ef19p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
+        "0x1.bfffffffffff4p-49", "0x0.0p+0", "0x1.9f7de81295e00p-45")),
 }
 
 # the check order of one coupled (nu > 0) family
