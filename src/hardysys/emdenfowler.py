@@ -389,6 +389,64 @@ def _quintic_turn(h: float, u, v) -> tuple[float, float, float]:
     return th, y_u, y_v
 
 
+def _manifold_coefficients(two_star: float, w: float) -> list[float]:
+    """Series of log(Z(x)/x) in w = x^m, Z the manifold of z'' = kappa^2 (z - z^(2*-1)).
+
+    The unstable manifold is z = Z(x e^(kappa t)), Z(x) = x exp(G(x^m)),
+    m = 2* - 2.  In the ODE, 2 m theta G + m^2 (theta^2 G + (theta G)^2) =
+    -w exp(m G), theta = w d/dw, so G = sum_k g_k w^k has (the
+    parametrisation method, from the ODE alone)
+
+        g_k = -(e_(k-1) + m^2 sum_(i<k) i (k-i) g_i g_(k-i)) / ((1 + k m)^2 - 1),
+
+    e_k the coefficients of exp(m G) by J. C. P. Miller's recurrence.
+    G = -(2/m) log(1 + rho), rho = w / (2 2*) < 1/4 at w < 1, so its terms
+    shrink by rho for every n.  Both sums add terms of one sign; the series
+    of Z itself alternates, with terms adding up to ((1 + rho) / (1 - rho))
+    ^(2/m) times its sum (436 at n = 50, tol 1e-4; no digit left by
+    n = 150).  Returns [0, g_1, ..., g_K], to the first term (1 + k m) g_k
+    w^k below roundoff.
+    """
+    m = two_star - 2.0
+    logs, exps = [0.0], [1.0]  # g_k and e_k
+    term = 1.0
+    while abs(term) > 1e-17:
+        k = len(logs)
+        order = 1.0 + k * m
+        cross = math.fsum(i * (k - i) * logs[i] * logs[k - i] for i in range(1, k))
+        logs.append(-(exps[k - 1] + m * m * cross) / (order * order - 1.0))
+        exps.append(m / k * math.fsum(i * logs[i] * exps[k - i] for i in range(1, k + 1)))
+        term = order * logs[k] * w ** k
+    return logs
+
+
+def _manifold_start(p: ProblemParams, s: float,
+                    tol: float) -> tuple[EFState, tuple[float, float]]:
+    """The shooting start on the unstable manifold of the ray y_v = y_u / s.
+
+    On the ray, z = y_u / y_eq (y_eq the equilibrium amplitude) solves
+    z'' = kappa^2 (z - z^(2*-1)); the start is y_u = y_eq Z(eps),
+    y_u' = kappa y_eq eps Z'(eps), eps = (1e-3 tol)^(1/2*).  Returns it and
+    its manifold coordinates (eps y_eq, eps y_eq / s): the orbit through it
+    is e^(kappa (t - t_start)) times those as t -> -infinity.
+    """
+    kappa = p.kappa
+    k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
+    y_eq = (kappa * kappa / k_u) ** (1.0 / (p.two_star - 2.0))
+    eps = (1e-3 * tol) ** (1.0 / p.two_star)
+    m = p.two_star - 2.0
+    w = eps ** m
+    logs = _manifold_coefficients(p.two_star, w)
+    g = dg = 0.0  # G(w) and m theta G(w), by Horner in w
+    for k in range(len(logs) - 1, 0, -1):
+        g = (g + logs[k]) * w
+        dg = (dg + m * k * logs[k]) * w
+    y0 = y_eq * (eps * math.exp(g))  # y_eq Z(eps)
+    slope = kappa * y0 * (1.0 + dg)  # kappa y_eq eps Z'(eps)
+    start = EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)
+    return start, (eps * y_eq, eps * y_eq / s)
+
+
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
                        tol: float = 1e-9) -> EFTrajectory:
     """Trace the decaying orbit of a root from the origin up to its maximum.
@@ -399,9 +457,9 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     therefore symmetric about its turning point: it is the homoclinic, and
     y_u there is its amplitude a*.  One run at ``tol`` traces it, in the
     direction in which it is well conditioned; the closed form is not used.
-    It starts at y_u = eps y_eq, y_v = y_u / s, y' = kappa y (y_eq the ray's
-    equilibrium amplitude) and stops at the first accepted step with
-    y_u' <= 0.
+    It starts on the ray's unstable manifold at coordinate
+    eps = (1e-3 tol)^(1/2*), from its series (``_manifold_start``), and stops
+    at the first accepted step with y_u' <= 0.
 
     The result is that half orbit, shifted so that the turn sits at t = 0,
     with the turn in place of the last step's end: y_u = a* and y_v from the
@@ -409,19 +467,17 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     both slopes 0.  The cubic interpolant, without y'', errs up to 7e-11 at
     tol 1e-9 near gamma = lambda_n, where the steps at the turn are long.
 
-    On the ray the start carries the energy K y_u^(2*) / 2*, with
-    K = 1 + nu alpha s^-beta, where the homoclinic carries none.  That raises
-    the turning point by c eps^(2*) relative, with
-    c = (y_eq / a*)^2 / (2* (2*/2 - 1)): 0.048 at n = 3, 0.47 at n = 8, 1.02
-    at n = 14, about n / 11 for large n.  eps = (1e-3 tol)^(1/2*) keeps that
-    offset about a thousand times below ``tol``, and the run grows only like
-    log(1/eps) / kappa.  y_u reaches a* within log(a* 2^delta / y_eq) <
-    delta + 1 e-folds of the linear growth from eps y_eq, so a run that
-    turns never uses up its span of log(1/eps) + delta + 10 e-folds.  A run
-    that ends without turning (blow-up, extinction, or the whole span)
-    raises IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most
-    tol / 2 relative; a looser ``tol`` (2.4e-3 at 1e-3, n = 3) raises
-    ParameterError.
+    A linear start, y = eps y_eq, y' = kappa y, would carry the energy
+    K y_u^(2*) / 2* (K = 1 + nu alpha s^-beta) that the homoclinic lacks and
+    raise the turn by about eps^(2*) relative; eps = (1e-3 tol)^(1/2*) keeps
+    that a thousand times below ``tol``.  The series start carries no such
+    offset, and its coordinate eps is exact, so ``full_verification`` reads
+    the asymptotic limits off the trace.  The turn sits at coordinate
+    (2 2*)^(1/m), m = 2* - 2, log(2 2*) / m < delta + 2 e-folds past eps,
+    within the span of log(1/eps) + delta + 10 e-folds.  A run that ends
+    without turning (blow-up, extinction, or the whole span) raises
+    IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most tol / 2
+    relative; a looser ``tol`` raises ParameterError.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
@@ -430,14 +486,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         raise ParameterError("tolerance must be positive and finite")
     if tol > 1e-4:
         raise ParameterError(f"tolerance must be at most 1e-4, got {tol:g}")
-    kappa = p.kappa
-    # equilibrium amplitude of the invariant ray y_v = y_u / s
-    k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
-    y_eq = (kappa * kappa / k_u) ** (1.0 / (p.two_star - 2.0))
-    eps = (1e-3 * tol) ** (1.0 / p.two_star)
-    y0 = eps * y_eq
-    start = EFState(y_u=y0, p_u=kappa * y0, y_v=y0 / s, p_v=kappa * y0 / s)
-    t_end = (math.log(1.0 / eps) + p.delta + 10.0) / kappa
+    start, _ = _manifold_start(p, s, tol)
+    t_end = (math.log(1e3 / tol) / p.two_star + p.delta + 10.0) / p.kappa
     traj = integrate(start, (0.0, t_end), p, tol=tol,
                      stop=lambda t, yu, pu, yv, pv: pu <= 0.0)
     p1 = float(traj.p_u[-1])

@@ -24,13 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 from .params import ProblemParams
 
 #: radii below this are rejected instead of returning infinities
 MIN_RADIUS = 1e-300
-#: largest relative spread of the last two Aitken extrapolants of a limit
-LIMIT_RTOL = 1e-6
 
 
 def _as_radii(r):
@@ -127,61 +125,15 @@ class ScalarProfile:
 # --- asymptotic limits -----------------------------------------------------
 
 
-def _aitken_limit(logs, label: str) -> float:
-    """Log of the limit of a power-law sequence, given the logs of its terms.
-
-    The sequence exp(logs) is divided by its last term first, so both
-    tolerance tests are relative, no square of a difference overflows and no
-    term has to be a double; the limit's log is shifted back.  Falls back to
-    the raw tail when the increments are already at roundoff.
-    """
-    import numpy as np
-    tail = float(logs[-1])
-    vals = np.exp(np.asarray(logs, dtype=float) - tail)
-    if np.max(np.abs(np.diff(vals))) <= 1e-13:
-        return tail
-    accel = []
-    for k in range(len(vals) - 2):
-        denom = vals[k + 2] - 2.0 * vals[k + 1] + vals[k]
-        if denom == 0.0:
-            continue
-        accel.append(float(vals[k + 2] - (vals[k + 2] - vals[k + 1]) ** 2 / denom))
-    if not accel:
-        return tail
-    if len(accel) >= 2:
-        spread = abs(accel[-1] - accel[-2])
-        if spread > LIMIT_RTOL * abs(accel[-1]):
-            raise ConvergenceError(
-                f"{label}: extrapolants differ by {spread:.3e} "
-                f"(> {LIMIT_RTOL:.1e} relative)"
-            )
-    return math.log(accel[-1]) + tail
-
-
 def asymptotic_limits(profile) -> tuple[float, float]:
     """Logs of (limit at 0 of r^tau1 U, limit at infinity of r^tau2 U), U = ``profile``.
 
-    Both compensated values approach their limits like a power rho^(+-q) of
-    rho = r/mu, q = 2 kappa/delta, so they are sampled along r = mu 10^(-k m)
-    and r = mu 10^(k m) for k = 4..8, m = max(1, 1/q), relative to the
-    profile's scale mu, and accelerated.  Near gamma = lambda_n, q is small
-    and m stretches the samples over as many decades as the rate needs.
-    Each compensated value is formed in logs, tau log r + log U(r), and the
-    limits stay logs: neither r^tau2, U(r) nor A mu^(-+kappa) has to be a
-    double.  ConvergenceError if a sample radius would fall below MIN_RADIUS
-    or past the largest double, or if the extrapolants do not settle.
+    With rho = r/mu, r^tau1 U = A mu^(-kappa) (1 + rho^q)^(-delta) and
+    r^tau2 U = A mu^kappa (rho^q / (1 + rho^q))^delta, so the limits are
+    A mu^(-+kappa), returned as log A -+ kappa log mu: neither needs to be a
+    double.  ``full_verification`` compares them with the limits read off
+    the integrated orbit.
     """
-    import numpy as np
     p = profile.params
-    decades = np.arange(4.0, 9.0) * max(1.0, p.delta / (2.0 * p.kappa))
-    r_small = profile.mu * np.power(10.0, -decades)
-    with np.errstate(over="ignore"):
-        r_large = profile.mu * np.power(10.0, decades)
-    if r_small[-1] < MIN_RADIUS or not math.isfinite(r_large[-1]):
-        raise ConvergenceError(
-            f"sampling {decades[-1]:.4g} decades from mu = {profile.mu:.6g} "
-            "leaves the range of a double")
-    near = p.tau1 * np.log(r_small) + profile._log_value(r_small)
-    far = p.tau2 * np.log(r_large) + profile._log_value(r_large)
-    return (_aitken_limit(near, "limit at the origin"),
-            _aitken_limit(far, "limit at infinity"))
+    log_a, log_mu = math.log(p.amplitude), math.log(profile.mu)
+    return log_a - p.kappa * log_mu, log_a + p.kappa * log_mu

@@ -18,24 +18,24 @@ integration_deviation       sup |y - y_closed| / max(1, peak of y_u, y_v) <= 1e-
 proportionality_defect      sup |y_u - s y_v| / sup y_u <= 1e-8 (integrated)
 simultaneous_max_gap        argmax(y_u) and argmax(y_v) within 1e-6
 max_location_error          common argmax within 1e-6 of log(mu0)
-quotient_limit_minus        y_u/y_v at the orbit's first point (y_u = eps y_eq)
-                            within 1e-6 of the root
+quotient_limit_minus        y_u/y_v at the orbit's first point, its start on
+                            the unstable manifold, within 1e-6 of the root
 quotient_limit_plus         y_u/y_v at its last point, the first one mirrored
-asymptotic_u0               origin limit, sampled at mu0 10^-km (k = 4..8,
-                            m = max(1, 1/q), q = 2 kappa/delta) and
-                            extrapolated, within 1e-6 of the closed form
-asymptotic_uinf             far-field limit, sampled at mu0 10^km, within 1e-6
-asymptotic_ratio            u0/v0 equals c1/c2 to 1e-10 (a limit that does
-                            not converge fails all three, value inf)
+asymptotic_u0               limit at 0 of r^tau1 u, read off the integrated
+                            orbit, within 1e-6 of c1 A mu0^-kappa
+asymptotic_uinf             limit at infinity of r^tau2 u within 1e-6 of
+                            c1 A mu0^kappa: u0 mirrored, not a second witness
+asymptotic_ratio            u0/v0 of the orbit's limits is c1/c2 to 1e-10
 shooting_recovery           the orbit's maximum is c1 A 2^-delta within 1e-6
 energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
                             scalar closed form (nu=0)
 ==========================  ====================================================
 
 The integrated orbit starts on the invariant ray y_v = y_u / s and is
-mirrored at its turn, so proportionality_defect, simultaneous_max_gap and
-max_location_error read zero by construction, up to rounding; checks that
-can fail will replace them (ROADMAP.md, item 8).
+mirrored at its turn, so proportionality_defect, simultaneous_max_gap,
+max_location_error and asymptotic_ratio (y_u/y_v at the start, which is s)
+read zero by construction, up to rounding; checks that can fail will
+replace them (ROADMAP.md, item 8).
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from .coupling import classify, verify_constants_system
 from .emdenfowler import (ef_system_residual, proportionality_defect,
                           radial_system_residual, shoot_synchronized,
                           simultaneous_max_check, weighted_system_residual,
-                          _closed_form_arrays, _max_normalized)
-from .errors import ConvergenceError
+                          _closed_form_arrays, _manifold_start, _max_normalized)
 from .params import ProblemParams
 from .profiles import asymptotic_limits
 
@@ -142,22 +141,21 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
                       integration_tol: float = 1e-10) -> VerificationReport:
     """Classify the parameter set and run every check on every family.
 
-    Individual check failures are recorded, not raised, among them an
-    asymptotic limit that does not converge; classification and integration
-    errors propagate.  The families share one profile, so its asymptotic
-    limits are estimated once, as logs; each gap is |expm1| of a difference
-    of logs, so mu0^kappa never has to be a double.
+    Individual check failures are recorded, not raised; classification and
+    integration errors propagate.
 
     Each family is integrated once: ``shoot_synchronized`` traces it at
     ``integration_tol`` from the origin, where errors do not grow like
     e^(kappa t) as they do into the saddle, up to its turn.  Mirrored there
     and placed at t0 = log mu0, that trace is the orbit of every orbit check.
+    Its start sits at manifold coordinate x (``_manifold_start``) at time
+    t0 + t_s, t_s = t[0] of the trace, so r^tau1 u = e^(-kappa t) y_u tends
+    to x e^(-kappa (t0 + t_s)), and by the mirror r^tau2 u = e^(kappa t) y_u
+    to x e^(kappa (t0 - t_s)).  These limits and the closed form's stay
+    logs, and each gap is |expm1| of a difference of logs, so mu0^kappa
+    never has to be a double.
     """
     families = classify(p, mu0)
-    try:
-        limits = asymptotic_limits(families[0].profile) if families else None
-    except ConvergenceError:
-        limits = None  # a limit that does not settle fails all three checks
     grid = np.geomspace(1e-6, 1e6, 2048)
     t0 = math.log(mu0)
     checks: list[CheckResult] = []
@@ -200,19 +198,18 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "quotient_limit_minus", _quotient_gap(orbit, 0, s), 1e-6)
         add(tag + "quotient_limit_plus", _quotient_gap(orbit, -1, s), 1e-6)
 
-        if limits is None:
-            u0_gap = uinf_gap = ratio_gap = math.inf
-        else:
-            # the closed-form limits are c1 A mu0^(-+kappa); c1 cancels
-            log_b0, log_b_inf = limits
-            log_a = math.log(p.amplitude)
-            u0_gap = abs(math.expm1(log_b0 - (log_a - p.kappa * t0)))
-            uinf_gap = abs(math.expm1(log_b_inf - (log_a + p.kappa * t0)))
-            ratio_gap = abs(math.expm1(math.log(fam.c1) + log_b0 - (math.log(fam.c2) + log_b0)
-                                       - math.log(fam.c1 / fam.c2)))
-        add(tag + "asymptotic_u0", u0_gap, 1e-6)
-        add(tag + "asymptotic_uinf", uinf_gap, 1e-6)
-        add(tag + "asymptotic_ratio", ratio_gap, 1e-10)
+        # logs of the orbit's limits; the closed form's are c1 A mu0^(-+kappa)
+        _, (x_u, x_v) = _manifold_start(p, s, integration_tol)
+        log_b0, log_b_inf = asymptotic_limits(fam.profile)
+        log_c1 = math.log(fam.c1)
+        t_s = float(half.t[0])
+        log_u0 = math.log(x_u) - p.kappa * (t0 + t_s)
+        add(tag + "asymptotic_u0", abs(math.expm1(log_u0 - (log_c1 + log_b0))), 1e-6)
+        log_uinf = math.log(x_u) + p.kappa * (t0 - t_s)
+        add(tag + "asymptotic_uinf", abs(math.expm1(log_uinf - (log_c1 + log_b_inf))), 1e-6)
+        log_v0 = math.log(x_v) - p.kappa * (t0 + t_s)
+        add(tag + "asymptotic_ratio",
+            abs(math.expm1(log_u0 - log_v0 - math.log(fam.c1 / fam.c2))), 1e-10)
 
         target = fam.peak_amplitude
         add(tag + "shooting_recovery", abs(half.y_u[-1] - target) / target, 1e-6)

@@ -132,16 +132,20 @@ def test_criterion_07_asymptotics(matrix_trajectories):
     for case in matrix_trajectories:
         fam = case["family"]
         p = fam.profile.params
-        mu0 = case["mu0"]
-        # logs of the limits of r^tau1 U and r^tau2 U; u = c1 U, v = c2 U
-        limit0, limit_inf = hs.asymptotic_limits(fam.profile)
-        log_u0, log_v0 = math.log(fam.c1) + limit0, math.log(fam.c2) + limit0
-        log_uinf = math.log(fam.c1) + limit_inf
+        orbit = case["orbit"]
+        # the orbit starts at manifold coordinates (x_u, x_v) at time t[0],
+        # so r^tau1 u = e^(-kappa t) y_u -> x_u e^(-kappa t[0]), and by the
+        # mirror r^tau2 u -> x_u e^(kappa t[-1]); logs throughout
+        x_u, x_v = case["coordinates"]
+        log_u0 = math.log(x_u) - p.kappa * orbit.t[0]
+        log_v0 = math.log(x_v) - p.kappa * orbit.t[0]
+        log_uinf = math.log(x_u) + p.kappa * orbit.t[-1]
         # closed form: u0 = c1 A mu0^-kappa, uinf = c1 A mu0^kappa
-        log_c1a = math.log(fam.c1 * p.amplitude)
+        limit0, limit_inf = hs.asymptotic_limits(fam.profile)
+        log_c1 = math.log(fam.c1)
         worst_limit = max(worst_limit,
-                          abs(math.expm1(log_u0 - (log_c1a - p.kappa * math.log(mu0)))),
-                          abs(math.expm1(log_uinf - (log_c1a + p.kappa * math.log(mu0)))))
+                          abs(math.expm1(log_u0 - (log_c1 + limit0))),
+                          abs(math.expm1(log_uinf - (log_c1 + limit_inf))))
         worst_ratio = max(worst_ratio,
                           abs(math.expm1(log_u0 - log_v0 - math.log(fam.c1 / fam.c2))))
         orbit = case["orbit"]

@@ -9,6 +9,7 @@ import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
+                                  _manifold_coefficients, _manifold_start,
                                   exact_trajectory, integrate)
 from reference import convergence_order, ef_energy, ef_rhs, exact_ef_solution
 
@@ -259,7 +260,34 @@ def test_kernel_bitwise_regression(name, monkeypatch):
 
 def test_shoot_bitwise_regression(benchmark4):
     p, fam = benchmark4
-    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700c18c3p-1"
+    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700c1530p-1"
+
+
+@pytest.mark.parametrize("n", [3, 6, 14, 50])
+def test_manifold_series_start(n):
+    # at x = eps, Z(x) = x exp(G(x^m)) solves x^2 Z'' + x Z' = Z - Z^(2*-1) to
+    # roundoff, and the start lies on the zero level set of the ray's first
+    # integral far below 1e-3 tol (the linear start y' = kappa y misses it by
+    # 3e-9 at n = 3 and 0.3 at n = 50, tol 1e-9)
+    ts = hs.critical_exponent(n)
+    m = ts - 2.0
+    p = hs.ProblemParams(n, 0.0, 0.0, ts / 2.0)
+    for tol in (1e-4, 1e-9, 1e-10):
+        eps = (1e-3 * tol) ** (1.0 / ts)
+        w = eps ** m
+        logs = _manifold_coefficients(ts, w)
+        g = math.fsum(a * w ** k for k, a in enumerate(logs))
+        dg = math.fsum(m * k * a * w ** k for k, a in enumerate(logs))  # m theta G
+        d2g = math.fsum((m * k) ** 2 * a * w ** k for k, a in enumerate(logs))
+        z = eps * math.exp(g)
+        d2z = z * ((1.0 + dg) ** 2 + d2g)  # x^2 Z'' + x Z'
+        assert abs(d2z - z + z ** (ts - 1.0)) <= 1e-15 * max(d2z, z), (n, tol)
+        assert abs(g + 2.0 / m * math.log1p(w / (2.0 * ts))) <= 1e-15, (n, tol)
+        start, (x_u, x_v) = _manifold_start(p, 1.0, tol)
+        # the coordinate is eps y_eq, y_eq = kappa^(2/m) on the scalar ray
+        assert x_v == x_u and math.isclose(x_u, eps * p.kappa ** (2.0 / m), rel_tol=1e-14)
+        energy = ef_energy(start.y_u, start.p_u, p)
+        assert abs(energy) <= 1e-3 * tol * 0.5 * (p.kappa * start.y_u) ** 2, (n, tol)
 
 
 def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):
@@ -300,7 +328,7 @@ def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
     monkeypatch.setattr(emdenfowler, "integrate", recording)
     a = hs.shoot_synchronized(p, fam.root, tol=1e-7).y_u[-1]
     assert tols == [1e-7]
-    assert a.hex() == "0x1.a20bd702879a7p-1"
+    assert a.hex() == "0x1.a20bd70271292p-1"
     target = math.sqrt(2.0 / 3.0)
     assert abs(a - target) / target <= 1e-9
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -364,7 +363,7 @@ def test_asymptotic_limits_synchronized_ratio(benchmark3):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_asymptotic_limits_near_the_hardy_constant(n):
     # r^tau1 U approaches its limit like rho^q, q = 2 kappa/delta -> 0 as
-    # gamma -> lambda_n; the samples stretch to max(1, 1/q) times the decades
+    # gamma -> lambda_n, so only over many decades; the closed form needs none
     p = hs.ProblemParams(n, 0.99 * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
     for mu in (0.5, 1.0, 2.0):
         assert max(_limit_gaps(ScalarProfile(p, mu))) <= 1e-6
@@ -372,8 +371,8 @@ def test_asymptotic_limits_near_the_hardy_constant(n):
 
 @pytest.mark.parametrize("n,frac", [(8, 0.999), (10, 0.998)])
 def test_asymptotic_limits_far_stretched_samples(n, frac):
-    # the samples reach 1e126 (n = 8) and 1e89 (n = 10), where r^tau2 and
-    # U(r) leave the range of a double but their product does not
+    # r^tau2 U nears its limit only at 1e126 (n = 8) and 1e89 (n = 10), where
+    # r^tau2 and U(r) leave the range of a double; the logs do not
     p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
     assert max(_limit_gaps(ScalarProfile(p))) <= 1e-10
 
@@ -388,29 +387,21 @@ def test_asymptotic_limits_beyond_the_range_of_a_double(mu):
     assert max(_limit_gaps(ScalarProfile(p, mu))) <= 1e-12
 
 
-@pytest.mark.parametrize("n,frac,mu", [(3, 0.9999, 1.0), (8, 0.999, 1e250),
-                                       (10, 0.998, 1e250)],
-                         ids=["3-0.9999", "8-0.999", "10-0.998"])
-def test_asymptotic_limits_out_of_range_samples_raise(n, frac, mu):
-    # the stretched samples would leave the range of a double: below
-    # MIN_RADIUS at the origin (n = 3) or past the largest double (n = 8, 10,
-    # whose samples stay finite at mu = 1)
-    p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
-    with pytest.raises(hs.ConvergenceError, match="range of a double"):
-        hs.asymptotic_limits(ScalarProfile(p, mu))
-
-
-def test_asymptotic_limits_nonconvergence_error():
-    real = hs.classify(hs.ProblemParams.symmetric(4, 0.5, 0.0, 2.0), 1.0)[0]
-
-    @dataclass
-    class Wobbly:
-        params: object
-        mu: float = 1.0
-
-        def _log_value(self, r):
-            # oscillating compensated profile has no limit at the origin
-            return -self.params.tau1 * np.log(r) + np.log1p(0.5 * np.sin(np.log(r)))
-
-    with pytest.raises(hs.ConvergenceError):
-        hs.asymptotic_limits(Wobbly(real.profile.params))
+def test_asymptotic_limits_closed_form_identity():
+    # r^tau1 U -> A mu^-kappa and r^tau2 U -> A mu^kappa, as logs, for any
+    # scale, including those where neither limit is a double
+    for n, frac, mu in [(3, 0.9999, 1.0), (4, 0.0, 1e-300), (6, 0.0, 1e300),
+                        (8, 0.999, 1e250), (14, 0.5, 2.0)]:
+        p = hs.ProblemParams(n, frac * hs.hardy_constant(n), 0.0, hs.critical_exponent(n) / 2.0)
+        log_a, log_mu = math.log(p.amplitude), math.log(mu)
+        assert hs.asymptotic_limits(ScalarProfile(p, mu)) == (
+            log_a - p.kappa * log_mu, log_a + p.kappa * log_mu)
+    # where rho^q = 1e-+40, the compensated values are the limits to roundoff
+    p = hs.ProblemParams(14, 0.5 * hs.hardy_constant(14), 0.0, hs.critical_exponent(14) / 2.0)
+    profile = ScalarProfile(p, 2.0)
+    q = 2.0 * p.kappa / p.delta
+    r0, r1 = 2.0 * 1e-40 ** (1.0 / q), 2.0 * 1e40 ** (1.0 / q)
+    near = p.tau1 * math.log(r0) + math.log(float(profile.value(r0)))
+    far = p.tau2 * math.log(r1) + math.log(float(profile.value(r1)))
+    log0, log_inf = hs.asymptotic_limits(profile)
+    assert abs(near - log0) <= 1e-12 * abs(log0) and abs(far - log_inf) <= 1e-12 * abs(log_inf)

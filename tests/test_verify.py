@@ -179,20 +179,37 @@ def test_full_verification_integrates_one_leg_per_family(monkeypatch, benchmark3
     assert tols == [1e-11] * 3
 
 
-#: (n, gamma / lambda_n, nu, f), alpha = 1 + f (2* - 2): f = 0.5 is alpha = beta
-THINNED_BOX = [(n, frac, nu, 0.5) for n in (6, 8, 10, 14) for frac in (0.0, 0.99)
-               for nu in (0.0, 1.0, 10.0)] + [(14, 0.0, 1.0, 0.2)]
+#: (n, gamma / lambda_n, nu, f, mu0), alpha = 1 + f (2* - 2): f = 0.5 is alpha = beta
+THINNED_BOX = ([(n, frac, nu, 0.5, 2.0) for n in (6, 8, 10, 14) for frac in (0.0, 0.99)
+                for nu in (0.0, 1.0, 10.0)] + [(14, 0.0, 1.0, 0.2, 2.0)]
+               + [(n, 0.99, 1.0, 0.5, mu0) for n in (3, 6, 14) for mu0 in (1e-300, 1e300)])
 
 
 def test_full_verification_passes_on_a_thinned_box():
     # n >= 6, where an orbit integrated from its maximum into the saddle grew
-    # its error like e^(kappa t) and failed at gamma = 0
-    for n, frac, nu, f in THINNED_BOX:
+    # its error like e^(kappa t) and failed at gamma = 0; and mu0 = 1e-+300
+    # near the Hardy constant, where r^tau u settles only past the doubles
+    for n, frac, nu, f, mu0 in THINNED_BOX:
         ts = hs.critical_exponent(n)
         p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, 1.0 + f * (ts - 2.0))
-        report = hs.full_verification(p, 2.0)
-        assert report.n_families >= 1, (n, frac, nu, f)
-        assert report.overall, (n, frac, nu, f, [c for c in report.checks if not c.passed])
+        report = hs.full_verification(p, mu0)
+        assert report.n_families >= 1, (n, frac, nu, f, mu0)
+        assert report.overall, (n, frac, nu, f, mu0,
+                                [c for c in report.checks if not c.passed])
+
+
+@pytest.mark.parametrize("factor,fails", [(1.0 + 1e-5, True), (1.0 + 1e-7, False)])
+def test_asymptotic_checks_detect_a_wrong_amplitude(factor, fails):
+    # the orbit's limits do not use the closed form: a closed-form amplitude
+    # A off by 1e-5 fails asymptotic_u0 and _uinf, and one off by 1e-7 reads
+    # as that offset
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
+    object.__setattr__(p, "amplitude", p.amplitude * factor)  # frozen dataclass
+    for mu0 in (1.0, 1e-300):
+        checks = {c.name: c for c in hs.full_verification(p, mu0).checks}
+        for name in ("f0.asymptotic_u0", "f0.asymptotic_uinf"):
+            assert checks[name].passed is not fails
+            assert abs(checks[name].value - (factor - 1.0) / factor) <= 1e-9
 
 
 def test_report_deterministic(benchmark4):
@@ -232,55 +249,58 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # run along the unstable manifold, and the asymptotic_* values when the
 # compensated values moved to logs.  The orbit checks, shooting_recovery and
 # asymptotic_u0/uinf were recorded again when the shooting trace, mirrored,
-# became the one integrated orbit and the limits' gaps were taken in logs.
+# became the one integrated orbit and the limits' gaps were taken in logs,
+# and integration_deviation, proportionality_defect (at roundoff),
+# shooting_recovery and the asymptotic_* values when the trace started on the
+# manifold by its series and the limits were read off it.
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.d64d5275b2829p-49", "0x1.d64d5275b2829p-49",
-        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.c392a1a000000p-37",
+        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.ad00000000000p-45",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x1.a00000000000bp-49", "0x0.0p+0",
-        "0x1.907dd7b97a962p-45"),),
+        "0x1.5a73fffffe2b2p-39", "0x1.5a73fffffe2b2p-39", "0x0.0p+0",
+        "0x1.06186c4bfa1bdp-44"),),
     "n3-nu1-alpha3": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
-        "0x1.de24a00000000p-41", "0x1.301bb45cc6164p-49", "0x0.0p+0", "0x0.0p+0",
-        "0x1.4f1bbcdcbfa54p-53", "0x1.4f1bbcdcbfa54p-53", "0x1.0000000000000p-54",
-        "0x1.1ffffffffffffp-51", "0x0.0p+0", "0x1.8dae133e3e307p-45"), (
+        "0x1.b050000000000p-44", "0x1.d3dbda6758233p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x1.4f1bbcdcbfa54p-53", "0x1.4f1bbcdcbfa54p-53", "0x1.0627fffffde71p-38",
+        "0x1.0627fffffde71p-38", "0x1.7fffffffffffep-51", "0x1.7d98eaef7d8e7p-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.ca7bb15d402e5p-49",
         "0x1.ca7bb15d402e5p-49", "0x1.6d18c00cb0000p-35", "0x1.4000000000000p-52",
-        "0x1.5f60e00000000p-41", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
-        "0x1.1ffffffffffffp-51", "0x0.0p+0", "0x1.9bd4b897185efp-45"), (
+        "0x1.3680000000000p-44", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.04bafffffdecep-38",
+        "0x1.04bafffffdecep-38", "0x0.0p+0", "0x1.6e3da519bbee6p-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
-        "0x1.de15400000000p-41", "0x1.89274f355ef19p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
-        "0x1.1ffffffffffffp-51", "0x0.0p+0", "0x1.9f7de81295e00p-45")),
+        "0x1.ad70000000000p-44", "0x1.41abcc717c3bcp-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.05bc7ffffde8dp-38",
+        "0x1.05bc7ffffde8dp-38", "0x1.8000000000002p-51", "0x1.72d0b658282b0p-45")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.11bbee6c6bee0p-51", "0x1.6f2d60f23a893p-48",
-        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.3f5233f000000p-37",
+        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.bb00000000000p-45",
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x1.7ffffffffffffp-52", "0x1.e000000000007p-50", "0x0.0p+0",
-        "0x1.4bb00f0ce0d5ap-44"),),
+        "0x1.0cc7fffffdcbap-38", "0x1.0cc7fffffdcbap-38", "0x0.0p+0",
+        "0x1.7fa6358086656p-44"),),
     # mu0 = 2: t0 = log 2 != 0, so the mirrored orbit's times t0 -+ t are rounded
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
-        "0x1.de24a00000000p-41", "0x1.301bb45cc6164p-49", "0x0.0p+0", "0x0.0p+0",
-        "0x1.4f1bbcdcbfa54p-53", "0x1.4f1bbcdcbfa54p-53", "0x1.0000000000000p-54",
-        "0x1.bfffffffffff4p-49", "0x0.0p+0", "0x1.8dae133e3e307p-45"), (
+        "0x1.b050000000000p-44", "0x1.d3dbda6758233p-50", "0x0.0p+0", "0x0.0p+0",
+        "0x1.4f1bbcdcbfa54p-53", "0x1.4f1bbcdcbfa54p-53", "0x1.0627fffffde71p-38",
+        "0x1.0627fffffde71p-38", "0x1.7fffffffffffep-51", "0x1.7d98eaef7d8e7p-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.8000000000000p-50",
         "0x1.8000000000000p-50", "0x1.097ed09580000p-35", "0x1.4000000000000p-52",
-        "0x1.5f60e00000000p-41", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
-        "0x1.bfffffffffff4p-49", "0x0.0p+0", "0x1.9bd4b897185efp-45"), (
+        "0x1.3680000000000p-44", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.04bbfffffdecep-38",
+        "0x1.04b9fffffdecfp-38", "0x0.0p+0", "0x1.6e3da519bbee6p-45"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
-        "0x1.de15400000000p-41", "0x1.89274f355ef19p-50", "0x0.0p+0", "0x0.0p+0",
-        "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p-54",
-        "0x1.bfffffffffff4p-49", "0x0.0p+0", "0x1.9f7de81295e00p-45")),
+        "0x1.ad70000000000p-44", "0x1.41abcc717c3bcp-50", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x1.05bd7ffffde8dp-38",
+        "0x1.05bbfffffde8dp-38", "0x1.8000000000002p-51", "0x1.72d0b658282b0p-45")),
 }
 
 # the check order of one coupled (nu > 0) family
