@@ -22,8 +22,7 @@ _EXPORTS = {
     "emdenfowler": ("EFState", "EFTrajectory", "ef_system_residual",
                     "exact_trajectory", "integrate",
                     "proportionality_defect", "radial_system_residual",
-                    "shoot_synchronized", "simultaneous_max_check",
-                    "weighted_system_residual"),
+                    "shoot_synchronized", "weighted_system_residual"),
     "verify": ("CheckResult", "VerificationReport", "full_verification"),
     "cli": (),
 }

@@ -246,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.add_argument("--out", default=None)
     sp.add_argument("--tol", type=float, default=1e-10,
-                    help="tolerance of each family's one shooting run (at most 1e-4)")
+                    help="tolerance of each family's one shooting run, in [1e-12, 1e-4]")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("shoot", help="recover the homoclinic amplitude by shooting")
     _add_param_flags(sp)
     sp.add_argument("--root-index", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-9,
-                    help="integration tolerance of the one shooting run (at most 1e-4)")
+                    help="integration tolerance of the one shooting run, in [1e-12, 1e-4]")
     sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("sweep", help="root counts over a parameter range")

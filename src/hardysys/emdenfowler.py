@@ -477,7 +477,9 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     within the span of log(1/eps) + delta + 10 e-folds.  A run that ends
     without turning (blow-up, extinction, or the whole span) raises
     IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most tol / 2
-    relative; a looser ``tol`` raises ParameterError.
+    relative; a looser ``tol`` raises ParameterError.  So does one below
+    1e-12: near the turn, where y_u' is small, doubles cannot meet it, and
+    ``integrate`` would underflow its step or crawl through its step budget.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
@@ -486,6 +488,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         raise ParameterError("tolerance must be positive and finite")
     if tol > 1e-4:
         raise ParameterError(f"tolerance must be at most 1e-4, got {tol:g}")
+    if tol < 1e-12:
+        raise ParameterError(f"tolerance must be at least 1e-12, got {tol:g}")
     start, _ = _manifold_start(p, s, tol)
     t_end = (math.log(1e3 / tol) / p.two_star + p.delta + 10.0) / p.kappa
     traj = integrate(start, (0.0, t_end), p, tol=tol,
@@ -522,27 +526,6 @@ def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
     if top == 0.0:
         return 0.0
     return float(np.max(np.abs(traj.y_u - c_tilde * traj.y_v))) / top
-
-
-def _parabolic_argmax(t: np.ndarray, y: np.ndarray) -> float:
-    i = int(np.argmax(y))
-    if i == 0 or i == len(y) - 1:
-        raise TrajectoryError("maximum on trajectory boundary")
-    dl = t[i] - t[i - 1]
-    dr = t[i] - t[i + 1]
-    num = dl * dl * (y[i] - y[i + 1]) - dr * dr * (y[i] - y[i - 1])
-    den = dl * (y[i] - y[i + 1]) - dr * (y[i] - y[i - 1])
-    if den == 0.0:
-        return float(t[i])
-    return float(t[i] - 0.5 * num / den)
-
-
-def simultaneous_max_check(traj: EFTrajectory) -> tuple[float, float]:
-    """Interpolated argmax locations of y_u and y_v."""
-    if traj.t.size < 3:
-        raise TrajectoryError("trajectory too short for an interior maximum")
-    return (_parabolic_argmax(traj.t, traj.y_u),
-            _parabolic_argmax(traj.t, traj.y_v))
 
 
 # --- residuals of the three radial encodings ----------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import hardysys as hs
 from hardysys.emdenfowler import _manifold_start
-from hardysys.verify import _mirrored
+from reference import mirrored
 
 
 @pytest.fixture(scope="session")
@@ -48,10 +48,10 @@ def matrix_families():
 
 @pytest.fixture(scope="session")
 def matrix_trajectories(matrix_families):
-    """Each family's orbit as full_verification builds it: the tol 1e-10
-    shooting trace, mirrored about its turn at log mu0, with the manifold
-    coordinates (x_u, x_v) of its start."""
+    """Each family's whole orbit: the tol 1e-10 shooting trace that
+    full_verification checks, mirrored about its turn at log mu0 by the
+    reference mirror, with the manifold coordinates (x_u, x_v) of its start."""
     return [{"params": p, "mu0": mu0, "family": fam,
-             "orbit": _mirrored(hs.shoot_synchronized(p, fam.root, 1e-10), math.log(mu0)),
+             "orbit": mirrored(hs.shoot_synchronized(p, fam.root, 1e-10), math.log(mu0)),
              "coordinates": _manifold_start(p, fam.c_tilde, 1e-10)[1]}
             for p, mu0, fam in matrix_families]

@@ -8,6 +8,8 @@ a test checks the package against; no command of the package runs it.
 * ``ef_rhs`` and ``ef_energy``: the phase-plane field and the first integral
   of its scalar case; ``exact_ef_solution``: the closed-form phase state at
   one log-radius, a start for integrations from the maximum.
+* ``mirrored``: the shooting trace reflected at its turn, the whole orbit;
+  ``simultaneous_max_check``: the interpolated argmax of each component.
 * ``aubin_talenti_value``, ``linear_radial_part``,
   ``scalar_equation_residual``, ``kelvin_transform`` and
   ``weighted_transform``: the scalar profile from other directions.
@@ -20,12 +22,13 @@ a test checks the package against; no command of the package runs it.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from hardysys import ConvergenceError, ParameterError
+from hardysys import ConvergenceError, ParameterError, TrajectoryError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import EFState, _closed_form_arrays
+from hardysys.emdenfowler import EFState, EFTrajectory, _closed_form_arrays
 from hardysys.params import ProblemParams
 from hardysys.profiles import ScalarProfile, _as_radii
 
@@ -107,6 +110,41 @@ def exact_ef_solution(fam, t: float) -> EFState:
     """Closed-form phase state of a synchronized family at log-radius t."""
     y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
     return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
+
+
+def mirrored(half: EFTrajectory, t0: float) -> EFTrajectory:
+    """``half`` reflected at its turn (t and y' odd, y even), shifted to peak at t0.
+
+    The field is reversible, so the shooting trace of ``shoot_synchronized``,
+    which ends at its turn at t = 0, is half of the whole orbit.
+    """
+    def reflect(col, sign):
+        return np.concatenate([col, sign * col[-2::-1]])
+
+    return replace(half, t=t0 + reflect(half.t, -1.0),
+                   y_u=reflect(half.y_u, 1.0), p_u=reflect(half.p_u, -1.0),
+                   y_v=reflect(half.y_v, 1.0), p_v=reflect(half.p_v, -1.0))
+
+
+def _parabolic_argmax(t: np.ndarray, y: np.ndarray) -> float:
+    i = int(np.argmax(y))
+    if i == 0 or i == len(y) - 1:
+        raise TrajectoryError("maximum on trajectory boundary")
+    dl = t[i] - t[i - 1]
+    dr = t[i] - t[i + 1]
+    num = dl * dl * (y[i] - y[i + 1]) - dr * dr * (y[i] - y[i - 1])
+    den = dl * (y[i] - y[i + 1]) - dr * (y[i] - y[i - 1])
+    if den == 0.0:
+        return float(t[i])
+    return float(t[i] - 0.5 * num / den)
+
+
+def simultaneous_max_check(traj: EFTrajectory) -> tuple[float, float]:
+    """Interpolated argmax locations of y_u and y_v."""
+    if traj.t.size < 3:
+        raise TrajectoryError("trajectory too short for an interior maximum")
+    return (_parabolic_argmax(traj.t, traj.y_u),
+            _parabolic_argmax(traj.t, traj.y_v))
 
 
 # --- the scalar profile --------------------------------------------------------

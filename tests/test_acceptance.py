@@ -10,7 +10,8 @@ import pytest
 import hardysys as hs
 from hardysys.emdenfowler import _closed_form_arrays, integrate
 from reference import (convergence_order, ef_energy, exact_ef_solution, fd_derivative,
-                       hardy_weight, hardy_weight_dx1, kelvin_transform)
+                       hardy_weight, hardy_weight_dx1, kelvin_transform,
+                       simultaneous_max_check)
 
 
 def _report(num, name, ok, detail=""):
@@ -98,7 +99,7 @@ def test_criterion_04_proportionality(matrix_trajectories):
 def test_criterion_05_simultaneous_maximum(matrix_trajectories):
     worst_gap = worst_loc = 0.0
     for case in matrix_trajectories:
-        t_u, t_v = hs.simultaneous_max_check(case["orbit"])
+        t_u, t_v = simultaneous_max_check(case["orbit"])
         t0 = math.log(case["mu0"])
         worst_gap = max(worst_gap, abs(t_u - t_v))
         worst_loc = max(worst_loc, abs(t_u - t0), abs(t_v - t0))

@@ -14,6 +14,7 @@ import pytest
 
 import hardysys as hs
 from hardysys.cli import main
+from hardysys.emdenfowler import _manifold_start, integrate
 
 N4 = ["--n", "4", "--gamma", "0", "--nu", "1", "--alpha", "2"]
 
@@ -214,14 +215,14 @@ def test_verify_far_scale_exit0(mu0):
 
 
 def test_verify_scale_past_the_range_of_a_double_exit0():
-    # n = 6: kappa = 2, so mu0^kappa = 1e600 and the limit at infinity are
-    # not doubles; the gaps are taken in logs.  The orbit's limit reads
-    # 1.4e-12 here, as at mu0 = 1: the scale costs nothing
+    # n = 6: kappa = 2, so mu0^-kappa = 1e-600 and the limit at 0 are not
+    # doubles; the gap is taken in logs.  The orbit's limit reads 1.4e-12
+    # here, as at mu0 = 1: the scale costs nothing
     code, out, err = run_cli(["verify", "--n", "6", "--gamma", "0", "--nu", "0",
                               "--alpha", "1.5", "--mu0", "1e300"])
     assert (code, err) == (0, "")
     checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
-    assert checks["f0.asymptotic_uinf"] <= 1e-11
+    assert checks["f0.asymptotic_u0"] <= 1e-11
 
 
 def test_verify_extreme_scale_no_overflow_warning():
@@ -232,8 +233,7 @@ def test_verify_extreme_scale_no_overflow_warning():
         code, out, err = run_cli(["verify", *N4, "--mu0", mu0])
         assert (code, err) == (0, "")
         checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
-        for name in ("f0.asymptotic_u0", "f0.asymptotic_uinf", "f0.asymptotic_ratio"):
-            assert checks[name] <= 1e-11
+        assert checks["f0.asymptotic_u0"] <= 1e-11
 
 
 @pytest.mark.parametrize("gamma", ["0.24", "0.2475", "0.249975"])
@@ -329,32 +329,48 @@ def test_shoot_wide_bracket_recovers_amplitude():
     assert float(lines["relative_error"]) <= 1e-10
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", *N4, "--tol", "1e-14"],
-    ["shoot", *N4, "--tol", "1e-60"],
-])
-def test_integration_failure_one_line_exit6(argv):
-    # each tolerance is below what doubles resolve
+@pytest.mark.parametrize("argv", [["verify", *N4], ["shoot", *N4]])
+def test_integration_failure_one_line_exit6(monkeypatch, argv):
+    # a shooting run that fails (here: out of steps) ends the command with
+    # one line and exit 6
+    monkeypatch.setattr(hs.emdenfowler, "MAX_STEPS", 20)
     code, out, err = run_cli(argv)
     assert code == 6
     assert out == ""
-    assert err.startswith("integration failed: step size underflow")
-    assert len(err.splitlines()) == 1
+    assert err == "integration failed: step budget exceeded (20 steps)\n"
 
 
-@pytest.mark.parametrize("command,tol,message", [
-    ("verify", "1e-170", "step size underflow at t-offset "),
-    ("shoot", "1e-300", "floating-point overflow at t-offset 0\n"),
+UNDERFLOW, OVERFLOW = "step size underflow at t-offset ", "floating-point overflow at t-offset 0"
+
+
+@pytest.mark.parametrize("command,cases", [
+    ("verify", (("1e-14", UNDERFLOW), ("1e-170", UNDERFLOW))),
+    ("shoot", (("1e-60", UNDERFLOW), ("1e-300", OVERFLOW))),
 ], ids=["verify", "shoot"])
-def test_tiny_tolerance_overflow_one_line_exit6(command, tol, message):
-    # at 1e-300, scaling the error estimate by tol overflows its square at
-    # the first step.  verify integrates only in its shooting run, and at
-    # 1e-170 that run's steps shrink below the smallest step instead
-    code, out, err = run_cli([command, *N4, "--tol", tol])
-    assert code == 6
-    assert out == ""
-    assert err.startswith(f"integration failed: {message}")
-    assert len(err.splitlines()) == 1
+def test_tiny_tolerance_integrate_error_cli_exit2(command, cases):
+    # integrate itself still fails in one IntegrationError at tolerances that
+    # doubles cannot meet: from N4's shooting start its steps shrink below
+    # the smallest step, and at 1e-300 scaling the error estimate by tol
+    # overflows its square at the first step.  The command refuses such a
+    # tolerance before any step: one line, exit 2
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
+    s = hs.classify(p, 1.0)[0].c_tilde
+    for tol, message in cases:
+        start, _ = _manifold_start(p, s, float(tol))
+        with pytest.raises(hs.IntegrationError) as info:
+            integrate(start, (0.0, 30.0), p, tol=float(tol),
+                      stop=lambda t, yu, pu, yv, pv: pu <= 0.0)
+        assert str(info.value).startswith(message)
+        code, out, err = run_cli([command, *N4, "--tol", tol])
+        assert (code, out) == (2, "")
+        assert err == f"invalid parameters: tolerance must be at least 1e-12, got {float(tol):g}\n"
+
+
+def test_tightest_tolerance_exit0():
+    # 1e-12, the tightest tolerance accepted, verifies
+    code, out, err = run_cli(["verify", *N4, "--tol", "1e-12"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
 
 
 @pytest.mark.parametrize("command,tol", [("verify", "nan"), ("shoot", "nan"),

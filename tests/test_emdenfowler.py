@@ -11,7 +11,8 @@ from hardysys import (EFState, ParameterError, TrajectoryError,
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
                                   _manifold_coefficients, _manifold_start,
                                   exact_trajectory, integrate)
-from reference import convergence_order, ef_energy, ef_rhs, exact_ef_solution
+from reference import (convergence_order, ef_energy, ef_rhs, exact_ef_solution,
+                       simultaneous_max_check)
 
 GRID = np.geomspace(1e-6, 1e6, 2048)
 
@@ -308,12 +309,19 @@ def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):
 
 
 def test_shoot_tolerance_bound(benchmark4):
-    # up to 1e-4 the amplitude errs by at most tol / 2; looser is refused
+    # up to 1e-4 the amplitude errs by at most tol / 2; looser is refused.
+    # Down to 1e-12 it shoots; tighter, doubles cannot meet tol near the
+    # turn, and it is refused before any step
     p, fam = benchmark4
     a = hs.shoot_synchronized(p, fam.root, tol=1e-4).y_u[-1]
     assert abs(a - fam.peak_amplitude) <= 0.5e-4 * fam.peak_amplitude
     with pytest.raises(ParameterError, match="at most 1e-4"):
         hs.shoot_synchronized(p, fam.root, tol=1.01e-4)
+    a = hs.shoot_synchronized(p, fam.root, tol=1e-12).y_u[-1]
+    assert abs(a - fam.peak_amplitude) <= 1e-11 * fam.peak_amplitude
+    for tol in (0.99e-12, 1e-13, 1e-300):
+        with pytest.raises(ParameterError, match="at least 1e-12"):
+            hs.shoot_synchronized(p, fam.root, tol=tol)
 
 
 def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
@@ -553,7 +561,7 @@ def test_simultaneous_max_off_grid(benchmark4):
     # sampling grid deliberately not centered on the maximum
     _, fam = benchmark4
     traj = exact_trajectory(fam, np.linspace(-5.0011, 4.9989, 4001))
-    t_u, t_v = hs.simultaneous_max_check(traj)
+    t_u, t_v = simultaneous_max_check(traj)
     assert abs(t_u - t_v) <= 1e-6
     assert abs(t_u) <= 1e-6
 
@@ -563,7 +571,7 @@ def test_simultaneous_max_scaled_family():
     fam = hs.classify(p, 2.0)[0]
     t0 = math.log(2.0)
     traj = exact_trajectory(fam, np.linspace(t0 - 5.0011, t0 + 4.9989, 4001))
-    t_u, t_v = hs.simultaneous_max_check(traj)
+    t_u, t_v = simultaneous_max_check(traj)
     assert abs(t_u - t0) <= 1e-6
     assert abs(t_v - t0) <= 1e-6
 
@@ -572,7 +580,7 @@ def test_simultaneous_max_scalar_case():
     p = hs.ProblemParams.symmetric(3, 0.125, 0.0, 3.0)
     fam = hs.classify(p, 1.0)[0]
     traj = exact_trajectory(fam, np.linspace(-6.0007, 5.9993, 4001))
-    t_u, t_v = hs.simultaneous_max_check(traj)
+    t_u, t_v = simultaneous_max_check(traj)
     assert abs(t_u) <= 1e-6 and abs(t_v) <= 1e-6
 
 
@@ -580,7 +588,7 @@ def test_simultaneous_max_boundary_error(benchmark4):
     _, fam = benchmark4
     traj = exact_trajectory(fam, np.linspace(1.0, 5.0, 101))  # max at left edge
     with pytest.raises(TrajectoryError):
-        hs.simultaneous_max_check(traj)
+        simultaneous_max_check(traj)
 
 
 # --- residuals of the three encodings ---------------------------------------------

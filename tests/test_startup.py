@@ -30,8 +30,7 @@ PUBLIC_NAMES = {
     "exact_trajectory", "find_positive_roots",
     "full_verification", "hardy_constant", "integrate",
     "proportionality_defect", "radial_system_residual", "shoot_synchronized",
-    "simultaneous_max_check", "verify_constants_system",
-    "weighted_system_residual",
+    "verify_constants_system", "weighted_system_residual",
 }
 
 
@@ -59,7 +58,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 29
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)
