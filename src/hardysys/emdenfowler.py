@@ -400,12 +400,12 @@ def _manifold_coefficients(two_star: float, w: float) -> list[float]:
         g_k = -(e_(k-1) + m^2 sum_(i<k) i (k-i) g_i g_(k-i)) / ((1 + k m)^2 - 1),
 
     e_k the coefficients of exp(m G) by J. C. P. Miller's recurrence.
-    G = -(2/m) log(1 + rho), rho = w / (2 2*) < 1/4 at w < 1, so its terms
-    shrink by rho for every n.  Both sums add terms of one sign; the series
-    of Z itself alternates, with terms adding up to ((1 + rho) / (1 - rho))
-    ^(2/m) times its sum (436 at n = 50, tol 1e-4; no digit left by
-    n = 150).  Returns [0, g_1, ..., g_K], to the first term (1 + k m) g_k
-    w^k below roundoff.
+    G = -(2/m) log(1 + rho), rho = w / (2 2*), so its terms shrink by rho
+    for every n: about 30 terms at the shooting start, rho = 1/4.  Both
+    sums add terms of one sign; the series of Z itself alternates, with
+    terms adding up to ((1 + rho) / (1 - rho))^(2/m) times its sum (2.1e5 at
+    n = 50 and 2.6e16 at n = 150, rho = 1/4).  Returns [0, g_1, ..., g_K],
+    to the first term (1 + k m) g_k w^k below roundoff.
     """
     m = two_star - 2.0
     logs, exps = [0.0], [1.0]  # g_k and e_k
@@ -420,31 +420,44 @@ def _manifold_coefficients(two_star: float, w: float) -> list[float]:
     return logs
 
 
-def _manifold_start(p: ProblemParams, s: float,
-                    tol: float) -> tuple[EFState, tuple[float, float]]:
+# manifold coordinate rho = x^m / (2 2*) of the shooting start; the turn is at 1
+_RHO0 = 0.25
+
+
+def _manifold_coordinates(p: ProblemParams, s: float) -> tuple[float, float]:
+    """Manifold coordinates (x0 y_eq, x0 y_eq / s) of the shooting start.
+
+    y_eq is the equilibrium amplitude of the ray y_v = y_u / s and
+    x0 = (2 2* rho0)^(1/m), m = 2* - 2, rho0 = 1/4.  The orbit through the
+    start (``_manifold_start``) is e^(kappa (t - t_start)) times these as
+    t -> -infinity.
+    """
+    m = p.two_star - 2.0
+    k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
+    y_eq = (p.kappa * p.kappa / k_u) ** (1.0 / m)
+    x_u = (2.0 * p.two_star * _RHO0) ** (1.0 / m) * y_eq
+    return x_u, x_u / s
+
+
+def _manifold_start(p: ProblemParams, s: float) -> EFState:
     """The shooting start on the unstable manifold of the ray y_v = y_u / s.
 
-    On the ray, z = y_u / y_eq (y_eq the equilibrium amplitude) solves
-    z'' = kappa^2 (z - z^(2*-1)); the start is y_u = y_eq Z(eps),
-    y_u' = kappa y_eq eps Z'(eps), eps = (1e-3 tol)^(1/2*).  Returns it and
-    its manifold coordinates (eps y_eq, eps y_eq / s): the orbit through it
-    is e^(kappa (t - t_start)) times those as t -> -infinity.
+    On the ray, z = y_u / y_eq solves z'' = kappa^2 (z - z^(2*-1)); the start
+    is y_u = y_eq Z(x0), y_u' = kappa y_eq x0 Z'(x0), at the coordinates of
+    ``_manifold_coordinates``, with Z summed from its series at w = x0^m =
+    2 2* rho0.
     """
-    kappa = p.kappa
-    k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
-    y_eq = (kappa * kappa / k_u) ** (1.0 / (p.two_star - 2.0))
-    eps = (1e-3 * tol) ** (1.0 / p.two_star)
     m = p.two_star - 2.0
-    w = eps ** m
+    w = 2.0 * p.two_star * _RHO0
     logs = _manifold_coefficients(p.two_star, w)
     g = dg = 0.0  # G(w) and m theta G(w), by Horner in w
     for k in range(len(logs) - 1, 0, -1):
         g = (g + logs[k]) * w
         dg = (dg + m * k * logs[k]) * w
-    y0 = y_eq * (eps * math.exp(g))  # y_eq Z(eps)
-    slope = kappa * y0 * (1.0 + dg)  # kappa y_eq eps Z'(eps)
-    start = EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)
-    return start, (eps * y_eq, eps * y_eq / s)
+    x_u, _ = _manifold_coordinates(p, s)
+    y0 = x_u * math.exp(g)  # y_eq Z(x0)
+    slope = p.kappa * y0 * (1.0 + dg)  # kappa y_eq x0 Z'(x0)
+    return EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)
 
 
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
@@ -457,9 +470,9 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     therefore symmetric about its turning point: it is the homoclinic, and
     y_u there is its amplitude a*.  One run at ``tol`` traces it, in the
     direction in which it is well conditioned; the closed form is not used.
-    It starts on the ray's unstable manifold at coordinate
-    eps = (1e-3 tol)^(1/2*), from its series (``_manifold_start``), and stops
-    at the first accepted step with y_u' <= 0.
+    It starts on the ray's unstable manifold, at coordinate rho = 1/4, from
+    its series (``_manifold_start``), and stops at the first accepted step
+    with y_u' <= 0.
 
     The result is that half orbit, shifted so that the turn sits at t = 0,
     with the turn in place of the last step's end: y_u = a* and y_v from the
@@ -467,19 +480,18 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     both slopes 0.  The cubic interpolant, without y'', errs up to 7e-11 at
     tol 1e-9 near gamma = lambda_n, where the steps at the turn are long.
 
-    A linear start, y = eps y_eq, y' = kappa y, would carry the energy
-    K y_u^(2*) / 2* (K = 1 + nu alpha s^-beta) that the homoclinic lacks and
-    raise the turn by about eps^(2*) relative; eps = (1e-3 tol)^(1/2*) keeps
-    that a thousand times below ``tol``.  The series start carries no such
-    offset, and its coordinate eps is exact, so ``full_verification`` reads
-    the asymptotic limits off the trace.  The turn sits at coordinate
-    (2 2*)^(1/m), m = 2* - 2, log(2 2*) / m < delta + 2 e-folds past eps,
-    within the span of log(1/eps) + delta + 10 e-folds.  A run that ends
-    without turning (blow-up, extinction, or the whole span) raises
-    IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most tol / 2
-    relative; a looser ``tol`` raises ParameterError.  So does one below
-    1e-12: near the turn, where y_u' is small, doubles cannot meet it, and
-    ``integrate`` would underflow its step or crawl through its step budget.
+    The series converges for rho < 1, and the turn sits at rho = 1, so the
+    series gives the nearly exponential climb and DP5 the turn, and a* comes
+    from integration.  The start's coordinate is exact, so
+    ``full_verification`` reads the asymptotic limits off the trace.  On
+    the exact orbit rho grows like e^(m kappa t), m = 2* - 2, so the turn
+    comes log(1/rho0) / m e-folds past the start; the run spans twice that.
+    A run that ends without turning (blow-up, extinction, or the whole span)
+    raises IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most
+    tol / 2 relative; a looser ``tol`` raises ParameterError.  So does one
+    below 1e-12: near the turn, where y_u' is small, doubles cannot meet it,
+    and ``integrate`` would crawl through its step budget or underflow its
+    step.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
@@ -490,8 +502,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
         raise ParameterError(f"tolerance must be at most 1e-4, got {tol:g}")
     if tol < 1e-12:
         raise ParameterError(f"tolerance must be at least 1e-12, got {tol:g}")
-    start, _ = _manifold_start(p, s, tol)
-    t_end = (math.log(1e3 / tol) / p.two_star + p.delta + 10.0) / p.kappa
+    start = _manifold_start(p, s)
+    t_end = 2.0 * math.log(1.0 / _RHO0) / ((p.two_star - 2.0) * p.kappa)
     traj = integrate(start, (0.0, t_end), p, tol=tol,
                      stop=lambda t, yu, pu, yv, pv: pu <= 0.0)
     p1 = float(traj.p_u[-1])

@@ -24,12 +24,16 @@ energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
 ==========================  ====================================================
 
 The integrated orbit is the half orbit that shooting traces, from its start
-on the invariant ray y_v = y_u / s up to its turn.  ratio_identity records
-what ``constants_from_root`` enforces, and DP5 keeps an orbit that starts on
-the ray on it, so proportionality_defect reads zero up to rounding; it still
-fails on an orbit that leaves the ray (a start 1e-6 off it reads 1.6e-6 at
-n = 4, nu = 1).  Checks that test more will replace them (ROADMAP.md,
-item 8).
+on the invariant ray y_v = y_u / s up to its turn.  The start sits at
+coordinate rho = 1/4 of the ray's unstable manifold, whose turn is at
+rho = 1, so the manifold's series carries most of the climb, and the orbit
+checks see it: its first coefficient off by 1e-5 fails
+integration_deviation, asymptotic_u0 and shooting_recovery at n = 4,
+nu = 1.  ratio_identity records what ``constants_from_root`` enforces, and
+DP5 keeps an orbit that starts on the ray on it, so proportionality_defect
+reads zero up to rounding; it still fails on an orbit that leaves the ray
+(a start 1e-6 off it reads 1.2e-6 at n = 4, nu = 1).  Checks that test more
+will replace them (ROADMAP.md, item 8).
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .coupling import classify, verify_constants_system
 from .emdenfowler import (ef_system_residual, proportionality_defect,
                           radial_system_residual, shoot_synchronized,
                           weighted_system_residual, _closed_form_arrays,
-                          _manifold_start, _max_normalized)
+                          _manifold_coordinates, _max_normalized)
 from .params import ProblemParams
 from .profiles import asymptotic_limits
 
@@ -124,11 +128,11 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     ``integration_tol`` from the origin, where errors do not grow like
     e^(kappa t) as they do into the saddle, up to its turn.  Placed at
     t0 = log mu0, that half orbit is the orbit of every orbit check.  Its
-    start sits at manifold coordinate x (``_manifold_start``) at time
-    t0 + t_s, t_s = t[0] of the trace, so r^tau1 u = e^(-kappa t) y_u tends
-    to x e^(-kappa (t0 + t_s)).  That limit and the closed form's stay logs,
-    and the gap is |expm1| of their difference, so mu0^-kappa never has to
-    be a double.
+    start sits at manifold coordinate x0 y_eq (``_manifold_coordinates``,
+    which sums no series) at time t0 + t_s, t_s = t[0] of the trace, so
+    r^tau1 u = e^(-kappa t) y_u tends to x0 y_eq e^(-kappa (t0 + t_s)).
+    That limit and the closed form's stay logs, and the gap is |expm1| of
+    their difference, so mu0^-kappa never has to be a double.
     """
     families = classify(p, mu0)
     grid = np.geomspace(1e-6, 1e6, 2048)
@@ -167,7 +171,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 
         # log of the orbit's limit; the closed form's is log(c1 A mu0^-kappa)
-        _, (x_u, _) = _manifold_start(p, s, integration_tol)
+        x_u, _ = _manifold_coordinates(p, s)
         log_b0, _ = asymptotic_limits(fam.profile)
         log_u0 = math.log(x_u) - p.kappa * (t0 + float(half.t[0]))
         add(tag + "asymptotic_u0",

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import hardysys as hs
-from hardysys.emdenfowler import _manifold_start
+from hardysys.emdenfowler import _manifold_coordinates
 from reference import mirrored
 
 
@@ -53,5 +53,5 @@ def matrix_trajectories(matrix_families):
     reference mirror, with the manifold coordinates (x_u, x_v) of its start."""
     return [{"params": p, "mu0": mu0, "family": fam,
              "orbit": mirrored(hs.shoot_synchronized(p, fam.root, 1e-10), math.log(mu0)),
-             "coordinates": _manifold_start(p, fam.c_tilde, 1e-10)[1]}
+             "coordinates": _manifold_coordinates(p, fam.c_tilde)}
             for p, mu0, fam in matrix_families]

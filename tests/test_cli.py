@@ -319,8 +319,8 @@ def test_shoot_strong_coupling_n14_exit0():
 
 def test_shoot_wide_bracket_recovers_amplitude():
     # this case once needed a wide bracket, (0.1, 100), and a loose stage to
-    # integrate its far end trial.  The run now climbs through every
-    # amplitude from eps y_eq up to a*, with no end trial at all
+    # integrate its far end trial.  The run now climbs from the start on
+    # the unstable manifold up to a*, with no end trial at all
     code, out, err = run_cli(["shoot", "--n", "3", "--gamma", "0", "--nu", "1",
                               "--alpha", "3"])
     assert (code, err) == (0, "")
@@ -341,26 +341,30 @@ def test_integration_failure_one_line_exit6(monkeypatch, argv):
 
 
 UNDERFLOW, OVERFLOW = "step size underflow at t-offset ", "floating-point overflow at t-offset 0"
+BUDGET = "step budget exceeded (20000 steps)"
 
 
 @pytest.mark.parametrize("command,cases", [
-    ("verify", (("1e-14", UNDERFLOW), ("1e-170", UNDERFLOW))),
-    ("shoot", (("1e-60", UNDERFLOW), ("1e-300", OVERFLOW))),
+    ("verify", (("1e-14", (UNDERFLOW, BUDGET)), ("1e-170", (UNDERFLOW,)))),
+    ("shoot", (("1e-60", (UNDERFLOW,)), ("1e-300", (OVERFLOW,)))),
 ], ids=["verify", "shoot"])
-def test_tiny_tolerance_integrate_error_cli_exit2(command, cases):
+def test_tiny_tolerance_integrate_error_cli_exit2(monkeypatch, command, cases):
     # integrate itself still fails in one IntegrationError at tolerances that
-    # doubles cannot meet: from N4's shooting start its steps shrink below
-    # the smallest step, and at 1e-300 scaling the error estimate by tol
-    # overflows its square at the first step.  The command refuses such a
-    # tolerance before any step: one line, exit 2
+    # doubles cannot meet.  At 1e-14 its steps shrink near N4's turn, where
+    # y_u' is small; by the last bits of the start they fall below the
+    # smallest step, or crawl through the step budget (2,000,000 steps take
+    # about 20 s; lowered here).  At 1e-170 they underflow at the start, and
+    # at 1e-300 scaling the error estimate by tol overflows its square at the
+    # first step.  The command refuses such a tolerance before any step: one
+    # line, exit 2
+    monkeypatch.setattr(hs.emdenfowler, "MAX_STEPS", 20000)
     p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     s = hs.classify(p, 1.0)[0].c_tilde
-    for tol, message in cases:
-        start, _ = _manifold_start(p, s, float(tol))
+    for tol, messages in cases:
         with pytest.raises(hs.IntegrationError) as info:
-            integrate(start, (0.0, 30.0), p, tol=float(tol),
+            integrate(_manifold_start(p, s), (0.0, 30.0), p, tol=float(tol),
                       stop=lambda t, yu, pu, yv, pv: pu <= 0.0)
-        assert str(info.value).startswith(message)
+        assert str(info.value).startswith(messages)
         code, out, err = run_cli([command, *N4, "--tol", tol])
         assert (code, out) == (2, "")
         assert err == f"invalid parameters: tolerance must be at least 1e-12, got {float(tol):g}\n"

@@ -9,8 +9,8 @@ import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
-                                  _manifold_coefficients, _manifold_start,
-                                  exact_trajectory, integrate)
+                                  _manifold_coefficients, _manifold_coordinates,
+                                  _manifold_start, exact_trajectory, integrate)
 from reference import (convergence_order, ef_energy, ef_rhs, exact_ef_solution,
                        simultaneous_max_check)
 
@@ -261,34 +261,34 @@ def test_kernel_bitwise_regression(name, monkeypatch):
 
 def test_shoot_bitwise_regression(benchmark4):
     p, fam = benchmark4
-    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700c1530p-1"
+    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700c1c14p-1"
 
 
-@pytest.mark.parametrize("n", [3, 6, 14, 50])
+@pytest.mark.parametrize("n", [3, 6, 14, 50, 150])
 def test_manifold_series_start(n):
-    # at x = eps, Z(x) = x exp(G(x^m)) solves x^2 Z'' + x Z' = Z - Z^(2*-1) to
-    # roundoff, and the start lies on the zero level set of the ray's first
-    # integral far below 1e-3 tol (the linear start y' = kappa y misses it by
-    # 3e-9 at n = 3 and 0.3 at n = 50, tol 1e-9)
+    # at the start, x0 = (2 2* rho0)^(1/m), rho0 = 1/4, Z(x) = x exp(G(x^m))
+    # solves x^2 Z'' + x Z' = Z - Z^(2*-1) to roundoff, G is -(2/m) log(1 + rho),
+    # and the start lies on the zero level set of the ray's first integral
     ts = hs.critical_exponent(n)
     m = ts - 2.0
     p = hs.ProblemParams(n, 0.0, 0.0, ts / 2.0)
-    for tol in (1e-4, 1e-9, 1e-10):
-        eps = (1e-3 * tol) ** (1.0 / ts)
-        w = eps ** m
-        logs = _manifold_coefficients(ts, w)
-        g = math.fsum(a * w ** k for k, a in enumerate(logs))
-        dg = math.fsum(m * k * a * w ** k for k, a in enumerate(logs))  # m theta G
-        d2g = math.fsum((m * k) ** 2 * a * w ** k for k, a in enumerate(logs))
-        z = eps * math.exp(g)
-        d2z = z * ((1.0 + dg) ** 2 + d2g)  # x^2 Z'' + x Z'
-        assert abs(d2z - z + z ** (ts - 1.0)) <= 1e-15 * max(d2z, z), (n, tol)
-        assert abs(g + 2.0 / m * math.log1p(w / (2.0 * ts))) <= 1e-15, (n, tol)
-        start, (x_u, x_v) = _manifold_start(p, 1.0, tol)
-        # the coordinate is eps y_eq, y_eq = kappa^(2/m) on the scalar ray
-        assert x_v == x_u and math.isclose(x_u, eps * p.kappa ** (2.0 / m), rel_tol=1e-14)
-        energy = ef_energy(start.y_u, start.p_u, p)
-        assert abs(energy) <= 1e-3 * tol * 0.5 * (p.kappa * start.y_u) ** 2, (n, tol)
+    w = 2.0 * ts * 0.25
+    x0 = w ** (1.0 / m)
+    logs = _manifold_coefficients(ts, w)
+    g = math.fsum(a * w ** k for k, a in enumerate(logs))
+    dg = math.fsum(m * k * a * w ** k for k, a in enumerate(logs))  # m theta G
+    d2g = math.fsum((m * k) ** 2 * a * w ** k for k, a in enumerate(logs))
+    z = x0 * math.exp(g)
+    d2z = z * ((1.0 + dg) ** 2 + d2g)  # x^2 Z'' + x Z'
+    assert abs(d2z - z + z ** (ts - 1.0)) <= 4e-15 * max(d2z, z)
+    assert abs(g + 2.0 / m * math.log1p(0.25)) <= 2e-15 * abs(g)
+    start = _manifold_start(p, 1.0)
+    x_u, x_v = _manifold_coordinates(p, 1.0)
+    # the coordinate is x0 y_eq, y_eq = kappa^(2/m) on the scalar ray
+    assert x_v == x_u and math.isclose(x_u, x0 * p.kappa ** (2.0 / m), rel_tol=1e-14)
+    assert math.isclose(start.y_u, x_u * math.exp(g), rel_tol=1e-14)
+    energy = ef_energy(start.y_u, start.p_u, p)
+    assert abs(energy) <= 1e-15 * 0.5 * (p.kappa * start.y_u) ** 2
 
 
 def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):
@@ -336,7 +336,7 @@ def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
     monkeypatch.setattr(emdenfowler, "integrate", recording)
     a = hs.shoot_synchronized(p, fam.root, tol=1e-7).y_u[-1]
     assert tols == [1e-7]
-    assert a.hex() == "0x1.a20bd70271292p-1"
+    assert a.hex() == "0x1.a20bd6ffcb466p-1"
     target = math.sqrt(2.0 / 3.0)
     assert abs(a - target) / target <= 1e-9
 
@@ -441,15 +441,23 @@ def test_shoot_run_that_does_not_turn_raises(benchmark4, monkeypatch):
 
 def test_shoot_bracket_failure(monkeypatch, benchmark4):
     # the span (0, t_end) brackets the turning time as a bracket once held
-    # a*; a span cut to a quarter ends before the turn, and the shot raises
+    # a*: on the exact orbit rho = x^m / (2 2*) grows like e^(m kappa t) from
+    # 1/4 at the start to 1 at the turn, half the span.  A span cut to just
+    # below half ends before the turn, and the shot raises; one cut to just
+    # above half turns at that time
     p, fam = benchmark4
+    turn = math.log(4.0) / ((p.two_star - 2.0) * p.kappa)
+    for fraction in (0.49, 0.51):
+        def short(initial, span, *args, **kwargs):
+            assert span == (0.0, 2.0 * turn)
+            return integrate(initial, (span[0], fraction * span[1]), *args, **kwargs)
 
-    def short(initial, span, *args, **kwargs):
-        return integrate(initial, (span[0], 0.25 * span[1]), *args, **kwargs)
-
-    monkeypatch.setattr(emdenfowler, "integrate", short)
-    with pytest.raises(hs.IntegrationError, match=r"did not turn \(completed,"):
-        hs.shoot_synchronized(p, fam.root)
+        monkeypatch.setattr(emdenfowler, "integrate", short)
+        if fraction < 0.5:
+            with pytest.raises(hs.IntegrationError, match=r"did not turn \(completed,"):
+                hs.shoot_synchronized(p, fam.root)
+        else:
+            assert abs(hs.shoot_synchronized(p, fam.root).t[0] + turn) <= 1e-9 * turn
 
 
 def test_shoot_bracket_wholly_below_homoclinic(monkeypatch, benchmark4):

@@ -213,13 +213,12 @@ def test_asymptotic_checks_detect_a_wrong_amplitude(factor, fails):
 def test_proportionality_defect_detects_an_orbit_off_the_ray(monkeypatch):
     # DP5 keeps an orbit that starts on the ray y_v = y_u / s on it; one that
     # starts 1e-6 off it (y_v and y_v' scaled by 1 + 1e-6) is no homoclinic
-    # of the ray, and proportionality_defect reads about 1.6e-6 > 1e-8
+    # of the ray, and proportionality_defect reads about 1.2e-6 > 1e-8
     on_ray = hs.emdenfowler._manifold_start
 
-    def off_ray(p, s, tol):
-        start, coordinates = on_ray(p, s, tol)
-        return replace(start, y_v=start.y_v * (1.0 + 1e-6),
-                       p_v=start.p_v * (1.0 + 1e-6)), coordinates
+    def off_ray(p, s):
+        start = on_ray(p, s)
+        return replace(start, y_v=start.y_v * (1.0 + 1e-6), p_v=start.p_v * (1.0 + 1e-6))
 
     monkeypatch.setattr(hs.emdenfowler, "_manifold_start", off_ray)
     checks = {c.name: c for c in
@@ -227,6 +226,27 @@ def test_proportionality_defect_detects_an_orbit_off_the_ray(monkeypatch):
     check = checks["f0.proportionality_defect"]
     assert not check.passed
     assert 1e-6 <= check.value <= 1e-5
+
+
+def test_orbit_checks_detect_a_wrong_manifold_series(monkeypatch):
+    # the run starts at rho = 1/4, where the series carries the climb: its
+    # first coefficient g_1 off by 1e-5 moves the start off the manifold,
+    # and the three checks read off the orbit fail (about 2.4e-6, 3.7e-6 and
+    # 2.9e-6 against 1e-6)
+    on_manifold = hs.emdenfowler._manifold_coefficients
+
+    def skewed(two_star, w):
+        logs = on_manifold(two_star, w)
+        logs[1] *= 1.0 + 1e-5
+        return logs
+
+    monkeypatch.setattr(hs.emdenfowler, "_manifold_coefficients", skewed)
+    checks = {c.name: c for c in
+              hs.full_verification(hs.ProblemParams(4, 0.0, 1.0, 2.0)).checks}
+    for name in ("integration_deviation", "asymptotic_u0", "shooting_recovery"):
+        check = checks["f0." + name]
+        assert not check.passed
+        assert 1e-6 < check.value <= 1e-5
 
 
 def test_report_deterministic(benchmark4):
@@ -273,44 +293,47 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # that held by construction (simultaneous_max_gap, max_location_error,
 # quotient_limit_minus/plus, asymptotic_uinf and asymptotic_ratio) left with
 # the mirror; the values kept, read off the half orbit, are the same bits.
+# integration_deviation, proportionality_defect, asymptotic_u0 and
+# shooting_recovery were recorded again when the trace started at manifold
+# coordinate rho = 1/4 instead of eps = (1e-3 tol)^(1/2*).
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.d64d5275b2829p-49", "0x1.d64d5275b2829p-49",
-        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.ad00000000000p-45",
-        "0x0.0p+0", "0x1.5a73fffffe2b2p-39", "0x1.06186c4bfa1bdp-44"),),
+        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.e600000000000p-46",
+        "0x0.0p+0", "0x1.5000000000037p-46", "0x1.299cedd04aa7fp-45"),),
     "n3-nu1-alpha3": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
-        "0x1.b050000000000p-44", "0x1.d3dbda6758233p-50", "0x1.0627fffffde71p-38",
-        "0x1.7d98eaef7d8e7p-45"), (
+        "0x1.3400000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
+        "0x1.4d5972033ba89p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.ca7bb15d402e5p-49",
         "0x1.ca7bb15d402e5p-49", "0x1.6d18c00cb0000p-35", "0x1.4000000000000p-52",
-        "0x1.3680000000000p-44", "0x0.0p+0", "0x1.04bafffffdecep-38",
-        "0x1.6e3da519bbee6p-45"), (
+        "0x1.d400000000000p-47", "0x1.85092ed86a2f1p-53", "0x1.2c0000000002cp-46",
+        "0x1.639a64d1d1075p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
         "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
-        "0x1.ad70000000000p-44", "0x1.41abcc717c3bcp-50", "0x1.05bc7ffffde8dp-38",
-        "0x1.72d0b658282b0p-45")),
+        "0x1.2c00000000000p-46", "0x1.1dee0b0f8af2ap-50", "0x1.2c8000000002cp-46",
+        "0x1.514ed10c55e34p-46")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.11bbee6c6bee0p-51", "0x1.6f2d60f23a893p-48",
-        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.bb00000000000p-45",
-        "0x0.0p+0", "0x1.0cc7fffffdcbap-38", "0x1.7fa6358086656p-44"),),
+        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.0500000000000p-45",
+        "0x0.0p+0", "0x1.31000000000b6p-44", "0x1.c410b4ee2062ap-45"),),
     # mu0 = 2: t0 = log 2 != 0, so the orbit's times t0 + t are rounded
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
-        "0x1.b050000000000p-44", "0x1.d3dbda6758233p-50", "0x1.0627fffffde71p-38",
-        "0x1.7d98eaef7d8e7p-45"), (
+        "0x1.3400000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
+        "0x1.4d5972033ba89p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.8000000000000p-50",
         "0x1.8000000000000p-50", "0x1.097ed09580000p-35", "0x1.4000000000000p-52",
-        "0x1.3680000000000p-44", "0x0.0p+0", "0x1.04bbfffffdecep-38",
-        "0x1.6e3da519bbee6p-45"), (
+        "0x1.d400000000000p-47", "0x1.85092ed86a2f1p-53", "0x1.2c0000000002cp-46",
+        "0x1.639a64d1d1075p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
         "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
-        "0x1.ad70000000000p-44", "0x1.41abcc717c3bcp-50", "0x1.05bd7ffffde8dp-38",
-        "0x1.72d0b658282b0p-45")),
+        "0x1.2c00000000000p-46", "0x1.1dee0b0f8af2ap-50", "0x1.2c8000000002cp-46",
+        "0x1.514ed10c55e34p-46")),
 }
 
 # the check order of one coupled (nu > 0) family
@@ -340,3 +363,22 @@ def test_report_bitwise_regression(name):
                 for check, value in zip(COUPLED_CHECKS, values)]
     assert [(c.name, c.value.hex()) for c in report.checks] == expected
     assert report.overall
+
+
+def test_matrix_round_step_budget(monkeypatch, matrix_families):
+    # a round over the 36 matrix cases integrates each of its 48 families
+    # once, from the start at rho = 1/4, in at most 8,000 accepted steps
+    # (23,940 from the earlier start at eps = (1e-3 tol)^(1/2*))
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(hs.emdenfowler, "integrate", counting)
+    cases = dict.fromkeys((p, mu0) for p, mu0, _ in matrix_families)
+    assert len(cases) == 36
+    for p, mu0 in cases:
+        assert hs.full_verification(p, mu0).overall
+    assert len(runs) == 48
+    assert sum(r.accepted for r in runs) <= 8000
