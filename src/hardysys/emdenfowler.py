@@ -124,9 +124,11 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 
     Error control is per unit step: a step of size h is accepted when the
     embedded estimate satisfies ||err/scale|| <= tol * h, which makes the
-    global error scale like tol^(5/4).  Backward spans integrate the
-    time-reversed field (flip the derivative components) so there is a single
-    forward code path.  Termination is 'completed', or 'blowup' when a
+    global error scale like tol^(5/4).  It runs forward only: a span with
+    t1 < t0 raises ParameterError.  The field is reversible, so the backward
+    leg from (y_u, y_u', y_v, y_v') over (t0, t1) is the forward run from the
+    flipped state (y_u, -y_u', y_v, -y_v') over (-t0, -t1), with t and both
+    slopes negated.  Termination is 'completed', or 'blowup' when a
     component magnitude passes ``BLOWUP_THRESHOLD``, or 'extinction' when a
     component goes negative (the state is clamped at zero and reported).
     Past ``MAX_STEPS`` attempted steps, below a step of ``MIN_STEP``, or when
@@ -152,9 +154,9 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             raise ParameterError("initial state must be finite")
 
     t0, t1 = float(t_span[0]), float(t_span[1])
-    backward = t1 < t0
-    span = abs(t1 - t0)
-    sign = -1.0 if backward else 1.0
+    if not t0 <= t1:
+        raise ParameterError(f"t_span must run forward, got ({t0:g}, {t1:g})")
+    span = t1 - t0
 
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
@@ -173,10 +175,9 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     b1, _, b3, b4, b5, b6 = _B
     w1, _, w3, w4, w5, w6, w7 = _E
 
-    # forward-time state; derivative components flipped for backward spans.
     # Python floats: numpy scalars would make every step about twice as slow
-    yu, pu = float(initial.y_u), sign * float(initial.p_u)
-    yv, pv = float(initial.y_v), sign * float(initial.p_v)
+    yu, pu = float(initial.y_u), float(initial.p_u)
+    yv, pv = float(initial.y_v), float(initial.p_v)
 
     ss = [0.0]
     yus, pus, yvs, pvs = [yu], [pu], [yv], [pv]
@@ -325,7 +326,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
                 if stop_reason:
                     termination = stop_reason
                     break
-                if stop is not None and stop(t0 + sign * s, yu, sign * pu, yv, sign * pv):
+                if stop is not None and stop(t0 + s, yu, pu, yv, pv):
                     break
                 if enorm == 0.0:
                     factor = 5.0
@@ -345,14 +346,12 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     except OverflowError as exc:
         raise IntegrationError(f"floating-point overflow at t-offset {s:.6g}") from exc
 
-    offsets = np.asarray(ss)
-    t_out = t0 + sign * offsets
     return EFTrajectory(
-        t=t_out,
+        t=t0 + np.asarray(ss),
         y_u=np.asarray(yus),
-        p_u=sign * np.asarray(pus),
+        p_u=np.asarray(pus),
         y_v=np.asarray(yvs),
-        p_v=sign * np.asarray(pvs),
+        p_v=np.asarray(pvs),
         accepted=accepted,
         rejected=rejected,
         termination=termination,
@@ -496,12 +495,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
         raise ParameterError("shooting requires a root of the coupling function")
-    if not (0.0 < tol < math.inf):
-        raise ParameterError("tolerance must be positive and finite")
-    if tol > 1e-4:
-        raise ParameterError(f"tolerance must be at most 1e-4, got {tol:g}")
-    if tol < 1e-12:
-        raise ParameterError(f"tolerance must be at least 1e-12, got {tol:g}")
+    if not 1e-12 <= tol <= 1e-4:
+        raise ParameterError(f"tolerance must be in [1e-12, 1e-4], got {tol:g}")
     start = _manifold_start(p, s)
     t_end = 2.0 * math.log(1.0 / _RHO0) / ((p.two_star - 2.0) * p.kappa)
     traj = integrate(start, (0.0, t_end), p, tol=tol,
@@ -550,58 +545,60 @@ def _max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
-def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
-    """Max normalized residual of the radial system for (c1 W, c2 W).
+def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
+                       grid) -> tuple[float, float]:
+    """Max normalized residual of the encoding of the radial system for g = r^tau u.
 
-    Each equation is evaluated as u'' + (n-1)u'/r + gamma u/r^2 + u^(2*-1)
-    + coupling, normalized pointwise by the largest term magnitude (floored
-    at 1 so that vanishing tails do not inflate the quotient).
+    Each equation is evaluated as g'' + (n-1-2 tau) g'/r + potential g/r^2
+    + r^(-(2*-2) tau) (g^(2*-1) + coupling), normalized pointwise by the
+    largest term magnitude (floored at 1 so that vanishing tails do not
+    inflate the quotient).
     """
     r = np.asarray(grid, dtype=float)
     p = fam.profile.params
     ts = p.two_star
-    n = p.n
-    gamma = p.gamma
-    u, u1, u2 = fam.profile.derivatives(r)
+    g, g1, g2 = fam.profile.weighted_derivatives(tau, r)
+    weight = np.power(r, -(ts - 2.0) * tau)
     return tuple(_max_normalized((
-        c_own * u2,
-        (n - 1.0) * c_own * u1 / r,
-        gamma * c_own * u / (r * r),
-        np.power(c_own * u, ts - 1.0),
-        factor * np.power(c_own * u, e_own) * np.power(c_oth * u, e_oth),
+        c_own * g2,
+        (p.n - 1.0 - 2.0 * tau) * c_own * g1 / r,
+        potential * c_own * g / (r * r),
+        weight * np.power(c_own * g, ts - 1.0),
+        weight * factor * np.power(c_own * g, e_own) * np.power(c_oth * g, e_oth),
     )) for c_own, c_oth, e_own, e_oth, factor in (
         (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
         (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)))
+
+
+def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
+    """Max normalized residual of the radial system for (c1 W, c2 W).
+
+    Each equation is u'' + (n-1)u'/r + gamma u/r^2 + u^(2*-1) + coupling.
+    For every tau, r^tau (u'' + (n-1)u'/r + gamma u/r^2) = g'' +
+    (n-1-2 tau) g'/r + (tau^2 - (n-2) tau + gamma) g/r^2 with g = r^tau u,
+    so this is the weighted encoding at tau = 0, with potential gamma.
+    """
+    return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid)
 
 
 def weighted_system_residual(fam: SynchronizedFamily, tau: float,
                              grid) -> tuple[float, float]:
     """Max normalized residual of the weighted encoding for g = r^tau u.
 
-    Requires tau to solve tau^2 - (n-2) tau + gamma = 0 (either root); the
-    equivalence with the plain radial system holds only then.
+    By the identity of ``radial_system_residual``, the potential of the
+    weighted equation is tau^2 - (n-2) tau + gamma.  Requires tau to solve
+    tau^2 - (n-2) tau + gamma = 0 (either root), so that the potential
+    vanishes; it is passed as exactly 0, since computing it would leave
+    roundoff times g/r^2, which grows like r^-2 as r -> 0.
     """
     p = fam.profile.params
-    gamma = p.gamma
-    n = p.n
-    char = tau * tau - (n - 2.0) * tau + gamma
-    if abs(char) > 1e-10 * max(1.0, tau * tau, gamma):
+    char = tau * tau - (p.n - 2.0) * tau + p.gamma
+    if abs(char) > 1e-10 * max(1.0, tau * tau, p.gamma):
         raise ParameterError(
             f"tau={tau} is not a root of the characteristic equation "
             f"(residual {char:.3e})"
         )
-    r = np.asarray(grid, dtype=float)
-    ts = p.two_star
-    g, g1, g2 = fam.profile.weighted_derivatives(tau, r)
-    weight = np.power(r, -(ts - 2.0) * tau)
-    return tuple(_max_normalized((
-        c_own * g2,
-        (n - 1.0 - 2.0 * tau) * c_own * g1 / r,
-        weight * np.power(c_own * g, ts - 1.0),
-        weight * factor * np.power(c_own * g, e_own) * np.power(c_oth * g, e_oth),
-    )) for c_own, c_oth, e_own, e_oth, factor in (
-        (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
-        (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)))
+    return _encoding_residual(fam, tau, 0.0, grid)
 
 
 def ef_system_residual(fam: SynchronizedFamily, t_grid) -> tuple[float, float]:

@@ -92,16 +92,10 @@ class ScalarProfile:
         import numpy as np
         return np.exp(self._log_value(_as_radii(r)))
 
-    def derivatives(self, r):
-        """(u, u', u'') with exact closed-form radial derivatives.
-
-        The weighted form at tau = 0, where chi = -phi exactly.
-        """
-        return self.weighted_derivatives(0.0, r)
-
     def weighted_derivatives(self, tau: float, r):
         """(g, g', g'') for g(r) = r^tau u(r), stable for any fixed tau.
 
+        At tau = 0 these are (u, u', u''), with chi = -phi exactly.
         Assembling g' and g'' from u, u', u'' term by term loses up to eight
         digits near r -> 0 when tau = tau1; the chi-form below does not.
         """

@@ -65,9 +65,11 @@ def test_criterion_03_ode_fidelity():
 
     def sup_err(tol):
         worst = 0.0
-        for direction in (+1.0, -1.0):
-            traj = integrate(start, (0.0, 10.0 * direction), p, tol=tol)
-            ref_u, _, ref_v, _ = _closed_form_arrays(fam, traj.t)
+        # the backward leg is the forward run from the flipped state, mirrored in t
+        flipped = hs.EFState(start.y_u, -start.p_u, start.y_v, -start.p_v)
+        for direction, state in ((+1.0, start), (-1.0, flipped)):
+            traj = integrate(state, (0.0, 10.0), p, tol=tol)
+            ref_u, _, ref_v, _ = _closed_form_arrays(fam, direction * traj.t)
             worst = max(worst, float(np.max(np.abs(traj.y_u - ref_u))),
                         float(np.max(np.abs(traj.y_v - ref_v))))
         return worst

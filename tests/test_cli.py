@@ -367,7 +367,7 @@ def test_tiny_tolerance_integrate_error_cli_exit2(monkeypatch, command, cases):
         assert str(info.value).startswith(messages)
         code, out, err = run_cli([command, *N4, "--tol", tol])
         assert (code, out) == (2, "")
-        assert err == f"invalid parameters: tolerance must be at least 1e-12, got {float(tol):g}\n"
+        assert err == f"invalid parameters: tolerance must be in [1e-12, 1e-4], got {float(tol):g}\n"
 
 
 def test_tightest_tolerance_exit0():
@@ -382,7 +382,7 @@ def test_tightest_tolerance_exit0():
 def test_non_finite_tolerance_exit2(command, tol):
     code, _, err = run_cli([command, *N4, "--tol", tol])
     assert code == 2
-    assert err == "invalid parameters: tolerance must be positive and finite\n"
+    assert err == f"invalid parameters: tolerance must be in [1e-12, 1e-4], got {tol}\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "shoot"])
@@ -392,7 +392,7 @@ def test_loose_tolerance_exit2(command, tol):
     # amplitude errs by more than tol / 2 (38.8 relative at 1e10)
     code, out, err = run_cli([command, *N4, "--tol", tol])
     assert (code, out) == (2, "")
-    assert err == f"invalid parameters: tolerance must be at most 1e-4, got {float(tol):g}\n"
+    assert err == f"invalid parameters: tolerance must be in [1e-12, 1e-4], got {float(tol):g}\n"
 
 
 # --- sweep ----------------------------------------------------------------------

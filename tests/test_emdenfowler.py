@@ -99,16 +99,21 @@ def test_two_sided_exponential_bounds(matrix_families):
 # --- integration -----------------------------------------------------------------
 
 
+def _flipped(state):
+    """(y_u, -y_u', y_v, -y_v'): its forward run is the backward leg, mirrored in t."""
+    return EFState(state.y_u, -state.p_u, state.y_v, -state.p_v)
+
+
 def test_integration_tracks_closed_form(benchmark4):
     p, fam = benchmark4
     start = exact_ef_solution(fam, 0.0)
-    for direction in (+1.0, -1.0):
-        traj = integrate(start, (0.0, 10.0 * direction), p, tol=1e-10)
+    for direction, state in ((+1.0, start), (-1.0, _flipped(start))):
+        traj = integrate(state, (0.0, 10.0), p, tol=1e-10)
         assert traj.termination == "completed"
-        ref_u, ref_p, ref_v, _ = _closed_form_arrays(fam, traj.t)
+        ref_u, ref_p, ref_v, _ = _closed_form_arrays(fam, direction * traj.t)
         assert np.max(np.abs(traj.y_u - ref_u)) <= 1e-6
         assert np.max(np.abs(traj.y_v - ref_v)) <= 1e-6
-        assert np.max(np.abs(traj.p_u - ref_p)) <= 1e-5
+        assert np.max(np.abs(direction * traj.p_u - ref_p)) <= 1e-5
 
 
 def test_integration_tolerance_scaling(benchmark4):
@@ -118,9 +123,9 @@ def test_integration_tolerance_scaling(benchmark4):
 
     def sup_err(tol):
         worst = 0.0
-        for direction in (+1.0, -1.0):
-            traj = integrate(start, (0.0, 10.0 * direction), p, tol=tol)
-            ref_u, _, _, _ = _closed_form_arrays(fam, traj.t)
+        for direction, state in ((+1.0, start), (-1.0, _flipped(start))):
+            traj = integrate(state, (0.0, 10.0), p, tol=tol)
+            ref_u, _, _, _ = _closed_form_arrays(fam, direction * traj.t)
             worst = max(worst, float(np.max(np.abs(traj.y_u - ref_u))))
         return worst
 
@@ -144,12 +149,12 @@ def test_trajectory_monotone_time_and_stats(benchmark4):
     start = exact_ef_solution(fam, 0.0)
     fwd = integrate(start, (0.0, 5.0), p, tol=1e-8)
     assert np.all(np.diff(fwd.t) > 0)
-    bwd = integrate(start, (0.0, -5.0), p, tol=1e-8)
-    assert np.all(np.diff(bwd.t) < 0)
+    bwd = integrate(_flipped(start), (0.0, 5.0), p, tol=1e-8)
+    assert np.all(np.diff(-bwd.t) < 0)
     assert fwd.accepted == len(fwd.t) - 1
     assert fwd.rejected >= 0
     # reversibility: backward leg mirrors the forward one
-    ref_u, _, _, _ = _closed_form_arrays(fam, bwd.t)
+    ref_u, _, _, _ = _closed_form_arrays(fam, -bwd.t)
     assert np.max(np.abs(bwd.y_u - ref_u)) <= 1e-6
 
 
@@ -181,8 +186,9 @@ def test_zero_length_span(benchmark4):
 def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
     p, fam = benchmark4
     exact = exact_ef_solution(fam, 0.2)
-    values = (exact.y_u, exact.p_u, exact.y_v, exact.p_v)
-    for span in ((0.2, 4.0), (0.2, -3.0)):
+    forward = (exact.y_u, exact.p_u, exact.y_v, exact.p_v)
+    flipped = (exact.y_u, -exact.p_u, exact.y_v, -exact.p_v)
+    for values, span in ((forward, (0.2, 4.0)), (flipped, (-0.2, 3.0))):
         seen = []
 
         def stop(*state):
@@ -205,15 +211,9 @@ KERNEL_PINS = {
     "n4-forward": (672, 0, "completed", (
         "0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "-0x1.36f46dcf0d2edp-14",
         "0x1.36f53ac6bdc18p-14", "-0x1.36f46dcf0d2edp-14")),
-    "n4-backward": (672, 0, "completed", (
-        "-0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14",
-        "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14")),
     "n3-forward-tol12": (1170, 2, "completed", (
         "0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "-0x1.ab20adfd02593p-10",
         "0x1.178f05b1ca8c3p-7", "-0x1.178f059e5c24dp-8")),
-    "n3-backward-tol12": (1170, 2, "completed", (
-        "-0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "0x1.ab20adfd02593p-10",
-        "0x1.178f05b1ca8c3p-7", "0x1.178f059e5c24dp-8")),
     "n4-shooting-trial": (175, 28, "extinction", (
         "0x1.a7128e109664ap+1", "0x0.0p+0", "-0x1.dee3431449a67p-4",
         "0x0.0p+0", "-0x1.dee3431449a67p-4")),
@@ -232,8 +232,7 @@ def _pinned_run(name):
     if name.startswith("n3"):
         n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
         start = exact_ef_solution(hs.classify(n3, 1.0)[0], 0.0)
-        end = 10.0 if "forward" in name else -10.0
-        return integrate(start, (0.0, end), n3, tol=1e-12)
+        return integrate(start, (0.0, 10.0), n3, tol=1e-12)
     if name == "n4-shooting-trial":
         a = 1.01 * fam4.c1 * n4.amplitude * 2.0 ** (-n4.delta)
         start = EFState(a, 0.0, a / fam4.c_tilde, 0.0)
@@ -245,8 +244,7 @@ def _pinned_run(name):
         scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
         start = exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.0)
         return integrate(start, (0.0, 10.0), scalar)
-    end = 10.0 if name == "n4-forward" else -10.0
-    return integrate(exact_ef_solution(fam4, 0.0), (0.0, end), n4)
+    return integrate(exact_ef_solution(fam4, 0.0), (0.0, 10.0), n4)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_PINS))
@@ -257,6 +255,33 @@ def test_kernel_bitwise_regression(name, monkeypatch):
     last = tuple(float(getattr(traj, k)[-1]).hex()
                  for k in ("t", "y_u", "p_u", "y_v", "p_v"))
     assert (traj.accepted, traj.rejected, traj.termination, last) == KERNEL_PINS[name]
+
+
+def test_backward_leg_is_the_flipped_forward_run():
+    # step counts and last states (t, y_u, p_u, y_v, p_v) of backward legs,
+    # recorded when integrate still took spans with t1 < t0 (from t0 to -10).
+    # The forward run from the flipped state over the mirrored span repeats
+    # each bit for bit, with t and both slopes negated.  At t0 = 0 the start
+    # is the maximum, where both slopes are zero, so those two legs repeat the
+    # forward pins; the leg from t0 = 0.5 starts on a slope
+    n4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+    for p, t0, tol, pin in (
+            (n4, 0.0, 1e-10, (672, 0, (
+                "-0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14",
+                "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14"))),
+            (n3, 0.0, 1e-12, (1170, 2, (
+                "-0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "0x1.ab20adfd02593p-10",
+                "0x1.178f05b1ca8c3p-7", "0x1.178f059e5c24dp-8"))),
+            (n4, 0.5, 1e-10, (763, 2, (
+                "-0x1.4000000000000p+3", "0x1.36f552ab95461p-14", "0x1.36f455ea365a3p-14",
+                "0x1.36f552ab95461p-14", "0x1.36f455ea365a3p-14")))):
+        start = exact_ef_solution(hs.classify(p, 1.0)[0], t0)
+        traj = integrate(_flipped(start), (-t0, 10.0), p, tol=tol)
+        assert traj.termination == "completed"
+        last = tuple(float(sign * getattr(traj, k)[-1]).hex() for sign, k in (
+            (-1.0, "t"), (1.0, "y_u"), (-1.0, "p_u"), (1.0, "y_v"), (-1.0, "p_v")))
+        assert (traj.accepted, traj.rejected, last) == pin
 
 
 def test_shoot_bitwise_regression(benchmark4):
@@ -315,12 +340,12 @@ def test_shoot_tolerance_bound(benchmark4):
     p, fam = benchmark4
     a = hs.shoot_synchronized(p, fam.root, tol=1e-4).y_u[-1]
     assert abs(a - fam.peak_amplitude) <= 0.5e-4 * fam.peak_amplitude
-    with pytest.raises(ParameterError, match="at most 1e-4"):
+    with pytest.raises(ParameterError, match=r"in \[1e-12, 1e-4\], got 0.000101$"):
         hs.shoot_synchronized(p, fam.root, tol=1.01e-4)
     a = hs.shoot_synchronized(p, fam.root, tol=1e-12).y_u[-1]
     assert abs(a - fam.peak_amplitude) <= 1e-11 * fam.peak_amplitude
-    for tol in (0.99e-12, 1e-13, 1e-300):
-        with pytest.raises(ParameterError, match="at least 1e-12"):
+    for tol in (0.99e-12, 1e-13, 1e-300, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match=rf"in \[1e-12, 1e-4\], got {tol:g}$"):
             hs.shoot_synchronized(p, fam.root, tol=tol)
 
 
@@ -349,6 +374,16 @@ def test_integration_rejects_bad_inputs(benchmark4):
             integrate(start, (0.0, 1.0), p, tol=tol)
     with pytest.raises(ParameterError):
         integrate(EFState(math.nan, 0.0, 0.0, 0.0), (0.0, 1.0), p)
+
+
+def test_integration_rejects_backward_span(benchmark4):
+    # a span with t1 < t0 would otherwise return the start alone; a backward
+    # leg is the forward run from the flipped state
+    p, fam = benchmark4
+    start = exact_ef_solution(fam, 0.0)
+    for span in ((0.0, -10.0), (0.3, 0.2999999999999999), (0.0, math.nan)):
+        with pytest.raises(ParameterError, match="t_span must run forward"):
+            integrate(start, span, p)
 
 
 def test_trajectory_csv(benchmark4):
