@@ -206,14 +206,27 @@ def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
 
 # Step counts and the exact last state (t, y_u, p_u, y_v, p_v) of fixed runs,
 # recorded from the table-driven form of the kernel: any change in the order
-# of its floating-point operations shows up here.
+# of its floating-point operations shows up here.  The backward pins were
+# recorded when integrate still took spans with t1 < t0 (from t0 to -10); the
+# forward run from the flipped state over the mirrored span repeats each bit,
+# with t and both slopes negated back.  At t0 = 0 the start is the maximum,
+# where both slopes are zero; the off-maximum leg starts at t0 = 0.5, on a slope.
 KERNEL_PINS = {
     "n4-forward": (672, 0, "completed", (
         "0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "-0x1.36f46dcf0d2edp-14",
         "0x1.36f53ac6bdc18p-14", "-0x1.36f46dcf0d2edp-14")),
+    "n4-backward": (672, 0, "completed", (
+        "-0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14",
+        "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14")),
+    "n4-backward-off-maximum": (763, 2, "completed", (
+        "-0x1.4000000000000p+3", "0x1.36f552ab95461p-14", "0x1.36f455ea365a3p-14",
+        "0x1.36f552ab95461p-14", "0x1.36f455ea365a3p-14")),
     "n3-forward-tol12": (1170, 2, "completed", (
         "0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "-0x1.ab20adfd02593p-10",
         "0x1.178f05b1ca8c3p-7", "-0x1.178f059e5c24dp-8")),
+    "n3-backward-tol12": (1170, 2, "completed", (
+        "-0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "0x1.ab20adfd02593p-10",
+        "0x1.178f05b1ca8c3p-7", "0x1.178f059e5c24dp-8")),
     "n4-shooting-trial": (175, 28, "extinction", (
         "0x1.a7128e109664ap+1", "0x0.0p+0", "-0x1.dee3431449a67p-4",
         "0x0.0p+0", "-0x1.dee3431449a67p-4")),
@@ -232,6 +245,8 @@ def _pinned_run(name):
     if name.startswith("n3"):
         n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
         start = exact_ef_solution(hs.classify(n3, 1.0)[0], 0.0)
+        if "backward" in name:
+            start = _flipped(start)
         return integrate(start, (0.0, 10.0), n3, tol=1e-12)
     if name == "n4-shooting-trial":
         a = 1.01 * fam4.c1 * n4.amplitude * 2.0 ** (-n4.delta)
@@ -244,7 +259,12 @@ def _pinned_run(name):
         scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
         start = exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.0)
         return integrate(start, (0.0, 10.0), scalar)
-    return integrate(exact_ef_solution(fam4, 0.0), (0.0, 10.0), n4)
+    if name == "n4-backward-off-maximum":
+        return integrate(_flipped(exact_ef_solution(fam4, 0.5)), (-0.5, 10.0), n4)
+    start = exact_ef_solution(fam4, 0.0)
+    if name == "n4-backward":
+        start = _flipped(start)
+    return integrate(start, (0.0, 10.0), n4)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_PINS))
@@ -252,36 +272,11 @@ def test_kernel_bitwise_regression(name, monkeypatch):
     if name == "n4-low-blowup-threshold":
         monkeypatch.setattr(emdenfowler, "BLOWUP_THRESHOLD", 0.5)
     traj = _pinned_run(name)
-    last = tuple(float(getattr(traj, k)[-1]).hex()
-                 for k in ("t", "y_u", "p_u", "y_v", "p_v"))
+    # a backward leg is read back in the original time: t and slopes negated
+    sign = -1.0 if "backward" in name else 1.0
+    last = tuple(float(s * getattr(traj, k)[-1]).hex() for s, k in (
+        (sign, "t"), (1.0, "y_u"), (sign, "p_u"), (1.0, "y_v"), (sign, "p_v")))
     assert (traj.accepted, traj.rejected, traj.termination, last) == KERNEL_PINS[name]
-
-
-def test_backward_leg_is_the_flipped_forward_run():
-    # step counts and last states (t, y_u, p_u, y_v, p_v) of backward legs,
-    # recorded when integrate still took spans with t1 < t0 (from t0 to -10).
-    # The forward run from the flipped state over the mirrored span repeats
-    # each bit for bit, with t and both slopes negated.  At t0 = 0 the start
-    # is the maximum, where both slopes are zero, so those two legs repeat the
-    # forward pins; the leg from t0 = 0.5 starts on a slope
-    n4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
-    n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
-    for p, t0, tol, pin in (
-            (n4, 0.0, 1e-10, (672, 0, (
-                "-0x1.4000000000000p+3", "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14",
-                "0x1.36f53ac6bdc18p-14", "0x1.36f46dcf0d2edp-14"))),
-            (n3, 0.0, 1e-12, (1170, 2, (
-                "-0x1.4000000000000p+3", "0x1.ab20ae1aa7bdcp-9", "0x1.ab20adfd02593p-10",
-                "0x1.178f05b1ca8c3p-7", "0x1.178f059e5c24dp-8"))),
-            (n4, 0.5, 1e-10, (763, 2, (
-                "-0x1.4000000000000p+3", "0x1.36f552ab95461p-14", "0x1.36f455ea365a3p-14",
-                "0x1.36f552ab95461p-14", "0x1.36f455ea365a3p-14")))):
-        start = exact_ef_solution(hs.classify(p, 1.0)[0], t0)
-        traj = integrate(_flipped(start), (-t0, 10.0), p, tol=tol)
-        assert traj.termination == "completed"
-        last = tuple(float(sign * getattr(traj, k)[-1]).hex() for sign, k in (
-            (-1.0, "t"), (1.0, "y_u"), (-1.0, "p_u"), (1.0, "y_v"), (-1.0, "p_v")))
-        assert (traj.accepted, traj.rejected, last) == pin
 
 
 def test_shoot_bitwise_regression(benchmark4):
