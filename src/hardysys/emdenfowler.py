@@ -26,6 +26,7 @@ import numpy as np
 from .errors import IntegrationError, ParameterError, TrajectoryError
 from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
 from .params import ProblemParams
+from .profiles import _as_radii
 
 BLOWUP_THRESHOLD = 1e8
 MAX_STEPS = 2_000_000
@@ -539,9 +540,12 @@ def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
 
 
 def _max_normalized(terms) -> float:
-    """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...)."""
+    """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...); t1 an array."""
     total = sum(terms[1:], terms[0])  # ((t1 + t2) + t3) + ...
-    scale = np.maximum.reduce([np.ones_like(terms[0])] + [np.abs(t) for t in terms])
+    scale = np.abs(terms[0])
+    np.maximum(scale, 1.0, out=scale)
+    for term in terms[1:]:
+        np.maximum(scale, np.abs(term), out=scale)
     return float(np.max(np.abs(total) / scale))
 
 
@@ -549,47 +553,71 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
                        grid) -> tuple[float, float]:
     """Max normalized residual of the encoding of the radial system for g = r^tau u.
 
-    Each equation is evaluated as g'' + (n-1-2 tau) g'/r + potential g/r^2
-    + r^(-(2*-2) tau) (g^(2*-1) + coupling), normalized pointwise by the
-    largest term magnitude (floored at 1 so that vanishing tails do not
-    inflate the quotient).
+    Each equation g'' + (n-1-2 tau) g'/r + potential g/r^2
+    + r^(-m tau) (g^(2*-1) + coupling), m = 2* - 2, is divided by c g / r^2,
+    c the component's constant.  On ``grid``, which holds rho = r/mu0, that
+    leaves five terms bounded at every n and every mu0 (``profiles``):
+
+        chi^2 - chi - 2 kappa q w (1 - w),   (n-1-2 tau) chi,   potential,
+        c^m y^m,   nu alpha c^(alpha-2) c_other^beta y^m,
+
+    y = r^delta U, whose m-th power is exp(m log y), from the closed form's
+    log value.  The coefficients of the last two terms, c^m and
+    nu alpha c^(alpha-2) c_other^beta, are those of the family's equation of
+    the constants system (``verify_constants_system``), whose left side is
+    their sum; a wrong c1 or c2 shows as a wrong multiple of y^m.  chi is
+    written against the root tau lies nearer to, so that it is a product,
+    not a cancellation, where w or 1 - w is small.  The sum is normalized
+    pointwise by the largest term magnitude, floored at 1 because every term
+    vanishes in the tails.
     """
-    r = np.asarray(grid, dtype=float)
+    rho = _as_radii(grid)
     p = fam.profile.params
-    ts = p.two_star
-    g, g1, g2 = fam.profile.weighted_derivatives(tau, r)
-    weight = np.power(r, -(ts - 2.0) * tau)
-    return tuple(_max_normalized((
-        c_own * g2,
-        (p.n - 1.0 - 2.0 * tau) * c_own * g1 / r,
-        potential * c_own * g / (r * r),
-        weight * np.power(c_own * g, ts - 1.0),
-        weight * factor * np.power(c_own * g, e_own) * np.power(c_oth * g, e_oth),
-    )) for c_own, c_oth, e_own, e_oth, factor in (
-        (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
-        (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)))
+    m = p.two_star - 2.0
+    w, om, log_y = fam.profile._bounded_units(np.log(rho))
+    y_m = np.exp(m * log_y)
+    if tau - p.tau1 <= p.kappa:
+        chi = (tau - p.tau1) - 2.0 * p.kappa * w
+    else:
+        chi = (tau - p.tau2) + 2.0 * p.kappa * om
+    second = chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
+    first = (p.n - 1.0 - 2.0 * tau) * chi
+    # the three terms that both equations share, summed and bounded once
+    head = second + first + potential
+    head_scale = np.maximum(np.abs(second), np.abs(first))
+    np.maximum(head_scale, max(1.0, abs(potential)), out=head_scale)
+    c1, c2 = fam.c1, fam.c2
+    residuals = []
+    for own, coupled in ((c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
+                         (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0))):
+        # y^m > 0, so the larger of the two terms is max(own, coupled) y^m
+        scale = np.maximum(head_scale, max(own, coupled) * y_m)
+        residuals.append(float(np.max(np.abs(head + (own + coupled) * y_m) / scale)))
+    return tuple(residuals)
 
 
 def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
-    """Max normalized residual of the radial system for (c1 W, c2 W).
+    """Max normalized residual of the radial system for (c1 W, c2 W) on rho = r/mu0.
 
     Each equation is u'' + (n-1)u'/r + gamma u/r^2 + u^(2*-1) + coupling.
     For every tau, r^tau (u'' + (n-1)u'/r + gamma u/r^2) = g'' +
     (n-1-2 tau) g'/r + (tau^2 - (n-2) tau + gamma) g/r^2 with g = r^tau u,
     so this is the weighted encoding at tau = 0, with potential gamma.
+    ``grid`` holds radii relative to the family's scale, so mu0 = 1e-+300
+    forms no radius outside the doubles; the values do not depend on mu0.
     """
     return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid)
 
 
 def weighted_system_residual(fam: SynchronizedFamily, tau: float,
                              grid) -> tuple[float, float]:
-    """Max normalized residual of the weighted encoding for g = r^tau u.
+    """Max normalized residual of the weighted encoding for g = r^tau u on rho = r/mu0.
 
     By the identity of ``radial_system_residual``, the potential of the
     weighted equation is tau^2 - (n-2) tau + gamma.  Requires tau to solve
     tau^2 - (n-2) tau + gamma = 0 (either root), so that the potential
     vanishes; it is passed as exactly 0, since computing it would leave
-    roundoff times g/r^2, which grows like r^-2 as r -> 0.
+    roundoff next to terms that vanish as rho -> 0 or rho -> infinity.
     """
     p = fam.profile.params
     char = tau * tau - (p.n - 2.0) * tau + p.gamma

@@ -4,16 +4,17 @@ The central object is the explicit radial profile
 
     U(r) = A / ( r^tau1 * (1 + r^q)^delta ),        q = 2 kappa / delta,
 
-rescaled as u_mu(r) = mu^(-delta) U(r/mu).  All derivative evaluators below
-are exact closed forms arranged to avoid catastrophic cancellation near the
-endpoints of the usual log grids: with w = r^q / (1 + r^q) and
-phi = tau1 + 2 kappa w, one has
+rescaled as u_mu(r) = mu^(-delta) U(r/mu).  With rho = r/mu,
+w = rho^q / (1 + rho^q) and chi = (tau - tau1) - 2 kappa w, the weighted
+profile g = r^tau u has
 
-    u'  = -phi u / r,
-    u'' = u (phi^2 + phi - 2 kappa q w (1 - w)) / r^2.
+    r g' / g     = chi,
+    r^2 g'' / g  = chi^2 - chi - 2 kappa q w (1 - w),
 
-The same trick with chi = (tau - tau1) - 2 kappa w yields stable derivatives
-of the weighted profile r^tau u(r) for any tau.
+and y = r^delta u = A rho^kappa (1 + rho^q)^(-delta) does not depend on mu.
+``_bounded_units`` evaluates w, 1 - w and log y on log rho, the pieces from
+which the residuals of ``emdenfowler`` build the radial equations divided by
+g / r^2; there every term is bounded, at every n and every mu.
 
 numpy is imported inside the array evaluators, so building a ScalarProfile
 (as classify does) loads none.
@@ -35,19 +36,10 @@ def _as_radii(r):
     """Validate positive radii; return them as a float array."""
     import numpy as np
     arr = np.asarray(r, dtype=float)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr < MIN_RADIUS)):
+    # a NaN makes both comparisons false
+    if arr.size and not (arr.min() >= MIN_RADIUS and arr.max() < math.inf):
         raise ParameterError("radius must be finite and >= 1e-300")
     return arr
-
-
-def _sigmoid(t):
-    """exp(t)/(1+exp(t)) without overflow; also returns the complement."""
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    pos = t >= 0
-    et = np.exp(np.where(pos, -t, t))
-    w = np.where(pos, 1.0 / (1.0 + et), et / (1.0 + et))
-    return w, 1.0 - w
 
 
 @dataclass(frozen=True)
@@ -68,12 +60,6 @@ class ScalarProfile:
         p = self.params
         return 2.0 * p.kappa / p.delta
 
-    def _w(self, r):
-        """w = rho^q/(1+rho^q) and 1-w, rho = r/mu, both cancellation-free."""
-        import numpy as np
-        t = self._q * (np.log(r) - math.log(self.mu))
-        return _sigmoid(t)
-
     def _log_value(self, r):
         import numpy as np
         p = self.params
@@ -85,35 +71,28 @@ class ScalarProfile:
         log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
         return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 
+    def _bounded_units(self, rho_log):
+        """(w, 1 - w, log y) at log rho = log(r/mu), y = r^delta u.
+
+        w = rho^q / (1 + rho^q) lies in [0, 1] and y = A rho^kappa
+        (1 + rho^q)^(-delta) in (0, A 2^-delta]; neither depends on mu.
+        With L = log(1 + rho^q), as in ``_log_value``, 1 - w = e^(-L) and
+        w = e^(t - L), t = q log rho, so each is accurate relative to itself,
+        in its tail as well.
+        """
+        import numpy as np
+        p = self.params
+        t = self._q * rho_log
+        log1p_term = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        log_y = math.log(p.amplitude) + p.kappa * rho_log - p.delta * log1p_term
+        return np.exp(t - log1p_term), np.exp(-log1p_term), log_y
+
     # --- public evaluators ------------------------------------------------
 
     def value(self, r):
         """Profile value, vectorized over positive radii."""
         import numpy as np
         return np.exp(self._log_value(_as_radii(r)))
-
-    def weighted_derivatives(self, tau: float, r):
-        """(g, g', g'') for g(r) = r^tau u(r), stable for any fixed tau.
-
-        At tau = 0 these are (u, u', u''), with chi = -phi exactly.
-        Assembling g' and g'' from u, u', u'' term by term loses up to eight
-        digits near r -> 0 when tau = tau1; the chi-form below does not.
-        """
-        import numpy as np
-        arr = _as_radii(r)
-        p = self.params
-        u = np.exp(self._log_value(arr))
-        g = np.power(arr, tau) * u
-        w, om = self._w(arr)
-        if tau - p.tau1 <= p.kappa:
-            chi = (tau - p.tau1) - 2.0 * p.kappa * w
-        else:
-            # same value, written against the upper root so that w -> 1
-            # (large radii) produces a product instead of a cancellation
-            chi = (tau - p.tau2) + 2.0 * p.kappa * om
-        g1 = g * chi / arr
-        g2 = g * (chi * chi - chi - 2.0 * p.kappa * self._q * w * om) / (arr * arr)
-        return g, g1, g2
 
 
 # --- asymptotic limits -----------------------------------------------------

@@ -11,7 +11,11 @@ constants_residual          algebraic constants system residuals <= 1e-12
 ratio_identity              c1/c2 equals the coupling root to 1e-13
 radial_residual             radial encoding residual <= 1e-9
 weighted_residual_tau1      weighted encoding (inner exponent) <= 1e-9
-weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9
+weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9;
+                            the three on rho = r/mu0 in [1e-6, 1e6], each
+                            equation divided by c g / r^2, g = r^tau u, so
+                            every term is bounded, and normalized pointwise
+                            by max(1, |terms|)
 ef_residual                 phase-plane encoding residual <= 1e-9
 integration_deviation       sup |y - y_closed| / max(1, peak of y_u, y_v) <= 1e-6
                             on the integrated orbit (absolute up to a peak of 1)
@@ -33,7 +37,9 @@ nu = 1.  ratio_identity records what ``constants_from_root`` enforces, and
 DP5 keeps an orbit that starts on the ray on it, so proportionality_defect
 reads zero up to rounding; it still fails on an orbit that leaves the ray
 (a start 1e-6 off it reads 1.2e-6 at n = 4, nu = 1).  Checks that test more
-will replace them (ROADMAP.md, item 8).
+will replace them (ROADMAP.md, item 8).  The three encoding residuals read
+c1 and c2 through the multiple of y^m = (r^delta U)^m in each equation:
+both off by 1e-6 fail each of them (about 2.2e-6 at n = 4, nu = 1).
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     their difference, so mu0^-kappa never has to be a double.
     """
     families = classify(p, mu0)
-    grid = np.geomspace(1e-6, 1e6, 2048)
+    grid = np.geomspace(1e-6, 1e6, 2048)  # rho = r/mu0, the same at every mu0
     t0 = math.log(mu0)
     checks: list[CheckResult] = []
 

@@ -13,6 +13,10 @@ a test checks the package against; no command of the package runs it.
 * ``aubin_talenti_value``, ``linear_radial_part``,
   ``scalar_equation_residual``, ``kelvin_transform`` and
   ``weighted_transform``: the scalar profile from other directions.
+* ``weighted_derivatives`` and ``r_space_residual``: the radial encodings
+  evaluated in r, term by term with powers of r, the oracle of the bounded
+  residuals of ``emdenfowler``; ``max_normalized``: the stacked form of
+  their pointwise normalization.
 * ``hardy_weight`` and ``hardy_weight_dx1``: the geometry of the translated
   singular weight.
 * ``endpoint_signs``: the signs of the coupling function at 0+ and at
@@ -174,9 +178,73 @@ def linear_radial_part(profile: ScalarProfile, r):
     arr = _as_radii(r)
     kappa = profile.params.kappa
     u = np.exp(profile._log_value(arr))
-    w, om = profile._w(arr)
+    w, om = profile_w(profile, arr)
     coeff = -2.0 * kappa * (2.0 * kappa + profile._q)
     return coeff * w * om * u / (arr * arr)
+
+
+def profile_w(profile: ScalarProfile, r):
+    """w = rho^q/(1+rho^q) and 1-w, rho = r/mu, by a sigmoid that never overflows."""
+    t = profile._q * (np.log(r) - math.log(profile.mu))
+    pos = t >= 0
+    et = np.exp(np.where(pos, -t, t))
+    w = np.where(pos, 1.0 / (1.0 + et), et / (1.0 + et))
+    return w, 1.0 - w
+
+
+def weighted_derivatives(profile: ScalarProfile, tau: float, r):
+    """(g, g', g'') for g(r) = r^tau u(r), stable for any fixed tau.
+
+    At tau = 0 these are (u, u', u''), with chi = -phi exactly.
+    Assembling g' and g'' from u, u', u'' term by term loses up to eight
+    digits near r -> 0 when tau = tau1; the chi-form below does not.
+    """
+    arr = _as_radii(r)
+    p = profile.params
+    u = np.exp(profile._log_value(arr))
+    g = np.power(arr, tau) * u
+    w, om = profile_w(profile, arr)
+    if tau - p.tau1 <= p.kappa:
+        chi = (tau - p.tau1) - 2.0 * p.kappa * w
+    else:
+        # same value, written against the upper root so that w -> 1
+        # (large radii) produces a product instead of a cancellation
+        chi = (tau - p.tau2) + 2.0 * p.kappa * om
+    g1 = g * chi / arr
+    g2 = g * (chi * chi - chi - 2.0 * p.kappa * profile._q * w * om) / (arr * arr)
+    return g, g1, g2
+
+
+def max_normalized(terms) -> float:
+    """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...), stacked."""
+    total = sum(terms[1:], terms[0])  # ((t1 + t2) + t3) + ...
+    scale = np.maximum.reduce([np.ones_like(terms[0])] + [np.abs(t) for t in terms])
+    return float(np.max(np.abs(total) / scale))
+
+
+def r_space_residual(fam, tau: float, potential: float, r) -> tuple[float, float]:
+    """Max normalized residual of the encoding for g = r^tau u, in r.
+
+    Each equation g'' + (n-1-2 tau) g'/r + potential g/r^2
+    + r^(-(2*-2) tau) (g^(2*-1) + coupling) is summed term by term at the
+    radii ``r`` (not relative to the family's scale) and normalized
+    pointwise by max(1, |terms|).  Its terms overflow at large n, where
+    ``radial_system_residual`` and ``weighted_system_residual`` stay bounded.
+    """
+    arr = _as_radii(r)
+    p = fam.profile.params
+    ts = p.two_star
+    g, g1, g2 = weighted_derivatives(fam.profile, tau, arr)
+    weight = np.power(arr, -(ts - 2.0) * tau)
+    return tuple(max_normalized((
+        c_own * g2,
+        (p.n - 1.0 - 2.0 * tau) * c_own * g1 / arr,
+        potential * c_own * g / (arr * arr),
+        weight * np.power(c_own * g, ts - 1.0),
+        weight * factor * np.power(c_own * g, e_own) * np.power(c_oth * g, e_oth),
+    )) for c_own, c_oth, e_own, e_oth, factor in (
+        (fam.c1, fam.c2, p.alpha - 1.0, p.beta, p.nu * p.alpha),
+        (fam.c2, fam.c1, p.beta - 1.0, p.alpha, p.nu * p.beta)))
 
 
 def scalar_equation_residual(profile: ScalarProfile, r):

@@ -10,10 +10,12 @@ from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
                                   _manifold_coefficients, _manifold_coordinates,
-                                  _manifold_start, exact_trajectory, integrate)
+                                  _manifold_start, _max_normalized, exact_trajectory,
+                                  integrate)
 from reference import (convergence_order, ef_energy, ef_rhs, exact_ef_solution,
-                       simultaneous_max_check)
+                       max_normalized, r_space_residual, simultaneous_max_check)
 
+# rho = r/mu0 of the radial and weighted residuals
 GRID = np.geomspace(1e-6, 1e6, 2048)
 
 
@@ -675,16 +677,31 @@ def test_weighted_residual_rejects_non_root_exponent():
 
 
 def test_three_encodings_agree(matrix_families):
-    # one solution, three formulations, all residuals at the same tolerance
+    # one solution, three formulations, all residuals at the same tolerance;
+    # the radial and weighted ones also by the r-space oracle, which sums
+    # the undivided equations term by term at the radii r = mu0 rho
     for p, mu0, fam in matrix_families:
         ru, rv = hs.radial_system_residual(fam, GRID)
         assert max(ru, rv) <= 1e-9
+        assert max(r_space_residual(fam, 0.0, p.gamma, mu0 * GRID)) <= 1e-9
         for tau in (p.tau1, p.tau2):
             wu, wv = hs.weighted_system_residual(fam, tau, GRID)
             assert max(wu, wv) <= 1e-9
+            assert max(r_space_residual(fam, tau, 0.0, mu0 * GRID)) <= 1e-9
         t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)
         eu, ev = hs.ef_system_residual(fam, t_grid)
         assert max(eu, ev) <= 1e-9
+
+
+def test_max_normalized_is_the_stacked_form_bit_for_bit():
+    # in-place maxima, the same sum order: max is exact, so the value keeps
+    # its bits (ef_residual and energy_invariant read it)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        size = int(rng.integers(1, 50))
+        terms = tuple(rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+                      for _ in range(int(rng.integers(2, 6))))
+        assert _max_normalized(terms) == max_normalized(terms)
 
 
 def test_quotient_limits_integrated(matrix_trajectories):

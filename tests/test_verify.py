@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -58,18 +59,26 @@ def test_convergence_order_validation():
 
 
 def test_log_uniform_grid_contract(monkeypatch, benchmark4):
-    # the radii full_verification passes to the radial residual
+    # the grid full_verification passes to the radial and weighted residuals
+    # holds rho = r/mu0: the same 2048 log-uniform points over [1e-6, 1e6] at
+    # every mu0, so mu0 = 1e-+300 forms no radius outside the doubles
     p, _ = benchmark4
     grids = []
-    residual = hs.verify.radial_system_residual
+    radial, weighted = hs.verify.radial_system_residual, hs.verify.weighted_system_residual
 
-    def capturing(fam, grid):
+    def capturing_radial(fam, grid):
         grids.append(grid)
-        return residual(fam, grid)
+        return radial(fam, grid)
 
-    monkeypatch.setattr(hs.verify, "radial_system_residual", capturing)
-    hs.full_verification(p, 1.0)
-    assert len(grids) == 1
+    def capturing_weighted(fam, tau, grid):
+        grids.append(grid)
+        return weighted(fam, tau, grid)
+
+    monkeypatch.setattr(hs.verify, "radial_system_residual", capturing_radial)
+    monkeypatch.setattr(hs.verify, "weighted_system_residual", capturing_weighted)
+    for mu0 in (1.0, 1e-300, 1e300):
+        hs.full_verification(p, mu0)
+    assert len(grids) == 9
     grid = grids[0]
     assert len(grid) == 2048
     assert grid[0] == pytest.approx(1e-6)
@@ -77,6 +86,26 @@ def test_log_uniform_grid_contract(monkeypatch, benchmark4):
     assert np.all(np.diff(grid) > 0)
     ratios = grid[1:] / grid[:-1]
     assert np.max(ratios) / np.min(ratios) - 1.0 < 1e-10
+    for other in grids[1:]:
+        assert other.tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
+                                  (3, 0.0, 1.0, 3.0)])
+def test_encoding_residuals_do_not_depend_on_mu0(args):
+    # on the rho grid the equations divided by c g / r^2 read no mu0: the
+    # three residual checks at mu0 = 1e-+300 are the bits of mu0 = 1
+    p = hs.ProblemParams(*args)
+    names = ("radial_residual", "weighted_residual_tau1", "weighted_residual_tau2")
+
+    def values(mu0):
+        return [c.value.hex() for c in hs.full_verification(p, mu0).checks
+                if c.name.split(".", 1)[1] in names]
+
+    at_one = values(1.0)
+    assert len(at_one) == 3 * len(hs.classify(p))
+    assert values(1e-300) == at_one
+    assert values(1e300) == at_one
 
 
 # --- full verification -------------------------------------------------------------
@@ -130,6 +159,41 @@ def test_full_verification_flags_perturbed_amplitude(monkeypatch, benchmark4):
     failed = {c.name.split(".", 1)[1] for c in report.checks if not c.passed}
     assert "radial_residual" in failed
     assert "ef_residual" in failed
+
+
+@pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
+                                  (3, 0.0, 1.0, 3.0)])
+def test_residual_checks_detect_constants_or_amplitude_off_by_1e_6(monkeypatch, args):
+    # c1 and c2 both 1e-6 too large, or the amplitude A: each equation's y^m
+    # term is off by about m 1e-6 of its size, and each of the three
+    # encodings fails; y^m comes from the profile's log value, so A shows
+    names = ("radial_residual", "weighted_residual_tau1", "weighted_residual_tau2")
+
+    def assert_all_fail(p):
+        checks = hs.full_verification(p, 1.0).checks
+        for name in names:
+            hits = [c for c in checks if c.name.split(".", 1)[1] == name]
+            assert hits and all(not c.passed and c.value >= 1e-7 for c in hits), name
+
+    exact = hs.verify.classify
+    with monkeypatch.context() as patch:
+        patch.setattr(hs.verify, "classify", lambda p, mu0: [
+            replace(f, c1=f.c1 * (1.0 + 1e-6), c2=f.c2 * (1.0 + 1e-6))
+            for f in exact(p, mu0)])
+        assert_all_fail(hs.ProblemParams(*args))
+    p = hs.ProblemParams(*args)
+    object.__setattr__(p, "amplitude", p.amplitude * (1.0 + 1e-6))  # frozen dataclass
+    assert_all_fail(p)
+
+
+def test_full_verification_at_n150_raises_no_numpy_warning():
+    # n = 150 near the Hardy constant: the r-space residuals overflowed here
+    # into NaN; the bounded ones stay doubles, and no numpy warning is raised
+    p = hs.ProblemParams(150, 5475.0, 0.0, 1.0135135135135136)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = hs.full_verification(p, 1.0)
+    assert report.overall, [c for c in report.checks if not c.passed]
 
 
 def test_verified_orbit_is_mirror_symmetric(matrix_trajectories):
@@ -295,43 +359,46 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # the mirror; the values kept, read off the half orbit, are the same bits.
 # integration_deviation, proportionality_defect, asymptotic_u0 and
 # shooting_recovery were recorded again when the trace started at manifold
-# coordinate rho = 1/4 instead of eps = (1e-3 tol)^(1/2*).
+# coordinate rho = 1/4 instead of eps = (1e-3 tol)^(1/2*).  radial_residual
+# and weighted_residual_tau1/2 were recorded again when each equation was
+# divided by c g / r^2 and evaluated on radii relative to mu0, so that the
+# mu0 = 2 case now reads the bits of mu0 = 1.
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
-        "0x0.0p+0", "0x0.0p+0", "0x1.d64d5275b2829p-49", "0x1.d64d5275b2829p-49",
-        "0x1.61d7dcf3e259fp-50", "0x1.0000000000000p-51", "0x1.e600000000000p-46",
+        "0x0.0p+0", "0x0.0p+0", "0x1.5bce75ac884efp-50", "0x1.5bce75ac884efp-50",
+        "0x1.2053fdd50b108p-50", "0x1.0000000000000p-51", "0x1.e600000000000p-46",
         "0x0.0p+0", "0x1.5000000000037p-46", "0x1.299cedd04aa7fp-45"),),
     "n3-nu1-alpha3": ((
-        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
-        "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.e000000000000p-52",
         "0x1.3400000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
         "0x1.4d5972033ba89p-46"), (
-        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.ca7bb15d402e5p-49",
-        "0x1.ca7bb15d402e5p-49", "0x1.6d18c00cb0000p-35", "0x1.4000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841aa45dbcp-50",
+        "0x1.133841aa45dbcp-50", "0x1.8000000000000p-52", "0x1.4000000000000p-52",
         "0x1.d400000000000p-47", "0x1.85092ed86a2f1p-53", "0x1.2c0000000002cp-46",
         "0x1.639a64d1d1075p-46"), (
-        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.e1cd5f2b5b25cp-49",
-        "0x1.e1cd5f2b5b25cp-49", "0x1.f0c00b3b54000p-35", "0x1.e000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.e000000000000p-52",
         "0x1.2c00000000000p-46", "0x1.1dee0b0f8af2ap-50", "0x1.2c8000000002cp-46",
         "0x1.514ed10c55e34p-46")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
-        "0x0.0p+0", "0x0.0p+0", "0x1.11bbee6c6bee0p-51", "0x1.6f2d60f23a893p-48",
-        "0x1.7524ff47e0670p-50", "0x1.4000000000000p-52", "0x1.0500000000000p-45",
+        "0x0.0p+0", "0x0.0p+0", "0x1.f2ca2c2ecb8dfp-51", "0x1.66a0ef22378afp-50",
+        "0x1.7e40000000000p-51", "0x1.4000000000000p-52", "0x1.0500000000000p-45",
         "0x0.0p+0", "0x1.31000000000b6p-44", "0x1.c410b4ee2062ap-45"),),
     # mu0 = 2: t0 = log 2 != 0, so the orbit's times t0 + t are rounded
     "n3-nu1-alpha3-mu2": ((
-        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
-        "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.d000000000000p-52",
         "0x1.3400000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
         "0x1.4d5972033ba89p-46"), (
-        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.8000000000000p-50",
-        "0x1.8000000000000p-50", "0x1.097ed09580000p-35", "0x1.4000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841aa45dbcp-50",
+        "0x1.133841aa45dbcp-50", "0x1.8000000000000p-52", "0x1.4000000000000p-52",
         "0x1.d400000000000p-47", "0x1.85092ed86a2f1p-53", "0x1.2c0000000002cp-46",
         "0x1.639a64d1d1075p-46"), (
-        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.2600000000000p-49",
-        "0x1.2600000000000p-49", "0x1.693b943484800p-35", "0x1.d000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.d000000000000p-52",
         "0x1.2c00000000000p-46", "0x1.1dee0b0f8af2ap-50", "0x1.2c8000000002cp-46",
         "0x1.514ed10c55e34p-46")),
 }
