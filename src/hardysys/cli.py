@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a root of the coupling function beyond the range of a double,
-named by its log s), 3 no usable (non-degenerate) root, 5 unwritable output
-path, 6 integration failed (step size underflow, step budget exceeded,
-floating-point overflow, or a shooting run that did not turn).  Exit code 4,
-once "shooting bracket not found", is retired.
+named by its log s, and an ``export`` profile beyond it), 3 no usable
+(non-degenerate) root, 5 unwritable output path, 6 integration failed (step
+size underflow, step budget exceeded, floating-point overflow, or a shooting
+run that did not turn).  Exit code 4, once "shooting bracket not found", is
+retired.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -196,6 +197,18 @@ def cmd_export(args) -> int:
 
     targets = []
     if args.what in ("profile", "both"):
+        # r^tau u = c exp(log U + tau log r): r^tau2 alone overflows where u
+        # underflows
+        r = np.geomspace(args.grid_lo, args.grid_hi, args.grid_n)
+        log_u, log_r = fam.profile._log_value(r), np.log(r)
+        with np.errstate(over="ignore"):
+            columns = (r, fam.c1 * np.exp(log_u), fam.c2 * np.exp(log_u),
+                       fam.c1 * np.exp(log_u + p.tau1 * log_r),
+                       fam.c1 * np.exp(log_u + p.tau2 * log_r))
+        if not all(np.isfinite(col).all() for col in columns):
+            raise ParameterError(
+                f"the profile table exceeds the range of a double on [{args.grid_lo:g}, "
+                f"{args.grid_hi:g}]")
         path = args.out if args.what == "profile" else args.out + ".profile.csv"
         targets.append(("profile", path))
     if args.what in ("trajectory", "both"):
@@ -210,13 +223,8 @@ def cmd_export(args) -> int:
             return EXIT_UNWRITABLE
         with fh:
             if kind == "profile":
-                r = np.geomspace(args.grid_lo, args.grid_hi, args.grid_n)
-                u = fam.u(r)
-                v = fam.v(r)
                 fh.write("r,u,v,r_tau1_u,r_tau2_u\n")
-                wt1 = np.power(r, p.tau1) * u
-                wt2 = np.power(r, p.tau2) * u
-                for vals in zip(r, u, v, wt1, wt2):
+                for vals in zip(*columns):
                     fh.write(",".join("%.17g" % x for x in vals) + "\n")
             else:
                 t0 = math.log(args.mu0)

@@ -67,36 +67,17 @@ class EFTrajectory:
 # --- closed-form synchronized trajectories ---------------------------------
 
 
-def _closed_form_core(fam: SynchronizedFamily, t):
-    """(theta, log 2cosh theta, A (2 cosh theta)^(-delta)), stable for any |t|.
-
-    theta = kappa (t - t0) / delta with t0 = log mu.
-    """
-    p = fam.profile.params
-    t = np.asarray(t, dtype=float)
-    theta = p.kappa * (t - math.log(fam.profile.mu)) / p.delta
-    # log(2 cosh theta) = |theta| + log1p(exp(-2|theta|))
-    log2cosh = np.abs(theta) + np.log1p(np.exp(-2.0 * np.abs(theta)))
-    return theta, log2cosh, p.amplitude * np.exp(-p.delta * log2cosh)
-
-
 def _closed_form_arrays(fam: SynchronizedFamily, t):
-    """(y_u, p_u, y_v, p_v) of the closed form y(t) = c A (2 cosh theta)^(-delta)."""
-    theta, _, base = _closed_form_core(fam, t)
-    slope = -fam.profile.params.kappa * np.tanh(theta)
-    y_u = fam.c1 * base
-    y_v = fam.c2 * base
+    """(y_u, p_u, y_v, p_v) of the closed form y = c r^delta U at t = log r.
+
+    From the profile's bounded units at log rho = t - log mu: y = c e^(log y)
+    and y' = kappa (1 - 2w) y, both stable for any |t|.
+    """
+    w, om, log_y = fam.profile._bounded_units(np.asarray(t, dtype=float)
+                                              - math.log(fam.profile.mu))
+    base, slope = np.exp(log_y), fam.profile.params.kappa * (om - w)
+    y_u, y_v = fam.c1 * base, fam.c2 * base
     return y_u, slope * y_u, y_v, slope * y_v
-
-
-def _closed_form_accel(fam: SynchronizedFamily, t):
-    """Second derivatives (y_u'', y_v'') of the closed form."""
-    p = fam.profile.params
-    theta, log2cosh, base = _closed_form_core(fam, t)
-    sech2 = np.exp(-2.0 * log2cosh) * 4.0
-    tanh2 = np.tanh(theta) ** 2
-    curv = p.kappa ** 2 * (tanh2 - sech2 / p.delta)
-    return fam.c1 * base * curv, fam.c2 * base * curv
 
 
 def exact_trajectory(fam: SynchronizedFamily, t_grid) -> EFTrajectory:
@@ -629,19 +610,15 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
     return _encoding_residual(fam, tau, 0.0, grid)
 
 
-def ef_system_residual(fam: SynchronizedFamily, t_grid) -> tuple[float, float]:
-    """Max normalized residual of the phase-plane encoding on a log-radius grid."""
+def ef_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
+    """Max normalized residual of the phase-plane encoding on rho = r/mu0.
+
+    Read in t = log r, the weighted encoding at tau = delta is the phase-plane
+    system for y = r^delta u: n-1-2 delta = 1, so r^2 (g'' + g'/r) = y'',
+    r^(-m delta) = r^(-2), and the potential delta^2 - (n-2) delta + gamma
+    is -kappa^2.  So each equation y'' - kappa^2 y + y^(2*-1) + coupling is
+    divided by c y, in the bounded terms of ``_encoding_residual``, and the
+    values do not depend on mu0.
+    """
     p = fam.profile.params
-    kappa2 = p.delta * p.delta - p.gamma
-    ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
-    t = np.asarray(t_grid, dtype=float)
-    y_u, _, y_v, _ = _closed_form_arrays(fam, t)
-    a_u, a_v = _closed_form_accel(fam, t)
-    return tuple(_max_normalized((
-        acc,
-        -kappa2 * y_own,
-        np.power(y_own, ts - 1.0),
-        factor * np.power(y_own, e_own) * np.power(y_oth, e_oth),
-    )) for acc, y_own, y_oth, e_own, e_oth, factor in (
-        (a_u, y_u, y_v, alpha - 1.0, beta, nu * alpha),
-        (a_v, y_v, y_u, beta - 1.0, alpha, nu * beta)))
+    return _encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, grid)

@@ -13,8 +13,9 @@ profile g = r^tau u has
 
 and y = r^delta u = A rho^kappa (1 + rho^q)^(-delta) does not depend on mu.
 ``_bounded_units`` evaluates w, 1 - w and log y on log rho, the pieces from
-which the residuals of ``emdenfowler`` build the radial equations divided by
-g / r^2; there every term is bounded, at every n and every mu.
+which ``emdenfowler`` builds the radial equations divided by g / r^2, where
+every term is bounded at every n and every mu, and the closed-form
+phase-plane trajectory y(t), y'(t) = kappa (1 - 2w) y, t = log r.
 
 numpy is imported inside the array evaluators, so building a ScalarProfile
 (as classify does) loads none.
@@ -60,14 +61,21 @@ class ScalarProfile:
         p = self.params
         return 2.0 * p.kappa / p.delta
 
+    def _log_terms(self, rho_log):
+        """(t, L) = (q log rho, log(1 + rho^q)) at log rho = log(r/mu).
+
+        L is written to stay accurate on both sides of rho = 1; exp sees only
+        -|t|, so neither side overflows.
+        """
+        import numpy as np
+        t = self._q * rho_log
+        return t, np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
     def _log_value(self, r):
         import numpy as np
         p = self.params
         rho_log = np.log(r) - math.log(self.mu)
-        t = self._q * rho_log
-        # log(1+rho^q) written to stay accurate on both sides of rho = 1; exp
-        # sees only -|t|, so neither side overflows
-        log1p_term = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        _, log1p_term = self._log_terms(rho_log)
         log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
         return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 
@@ -76,14 +84,13 @@ class ScalarProfile:
 
         w = rho^q / (1 + rho^q) lies in [0, 1] and y = A rho^kappa
         (1 + rho^q)^(-delta) in (0, A 2^-delta]; neither depends on mu.
-        With L = log(1 + rho^q), as in ``_log_value``, 1 - w = e^(-L) and
+        With L = log(1 + rho^q) from ``_log_terms``, 1 - w = e^(-L) and
         w = e^(t - L), t = q log rho, so each is accurate relative to itself,
         in its tail as well.
         """
         import numpy as np
         p = self.params
-        t = self._q * rho_log
-        log1p_term = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        t, log1p_term = self._log_terms(rho_log)
         log_y = math.log(p.amplitude) + p.kappa * rho_log - p.delta * log1p_term
         return np.exp(t - log1p_term), np.exp(-log1p_term), log_y
 

@@ -11,12 +11,13 @@ constants_residual          algebraic constants system residuals <= 1e-12
 ratio_identity              c1/c2 equals the coupling root to 1e-13
 radial_residual             radial encoding residual <= 1e-9
 weighted_residual_tau1      weighted encoding (inner exponent) <= 1e-9
-weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9;
-                            the three on rho = r/mu0 in [1e-6, 1e6], each
-                            equation divided by c g / r^2, g = r^tau u, so
-                            every term is bounded, and normalized pointwise
-                            by max(1, |terms|)
-ef_residual                 phase-plane encoding residual <= 1e-9
+weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9
+ef_residual                 phase-plane encoding residual <= 1e-9, the
+                            weighted encoding at tau = delta (y = r^delta u
+                            in t = log r); the four on rho = r/mu0 in
+                            [1e-6, 1e6], each equation divided by c g / r^2,
+                            g = r^tau u, so every term is bounded, and
+                            normalized pointwise by max(1, |terms|)
 integration_deviation       sup |y - y_closed| / max(1, peak of y_u, y_v) <= 1e-6
                             on the integrated orbit (absolute up to a peak of 1)
 proportionality_defect      sup |y_u - s y_v| / sup y_u <= 1e-8 (integrated)
@@ -37,7 +38,7 @@ nu = 1.  ratio_identity records what ``constants_from_root`` enforces, and
 DP5 keeps an orbit that starts on the ray on it, so proportionality_defect
 reads zero up to rounding; it still fails on an orbit that leaves the ray
 (a start 1e-6 off it reads 1.2e-6 at n = 4, nu = 1).  Checks that test more
-will replace them (ROADMAP.md, item 8).  The three encoding residuals read
+will replace them (ROADMAP.md, item 8).  The four encoding residuals read
 c1 and c2 through the multiple of y^m = (r^delta U)^m in each equation:
 both off by 1e-6 fail each of them (about 2.2e-6 at n = 4, nu = 1).
 """
@@ -165,8 +166,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
             wu, wv = weighted_system_residual(fam, tau, grid)
             add(tag + f"weighted_residual_{label}", max(wu, wv), 1e-9)
 
-        t_grid = np.linspace(t0 - 14.0, t0 + 14.0, 801)
-        eu, ev = ef_system_residual(fam, t_grid)
+        eu, ev = ef_system_residual(fam, grid)
         add(tag + "ef_residual", max(eu, ev), 1e-9)
 
         half = shoot_synchronized(p, fam.root, integration_tol)
@@ -188,6 +188,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
 
         if p.nu == 0.0:
             kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
+            t_grid = np.linspace(t0 - 14.0, t0 + 14.0, 801)
             y_u, p_u, _, _ = _closed_form_arrays(fam, t_grid)
             add(tag + "energy_invariant", _max_normalized(
                 (0.5 * p_u * p_u, -0.5 * kappa2 * y_u * y_u, y_u ** ts / ts)), 1e-10)

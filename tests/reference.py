@@ -6,8 +6,12 @@ a test checks the package against; no command of the package runs it.
 * ``fd_derivative`` and ``convergence_order``: the finite-difference oracle
   for every analytic derivative, and the observed order of an error sequence.
 * ``ef_rhs`` and ``ef_energy``: the phase-plane field and the first integral
-  of its scalar case; ``exact_ef_solution``: the closed-form phase state at
-  one log-radius, a start for integrations from the maximum.
+  of its scalar case; ``closed_form_arrays`` and ``closed_form_accel``: the
+  closed-form trajectory and its second derivative, written in
+  theta = kappa (t - log mu) / delta; ``exact_ef_solution``: the closed-form
+  phase state at one log-radius, a start for integrations from the maximum;
+  ``phase_plane_residual``: the phase-plane equations summed term by term in
+  t, the oracle of the bounded ``ef_system_residual``.
 * ``mirrored``: the shooting trace reflected at its turn, the whole orbit;
   ``simultaneous_max_check``: the interpolated argmax of each component.
 * ``aubin_talenti_value``, ``linear_radial_part``,
@@ -32,7 +36,7 @@ import numpy as np
 
 from hardysys import ConvergenceError, ParameterError, TrajectoryError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import EFState, EFTrajectory, _closed_form_arrays
+from hardysys.emdenfowler import EFState, EFTrajectory
 from hardysys.params import ProblemParams
 from hardysys.profiles import ScalarProfile, _as_radii
 
@@ -110,10 +114,65 @@ def ef_energy(y: float, slope: float, p: ProblemParams) -> float:
     return 0.5 * slope * slope - 0.5 * kappa2 * y * y + y ** ts / ts
 
 
+def _theta_form(fam, t):
+    """(theta, log 2cosh theta, A (2 cosh theta)^(-delta)), stable for any |t|.
+
+    theta = kappa (t - t0) / delta with t0 = log mu.
+    """
+    p = fam.profile.params
+    t = np.asarray(t, dtype=float)
+    theta = p.kappa * (t - math.log(fam.profile.mu)) / p.delta
+    # log(2 cosh theta) = |theta| + log1p(exp(-2|theta|))
+    log2cosh = np.abs(theta) + np.log1p(np.exp(-2.0 * np.abs(theta)))
+    return theta, log2cosh, p.amplitude * np.exp(-p.delta * log2cosh)
+
+
+def closed_form_arrays(fam, t):
+    """(y_u, p_u, y_v, p_v) of the closed form y(t) = c A (2 cosh theta)^(-delta)."""
+    theta, _, base = _theta_form(fam, t)
+    slope = -fam.profile.params.kappa * np.tanh(theta)
+    y_u = fam.c1 * base
+    y_v = fam.c2 * base
+    return y_u, slope * y_u, y_v, slope * y_v
+
+
+def closed_form_accel(fam, t):
+    """Second derivatives (y_u'', y_v'') of the closed form."""
+    p = fam.profile.params
+    theta, log2cosh, base = _theta_form(fam, t)
+    sech2 = np.exp(-2.0 * log2cosh) * 4.0
+    tanh2 = np.tanh(theta) ** 2
+    curv = p.kappa ** 2 * (tanh2 - sech2 / p.delta)
+    return fam.c1 * base * curv, fam.c2 * base * curv
+
+
 def exact_ef_solution(fam, t: float) -> EFState:
     """Closed-form phase state of a synchronized family at log-radius t."""
-    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
+    y_u, p_u, y_v, p_v = closed_form_arrays(fam, t)
     return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
+
+
+def phase_plane_residual(fam, t_grid) -> tuple[float, float]:
+    """Max normalized residual of the phase-plane encoding on a log-radius grid.
+
+    Each equation y'' - kappa^2 y + y^(2*-1) + coupling is summed term by
+    term from the theta form at t = log r and normalized pointwise by
+    max(1, |terms|).
+    """
+    p = fam.profile.params
+    kappa2 = p.delta * p.delta - p.gamma
+    ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
+    t = np.asarray(t_grid, dtype=float)
+    y_u, _, y_v, _ = closed_form_arrays(fam, t)
+    a_u, a_v = closed_form_accel(fam, t)
+    return tuple(max_normalized((
+        acc,
+        -kappa2 * y_own,
+        np.power(y_own, ts - 1.0),
+        factor * np.power(y_own, e_own) * np.power(y_oth, e_oth),
+    )) for acc, y_own, y_oth, e_own, e_oth, factor in (
+        (a_u, y_u, y_v, alpha - 1.0, beta, nu * alpha),
+        (a_v, y_v, y_u, beta - 1.0, alpha, nu * beta)))
 
 
 def mirrored(half: EFTrajectory, t0: float) -> EFTrajectory:

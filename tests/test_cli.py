@@ -543,11 +543,13 @@ def test_export_round_trip_residual(tmp_path):
     assert run_cli(["export", *N4, "--what", "profile", "--out", str(out_file)])[0] == 0
     data = np.array([[float(v) for v in ln.split(",")]
                      for ln in out_file.read_text().splitlines()[1:]])
-    r, u, v = data[:, 0], data[:, 1], data[:, 2]
+    r, u, v, wt1, wt2 = data.T
     p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     np.testing.assert_allclose(u, fam.u(r), rtol=1e-15)
     np.testing.assert_allclose(v, fam.v(r), rtol=1e-15)
+    np.testing.assert_allclose(wt1, r ** p.tau1 * u, rtol=1e-13)
+    np.testing.assert_allclose(wt2, r ** p.tau2 * u, rtol=1e-13)
     ru, rv = hs.radial_system_residual(fam, r)
     assert max(ru, rv) <= 1e-9
 
@@ -589,6 +591,35 @@ def test_export_grid_below_min_radius_exit2_no_file(tmp_path):
     out_file = tmp_path / "lo.csv"
     code, _, err = run_cli(["export", *N4, "--what", "profile", "--out", str(out_file),
                             "--grid-lo", "1e-310", "--grid-hi", "1"])
+    assert code == 2
+    assert err.startswith("invalid parameters:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+N150 = ["--n", "150", "--gamma", "5475", "--nu", "0", "--alpha", "1.0135135135135136"]
+
+
+def test_export_weighted_columns_stay_finite_at_large_n(tmp_path):
+    # r^tau2 alone overflows from r = 1.3e4 on at n = 150, where u
+    # underflows; c exp(log u + tau log r) gives r^tau u in range
+    out_file = tmp_path / "large.csv"
+    code, _, err = run_cli(["export", *N150, "--grid-lo", "1e-3", "--what", "profile",
+                            "--out", str(out_file)])
+    assert (code, err) == (0, "")
+    r, u, _, wt1, wt2 = np.array([[float(v) for v in ln.split(",")]
+                                  for ln in out_file.read_text().splitlines()[1:]]).T
+    assert np.all(np.isfinite(wt1)) and np.all(np.isfinite(wt2))
+    p = hs.ProblemParams(150, 5475.0, 0.0, 1.0135135135135136)
+    # r^tau1 u = A (1 + r^q)^(-delta) and r^tau2 u = r^(2 kappa) times that
+    log_w1 = math.log(p.amplitude) - p.delta * np.log1p(r ** (2.0 * p.kappa / p.delta))
+    np.testing.assert_allclose(wt1, np.exp(log_w1), rtol=1e-12)
+    np.testing.assert_allclose(wt2, np.exp(log_w1 + 2.0 * p.kappa * np.log(r)), rtol=1e-12)
+    assert u[-1] == 0.0  # 4.6e-445 underflows: a double cannot hold it
+
+
+def test_export_profile_beyond_a_double_exit2_no_file(tmp_path):
+    # on the default grid u reaches 1e438 at r = 1e-6
+    code, _, err = run_cli(["export", *N150, "--out", str(tmp_path / "case")])
     assert code == 2
     assert err.startswith("invalid parameters:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []

@@ -8,14 +8,14 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
-from hardysys.emdenfowler import (_closed_form_accel, _closed_form_arrays,
-                                  _manifold_coefficients, _manifold_coordinates,
-                                  _manifold_start, _max_normalized, exact_trajectory,
-                                  integrate)
-from reference import (convergence_order, ef_energy, ef_rhs, exact_ef_solution,
-                       max_normalized, r_space_residual, simultaneous_max_check)
+from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coefficients,
+                                  _manifold_coordinates, _manifold_start,
+                                  _max_normalized, exact_trajectory, integrate)
+from reference import (closed_form_accel, closed_form_arrays, convergence_order,
+                       ef_energy, ef_rhs, exact_ef_solution, max_normalized,
+                       phase_plane_residual, r_space_residual, simultaneous_max_check)
 
-# rho = r/mu0 of the radial and weighted residuals
+# rho = r/mu0 of the residuals of the four encodings
 GRID = np.geomspace(1e-6, 1e6, 2048)
 
 
@@ -38,7 +38,7 @@ def test_rhs_matches_closed_form_acceleration(benchmark4):
     for t in (-2.0, 0.0, 1.5):
         state = exact_ef_solution(fam, t)
         _, acc_u, _, acc_v = ef_rhs(state, p)
-        ref_u, ref_v = _closed_form_accel(fam, t)
+        ref_u, ref_v = closed_form_accel(fam, t)
         assert_allclose((acc_u, acc_v), (float(ref_u), float(ref_v)), rtol=1e-12)
 
 
@@ -83,6 +83,16 @@ def test_exact_solution_decay_rate(benchmark4):
     y10 = exact_ef_solution(fam, 10.0).y_u
     slope = (math.log(y10) - math.log(y8)) / 2.0
     assert abs(slope + kappa) <= 1e-6
+
+
+def test_closed_form_matches_theta_form(matrix_families):
+    # the trajectory from the profile's bounded units is the theta form
+    # y = c A (2 cosh theta)^(-delta), y' = -kappa tanh(theta) y, to roundoff
+    for _, mu0, fam in matrix_families:
+        t = math.log(mu0) + np.linspace(-30.0, 30.0, 601)
+        ref = closed_form_arrays(fam, t)
+        for got, want in zip(_closed_form_arrays(fam, t), ref):
+            assert_allclose(got, want, rtol=1e-13, atol=1e-15 * np.max(ref[0]))
 
 
 def test_two_sided_exponential_bounds(matrix_families):
@@ -679,7 +689,8 @@ def test_weighted_residual_rejects_non_root_exponent():
 def test_three_encodings_agree(matrix_families):
     # one solution, three formulations, all residuals at the same tolerance;
     # the radial and weighted ones also by the r-space oracle, which sums
-    # the undivided equations term by term at the radii r = mu0 rho
+    # the undivided equations term by term at the radii r = mu0 rho, and the
+    # phase-plane one also by the theta-form oracle, summed in t = log r
     for p, mu0, fam in matrix_families:
         ru, rv = hs.radial_system_residual(fam, GRID)
         assert max(ru, rv) <= 1e-9
@@ -688,14 +699,15 @@ def test_three_encodings_agree(matrix_families):
             wu, wv = hs.weighted_system_residual(fam, tau, GRID)
             assert max(wu, wv) <= 1e-9
             assert max(r_space_residual(fam, tau, 0.0, mu0 * GRID)) <= 1e-9
-        t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)
-        eu, ev = hs.ef_system_residual(fam, t_grid)
+        eu, ev = hs.ef_system_residual(fam, GRID)
         assert max(eu, ev) <= 1e-9
+        t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)
+        assert max(phase_plane_residual(fam, t_grid)) <= 1e-9
 
 
 def test_max_normalized_is_the_stacked_form_bit_for_bit():
     # in-place maxima, the same sum order: max is exact, so the value keeps
-    # its bits (ef_residual and energy_invariant read it)
+    # its bits (energy_invariant reads it)
     rng = np.random.default_rng(7)
     for _ in range(200):
         size = int(rng.integers(1, 50))

@@ -61,14 +61,20 @@ def test_convergence_order_validation():
 def test_log_uniform_grid_contract(monkeypatch, benchmark4):
     # the grid full_verification passes to the radial and weighted residuals
     # holds rho = r/mu0: the same 2048 log-uniform points over [1e-6, 1e6] at
-    # every mu0, so mu0 = 1e-+300 forms no radius outside the doubles
+    # every mu0, so mu0 = 1e-+300 forms no radius outside the doubles; the
+    # phase-plane residual reads the same grid
     p, _ = benchmark4
     grids = []
     radial, weighted = hs.verify.radial_system_residual, hs.verify.weighted_system_residual
+    phase_plane = hs.verify.ef_system_residual
 
     def capturing_radial(fam, grid):
         grids.append(grid)
         return radial(fam, grid)
+
+    def capturing_phase_plane(fam, grid):
+        grids.append(grid)
+        return phase_plane(fam, grid)
 
     def capturing_weighted(fam, tau, grid):
         grids.append(grid)
@@ -76,9 +82,10 @@ def test_log_uniform_grid_contract(monkeypatch, benchmark4):
 
     monkeypatch.setattr(hs.verify, "radial_system_residual", capturing_radial)
     monkeypatch.setattr(hs.verify, "weighted_system_residual", capturing_weighted)
+    monkeypatch.setattr(hs.verify, "ef_system_residual", capturing_phase_plane)
     for mu0 in (1.0, 1e-300, 1e300):
         hs.full_verification(p, mu0)
-    assert len(grids) == 9
+    assert len(grids) == 12
     grid = grids[0]
     assert len(grid) == 2048
     assert grid[0] == pytest.approx(1e-6)
@@ -94,16 +101,17 @@ def test_log_uniform_grid_contract(monkeypatch, benchmark4):
                                   (3, 0.0, 1.0, 3.0)])
 def test_encoding_residuals_do_not_depend_on_mu0(args):
     # on the rho grid the equations divided by c g / r^2 read no mu0: the
-    # three residual checks at mu0 = 1e-+300 are the bits of mu0 = 1
+    # four residual checks at mu0 = 1e-+300 are the bits of mu0 = 1
     p = hs.ProblemParams(*args)
-    names = ("radial_residual", "weighted_residual_tau1", "weighted_residual_tau2")
+    names = ("radial_residual", "weighted_residual_tau1", "weighted_residual_tau2",
+             "ef_residual")
 
     def values(mu0):
         return [c.value.hex() for c in hs.full_verification(p, mu0).checks
                 if c.name.split(".", 1)[1] in names]
 
     at_one = values(1.0)
-    assert len(at_one) == 3 * len(hs.classify(p))
+    assert len(at_one) == 4 * len(hs.classify(p))
     assert values(1e-300) == at_one
     assert values(1e300) == at_one
 
@@ -165,9 +173,10 @@ def test_full_verification_flags_perturbed_amplitude(monkeypatch, benchmark4):
                                   (3, 0.0, 1.0, 3.0)])
 def test_residual_checks_detect_constants_or_amplitude_off_by_1e_6(monkeypatch, args):
     # c1 and c2 both 1e-6 too large, or the amplitude A: each equation's y^m
-    # term is off by about m 1e-6 of its size, and each of the three
+    # term is off by about m 1e-6 of its size, and each of the four
     # encodings fails; y^m comes from the profile's log value, so A shows
-    names = ("radial_residual", "weighted_residual_tau1", "weighted_residual_tau2")
+    names = ("radial_residual", "weighted_residual_tau1", "weighted_residual_tau2",
+             "ef_residual")
 
     def assert_all_fail(p):
         checks = hs.full_verification(p, 1.0).checks
@@ -362,43 +371,46 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # coordinate rho = 1/4 instead of eps = (1e-3 tol)^(1/2*).  radial_residual
 # and weighted_residual_tau1/2 were recorded again when each equation was
 # divided by c g / r^2 and evaluated on radii relative to mu0, so that the
-# mu0 = 2 case now reads the bits of mu0 = 1.
+# mu0 = 2 case now reads the bits of mu0 = 1.  ef_residual was recorded again
+# when it became the weighted encoding at tau = delta on the same radii, and
+# integration_deviation when the closed form it compares with was read off
+# the profile's bounded units instead of theta = kappa (t - log mu) / delta.
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.5bce75ac884efp-50", "0x1.5bce75ac884efp-50",
-        "0x1.2053fdd50b108p-50", "0x1.0000000000000p-51", "0x1.e600000000000p-46",
+        "0x1.2053fdd50b108p-50", "0x1.04dad886ff272p-48", "0x1.e800000000000p-46",
         "0x0.0p+0", "0x1.5000000000037p-46", "0x1.299cedd04aa7fp-45"),),
     "n3-nu1-alpha3": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
-        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.e000000000000p-52",
-        "0x1.3400000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.0748446000000p-49",
+        "0x1.3200000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
         "0x1.4d5972033ba89p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841aa45dbcp-50",
-        "0x1.133841aa45dbcp-50", "0x1.8000000000000p-52", "0x1.4000000000000p-52",
+        "0x1.133841aa45dbcp-50", "0x1.8000000000000p-52", "0x1.0748445800000p-49",
         "0x1.d400000000000p-47", "0x1.85092ed86a2f1p-53", "0x1.2c0000000002cp-46",
         "0x1.639a64d1d1075p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
-        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.e000000000000p-52",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.0748446000000p-49",
         "0x1.2c00000000000p-46", "0x1.1dee0b0f8af2ap-50", "0x1.2c8000000002cp-46",
         "0x1.514ed10c55e34p-46")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
         "0x0.0p+0", "0x0.0p+0", "0x1.f2ca2c2ecb8dfp-51", "0x1.66a0ef22378afp-50",
-        "0x1.7e40000000000p-51", "0x1.4000000000000p-52", "0x1.0500000000000p-45",
+        "0x1.7e40000000000p-51", "0x1.cbc0e002fd611p-49", "0x1.0500000000000p-45",
         "0x0.0p+0", "0x1.31000000000b6p-44", "0x1.c410b4ee2062ap-45"),),
     # mu0 = 2: t0 = log 2 != 0, so the orbit's times t0 + t are rounded
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
-        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.d000000000000p-52",
-        "0x1.3400000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.0748446000000p-49",
+        "0x1.3200000000000p-46", "0x1.76497b85e0353p-51", "0x1.340000000002ep-46",
         "0x1.4d5972033ba89p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841aa45dbcp-50",
-        "0x1.133841aa45dbcp-50", "0x1.8000000000000p-52", "0x1.4000000000000p-52",
+        "0x1.133841aa45dbcp-50", "0x1.8000000000000p-52", "0x1.0748445800000p-49",
         "0x1.d400000000000p-47", "0x1.85092ed86a2f1p-53", "0x1.2c0000000002cp-46",
         "0x1.639a64d1d1075p-46"), (
         "0x1.0000000000000p-52", "0x0.0p+0", "0x1.133841ca45dbcp-50",
-        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.d000000000000p-52",
+        "0x1.133841ca45dbcp-50", "0x1.0000000000000p-51", "0x1.0748446000000p-49",
         "0x1.2c00000000000p-46", "0x1.1dee0b0f8af2ap-50", "0x1.2c8000000002cp-46",
         "0x1.514ed10c55e34p-46")),
 }
