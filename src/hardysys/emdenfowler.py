@@ -105,8 +105,15 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     """Integrate the phase system with an embedded 5(4) pair.
 
     Error control is per unit step: a step of size h is accepted when the
-    embedded estimate satisfies ||err/scale|| <= tol * h, which makes the
-    global error scale like tol^(5/4).  It runs forward only: a span with
+    embedded estimate satisfies ||err/scale|| <= h, which makes the global
+    error scale like tol^(5/4).  Each y is scaled by
+    tol * (atol + max(|y_old|, |y_new|)) and its slope by
+    tol * (atol + max(|y'_old|, |y'_new|, kappa max(|y_old|, |y_new|))),
+    kappa = sqrt(delta^2 - gamma): (y, y'/kappa) on one phase-space scale
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A slope scaled by
+    itself would shrink the steps wherever it passes through zero, as y_u'
+    does at the turn that shooting stops at; on the decaying tails,
+    y' ~ -kappa y, the two scales agree.  It runs forward only: a span with
     t1 < t0 raises ParameterError.  The field is reversible, so the backward
     leg from (y_u, y_u', y_v, y_v') over (t0, t1) is the forward run from the
     flipped state (y_u, -y_u', y_v, -y_v') over (-t0, -t1), with t and both
@@ -143,6 +150,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
     kappa2 = p.delta * p.delta - p.gamma
+    kappa = math.sqrt(kappa2)  # the slope scale of y on the decaying tails
     ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
     e1 = ts - 1.0
     ea = alpha - 1.0
@@ -274,17 +282,24 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             err_pv = h * (w1 * fv1 + w3 * fv3 + w4 * fv4 + w5 * fv5 + w6 * fv6
                           + w7 * fv7)
 
-            # each component scaled by tol * (atol + max(|old|, |new|))
+            # y scaled by tol * (atol + max(|y_old|, |y_new|)), its slope by
+            # tol * (atol + max(|p_old|, |p_new|, kappa max(|y_old|, |y_new|)))
             a = yu if yu >= 0.0 else -yu
             b = yu_new if yu_new >= 0.0 else -yu_new
-            q_yu = err_yu / (tol * (atol + (b if b > a else a)))
-            a = pu if pu >= 0.0 else -pu
+            a = b if b > a else a
+            q_yu = err_yu / (tol * (atol + a))
+            a = kappa * a
+            b = pu if pu >= 0.0 else -pu
+            a = b if b > a else a
             b = pu_new if pu_new >= 0.0 else -pu_new
             q_pu = err_pu / (tol * (atol + (b if b > a else a)))
             a = yv if yv >= 0.0 else -yv
             b = yv_new if yv_new >= 0.0 else -yv_new
-            q_yv = err_yv / (tol * (atol + (b if b > a else a)))
-            a = pv if pv >= 0.0 else -pv
+            a = b if b > a else a
+            q_yv = err_yv / (tol * (atol + a))
+            a = kappa * a
+            b = pv if pv >= 0.0 else -pv
+            a = b if b > a else a
             b = pv_new if pv_new >= 0.0 else -pv_new
             q_pv = err_pv / (tol * (atol + (b if b > a else a)))
             enorm = math.sqrt(0.25 * (q_yu ** 2 + q_pu ** 2 + q_yv ** 2 + q_pv ** 2))
@@ -468,11 +483,9 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     the exact orbit rho grows like e^(m kappa t), m = 2* - 2, so the turn
     comes log(1/rho0) / m e-folds past the start; the run spans twice that.
     A run that ends without turning (blow-up, extinction, or the whole span)
-    raises IntegrationError.  Up to ``tol`` = 1e-4, a* errs by at most
-    tol / 2 relative; a looser ``tol`` raises ParameterError.  So does one
-    below 1e-12: near the turn, where y_u' is small, doubles cannot meet it,
-    and ``integrate`` would crawl through its step budget or underflow its
-    step.
+    raises IntegrationError.  ``tol`` must lie in [1e-12, 1e-4], the range
+    over which a* is tested to err by at most tol / 2 relative; one outside
+    it raises ParameterError before any step.
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
@@ -530,8 +543,22 @@ def _max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
+def _grid_units(profile, grid):
+    """(w, 1 - w, y^m) of ``profile`` on ``grid``, which holds rho = r/mu0.
+
+    The bounded units at log rho (``ScalarProfile._bounded_units``), with
+    y^m = exp(m log y), m = 2* - 2, from the closed form's log value.  They
+    depend on the parameters alone, so every family of one parameter set
+    reads the same units: ``full_verification`` builds them once for its
+    four encodings of every family.
+    """
+    rho = _as_radii(grid)
+    w, om, log_y = profile._bounded_units(np.log(rho))
+    return w, om, np.exp((profile.params.two_star - 2.0) * log_y)
+
+
 def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
-                       grid) -> tuple[float, float]:
+                       grid, units=None) -> tuple[float, float]:
     """Max normalized residual of the encoding of the radial system for g = r^tau u.
 
     Each equation g'' + (n-1-2 tau) g'/r + potential g/r^2
@@ -543,20 +570,20 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
         c^m y^m,   nu alpha c^(alpha-2) c_other^beta y^m,
 
     y = r^delta U, whose m-th power is exp(m log y), from the closed form's
-    log value.  The coefficients of the last two terms, c^m and
-    nu alpha c^(alpha-2) c_other^beta, are those of the family's equation of
-    the constants system (``verify_constants_system``), whose left side is
-    their sum; a wrong c1 or c2 shows as a wrong multiple of y^m.  chi is
+    log value; ``units`` are (w, 1 - w, y^m), ``_grid_units(fam.profile,
+    grid)``, computed here when not given.  The coefficients of the last two
+    terms, c^m and nu alpha c^(alpha-2) c_other^beta, are those of the
+    family's equation of the constants system (``verify_constants_system``),
+    whose left side is their sum; a wrong c1 or c2 shows as a wrong multiple
+    of y^m.  chi is
     written against the root tau lies nearer to, so that it is a product,
     not a cancellation, where w or 1 - w is small.  The sum is normalized
     pointwise by the largest term magnitude, floored at 1 because every term
     vanishes in the tails.
     """
-    rho = _as_radii(grid)
     p = fam.profile.params
     m = p.two_star - 2.0
-    w, om, log_y = fam.profile._bounded_units(np.log(rho))
-    y_m = np.exp(m * log_y)
+    w, om, y_m = _grid_units(fam.profile, grid) if units is None else units
     if tau - p.tau1 <= p.kappa:
         chi = (tau - p.tau1) - 2.0 * p.kappa * w
     else:
@@ -577,7 +604,8 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     return tuple(residuals)
 
 
-def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
+def radial_system_residual(fam: SynchronizedFamily, grid,
+                           units=None) -> tuple[float, float]:
     """Max normalized residual of the radial system for (c1 W, c2 W) on rho = r/mu0.
 
     Each equation is u'' + (n-1)u'/r + gamma u/r^2 + u^(2*-1) + coupling.
@@ -586,12 +614,14 @@ def radial_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]
     so this is the weighted encoding at tau = 0, with potential gamma.
     ``grid`` holds radii relative to the family's scale, so mu0 = 1e-+300
     forms no radius outside the doubles; the values do not depend on mu0.
+    ``units``, when given, are ``_grid_units(fam.profile, grid)``, shared
+    with the other encodings; the value is the same bits either way.
     """
-    return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid)
+    return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid, units)
 
 
-def weighted_system_residual(fam: SynchronizedFamily, tau: float,
-                             grid) -> tuple[float, float]:
+def weighted_system_residual(fam: SynchronizedFamily, tau: float, grid,
+                             units=None) -> tuple[float, float]:
     """Max normalized residual of the weighted encoding for g = r^tau u on rho = r/mu0.
 
     By the identity of ``radial_system_residual``, the potential of the
@@ -599,6 +629,7 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
     tau^2 - (n-2) tau + gamma = 0 (either root), so that the potential
     vanishes; it is passed as exactly 0, since computing it would leave
     roundoff next to terms that vanish as rho -> 0 or rho -> infinity.
+    ``units`` are as in ``radial_system_residual``.
     """
     p = fam.profile.params
     char = tau * tau - (p.n - 2.0) * tau + p.gamma
@@ -607,10 +638,11 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
             f"tau={tau} is not a root of the characteristic equation "
             f"(residual {char:.3e})"
         )
-    return _encoding_residual(fam, tau, 0.0, grid)
+    return _encoding_residual(fam, tau, 0.0, grid, units)
 
 
-def ef_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
+def ef_system_residual(fam: SynchronizedFamily, grid,
+                       units=None) -> tuple[float, float]:
     """Max normalized residual of the phase-plane encoding on rho = r/mu0.
 
     Read in t = log r, the weighted encoding at tau = delta is the phase-plane
@@ -618,7 +650,8 @@ def ef_system_residual(fam: SynchronizedFamily, grid) -> tuple[float, float]:
     r^(-m delta) = r^(-2), and the potential delta^2 - (n-2) delta + gamma
     is -kappa^2.  So each equation y'' - kappa^2 y + y^(2*-1) + coupling is
     divided by c y, in the bounded terms of ``_encoding_residual``, and the
-    values do not depend on mu0.
+    values do not depend on mu0.  ``units`` are as in
+    ``radial_system_residual``.
     """
     p = fam.profile.params
-    return _encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, grid)
+    return _encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, grid, units)

@@ -34,11 +34,17 @@ coordinate rho = 1/4 of the ray's unstable manifold, whose turn is at
 rho = 1, so the manifold's series carries most of the climb, and the orbit
 checks see it: its first coefficient off by 1e-5 fails
 integration_deviation, asymptotic_u0 and shooting_recovery at n = 4,
-nu = 1.  ratio_identity records what ``constants_from_root`` enforces, and
-DP5 keeps an orbit that starts on the ray on it, so proportionality_defect
-reads zero up to rounding; it still fails on an orbit that leaves the ray
-(a start 1e-6 off it reads 1.2e-6 at n = 4, nu = 1).  Checks that test more
-will replace them (ROADMAP.md, item 8).  The four encoding residuals read
+nu = 1.  asymptotic_u0 reads the start's time relative to the turn, so it
+also carries the error in the turn time.  ``integrate`` measures the error
+of y_u' on the scale kappa |y_u| there, where y_u' passes through zero, so
+the turn's step is as long as the others, and asymptotic_u0 is the largest
+of the orbit checks: at most 2.7e-11 at the default tolerance 1e-10, over
+n in {3, ..., 20} and gamma up to 0.99 lambda_n.  ratio_identity records
+what ``constants_from_root`` enforces, and DP5 keeps an orbit that starts
+on the ray on it, so proportionality_defect reads zero up to rounding; it
+still fails on an orbit that leaves the ray (a start 1e-6 off it reads
+1.2e-6 at n = 4, nu = 1).  Checks that test more will replace them
+(ROADMAP.md, item 8).  The four encoding residuals read
 c1 and c2 through the multiple of y^m = (r^delta U)^m in each equation:
 both off by 1e-6 fail each of them (about 2.2e-6 at n = 4, nu = 1).
 """
@@ -54,9 +60,13 @@ from .coupling import classify, verify_constants_system
 from .emdenfowler import (ef_system_residual, proportionality_defect,
                           radial_system_residual, shoot_synchronized,
                           weighted_system_residual, _closed_form_arrays,
-                          _manifold_coordinates, _max_normalized)
+                          _grid_units, _manifold_coordinates, _max_normalized)
 from .params import ProblemParams
 from .profiles import asymptotic_limits
+
+#: rho = r/mu0 of the four encoding residuals, the same at every mu0
+RHO_GRID = np.geomspace(1e-6, 1e6, 2048)
+RHO_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     their difference, so mu0^-kappa never has to be a double.
     """
     families = classify(p, mu0)
-    grid = np.geomspace(1e-6, 1e6, 2048)  # rho = r/mu0, the same at every mu0
+    # the families share one profile, so the grid's units are built once
+    units = _grid_units(families[0].profile, RHO_GRID) if families else None
     t0 = math.log(mu0)
     checks: list[CheckResult] = []
 
@@ -160,13 +171,13 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "constants_residual", max(res1, res2), 1e-12)
         add(tag + "ratio_identity", abs(fam.c1 / fam.c2 - s) / s, 1e-13)
 
-        ru, rv = radial_system_residual(fam, grid)
+        ru, rv = radial_system_residual(fam, RHO_GRID, units)
         add(tag + "radial_residual", max(ru, rv), 1e-9)
         for tau, label in ((p.tau1, "tau1"), (p.tau2, "tau2")):
-            wu, wv = weighted_system_residual(fam, tau, grid)
+            wu, wv = weighted_system_residual(fam, tau, RHO_GRID, units)
             add(tag + f"weighted_residual_{label}", max(wu, wv), 1e-9)
 
-        eu, ev = ef_system_residual(fam, grid)
+        eu, ev = ef_system_residual(fam, RHO_GRID, units)
         add(tag + "ef_residual", max(eu, ev), 1e-9)
 
         half = shoot_synchronized(p, fam.root, integration_tol)

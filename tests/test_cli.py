@@ -345,18 +345,20 @@ BUDGET = "step budget exceeded (20000 steps)"
 
 
 @pytest.mark.parametrize("command,cases", [
-    ("verify", (("1e-14", (UNDERFLOW, BUDGET)), ("1e-170", (UNDERFLOW,)))),
+    ("verify", (("1e-17", (BUDGET,)), ("1e-170", (UNDERFLOW,)))),
     ("shoot", (("1e-60", (UNDERFLOW,)), ("1e-300", (OVERFLOW,)))),
 ], ids=["verify", "shoot"])
 def test_tiny_tolerance_integrate_error_cli_exit2(monkeypatch, command, cases):
     # integrate itself still fails in one IntegrationError at tolerances that
-    # doubles cannot meet.  At 1e-14 its steps shrink near N4's turn, where
-    # y_u' is small; by the last bits of the start they fall below the
-    # smallest step, or crawl through the step budget (2,000,000 steps take
-    # about 20 s; lowered here).  At 1e-170 they underflow at the start, and
-    # at 1e-300 scaling the error estimate by tol overflows its square at the
-    # first step.  The command refuses such a tolerance before any step: one
-    # line, exit 2
+    # doubles cannot meet.  Each slope's error is scaled by at least kappa |y|,
+    # so nothing shrinks the steps at N4's turn, and the shot completes down
+    # to 1e-16.  At 1e-17, below the spacing of doubles, the roundoff of the
+    # error estimate is about tol per unit step whatever the step size, so
+    # the steps shrink and crawl through the step budget (2,000,000 steps
+    # take about 20 s; lowered here).  At 1e-170 they underflow at the start, and at 1e-300
+    # scaling the error estimate by tol overflows its square at the first
+    # step.  The command refuses such a tolerance before any step: one line,
+    # exit 2
     monkeypatch.setattr(hs.emdenfowler, "MAX_STEPS", 20000)
     p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     s = hs.classify(p, 1.0)[0].c_tilde
