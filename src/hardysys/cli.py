@@ -1,12 +1,19 @@
 """Command-line interface: classify, verify, shoot, sweep, export.
 
+Every flag a command accepts changes its output.  ``--mu0``, the profile
+scale, is a flag of ``verify`` and ``export`` only: the roots, the constants
+and the shooting amplitude do not depend on it.  ``sweep`` ignores the flag
+of the parameter it sweeps, and checks the parameters of every sample before
+its first root search.
+
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a root of the coupling function beyond the range of a double,
 named by its log s, and an ``export`` profile beyond it), 3 no usable
-(non-degenerate) root, 5 unwritable output path, 6 integration failed (step
-size underflow, step budget exceeded, floating-point overflow, or a shooting
-run that did not turn).  Exit code 4, once "shooting bracket not found", is
-retired.
+(non-degenerate) root, 5 unwritable output path (one stderr line,
+``output error: <message>``, that names the path), 6 integration failed
+(step size underflow, step budget exceeded, floating-point overflow, or a
+shooting run that did not turn).  Exit code 4, once "shooting bracket not
+found", is retired.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -19,8 +26,8 @@ with them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -46,20 +53,20 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--nu", type=float, default=0.0, help="coupling strength (>= 0)")
     sub.add_argument("--alpha", type=float, required=True,
                      help="coupling exponent; beta = 2* - alpha")
-    sub.add_argument("--mu0", type=float, default=1.0, help="profile scale")
 
 
 def _build_params(args) -> ProblemParams:
     return ProblemParams(args.n, args.gamma, args.nu, args.alpha)
 
 
-def _open_out(path):
+def _output(path):
+    """stdout, or the file at ``path``; an OSError reaches ``main``."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
-def _families(p, mu0):
+def _families(p, mu0=1.0):
     """classify's families; no family is a stderr line."""
     families = classify(p, mu0)
     if not families:
@@ -69,13 +76,12 @@ def _families(p, mu0):
 
 def cmd_classify(args) -> int:
     p = _build_params(args)
-    families = _families(p, args.mu0)
+    families = _families(p)
     if not families:
         return EXIT_DEGENERATE_ONLY
     rows = [{"c_tilde": f.c_tilde, "c1": f.c1, "c2": f.c2,
              "f_prime": f.root.f_prime} for f in families]
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         if args.format == "json":
             json.dump(rows, fh, indent=2)
             fh.write("\n")
@@ -85,9 +91,6 @@ def cmd_classify(args) -> int:
             for row in rows:
                 writer.writerow(["%.17g" % row[k]
                                  for k in ("c_tilde", "c1", "c2", "f_prime")])
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -99,8 +102,7 @@ def cmd_verify(args) -> int:
         print("no usable root of the coupling function; nothing to verify",
               file=sys.stderr)
         return EXIT_DEGENERATE_ONLY
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         if args.format == "json":
             json.dump(report.to_json_dict(), fh, indent=2)
             fh.write("\n")
@@ -113,27 +115,24 @@ def cmd_verify(args) -> int:
             writer.writerow(["overall", "", "", "true" if report.overall else "false"])
         else:
             fh.write(report.to_text())
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK if report.overall else EXIT_CHECK_FAILED
 
 
-def _selected_family(p, args):
+def _selected_family(p, index, mu0=1.0):
     """The family at ``--root-index``; None, after a message, if there is none."""
-    families = _families(p, args.mu0)
+    families = _families(p, mu0)
     if not families:
         return None
-    if not 0 <= args.root_index < len(families):
+    if not 0 <= index < len(families):
         raise ParameterError(
-            f"root index {args.root_index} out of range (found {len(families)} families)")
-    return families[args.root_index]
+            f"root index {index} out of range (found {len(families)} families)")
+    return families[index]
 
 
 def cmd_shoot(args) -> int:
     from .emdenfowler import shoot_synchronized
     p = _build_params(args)
-    fam = _selected_family(p, args)
+    fam = _selected_family(p, args.root_index)
     if fam is None:
         return EXIT_DEGENERATE_ONLY
     recovered = float(shoot_synchronized(p, fam.root, tol=args.tol).y_u[-1])
@@ -152,32 +151,28 @@ def _samples(start, stop, count):
     return [start + i * step for i in range(count - 1)] + [stop]
 
 
-def _sweep_value(base, name, value):
-    p = dataclasses.replace(base, **{name: value})
-    return value, [r for r in find_positive_roots(p) if not r.is_degenerate]
-
-
 def cmd_sweep(args) -> int:
-    base = _build_params(args)
     if args.samples < 2:
         raise ParameterError("a sweep needs at least two samples")
     values = _samples(args.start, args.stop, args.samples)
-    # the endpoints go first so that bad ranges fail before any other work
-    first = _sweep_value(base, args.param, values[0])
-    last = _sweep_value(base, args.param, values[-1])
-    results = ([first] + [_sweep_value(base, args.param, v) for v in values[1:-1]]
-               + [last])
-    fh, close = _open_out(args.out)
-    try:
+    # every sample is checked before the first root search; the swept
+    # parameter's own flag is never read
+    fixed = {name: getattr(args, name) for name in ("n", "gamma", "nu", "alpha")
+             if name != args.param}
+    params = [ProblemParams(**fixed, **{args.param: v}) for v in values]
+    roots = [[r for r in find_positive_roots(p) if not r.is_degenerate] for p in params]
+    with _output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", args.param, "root_count", "roots"])
-        for i, (value, roots) in enumerate(results):
-            writer.writerow([i, "%.17g" % value, len(roots),
-                             ";".join("%.17g" % r.c_tilde for r in roots)])
-    finally:
-        if close:
-            fh.close()
+        for i, (value, found) in enumerate(zip(values, roots)):
+            writer.writerow([i, "%.17g" % value, len(found),
+                             ";".join("%.17g" % r.c_tilde for r in found)])
     return EXIT_OK
+
+
+def _export_path(args, what):
+    """``--out`` itself, or ``<prefix>.<what>.csv`` for ``--what both``."""
+    return args.out if args.what == what else f"{args.out}.{what}.csv"
 
 
 def cmd_export(args) -> int:
@@ -191,12 +186,11 @@ def cmd_export(args) -> int:
         raise ParameterError("--grid-n and --t-points must be at least 2")
     if not 0 < args.t_halfspan < math.inf:
         raise ParameterError("--t-halfspan must be positive and finite")
-    fam = _selected_family(p, args)
+    fam = _selected_family(p, args.root_index, args.mu0)
     if fam is None:
         return EXIT_DEGENERATE_ONLY
 
-    targets = []
-    if args.what in ("profile", "both"):
+    if args.what != "trajectory":
         # r^tau u = c exp(log U + tau log r): r^tau2 alone overflows where u
         # underflows
         r = np.geomspace(args.grid_lo, args.grid_hi, args.grid_n)
@@ -209,28 +203,16 @@ def cmd_export(args) -> int:
             raise ParameterError(
                 f"the profile table exceeds the range of a double on [{args.grid_lo:g}, "
                 f"{args.grid_hi:g}]")
-        path = args.out if args.what == "profile" else args.out + ".profile.csv"
-        targets.append(("profile", path))
-    if args.what in ("trajectory", "both"):
-        path = args.out if args.what == "trajectory" else args.out + ".trajectory.csv"
-        targets.append(("trajectory", path))
-
-    for kind, path in targets:
-        try:
-            fh = open(path, "w", newline="")
-        except OSError as exc:
-            print(f"cannot write {path}: {exc}", file=sys.stderr)
-            return EXIT_UNWRITABLE
-        with fh:
-            if kind == "profile":
-                fh.write("r,u,v,r_tau1_u,r_tau2_u\n")
-                for vals in zip(*columns):
-                    fh.write(",".join("%.17g" % x for x in vals) + "\n")
-            else:
-                t0 = math.log(args.mu0)
-                half = np.linspace(0.0, args.t_halfspan, args.t_points // 2 + 1)
-                t_grid = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
-                exact_trajectory(fam, t_grid).write_csv(fh)
+        with _output(_export_path(args, "profile")) as fh:
+            fh.write("r,u,v,r_tau1_u,r_tau2_u\n")
+            for vals in zip(*columns):
+                fh.write(",".join("%.17g" % x for x in vals) + "\n")
+    if args.what != "profile":
+        t0 = math.log(args.mu0)
+        half = np.linspace(0.0, args.t_halfspan, args.t_points // 2 + 1)
+        t_grid = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
+        with _output(_export_path(args, "trajectory")) as fh:
+            exact_trajectory(fam, t_grid).write_csv(fh)
     return EXIT_OK
 
 
@@ -251,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the full verification battery")
     _add_param_flags(sp)
+    sp.add_argument("--mu0", type=float, default=1.0, help="profile scale")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.add_argument("--out", default=None)
     sp.add_argument("--tol", type=float, default=1e-10,
@@ -275,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export", help="write profile and/or trajectory CSV files")
     _add_param_flags(sp)
+    sp.add_argument("--mu0", type=float, default=1.0, help="profile scale")
     sp.add_argument("--what", choices=("profile", "trajectory", "both"),
                     default="both")
     sp.add_argument("--out", required=True, help="output path (or prefix for --what both)")

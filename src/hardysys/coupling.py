@@ -62,12 +62,6 @@ class SynchronizedFamily:
         p = self.profile.params
         return self.c1 * p.amplitude * 2.0 ** (-p.delta)
 
-    def u(self, r):
-        return self.c1 * self.profile.value(r)
-
-    def v(self, r):
-        return self.c2 * self.profile.value(r)
-
 
 def _positive(s) -> float:
     """s as a float; ParameterError if it is <= 0."""
@@ -258,7 +252,7 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
     c2 = (1.0 + p.nu * p.beta * s ** p.alpha) ** (-1.0 / (ts - 2.0))
     c1 = s * c2
     res1, res2 = verify_constants_system(c1, c2, p)
-    if max(res1, res2) > 1e-12:
+    if not (res1 <= 1e-12 and res2 <= 1e-12):  # a NaN raises too
         raise ConvergenceError(
             f"constants system residuals ({res1:.3e}, {res2:.3e}) exceed 1e-12"
         )

@@ -7,8 +7,6 @@ Check names map one-to-one onto the invariants they measure:
 ==========================  ====================================================
 check name                  invariant
 ==========================  ====================================================
-constants_residual          algebraic constants system residuals <= 1e-12
-ratio_identity              c1/c2 equals the coupling root to 1e-13
 radial_residual             radial encoding residual <= 1e-9
 weighted_residual_tau1      weighted encoding (inner exponent) <= 1e-9
 weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9
@@ -39,14 +37,17 @@ also carries the error in the turn time.  ``integrate`` measures the error
 of y_u' on the scale kappa |y_u| there, where y_u' passes through zero, so
 the turn's step is as long as the others, and asymptotic_u0 is the largest
 of the orbit checks: at most 2.7e-11 at the default tolerance 1e-10, over
-n in {3, ..., 20} and gamma up to 0.99 lambda_n.  ratio_identity records
-what ``constants_from_root`` enforces, and DP5 keeps an orbit that starts
-on the ray on it, so proportionality_defect reads zero up to rounding; it
-still fails on an orbit that leaves the ray (a start 1e-6 off it reads
-1.2e-6 at n = 4, nu = 1).  Checks that test more will replace them
-(ROADMAP.md, item 8).  The four encoding residuals read
-c1 and c2 through the multiple of y^m = (r^delta U)^m in each equation:
-both off by 1e-6 fail each of them (about 2.2e-6 at n = 4, nu = 1).
+n in {3, ..., 20} and gamma up to 0.99 lambda_n.  DP5 keeps an orbit that
+starts on the ray on it, so proportionality_defect reads zero up to
+rounding; it still fails on an orbit that leaves the ray (a start 1e-6 off
+it reads 1.2e-6 at n = 4, nu = 1).  A check that tests more will replace it
+(ROADMAP.md, item 8).  The four encoding residuals read c1 and c2 through
+the multiple of y^m = (r^delta U)^m in each equation: both off by 1e-6 fail
+each of them (about 2.2e-6 at n = 4, nu = 1).
+
+The constants system is not a check of its own: ``constants_from_root``
+raises ``ConvergenceError`` when either of its residuals is not <= 1e-12,
+and c1 = s c2 by construction, so neither could fail in a report.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import classify, verify_constants_system
+from .coupling import classify
 from .emdenfowler import (ef_system_residual, proportionality_defect,
                           radial_system_residual, shoot_synchronized,
                           weighted_system_residual, _closed_form_arrays,
@@ -166,10 +167,6 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     for idx, fam in enumerate(families):
         tag = f"f{idx}."
         s = fam.c_tilde
-
-        res1, res2 = verify_constants_system(fam.c1, fam.c2, p)
-        add(tag + "constants_residual", max(res1, res2), 1e-12)
-        add(tag + "ratio_identity", abs(fam.c1 / fam.c2 - s) / s, 1e-13)
 
         ru, rv = radial_system_residual(fam, RHO_GRID, units)
         add(tag + "radial_residual", max(ru, rv), 1e-9)

@@ -69,8 +69,8 @@ def test_classify_invalid_params_exit2():
     (["classify", "--n", "3", "--gamma", "0", "--nu", "inf", "--alpha", "3"], "nu"),
     (["classify", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "nan"], "alpha"),
     (["classify", "--n", "4", "--gamma", "nan", "--nu", "1", "--alpha", "2"], "gamma"),
-    (["classify", *N4, "--mu0", "nan"], "scale"),
-    (["classify", *N4, "--mu0", "inf"], "scale"),
+    (["export", *N4, "--mu0", "nan", "--out", "/nonexistent-dir/x"], "scale"),
+    (["export", *N4, "--mu0", "inf", "--out", "/nonexistent-dir/x"], "scale"),
     (["verify", *N4, "--mu0", "nan"], "scale"),
     (["verify", *N4, "--mu0", "inf"], "scale"),
     (["sweep", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3", "--param", "nu",
@@ -81,6 +81,19 @@ def test_non_finite_parameters_exit2(argv, name):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"invalid parameters: {name} must be ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", *N4], ["shoot", *N4],
+    ["sweep", *N4, "--param", "nu", "--start", "0.1", "--stop", "2", "--samples", "3"]])
+def test_mu0_refused_where_unread(argv):
+    # roots, constants and the shooting amplitude do not depend on the
+    # scale: only verify and export take --mu0
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        main([*argv, "--mu0", "2"])
+    assert exc.value.code == 2
+    assert err.getvalue().endswith("error: unrecognized arguments: --mu0 2\n")
 
 
 def test_classify_degenerate_only_exit3():
@@ -498,12 +511,28 @@ def test_sweep_samples_are_linspace_bits(start, stop, samples):
 
 
 def test_sweep_bad_endpoint_fails_before_the_interior(monkeypatch):
-    # beta = 2* - alpha turns negative at the last value
+    # beta = 2* - alpha falls below 1 from alpha = 3.03 on; every sample's
+    # parameters are checked before the first root search
     calls = _count_root_searches(monkeypatch)
     code, _, _ = run_cli(["sweep", *N4, "--param", "alpha", "--start", "1.5",
                           "--stop", "4.5", "--samples", "50"])
     assert code == 2
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("param,bad,good,start,stop", [
+    ("alpha", "99", "3", "2.5", "3.5"), ("nu", "-5", "1", "0.1", "2")])
+def test_sweep_ignores_the_swept_flag(param, bad, good, start, stop):
+    # the swept parameter's own flag is never read, so a value it would
+    # refuse writes the bytes of a valid one
+    def sweep(value):
+        flags = {"alpha": "3", "nu": "1", param: value}
+        return run_cli(["sweep", "--n", "3", "--gamma", "0", "--nu", flags["nu"],
+                        "--alpha", flags["alpha"], "--param", param, "--start", start,
+                        "--stop", stop, "--samples", "3"])
+
+    assert sweep(bad) == sweep(good)
+    assert sweep(bad)[0] == 0
 
 
 def test_sweep_deterministic(tmp_path):
@@ -548,8 +577,8 @@ def test_export_round_trip_residual(tmp_path):
     r, u, v, wt1, wt2 = data.T
     p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
-    np.testing.assert_allclose(u, fam.u(r), rtol=1e-15)
-    np.testing.assert_allclose(v, fam.v(r), rtol=1e-15)
+    np.testing.assert_allclose(u, fam.c1 * fam.profile.value(r), rtol=1e-15)
+    np.testing.assert_allclose(v, fam.c2 * fam.profile.value(r), rtol=1e-15)
     np.testing.assert_allclose(wt1, r ** p.tau1 * u, rtol=1e-13)
     np.testing.assert_allclose(wt2, r ** p.tau2 * u, rtol=1e-13)
     ru, rv = hs.radial_system_residual(fam, r)
@@ -564,11 +593,17 @@ def test_export_both_files(tmp_path):
     assert (tmp_path / "case.trajectory.csv").exists()
 
 
-def test_export_unwritable_exit5():
-    code, _, err = run_cli(["export", *N4, "--what", "profile",
-                            "--out", "/nonexistent-dir/x.csv"])
-    assert code == 5
-    assert "cannot write" in err
+@pytest.mark.parametrize("argv", [
+    ["classify", *N4], ["verify", *N4],
+    ["sweep", *N4, "--param", "nu", "--start", "0.1", "--stop", "2", "--samples", "3"],
+    ["export", *N4, "--what", "profile"], ["export", *N4, "--what", "trajectory"]],
+    ids=["classify", "verify", "sweep", "export-profile", "export-trajectory"])
+def test_unwritable_output_exit5(argv):
+    # one path for every output file: main's handler, one line naming the path
+    code, out, err = run_cli([*argv, "--out", "/nonexistent-dir/x"])
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("output error: ") and "/nonexistent-dir/x" in err
 
 
 @pytest.mark.parametrize("what, bad", [

@@ -167,6 +167,16 @@ def test_constants_root_residual_guard():
         hs.constants_from_root(bad, p4())
 
 
+@pytest.mark.parametrize("residuals", [(math.nan, 0.0), (0.0, math.nan), (0.0, 2e-12)])
+def test_constants_system_guard_raises(monkeypatch, residuals):
+    # the guard is the only test of the constants system: a NaN residual, in
+    # either equation, raises as a large one does
+    monkeypatch.setattr(hs.coupling, "verify_constants_system", lambda c1, c2, p: residuals)
+    root = hs.find_positive_roots(p4())[0]
+    with pytest.raises(hs.ConvergenceError):
+        hs.constants_from_root(root, p4())
+
+
 def test_verify_constants_system_values():
     assert_allclose(hs.verify_constants_system(3 ** -0.5, 3 ** -0.5, p4()),
                     (0.0, 0.0), atol=1e-15)
