@@ -30,6 +30,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -59,11 +60,23 @@ def _build_params(args) -> ProblemParams:
     return ProblemParams(args.n, args.gamma, args.nu, args.alpha)
 
 
-def _output(path):
-    """stdout, or the file at ``path``; an OSError reaches ``main``."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", newline="")
+@contextlib.contextmanager
+def _output(*paths):
+    """One handle per path, stdout for None, every file opened before any is
+    written: when one cannot be opened, those opened (and emptied) before it
+    are removed and the OSError reaches ``main``, so exit 5 leaves no table."""
+    with contextlib.ExitStack() as stack:
+        handles = []
+        try:
+            for path in paths:
+                handles.append(sys.stdout if path is None
+                               else stack.enter_context(open(path, "w", newline="")))
+        except OSError:
+            stack.close()
+            for path in paths[:len(handles)]:
+                os.remove(path)
+            raise
+        yield handles
 
 
 def _families(p, mu0=1.0):
@@ -81,7 +94,7 @@ def cmd_classify(args) -> int:
         return EXIT_DEGENERATE_ONLY
     rows = [{"c_tilde": f.c_tilde, "c1": f.c1, "c2": f.c2,
              "f_prime": f.root.f_prime} for f in families]
-    with _output(args.out) as fh:
+    with _output(args.out) as (fh,):
         if args.format == "json":
             json.dump(rows, fh, indent=2)
             fh.write("\n")
@@ -102,7 +115,7 @@ def cmd_verify(args) -> int:
         print("no usable root of the coupling function; nothing to verify",
               file=sys.stderr)
         return EXIT_DEGENERATE_ONLY
-    with _output(args.out) as fh:
+    with _output(args.out) as (fh,):
         if args.format == "json":
             json.dump(report.to_json_dict(), fh, indent=2)
             fh.write("\n")
@@ -161,7 +174,7 @@ def cmd_sweep(args) -> int:
              if name != args.param}
     params = [ProblemParams(**fixed, **{args.param: v}) for v in values]
     roots = [[r for r in find_positive_roots(p) if not r.is_degenerate] for p in params]
-    with _output(args.out) as fh:
+    with _output(args.out) as (fh,):
         writer = csv.writer(fh)
         writer.writerow(["index", args.param, "root_count", "roots"])
         for i, (value, found) in enumerate(zip(values, roots)):
@@ -190,6 +203,8 @@ def cmd_export(args) -> int:
     if fam is None:
         return EXIT_DEGENERATE_ONLY
 
+    # every table is computed before any file is opened
+    writers = {}
     if args.what != "trajectory":
         # r^tau u = c exp(log U + tau log r): r^tau2 alone overflows where u
         # underflows
@@ -203,16 +218,20 @@ def cmd_export(args) -> int:
             raise ParameterError(
                 f"the profile table exceeds the range of a double on [{args.grid_lo:g}, "
                 f"{args.grid_hi:g}]")
-        with _output(_export_path(args, "profile")) as fh:
+
+        def write_profile(fh):
             fh.write("r,u,v,r_tau1_u,r_tau2_u\n")
             for vals in zip(*columns):
                 fh.write(",".join("%.17g" % x for x in vals) + "\n")
+        writers["profile"] = write_profile
     if args.what != "profile":
         t0 = math.log(args.mu0)
         half = np.linspace(0.0, args.t_halfspan, args.t_points // 2 + 1)
         t_grid = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
-        with _output(_export_path(args, "trajectory")) as fh:
-            exact_trajectory(fam, t_grid).write_csv(fh)
+        writers["trajectory"] = exact_trajectory(fam, t_grid).write_csv
+    with _output(*(_export_path(args, what) for what in writers)) as handles:
+        for write, fh in zip(writers.values(), handles):
+            write(fh)
     return EXIT_OK
 
 
@@ -263,11 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     sp.add_argument("--out", required=True, help="output path (or prefix for --what both)")
     sp.add_argument("--root-index", type=int, default=0)
-    sp.add_argument("--grid-lo", type=float, default=1e-6)
-    sp.add_argument("--grid-hi", type=float, default=1e6)
-    sp.add_argument("--grid-n", type=int, default=2048)
-    sp.add_argument("--t-halfspan", type=float, default=10.0)
-    sp.add_argument("--t-points", type=int, default=2000)
+    sp.add_argument("--grid-lo", type=float, default=1e-6,
+                    help="least profile radius, >= 1e-300")
+    sp.add_argument("--grid-hi", type=float, default=1e6, help="greatest profile radius")
+    sp.add_argument("--grid-n", type=int, default=2048, help="profile rows, geometric in r")
+    sp.add_argument("--t-halfspan", type=float, default=10.0,
+                    help="trajectory half-width in log r, symmetric about log mu0")
+    sp.add_argument("--t-points", type=int, default=2000,
+                    help="N: the trajectory holds 2*floor(N/2) + 1 rows, so 2000 writes "
+                         "2001 and 2 writes 3")
     sp.set_defaults(func=cmd_export)
 
     return parser

@@ -385,37 +385,6 @@ def _quintic_turn(h: float, u, v) -> tuple[float, float, float]:
     return th, y_u, y_v
 
 
-def _manifold_coefficients(two_star: float, w: float) -> list[float]:
-    """Series of log(Z(x)/x) in w = x^m, Z the manifold of z'' = kappa^2 (z - z^(2*-1)).
-
-    The unstable manifold is z = Z(x e^(kappa t)), Z(x) = x exp(G(x^m)),
-    m = 2* - 2.  In the ODE, 2 m theta G + m^2 (theta^2 G + (theta G)^2) =
-    -w exp(m G), theta = w d/dw, so G = sum_k g_k w^k has (the
-    parametrisation method, from the ODE alone)
-
-        g_k = -(e_(k-1) + m^2 sum_(i<k) i (k-i) g_i g_(k-i)) / ((1 + k m)^2 - 1),
-
-    e_k the coefficients of exp(m G) by J. C. P. Miller's recurrence.
-    G = -(2/m) log(1 + rho), rho = w / (2 2*), so its terms shrink by rho
-    for every n: about 30 terms at the shooting start, rho = 1/4.  Both
-    sums add terms of one sign; the series of Z itself alternates, with
-    terms adding up to ((1 + rho) / (1 - rho))^(2/m) times its sum (2.1e5 at
-    n = 50 and 2.6e16 at n = 150, rho = 1/4).  Returns [0, g_1, ..., g_K],
-    to the first term (1 + k m) g_k w^k below roundoff.
-    """
-    m = two_star - 2.0
-    logs, exps = [0.0], [1.0]  # g_k and e_k
-    term = 1.0
-    while abs(term) > 1e-17:
-        k = len(logs)
-        order = 1.0 + k * m
-        cross = math.fsum(i * (k - i) * logs[i] * logs[k - i] for i in range(1, k))
-        logs.append(-(exps[k - 1] + m * m * cross) / (order * order - 1.0))
-        exps.append(m / k * math.fsum(i * logs[i] * exps[k - i] for i in range(1, k + 1)))
-        term = order * logs[k] * w ** k
-    return logs
-
-
 # manifold coordinate rho = x^m / (2 2*) of the shooting start; the turn is at 1
 _RHO0 = 0.25
 
@@ -438,21 +407,19 @@ def _manifold_coordinates(p: ProblemParams, s: float) -> tuple[float, float]:
 def _manifold_start(p: ProblemParams, s: float) -> EFState:
     """The shooting start on the unstable manifold of the ray y_v = y_u / s.
 
-    On the ray, z = y_u / y_eq solves z'' = kappa^2 (z - z^(2*-1)); the start
-    is y_u = y_eq Z(x0), y_u' = kappa y_eq x0 Z'(x0), at the coordinates of
-    ``_manifold_coordinates``, with Z summed from its series at w = x0^m =
-    2 2* rho0.
+    On the ray, z = y_u / y_eq solves z'' = kappa^2 (z - z^(2*-1)), whose
+    unstable manifold is z = Z(x e^(kappa t)), Z(x) = x (1 + rho)^(-2/m),
+    rho = x^m / (2 2*), m = 2* - 2, in closed form for every rho.  The start
+    is y_u = y_eq Z(x0), y_u' = kappa y_eq x0 Z'(x0) = kappa y_u (1 - 2 rho0
+    / (1 + rho0)), at the coordinates of ``_manifold_coordinates``.  It reads
+    2*, kappa, nu, alpha, beta and s, and nothing of the closed-form profile;
+    the series of log(Z(x)/x) that the parametrisation method builds from the
+    ODE alone (``tests/reference.py``) is its oracle.
     """
     m = p.two_star - 2.0
-    w = 2.0 * p.two_star * _RHO0
-    logs = _manifold_coefficients(p.two_star, w)
-    g = dg = 0.0  # G(w) and m theta G(w), by Horner in w
-    for k in range(len(logs) - 1, 0, -1):
-        g = (g + logs[k]) * w
-        dg = (dg + m * k * logs[k]) * w
     x_u, _ = _manifold_coordinates(p, s)
-    y0 = x_u * math.exp(g)  # y_eq Z(x0)
-    slope = p.kappa * y0 * (1.0 + dg)  # kappa y_eq x0 Z'(x0)
+    y0 = x_u * math.exp(-2.0 / m * math.log1p(_RHO0))  # y_eq Z(x0)
+    slope = p.kappa * y0 * (1.0 - 2.0 * _RHO0 / (1.0 + _RHO0))  # kappa y_eq x0 Z'(x0)
     return EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)
 
 
@@ -465,10 +432,11 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     ray's unstable direction and turns (y_u' = 0, hence y_v' = 0) is
     therefore symmetric about its turning point: it is the homoclinic, and
     y_u there is its amplitude a*.  One run at ``tol`` traces it, in the
-    direction in which it is well conditioned; the closed form is not used.
+    direction in which it is well conditioned; the closed-form profile is
+    not used.
     It starts on the ray's unstable manifold, at coordinate rho = 1/4, from
-    its series (``_manifold_start``), and stops at the first accepted step
-    with y_u' <= 0.
+    its closed form (``_manifold_start``), and stops at the first accepted
+    step with y_u' <= 0.
 
     The result is that half orbit, shifted so that the turn sits at t = 0,
     with the turn in place of the last step's end: y_u = a* and y_v from the
@@ -476,9 +444,9 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     both slopes 0.  The cubic interpolant, without y'', errs up to 7e-11 at
     tol 1e-9 near gamma = lambda_n, where the steps at the turn are long.
 
-    The series converges for rho < 1, and the turn sits at rho = 1, so the
-    series gives the nearly exponential climb and DP5 the turn, and a* comes
-    from integration.  The start's coordinate is exact, so
+    The manifold's closed form gives the nearly exponential climb up to
+    rho = 1/4, DP5 carries the orbit from there through the turn, at rho = 1,
+    and a* comes from integration.  The start's coordinate is exact, so
     ``full_verification`` reads the asymptotic limits off the trace.  On
     the exact orbit rho grows like e^(m kappa t), m = 2* - 2, so the turn
     comes log(1/rho0) / m e-folds past the start; the run spans twice that.

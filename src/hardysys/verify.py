@@ -29,10 +29,10 @@ energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
 The integrated orbit is the half orbit that shooting traces, from its start
 on the invariant ray y_v = y_u / s up to its turn.  The start sits at
 coordinate rho = 1/4 of the ray's unstable manifold, whose turn is at
-rho = 1, so the manifold's series carries most of the climb, and the orbit
-checks see it: its first coefficient off by 1e-5 fails
-integration_deviation, asymptotic_u0 and shooting_recovery at n = 4,
-nu = 1.  asymptotic_u0 reads the start's time relative to the turn, so it
+rho = 1, so the manifold's closed form carries most of the climb, and the
+orbit checks see it: a start whose log(Z(x)/x) is off by 1e-5 of its first
+term fails integration_deviation, asymptotic_u0 and shooting_recovery at
+n = 4, nu = 1.  asymptotic_u0 reads the start's time relative to the turn, so it
 also carries the error in the turn time.  ``integrate`` measures the error
 of y_u' on the scale kappa |y_u| there, where y_u' passes through zero, so
 the turn's step is as long as the others, and asymptotic_u0 is the largest
@@ -146,8 +146,8 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     ``integration_tol`` from the origin, where errors do not grow like
     e^(kappa t) as they do into the saddle, up to its turn.  Placed at
     t0 = log mu0, that half orbit is the orbit of every orbit check.  Its
-    start sits at manifold coordinate x0 y_eq (``_manifold_coordinates``,
-    which sums no series) at time t0 + t_s, t_s = t[0] of the trace, so
+    start sits at manifold coordinate x0 y_eq (``_manifold_coordinates``)
+    at time t0 + t_s, t_s = t[0] of the trace, so
     r^tau1 u = e^(-kappa t) y_u tends to x0 y_eq e^(-kappa (t0 + t_s)).
     That limit and the closed form's stay logs, and the gap is |expm1| of
     their difference, so mu0^-kappa never has to be a double.

@@ -12,6 +12,10 @@ a test checks the package against; no command of the package runs it.
   phase state at one log-radius, a start for integrations from the maximum;
   ``phase_plane_residual``: the phase-plane equations summed term by term in
   t, the oracle of the bounded ``ef_system_residual``.
+* ``manifold_coefficients`` and ``manifold_series_start``: the series of the
+  ray's unstable manifold built from the ODE alone (the parametrisation
+  method) and the shooting start summed from it, the oracle of the closed
+  form in ``_manifold_start``.
 * ``mirrored``: the shooting trace reflected at its turn, the whole orbit;
   ``simultaneous_max_check``: the interpolated argmax of each component.
 * ``aubin_talenti_value``, ``linear_radial_part``,
@@ -36,7 +40,7 @@ import numpy as np
 
 from hardysys import ConvergenceError, ParameterError, TrajectoryError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import EFState, EFTrajectory
+from hardysys.emdenfowler import EFState, EFTrajectory, _RHO0, _manifold_coordinates
 from hardysys.params import ProblemParams
 from hardysys.profiles import ScalarProfile, _as_radii
 
@@ -173,6 +177,58 @@ def phase_plane_residual(fam, t_grid) -> tuple[float, float]:
     )) for acc, y_own, y_oth, e_own, e_oth, factor in (
         (a_u, y_u, y_v, alpha - 1.0, beta, nu * alpha),
         (a_v, y_v, y_u, beta - 1.0, alpha, nu * beta)))
+
+
+def manifold_coefficients(two_star: float, w: float) -> list[float]:
+    """Series of log(Z(x)/x) in w = x^m, Z the manifold of z'' = kappa^2 (z - z^(2*-1)).
+
+    The unstable manifold is z = Z(x e^(kappa t)), Z(x) = x exp(G(x^m)),
+    m = 2* - 2.  In the ODE, 2 m theta G + m^2 (theta^2 G + (theta G)^2) =
+    -w exp(m G), theta = w d/dw, so G = sum_k g_k w^k has (the
+    parametrisation method, from the ODE alone)
+
+        g_k = -(e_(k-1) + m^2 sum_(i<k) i (k-i) g_i g_(k-i)) / ((1 + k m)^2 - 1),
+
+    e_k the coefficients of exp(m G) by J. C. P. Miller's recurrence.
+    G = -(2/m) log(1 + rho), rho = w / (2 2*), so its terms shrink by rho
+    for every n: about 30 terms at the shooting start, rho = 1/4.  Both
+    sums add terms of one sign; the series of Z itself alternates, with
+    terms adding up to ((1 + rho) / (1 - rho))^(2/m) times its sum (2.1e5 at
+    n = 50 and 2.6e16 at n = 150, rho = 1/4).  Returns [0, g_1, ..., g_K],
+    to the first term (1 + k m) g_k w^k below roundoff.
+    """
+    m = two_star - 2.0
+    logs, exps = [0.0], [1.0]  # g_k and e_k
+    term = 1.0
+    while abs(term) > 1e-17:
+        k = len(logs)
+        order = 1.0 + k * m
+        cross = math.fsum(i * (k - i) * logs[i] * logs[k - i] for i in range(1, k))
+        logs.append(-(exps[k - 1] + m * m * cross) / (order * order - 1.0))
+        exps.append(m / k * math.fsum(i * logs[i] * exps[k - i] for i in range(1, k + 1)))
+        term = order * logs[k] * w ** k
+    return logs
+
+
+def manifold_series_start(p: ProblemParams, s: float, logs=None) -> EFState:
+    """The shooting start of the ray y_v = y_u / s with Z summed from its series.
+
+    y_u = y_eq Z(x0) and y_u' = kappa y_eq x0 Z'(x0) at w = x0^m = 2 2* rho0,
+    from the coefficients ``logs`` (by default ``manifold_coefficients``),
+    G and m theta G by Horner in w.
+    """
+    m = p.two_star - 2.0
+    w = 2.0 * p.two_star * _RHO0
+    if logs is None:
+        logs = manifold_coefficients(p.two_star, w)
+    g = dg = 0.0  # G(w) and m theta G(w)
+    for k in range(len(logs) - 1, 0, -1):
+        g = (g + logs[k]) * w
+        dg = (dg + m * k * logs[k]) * w
+    x_u, _ = _manifold_coordinates(p, s)
+    y0 = x_u * math.exp(g)
+    slope = p.kappa * y0 * (1.0 + dg)
+    return EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)
 
 
 def mirrored(half: EFTrajectory, t0: float) -> EFTrajectory:

@@ -606,6 +606,17 @@ def test_unwritable_output_exit5(argv):
     assert err.startswith("output error: ") and "/nonexistent-dir/x" in err
 
 
+def test_export_both_unwritable_trajectory_leaves_no_profile(tmp_path):
+    # both files are opened before either is written: a trajectory path
+    # that cannot be opened ends the command before any profile row
+    (tmp_path / "case.trajectory.csv").mkdir()
+    code, out, err = run_cli(["export", *N4, "--out", str(tmp_path / "case")])
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("output error: ") and "case.trajectory.csv" in err
+    assert not (tmp_path / "case.profile.csv").exists()
+
+
 @pytest.mark.parametrize("what, bad", [
     ("profile", ["--grid-n", "1"]),
     ("profile", ["--grid-lo", "0"]),

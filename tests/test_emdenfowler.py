@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
-from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coefficients,
-                                  _manifold_coordinates, _manifold_start,
-                                  _max_normalized, exact_trajectory, integrate)
+from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinates,
+                                  _manifold_start, _max_normalized, exact_trajectory,
+                                  integrate)
 from reference import (closed_form_accel, closed_form_arrays, convergence_order,
-                       ef_energy, ef_rhs, exact_ef_solution, max_normalized,
-                       phase_plane_residual, r_space_residual, simultaneous_max_check)
+                       ef_energy, ef_rhs, exact_ef_solution, manifold_coefficients,
+                       manifold_series_start, max_normalized, phase_plane_residual,
+                       r_space_residual, simultaneous_max_check)
 
 # rho = r/mu0 of the residuals of the four encodings
 GRID = np.geomspace(1e-6, 1e6, 2048)
@@ -296,31 +297,42 @@ def test_shoot_bitwise_regression(benchmark4):
     assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700be7b1p-1"
 
 
-@pytest.mark.parametrize("n", [3, 6, 14, 50, 150])
+@pytest.mark.parametrize("n", [3, 6, 14, 50, 150, 200])
 def test_manifold_series_start(n):
-    # at the start, x0 = (2 2* rho0)^(1/m), rho0 = 1/4, Z(x) = x exp(G(x^m))
-    # solves x^2 Z'' + x Z' = Z - Z^(2*-1) to roundoff, G is -(2/m) log(1 + rho),
-    # and the start lies on the zero level set of the ray's first integral
+    # at x0 = (2 2* rho0)^(1/m), rho0 = 1/4, the series of G = log(Z(x)/x),
+    # built from the ODE alone, solves x^2 Z'' + x Z' = Z - Z^(2*-1) to
+    # roundoff; the closed-form start Z(x0) = x0 (1 + rho0)^(-2/m) is the
+    # start summed from that series, and it lies on the zero level set of
+    # the ray's first integral
     ts = hs.critical_exponent(n)
     m = ts - 2.0
     p = hs.ProblemParams(n, 0.0, 0.0, ts / 2.0)
     w = 2.0 * ts * 0.25
     x0 = w ** (1.0 / m)
-    logs = _manifold_coefficients(ts, w)
+    logs = manifold_coefficients(ts, w)
     g = math.fsum(a * w ** k for k, a in enumerate(logs))
     dg = math.fsum(m * k * a * w ** k for k, a in enumerate(logs))  # m theta G
     d2g = math.fsum((m * k) ** 2 * a * w ** k for k, a in enumerate(logs))
     z = x0 * math.exp(g)
     d2z = z * ((1.0 + dg) ** 2 + d2g)  # x^2 Z'' + x Z'
     assert abs(d2z - z + z ** (ts - 1.0)) <= 4e-15 * max(d2z, z)
-    assert abs(g + 2.0 / m * math.log1p(0.25)) <= 2e-15 * abs(g)
-    start = _manifold_start(p, 1.0)
     x_u, x_v = _manifold_coordinates(p, 1.0)
     # the coordinate is x0 y_eq, y_eq = kappa^(2/m) on the scalar ray
     assert x_v == x_u and math.isclose(x_u, x0 * p.kappa ** (2.0 / m), rel_tol=1e-14)
-    assert math.isclose(start.y_u, x_u * math.exp(g), rel_tol=1e-14)
-    energy = ef_energy(start.y_u, start.p_u, p)
-    assert abs(energy) <= 1e-15 * 0.5 * (p.kappa * start.y_u) ** 2
+    start, series = _manifold_start(p, 1.0), manifold_series_start(p, 1.0)
+    assert (start.y_v, start.p_v) == (start.y_u, start.p_u)
+    # the series' own rounding: G = -(2/m) log(5/4), -22 at n = 200, sums
+    # about 30 rounded terms of one sign and errs by up to 3.2e-15 |G|, which
+    # exp turns into a relative error of the series start (7e-14 at n = 200,
+    # 1.5e-14 at n = 150); the closed form has no such growth
+    tol = 4e-15 * max(1.0, abs(g))
+    assert math.isclose(start.y_u, series.y_u, rel_tol=tol)
+    assert math.isclose(start.p_u, series.p_u, rel_tol=tol)
+    # the first integral in units of y_eq, whose 2*-th power overflows at n = 200
+    y_eq, kappa2 = x_u / x0, p.kappa * p.kappa
+    z, q = start.y_u / y_eq, start.p_u / y_eq
+    energy = 0.5 * q * q - 0.5 * kappa2 * z * z + kappa2 * z ** ts / ts
+    assert abs(energy) <= 1e-15 * 0.5 * kappa2 * z * z
 
 
 def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):

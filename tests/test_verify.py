@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import ConvergenceError, ParameterError
 from hardysys.emdenfowler import integrate
-from reference import convergence_order, fd_derivative
+from reference import (convergence_order, fd_derivative, manifold_coefficients,
+                       manifold_series_start)
 
 
 # --- finite-difference oracle -----------------------------------------------
@@ -324,18 +325,17 @@ def test_proportionality_defect_detects_an_orbit_off_the_ray(monkeypatch):
 
 
 def test_orbit_checks_detect_a_wrong_manifold_series(monkeypatch):
-    # the run starts at rho = 1/4, where the series carries the climb: its
-    # first coefficient g_1 off by 1e-5 moves the start off the manifold,
-    # and the three checks read off the orbit fail (about 2.4e-6, 3.7e-6 and
-    # 2.9e-6 against 1e-6)
-    on_manifold = hs.emdenfowler._manifold_coefficients
-
-    def skewed(two_star, w):
-        logs = on_manifold(two_star, w)
+    # the run starts at rho = 1/4, where the manifold carries the climb: a
+    # start summed from its series with the first coefficient g_1 off by
+    # 1e-5 (G off by 1e-5 of its first term) lies off the manifold, and the
+    # three checks read off the orbit fail (about 2.4e-6, 3.7e-6 and 2.9e-6
+    # against 1e-6)
+    def skewed(p, s):
+        logs = manifold_coefficients(p.two_star, 2.0 * p.two_star * 0.25)
         logs[1] *= 1.0 + 1e-5
-        return logs
+        return manifold_series_start(p, s, logs)
 
-    monkeypatch.setattr(hs.emdenfowler, "_manifold_coefficients", skewed)
+    monkeypatch.setattr(hs.emdenfowler, "_manifold_start", skewed)
     checks = {c.name: c for c in
               hs.full_verification(hs.ProblemParams(4, 0.0, 1.0, 2.0)).checks}
     for name in ("integration_deviation", "asymptotic_u0", "shooting_recovery"):
