@@ -9,8 +9,9 @@ pair
 whose positive decaying orbits are homoclinic loops of the origin with
 exponential rate kappa = sqrt(delta^2 - gamma).  This module provides the
 closed-form synchronized trajectories, an embedded Dormand-Prince 5(4)
-integrator with error-per-unit-step control (global error scales like
-tol^(5/4), i.e. better than a factor 16 per tolerance decade), the shooting
+integrator in Nystrom form (the field does not read y') with
+error-per-unit-step control (global error scales like tol^(5/4), i.e.
+better than a factor 16 per tolerance decade), the shooting
 trace of each homoclinic orbit from the origin up to its maximum (an oracle
 independent of the closed form), and residual checks of all three radial
 encodings of one and the same solution.
@@ -19,7 +20,7 @@ encodings of one and the same solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,12 +91,21 @@ def exact_trajectory(fam: SynchronizedFamily, t_grid) -> EFTrajectory:
 
 # --- adaptive integration ----------------------------------------------------
 
-# Dormand-Prince 5(4) tableau; the 5th-order solution is propagated (FSAL).
-_A2 = (1 / 5,)
-_A3 = (3 / 40, 9 / 40)
-_A4 = (44 / 45, -56 / 15, 32 / 9)
-_A5 = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
+# Dormand-Prince 5(4) in Nystrom form.  The field y'' = f(y) does not read y',
+# so the method's stage states are y + h c_i y' + h^2 sum_k (A^2)_ik f_k, its
+# 5th-order solution is (y + h y' + h^2 sum_k (bA)_k f_k, y' + h sum_k b_k f_k)
+# and its error estimate is (h^2 sum_k (eA)_k f_k, h sum_k e_k f_k), with b as
+# the 7th row of A (FSAL) and sum e = 0 (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.14).  A^2, bA and eA are the exact fractions that the tableau
+# gives.  (A^2)_ik is zero for k > i - 2, so stage 2 is y + h y' / 5, and
+# _AAi lists (A^2)_ik for k <= i - 2.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)  # c_2 .. c_5; c_6 = 1
+_AA3 = (9 / 200,)
+_AA4 = (-12 / 25, 4 / 5)
+_AA5 = (-12248 / 6561, 7208 / 2187, -6784 / 6561)
+_AA6 = (-533 / 264, 91 / 22, -56 / 33, 7 / 88)
+_BA = (35 / 384, 0.0, 50 / 159, 25 / 192, -243 / 6784, 0.0)
+_EA = (611 / 230400, 0.0, -514 / 83475, 391 / 38400, -4617 / 1356800, -11 / 3360)
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
@@ -129,12 +139,15 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     termination 'completed'.  The initial state and ``t_span`` are read as
     Python floats.
 
-    The kernel is inlined by hand: the tableau lives in local floats, the
-    field (``ef_rhs`` in ``tests/reference.py``, with trial stages clamped at
-    zero) is written out at every stage, and ``abs``, ``min`` and ``max`` are
-    comparisons.  Every floating-point operation is the one of the table form
-    ``y + h * (a1 * k1 + a2 * k2 + ...)``, in the same order, so trajectories
-    are bit-identical to it, and a step runs 1.7-1.9 times as fast.
+    The kernel is Dormand-Prince 5(4) in Nystrom form: the field never reads
+    y', so the stage states are formed from the stage fields alone and no
+    slope stage is built.  It is the same method as the table form
+    ``y + h * (a1 * k1 + a2 * k2 + ...)`` on the first-order system, and
+    agrees with it to rounding (``test_one_step_matches_the_table_form``,
+    against ``dp5_table_step`` in ``tests/reference.py``).  The kernel is
+    inlined by hand: the coefficients live in local floats, the field
+    (``ef_rhs`` there, with trial stages clamped at zero) is written out at
+    every stage, and ``abs``, ``min`` and ``max`` are comparisons.
     """
     if not (0.0 < tol < math.inf):
         raise ParameterError("tolerance must be positive and finite")
@@ -151,17 +164,18 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
     kappa2 = p.delta * p.delta - p.gamma
     kappa = math.sqrt(kappa2)  # the slope scale of y on the decaying tails
-    ts, alpha, beta, nu = p.two_star, p.alpha, p.beta, p.nu
-    e1 = ts - 1.0
-    ea = alpha - 1.0
-    eb = beta - 1.0
-    nua = nu * alpha
-    nub = nu * beta
-    a21, = _A2
-    a31, a32 = _A3
-    a41, a42, a43 = _A4
-    a51, a52, a53, a54 = _A5
-    a61, a62, a63, a64, a65 = _A6
+    e1 = p.two_star - 1.0
+    ea = p.alpha - 1.0
+    eb = p.beta - 1.0
+    nua = p.nu * p.alpha
+    nub = p.nu * p.beta
+    c2, c3, c4, c5 = _C
+    g31, = _AA3
+    g41, g42 = _AA4
+    g51, g52, g53 = _AA5
+    g61, g62, g63, g64 = _AA6
+    d1, _, d3, d4, d5, _ = _BA
+    v1, _, v3, v4, v5, v6 = _EA
     b1, _, b3, b4, b5, b6 = _B
     w1, _, w3, w4, w5, w6, w7 = _E
 
@@ -179,16 +193,18 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     h = min(MAX_STEP, span, 1e-3) if span > 0 else 0.0
     # float powers raise OverflowError where a product would give inf
     try:
-        # the stage derivatives are (p, f): f is the field at the stage state,
-        # whose components are clamped at zero for the powers (trial stages may
-        # dip below zero).  Stage 1 is the field at the step's start (FSAL).
+        # f is the field at a stage state, whose components are clamped at
+        # zero for the powers (trial stages may dip below zero); the coupling
+        # reads one product y_u^(alpha-1) y_v^(beta-1).  Stage 1 is the field
+        # at the step's start (FSAL).
         cu = 0.0 if yu < 0.0 else yu
         cv = 0.0 if yv < 0.0 else yv
         fu1 = kappa2 * cu - cu ** e1
         fv1 = kappa2 * cv - cv ** e1
         if nua:
-            fu1 -= nua * cu ** ea * cv ** beta
-            fv1 -= nub * cu ** alpha * cv ** eb
+            q = cu ** ea * cv ** eb
+            fu1 -= nua * q * cv
+            fv1 -= nub * q * cu
 
         # the remaining sliver below the cutoff is roundoff, not unfinished work
         end_slack = 1e-13 * max(1.0, span)
@@ -197,72 +213,68 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
                 raise IntegrationError(f"step budget exceeded ({max_steps} steps)")
             if span - s < h:
                 h = span - s
+            hh = h * h
+            hc2, hc3, hc4, hc5 = h * c2, h * c3, h * c4, h * c5
 
             # stage 2
-            ha = h * a21
-            yu2 = yu + ha * pu
-            pu2 = pu + ha * fu1
-            yv2 = yv + ha * pv
-            pv2 = pv + ha * fv1
+            yu2 = yu + hc2 * pu
+            yv2 = yv + hc2 * pv
             cu = 0.0 if yu2 < 0.0 else yu2
             cv = 0.0 if yv2 < 0.0 else yv2
             fu2 = kappa2 * cu - cu ** e1
             fv2 = kappa2 * cv - cv ** e1
             if nua:
-                fu2 -= nua * cu ** ea * cv ** beta
-                fv2 -= nub * cu ** alpha * cv ** eb
+                q = cu ** ea * cv ** eb
+                fu2 -= nua * q * cv
+                fv2 -= nub * q * cu
             # stage 3
-            yu3 = yu + h * (a31 * pu + a32 * pu2)
-            pu3 = pu + h * (a31 * fu1 + a32 * fu2)
-            yv3 = yv + h * (a31 * pv + a32 * pv2)
-            pv3 = pv + h * (a31 * fv1 + a32 * fv2)
+            yu3 = yu + hc3 * pu + hh * (g31 * fu1)
+            yv3 = yv + hc3 * pv + hh * (g31 * fv1)
             cu = 0.0 if yu3 < 0.0 else yu3
             cv = 0.0 if yv3 < 0.0 else yv3
             fu3 = kappa2 * cu - cu ** e1
             fv3 = kappa2 * cv - cv ** e1
             if nua:
-                fu3 -= nua * cu ** ea * cv ** beta
-                fv3 -= nub * cu ** alpha * cv ** eb
+                q = cu ** ea * cv ** eb
+                fu3 -= nua * q * cv
+                fv3 -= nub * q * cu
             # stage 4
-            yu4 = yu + h * (a41 * pu + a42 * pu2 + a43 * pu3)
-            pu4 = pu + h * (a41 * fu1 + a42 * fu2 + a43 * fu3)
-            yv4 = yv + h * (a41 * pv + a42 * pv2 + a43 * pv3)
-            pv4 = pv + h * (a41 * fv1 + a42 * fv2 + a43 * fv3)
+            yu4 = yu + hc4 * pu + hh * (g41 * fu1 + g42 * fu2)
+            yv4 = yv + hc4 * pv + hh * (g41 * fv1 + g42 * fv2)
             cu = 0.0 if yu4 < 0.0 else yu4
             cv = 0.0 if yv4 < 0.0 else yv4
             fu4 = kappa2 * cu - cu ** e1
             fv4 = kappa2 * cv - cv ** e1
             if nua:
-                fu4 -= nua * cu ** ea * cv ** beta
-                fv4 -= nub * cu ** alpha * cv ** eb
+                q = cu ** ea * cv ** eb
+                fu4 -= nua * q * cv
+                fv4 -= nub * q * cu
             # stage 5
-            yu5 = yu + h * (a51 * pu + a52 * pu2 + a53 * pu3 + a54 * pu4)
-            pu5 = pu + h * (a51 * fu1 + a52 * fu2 + a53 * fu3 + a54 * fu4)
-            yv5 = yv + h * (a51 * pv + a52 * pv2 + a53 * pv3 + a54 * pv4)
-            pv5 = pv + h * (a51 * fv1 + a52 * fv2 + a53 * fv3 + a54 * fv4)
+            yu5 = yu + hc5 * pu + hh * (g51 * fu1 + g52 * fu2 + g53 * fu3)
+            yv5 = yv + hc5 * pv + hh * (g51 * fv1 + g52 * fv2 + g53 * fv3)
             cu = 0.0 if yu5 < 0.0 else yu5
             cv = 0.0 if yv5 < 0.0 else yv5
             fu5 = kappa2 * cu - cu ** e1
             fv5 = kappa2 * cv - cv ** e1
             if nua:
-                fu5 -= nua * cu ** ea * cv ** beta
-                fv5 -= nub * cu ** alpha * cv ** eb
-            # stage 6
-            yu6 = yu + h * (a61 * pu + a62 * pu2 + a63 * pu3 + a64 * pu4 + a65 * pu5)
-            pu6 = pu + h * (a61 * fu1 + a62 * fu2 + a63 * fu3 + a64 * fu4 + a65 * fu5)
-            yv6 = yv + h * (a61 * pv + a62 * pv2 + a63 * pv3 + a64 * pv4 + a65 * pv5)
-            pv6 = pv + h * (a61 * fv1 + a62 * fv2 + a63 * fv3 + a64 * fv4 + a65 * fv5)
+                q = cu ** ea * cv ** eb
+                fu5 -= nua * q * cv
+                fv5 -= nub * q * cu
+            # stage 6 (c_6 = 1)
+            yu6 = yu + h * pu + hh * (g61 * fu1 + g62 * fu2 + g63 * fu3 + g64 * fu4)
+            yv6 = yv + h * pv + hh * (g61 * fv1 + g62 * fv2 + g63 * fv3 + g64 * fv4)
             cu = 0.0 if yu6 < 0.0 else yu6
             cv = 0.0 if yv6 < 0.0 else yv6
             fu6 = kappa2 * cu - cu ** e1
             fv6 = kappa2 * cv - cv ** e1
             if nua:
-                fu6 -= nua * cu ** ea * cv ** beta
-                fv6 -= nub * cu ** alpha * cv ** eb
+                q = cu ** ea * cv ** eb
+                fu6 -= nua * q * cv
+                fv6 -= nub * q * cu
             # 5th-order solution
-            yu_new = yu + h * (b1 * pu + b3 * pu3 + b4 * pu4 + b5 * pu5 + b6 * pu6)
+            yu_new = yu + h * pu + hh * (d1 * fu1 + d3 * fu3 + d4 * fu4 + d5 * fu5)
             pu_new = pu + h * (b1 * fu1 + b3 * fu3 + b4 * fu4 + b5 * fu5 + b6 * fu6)
-            yv_new = yv + h * (b1 * pv + b3 * pv3 + b4 * pv4 + b5 * pv5 + b6 * pv6)
+            yv_new = yv + h * pv + hh * (d1 * fv1 + d3 * fv3 + d4 * fv4 + d5 * fv5)
             pv_new = pv + h * (b1 * fv1 + b3 * fv3 + b4 * fv4 + b5 * fv5 + b6 * fv6)
             # stage 7 = field at the new point (FSAL)
             cu = 0.0 if yu_new < 0.0 else yu_new
@@ -270,15 +282,14 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             fu7 = kappa2 * cu - cu ** e1
             fv7 = kappa2 * cv - cv ** e1
             if nua:
-                fu7 -= nua * cu ** ea * cv ** beta
-                fv7 -= nub * cu ** alpha * cv ** eb
+                q = cu ** ea * cv ** eb
+                fu7 -= nua * q * cv
+                fv7 -= nub * q * cu
 
-            err_yu = h * (w1 * pu + w3 * pu3 + w4 * pu4 + w5 * pu5 + w6 * pu6
-                          + w7 * pu_new)
+            err_yu = hh * (v1 * fu1 + v3 * fu3 + v4 * fu4 + v5 * fu5 + v6 * fu6)
             err_pu = h * (w1 * fu1 + w3 * fu3 + w4 * fu4 + w5 * fu5 + w6 * fu6
                           + w7 * fu7)
-            err_yv = h * (w1 * pv + w3 * pv3 + w4 * pv4 + w5 * pv5 + w6 * pv6
-                          + w7 * pv_new)
+            err_yv = hh * (v1 * fv1 + v3 * fv3 + v4 * fv4 + v5 * fv5 + v6 * fv6)
             err_pv = h * (w1 * fv1 + w3 * fv3 + w4 * fv4 + w5 * fv5 + w6 * fv6
                           + w7 * fv7)
 
@@ -479,10 +490,11 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
             ends.append((y, q, kappa2 * y - y ** e1 - factor * y ** e_own * z ** e_other))
     h = float(traj.t[-1] - traj.t[-2])
     th, top_u, top_v = _quintic_turn(h, ends[0] + ends[1], ends[2] + ends[3])
-    t = traj.t[:-1] - (float(traj.t[-2]) + th * h)
-    return replace(traj, t=np.append(t, 0.0),
-                   y_u=np.append(traj.y_u[:-1], top_u), p_u=np.append(traj.p_u[:-1], 0.0),
-                   y_v=np.append(traj.y_v[:-1], top_v), p_v=np.append(traj.p_v[:-1], 0.0))
+    # the turn replaces the last step's end, in the arrays integrate returned
+    traj.t -= float(traj.t[-2]) + th * h
+    traj.t[-1] = traj.p_u[-1] = traj.p_v[-1] = 0.0
+    traj.y_u[-1], traj.y_v[-1] = top_u, top_v
+    return traj
 
 
 # --- trajectory diagnostics ---------------------------------------------------
@@ -511,17 +523,16 @@ def _max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
-def _grid_units(profile, grid):
-    """(w, 1 - w, y^m) of ``profile`` on ``grid``, which holds rho = r/mu0.
+def _grid_units(profile, log_rho):
+    """(w, 1 - w, y^m) of ``profile`` at ``log_rho``, the logs of rho = r/mu0.
 
     The bounded units at log rho (``ScalarProfile._bounded_units``), with
     y^m = exp(m log y), m = 2* - 2, from the closed form's log value.  They
     depend on the parameters alone, so every family of one parameter set
     reads the same units: ``full_verification`` builds them once for its
-    four encodings of every family.
+    four encodings of every family, on the logs of its own grid.
     """
-    rho = _as_radii(grid)
-    w, om, log_y = profile._bounded_units(np.log(rho))
+    w, om, log_y = profile._bounded_units(log_rho)
     return w, om, np.exp((profile.params.two_star - 2.0) * log_y)
 
 
@@ -538,8 +549,8 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
         c^m y^m,   nu alpha c^(alpha-2) c_other^beta y^m,
 
     y = r^delta U, whose m-th power is exp(m log y), from the closed form's
-    log value; ``units`` are (w, 1 - w, y^m), ``_grid_units(fam.profile,
-    grid)``, computed here when not given.  The coefficients of the last two
+    log value; ``units`` are (w, 1 - w, y^m), ``_grid_units`` at the logs of
+    ``grid``, computed here, after ``grid`` is checked, when not given.  The coefficients of the last two
     terms, c^m and nu alpha c^(alpha-2) c_other^beta, are those of the
     family's equation of the constants system (``verify_constants_system``),
     whose left side is their sum; a wrong c1 or c2 shows as a wrong multiple
@@ -551,7 +562,9 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     """
     p = fam.profile.params
     m = p.two_star - 2.0
-    w, om, y_m = _grid_units(fam.profile, grid) if units is None else units
+    if units is None:
+        units = _grid_units(fam.profile, np.log(_as_radii(grid)))
+    w, om, y_m = units
     if tau - p.tau1 <= p.kappa:
         chi = (tau - p.tau1) - 2.0 * p.kappa * w
     else:
@@ -582,8 +595,8 @@ def radial_system_residual(fam: SynchronizedFamily, grid,
     so this is the weighted encoding at tau = 0, with potential gamma.
     ``grid`` holds radii relative to the family's scale, so mu0 = 1e-+300
     forms no radius outside the doubles; the values do not depend on mu0.
-    ``units``, when given, are ``_grid_units(fam.profile, grid)``, shared
-    with the other encodings; the value is the same bits either way.
+    ``units``, when given, are ``_grid_units`` at the logs of ``grid``,
+    shared with the other encodings; the value is the same bits either way.
     """
     return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid, units)
 

@@ -68,6 +68,9 @@ from .profiles import asymptotic_limits
 #: rho = r/mu0 of the four encoding residuals, the same at every mu0
 RHO_GRID = np.geomspace(1e-6, 1e6, 2048)
 RHO_GRID.flags.writeable = False
+# its logs, the argument of the grid's units, taken once
+_LOG_RHO_GRID = np.log(RHO_GRID)
+_LOG_RHO_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     """
     families = classify(p, mu0)
     # the families share one profile, so the grid's units are built once
-    units = _grid_units(families[0].profile, RHO_GRID) if families else None
+    units = _grid_units(families[0].profile, _LOG_RHO_GRID) if families else None
     t0 = math.log(mu0)
     checks: list[CheckResult] = []
 

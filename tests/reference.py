@@ -6,7 +6,10 @@ a test checks the package against; no command of the package runs it.
 * ``fd_derivative`` and ``convergence_order``: the finite-difference oracle
   for every analytic derivative, and the observed order of an error sequence.
 * ``ef_rhs`` and ``ef_energy``: the phase-plane field and the first integral
-  of its scalar case; ``closed_form_arrays`` and ``closed_form_accel``: the
+  of its scalar case; ``DP5_A``, ``DP5_B``, ``DP5_E`` and ``dp5_table_step``:
+  the Dormand-Prince tableau, exact, and one step of it in table form on
+  ``ef_rhs``, the oracle of the Nystrom kernel of ``integrate``;
+  ``closed_form_arrays`` and ``closed_form_accel``: the
   closed-form trajectory and its second derivative, written in
   theta = kappa (t - log mu) / delta; ``exact_ef_solution``: the closed-form
   phase state at one log-radius, a start for integrations from the maximum;
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -90,7 +94,8 @@ def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float
     """(y_u', y_u'', y_v', y_v'') of the autonomous system at one state.
 
     The field that the hand-inlined DP5 kernel of ``integrate`` writes out at
-    every stage; the kernel must match it bit for bit.
+    every stage (the kernel forms the coupling from one product
+    y_u^(alpha-1) y_v^(beta-1)); ``dp5_table_step`` steps on it.
     """
     if state.y_u < 0 or state.y_v < 0:
         raise ParameterError(
@@ -116,6 +121,49 @@ def ef_energy(y: float, slope: float, p: ProblemParams) -> float:
     """
     kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
     return 0.5 * slope * slope - 0.5 * kappa2 * y * y + y ** ts / ts
+
+
+# Dormand-Prince 5(4) in table form, exact: the rows of A, the 5th-order
+# weights b and the error weights e = b - b_hat, whose 7th entry weighs the
+# field at the new point (FSAL).
+DP5_A = (
+    (),
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+)
+DP5_B = (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84))
+DP5_E = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200),
+         F(22, 525), F(-1, 40))
+
+
+def dp5_table_step(state: EFState, h: float, p: ProblemParams):
+    """One DP5 step of the first-order system, the table form y + h sum_j a_ij k_j.
+
+    k_j is ``ef_rhs`` at the stage state, with its components clamped at zero
+    (trial stages may dip below zero).  Returns the 5th-order state and the
+    embedded error estimate (err_y_u, err_p_u, err_y_v, err_p_v).  The same
+    method as the Nystrom kernel of ``integrate``, written without using
+    that the field never reads y'; its oracle.
+    """
+    y = (state.y_u, state.p_u, state.y_v, state.p_v)
+
+    def k(z):
+        return ef_rhs(EFState(max(z[0], 0.0), z[1], max(z[2], 0.0), z[3]), p)
+
+    def combine(weights, ks):
+        return tuple(y[c] + h * sum(float(w) * kj[c] for w, kj in zip(weights, ks))
+                     for c in range(4))
+
+    ks = [k(y)]
+    for row in DP5_A[1:]:
+        ks.append(k(combine(row, ks)))
+    new = combine(DP5_B, ks)
+    ks.append(k(new))
+    err = tuple(h * sum(float(w) * kj[c] for w, kj in zip(DP5_E, ks)) for c in range(4))
+    return EFState(*new), err
 
 
 def _theta_form(fam, t):

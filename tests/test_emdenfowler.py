@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from hardysys import (EFState, ParameterError, TrajectoryError,
 from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinates,
                                   _manifold_start, _max_normalized, exact_trajectory,
                                   integrate)
-from reference import (closed_form_accel, closed_form_arrays, convergence_order,
-                       ef_energy, ef_rhs, exact_ef_solution, manifold_coefficients,
-                       manifold_series_start, max_normalized, phase_plane_residual,
-                       r_space_residual, simultaneous_max_check)
+from reference import (DP5_A, DP5_B, DP5_E, closed_form_accel, closed_form_arrays,
+                       convergence_order, dp5_table_step, ef_energy, ef_rhs,
+                       exact_ef_solution, manifold_coefficients, manifold_series_start,
+                       max_normalized, phase_plane_residual, r_space_residual,
+                       simultaneous_max_check)
 
 # rho = r/mu0 of the residuals of the four encodings
 GRID = np.geomspace(1e-6, 1e6, 2048)
@@ -217,38 +219,120 @@ def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
         assert seen and set(seen) == {float}
 
 
+def _one_step_cases():
+    n4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 2.5)
+    scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    return {
+        "on-ray-n4": (n4, exact_ef_solution(hs.classify(n4, 1.0)[0], -1.0), 1e-10),
+        "off-ray-n3": (n3, EFState(0.6, 0.2, 0.3, -0.1), 1e-10),
+        "nu0": (scalar, exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.7), 1e-10),
+        # y_u + 0.3 h y_u' < 0: stages 3 to 6 are clamped, and so is the end
+        "stage-dips-below-zero": (n3, EFState(1e-5, -0.05, 0.4, 0.1), 1e-4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_one_step_cases()))
+def test_one_step_matches_the_table_form(name):
+    # the Nystrom kernel is the table form y + h sum a_ij k_j of the same
+    # tableau on ef_rhs, up to rounding
+    p, start, tol = _one_step_cases()[name]
+    traj = integrate(start, (0.0, 1e-3), p, tol=tol)
+    assert (traj.accepted, traj.rejected) == (1, 0)
+    table, _ = dp5_table_step(start, 1e-3, p)
+    want = (table.y_u, table.p_u, table.y_v, table.p_v)
+    if traj.termination == "extinction":  # integrate clamps the state it reports
+        want = (max(want[0], 0.0), want[1], max(want[2], 0.0), want[3])
+    got = tuple(float(getattr(traj, k)[-1]) for k in ("y_u", "p_u", "y_v", "p_v"))
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 4 * math.ulp(max(abs(g), abs(w)))
+
+
+@pytest.mark.parametrize("name", ["on-ray-n4", "nu0"])
+def test_step_control_reads_the_table_forms_error_estimate(name):
+    # the second step is h * 0.9 (h / ||err / scale||)^(1/4) with the error
+    # estimate of the first; at tol 1e-13 that factor is not clamped.  The
+    # table form's err_y = h sum e_j P_j cancels slope stages P_j that each
+    # round at the ulp of y' down to about 1e-18, and is off by up to 0.5 %,
+    # so the step agrees to about 1e-3, not to the last bit
+    p, start, _ = _one_step_cases()[name]
+    h, tol = 1e-3, 1e-13
+    end, err = dp5_table_step(start, h, p)
+    old = (start.y_u, start.p_u, start.y_v, start.p_v)
+    new = (end.y_u, end.p_u, end.y_v, end.p_v)
+    q = []
+    for c in (0, 2):
+        y = max(abs(old[c]), abs(new[c]))
+        slope = max(abs(old[c + 1]), abs(new[c + 1]), p.kappa * y)
+        q += [err[c] / (tol * (1e-8 + y)), err[c + 1] / (tol * (1e-8 + slope))]
+    factor = 0.9 * (h / math.sqrt(0.25 * sum(x * x for x in q))) ** 0.25
+    assert 0.2 < factor < 5.0
+    calls = []
+    traj = integrate(start, (0.0, 1.0), p, tol=tol,
+                     stop=lambda *state: calls.append(state) or len(calls) == 2)
+    assert (traj.accepted, traj.rejected) == (2, 0)
+    assert math.isclose(traj.t[2] - traj.t[1], h * factor, rel_tol=2e-3)
+
+
+def test_nystrom_coefficients_are_the_tableau_squared():
+    # every coefficient of the kernel is the float of its exact value from
+    # the table form: c = A 1, A^2, bA and eA with b as the 7th row of A;
+    # the entries that the kernel leaves out are exactly 0
+    rows = [list(r) + [F(0)] * (7 - len(r)) for r in DP5_A] + [list(DP5_B) + [F(0)]]
+    aa = [[sum(rows[i][j] * rows[j][k] for j in range(7)) for k in range(7)]
+          for i in range(7)]
+    ea = [sum(e * rows[j][k] for j, e in enumerate(DP5_E)) for k in range(7)]
+    c = [sum(row) for row in rows]
+    assert c[5] == c[6] == sum(DP5_B) == 1 and sum(DP5_E) == 0
+
+    def floats(values):
+        return [float(v) for v in values]
+
+    assert floats(c[1:5]) == list(emdenfowler._C)
+    assert not any(aa[0] + aa[1])  # stage 2 is y + h c_2 y'
+    for i, kept in ((2, emdenfowler._AA3), (3, emdenfowler._AA4),
+                    (4, emdenfowler._AA5), (5, emdenfowler._AA6)):
+        assert floats(aa[i][:len(kept)]) == list(kept) and not any(aa[i][len(kept):])
+    assert floats(aa[6][:6]) == list(emdenfowler._BA) and aa[6][6] == 0
+    assert floats(ea[:6]) == list(emdenfowler._EA) and ea[6] == 0
+    assert floats(DP5_B) == list(emdenfowler._B)
+    assert floats(DP5_E) == list(emdenfowler._E)
+
+
 # Step counts and the exact last state (t, y_u, p_u, y_v, p_v) of fixed runs:
 # any change in the kernel's floating-point operations, its error scale among
-# them, shows up here.  Recorded when each slope's error came to be scaled by
-# tol * (atol + max(|p_old|, |p_new|, kappa max(|y_old|, |y_new|))).  Backward
+# them, shows up here.  Recorded when the kernel came to run in Nystrom form
+# (stage states from the stage fields alone, the coupling as one product
+# y_u^(alpha-1) y_v^(beta-1)): the extinction trial went from 152 accepted and
+# 27 rejected steps to 151 and 30, and every other run kept its counts.  Backward
 # legs are forward runs from the flipped state over the mirrored span, with t
 # and both slopes negated back.  At t0 = 0 the start is the maximum, where
 # both slopes are zero; the off-maximum leg starts at t0 = 0.5, on a slope.
 KERNEL_PINS = {
     "n4-forward": (631, 0, "completed", (
-        "0x1.4000000000000p+3", "0x1.36f5e524e32e6p-14", "-0x1.36f3c370ec457p-14",
-        "0x1.36f5e524e32e6p-14", "-0x1.36f3c370ec457p-14")),
+        "0x1.4000000000000p+3", "0x1.36f5e5735455ep-14", "-0x1.36f3c3227b23bp-14",
+        "0x1.36f5e5735455ep-14", "-0x1.36f3c3227b23bp-14")),
     "n4-backward": (631, 0, "completed", (
-        "-0x1.4000000000000p+3", "0x1.36f5e524e32e6p-14", "0x1.36f3c370ec457p-14",
-        "0x1.36f5e524e32e6p-14", "0x1.36f3c370ec457p-14")),
+        "-0x1.4000000000000p+3", "0x1.36f5e5735455ep-14", "0x1.36f3c3227b23bp-14",
+        "0x1.36f5e5735455ep-14", "0x1.36f3c3227b23bp-14")),
     "n4-backward-off-maximum": (689, 0, "completed", (
-        "-0x1.4000000000000p+3", "0x1.36f67381ff089p-14", "0x1.36f33513d47cfp-14",
-        "0x1.36f67381ff089p-14", "0x1.36f33513d47cfp-14")),
+        "-0x1.4000000000000p+3", "0x1.36f6738994cc5p-14", "0x1.36f3350c3eba2p-14",
+        "0x1.36f6738994cc5p-14", "0x1.36f3350c3eba2p-14")),
     "n3-forward-tol12": (1057, 0, "completed", (
-        "0x1.4000000000000p+3", "0x1.ab20ae1a9eb9ap-9", "-0x1.ab20adfd0b5f2p-10",
-        "0x1.178f05b1c7e7fp-7", "-0x1.178f059e5ecadp-8")),
+        "0x1.4000000000000p+3", "0x1.ab20ae1ab1a11p-9", "-0x1.ab20adfcf8779p-10",
+        "0x1.178f05b1ce716p-7", "-0x1.178f059e583fdp-8")),
     "n3-backward-tol12": (1057, 0, "completed", (
-        "-0x1.4000000000000p+3", "0x1.ab20ae1a9eb9ap-9", "0x1.ab20adfd0b5f2p-10",
-        "0x1.178f05b1c7e7fp-7", "0x1.178f059e5ecadp-8")),
-    "n4-shooting-trial": (152, 27, "extinction", (
-        "0x1.a7128fd77e3c5p+1", "0x0.0p+0", "-0x1.dee343134ca87p-4",
-        "0x0.0p+0", "-0x1.dee343134ca87p-4")),
+        "-0x1.4000000000000p+3", "0x1.ab20ae1ab1a11p-9", "0x1.ab20adfcf8779p-10",
+        "0x1.178f05b1ce716p-7", "0x1.178f059e583fdp-8")),
+    "n4-shooting-trial": (151, 30, "extinction", (
+        "0x1.a7128d7e4038ep+1", "0x0.0p+0", "-0x1.dee343134cb3ep-4",
+        "0x0.0p+0", "-0x1.dee343134cb3ep-4")),
     "n4-low-blowup-threshold": (105, 0, "blowup", (
-        "-0x1.10c5172f0570dp+0", "0x1.0181f84be7800p-1", "0x1.95b5b9a3b56e6p-2",
-        "0x1.0181f84be7800p-1", "0x1.95b5b9a3b56e6p-2")),
+        "-0x1.10c518c9b2d55p+0", "0x1.0181f7067b951p-1", "0x1.95b5b8dc7b1b6p-2",
+        "0x1.0181f7067b951p-1", "0x1.95b5b8dc7b1b6p-2")),
     "n4-scalar-forward": (631, 0, "completed", (
-        "0x1.4000000000000p+3", "0x1.0d4cbad4f135dp-13", "-0x1.0d4ae106aeb5ep-13",
-        "0x1.0d4cbad4f135dp-13", "-0x1.0d4ae106aeb5ep-13")),
+        "0x1.4000000000000p+3", "0x1.0d4cba521b707p-13", "-0x1.0d4ae1898484cp-13",
+        "0x1.0d4cba521b707p-13", "-0x1.0d4ae1898484cp-13")),
 }
 
 
@@ -618,18 +702,20 @@ def test_shot_keeps_its_step_through_the_turn(monkeypatch, benchmark4):
     # 1e-10 the shot's last accepted step, the one through the turn, is at
     # least half its median step (about 0.3 of it when the slope was scaled
     # by itself), and no step is rejected
+    # (shooting writes the turn into the run's arrays, so its times are copied)
     p, fam = benchmark4
     runs = []
 
     def recording(*args, **kwargs):
-        runs.append(integrate(*args, **kwargs))
-        return runs[-1]
+        run = integrate(*args, **kwargs)
+        runs.append((run.t.copy(), run.rejected))
+        return run
 
     monkeypatch.setattr(emdenfowler, "integrate", recording)
     hs.shoot_synchronized(p, fam.root, tol=1e-10)
-    (run,) = runs
-    steps = np.diff(run.t)
-    assert run.rejected == 0
+    ((t, rejected),) = runs
+    steps = np.diff(t)
+    assert rejected == 0
     assert steps[-1] >= 0.5 * np.median(steps)
 
 
