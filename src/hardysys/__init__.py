@@ -19,10 +19,9 @@ _EXPORTS = {
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",
                  "constants_from_root", "coupling_f", "coupling_f_prime",
                  "find_positive_roots", "verify_constants_system"),
-    "emdenfowler": ("EFState", "EFTrajectory", "ef_system_residual",
-                    "exact_trajectory", "integrate",
-                    "proportionality_defect", "radial_system_residual",
-                    "shoot_synchronized", "weighted_system_residual"),
+    "emdenfowler": ("EFState", "EFTrajectory", "exact_trajectory", "integrate",
+                    "proportionality_defect", "shoot_synchronized",
+                    "weighted_system_residual"),
     "verify": ("CheckResult", "VerificationReport", "full_verification"),
     "cli": (),
 }

@@ -13,8 +13,9 @@ integrator in Nystrom form (the field does not read y') with
 error-per-unit-step control (global error scales like tol^(5/4), i.e.
 better than a factor 16 per tolerance decade), the shooting
 trace of each homoclinic orbit from the origin up to its maximum (an oracle
-independent of the closed form), and residual checks of all three radial
-encodings of one and the same solution.
+independent of the closed form), and the residual of the radial equations at
+the closed form, in any of their encodings (plain, weighted, phase plane):
+one function of rho = r/mu0, under one normalization.
 """
 
 from __future__ import annotations
@@ -510,7 +511,7 @@ def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
     return float(np.max(np.abs(traj.y_u - c_tilde * traj.y_v))) / top
 
 
-# --- residuals of the three radial encodings ----------------------------------
+# --- residuals of the radial encodings -----------------------------------------
 
 
 def _max_normalized(terms) -> float:
@@ -529,8 +530,8 @@ def _grid_units(profile, log_rho):
     The bounded units at log rho (``ScalarProfile._bounded_units``), with
     y^m = exp(m log y), m = 2* - 2, from the closed form's log value.  They
     depend on the parameters alone, so every family of one parameter set
-    reads the same units: ``full_verification`` builds them once for its
-    four encodings of every family, on the logs of its own grid.
+    reads the same units: ``full_verification`` builds them once for the
+    residual of every family, on the logs of its own grid.
     """
     w, om, log_y = profile._bounded_units(log_rho)
     return w, om, np.exp((profile.params.two_star - 2.0) * log_y)
@@ -550,15 +551,20 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
 
     y = r^delta U, whose m-th power is exp(m log y), from the closed form's
     log value; ``units`` are (w, 1 - w, y^m), ``_grid_units`` at the logs of
-    ``grid``, computed here, after ``grid`` is checked, when not given.  The coefficients of the last two
-    terms, c^m and nu alpha c^(alpha-2) c_other^beta, are those of the
-    family's equation of the constants system (``verify_constants_system``),
-    whose left side is their sum; a wrong c1 or c2 shows as a wrong multiple
-    of y^m.  chi is
-    written against the root tau lies nearer to, so that it is a product,
-    not a cancellation, where w or 1 - w is small.  The sum is normalized
-    pointwise by the largest term magnitude, floored at 1 because every term
-    vanishes in the tails.
+    ``grid``, computed here, after ``grid`` is checked, when not given.  The
+    coefficients of the last two terms, c^m and nu alpha c^(alpha-2)
+    c_other^beta, are those of the family's equation of the constants system
+    (``verify_constants_system``), whose left side is their sum; a wrong c1
+    or c2 shows as a wrong multiple of y^m.  chi is written against the root
+    tau lies nearer to, so that it is a product, not a cancellation, where w
+    or 1 - w is small.
+
+    The sum is the same function of rho, r^2 (Lu + N(u)) / (c u), at every
+    tau; only its rounding depends on tau.  It is normalized pointwise by
+    max(1, c^m y^m, nu alpha c^(alpha-2) c_other^beta y^m), the two terms
+    that carry c1 and c2, floored at 1 because they vanish in the tails.
+    That scale is at most max(1, |terms|) over all five terms, so the value
+    is at least that of the same sum under the larger scale.
     """
     p = fam.profile.params
     m = p.two_star - 2.0
@@ -569,18 +575,15 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
         chi = (tau - p.tau1) - 2.0 * p.kappa * w
     else:
         chi = (tau - p.tau2) + 2.0 * p.kappa * om
-    second = chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
-    first = (p.n - 1.0 - 2.0 * tau) * chi
-    # the three terms that both equations share, summed and bounded once
-    head = second + first + potential
-    head_scale = np.maximum(np.abs(second), np.abs(first))
-    np.maximum(head_scale, max(1.0, abs(potential)), out=head_scale)
+    # the three terms that both equations share
+    head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
+            + (p.n - 1.0 - 2.0 * tau) * chi + potential)
     c1, c2 = fam.c1, fam.c2
     residuals = []
     for own, coupled in ((c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
                          (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0))):
         # y^m > 0, so the larger of the two terms is max(own, coupled) y^m
-        scale = np.maximum(head_scale, max(own, coupled) * y_m)
+        scale = np.maximum(max(own, coupled) * y_m, 1.0)
         residuals.append(float(np.max(np.abs(head + (own + coupled) * y_m) / scale)))
     return tuple(residuals)
 
@@ -595,8 +598,8 @@ def radial_system_residual(fam: SynchronizedFamily, grid,
     so this is the weighted encoding at tau = 0, with potential gamma.
     ``grid`` holds radii relative to the family's scale, so mu0 = 1e-+300
     forms no radius outside the doubles; the values do not depend on mu0.
-    ``units``, when given, are ``_grid_units`` at the logs of ``grid``,
-    shared with the other encodings; the value is the same bits either way.
+    ``units``, when given, are ``_grid_units`` at the logs of ``grid``; the
+    value is the same bits either way.
     """
     return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid, units)
 
@@ -610,7 +613,8 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float, grid,
     tau^2 - (n-2) tau + gamma = 0 (either root), so that the potential
     vanishes; it is passed as exactly 0, since computing it would leave
     roundoff next to terms that vanish as rho -> 0 or rho -> infinity.
-    ``units`` are as in ``radial_system_residual``.
+    ``units`` are as in ``radial_system_residual``.  ``full_verification``
+    reports the value at tau2 as ``equation_residual``.
     """
     p = fam.profile.params
     char = tau * tau - (p.n - 2.0) * tau + p.gamma

@@ -94,13 +94,6 @@ class ScalarProfile:
         log_y = math.log(p.amplitude) + p.kappa * rho_log - p.delta * log1p_term
         return np.exp(t - log1p_term), np.exp(-log1p_term), log_y
 
-    # --- public evaluators ------------------------------------------------
-
-    def value(self, r):
-        """Profile value, vectorized over positive radii."""
-        import numpy as np
-        return np.exp(self._log_value(_as_radii(r)))
-
 
 # --- asymptotic limits -----------------------------------------------------
 

@@ -7,17 +7,14 @@ Check names map one-to-one onto the invariants they measure:
 ==========================  ====================================================
 check name                  invariant
 ==========================  ====================================================
-radial_residual             radial encoding residual <= 1e-9
-weighted_residual_tau1      weighted encoding (inner exponent) <= 1e-9
-weighted_residual_tau2      weighted encoding (outer exponent) <= 1e-9
-ef_residual                 phase-plane encoding residual <= 1e-9, the
-                            weighted encoding at tau = delta (y = r^delta u
-                            in t = log r); the four on rho = r/mu0 in
-                            [1e-6, 1e6], each equation divided by c g / r^2,
-                            g = r^tau u, so every term is bounded, and
-                            normalized pointwise by max(1, |terms|)
-integration_deviation       sup |y - y_closed| / max(1, peak of y_u, y_v) <= 1e-6
-                            on the integrated orbit (absolute up to a peak of 1)
+equation_residual           residual of both radial equations at the closed
+                            form <= 1e-9: the weighted encoding at tau2, on
+                            rho = r/mu0 in [1e-6, 1e6], each equation divided
+                            by c g / r^2, g = r^tau2 u, so every term is
+                            bounded, and normalized pointwise by the larger
+                            of 1 and its two terms in c1, c2
+integration_deviation       sup |y - y_closed| / (peak of y_u, y_v) <= 1e-6
+                            on the integrated orbit
 proportionality_defect      sup |y_u - s y_v| / sup y_u <= 1e-8 (integrated)
 asymptotic_u0               limit at 0 of r^tau1 u, read off the integrated
                             orbit, within 1e-6 of c1 A mu0^-kappa
@@ -41,9 +38,14 @@ n in {3, ..., 20} and gamma up to 0.99 lambda_n.  DP5 keeps an orbit that
 starts on the ray on it, so proportionality_defect reads zero up to
 rounding; it still fails on an orbit that leaves the ray (a start 1e-6 off
 it reads 1.2e-6 at n = 4, nu = 1).  A check that tests more will replace it
-(ROADMAP.md, item 8).  The four encoding residuals read c1 and c2 through
-the multiple of y^m = (r^delta U)^m in each equation: both off by 1e-6 fail
-each of them (about 2.2e-6 at n = 4, nu = 1).
+(ROADMAP.md, item 8).  equation_residual reads c1 and c2 through the
+multiple of y^m = (r^delta U)^m in each equation: both off by 1e-6 fail it
+(about 2.2e-6 at n = 4, nu = 1).  Every radial encoding (plain, weighted at
+either root, phase plane) sums the same function of rho, r^2 (Lu + N(u)) /
+(c u), so one of them is reported.  Its normalizer leaves out the three
+terms that carry no constant (``_encoding_residual``); on the mutation test
+in tests/test_verify.py (c1, c2, w, y^m or q off by 1e-6) it fails wherever
+any encoding fails, under its own normalizer or under max(1, |terms|).
 
 The constants system is not a check of its own: ``constants_from_root``
 raises ``ConvergenceError`` when either of its residuals is not <= 1e-12,
@@ -58,14 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import classify
-from .emdenfowler import (ef_system_residual, proportionality_defect,
-                          radial_system_residual, shoot_synchronized,
+from .emdenfowler import (proportionality_defect, shoot_synchronized,
                           weighted_system_residual, _closed_form_arrays,
                           _grid_units, _manifold_coordinates, _max_normalized)
 from .params import ProblemParams
 from .profiles import asymptotic_limits
 
-#: rho = r/mu0 of the four encoding residuals, the same at every mu0
+#: rho = r/mu0 of equation_residual, the same at every mu0
 RHO_GRID = np.geomspace(1e-6, 1e6, 2048)
 RHO_GRID.flags.writeable = False
 # its logs, the argument of the grid's units, taken once
@@ -171,18 +172,12 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         tag = f"f{idx}."
         s = fam.c_tilde
 
-        ru, rv = radial_system_residual(fam, RHO_GRID, units)
-        add(tag + "radial_residual", max(ru, rv), 1e-9)
-        for tau, label in ((p.tau1, "tau1"), (p.tau2, "tau2")):
-            wu, wv = weighted_system_residual(fam, tau, RHO_GRID, units)
-            add(tag + f"weighted_residual_{label}", max(wu, wv), 1e-9)
-
-        eu, ev = ef_system_residual(fam, RHO_GRID, units)
-        add(tag + "ef_residual", max(eu, ev), 1e-9)
+        add(tag + "equation_residual",
+            max(weighted_system_residual(fam, p.tau2, RHO_GRID, units)), 1e-9)
 
         half = shoot_synchronized(p, fam.root, integration_tol)
         ref_u, _, ref_v, _ = _closed_form_arrays(fam, t0 + half.t)
-        peak = max(1.0, half.y_u[-1], half.y_v[-1])
+        peak = max(half.y_u[-1], half.y_v[-1])
         deviation = max(np.max(np.abs(half.y_u - ref_u)), np.max(np.abs(half.y_v - ref_v)))
         add(tag + "integration_deviation", deviation / peak, 1e-6)
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)

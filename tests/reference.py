@@ -21,13 +21,15 @@ a test checks the package against; no command of the package runs it.
   form in ``_manifold_start``.
 * ``mirrored``: the shooting trace reflected at its turn, the whole orbit;
   ``simultaneous_max_check``: the interpolated argmax of each component.
-* ``aubin_talenti_value``, ``linear_radial_part``,
-  ``scalar_equation_residual``, ``kelvin_transform`` and
-  ``weighted_transform``: the scalar profile from other directions.
+* ``profile_value``: the scalar profile's value u_mu(r); ``aubin_talenti_value``,
+  ``linear_radial_part``, ``scalar_equation_residual``, ``kelvin_transform``
+  and ``weighted_transform``: the scalar profile from other directions.
 * ``weighted_derivatives`` and ``r_space_residual``: the radial encodings
   evaluated in r, term by term with powers of r, the oracle of the bounded
   residuals of ``emdenfowler``; ``max_normalized``: the stacked form of
-  their pointwise normalization.
+  their pointwise normalization; ``all_terms_residual``: the bounded
+  encoding under that normalization, the scale that the one of
+  ``_encoding_residual`` never exceeds.
 * ``hardy_weight`` and ``hardy_weight_dx1``: the geometry of the translated
   singular weight.
 * ``endpoint_signs``: the signs of the coupling function at 0+ and at
@@ -317,6 +319,11 @@ def simultaneous_max_check(traj: EFTrajectory) -> tuple[float, float]:
 # --- the scalar profile --------------------------------------------------------
 
 
+def profile_value(profile: ScalarProfile, r):
+    """u_mu(r) of ``profile``, vectorized over positive radii."""
+    return np.exp(profile._log_value(_as_radii(r)))
+
+
 def aubin_talenti_value(n: int, scale: float, r):
     """Radial Aubin-Talenti bubble (scale*sqrt(n(n-2)) / (scale^2+r^2))^((n-2)/2).
 
@@ -385,6 +392,29 @@ def max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
+def all_terms_residual(fam, tau: float, potential: float, units) -> tuple[float, float]:
+    """The bounded encoding at tau, normalized by max(1, |terms|) over all five terms.
+
+    The terms are those of ``_encoding_residual`` on ``units`` = (w, 1 - w,
+    y^m); its normalizer leaves out the three that carry no constant, so it
+    is pointwise at most this one, and its value at least this one's, up to
+    rounding.
+    """
+    p = fam.profile.params
+    m = p.two_star - 2.0
+    w, om, y_m = units
+    if tau - p.tau1 <= p.kappa:
+        chi = (tau - p.tau1) - 2.0 * p.kappa * w
+    else:
+        chi = (tau - p.tau2) + 2.0 * p.kappa * om
+    head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om,
+            (p.n - 1.0 - 2.0 * tau) * chi, np.full_like(w, potential))
+    c1, c2 = fam.c1, fam.c2
+    return tuple(max_normalized(head + (own * y_m, coupled * y_m)) for own, coupled in (
+        (c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
+        (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0))))
+
+
 def r_space_residual(fam, tau: float, potential: float, r) -> tuple[float, float]:
     """Max normalized residual of the encoding for g = r^tau u, in r.
 
@@ -417,7 +447,7 @@ def scalar_equation_residual(profile: ScalarProfile, r):
     """
     arr = _as_radii(r)
     ts = profile.params.two_star
-    u = profile.value(arr)
+    u = profile_value(profile, arr)
     nonlinear = np.power(u, ts - 1.0)
     res = np.abs(linear_radial_part(profile, arr) + nonlinear)
     return res / np.maximum(1.0, np.abs(nonlinear))

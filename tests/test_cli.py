@@ -15,6 +15,7 @@ import pytest
 import hardysys as hs
 from hardysys.cli import main
 from hardysys.emdenfowler import _manifold_start, integrate
+from reference import profile_value
 
 N4 = ["--n", "4", "--gamma", "0", "--nu", "1", "--alpha", "2"]
 
@@ -577,11 +578,11 @@ def test_export_round_trip_residual(tmp_path):
     r, u, v, wt1, wt2 = data.T
     p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
-    np.testing.assert_allclose(u, fam.c1 * fam.profile.value(r), rtol=1e-15)
-    np.testing.assert_allclose(v, fam.c2 * fam.profile.value(r), rtol=1e-15)
+    np.testing.assert_allclose(u, fam.c1 * profile_value(fam.profile, r), rtol=1e-15)
+    np.testing.assert_allclose(v, fam.c2 * profile_value(fam.profile, r), rtol=1e-15)
     np.testing.assert_allclose(wt1, r ** p.tau1 * u, rtol=1e-13)
     np.testing.assert_allclose(wt2, r ** p.tau2 * u, rtol=1e-13)
-    ru, rv = hs.radial_system_residual(fam, r)
+    ru, rv = hs.emdenfowler.radial_system_residual(fam, r)
     assert max(ru, rv) <= 1e-9
 
 

@@ -784,14 +784,14 @@ def test_simultaneous_max_boundary_error(benchmark4):
 
 def test_radial_residual_benchmark(benchmark4):
     _, fam = benchmark4
-    ru, rv = hs.radial_system_residual(fam, GRID)
+    ru, rv = hs.emdenfowler.radial_system_residual(fam, GRID)
     assert max(ru, rv) <= 1e-9
 
 
 def test_radial_residual_scalar():
     p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
-    ru, rv = hs.radial_system_residual(fam, GRID)
+    ru, rv = hs.emdenfowler.radial_system_residual(fam, GRID)
     assert max(ru, rv) <= 1e-9
 
 
@@ -800,14 +800,14 @@ def test_radial_residual_detects_wrong_amplitude(benchmark4):
 
     _, fam = benchmark4
     wrong = replace(fam, c1=1.1 * fam.c1, c2=1.1 * fam.c2)
-    ru, rv = hs.radial_system_residual(wrong, GRID)
+    ru, rv = hs.emdenfowler.radial_system_residual(wrong, GRID)
     assert max(ru, rv) >= 1e-2
 
 
 def test_radial_residual_rejects_bad_grid(benchmark4):
     _, fam = benchmark4
     with pytest.raises(ParameterError):
-        hs.radial_system_residual(fam, np.array([-1.0, 1.0]))
+        hs.emdenfowler.radial_system_residual(fam, np.array([-1.0, 1.0]))
 
 
 def test_weighted_residual_both_roots(benchmark4):
@@ -830,14 +830,14 @@ def test_three_encodings_agree(matrix_families):
     # the undivided equations term by term at the radii r = mu0 rho, and the
     # phase-plane one also by the theta-form oracle, summed in t = log r
     for p, mu0, fam in matrix_families:
-        ru, rv = hs.radial_system_residual(fam, GRID)
+        ru, rv = hs.emdenfowler.radial_system_residual(fam, GRID)
         assert max(ru, rv) <= 1e-9
         assert max(r_space_residual(fam, 0.0, p.gamma, mu0 * GRID)) <= 1e-9
         for tau in (p.tau1, p.tau2):
             wu, wv = hs.weighted_system_residual(fam, tau, GRID)
             assert max(wu, wv) <= 1e-9
             assert max(r_space_residual(fam, tau, 0.0, mu0 * GRID)) <= 1e-9
-        eu, ev = hs.ef_system_residual(fam, GRID)
+        eu, ev = hs.emdenfowler.ef_system_residual(fam, GRID)
         assert max(eu, ev) <= 1e-9
         t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)
         assert max(phase_plane_residual(fam, t_grid)) <= 1e-9

@@ -26,10 +26,10 @@ PUBLIC_NAMES = {
     "IntegrationError", "ParameterError", "ProblemParams", "ScalarProfile",
     "SynchronizedFamily", "TrajectoryError", "VerificationReport",
     "asymptotic_limits", "classify", "constants_from_root", "coupling_f",
-    "coupling_f_prime", "critical_exponent", "ef_system_residual",
+    "coupling_f_prime", "critical_exponent",
     "exact_trajectory", "find_positive_roots",
     "full_verification", "hardy_constant", "integrate",
-    "proportionality_defect", "radial_system_residual", "shoot_synchronized",
+    "proportionality_defect", "shoot_synchronized",
     "verify_constants_system", "weighted_system_residual",
 }
 
@@ -58,7 +58,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 29
+    assert len(PUBLIC_NAMES) == 27
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)
