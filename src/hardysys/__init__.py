@@ -19,9 +19,8 @@ _EXPORTS = {
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",
                  "constants_from_root", "coupling_f", "coupling_f_prime",
                  "find_positive_roots", "verify_constants_system"),
-    "emdenfowler": ("EFState", "EFTrajectory", "exact_trajectory", "integrate",
-                    "proportionality_defect", "shoot_synchronized",
-                    "weighted_system_residual"),
+    "emdenfowler": ("EFState", "EFTrajectory", "integrate", "proportionality_defect",
+                    "shoot_synchronized", "weighted_system_residual"),
     "verify": ("CheckResult", "VerificationReport", "full_verification"),
     "cli": (),
 }

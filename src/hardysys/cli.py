@@ -191,7 +191,7 @@ def _export_path(args, what):
 def cmd_export(args) -> int:
     import numpy as np
 
-    from .emdenfowler import exact_trajectory
+    from .emdenfowler import _closed_form_arrays
     p = _build_params(args)
     if not MIN_RADIUS <= args.grid_lo < args.grid_hi < math.inf:
         raise ParameterError("the grid needs 1e-300 <= --grid-lo < --grid-hi < inf")
@@ -203,8 +203,9 @@ def cmd_export(args) -> int:
     if fam is None:
         return EXIT_DEGENERATE_ONLY
 
-    # every table is computed before any file is opened
-    writers = {}
+    # every table, a header and its columns, is computed before any file is
+    # opened
+    tables = {}
     if args.what != "trajectory":
         # r^tau u = c exp(log U + tau log r): r^tau2 alone overflows where u
         # underflows
@@ -218,20 +219,18 @@ def cmd_export(args) -> int:
             raise ParameterError(
                 f"the profile table exceeds the range of a double on [{args.grid_lo:g}, "
                 f"{args.grid_hi:g}]")
-
-        def write_profile(fh):
-            fh.write("r,u,v,r_tau1_u,r_tau2_u\n")
-            for vals in zip(*columns):
-                fh.write(",".join("%.17g" % x for x in vals) + "\n")
-        writers["profile"] = write_profile
+        tables["profile"] = ("r,u,v,r_tau1_u,r_tau2_u", columns)
     if args.what != "profile":
+        # t = log r, symmetric about t0 = log mu0; the closed form reads log rho
         t0 = math.log(args.mu0)
         half = np.linspace(0.0, args.t_halfspan, args.t_points // 2 + 1)
-        t_grid = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
-        writers["trajectory"] = exact_trajectory(fam, t_grid).write_csv
-    with _output(*(_export_path(args, what) for what in writers)) as handles:
-        for write, fh in zip(writers.values(), handles):
-            write(fh)
+        t = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
+        tables["trajectory"] = ("t,y_u,p_u,y_v,p_v", (t, *_closed_form_arrays(fam, t - t0)))
+    with _output(*(_export_path(args, what) for what in tables)) as handles:
+        for (header, columns), fh in zip(tables.values(), handles):
+            fh.write(header + "\n")
+            for vals in zip(*columns):
+                fh.write(",".join("%.17g" % x for x in vals) + "\n")
     return EXIT_OK
 
 

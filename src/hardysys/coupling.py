@@ -37,7 +37,6 @@ class CouplingRoot:
     """One positive root of the coupling function."""
 
     c_tilde: float
-    f_residual: float
     f_prime: float
     is_degenerate: bool
 
@@ -219,10 +218,9 @@ def find_positive_roots(p: ProblemParams) -> list[CouplingRoot]:
     roots = []
     for x, tangential in _sum_roots(coefs, expos, lo - 1.0, hi + 1.0):
         s = _root_at(x, p) if tangential else _polish(_root_at(x, p), p)
-        fs, fps = coupling_f(s, p), coupling_f_prime(s, p)
+        fps = coupling_f_prime(s, p)
         degenerate = tangential or abs(fps) <= DEGENERACY_THRESHOLD * _fprime_scale(s, p)
-        roots.append(CouplingRoot(c_tilde=s, f_residual=abs(fs), f_prime=fps,
-                                  is_degenerate=degenerate))
+        roots.append(CouplingRoot(c_tilde=s, f_prime=fps, is_degenerate=degenerate))
     return roots
 
 

@@ -8,14 +8,15 @@ pair
 
 whose positive decaying orbits are homoclinic loops of the origin with
 exponential rate kappa = sqrt(delta^2 - gamma).  This module provides the
-closed-form synchronized trajectories, an embedded Dormand-Prince 5(4)
-integrator in Nystrom form (the field does not read y') with
-error-per-unit-step control (global error scales like tol^(5/4), i.e.
-better than a factor 16 per tolerance decade), the shooting
+closed-form synchronized trajectory as a function of log rho = log(r/mu0),
+an embedded Dormand-Prince 5(4) integrator in Nystrom form (the field does
+not read y') with error-per-unit-step control (global error scales like
+tol^(5/4), i.e. better than a factor 16 per tolerance decade), the shooting
 trace of each homoclinic orbit from the origin up to its maximum (an oracle
-independent of the closed form), and the residual of the radial equations at
-the closed form, in any of their encodings (plain, weighted, phase plane):
-one function of rho = r/mu0, under one normalization.
+independent of the closed form, with its turn at rho = 1), and the residual
+of the radial equations at the closed form, in any of their encodings
+(plain, weighted, phase plane): one function of rho, under one
+normalization.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class EFState:
 
 @dataclass
 class EFTrajectory:
-    """An integrated (or closed-form) trajectory with step statistics."""
+    """An integrated trajectory with step statistics."""
 
     t: np.ndarray
     y_u: np.ndarray
@@ -59,35 +60,21 @@ class EFTrajectory:
     rejected: int
     termination: str  # 'completed' | 'blowup' | 'extinction'
 
-    def write_csv(self, fh) -> None:
-        """Columns t, y_u, p_u, y_v, p_v at 17 significant digits."""
-        fh.write("t,y_u,p_u,y_v,p_v\n")
-        for vals in zip(self.t, self.y_u, self.p_u, self.y_v, self.p_v):
-            fh.write(",".join("%.17g" % v for v in vals) + "\n")
-
 
 # --- closed-form synchronized trajectories ---------------------------------
 
 
-def _closed_form_arrays(fam: SynchronizedFamily, t):
-    """(y_u, p_u, y_v, p_v) of the closed form y = c r^delta U at t = log r.
+def _closed_form_arrays(fam: SynchronizedFamily, log_rho):
+    """(y_u, p_u, y_v, p_v) of the closed form y = c r^delta U at log_rho = log(r/mu0).
 
-    From the profile's bounded units at log rho = t - log mu: y = c e^(log y)
-    and y' = kappa (1 - 2w) y, both stable for any |t|.
+    From the profile's bounded units: y = c e^(log y) and
+    y' = kappa (1 - 2w) y, both stable for any |log_rho|.  Nothing here reads
+    mu0; the maximum sits at log_rho = 0.
     """
-    w, om, log_y = fam.profile._bounded_units(np.asarray(t, dtype=float)
-                                              - math.log(fam.profile.mu))
+    w, om, log_y = fam.profile._bounded_units(np.asarray(log_rho, dtype=float))
     base, slope = np.exp(log_y), fam.profile.params.kappa * (om - w)
     y_u, y_v = fam.c1 * base, fam.c2 * base
     return y_u, slope * y_u, y_v, slope * y_v
-
-
-def exact_trajectory(fam: SynchronizedFamily, t_grid) -> EFTrajectory:
-    """Closed-form trajectory sampled on an explicit grid."""
-    t = np.asarray(t_grid, dtype=float)
-    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t)
-    return EFTrajectory(t=t, y_u=y_u, p_u=p_u, y_v=y_v, p_v=p_v,
-                        accepted=0, rejected=0, termination="completed")
 
 
 # --- adaptive integration ----------------------------------------------------

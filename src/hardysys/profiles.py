@@ -15,7 +15,7 @@ and y = r^delta u = A rho^kappa (1 + rho^q)^(-delta) does not depend on mu.
 ``_bounded_units`` evaluates w, 1 - w and log y on log rho, the pieces from
 which ``emdenfowler`` builds the radial equations divided by g / r^2, where
 every term is bounded at every n and every mu, and the closed-form
-phase-plane trajectory y(t), y'(t) = kappa (1 - 2w) y, t = log r.
+phase-plane trajectory y, y' = kappa (1 - 2w) y, on log rho.
 
 numpy is imported inside the array evaluators, so building a ScalarProfile
 (as classify does) loads none.

@@ -24,11 +24,15 @@ energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
 ==========================  ====================================================
 
 The integrated orbit is the half orbit that shooting traces, from its start
-on the invariant ray y_v = y_u / s up to its turn.  The start sits at
-coordinate rho = 1/4 of the ray's unstable manifold, whose turn is at
-rho = 1, so the manifold's closed form carries most of the climb, and the
-orbit checks see it: a start whose log(Z(x)/x) is off by 1e-5 of its first
-term fails integration_deviation, asymptotic_u0 and shooting_recovery at
+on the invariant ray y_v = y_u / s up to its turn.  Rescaling by mu0 maps
+solutions to solutions, and the orbit checks read the trace on its own
+times, log rho = log(r/mu0) with the turn at rho = 1, against the closed form
+at the same log rho: they read the same bits at every mu0.  Only
+asymptotic_u0, a limit of r^tau1 u proportional to mu0^-kappa, reads mu0.
+The start sits at coordinate rho = 1/4 of the ray's unstable manifold, whose
+turn is at rho = 1, so the manifold's closed form carries most of the climb,
+and the orbit checks see it: a start whose log(Z(x)/x) is off by 1e-5 of its
+first term fails integration_deviation, asymptotic_u0 and shooting_recovery at
 n = 4, nu = 1.  asymptotic_u0 reads the start's time relative to the turn, so it
 also carries the error in the turn time.  ``integrate`` measures the error
 of y_u' on the scale kappa |y_u| there, where y_u' passes through zero, so
@@ -99,8 +103,7 @@ class VerificationReport:
         lines = [
             "hardysys verification report",
             f"n: {self.params.n}",
-            f"gamma1: {self.params.gamma:.17g}",
-            f"gamma2: {self.params.gamma:.17g}",
+            f"gamma: {self.params.gamma:.17g}",
             f"nu: {self.params.nu:.17g}",
             f"alpha: {self.params.alpha:.17g}",
             f"beta: {self.params.beta:.17g}",
@@ -119,8 +122,7 @@ class VerificationReport:
         return {
             "params": {
                 "n": self.params.n,
-                "gamma1": self.params.gamma,
-                "gamma2": self.params.gamma,
+                "gamma": self.params.gamma,
                 "nu": self.params.nu,
                 "alpha": self.params.alpha,
                 "beta": self.params.beta,
@@ -148,13 +150,15 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
 
     Each family is integrated once: ``shoot_synchronized`` traces it at
     ``integration_tol`` from the origin, where errors do not grow like
-    e^(kappa t) as they do into the saddle, up to its turn.  Placed at
-    t0 = log mu0, that half orbit is the orbit of every orbit check.  Its
+    e^(kappa t) as they do into the saddle, up to its turn at t = 0.  That
+    half orbit is the orbit of every orbit check, and its times are
+    log rho = log(r/mu0), the argument of ``_closed_form_arrays``.  Its
     start sits at manifold coordinate x0 y_eq (``_manifold_coordinates``)
-    at time t0 + t_s, t_s = t[0] of the trace, so
-    r^tau1 u = e^(-kappa t) y_u tends to x0 y_eq e^(-kappa (t0 + t_s)).
-    That limit and the closed form's stay logs, and the gap is |expm1| of
-    their difference, so mu0^-kappa never has to be a double.
+    at log rho = t_s = t[0] of the trace, so r^tau1 u = e^(-kappa log r) y_u
+    tends to x0 y_eq e^(-kappa (t0 + t_s)), t0 = log mu0: the one place
+    where mu0 enters.  That limit and the closed form's stay logs, and the
+    gap is |expm1| of their difference, so mu0^-kappa never has to be a
+    double.
     """
     families = classify(p, mu0)
     # the families share one profile, so the grid's units are built once
@@ -176,7 +180,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
             max(weighted_system_residual(fam, p.tau2, RHO_GRID, units)), 1e-9)
 
         half = shoot_synchronized(p, fam.root, integration_tol)
-        ref_u, _, ref_v, _ = _closed_form_arrays(fam, t0 + half.t)
+        ref_u, _, ref_v, _ = _closed_form_arrays(fam, half.t)
         peak = max(half.y_u[-1], half.y_v[-1])
         deviation = max(np.max(np.abs(half.y_u - ref_u)), np.max(np.abs(half.y_v - ref_v)))
         add(tag + "integration_deviation", deviation / peak, 1e-6)
@@ -194,8 +198,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
 
         if p.nu == 0.0:
             kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
-            t_grid = np.linspace(t0 - 14.0, t0 + 14.0, 801)
-            y_u, p_u, _, _ = _closed_form_arrays(fam, t_grid)
+            y_u, p_u, _, _ = _closed_form_arrays(fam, np.linspace(-14.0, 14.0, 801))
             add(tag + "energy_invariant", _max_normalized(
                 (0.5 * p_u * p_u, -0.5 * kappa2 * y_u * y_u, y_u ** ts / ts)), 1e-10)
 

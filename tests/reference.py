@@ -13,6 +13,8 @@ a test checks the package against; no command of the package runs it.
   closed-form trajectory and its second derivative, written in
   theta = kappa (t - log mu) / delta; ``exact_ef_solution``: the closed-form
   phase state at one log-radius, a start for integrations from the maximum;
+  ``exact_trajectory``: the package's closed form sampled on log radii as an
+  ``EFTrajectory``, the comparator of the trajectory diagnostics;
   ``phase_plane_residual``: the phase-plane equations summed term by term in
   t, the oracle of the bounded ``ef_system_residual``.
 * ``manifold_coefficients`` and ``manifold_series_start``: the series of the
@@ -46,7 +48,8 @@ import numpy as np
 
 from hardysys import ConvergenceError, ParameterError, TrajectoryError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import EFState, EFTrajectory, _RHO0, _manifold_coordinates
+from hardysys.emdenfowler import (EFState, EFTrajectory, _RHO0, _closed_form_arrays,
+                                  _manifold_coordinates)
 from hardysys.params import ProblemParams
 from hardysys.profiles import ScalarProfile, _as_radii
 
@@ -204,6 +207,14 @@ def exact_ef_solution(fam, t: float) -> EFState:
     """Closed-form phase state of a synchronized family at log-radius t."""
     y_u, p_u, y_v, p_v = closed_form_arrays(fam, t)
     return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
+
+
+def exact_trajectory(fam, t_grid) -> EFTrajectory:
+    """The closed form on log radii t: ``_closed_form_arrays`` at log rho = t - log mu."""
+    t = np.asarray(t_grid, dtype=float)
+    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t - math.log(fam.profile.mu))
+    return EFTrajectory(t=t, y_u=y_u, p_u=p_u, y_v=y_v, p_v=p_v,
+                        accepted=0, rejected=0, termination="completed")
 
 
 def phase_plane_residual(fam, t_grid) -> tuple[float, float]:

@@ -115,7 +115,7 @@ def test_root_residuals_within_scale():
     for p in (p3(), p4()):
         for root in hs.find_positive_roots(p):
             scale = max(1.0, abs(hs.coupling_f_prime(root.c_tilde, p)))
-            assert root.f_residual <= 1e-13 * scale
+            assert abs(hs.coupling_f(root.c_tilde, p)) <= 1e-13 * scale
 
 
 def test_dense_grid_sign_change_oracle():
@@ -162,7 +162,7 @@ def test_constants_from_root_examples():
 
 
 def test_constants_root_residual_guard():
-    bad = hs.CouplingRoot(c_tilde=1.5, f_residual=1.0, f_prime=1.0, is_degenerate=False)
+    bad = hs.CouplingRoot(c_tilde=1.5, f_prime=1.0, is_degenerate=False)
     with pytest.raises(ParameterError):
         hs.constants_from_root(bad, p4())
 
@@ -266,7 +266,8 @@ def test_tiny_coupling_keeps_both_roots():
     assert abs(large.c_tilde - 1.00000001) <= 1e-9
     for root in (small, large):
         assert not root.is_degenerate
-        assert root.f_residual <= 1e-13 * hs.coupling._f_scale(root.c_tilde, p)
+        scale = hs.coupling._f_scale(root.c_tilde, p)
+        assert abs(hs.coupling_f(root.c_tilde, p)) <= 1e-13 * scale
     assert [f.c_tilde for f in hs.classify(p, 1.0)] == [small.c_tilde, large.c_tilde]
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction as F
 
@@ -9,14 +8,14 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
+from hardysys.cli import main
 from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinates,
-                                  _manifold_start, _max_normalized, exact_trajectory,
-                                  integrate)
+                                  _manifold_start, _max_normalized, integrate)
 from reference import (DP5_A, DP5_B, DP5_E, closed_form_accel, closed_form_arrays,
                        convergence_order, dp5_table_step, ef_energy, ef_rhs,
-                       exact_ef_solution, manifold_coefficients, manifold_series_start,
-                       max_normalized, phase_plane_residual, r_space_residual,
-                       simultaneous_max_check)
+                       exact_ef_solution, exact_trajectory, manifold_coefficients,
+                       manifold_series_start, max_normalized, phase_plane_residual,
+                       r_space_residual, simultaneous_max_check)
 
 # rho = r/mu0 of the residuals of the four encodings
 GRID = np.geomspace(1e-6, 1e6, 2048)
@@ -89,21 +88,21 @@ def test_exact_solution_decay_rate(benchmark4):
 
 
 def test_closed_form_matches_theta_form(matrix_families):
-    # the trajectory from the profile's bounded units is the theta form
-    # y = c A (2 cosh theta)^(-delta), y' = -kappa tanh(theta) y, to roundoff
+    # the trajectory from the profile's bounded units, on log rho, is the
+    # theta form y = c A (2 cosh theta)^(-delta), y' = -kappa tanh(theta) y,
+    # on log r = log mu0 + log rho, to roundoff
     for _, mu0, fam in matrix_families:
-        t = math.log(mu0) + np.linspace(-30.0, 30.0, 601)
-        ref = closed_form_arrays(fam, t)
-        for got, want in zip(_closed_form_arrays(fam, t), ref):
+        log_rho = np.linspace(-30.0, 30.0, 601)
+        ref = closed_form_arrays(fam, math.log(mu0) + log_rho)
+        for got, want in zip(_closed_form_arrays(fam, log_rho), ref):
             assert_allclose(got, want, rtol=1e-13, atol=1e-15 * np.max(ref[0]))
 
 
 def test_two_sided_exponential_bounds(matrix_families):
-    for _, mu0, fam in matrix_families:
+    for _, _, fam in matrix_families:
         kappa = fam.profile.params.kappa
-        t0 = math.log(mu0)
         s = np.concatenate([-np.linspace(10, 30, 41), np.linspace(10, 30, 41)])
-        y_u, _, _, _ = _closed_form_arrays(fam, t0 + s)
+        y_u, _, _, _ = _closed_form_arrays(fam, s)
         compensated = np.exp(kappa * np.abs(s)) * y_u
         assert np.all(np.isfinite(compensated))
         assert np.min(compensated) > 0
@@ -489,15 +488,17 @@ def test_integration_rejects_backward_span(benchmark4):
             integrate(start, span, p)
 
 
-def test_trajectory_csv(benchmark4):
-    p, fam = benchmark4
-    traj = exact_trajectory(fam, np.linspace(-1.0, 1.0, 5))
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    lines = buf.getvalue().splitlines()
+def test_trajectory_csv(benchmark4, tmp_path):
+    # export --what trajectory at N = 5 on [-1, 1]: 2 floor(N/2) + 1 rows
+    _, fam = benchmark4
+    out = tmp_path / "traj.csv"
+    assert main(["export", "--n", "4", "--nu", "1", "--alpha", "2", "--what", "trajectory",
+                 "--t-halfspan", "1", "--t-points", "5", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
     assert lines[0] == "t,y_u,p_u,y_v,p_v"
-    assert len(lines) == 6
+    assert len(lines) == 1 + 2 * (5 // 2) + 1
     parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    traj = exact_trajectory(fam, parsed[:, 0])
     assert_allclose(parsed[:, 1], traj.y_u, rtol=0)  # 17 digits round-trip
 
 
@@ -543,7 +544,7 @@ def test_shoot_recovers_n3_amplitude(benchmark3):
 
 def test_shoot_rejects_non_root(benchmark4):
     p, _ = benchmark4
-    fake = hs.CouplingRoot(c_tilde=1.7, f_residual=0.0, f_prime=1.0, is_degenerate=False)
+    fake = hs.CouplingRoot(c_tilde=1.7, f_prime=1.0, is_degenerate=False)
     with pytest.raises(ParameterError):
         hs.shoot_synchronized(p, fake)
 

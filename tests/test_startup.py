@@ -27,7 +27,7 @@ PUBLIC_NAMES = {
     "SynchronizedFamily", "TrajectoryError", "VerificationReport",
     "asymptotic_limits", "classify", "constants_from_root", "coupling_f",
     "coupling_f_prime", "critical_exponent",
-    "exact_trajectory", "find_positive_roots",
+    "find_positive_roots",
     "full_verification", "hardy_constant", "integrate",
     "proportionality_defect", "shoot_synchronized",
     "verify_constants_system", "weighted_system_residual",
@@ -58,7 +58,7 @@ def test_import_loads_no_numpy():
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 26
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)

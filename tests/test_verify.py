@@ -105,20 +105,23 @@ def test_shared_grid_units_give_the_standalone_residuals(matrix_families):
 
 
 @pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
-                                  (3, 0.0, 1.0, 3.0)])
+                                  (3, 0.0, 1.0, 3.0), (4, 0.0, 0.0, 2.0)])
 def test_encoding_residuals_do_not_depend_on_mu0(args):
-    # on the rho grid the equations divided by c g / r^2 read no mu0: the
-    # residual checks at mu0 = 1e-+300 are the bits of mu0 = 1
+    # rescaling by mu0 maps solutions to solutions: the residual on the rho
+    # grid, and the orbit and energy checks on log rho, read no mu0, so every
+    # check but asymptotic_u0 (the limit c1 A mu0^-kappa) keeps the bits of
+    # mu0 = 1
     p = hs.ProblemParams(*args)
 
     def values(mu0):
-        return [c.value.hex() for c in hs.full_verification(p, mu0).checks
-                if c.name.split(".", 1)[1] == "equation_residual"]
+        return [(c.name, c.value.hex()) for c in hs.full_verification(p, mu0).checks
+                if not c.name.endswith(".asymptotic_u0")]
 
     at_one = values(1.0)
-    assert len(at_one) == len(hs.classify(p))
-    assert values(1e-300) == at_one
-    assert values(1e300) == at_one
+    # four checks per family, and energy_invariant at nu = 0
+    assert len(at_one) == len(hs.classify(p)) * (4 if p.nu else 5)
+    for mu0 in (0.5, 2.0, 1e-300, 1e300):
+        assert values(mu0) == at_one, mu0
 
 
 # --- full verification -------------------------------------------------------------
@@ -411,9 +414,10 @@ def test_report_text_and_json_schema(benchmark4):
     assert text.startswith("hardysys verification report\n")
     assert text.rstrip().endswith("overall: pass")
     assert text.count("check: ") == len(report.checks)
+    assert "\ngamma: 0\nnu: 1\n" in text  # one Hardy coefficient
     payload = report.to_json_dict()
     assert list(payload) == ["params", "mu0", "families", "checks", "overall"]
-    assert list(payload["params"]) == ["n", "gamma1", "gamma2", "nu", "alpha", "beta"]
+    assert list(payload["params"]) == ["n", "gamma", "nu", "alpha", "beta"]
     for entry in payload["checks"]:
         assert list(entry) == ["name", "value", "threshold", "passed"]
 
@@ -479,7 +483,7 @@ REPORT_PINS = {
     "n4-gamma0.5-nu1-alpha2": ((
         "0x1.7e40000000000p-51", "0x1.dcbf3a650f75dp-43", "0x0.0p+0",
         "0x1.11ffffffffedbp-43", "0x1.dc5060796da5cp-43"),),
-    # mu0 = 2: t0 = log 2 != 0, so the orbit's times t0 + t are rounded
+    # mu0 = 2: the orbit checks read log rho, so these are the bits of mu0 = 1
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-51", "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
         "0x1.4a0000000006ap-45", "0x1.81fbc7620f2f0p-44"), (
