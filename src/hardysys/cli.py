@@ -18,9 +18,9 @@ found", is retired.
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
 
-``classify`` and ``sweep`` run on Python floats and never load numpy;
-``verify``, ``shoot`` and ``export`` import the modules they use, and numpy
-with them.
+``classify``, ``sweep`` and ``shoot`` run on Python floats and never load
+numpy; ``verify`` and ``export`` import the modules they use, and numpy with
+them.
 """
 
 from __future__ import annotations
@@ -143,12 +143,13 @@ def _selected_family(p, index, mu0=1.0):
 
 
 def cmd_shoot(args) -> int:
-    from .emdenfowler import shoot_synchronized
+    from .emdenfowler import _check_shooting_tol, shoot_synchronized
     p = _build_params(args)
+    _check_shooting_tol(args.tol)  # before the root search, like verify's
     fam = _selected_family(p, args.root_index)
     if fam is None:
         return EXIT_DEGENERATE_ONLY
-    recovered = float(shoot_synchronized(p, fam.root, tol=args.tol).y_u[-1])
+    recovered = shoot_synchronized(p, fam.root, tol=args.tol).y_u[-1]
     target = fam.peak_amplitude
     rel = abs(recovered - target) / target
     print(f"recovered_amplitude: {recovered:.17g}")

@@ -17,14 +17,17 @@ independent of the closed form, with its turn at rho = 1), and the residual
 of the radial equations at the closed form, in any of their encodings
 (plain, weighted, phase plane): one function of rho, under one
 normalization.
+
+The integrator and the shot run on Python floats and return their orbit as
+lists, so ``shoot_synchronized`` loads no numpy; numpy is imported only
+where an array is evaluated (the closed form, the residuals and the
+proportionality defect).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import IntegrationError, ParameterError, TrajectoryError
 from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
@@ -49,13 +52,18 @@ class EFState:
 
 @dataclass
 class EFTrajectory:
-    """An integrated trajectory with step statistics."""
+    """An integrated trajectory with step statistics.
 
-    t: np.ndarray
-    y_u: np.ndarray
-    p_u: np.ndarray
-    y_v: np.ndarray
-    p_v: np.ndarray
+    The five fields are lists of Python floats, the start and one entry per
+    accepted step.  Wrap one in ``numpy.asarray`` for array arithmetic:
+    ``2 * traj.y_u`` repeats the list.
+    """
+
+    t: list[float]
+    y_u: list[float]
+    p_u: list[float]
+    y_v: list[float]
+    p_v: list[float]
     accepted: int
     rejected: int
     termination: str  # 'completed' | 'blowup' | 'extinction'
@@ -71,6 +79,7 @@ def _closed_form_arrays(fam: SynchronizedFamily, log_rho):
     y' = kappa (1 - 2w) y, both stable for any |log_rho|.  Nothing here reads
     mu0; the maximum sits at log_rho = 0.
     """
+    import numpy as np
     w, om, log_y = fam.profile._bounded_units(np.asarray(log_rho, dtype=float))
     base, slope = np.exp(log_y), fam.profile.params.kappa * (om - w)
     y_u, y_v = fam.c1 * base, fam.c2 * base
@@ -125,7 +134,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     ``stop(t, y_u, p_u, y_v, p_v)`` is an optional early-exit predicate
     evaluated after every accepted step; a truthy value ends the run with
     termination 'completed'.  The initial state and ``t_span`` are read as
-    Python floats.
+    Python floats, and the result's fields are lists of Python floats (see
+    ``EFTrajectory``): the run loads no numpy.
 
     The kernel is Dormand-Prince 5(4) in Nystrom form: the field never reads
     y', so the stage states are formed from the stage fields alone and no
@@ -343,11 +353,11 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
         raise IntegrationError(f"floating-point overflow at t-offset {s:.6g}") from exc
 
     return EFTrajectory(
-        t=t0 + np.asarray(ss),
-        y_u=np.asarray(yus),
-        p_u=np.asarray(pus),
-        y_v=np.asarray(yvs),
-        p_v=np.asarray(pvs),
+        t=[t0 + offset for offset in ss],
+        y_u=yus,
+        p_u=pus,
+        y_v=yvs,
+        p_v=pvs,
         accepted=accepted,
         rejected=rejected,
         termination=termination,
@@ -422,6 +432,12 @@ def _manifold_start(p: ProblemParams, s: float) -> EFState:
     return EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)
 
 
+def _check_shooting_tol(tol: float) -> None:
+    """Refuse a shooting tolerance outside [1e-12, 1e-4] (NaN included)."""
+    if not 1e-12 <= tol <= 1e-4:
+        raise ParameterError(f"tolerance must be in [1e-12, 1e-4], got {tol:g}")
+
+
 def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
                        tol: float = 1e-9) -> EFTrajectory:
     """Trace the decaying orbit of a root from the origin up to its maximum.
@@ -440,8 +456,10 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     The result is that half orbit, shifted so that the turn sits at t = 0,
     with the turn in place of the last step's end: y_u = a* and y_v from the
     quintic Hermite interpolants of that step (y, y', y'' at both ends), and
-    both slopes 0.  The cubic interpolant, without y'', errs up to 7e-11 at
-    tol 1e-9 near gamma = lambda_n, where the steps at the turn are long.
+    both slopes 0.  Its fields are lists of Python floats, as ``integrate``
+    returns them, so a shot loads no numpy.  The cubic interpolant, without
+    y'', errs up to 7e-11 at tol 1e-9 near gamma = lambda_n, where the steps
+    at the turn are long.
 
     The manifold's closed form gives the nearly exponential climb up to
     rho = 1/4, DP5 carries the orbit from there through the turn, at rho = 1,
@@ -452,34 +470,36 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     A run that ends without turning (blow-up, extinction, or the whole span)
     raises IntegrationError.  ``tol`` must lie in [1e-12, 1e-4], the range
     over which a* is tested to err by at most tol / 2 relative; one outside
-    it raises ParameterError before any step.
+    it raises ParameterError before any step (``_check_shooting_tol``, which
+    ``full_verification`` and the ``shoot`` command also run before their
+    root search).
     """
     s = root.c_tilde
     if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
         raise ParameterError("shooting requires a root of the coupling function")
-    if not 1e-12 <= tol <= 1e-4:
-        raise ParameterError(f"tolerance must be in [1e-12, 1e-4], got {tol:g}")
+    _check_shooting_tol(tol)
     start = _manifold_start(p, s)
     t_end = 2.0 * math.log(1.0 / _RHO0) / ((p.two_star - 2.0) * p.kappa)
     traj = integrate(start, (0.0, t_end), p, tol=tol,
                      stop=lambda t, yu, pu, yv, pv: pu <= 0.0)
-    p1 = float(traj.p_u[-1])
+    p1 = traj.p_u[-1]
     if traj.termination != "completed" or p1 > 0.0:
         raise IntegrationError(
             f"the unstable manifold did not turn ({traj.termination}, "
-            f"y_u' = {p1:.6g} at t = {float(traj.t[-1]):.6g})")
+            f"y_u' = {p1:.6g} at t = {traj.t[-1]:.6g})")
     # (y, y', y'') of each component at both ends of the last step
     kappa2, e1 = p.delta * p.delta - p.gamma, p.two_star - 1.0
     ends = []
     for own, slope, other, factor, e_own, e_other in (
             (traj.y_u, traj.p_u, traj.y_v, p.nu * p.alpha, p.alpha - 1.0, p.beta),
             (traj.y_v, traj.p_v, traj.y_u, p.nu * p.beta, p.beta - 1.0, p.alpha)):
-        for y, q, z in zip(own[-2:].tolist(), slope[-2:].tolist(), other[-2:].tolist()):
+        for y, q, z in zip(own[-2:], slope[-2:], other[-2:]):
             ends.append((y, q, kappa2 * y - y ** e1 - factor * y ** e_own * z ** e_other))
-    h = float(traj.t[-1] - traj.t[-2])
+    h = traj.t[-1] - traj.t[-2]
     th, top_u, top_v = _quintic_turn(h, ends[0] + ends[1], ends[2] + ends[3])
-    # the turn replaces the last step's end, in the arrays integrate returned
-    traj.t -= float(traj.t[-2]) + th * h
+    # the turn replaces the last step's end, in the lists integrate returned
+    shift = traj.t[-2] + th * h
+    traj.t = [t - shift for t in traj.t]
     traj.t[-1] = traj.p_u[-1] = traj.p_v[-1] = 0.0
     traj.y_u[-1], traj.y_v[-1] = top_u, top_v
     return traj
@@ -490,12 +510,14 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
 
 def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
     """sup |y_u - c_tilde * y_v| normalized by sup y_u."""
-    if traj.t.size == 0:
+    import numpy as np
+    if len(traj.t) == 0:
         raise TrajectoryError("empty trajectory")
-    top = float(np.max(traj.y_u))
+    y_u, y_v = np.asarray(traj.y_u), np.asarray(traj.y_v)
+    top = float(np.max(y_u))
     if top == 0.0:
         return 0.0
-    return float(np.max(np.abs(traj.y_u - c_tilde * traj.y_v))) / top
+    return float(np.max(np.abs(y_u - c_tilde * y_v))) / top
 
 
 # --- residuals of the radial encodings -----------------------------------------
@@ -503,6 +525,7 @@ def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
 
 def _max_normalized(terms) -> float:
     """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...); t1 an array."""
+    import numpy as np
     total = sum(terms[1:], terms[0])  # ((t1 + t2) + t3) + ...
     scale = np.abs(terms[0])
     np.maximum(scale, 1.0, out=scale)
@@ -520,6 +543,7 @@ def _grid_units(profile, log_rho):
     reads the same units: ``full_verification`` builds them once for the
     residual of every family, on the logs of its own grid.
     """
+    import numpy as np
     w, om, log_y = profile._bounded_units(log_rho)
     return w, om, np.exp((profile.params.two_star - 2.0) * log_y)
 
@@ -553,6 +577,7 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     That scale is at most max(1, |terms|) over all five terms, so the value
     is at least that of the same sum under the larger scale.
     """
+    import numpy as np
     p = fam.profile.params
     m = p.two_star - 2.0
     if units is None:

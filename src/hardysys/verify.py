@@ -65,8 +65,9 @@ import numpy as np
 
 from .coupling import classify
 from .emdenfowler import (proportionality_defect, shoot_synchronized,
-                          weighted_system_residual, _closed_form_arrays,
-                          _grid_units, _manifold_coordinates, _max_normalized)
+                          weighted_system_residual, _check_shooting_tol,
+                          _closed_form_arrays, _grid_units, _manifold_coordinates,
+                          _max_normalized)
 from .params import ProblemParams
 from .profiles import asymptotic_limits
 
@@ -146,7 +147,9 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     """Classify the parameter set and run every check on every family.
 
     Individual check failures are recorded, not raised; classification and
-    integration errors propagate.
+    integration errors propagate.  An ``integration_tol`` outside
+    [1e-12, 1e-4] raises ParameterError before the root search, whether or
+    not a family exists.
 
     Each family is integrated once: ``shoot_synchronized`` traces it at
     ``integration_tol`` from the origin, where errors do not grow like
@@ -160,6 +163,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     gap is |expm1| of their difference, so mu0^-kappa never has to be a
     double.
     """
+    _check_shooting_tol(integration_tol)
     families = classify(p, mu0)
     # the families share one profile, so the grid's units are built once
     units = _grid_units(families[0].profile, _LOG_RHO_GRID) if families else None
@@ -181,15 +185,16 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
 
         half = shoot_synchronized(p, fam.root, integration_tol)
         ref_u, _, ref_v, _ = _closed_form_arrays(fam, half.t)
+        y_u, y_v = np.asarray(half.y_u), np.asarray(half.y_v)
         peak = max(half.y_u[-1], half.y_v[-1])
-        deviation = max(np.max(np.abs(half.y_u - ref_u)), np.max(np.abs(half.y_v - ref_v)))
+        deviation = max(np.max(np.abs(y_u - ref_u)), np.max(np.abs(y_v - ref_v)))
         add(tag + "integration_deviation", deviation / peak, 1e-6)
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 
         # log of the orbit's limit; the closed form's is log(c1 A mu0^-kappa)
         x_u, _ = _manifold_coordinates(p, s)
         log_b0, _ = asymptotic_limits(fam.profile)
-        log_u0 = math.log(x_u) - p.kappa * (t0 + float(half.t[0]))
+        log_u0 = math.log(x_u) - p.kappa * (t0 + half.t[0])
         add(tag + "asymptotic_u0",
             abs(math.expm1(log_u0 - (math.log(fam.c1) + log_b0))), 1e-6)
 

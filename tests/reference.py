@@ -296,9 +296,11 @@ def mirrored(half: EFTrajectory, t0: float) -> EFTrajectory:
     """``half`` reflected at its turn (t and y' odd, y even), shifted to peak at t0.
 
     The field is reversible, so the shooting trace of ``shoot_synchronized``,
-    which ends at its turn at t = 0, is half of the whole orbit.
+    which ends at its turn at t = 0, is half of the whole orbit.  The
+    mirrored fields are arrays.
     """
     def reflect(col, sign):
+        col = np.asarray(col)
         return np.concatenate([col, sign * col[-2::-1]])
 
     return replace(half, t=t0 + reflect(half.t, -1.0),

@@ -70,7 +70,7 @@ def test_criterion_03_ode_fidelity():
         flipped = hs.EFState(start.y_u, -start.p_u, start.y_v, -start.p_v)
         for direction, state in ((+1.0, start), (-1.0, flipped)):
             traj = integrate(state, (0.0, 10.0), p, tol=tol)
-            ref_u, _, ref_v, _ = _closed_form_arrays(fam, direction * traj.t)
+            ref_u, _, ref_v, _ = _closed_form_arrays(fam, direction * np.asarray(traj.t))
             worst = max(worst, float(np.max(np.abs(traj.y_u - ref_u))),
                         float(np.max(np.abs(traj.y_v - ref_v))))
         return worst

@@ -411,6 +411,17 @@ def test_loose_tolerance_exit2(command, tol):
     assert err == f"invalid parameters: tolerance must be in [1e-12, 1e-4], got {float(tol):g}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "shoot"])
+@pytest.mark.parametrize("tol", ["nan", "1e-3"])
+def test_tolerance_exit2_where_no_root_exists(command, tol):
+    # f vanishes identically here, which exits 3 at a valid tolerance; the
+    # tolerance is checked first, so it exits 2 as wherever a root exists
+    code, out, err = run_cli([command, "--n", "4", "--gamma", "0", "--nu", "0.5",
+                              "--alpha", "2", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"invalid parameters: tolerance must be in [1e-12, 1e-4], got {float(tol):g}\n"
+
+
 # --- sweep ----------------------------------------------------------------------
 
 

@@ -124,10 +124,10 @@ def test_integration_tracks_closed_form(benchmark4):
     for direction, state in ((+1.0, start), (-1.0, _flipped(start))):
         traj = integrate(state, (0.0, 10.0), p, tol=1e-10)
         assert traj.termination == "completed"
-        ref_u, ref_p, ref_v, _ = _closed_form_arrays(fam, direction * traj.t)
+        ref_u, ref_p, ref_v, _ = _closed_form_arrays(fam, direction * np.asarray(traj.t))
         assert np.max(np.abs(traj.y_u - ref_u)) <= 1e-6
         assert np.max(np.abs(traj.y_v - ref_v)) <= 1e-6
-        assert np.max(np.abs(direction * traj.p_u - ref_p)) <= 1e-5
+        assert np.max(np.abs(direction * np.asarray(traj.p_u) - ref_p)) <= 1e-5
 
 
 def test_integration_tolerance_scaling(benchmark4):
@@ -139,7 +139,7 @@ def test_integration_tolerance_scaling(benchmark4):
         worst = 0.0
         for direction, state in ((+1.0, start), (-1.0, _flipped(start))):
             traj = integrate(state, (0.0, 10.0), p, tol=tol)
-            ref_u, _, _, _ = _closed_form_arrays(fam, direction * traj.t)
+            ref_u, _, _, _ = _closed_form_arrays(fam, direction * np.asarray(traj.t))
             worst = max(worst, float(np.max(np.abs(traj.y_u - ref_u))))
         return worst
 
@@ -164,11 +164,11 @@ def test_trajectory_monotone_time_and_stats(benchmark4):
     fwd = integrate(start, (0.0, 5.0), p, tol=1e-8)
     assert np.all(np.diff(fwd.t) > 0)
     bwd = integrate(_flipped(start), (0.0, 5.0), p, tol=1e-8)
-    assert np.all(np.diff(-bwd.t) < 0)
+    assert np.all(np.diff(-np.asarray(bwd.t)) < 0)
     assert fwd.accepted == len(fwd.t) - 1
     assert fwd.rejected >= 0
     # reversibility: backward leg mirrors the forward one
-    ref_u, _, _, _ = _closed_form_arrays(fam, -bwd.t)
+    ref_u, _, _, _ = _closed_form_arrays(fam, -np.asarray(bwd.t))
     assert np.max(np.abs(bwd.y_u - ref_u)) <= 1e-6
 
 
@@ -216,6 +216,18 @@ def test_integrate_reads_numpy_scalars_as_floats(benchmark4):
             assert np.array_equal(getattr(plain, name), getattr(wrapped, name))
         assert (plain.accepted, plain.rejected) == (wrapped.accepted, wrapped.rejected)
         assert seen and set(seen) == {float}
+
+
+def test_orbit_fields_are_python_floats(benchmark3):
+    # integrate and the shot return lists of Python floats, not numpy scalars
+    p, fams = benchmark3
+    start = exact_ef_solution(fams[0], 0.0)
+    for traj in (integrate(start, (0.0, 4.0), p, tol=1e-10),
+                 *(hs.shoot_synchronized(p, fam.root) for fam in fams)):
+        for name in ("t", "y_u", "p_u", "y_v", "p_v"):
+            column = getattr(traj, name)
+            assert type(column) is list and len(column) == traj.accepted + 1
+            assert {type(v) for v in column} == {float}
 
 
 def _one_step_cases():
@@ -428,7 +440,7 @@ def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):
         assert half.termination == "completed"
         assert half.y_v[0] == half.y_u[0] / s
         assert half.t[-1] == 0.0 and np.all(np.diff(half.t) > 0.0)
-        assert np.all(half.p_u[:-1] > 0.0)
+        assert np.all(np.asarray(half.p_u[:-1]) > 0.0)
         assert (half.p_u[-1], half.p_v[-1]) == (0.0, 0.0)
         assert half.y_u[-1] == np.max(half.y_u)
         assert abs(half.y_v[-1] * s / half.y_u[-1] - 1.0) <= 1e-12

@@ -1,6 +1,6 @@
 """Start-up: a lazy ``import hardysys`` that exports only what the package
-runs, a CLI whose scalar commands load no numpy, and one that starts no BLAS
-threads when it does.
+runs, a shot and a CLI whose scalar commands load no numpy, and a CLI that
+starts no BLAS threads when it does load it.
 
 Each test runs in a fresh interpreter, since the test process has long since
 imported numpy and every submodule.
@@ -55,6 +55,16 @@ def run_python(code, env_update=None):
 def test_import_loads_no_numpy():
     assert run_python("import json, sys, hardysys; "
                       "print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_shot_loads_no_numpy():
+    code = """
+import json, sys, hardysys
+p = hardysys.ProblemParams(4, 0.0, 1.0, 2.0)
+half = hardysys.shoot_synchronized(p, hardysys.classify(p, 1.0)[0].root)
+print(json.dumps([half.termination, 'numpy' in sys.modules]))
+"""
+    assert run_python(code) == ["completed", False]
 
 
 def test_all_keeps_the_public_names():
@@ -151,9 +161,8 @@ CLASSIFY = ["classify", "--n", "3", *PARAMS, "--alpha", "3"]
 SWEEP = ["sweep", "--n", "3", *PARAMS, "--alpha", "3", "--param", "nu",
          "--start", "0.5", "--stop", "1.5", "--samples", "5"]
 VERIFY = ["verify", "--n", "4", *PARAMS, "--alpha", "2"]
-# shoot loads numpy, and so OpenBLAS, which starts its worker thread unless
-# the entry point's one-thread default is in force
 SHOOT = ["shoot", "--n", "4", *PARAMS, "--alpha", "2"]
+EXPORT = ["export", "--n", "4", *PARAMS, "--alpha", "2"]  # --out is added per test
 
 
 def run_cli_in_process(argv, env_update=None):
@@ -172,19 +181,24 @@ def test_console_script_target_imports_without_running():
     assert run_python(code) == "hardysys.cli"
 
 
-@pytest.mark.parametrize("argv,loaded", [(CLASSIFY, False), (SWEEP, False), (VERIFY, True)],
-                         ids=["classify", "sweep", "verify"])
-def test_only_array_commands_load_numpy(argv, loaded):
+@pytest.mark.parametrize("argv,loaded", [(CLASSIFY, False), (SWEEP, False), (SHOOT, False),
+                                         (VERIFY, True), (EXPORT, True)],
+                         ids=["classify", "sweep", "shoot", "verify", "export"])
+def test_only_array_commands_load_numpy(argv, loaded, tmp_path):
+    if argv is EXPORT:
+        argv = [*EXPORT, "--out", str(tmp_path / "case")]
     assert run_cli_in_process(argv)[2] is loaded
 
 
 @needs_proc
 def test_cli_starts_no_blas_pool():
-    threads, setting, loaded = run_cli_in_process(SHOOT, {"OPENBLAS_NUM_THREADS": None})
+    # verify loads numpy, and so OpenBLAS, which starts its worker thread
+    # unless the entry point's one-thread default is in force
+    threads, setting, loaded = run_cli_in_process(VERIFY, {"OPENBLAS_NUM_THREADS": None})
     assert (threads, setting, loaded) == (1, "1", True)
 
 
 @needs_proc
 def test_cli_keeps_the_callers_blas_setting():
-    _, setting, _ = run_cli_in_process(SHOOT, {"OPENBLAS_NUM_THREADS": "2"})
+    _, setting, _ = run_cli_in_process(VERIFY, {"OPENBLAS_NUM_THREADS": "2"})
     assert setting == "2"

@@ -206,6 +206,18 @@ def test_full_verification_at_n150_raises_no_numpy_warning():
     assert report.overall, [c for c in report.checks if not c.passed]
 
 
+@pytest.mark.parametrize("tol", [math.nan, 1e-3, 1e-13])
+def test_tolerance_is_refused_before_the_root_search(tol):
+    # f vanishes identically at n = 4, nu = 1/2, alpha = beta = 2, so there is
+    # no family to shoot; the tolerance is refused all the same, and the root
+    # search never runs to warn
+    p = hs.ProblemParams(4, 0.0, 0.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"tolerance must be in \[1e-12, 1e-4\]"):
+            hs.full_verification(p, 1.0, integration_tol=tol)
+
+
 def test_verified_orbit_is_mirror_symmetric(matrix_trajectories):
     # the reference mirror, which acceptance criteria 05 and 07 read, reflects
     # the half orbit that shooting traces about its turn: y is even about t0
