@@ -15,7 +15,7 @@ _EXPORTS = {
     "errors": ("ConvergenceError", "IntegrationError", "ParameterError",
                "TrajectoryError"),
     "params": ("ProblemParams", "critical_exponent", "hardy_constant"),
-    "profiles": ("ScalarProfile", "asymptotic_limits"),
+    "profiles": ("ScalarProfile",),
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",
                  "constants_from_root", "coupling_f", "coupling_f_prime",
                  "find_positive_roots", "verify_constants_system"),

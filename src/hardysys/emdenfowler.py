@@ -16,7 +16,7 @@ trace of each homoclinic orbit from the origin up to its maximum (an oracle
 independent of the closed form, with its turn at rho = 1), and the residual
 of the radial equations at the closed form, in any of their encodings
 (plain, weighted, phase plane): one function of rho, under one
-normalization.
+normalization, also on log rho.
 
 The integrator and the shot run on Python floats and return their orbit as
 lists, so ``shoot_synchronized`` loads no numpy; numpy is imported only
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from .errors import IntegrationError, ParameterError, TrajectoryError
 from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
 from .params import ProblemParams
-from .profiles import _as_radii
 
 BLOWUP_THRESHOLD = 1e8
 MAX_STEPS = 2_000_000
@@ -534,35 +533,21 @@ def _max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
-def _grid_units(profile, log_rho):
-    """(w, 1 - w, y^m) of ``profile`` at ``log_rho``, the logs of rho = r/mu0.
-
-    The bounded units at log rho (``ScalarProfile._bounded_units``), with
-    y^m = exp(m log y), m = 2* - 2, from the closed form's log value.  They
-    depend on the parameters alone, so every family of one parameter set
-    reads the same units: ``full_verification`` builds them once for the
-    residual of every family, on the logs of its own grid.
-    """
-    import numpy as np
-    w, om, log_y = profile._bounded_units(log_rho)
-    return w, om, np.exp((profile.params.two_star - 2.0) * log_y)
-
-
 def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
-                       grid, units=None) -> tuple[float, float]:
+                       log_rho) -> tuple[float, float]:
     """Max normalized residual of the encoding of the radial system for g = r^tau u.
 
     Each equation g'' + (n-1-2 tau) g'/r + potential g/r^2
     + r^(-m tau) (g^(2*-1) + coupling), m = 2* - 2, is divided by c g / r^2,
-    c the component's constant.  On ``grid``, which holds rho = r/mu0, that
-    leaves five terms bounded at every n and every mu0 (``profiles``):
+    c the component's constant.  At ``log_rho`` = log(r/mu0), as in
+    ``_closed_form_arrays``, that leaves five terms bounded at every n and
+    every mu0 (``profiles``):
 
         chi^2 - chi - 2 kappa q w (1 - w),   (n-1-2 tau) chi,   potential,
         c^m y^m,   nu alpha c^(alpha-2) c_other^beta y^m,
 
-    y = r^delta U, whose m-th power is exp(m log y), from the closed form's
-    log value; ``units`` are (w, 1 - w, y^m), ``_grid_units`` at the logs of
-    ``grid``, computed here, after ``grid`` is checked, when not given.  The
+    w, 1 - w and log y from the profile's bounded units, and y^m =
+    exp(m log y).  A log rho that is not finite raises ParameterError.  The
     coefficients of the last two terms, c^m and nu alpha c^(alpha-2)
     c_other^beta, are those of the family's equation of the constants system
     (``verify_constants_system``), whose left side is their sum; a wrong c1
@@ -580,9 +565,11 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     import numpy as np
     p = fam.profile.params
     m = p.two_star - 2.0
-    if units is None:
-        units = _grid_units(fam.profile, np.log(_as_radii(grid)))
-    w, om, y_m = units
+    log_rho = np.asarray(log_rho, dtype=float)
+    if not np.isfinite(log_rho).all():
+        raise ParameterError("log rho must be finite")
+    w, om, log_y = fam.profile._bounded_units(log_rho)
+    y_m = np.exp(m * log_y)
     if tau - p.tau1 <= p.kappa:
         chi = (tau - p.tau1) - 2.0 * p.kappa * w
     else:
@@ -600,33 +587,29 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     return tuple(residuals)
 
 
-def radial_system_residual(fam: SynchronizedFamily, grid,
-                           units=None) -> tuple[float, float]:
-    """Max normalized residual of the radial system for (c1 W, c2 W) on rho = r/mu0.
+def radial_system_residual(fam: SynchronizedFamily, log_rho) -> tuple[float, float]:
+    """Max normalized residual of the radial system for (c1 W, c2 W) at ``log_rho``.
 
     Each equation is u'' + (n-1)u'/r + gamma u/r^2 + u^(2*-1) + coupling.
     For every tau, r^tau (u'' + (n-1)u'/r + gamma u/r^2) = g'' +
     (n-1-2 tau) g'/r + (tau^2 - (n-2) tau + gamma) g/r^2 with g = r^tau u,
     so this is the weighted encoding at tau = 0, with potential gamma.
-    ``grid`` holds radii relative to the family's scale, so mu0 = 1e-+300
-    forms no radius outside the doubles; the values do not depend on mu0.
-    ``units``, when given, are ``_grid_units`` at the logs of ``grid``; the
-    value is the same bits either way.
+    ``log_rho`` holds log(r/mu0), relative to the family's scale, so no
+    radius is formed and the values do not depend on mu0.
     """
-    return _encoding_residual(fam, 0.0, fam.profile.params.gamma, grid, units)
+    return _encoding_residual(fam, 0.0, fam.profile.params.gamma, log_rho)
 
 
-def weighted_system_residual(fam: SynchronizedFamily, tau: float, grid,
-                             units=None) -> tuple[float, float]:
-    """Max normalized residual of the weighted encoding for g = r^tau u on rho = r/mu0.
+def weighted_system_residual(fam: SynchronizedFamily, tau: float,
+                             log_rho) -> tuple[float, float]:
+    """Max normalized residual of the weighted encoding for g = r^tau u at ``log_rho``.
 
     By the identity of ``radial_system_residual``, the potential of the
     weighted equation is tau^2 - (n-2) tau + gamma.  Requires tau to solve
     tau^2 - (n-2) tau + gamma = 0 (either root), so that the potential
     vanishes; it is passed as exactly 0, since computing it would leave
     roundoff next to terms that vanish as rho -> 0 or rho -> infinity.
-    ``units`` are as in ``radial_system_residual``.  ``full_verification``
-    reports the value at tau2 as ``equation_residual``.
+    ``full_verification`` reports the value at tau2 as ``equation_residual``.
     """
     p = fam.profile.params
     char = tau * tau - (p.n - 2.0) * tau + p.gamma
@@ -635,20 +618,18 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float, grid,
             f"tau={tau} is not a root of the characteristic equation "
             f"(residual {char:.3e})"
         )
-    return _encoding_residual(fam, tau, 0.0, grid, units)
+    return _encoding_residual(fam, tau, 0.0, log_rho)
 
 
-def ef_system_residual(fam: SynchronizedFamily, grid,
-                       units=None) -> tuple[float, float]:
-    """Max normalized residual of the phase-plane encoding on rho = r/mu0.
+def ef_system_residual(fam: SynchronizedFamily, log_rho) -> tuple[float, float]:
+    """Max normalized residual of the phase-plane encoding at ``log_rho``.
 
     Read in t = log r, the weighted encoding at tau = delta is the phase-plane
     system for y = r^delta u: n-1-2 delta = 1, so r^2 (g'' + g'/r) = y'',
     r^(-m delta) = r^(-2), and the potential delta^2 - (n-2) delta + gamma
     is -kappa^2.  So each equation y'' - kappa^2 y + y^(2*-1) + coupling is
     divided by c y, in the bounded terms of ``_encoding_residual``, and the
-    values do not depend on mu0.  ``units`` are as in
-    ``radial_system_residual``.
+    values do not depend on mu0.
     """
     p = fam.profile.params
-    return _encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, grid, units)
+    return _encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, log_rho)

@@ -29,18 +29,8 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .params import ProblemParams
 
-#: radii below this are rejected instead of returning infinities
+#: the least radius ``export`` accepts
 MIN_RADIUS = 1e-300
-
-
-def _as_radii(r):
-    """Validate positive radii; return them as a float array."""
-    import numpy as np
-    arr = np.asarray(r, dtype=float)
-    # a NaN makes both comparisons false
-    if arr.size and not (arr.min() >= MIN_RADIUS and arr.max() < math.inf):
-        raise ParameterError("radius must be finite and >= 1e-300")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -104,8 +94,8 @@ def asymptotic_limits(profile) -> tuple[float, float]:
     With rho = r/mu, r^tau1 U = A mu^(-kappa) (1 + rho^q)^(-delta) and
     r^tau2 U = A mu^kappa (rho^q / (1 + rho^q))^delta, so the limits are
     A mu^(-+kappa), returned as log A -+ kappa log mu: neither needs to be a
-    double.  ``full_verification`` compares them with the limits read off
-    the integrated orbit.
+    double.  No command reads them: ``full_verification`` reads off the
+    orbit the limit at 0 of mu^kappa r^tau1 U, which is A at every mu.
     """
     p = profile.params
     log_a, log_mu = math.log(p.amplitude), math.log(profile.mu)

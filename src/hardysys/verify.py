@@ -9,15 +9,15 @@ check name                  invariant
 ==========================  ====================================================
 equation_residual           residual of both radial equations at the closed
                             form <= 1e-9: the weighted encoding at tau2, on
-                            rho = r/mu0 in [1e-6, 1e6], each equation divided
-                            by c g / r^2, g = r^tau2 u, so every term is
-                            bounded, and normalized pointwise by the larger
-                            of 1 and its two terms in c1, c2
+                            log rho, rho = r/mu0 in [1e-6, 1e6], each
+                            equation divided by c g / r^2, g = r^tau2 u, so
+                            every term is bounded, and normalized pointwise
+                            by the larger of 1 and its two terms in c1, c2
 integration_deviation       sup |y - y_closed| / (peak of y_u, y_v) <= 1e-6
                             on the integrated orbit
 proportionality_defect      sup |y_u - s y_v| / sup y_u <= 1e-8 (integrated)
-asymptotic_u0               limit at 0 of r^tau1 u, read off the integrated
-                            orbit, within 1e-6 of c1 A mu0^-kappa
+asymptotic_u0               limit at 0 of mu0^kappa r^tau1 u, read off the
+                            integrated orbit, within 1e-6 of c1 A
 shooting_recovery           the orbit's maximum is c1 A 2^-delta within 1e-6
 energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
                             scalar closed form (nu=0)
@@ -25,10 +25,10 @@ energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
 
 The integrated orbit is the half orbit that shooting traces, from its start
 on the invariant ray y_v = y_u / s up to its turn.  Rescaling by mu0 maps
-solutions to solutions, and the orbit checks read the trace on its own
-times, log rho = log(r/mu0) with the turn at rho = 1, against the closed form
-at the same log rho: they read the same bits at every mu0.  Only
-asymptotic_u0, a limit of r^tau1 u proportional to mu0^-kappa, reads mu0.
+solutions to solutions, and every check reads log rho = log(r/mu0):
+equation_residual on a fixed grid of it, the orbit checks on the trace's own
+times, with the turn at rho = 1, against the closed form at the same log
+rho.  No check reads mu0, so each reads the same bits at every mu0.
 The start sits at coordinate rho = 1/4 of the ray's unstable manifold, whose
 turn is at rho = 1, so the manifold's closed form carries most of the climb,
 and the orbit checks see it: a start whose log(Z(x)/x) is off by 1e-5 of its
@@ -66,17 +66,12 @@ import numpy as np
 from .coupling import classify
 from .emdenfowler import (proportionality_defect, shoot_synchronized,
                           weighted_system_residual, _check_shooting_tol,
-                          _closed_form_arrays, _grid_units, _manifold_coordinates,
-                          _max_normalized)
+                          _closed_form_arrays, _manifold_coordinates, _max_normalized)
 from .params import ProblemParams
-from .profiles import asymptotic_limits
 
-#: rho = r/mu0 of equation_residual, the same at every mu0
-RHO_GRID = np.geomspace(1e-6, 1e6, 2048)
-RHO_GRID.flags.writeable = False
-# its logs, the argument of the grid's units, taken once
-_LOG_RHO_GRID = np.log(RHO_GRID)
-_LOG_RHO_GRID.flags.writeable = False
+#: log rho = log(r/mu0) of equation_residual, rho log-uniform over [1e-6, 1e6]
+LOG_RHO_GRID = np.log(np.geomspace(1e-6, 1e6, 2048))
+LOG_RHO_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -155,19 +150,17 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     ``integration_tol`` from the origin, where errors do not grow like
     e^(kappa t) as they do into the saddle, up to its turn at t = 0.  That
     half orbit is the orbit of every orbit check, and its times are
-    log rho = log(r/mu0), the argument of ``_closed_form_arrays``.  Its
-    start sits at manifold coordinate x0 y_eq (``_manifold_coordinates``)
-    at log rho = t_s = t[0] of the trace, so r^tau1 u = e^(-kappa log r) y_u
-    tends to x0 y_eq e^(-kappa (t0 + t_s)), t0 = log mu0: the one place
-    where mu0 enters.  That limit and the closed form's stay logs, and the
-    gap is |expm1| of their difference, so mu0^-kappa never has to be a
-    double.
+    log rho = log(r/mu0), the argument of ``_closed_form_arrays`` and of the
+    residual, which reads the fixed ``LOG_RHO_GRID``.  The start sits at
+    manifold coordinate x0 y_eq (``_manifold_coordinates``) at log rho =
+    t[0] of the trace, so mu0^kappa r^tau1 u = e^(-kappa log rho) y_u tends
+    to x0 y_eq e^(-kappa t[0]), and the closed form's limit is c1 A.  Both
+    stay logs, and the gap is |expm1| of their difference.  mu0 reaches
+    only ``classify``, which refuses a scale that is not positive and
+    finite, and the report's ``mu0`` line.
     """
     _check_shooting_tol(integration_tol)
     families = classify(p, mu0)
-    # the families share one profile, so the grid's units are built once
-    units = _grid_units(families[0].profile, _LOG_RHO_GRID) if families else None
-    t0 = math.log(mu0)
     checks: list[CheckResult] = []
 
     def add(name: str, value: float, threshold: float) -> None:
@@ -181,7 +174,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         s = fam.c_tilde
 
         add(tag + "equation_residual",
-            max(weighted_system_residual(fam, p.tau2, RHO_GRID, units)), 1e-9)
+            max(weighted_system_residual(fam, p.tau2, LOG_RHO_GRID)), 1e-9)
 
         half = shoot_synchronized(p, fam.root, integration_tol)
         ref_u, _, ref_v, _ = _closed_form_arrays(fam, half.t)
@@ -191,12 +184,11 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "integration_deviation", deviation / peak, 1e-6)
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 
-        # log of the orbit's limit; the closed form's is log(c1 A mu0^-kappa)
+        # log of the orbit's limit of mu0^kappa r^tau1 u; the closed form's is log(c1 A)
         x_u, _ = _manifold_coordinates(p, s)
-        log_b0, _ = asymptotic_limits(fam.profile)
-        log_u0 = math.log(x_u) - p.kappa * (t0 + half.t[0])
-        add(tag + "asymptotic_u0",
-            abs(math.expm1(log_u0 - (math.log(fam.c1) + log_b0))), 1e-6)
+        log_u0 = math.log(x_u) - p.kappa * half.t[0]
+        add(tag + "asymptotic_u0", abs(math.expm1(
+            log_u0 - (math.log(fam.c1) + math.log(p.amplitude)))), 1e-6)
 
         target = fam.peak_amplitude
         add(tag + "shooting_recovery", abs(half.y_u[-1] - target) / target, 1e-6)

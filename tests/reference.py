@@ -51,7 +51,7 @@ from hardysys.coupling import _merged_terms
 from hardysys.emdenfowler import (EFState, EFTrajectory, _RHO0, _closed_form_arrays,
                                   _manifold_coordinates)
 from hardysys.params import ProblemParams
-from hardysys.profiles import ScalarProfile, _as_radii
+from hardysys.profiles import MIN_RADIUS, ScalarProfile
 
 # --- finite differences and convergence orders ---------------------------------
 
@@ -332,6 +332,15 @@ def simultaneous_max_check(traj: EFTrajectory) -> tuple[float, float]:
 # --- the scalar profile --------------------------------------------------------
 
 
+def _as_radii(r):
+    """Validate positive radii; return them as a float array."""
+    arr = np.asarray(r, dtype=float)
+    # a NaN makes both comparisons false
+    if arr.size and not (arr.min() >= MIN_RADIUS and arr.max() < math.inf):
+        raise ParameterError("radius must be finite and >= 1e-300")
+    return arr
+
+
 def profile_value(profile: ScalarProfile, r):
     """u_mu(r) of ``profile``, vectorized over positive radii."""
     return np.exp(profile._log_value(_as_radii(r)))
@@ -405,17 +414,18 @@ def max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
-def all_terms_residual(fam, tau: float, potential: float, units) -> tuple[float, float]:
+def all_terms_residual(fam, tau: float, potential: float, log_rho) -> tuple[float, float]:
     """The bounded encoding at tau, normalized by max(1, |terms|) over all five terms.
 
-    The terms are those of ``_encoding_residual`` on ``units`` = (w, 1 - w,
-    y^m); its normalizer leaves out the three that carry no constant, so it
-    is pointwise at most this one, and its value at least this one's, up to
-    rounding.
+    The terms are those of ``_encoding_residual`` at ``log_rho``, from the
+    profile's bounded units (w, 1 - w, log y); its normalizer leaves out the
+    three that carry no constant, so it is pointwise at most this one, and
+    its value at least this one's, up to rounding.
     """
     p = fam.profile.params
     m = p.two_star - 2.0
-    w, om, y_m = units
+    w, om, log_y = fam.profile._bounded_units(np.asarray(log_rho, dtype=float))
+    y_m = np.exp(m * log_y)
     if tau - p.tau1 <= p.kappa:
         chi = (tau - p.tau1) - 2.0 * p.kappa * w
     else:

@@ -47,12 +47,12 @@ def test_criterion_01_root_counts():
 
 def test_criterion_02_exact_solution_residuals(matrix_families):
     t_start = time.perf_counter()
-    grid = np.geomspace(1e-6, 1e6, 2048)
+    log_rho = np.log(np.geomspace(1e-6, 1e6, 2048))
     worst = 0.0
     for p, mu0, fam in matrix_families:
-        worst = max(worst, *hs.emdenfowler.radial_system_residual(fam, grid))
+        worst = max(worst, *hs.emdenfowler.radial_system_residual(fam, log_rho))
         for tau in (p.tau1, p.tau2):
-            worst = max(worst, *hs.weighted_system_residual(fam, tau, grid))
+            worst = max(worst, *hs.weighted_system_residual(fam, tau, log_rho))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-9 and elapsed < 10.0
     _report(2, "closed-form residuals over the matrix",
@@ -145,7 +145,7 @@ def test_criterion_07_asymptotics(matrix_trajectories):
         log_v0 = math.log(x_v) - p.kappa * orbit.t[0]
         log_uinf = math.log(x_u) + p.kappa * orbit.t[-1]
         # closed form: u0 = c1 A mu0^-kappa, uinf = c1 A mu0^kappa
-        limit0, limit_inf = hs.asymptotic_limits(fam.profile)
+        limit0, limit_inf = hs.profiles.asymptotic_limits(fam.profile)
         log_c1 = math.log(fam.c1)
         worst_limit = max(worst_limit,
                           abs(math.expm1(log_u0 - (log_c1 + limit0))),

@@ -593,7 +593,7 @@ def test_export_round_trip_residual(tmp_path):
     np.testing.assert_allclose(v, fam.c2 * profile_value(fam.profile, r), rtol=1e-15)
     np.testing.assert_allclose(wt1, r ** p.tau1 * u, rtol=1e-13)
     np.testing.assert_allclose(wt2, r ** p.tau2 * u, rtol=1e-13)
-    ru, rv = hs.emdenfowler.radial_system_residual(fam, r)
+    ru, rv = hs.emdenfowler.radial_system_residual(fam, np.log(r))
     assert max(ru, rv) <= 1e-9
 
 

@@ -17,8 +17,9 @@ from reference import (DP5_A, DP5_B, DP5_E, closed_form_accel, closed_form_array
                        manifold_series_start, max_normalized, phase_plane_residual,
                        r_space_residual, simultaneous_max_check)
 
-# rho = r/mu0 of the residuals of the four encodings
+# rho = r/mu0 of the residuals of the four encodings, and its logs, their argument
 GRID = np.geomspace(1e-6, 1e6, 2048)
+LOG_GRID = np.log(GRID)
 
 
 # --- right-hand side -----------------------------------------------------------
@@ -797,14 +798,14 @@ def test_simultaneous_max_boundary_error(benchmark4):
 
 def test_radial_residual_benchmark(benchmark4):
     _, fam = benchmark4
-    ru, rv = hs.emdenfowler.radial_system_residual(fam, GRID)
+    ru, rv = hs.emdenfowler.radial_system_residual(fam, LOG_GRID)
     assert max(ru, rv) <= 1e-9
 
 
 def test_radial_residual_scalar():
     p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
-    ru, rv = hs.emdenfowler.radial_system_residual(fam, GRID)
+    ru, rv = hs.emdenfowler.radial_system_residual(fam, LOG_GRID)
     assert max(ru, rv) <= 1e-9
 
 
@@ -813,20 +814,27 @@ def test_radial_residual_detects_wrong_amplitude(benchmark4):
 
     _, fam = benchmark4
     wrong = replace(fam, c1=1.1 * fam.c1, c2=1.1 * fam.c2)
-    ru, rv = hs.emdenfowler.radial_system_residual(wrong, GRID)
+    ru, rv = hs.emdenfowler.radial_system_residual(wrong, LOG_GRID)
     assert max(ru, rv) >= 1e-2
 
 
 def test_radial_residual_rejects_bad_grid(benchmark4):
-    _, fam = benchmark4
-    with pytest.raises(ParameterError):
-        hs.emdenfowler.radial_system_residual(fam, np.array([-1.0, 1.0]))
+    # the residuals take log rho: a non-finite one is refused, in every encoding
+    p, fam = benchmark4
+    for bad in (math.nan, math.inf, -math.inf):
+        log_rho = np.array([0.0, bad])
+        with pytest.raises(ParameterError, match="log rho must be finite"):
+            hs.emdenfowler.radial_system_residual(fam, log_rho)
+        with pytest.raises(ParameterError, match="log rho must be finite"):
+            hs.weighted_system_residual(fam, p.tau2, log_rho)
+        with pytest.raises(ParameterError, match="log rho must be finite"):
+            hs.emdenfowler.ef_system_residual(fam, log_rho)
 
 
 def test_weighted_residual_both_roots(benchmark4):
     p, fam = benchmark4
     for tau in (p.tau1, p.tau2):
-        wu, wv = hs.weighted_system_residual(fam, tau, GRID)
+        wu, wv = hs.weighted_system_residual(fam, tau, LOG_GRID)
         assert max(wu, wv) <= 1e-9
 
 
@@ -834,7 +842,7 @@ def test_weighted_residual_rejects_non_root_exponent():
     p = hs.ProblemParams.symmetric(5, 1.125, 1.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
     with pytest.raises(ParameterError):
-        hs.weighted_system_residual(fam, p.delta, GRID)
+        hs.weighted_system_residual(fam, p.delta, LOG_GRID)
 
 
 def test_three_encodings_agree(matrix_families):
@@ -843,14 +851,14 @@ def test_three_encodings_agree(matrix_families):
     # the undivided equations term by term at the radii r = mu0 rho, and the
     # phase-plane one also by the theta-form oracle, summed in t = log r
     for p, mu0, fam in matrix_families:
-        ru, rv = hs.emdenfowler.radial_system_residual(fam, GRID)
+        ru, rv = hs.emdenfowler.radial_system_residual(fam, LOG_GRID)
         assert max(ru, rv) <= 1e-9
         assert max(r_space_residual(fam, 0.0, p.gamma, mu0 * GRID)) <= 1e-9
         for tau in (p.tau1, p.tau2):
-            wu, wv = hs.weighted_system_residual(fam, tau, GRID)
+            wu, wv = hs.weighted_system_residual(fam, tau, LOG_GRID)
             assert max(wu, wv) <= 1e-9
             assert max(r_space_residual(fam, tau, 0.0, mu0 * GRID)) <= 1e-9
-        eu, ev = hs.emdenfowler.ef_system_residual(fam, GRID)
+        eu, ev = hs.emdenfowler.ef_system_residual(fam, LOG_GRID)
         assert max(eu, ev) <= 1e-9
         t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)
         assert max(phase_plane_residual(fam, t_grid)) <= 1e-9

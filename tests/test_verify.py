@@ -61,16 +61,16 @@ def test_convergence_order_validation():
 
 
 def test_log_uniform_grid_contract(monkeypatch, benchmark4):
-    # the grid full_verification passes to the residual holds rho = r/mu0:
-    # the same 2048 log-uniform points over [1e-6, 1e6] at every mu0, so
-    # mu0 = 1e-+300 forms no radius outside the doubles
+    # the grid full_verification passes to the residual holds log rho =
+    # log(r/mu0): the logs of the same 2048 log-uniform points over
+    # [1e-6, 1e6] at every mu0, so mu0 = 1e-+300 forms no radius at all
     p, _ = benchmark4
     grids = []
     weighted = hs.verify.weighted_system_residual
 
-    def capturing_weighted(fam, tau, grid, units=None):
-        grids.append(grid)
-        return weighted(fam, tau, grid, units)
+    def capturing_weighted(fam, tau, log_rho):
+        grids.append(log_rho)
+        return weighted(fam, tau, log_rho)
 
     monkeypatch.setattr(hs.verify, "weighted_system_residual", capturing_weighted)
     for mu0 in (1.0, 1e-300, 1e300):
@@ -78,48 +78,33 @@ def test_log_uniform_grid_contract(monkeypatch, benchmark4):
     assert len(grids) == 3
     grid = grids[0]
     assert len(grid) == 2048
-    assert grid[0] == pytest.approx(1e-6)
-    assert grid[-1] == pytest.approx(1e6)
-    assert np.all(np.diff(grid) > 0)
-    ratios = grid[1:] / grid[:-1]
-    assert np.max(ratios) / np.min(ratios) - 1.0 < 1e-10
+    assert grid[0] == pytest.approx(math.log(1e-6))
+    assert grid[-1] == pytest.approx(math.log(1e6))
+    steps = np.diff(grid)
+    assert np.all(steps > 0)
+    assert np.max(steps) / np.min(steps) - 1.0 < 1e-10
+    assert grid.tobytes() == np.log(np.geomspace(1e-6, 1e6, 2048)).tobytes()
     for other in grids[1:]:
         assert other.tobytes() == grid.tobytes()
     assert not grid.flags.writeable  # one module constant, never rebuilt
 
 
-def test_shared_grid_units_give_the_standalone_residuals(matrix_families):
-    # full_verification builds the grid's units once per call and shares them
-    # between its families; each equation_residual is the bits of the
-    # standalone weighted residual at tau2 on the same rho grid
-    grid = hs.verify.RHO_GRID
-    cases = {}
-    for p, mu0, fam in matrix_families:
-        cases.setdefault((p, mu0), []).append(fam)
-    assert len(cases) == 36
-    for (p, mu0), fams in cases.items():
-        values = {c.name: c.value for c in hs.full_verification(p, mu0).checks}
-        for i, fam in enumerate(fams):
-            standalone = max(hs.weighted_system_residual(fam, p.tau2, grid))
-            assert values[f"f{i}.equation_residual"].hex() == standalone.hex(), (p, mu0, i)
-
-
 @pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
-                                  (3, 0.0, 1.0, 3.0), (4, 0.0, 0.0, 2.0)])
+                                  (3, 0.0, 1.0, 3.0), (4, 0.0, 0.0, 2.0),
+                                  (150, 5475.0, 0.0, 1.0135135135135136)])
 def test_encoding_residuals_do_not_depend_on_mu0(args):
-    # rescaling by mu0 maps solutions to solutions: the residual on the rho
-    # grid, and the orbit and energy checks on log rho, read no mu0, so every
-    # check but asymptotic_u0 (the limit c1 A mu0^-kappa) keeps the bits of
-    # mu0 = 1
+    # rescaling by mu0 maps solutions to solutions: the residual on the log
+    # rho grid, the orbit and energy checks on log rho, and asymptotic_u0, the
+    # limit mu0^kappa r^tau1 u = c1 A, read no mu0, so every check keeps the
+    # bits of mu0 = 1
     p = hs.ProblemParams(*args)
 
     def values(mu0):
-        return [(c.name, c.value.hex()) for c in hs.full_verification(p, mu0).checks
-                if not c.name.endswith(".asymptotic_u0")]
+        return [(c.name, c.value.hex()) for c in hs.full_verification(p, mu0).checks]
 
     at_one = values(1.0)
-    # four checks per family, and energy_invariant at nu = 0
-    assert len(at_one) == len(hs.classify(p)) * (4 if p.nu else 5)
+    # five checks per family, and energy_invariant at nu = 0
+    assert len(at_one) == len(hs.classify(p)) * (5 if p.nu else 6)
     for mu0 in (0.5, 2.0, 1e-300, 1e300):
         assert values(mu0) == at_one, mu0
 
@@ -363,18 +348,31 @@ MUTATION_BOX = ([(n, frac, nu, f) for n in (3, 5, 10, 20) for frac in (0.0, 0.5,
                 + [(150, 0.0, 1.0, 0.5), (150, 5475.0 / hs.hardy_constant(150), 0.0, 0.5)])
 
 
-def _mutants(fam, units):
-    """(family, units) with c1, c2 or both off by -+1e-6, or with w, y^m or
-    q off by 1e-6 of itself (y^m as log y off by 1e-6)."""
-    p = fam.profile.params
-    w, om, y_m = units
+class _SkewedW(ScalarProfile):
+    """The profile with w off by 1e-6 of itself."""
+
+    def _bounded_units(self, rho_log):
+        w, om, log_y = super()._bounded_units(rho_log)
+        return w * (1.0 + 1e-6), om, log_y
+
+
+class _SkewedY(ScalarProfile):
+    """The profile with log y, so y^m, off by 1e-6."""
+
+    def _bounded_units(self, rho_log):
+        w, om, log_y = super()._bounded_units(rho_log)
+        return w, om, log_y + 1e-6
+
+
+def _mutants(fam):
+    """The family with c1, c2 or both off by -+1e-6, or with w, y^m or q
+    off by 1e-6 of itself (y^m as log y off by 1e-6)."""
     for k1, k2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         for sign in (1.0, -1.0):
             yield replace(fam, c1=fam.c1 * (1.0 + sign * k1 * 1e-6),
-                          c2=fam.c2 * (1.0 + sign * k2 * 1e-6)), units
-    yield fam, (w * (1.0 + 1e-6), om, y_m)
-    yield fam, (w, om, y_m * math.exp((p.two_star - 2.0) * 1e-6))
-    yield replace(fam, profile=_SkewedQ(p, fam.profile.mu)), units
+                          c2=fam.c2 * (1.0 + sign * k2 * 1e-6))
+    for skewed in (_SkewedW, _SkewedY, _SkewedQ):
+        yield replace(fam, profile=skewed(fam.profile.params, fam.profile.mu))
 
 
 def test_equation_residual_fails_every_mutant_any_encoding_fails():
@@ -382,24 +380,22 @@ def test_equation_residual_fails_every_mutant_any_encoding_fails():
     # one function of rho; equation_residual, the weighted one at tau2 under
     # the scale max(1, c-terms), fails every mutant that any of them fails,
     # whether under that scale or under max(1, |terms|) over all five terms
-    grid, log_grid = hs.verify.RHO_GRID, np.log(hs.verify.RHO_GRID)
+    log_grid = np.log(np.geomspace(1e-6, 1e6, 2048))
     escapes, mutants, caught, worst = [], 0, 0, 0.0
     for n, frac, nu, f in MUTATION_BOX:
         ts = hs.critical_exponent(n)
         p = hs.ProblemParams(n, frac * hs.hardy_constant(n), nu, 1.0 + f * (ts - 2.0))
         encodings = ((0.0, p.gamma), (p.tau1, 0.0), (p.tau2, 0.0),
                      (p.delta, p.gamma - p.delta * p.delta))
-        fams = hs.classify(p)
-        units = hs.emdenfowler._grid_units(fams[0].profile, log_grid)
-        for fam in fams:
-            worst = max(worst, *hs.weighted_system_residual(fam, p.tau2, grid, units))
-            for mutant, mutated in _mutants(fam, units):
+        for fam in hs.classify(p):
+            worst = max(worst, *hs.weighted_system_residual(fam, p.tau2, log_grid))
+            for mutant in _mutants(fam):
                 mutants += 1
-                value = max(hs.weighted_system_residual(mutant, p.tau2, grid, mutated))
-                others = [hs.emdenfowler.radial_system_residual(mutant, grid, mutated),
-                          hs.weighted_system_residual(mutant, p.tau1, grid, mutated),
-                          hs.emdenfowler.ef_system_residual(mutant, grid, mutated)]
-                others += [all_terms_residual(mutant, tau, potential, mutated)
+                value = max(hs.weighted_system_residual(mutant, p.tau2, log_grid))
+                others = [hs.emdenfowler.radial_system_residual(mutant, log_grid),
+                          hs.weighted_system_residual(mutant, p.tau1, log_grid),
+                          hs.emdenfowler.ef_system_residual(mutant, log_grid)]
+                others += [all_terms_residual(mutant, tau, potential, log_grid)
                            for tau, potential in encodings]
                 if max(map(max, others)) > 1e-9:
                     caught += 1
