@@ -8,7 +8,8 @@ its first root search.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a root of the coupling function beyond the range of a double,
-named by its log s, and an ``export`` profile beyond it), 3 no usable
+named by its log s, constants of a root or a term of their system beyond
+it, and an ``export`` profile beyond it), 3 no usable
 (non-degenerate) root, 5 unwritable output path (one stderr line,
 ``output error: <message>``, that names the path), 6 integration failed
 (step size underflow, step budget exceeded, floating-point overflow, or a

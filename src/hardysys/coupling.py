@@ -225,12 +225,24 @@ def find_positive_roots(p: ProblemParams) -> list[CouplingRoot]:
 
 
 def verify_constants_system(c1: float, c2: float, p: ProblemParams) -> tuple[float, float]:
-    """Residuals of the two algebraic equations for the constants (c1, c2)."""
+    """Residuals of the two algebraic equations for the constants (c1, c2).
+
+    ParameterError if c1 or c2 is not positive, or if a power or a term of
+    either equation leaves the range of a double, so that a residual is not
+    finite.
+    """
     if c1 <= 0 or c2 <= 0:
         raise ParameterError(f"constants must be positive, got ({c1}, {c2})")
     ts = p.two_star
-    res1 = abs(c1 ** (ts - 2.0) + p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta - 1.0)
-    res2 = abs(c2 ** (ts - 2.0) + p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0) - 1.0)
+    # float powers raise OverflowError where a product would give inf
+    try:
+        res1 = abs(c1 ** (ts - 2.0) + p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta - 1.0)
+        res2 = abs(c2 ** (ts - 2.0) + p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0) - 1.0)
+    except OverflowError:
+        res1 = res2 = math.inf
+    if not math.isfinite(res1 + res2):
+        raise ParameterError(f"the constants system at ({c1:.6g}, {c2:.6g}) has a "
+                             "term beyond the range of a double")
     return res1, res2
 
 
@@ -238,7 +250,10 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
     """Map a root s of f to the constants (c1, c2) = (s c2, (1+nu beta s^alpha)^(-1/(2*-2))).
 
     The second equation of the constants system holds by construction; the
-    first follows from f(s) = 0 and is asserted, not assumed.
+    first follows from f(s) = 0 and is asserted, not assumed.  ParameterError
+    if c1 or c2 is below the least normal double, or if a term of the constants
+    system leaves the doubles (``verify_constants_system``); ConvergenceError
+    if a finite residual exceeds 1e-12.
     """
     s = root.c_tilde
     residual = abs(coupling_f(s, p))
@@ -249,6 +264,10 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
     ts = p.two_star
     c2 = (1.0 + p.nu * p.beta * s ** p.alpha) ** (-1.0 / (ts - 2.0))
     c1 = s * c2
+    # c2 <= 1 and c1 <= s, so neither can overflow; either can underflow
+    if not (c1 >= sys.float_info.min and c2 >= sys.float_info.min):
+        raise ParameterError(f"the constants of the root s = {s:.6g} are beyond the "
+                             "range of a double")
     res1, res2 = verify_constants_system(c1, c2, p)
     if not (res1 <= 1e-12 and res2 <= 1e-12):  # a NaN raises too
         raise ConvergenceError(

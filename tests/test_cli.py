@@ -123,6 +123,30 @@ def test_classify_root_beyond_double_range_exit2():
     assert len(err.splitlines()) == 1
 
 
+#: n = 150 points whose constants c1, c2 (about 1e-306 to 1e-439) or a term
+#: of whose constants system leave the range of a double
+CONSTANTS_BEYOND_A_DOUBLE = (
+    ["--n", "150", "--nu", "277032279.5490757", "--alpha", "1.0234711151999298"],
+    ["--n", "150", "--gamma", "3969.915893387126", "--nu", "185766274.20473182",
+     "--alpha", "1.010056960915477"],
+    ["--n", "150", "--nu", "733570424133.4932", "--alpha", "1.0012491346457573"],
+)
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "shoot", "export"])
+@pytest.mark.parametrize("params", CONSTANTS_BEYOND_A_DOUBLE)
+def test_constants_beyond_double_range_exit2(command, params, tmp_path):
+    # they raised OverflowError, ConvergenceError (residual inf) or "constants
+    # must be positive, got (0.0, 0.0)"
+    extra = ["--out", str(tmp_path / "x")] if command == "export" else []
+    code, out, err = run_cli([command, *params, *extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid parameters:") and "beyond the range of a double" in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_searches_roots_once(monkeypatch):
     calls = []
     search = hs.coupling.find_positive_roots

@@ -187,6 +187,29 @@ def test_verify_constants_system_values():
         hs.verify_constants_system(-1.0, 1.0, p4())
 
 
+def test_verify_constants_system_beyond_double_range():
+    # c1^alpha at c1 = 1e300, alpha = 1.5 is a power that overflows, and
+    # nu alpha c1^(alpha-2) c2^beta at n = 150 a product that does: both are
+    # refused, not raised as OverflowError or returned as an infinite residual
+    with pytest.raises(ParameterError, match="beyond the range of a double"):
+        hs.verify_constants_system(1e300, 1.0, hs.ProblemParams(4, 0.0, 1.0, 1.5))
+    p = hs.ProblemParams(150, 3969.915893387126, 185766274.20473182, 1.010056960915477)
+    with pytest.raises(ParameterError, match="beyond the range of a double"):
+        hs.verify_constants_system(6.78728e-307, 6.81047e-307, p)
+
+
+def test_constants_beyond_double_range_are_refused():
+    # c2 = (1 + nu beta s^alpha)^(-1/(2*-2)) underflows at n = 150, where
+    # -1/(2*-2) = -37: below the least normal double, the constants are refused
+    p = hs.ProblemParams(150, 0.0, 733570424133.4932, 1.0012491346457573)
+    with pytest.raises(ParameterError, match=r"s = \S+ are beyond the range of a double"):
+        hs.classify(p)
+    # a coupling term far below the least normal double changes no residual
+    p = hs.ProblemParams(4, 0.0, 1e-310, 2.0)
+    assert hs.verify_constants_system(1.0, 1.0, p) == (0.0, 0.0)
+    assert [(f.c1, f.c2) for f in hs.classify(p)] == [(1.0, 1.0)]
+
+
 def test_classify_counts_and_invariants():
     fams3 = hs.classify(p3(), 1.0)
     assert len(fams3) == 3
