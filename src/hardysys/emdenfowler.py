@@ -397,19 +397,24 @@ def _quintic_turn(h: float, u, v) -> tuple[float, float, float]:
 _RHO0 = 0.25
 
 
-def _manifold_coordinates(p: ProblemParams, s: float) -> tuple[float, float]:
-    """Manifold coordinates (x0 y_eq, x0 y_eq / s) of the shooting start.
+def _manifold_coordinate(p: ProblemParams, s: float) -> float:
+    """Manifold coordinate x0 y_eq of y_u at the shooting start.
 
-    y_eq is the equilibrium amplitude of the ray y_v = y_u / s and
-    x0 = (2 2* rho0)^(1/m), m = 2* - 2, rho0 = 1/4.  The orbit through the
-    start (``_manifold_start``) is e^(kappa (t - t_start)) times these as
-    t -> -infinity.
+    y_eq is the equilibrium amplitude of the ray y_v = y_u / s, y_eq^m =
+    kappa^2 / K with K = 1 + nu alpha s^(-beta), and x0 = (2 2* rho0)^(1/m),
+    m = 2* - 2, rho0 = 1/4.  The orbit through the start
+    (``_manifold_start``) is e^(kappa (t - t_start)) times (x0 y_eq,
+    x0 y_eq / s) as t -> -infinity.  K enters as K^(-1/m) = e^(-log K / m),
+    log K = logaddexp(0, log(nu alpha) - beta log s), K = 1 at nu = 0:
+    s^(-beta) and K overflow at a tiny root s whose start is a double.
     """
     m = p.two_star - 2.0
-    k_u = 1.0 + p.nu * p.alpha * s ** (-p.beta)
-    y_eq = (p.kappa * p.kappa / k_u) ** (1.0 / m)
-    x_u = (2.0 * p.two_star * _RHO0) ** (1.0 / m) * y_eq
-    return x_u, x_u / s
+    log_k = 0.0
+    if p.nu:
+        x = math.log(p.nu) + math.log(p.alpha) - p.beta * math.log(s)
+        log_k = max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+    y_eq = (p.kappa * p.kappa) ** (1.0 / m) * math.exp(-log_k / m)
+    return (2.0 * p.two_star * _RHO0) ** (1.0 / m) * y_eq
 
 
 def _manifold_start(p: ProblemParams, s: float) -> EFState:
@@ -419,13 +424,13 @@ def _manifold_start(p: ProblemParams, s: float) -> EFState:
     unstable manifold is z = Z(x e^(kappa t)), Z(x) = x (1 + rho)^(-2/m),
     rho = x^m / (2 2*), m = 2* - 2, in closed form for every rho.  The start
     is y_u = y_eq Z(x0), y_u' = kappa y_eq x0 Z'(x0) = kappa y_u (1 - 2 rho0
-    / (1 + rho0)), at the coordinates of ``_manifold_coordinates``.  It reads
+    / (1 + rho0)), at the coordinate of ``_manifold_coordinate``.  It reads
     2*, kappa, nu, alpha, beta and s, and nothing of the closed-form profile;
     the series of log(Z(x)/x) that the parametrisation method builds from the
     ODE alone (``tests/reference.py``) is its oracle.
     """
     m = p.two_star - 2.0
-    x_u, _ = _manifold_coordinates(p, s)
+    x_u = _manifold_coordinate(p, s)
     y0 = x_u * math.exp(-2.0 / m * math.log1p(_RHO0))  # y_eq Z(x0)
     slope = p.kappa * y0 * (1.0 - 2.0 * _RHO0 / (1.0 + _RHO0))  # kappa y_eq x0 Z'(x0)
     return EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)

@@ -67,7 +67,7 @@ import numpy as np
 from .coupling import classify
 from .emdenfowler import (proportionality_defect, shoot_synchronized,
                           weighted_system_residual, _check_shooting_tol,
-                          _closed_form_arrays, _manifold_coordinates, _max_normalized)
+                          _closed_form_arrays, _manifold_coordinate, _max_normalized)
 from .params import ProblemParams
 
 #: log rho = log(r/mu0) of equation_residual, rho log-uniform over [1e-6, 1e6]
@@ -153,7 +153,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     half orbit is the orbit of every orbit check, and its times are
     log rho = log(r/mu0), the argument of ``_closed_form_arrays`` and of the
     residual, which reads the fixed ``LOG_RHO_GRID``.  The start sits at
-    manifold coordinate x0 y_eq (``_manifold_coordinates``) at log rho =
+    manifold coordinate x0 y_eq (``_manifold_coordinate``) at log rho =
     t[0] of the trace, so mu0^kappa r^tau1 u = e^(-kappa log rho) y_u tends
     to x0 y_eq e^(-kappa t[0]), and the closed form's limit is c1 A.  Both
     stay logs, and the gap is |expm1| of their difference.  mu0 reaches
@@ -186,8 +186,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 
         # log of the orbit's limit of mu0^kappa r^tau1 u; the closed form's is log(c1 A)
-        x_u, _ = _manifold_coordinates(p, s)
-        log_u0 = math.log(x_u) - p.kappa * half.t[0]
+        log_u0 = math.log(_manifold_coordinate(p, s)) - p.kappa * half.t[0]
         add(tag + "asymptotic_u0", abs(math.expm1(
             log_u0 - (math.log(fam.c1) + math.log(p.amplitude)))), 1e-6)
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import hardysys as hs
-from hardysys.emdenfowler import _manifold_coordinates
+from hardysys.emdenfowler import _manifold_coordinate
 from reference import mirrored
 
 
@@ -51,7 +51,11 @@ def matrix_trajectories(matrix_families):
     """Each family's whole orbit: the tol 1e-10 shooting trace that
     full_verification checks, mirrored about its turn at log mu0 by the
     reference mirror, with the manifold coordinates (x_u, x_v) of its start."""
-    return [{"params": p, "mu0": mu0, "family": fam,
-             "orbit": mirrored(hs.shoot_synchronized(p, fam.root, 1e-10), math.log(mu0)),
-             "coordinates": _manifold_coordinates(p, fam.c_tilde)}
-            for p, mu0, fam in matrix_families]
+    cases = []
+    for p, mu0, fam in matrix_families:
+        x_u = _manifold_coordinate(p, fam.c_tilde)
+        cases.append({"params": p, "mu0": mu0, "family": fam,
+                      "orbit": mirrored(hs.shoot_synchronized(p, fam.root, 1e-10),
+                                        math.log(mu0)),
+                      "coordinates": (x_u, x_u / fam.c_tilde)})
+    return cases

@@ -49,7 +49,7 @@ import numpy as np
 from hardysys import ConvergenceError, ParameterError, TrajectoryError
 from hardysys.coupling import _merged_terms
 from hardysys.emdenfowler import (EFState, EFTrajectory, _RHO0, _closed_form_arrays,
-                                  _manifold_coordinates)
+                                  _manifold_coordinate)
 from hardysys.params import ProblemParams
 from hardysys.profiles import MIN_RADIUS, ScalarProfile
 
@@ -286,7 +286,7 @@ def manifold_series_start(p: ProblemParams, s: float, logs=None) -> EFState:
     for k in range(len(logs) - 1, 0, -1):
         g = (g + logs[k]) * w
         dg = (dg + m * k * logs[k]) * w
-    x_u, _ = _manifold_coordinates(p, s)
+    x_u = _manifold_coordinate(p, s)
     y0 = x_u * math.exp(g)
     slope = p.kappa * y0 * (1.0 + dg)
     return EFState(y_u=y0, p_u=slope, y_v=y0 / s, p_v=slope / s)

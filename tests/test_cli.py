@@ -355,6 +355,22 @@ def test_shoot_strong_coupling_n14_exit0():
     assert float(lines["relative_error"]) <= 1e-10
 
 
+TINY_ROOT = ["--n", "4", "--nu", "6.771602131663632e-05", "--alpha", "1.984557056190681"]
+
+
+def test_shoot_and_verify_at_a_tiny_root_exit0():
+    # the first root is s = 1.97e-251, a normal double, where s^-beta, and
+    # the equilibrium's K = 1 + nu alpha s^-beta, overflow: both commands
+    # raised OverflowError before the start read log K
+    code, out, err = run_cli(["shoot", *TINY_ROOT])
+    assert (code, err) == (0, "")
+    lines = dict(ln.split(": ") for ln in out.strip().splitlines())
+    assert float(lines["relative_error"]) <= 0.5e-9
+    code, out, err = run_cli(["verify", *TINY_ROOT])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["families"] == 2
+
+
 def test_shoot_wide_bracket_recovers_amplitude():
     # this case once needed a wide bracket, (0.1, 100), and a loose stage to
     # integrate its far end trial.  The run now climbs from the start on

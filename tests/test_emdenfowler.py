@@ -9,7 +9,7 @@ import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.cli import main
-from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinates,
+from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinate,
                                   _manifold_start, _max_normalized, integrate)
 from reference import (DP5_A, DP5_B, DP5_E, closed_form_accel, closed_form_arrays,
                        convergence_order, dp5_table_step, ef_energy, ef_rhs,
@@ -389,8 +389,10 @@ def test_kernel_bitwise_regression(name, monkeypatch):
 
 
 def test_shoot_bitwise_regression(benchmark4):
+    # 0x1.a20bd700be7b1p-1 until the start came to read K = 1 + nu alpha
+    # s^-beta as e^(log K), 5 ulps higher
     p, fam = benchmark4
-    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700be7b1p-1"
+    assert hs.shoot_synchronized(p, fam.root).y_u[-1].hex() == "0x1.a20bd700be7b6p-1"
 
 
 @pytest.mark.parametrize("n", [3, 6, 14, 50, 150, 200])
@@ -412,9 +414,9 @@ def test_manifold_series_start(n):
     z = x0 * math.exp(g)
     d2z = z * ((1.0 + dg) ** 2 + d2g)  # x^2 Z'' + x Z'
     assert abs(d2z - z + z ** (ts - 1.0)) <= 4e-15 * max(d2z, z)
-    x_u, x_v = _manifold_coordinates(p, 1.0)
+    x_u = _manifold_coordinate(p, 1.0)
     # the coordinate is x0 y_eq, y_eq = kappa^(2/m) on the scalar ray
-    assert x_v == x_u and math.isclose(x_u, x0 * p.kappa ** (2.0 / m), rel_tol=1e-14)
+    assert math.isclose(x_u, x0 * p.kappa ** (2.0 / m), rel_tol=1e-14)
     start, series = _manifold_start(p, 1.0), manifold_series_start(p, 1.0)
     assert (start.y_v, start.p_v) == (start.y_u, start.p_u)
     # the series' own rounding: G = -(2/m) log(5/4), -22 at n = 200, sums
@@ -429,6 +431,27 @@ def test_manifold_series_start(n):
     z, q = start.y_u / y_eq, start.p_u / y_eq
     energy = 0.5 * q * q - 0.5 * kappa2 * z * z + kappa2 * z ** ts / ts
     assert abs(energy) <= 1e-15 * 0.5 * kappa2 * z * z
+
+
+def test_manifold_coordinate_at_a_tiny_root():
+    # at s = 1.97e-251, K = 1 + nu alpha s^-beta is about 2.6e501, beyond
+    # the doubles; y_eq = (kappa^2 / K)^(1/m) is about 2e-251, and the start's
+    # y_u / s on the ray is the equilibrium's K-free ratio x0 kappa^(2/m)
+    # (nu alpha)^(-1/m) s^(beta/m - 1) to rounding
+    p = hs.ProblemParams(4, 0.0, 6.771602131663632e-05, 1.984557056190681)
+    s = hs.find_positive_roots(p)[0].c_tilde
+    assert s < 1e-250
+    m = p.two_star - 2.0
+    x_u = _manifold_coordinate(p, s)
+    x0 = (2.0 * p.two_star * 0.25) ** (1.0 / m)
+    log_ratio = (math.log(x0) + 2.0 / m * math.log(p.kappa)
+                 - math.log(p.nu * p.alpha) / m + (p.beta / m - 1.0) * math.log(s))
+    assert abs(math.log(x_u / s) - log_ratio) <= 1e-12 * abs(log_ratio)
+    # where nothing overflows, K itself gives the same coordinate to rounding
+    for s in (1e-3, 1.0, 1e3):
+        k = 1.0 + p.nu * p.alpha * s ** -p.beta
+        assert math.isclose(_manifold_coordinate(p, s),
+                            x0 * (p.kappa * p.kappa / k) ** (1.0 / m), rel_tol=1e-14)
 
 
 def test_shoot_returns_the_half_orbit_up_to_its_turn(benchmark3):
@@ -476,7 +499,7 @@ def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
     monkeypatch.setattr(emdenfowler, "integrate", recording)
     a = hs.shoot_synchronized(p, fam.root, tol=1e-7).y_u[-1]
     assert tols == [1e-7]
-    assert a.hex() == "0x1.a20bd6fc7a324p-1"
+    assert a.hex() == "0x1.a20bd6fc7a322p-1"  # 0x1.a20bd6fc7a324p-1 before K = e^(log K)
     target = math.sqrt(2.0 / 3.0)
     assert abs(a - target) / target <= 1e-9
 
