@@ -16,7 +16,7 @@ trace of each homoclinic orbit from the origin up to its maximum (an oracle
 independent of the closed form, with its turn at rho = 1), and the residual
 of the radial equations at the closed form, in any of their encodings
 (plain, weighted, phase plane): one function of rho, under one
-normalization, also on log rho.
+normalization, evaluated on log rho as the closed form is.
 
 The integrator and the shot run on Python floats and return their orbit as
 lists, so ``shoot_synchronized`` loads no numpy; numpy is imported only

@@ -53,7 +53,7 @@ any encoding fails, under its own normalizer or under max(1, |terms|).
 
 The constants system is not a check of its own: ``constants_from_root``
 raises ``ParameterError`` when c1, c2 or a term of the system leaves the
-range of a double, and ``ConvergenceError`` when a finite residual exceeds
+range of a double and ``ConvergenceError`` when a finite residual exceeds
 1e-12, and c1 = s c2 by construction, so neither could fail in a report.
 """
 

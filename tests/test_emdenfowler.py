@@ -499,7 +499,7 @@ def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
     monkeypatch.setattr(emdenfowler, "integrate", recording)
     a = hs.shoot_synchronized(p, fam.root, tol=1e-7).y_u[-1]
     assert tols == [1e-7]
-    assert a.hex() == "0x1.a20bd6fc7a322p-1"  # 0x1.a20bd6fc7a324p-1 before K = e^(log K)
+    assert a.hex() == "0x1.a20bd6fc7a322p-1"
     target = math.sqrt(2.0 / 3.0)
     assert abs(a - target) / target <= 1e-9
 

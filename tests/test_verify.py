@@ -380,7 +380,7 @@ def test_equation_residual_fails_every_mutant_any_encoding_fails():
     # one function of rho; equation_residual, the weighted one at tau2 under
     # the scale max(1, c-terms), fails every mutant that any of them fails,
     # whether under that scale or under max(1, |terms|) over all five terms
-    log_grid = np.log(np.geomspace(1e-6, 1e6, 2048))
+    log_grid = hs.verify.LOG_RHO_GRID
     escapes, mutants, caught, worst = [], 0, 0, 0.0
     for n, frac, nu, f in MUTATION_BOX:
         ts = hs.critical_exponent(n)
@@ -498,7 +498,7 @@ REPORT_PINS = {
     "n4-gamma0.5-nu1-alpha2": ((
         "0x1.7e40000000000p-51", "0x1.dcbf3a650f75dp-43", "0x0.0p+0",
         "0x1.11ffffffffedbp-43", "0x1.dc5060796da5cp-43"),),
-    # mu0 = 2: the orbit checks read log rho, so these are the bits of mu0 = 1
+    # mu0 = 2: no check reads mu0, so these are the bits of mu0 = 1
     "n3-nu1-alpha3-mu2": ((
         "0x1.0000000000000p-51", "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
         "0x1.4800000000069p-45", "0x1.81fbc7620f2f0p-44"), (
