@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Run every row of console-table.txt through the `hardysys` on PATH; stop at
+# the first row whose exit code or stderr line count is not the one it names.
+# Usage: bash .github/console-table.sh <temporary directory>
+set -eo pipefail
+tmp=${1:?usage: console-table.sh <temporary directory>}
+rows=0
+while read -r want args; do
+  case $want in ''|'#'*) continue ;; esac
+  args=${args//'{tmp}'/$tmp}
+  code=0
+  err=$(hardysys $args 2>&1 > /dev/null < /dev/null) || code=$?
+  lines=$(printf '%s' "$err" | grep -c '' || true)
+  if [ "$code" -ne "$want" ] || [ "$lines" -ne "$(( want != 0 ))" ]; then
+    echo "hardysys $args: exit $code"; echo "$err"; exit 1
+  fi
+  rows=$((rows + 1))
+done < "$(dirname "$0")/console-table.txt"
+echo "$rows console-script rows behave as listed"

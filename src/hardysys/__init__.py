@@ -3,7 +3,7 @@ radial solutions of a doubly critical elliptic system with an inverse-square
 potential.
 
 The names below are imported from their submodule on first use (PEP 562), so
-``import hardysys`` by itself loads no numpy.
+``import hardysys`` by itself imports no submodule.
 """
 
 import importlib
@@ -20,7 +20,7 @@ _EXPORTS = {
                  "constants_from_root", "coupling_f", "coupling_f_prime",
                  "find_positive_roots", "verify_constants_system"),
     "emdenfowler": ("EFState", "EFTrajectory", "integrate", "proportionality_defect",
-                    "shoot_synchronized", "weighted_system_residual"),
+                    "shoot_synchronized"),
     "verify": ("CheckResult", "VerificationReport", "full_verification"),
     "cli": (),
 }

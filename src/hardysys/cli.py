@@ -18,10 +18,6 @@ found", is retired.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
-
-``classify``, ``sweep`` and ``shoot`` run on Python floats and never load
-numpy; ``verify`` and ``export`` import the modules they use, and numpy with
-them.
 """
 
 from __future__ import annotations
@@ -191,8 +187,6 @@ def _export_path(args, what):
 
 
 def cmd_export(args) -> int:
-    import numpy as np
-
     from .emdenfowler import _closed_form_arrays
     p = _build_params(args)
     if not MIN_RADIUS <= args.grid_lo < args.grid_hi < math.inf:
@@ -209,25 +203,31 @@ def cmd_export(args) -> int:
     # opened
     tables = {}
     if args.what != "trajectory":
+        # r log-uniform, 10^x on evenly spaced x = log10 r, with both ends
+        # exactly --grid-lo and --grid-hi
+        lo, hi = args.grid_lo, args.grid_hi
+        inner = _samples(math.log10(lo), math.log10(hi), args.grid_n)[1:-1]
+        r = [lo, *(10.0 ** x for x in inner), hi]
         # r^tau u = c exp(log U + tau log r): r^tau2 alone overflows where u
         # underflows
-        r = np.geomspace(args.grid_lo, args.grid_hi, args.grid_n)
-        log_u, log_r = fam.profile._log_value(r), np.log(r)
-        with np.errstate(over="ignore"):
-            columns = (r, fam.c1 * np.exp(log_u), fam.c2 * np.exp(log_u),
-                       fam.c1 * np.exp(log_u + p.tau1 * log_r),
-                       fam.c1 * np.exp(log_u + p.tau2 * log_r))
-        if not all(np.isfinite(col).all() for col in columns):
+        log_u = [fam.profile._log_value(x) for x in r]
+        try:
+            columns = (r, [fam.c1 * math.exp(a) for a in log_u],
+                       [fam.c2 * math.exp(a) for a in log_u],
+                       [fam.c1 * math.exp(a + p.tau1 * math.log(x)) for a, x in zip(log_u, r)],
+                       [fam.c1 * math.exp(a + p.tau2 * math.log(x)) for a, x in zip(log_u, r)])
+        except OverflowError:
             raise ParameterError(
-                f"the profile table exceeds the range of a double on [{args.grid_lo:g}, "
-                f"{args.grid_hi:g}]")
+                f"the profile table exceeds the range of a double on [{lo:g}, {hi:g}]"
+            ) from None
         tables["profile"] = ("r,u,v,r_tau1_u,r_tau2_u", columns)
     if args.what != "profile":
         # t = log r, symmetric about t0 = log mu0; the closed form reads log rho
         t0 = math.log(args.mu0)
-        half = np.linspace(0.0, args.t_halfspan, args.t_points // 2 + 1)
-        t = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
-        tables["trajectory"] = ("t,y_u,p_u,y_v,p_v", (t, *_closed_form_arrays(fam, t - t0)))
+        half = _samples(0.0, args.t_halfspan, args.t_points // 2 + 1)
+        t = [t0 - h for h in reversed(half[1:])] + [t0 + h for h in half]
+        tables["trajectory"] = ("t,y_u,p_u,y_v,p_v",
+                                (t, *_closed_form_arrays(fam, [x - t0 for x in t])))
     with _output(*(_export_path(args, what) for what in tables)) as handles:
         for (header, columns), fh in zip(tables.values(), handles):
             fh.write(header + "\n")

@@ -18,10 +18,9 @@ of the radial equations at the closed form, in any of their encodings
 (plain, weighted, phase plane): one function of rho, under one
 normalization, evaluated on log rho as the closed form is.
 
-The integrator and the shot run on Python floats and return their orbit as
-lists, so ``shoot_synchronized`` loads no numpy; numpy is imported only
-where an array is evaluated (the closed form, the residuals and the
-proportionality defect).
+Everything here runs on Python floats: the integrator and the shot return
+their orbit as lists, and the closed form, the residuals and the
+proportionality defect take and return floats or lists of them.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ class EFTrajectory:
     """An integrated trajectory with step statistics.
 
     The five fields are lists of Python floats, the start and one entry per
-    accepted step.  Wrap one in ``numpy.asarray`` for array arithmetic:
-    ``2 * traj.y_u`` repeats the list.
+    accepted step.
     """
 
     t: list[float]
@@ -72,17 +70,24 @@ class EFTrajectory:
 
 
 def _closed_form_arrays(fam: SynchronizedFamily, log_rho):
-    """(y_u, p_u, y_v, p_v) of the closed form y = c r^delta U at log_rho = log(r/mu0).
+    """Lists (y_u, p_u, y_v, p_v) of the closed form y = c r^delta U, one entry
+    per log rho = log(r/mu0) in ``log_rho``.
 
     From the profile's bounded units: y = c e^(log y) and
-    y' = kappa (1 - 2w) y, both stable for any |log_rho|.  Nothing here reads
-    mu0; the maximum sits at log_rho = 0.
+    y' = kappa (1 - 2w) y, both stable for any |log rho|.  Nothing here reads
+    mu0; the maximum sits at log rho = 0.
     """
-    import numpy as np
-    w, om, log_y = fam.profile._bounded_units(np.asarray(log_rho, dtype=float))
-    base, slope = np.exp(log_y), fam.profile.params.kappa * (om - w)
-    y_u, y_v = fam.c1 * base, fam.c2 * base
-    return y_u, slope * y_u, y_v, slope * y_v
+    kappa = fam.profile.params.kappa
+    y_u, p_u, y_v, p_v = [], [], [], []
+    for x in log_rho:
+        w, om, log_y = fam.profile._bounded_units(x)
+        base, slope = math.exp(log_y), kappa * (om - w)
+        yu, yv = fam.c1 * base, fam.c2 * base
+        y_u.append(yu)
+        p_u.append(slope * yu)
+        y_v.append(yv)
+        p_v.append(slope * yv)
+    return y_u, p_u, y_v, p_v
 
 
 # --- adaptive integration ----------------------------------------------------
@@ -134,7 +139,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     evaluated after every accepted step; a truthy value ends the run with
     termination 'completed'.  The initial state and ``t_span`` are read as
     Python floats, and the result's fields are lists of Python floats (see
-    ``EFTrajectory``): the run loads no numpy.
+    ``EFTrajectory``).
 
     The kernel is Dormand-Prince 5(4) in Nystrom form: the field never reads
     y', so the stage states are formed from the stage fields alone and no
@@ -461,9 +466,8 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     with the turn in place of the last step's end: y_u = a* and y_v from the
     quintic Hermite interpolants of that step (y, y', y'' at both ends), and
     both slopes 0.  Its fields are lists of Python floats, as ``integrate``
-    returns them, so a shot loads no numpy.  The cubic interpolant, without
-    y'', errs up to 7e-11 at tol 1e-9 near gamma = lambda_n, where the steps
-    at the turn are long.
+    returns them.  The cubic interpolant, without y'', errs up to 7e-11 at
+    tol 1e-9 near gamma = lambda_n, where the steps at the turn are long.
 
     The manifold's closed form gives the nearly exponential climb up to
     rho = 1/4, DP5 carries the orbit from there through the turn, at rho = 1,
@@ -514,28 +518,15 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
 
 def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
     """sup |y_u - c_tilde * y_v| normalized by sup y_u."""
-    import numpy as np
     if len(traj.t) == 0:
         raise TrajectoryError("empty trajectory")
-    y_u, y_v = np.asarray(traj.y_u), np.asarray(traj.y_v)
-    top = float(np.max(y_u))
+    top = max(traj.y_u)
     if top == 0.0:
         return 0.0
-    return float(np.max(np.abs(y_u - c_tilde * y_v))) / top
+    return max(abs(u - c_tilde * v) for u, v in zip(traj.y_u, traj.y_v)) / top
 
 
 # --- residuals of the radial encodings -----------------------------------------
-
-
-def _max_normalized(terms) -> float:
-    """max over the grid of |t1 + t2 + ...| / max(1, |t1|, |t2|, ...); t1 an array."""
-    import numpy as np
-    total = sum(terms[1:], terms[0])  # ((t1 + t2) + t3) + ...
-    scale = np.abs(terms[0])
-    np.maximum(scale, 1.0, out=scale)
-    for term in terms[1:]:
-        np.maximum(scale, np.abs(term), out=scale)
-    return float(np.max(np.abs(total) / scale))
 
 
 def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
@@ -544,9 +535,9 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
 
     Each equation g'' + (n-1-2 tau) g'/r + potential g/r^2
     + r^(-m tau) (g^(2*-1) + coupling), m = 2* - 2, is divided by c g / r^2,
-    c the component's constant.  At ``log_rho`` = log(r/mu0), as in
-    ``_closed_form_arrays``, that leaves five terms bounded at every n and
-    every mu0 (``profiles``):
+    c the component's constant.  At each log rho = log(r/mu0) in
+    ``log_rho``, as in ``_closed_form_arrays``, that leaves five terms
+    bounded at every n and every mu0 (``profiles``):
 
         chi^2 - chi - 2 kappa q w (1 - w),   (n-1-2 tau) chi,   potential,
         c^m y^m,   nu alpha c^(alpha-2) c_other^beta y^m,
@@ -567,28 +558,29 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     That scale is at most max(1, |terms|) over all five terms, so the value
     is at least that of the same sum under the larger scale.
     """
-    import numpy as np
     p = fam.profile.params
     m = p.two_star - 2.0
-    log_rho = np.asarray(log_rho, dtype=float)
-    if not np.isfinite(log_rho).all():
+    log_rho = [float(x) for x in log_rho]
+    if not all(map(math.isfinite, log_rho)):
         raise ParameterError("log rho must be finite")
-    w, om, log_y = fam.profile._bounded_units(log_rho)
-    y_m = np.exp(m * log_y)
-    if tau - p.tau1 <= p.kappa:
-        chi = (tau - p.tau1) - 2.0 * p.kappa * w
-    else:
-        chi = (tau - p.tau2) + 2.0 * p.kappa * om
-    # the three terms that both equations share
-    head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
-            + (p.n - 1.0 - 2.0 * tau) * chi + potential)
     c1, c2 = fam.c1, fam.c2
-    residuals = []
-    for own, coupled in ((c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
-                         (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0))):
-        # y^m > 0, so the larger of the two terms is max(own, coupled) y^m
-        scale = np.maximum(max(own, coupled) * y_m, 1.0)
-        residuals.append(float(np.max(np.abs(head + (own + coupled) * y_m) / scale)))
+    equations = ((c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
+                 (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0)))
+    residuals = [0.0, 0.0]
+    for x in log_rho:
+        w, om, log_y = fam.profile._bounded_units(x)
+        y_m = math.exp(m * log_y)
+        if tau - p.tau1 <= p.kappa:
+            chi = (tau - p.tau1) - 2.0 * p.kappa * w
+        else:
+            chi = (tau - p.tau2) + 2.0 * p.kappa * om
+        # the three terms that both equations share
+        head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
+                + (p.n - 1.0 - 2.0 * tau) * chi + potential)
+        for i, (own, coupled) in enumerate(equations):
+            # y^m > 0, so the larger of the two terms is max(own, coupled) y^m
+            value = abs(head + (own + coupled) * y_m) / max(max(own, coupled) * y_m, 1.0)
+            residuals[i] = max(residuals[i], value)
     return tuple(residuals)
 
 
@@ -614,7 +606,8 @@ def weighted_system_residual(fam: SynchronizedFamily, tau: float,
     tau^2 - (n-2) tau + gamma = 0 (either root), so that the potential
     vanishes; it is passed as exactly 0, since computing it would leave
     roundoff next to terms that vanish as rho -> 0 or rho -> infinity.
-    ``full_verification`` reports the value at tau2 as ``equation_residual``.
+    No command reads it: at the closed form it restates the constants
+    system (``verify``'s docstring says how).
     """
     p = fam.profile.params
     char = tau * tau - (p.n - 2.0) * tau + p.gamma

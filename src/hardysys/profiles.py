@@ -12,13 +12,11 @@ profile g = r^tau u has
     r^2 g'' / g  = chi^2 - chi - 2 kappa q w (1 - w),
 
 and y = r^delta u = A rho^kappa (1 + rho^q)^(-delta) does not depend on mu.
-``_bounded_units`` evaluates w, 1 - w and log y on log rho, the pieces from
-which ``emdenfowler`` builds the radial equations divided by g / r^2, where
-every term is bounded at every n and every mu, and the closed-form
-phase-plane trajectory y, y' = kappa (1 - 2w) y, on log rho.
-
-numpy is imported inside the array evaluators, so building a ScalarProfile
-(as classify does) loads none.
+``_bounded_units`` evaluates w, 1 - w and log y at one log rho, the pieces
+from which ``emdenfowler`` builds the radial equations divided by g / r^2,
+where every term is bounded at every n and every mu, and the closed-form
+phase-plane trajectory y, y' = kappa (1 - 2w) y.  Every evaluator takes one
+float and returns floats.
 """
 
 from __future__ import annotations
@@ -51,25 +49,24 @@ class ScalarProfile:
         p = self.params
         return 2.0 * p.kappa / p.delta
 
-    def _log_terms(self, rho_log):
+    def _log_terms(self, rho_log: float) -> tuple[float, float]:
         """(t, L) = (q log rho, log(1 + rho^q)) at log rho = log(r/mu).
 
         L is written to stay accurate on both sides of rho = 1; exp sees only
         -|t|, so neither side overflows.
         """
-        import numpy as np
         t = self._q * rho_log
-        return t, np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        return t, max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
-    def _log_value(self, r):
-        import numpy as np
+    def _log_value(self, r: float) -> float:
+        """log u_mu(r) at one radius r."""
         p = self.params
-        rho_log = np.log(r) - math.log(self.mu)
+        rho_log = math.log(r) - math.log(self.mu)
         _, log1p_term = self._log_terms(rho_log)
         log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
         return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 
-    def _bounded_units(self, rho_log):
+    def _bounded_units(self, rho_log: float) -> tuple[float, float, float]:
         """(w, 1 - w, log y) at log rho = log(r/mu), y = r^delta u.
 
         w = rho^q / (1 + rho^q) lies in [0, 1] and y = A rho^kappa
@@ -78,11 +75,10 @@ class ScalarProfile:
         w = e^(t - L), t = q log rho, so each is accurate relative to itself,
         in its tail as well.
         """
-        import numpy as np
         p = self.params
         t, log1p_term = self._log_terms(rho_log)
         log_y = math.log(p.amplitude) + p.kappa * rho_log - p.delta * log1p_term
-        return np.exp(t - log1p_term), np.exp(-log1p_term), log_y
+        return math.exp(t - log1p_term), math.exp(-log1p_term), log_y
 
 
 # --- asymptotic limits -----------------------------------------------------

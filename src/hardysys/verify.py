@@ -2,33 +2,36 @@
 
 ``full_verification`` runs every closed-form family of a parameter set
 through the whole battery of checks and returns a deterministic report.
-Check names map one-to-one onto the invariants they measure:
+Each family reports four checks, at every nu, and their names map
+one-to-one onto the invariants they measure:
 
 ==========================  ====================================================
 check name                  invariant
 ==========================  ====================================================
-equation_residual           residual of both radial equations at the closed
-                            form <= 1e-9: the weighted encoding at tau2, on
-                            log rho, rho = r/mu0 in [1e-6, 1e6], each
-                            equation divided by c g / r^2, g = r^tau2 u, so
-                            every term is bounded, and normalized pointwise
-                            by the larger of 1 and its two terms in c1, c2
 integration_deviation       sup |y - y_closed| / (peak of y_u, y_v) <= 1e-6
                             on the integrated orbit
 proportionality_defect      sup |y_u - s y_v| / sup y_u <= 1e-8 (integrated)
 asymptotic_u0               limit at 0 of mu0^kappa r^tau1 u, read off the
                             integrated orbit, within 1e-6 of c1 A
 shooting_recovery           the orbit's maximum is c1 A 2^-delta within 1e-6
-energy_invariant            |H| / max(1, |terms of H|) <= 1e-10 along the
-                            scalar closed form (nu=0)
 ==========================  ====================================================
+
+What the rows test.  On the ray y_v = y_u / s of the root s, the orbit is
+y_u = y_eq z(kappa t), with z'' = z - z^(2*-1) and y_eq^m = kappa^2 / K,
+m = 2* - 2, K = 1 + nu alpha s^-beta: one homoclinic z per n.  The closed
+form's peak c1 A 2^-delta is y_eq times the peak of z exactly when
+c1^m K = 1, which is c1^m + nu alpha c1^(alpha-2) c2^beta = 1, the first
+equation of the constants system.  So integration_deviation, asymptotic_u0
+and shooting_recovery test DP5 on one scalar ODE per n, plus that
+equation, and only proportionality_defect reads s: the ray is invariant,
+and an orbit started on it stays there, exactly when f(s) = 0.
 
 The integrated orbit is the half orbit that shooting traces, from its start
 on the invariant ray y_v = y_u / s up to its turn.  Rescaling by mu0 maps
-solutions to solutions, and every check reads log rho = log(r/mu0):
-equation_residual on a fixed grid of it, the orbit checks on the trace's own
-times, with the turn at rho = 1, against the closed form at the same log
-rho.  No check reads mu0, so each reads the same bits at every mu0.
+solutions to solutions, and every check reads log rho = log(r/mu0): the
+orbit checks read the trace's own times, with the turn at rho = 1, against
+the closed form at the same log rho.  No check reads mu0, so each reads the
+same bits at every mu0.
 The start sits at coordinate rho = 1/4 of the ray's unstable manifold, whose
 turn is at rho = 1, so the manifold's closed form carries most of the climb,
 and the orbit checks see it: a start whose log(Z(x)/x) is off by 1e-5 of its
@@ -42,19 +45,19 @@ n in {3, ..., 20} and gamma up to 0.99 lambda_n.  DP5 keeps an orbit that
 starts on the ray on it, so proportionality_defect reads zero up to
 rounding; it still fails on an orbit that leaves the ray (a start 1e-6 off
 it reads 1.2e-6 at n = 4, nu = 1).  A check that tests more will replace it
-(ROADMAP.md, item 8).  equation_residual reads c1 and c2 through the
-multiple of y^m = (r^delta U)^m in each equation: both off by 1e-6 fail it
-(about 2.2e-6 at n = 4, nu = 1).  Every radial encoding (plain, weighted at
-either root, phase plane) sums the same function of rho, r^2 (Lu + N(u)) /
-(c u), so one of them is reported.  Its normalizer leaves out the three
-terms that carry no constant (``_encoding_residual``); on the mutation test
-in tests/test_verify.py (c1, c2, w, y^m or q off by 1e-6) it fails wherever
-any encoding fails, under its own normalizer or under max(1, |terms|).
+(ROADMAP.md, items 10 and 24).
 
-The constants system is not a check of its own: ``constants_from_root``
-raises ``ParameterError`` when c1, c2 or a term of the system leaves the
-range of a double and ``ConvergenceError`` when a finite residual exceeds
-1e-12, and c1 = s c2 by construction, so neither could fail in a report.
+Three invariants are not checks of their own, because no report could fail
+them.  ``constants_from_root`` raises ``ParameterError`` when c1, c2 or a
+term of the constants system leaves the range of a double and
+``ConvergenceError`` when a finite residual exceeds 1e-12, and c1 = s c2 by
+construction.  The residual of the radial equations at the closed form, in
+any encoding (``emdenfowler._encoding_residual``), reduces to
+(S - 1) A^m w (1 - w), S the left side of the family's constants equation,
+so it restates that 1e-12; and the first integral H of the scalar case
+(nu = 0) is identically 0 on the closed form.  Tier-1 evaluates both on the
+closed form, and shows that the residual fails when c1, c2, w, y^m or q is
+off by 1e-6 (tests/test_verify.py, tests/test_acceptance.py).
 """
 
 from __future__ import annotations
@@ -62,17 +65,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coupling import classify
-from .emdenfowler import (proportionality_defect, shoot_synchronized,
-                          weighted_system_residual, _check_shooting_tol,
-                          _closed_form_arrays, _manifold_coordinate, _max_normalized)
+from .emdenfowler import (proportionality_defect, shoot_synchronized, _check_shooting_tol,
+                          _closed_form_arrays, _manifold_coordinate)
 from .params import ProblemParams
-
-#: log rho = log(r/mu0) of equation_residual, rho log-uniform over [1e-6, 1e6]
-LOG_RHO_GRID = np.log(np.geomspace(1e-6, 1e6, 2048))
-LOG_RHO_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -150,13 +146,12 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     Each family is integrated once: ``shoot_synchronized`` traces it at
     ``integration_tol`` from the origin, where errors do not grow like
     e^(kappa t) as they do into the saddle, up to its turn at t = 0.  That
-    half orbit is the orbit of every orbit check, and its times are
-    log rho = log(r/mu0), the argument of ``_closed_form_arrays`` and of the
-    residual, which reads the fixed ``LOG_RHO_GRID``.  The start sits at
-    manifold coordinate x0 y_eq (``_manifold_coordinate``) at log rho =
-    t[0] of the trace, so mu0^kappa r^tau1 u = e^(-kappa log rho) y_u tends
-    to x0 y_eq e^(-kappa t[0]), and the closed form's limit is c1 A.  Both
-    stay logs, and the gap is |expm1| of their difference.  mu0 reaches
+    half orbit, about 70 points, is the orbit of every check, and its times
+    are log rho = log(r/mu0), the argument of ``_closed_form_arrays``.  The
+    start sits at manifold coordinate x0 y_eq (``_manifold_coordinate``) at
+    log rho = t[0] of the trace, so mu0^kappa r^tau1 u = e^(-kappa log rho)
+    y_u tends to x0 y_eq e^(-kappa t[0]), and the closed form's limit is
+    c1 A.  Both stay logs, and the gap is |expm1| of their difference.  mu0 reaches
     only ``classify``, which refuses a scale that is not positive and
     finite, and the report's ``mu0`` line.
     """
@@ -174,14 +169,10 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         tag = f"f{idx}."
         s = fam.c_tilde
 
-        add(tag + "equation_residual",
-            max(weighted_system_residual(fam, p.tau2, LOG_RHO_GRID)), 1e-9)
-
         half = shoot_synchronized(p, fam.root, integration_tol)
         ref_u, _, ref_v, _ = _closed_form_arrays(fam, half.t)
-        y_u, y_v = np.asarray(half.y_u), np.asarray(half.y_v)
         peak = max(half.y_u[-1], half.y_v[-1])
-        deviation = max(np.max(np.abs(y_u - ref_u)), np.max(np.abs(y_v - ref_v)))
+        deviation = max(abs(y - ref) for y, ref in zip(half.y_u + half.y_v, ref_u + ref_v))
         add(tag + "integration_deviation", deviation / peak, 1e-6)
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 
@@ -192,12 +183,6 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
 
         target = fam.peak_amplitude
         add(tag + "shooting_recovery", abs(half.y_u[-1] - target) / target, 1e-6)
-
-        if p.nu == 0.0:
-            kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
-            y_u, p_u, _, _ = _closed_form_arrays(fam, np.linspace(-14.0, 14.0, 801))
-            add(tag + "energy_invariant", _max_normalized(
-                (0.5 * p_u * p_u, -0.5 * kappa2 * y_u * y_u, y_u ** ts / ts)), 1e-10)
 
     return VerificationReport(params=p, mu0=float(mu0),
                               n_families=len(families), checks=tuple(checks))

@@ -13,8 +13,12 @@ a test checks the package against; no command of the package runs it.
   closed-form trajectory and its second derivative, written in
   theta = kappa (t - log mu) / delta; ``exact_ef_solution``: the closed-form
   phase state at one log-radius, a start for integrations from the maximum;
-  ``exact_trajectory``: the package's closed form sampled on log radii as an
-  ``EFTrajectory``, the comparator of the trajectory diagnostics;
+  ``bounded_units`` and ``bounded_closed_form``: the profile's bounded units
+  and the package's closed form on log rho as numpy arrays, read point by
+  point through ``ScalarProfile._bounded_units``, so that a profile subclass
+  that skews them reaches every array built from them;
+  ``exact_trajectory``: the package's closed form, its bits, sampled on log
+  radii as an ``EFTrajectory``, the comparator of the trajectory diagnostics;
   ``phase_plane_residual``: the phase-plane equations summed term by term in
   t, the oracle of the bounded ``ef_system_residual``.
 * ``manifold_coefficients`` and ``manifold_series_start``: the series of the
@@ -23,15 +27,18 @@ a test checks the package against; no command of the package runs it.
   form in ``_manifold_start``.
 * ``mirrored``: the shooting trace reflected at its turn, the whole orbit;
   ``simultaneous_max_check``: the interpolated argmax of each component.
-* ``profile_value``: the scalar profile's value u_mu(r); ``aubin_talenti_value``,
+* ``log_values`` and ``profile_value``: ``ScalarProfile._log_value`` over an
+  array of radii, and the scalar profile's value u_mu(r); ``aubin_talenti_value``,
   ``linear_radial_part``, ``scalar_equation_residual``, ``kelvin_transform``
   and ``weighted_transform``: the scalar profile from other directions.
 * ``weighted_derivatives`` and ``r_space_residual``: the radial encodings
   evaluated in r, term by term with powers of r, the oracle of the bounded
   residuals of ``emdenfowler``; ``max_normalized``: the stacked form of
-  their pointwise normalization; ``all_terms_residual``: the bounded
-  encoding under that normalization, the scale that the one of
-  ``_encoding_residual`` never exceeds.
+  their pointwise normalization; ``LOG_RHO_GRID``, ``encoding_residual`` and
+  ``all_terms_residual``: the grid of the closed-form residual, and the
+  array form of ``_encoding_residual`` from ``bounded_units``, under its own
+  normalization and under max(1, |terms|) over all five terms, the scale
+  that its own never exceeds.
 * ``hardy_weight`` and ``hardy_weight_dx1``: the geometry of the translated
   singular weight.
 * ``endpoint_signs``: the signs of the coupling function at 0+ and at
@@ -121,8 +128,7 @@ def ef_energy(y: float, slope: float, p: ProblemParams) -> float:
     """First integral H = p^2/2 - kappa^2 y^2/2 + y^(2*)/2* of the scalar case.
 
     Constant along nu = 0 trajectories and identically zero on the homoclinic
-    orbit; ``full_verification`` sums the same three terms for its
-    ``energy_invariant`` check.
+    orbit, where it restates the closed form (no report row reads it).
     """
     kappa2, ts = p.delta * p.delta - p.gamma, p.two_star
     return 0.5 * slope * slope - 0.5 * kappa2 * y * y + y ** ts / ts
@@ -209,10 +215,31 @@ def exact_ef_solution(fam, t: float) -> EFState:
     return EFState(y_u=float(y_u), p_u=float(p_u), y_v=float(y_v), p_v=float(p_v))
 
 
+def bounded_units(profile: ScalarProfile, log_rho):
+    """Arrays (w, 1 - w, log y) at each log rho, by ``profile._bounded_units``."""
+    points = [profile._bounded_units(x)
+              for x in np.asarray(log_rho, dtype=float).ravel().tolist()]
+    return tuple(np.array(points, dtype=float).reshape(-1, 3).T)
+
+
+def bounded_closed_form(fam, log_rho):
+    """Arrays (y_u, p_u, y_v, p_v) of ``_closed_form_arrays`` at ``log_rho``, in numpy.
+
+    The same formulas on the same units, y = c e^(log y) and
+    y' = kappa (1 - 2w) y; only numpy's exp may round differently.
+    """
+    w, om, log_y = bounded_units(fam.profile, log_rho)
+    base, slope = np.exp(log_y), fam.profile.params.kappa * (om - w)
+    y_u, y_v = fam.c1 * base, fam.c2 * base
+    return y_u, slope * y_u, y_v, slope * y_v
+
+
 def exact_trajectory(fam, t_grid) -> EFTrajectory:
-    """The closed form on log radii t: ``_closed_form_arrays`` at log rho = t - log mu."""
+    """The closed form on log radii t: ``_closed_form_arrays`` at log rho = t - log mu,
+    its bits, as arrays."""
     t = np.asarray(t_grid, dtype=float)
-    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, t - math.log(fam.profile.mu))
+    y_u, p_u, y_v, p_v = map(np.array, _closed_form_arrays(
+        fam, (t - math.log(fam.profile.mu)).tolist()))
     return EFTrajectory(t=t, y_u=y_u, p_u=p_u, y_v=y_v, p_v=p_v,
                         accepted=0, rejected=0, termination="completed")
 
@@ -341,9 +368,16 @@ def _as_radii(r):
     return arr
 
 
+def log_values(profile: ScalarProfile, r):
+    """log u_mu(r), ``profile._log_value`` at each of the radii ``r``, as an array."""
+    arr = np.asarray(r, dtype=float)
+    return np.array([profile._log_value(x) for x in arr.reshape(-1).tolist()],
+                    dtype=float).reshape(arr.shape)
+
+
 def profile_value(profile: ScalarProfile, r):
     """u_mu(r) of ``profile``, vectorized over positive radii."""
-    return np.exp(profile._log_value(_as_radii(r)))
+    return np.exp(log_values(profile, _as_radii(r)))
 
 
 def aubin_talenti_value(n: int, scale: float, r):
@@ -369,7 +403,7 @@ def linear_radial_part(profile: ScalarProfile, r):
     """
     arr = _as_radii(r)
     kappa = profile.params.kappa
-    u = np.exp(profile._log_value(arr))
+    u = np.exp(log_values(profile, arr))
     w, om = profile_w(profile, arr)
     coeff = -2.0 * kappa * (2.0 * kappa + profile._q)
     return coeff * w * om * u / (arr * arr)
@@ -393,7 +427,7 @@ def weighted_derivatives(profile: ScalarProfile, tau: float, r):
     """
     arr = _as_radii(r)
     p = profile.params
-    u = np.exp(profile._log_value(arr))
+    u = np.exp(log_values(profile, arr))
     g = np.power(arr, tau) * u
     w, om = profile_w(profile, arr)
     if tau - p.tau1 <= p.kappa:
@@ -414,28 +448,59 @@ def max_normalized(terms) -> float:
     return float(np.max(np.abs(total) / scale))
 
 
-def all_terms_residual(fam, tau: float, potential: float, log_rho) -> tuple[float, float]:
-    """The bounded encoding at tau, normalized by max(1, |terms|) over all five terms.
+#: log rho = log(r/mu0) of the closed-form residual, rho log-uniform over [1e-6, 1e6]
+LOG_RHO_GRID = np.log(np.geomspace(1e-6, 1e6, 2048))
 
-    The terms are those of ``_encoding_residual`` at ``log_rho``, from the
-    profile's bounded units (w, 1 - w, log y); its normalizer leaves out the
-    three that carry no constant, so it is pointwise at most this one, and
-    its value at least this one's, up to rounding.
-    """
+
+def _chi_and_y_m(fam, tau: float, units):
+    """(chi, y^m) at tau from ``units``, chi written against the root tau lies nearer to."""
     p = fam.profile.params
-    m = p.two_star - 2.0
-    w, om, log_y = fam.profile._bounded_units(np.asarray(log_rho, dtype=float))
-    y_m = np.exp(m * log_y)
+    w, om, log_y = units
     if tau - p.tau1 <= p.kappa:
         chi = (tau - p.tau1) - 2.0 * p.kappa * w
     else:
         chi = (tau - p.tau2) + 2.0 * p.kappa * om
+    return chi, np.exp((p.two_star - 2.0) * log_y)
+
+
+def _coefficients(fam):
+    """(c^m, coupled coefficient) of each equation: the u one, then the v one."""
+    p = fam.profile.params
+    m, c1, c2 = p.two_star - 2.0, fam.c1, fam.c2
+    return ((c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
+            (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0)))
+
+
+def encoding_residual(fam, tau: float, potential: float, units) -> tuple[float, float]:
+    """``_encoding_residual`` on arrays, in its order of operations.
+
+    ``units`` is ``bounded_units(fam.profile, log_rho)``.  Each equation's
+    sum is normalized pointwise by max(1, c^m y^m, coupled term).
+    """
+    p = fam.profile.params
+    w, om, _ = units
+    chi, y_m = _chi_and_y_m(fam, tau, units)
+    head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
+            + (p.n - 1.0 - 2.0 * tau) * chi + potential)
+    return tuple(float(np.max(np.abs(head + (own + coupled) * y_m)
+                              / np.maximum(max(own, coupled) * y_m, 1.0)))
+                 for own, coupled in _coefficients(fam))
+
+
+def all_terms_residual(fam, tau: float, potential: float, units) -> tuple[float, float]:
+    """The bounded encoding at tau, normalized by max(1, |terms|) over all five terms.
+
+    The terms are those of ``encoding_residual``; its normalizer leaves out
+    the three that carry no constant, so it is pointwise at most this one,
+    and its value at least this one's, up to rounding.
+    """
+    p = fam.profile.params
+    w, om, _ = units
+    chi, y_m = _chi_and_y_m(fam, tau, units)
     head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om,
             (p.n - 1.0 - 2.0 * tau) * chi, np.full_like(w, potential))
-    c1, c2 = fam.c1, fam.c2
-    return tuple(max_normalized(head + (own * y_m, coupled * y_m)) for own, coupled in (
-        (c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
-        (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0))))
+    return tuple(max_normalized(head + (own * y_m, coupled * y_m))
+                 for own, coupled in _coefficients(fam))
 
 
 def r_space_residual(fam, tau: float, potential: float, r) -> tuple[float, float]:

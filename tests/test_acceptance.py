@@ -10,9 +10,10 @@ import pytest
 
 import hardysys as hs
 from hardysys.emdenfowler import _closed_form_arrays, integrate
-from reference import (convergence_order, ef_energy, exact_ef_solution, fd_derivative,
-                       hardy_weight, hardy_weight_dx1, kelvin_transform,
-                       profile_value, simultaneous_max_check)
+from reference import (LOG_RHO_GRID, bounded_closed_form, bounded_units, convergence_order,
+                       ef_energy, encoding_residual, exact_ef_solution, fd_derivative,
+                       hardy_weight, hardy_weight_dx1, kelvin_transform, profile_value,
+                       simultaneous_max_check)
 
 
 def _report(num, name, ok, detail=""):
@@ -46,13 +47,14 @@ def test_criterion_01_root_counts():
 
 
 def test_criterion_02_exact_solution_residuals(matrix_families):
+    # the radial and weighted encodings on the log rho grid, in the array
+    # form of _encoding_residual
     t_start = time.perf_counter()
-    log_rho = np.log(np.geomspace(1e-6, 1e6, 2048))
     worst = 0.0
     for p, mu0, fam in matrix_families:
-        worst = max(worst, *hs.emdenfowler.radial_system_residual(fam, log_rho))
-        for tau in (p.tau1, p.tau2):
-            worst = max(worst, *hs.weighted_system_residual(fam, tau, log_rho))
+        units = bounded_units(fam.profile, LOG_RHO_GRID)
+        for tau, potential in ((0.0, p.gamma), (p.tau1, 0.0), (p.tau2, 0.0)):
+            worst = max(worst, *encoding_residual(fam, tau, potential, units))
     elapsed = time.perf_counter() - t_start
     ok = worst <= 1e-9 and elapsed < 10.0
     _report(2, "closed-form residuals over the matrix",
@@ -70,7 +72,7 @@ def test_criterion_03_ode_fidelity():
         flipped = hs.EFState(start.y_u, -start.p_u, start.y_v, -start.p_v)
         for direction, state in ((+1.0, start), (-1.0, flipped)):
             traj = integrate(state, (0.0, 10.0), p, tol=tol)
-            ref_u, _, ref_v, _ = _closed_form_arrays(fam, direction * np.asarray(traj.t))
+            ref_u, _, ref_v, _ = bounded_closed_form(fam, direction * np.asarray(traj.t))
             worst = max(worst, float(np.max(np.abs(traj.y_u - ref_u))),
                         float(np.max(np.abs(traj.y_v - ref_v))))
         return worst

@@ -15,7 +15,7 @@ import pytest
 import hardysys as hs
 from hardysys.cli import main
 from hardysys.emdenfowler import _manifold_start, integrate
-from reference import profile_value
+from reference import bounded_closed_form, log_values, profile_value
 
 N4 = ["--n", "4", "--gamma", "0", "--nu", "1", "--alpha", "2"]
 
@@ -723,6 +723,58 @@ def test_export_profile_beyond_a_double_exit2_no_file(tmp_path):
     assert code == 2
     assert err.startswith("invalid parameters:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _ulp_distance(a, b):
+    """Elementwise distance in ulps between two float64 arrays, across zero too."""
+    def ordered(x):
+        bits = np.asarray(x, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, np.int64(-2 ** 63) - bits, bits)
+    return np.abs(ordered(a) - ordered(b))
+
+
+def _csv_columns(path):
+    lines = path.read_text().splitlines()
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
+
+
+@pytest.mark.parametrize("flags, mu0, grid_lo, grid_hi", [
+    (N4, 1.0, 1e-6, 1e6), (N4, 1e-300, 1e-6, 1e6), (N4, 1e300, 1e-6, 1e6),
+    (N150, 1.0, 1e-3, 1e6), (N4, 1.0, 3e-5, 7.7e5)],
+    ids=["n4", "n4-mu1e-300", "n4-mu1e300", "n150", "n4-odd-ends"])
+def test_export_matches_the_numpy_reference(tmp_path, flags, mu0, grid_lo, grid_hi):
+    # export runs on Python floats; the reference is np.geomspace and the
+    # closed form in numpy, the way export computed its tables before.  The
+    # radii are np.geomspace's within 1 ulp (10.0 ** x against np.power);
+    # at the exported radii, u, v and the trajectory are within 4 ulps, an
+    # ulp of exp (numpy's differs from libm's, on AVX-512 hosts in about 5 %
+    # of points) rounded through c and y'; r^tau u reads log r too, and tau
+    # log r carries an ulp of log r times tau: within 32 ulps (14 at n = 150,
+    # where tau2 = 75).  The t column is the same bits.  The last case's ends
+    # are not 10.0 ** log10 of themselves.
+    out = tmp_path / "case"
+    assert main(["export", *flags, "--mu0", repr(mu0), "--grid-lo", repr(grid_lo),
+                 "--grid-hi", repr(grid_hi), "--out", str(out)]) == 0
+    p = hs.ProblemParams(*(float(v) for v in flags[1::2]))
+    fam = hs.classify(p, mu0)[0]
+
+    r, u, v, wt1, wt2 = _csv_columns(tmp_path / "case.profile.csv")
+    r_ref = np.geomspace(grid_lo, grid_hi, 2048)
+    assert r.shape == r_ref.shape
+    assert (r[0], r[-1]) == (grid_lo, grid_hi)  # both ends exact, as np.geomspace sets them
+    assert _ulp_distance(r, r_ref).max() <= 1
+    log_u, log_r = log_values(fam.profile, r), np.log(r)
+    for got, want, bound in ((u, fam.c1 * np.exp(log_u), 4), (v, fam.c2 * np.exp(log_u), 4),
+                             (wt1, fam.c1 * np.exp(log_u + p.tau1 * log_r), 32),
+                             (wt2, fam.c1 * np.exp(log_u + p.tau2 * log_r), 32)):
+        assert _ulp_distance(got, want).max() <= bound
+
+    t, *columns = _csv_columns(tmp_path / "case.trajectory.csv")
+    t0, half = math.log(mu0), np.linspace(0.0, 10.0, 1001)
+    t_ref = np.concatenate([(t0 - half)[::-1][:-1], t0 + half])
+    assert t.tobytes() == t_ref.tobytes()
+    for got, want in zip(columns, bounded_closed_form(fam, t_ref - t0)):
+        assert _ulp_distance(got, want).max() <= 4
 
 
 def test_export_deterministic(tmp_path):

@@ -10,16 +10,17 @@ from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.cli import main
 from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinate,
-                                  _manifold_start, _max_normalized, integrate)
-from reference import (DP5_A, DP5_B, DP5_E, closed_form_accel, closed_form_arrays,
-                       convergence_order, dp5_table_step, ef_energy, ef_rhs,
-                       exact_ef_solution, exact_trajectory, manifold_coefficients,
-                       manifold_series_start, max_normalized, phase_plane_residual,
-                       r_space_residual, simultaneous_max_check)
+                                  _manifold_start, integrate)
+from reference import (DP5_A, DP5_B, DP5_E, LOG_RHO_GRID, bounded_closed_form,
+                       bounded_units, closed_form_accel, closed_form_arrays,
+                       convergence_order, dp5_table_step, encoding_residual, ef_energy,
+                       ef_rhs, exact_ef_solution, exact_trajectory, manifold_coefficients,
+                       manifold_series_start, phase_plane_residual, r_space_residual,
+                       simultaneous_max_check)
 
 # rho = r/mu0 of the residuals of the four encodings, and its logs, their argument
-GRID = np.geomspace(1e-6, 1e6, 2048)
-LOG_GRID = np.log(GRID)
+LOG_GRID = LOG_RHO_GRID
+GRID = np.exp(LOG_GRID)
 
 
 # --- right-hand side -----------------------------------------------------------
@@ -125,7 +126,7 @@ def test_integration_tracks_closed_form(benchmark4):
     for direction, state in ((+1.0, start), (-1.0, _flipped(start))):
         traj = integrate(state, (0.0, 10.0), p, tol=1e-10)
         assert traj.termination == "completed"
-        ref_u, ref_p, ref_v, _ = _closed_form_arrays(fam, direction * np.asarray(traj.t))
+        ref_u, ref_p, ref_v, _ = bounded_closed_form(fam, direction * np.asarray(traj.t))
         assert np.max(np.abs(traj.y_u - ref_u)) <= 1e-6
         assert np.max(np.abs(traj.y_v - ref_v)) <= 1e-6
         assert np.max(np.abs(direction * np.asarray(traj.p_u) - ref_p)) <= 1e-5
@@ -140,7 +141,7 @@ def test_integration_tolerance_scaling(benchmark4):
         worst = 0.0
         for direction, state in ((+1.0, start), (-1.0, _flipped(start))):
             traj = integrate(state, (0.0, 10.0), p, tol=tol)
-            ref_u, _, _, _ = _closed_form_arrays(fam, direction * np.asarray(traj.t))
+            ref_u, _, _, _ = bounded_closed_form(fam, direction * np.asarray(traj.t))
             worst = max(worst, float(np.max(np.abs(traj.y_u - ref_u))))
         return worst
 
@@ -153,7 +154,7 @@ def test_integrator_effective_order(benchmark4):
     pairs = []
     for tol in (1e-7, 1e-8, 1e-9, 1e-10):
         traj = integrate(start, (0.0, 10.0), p, tol=tol)
-        ref_u, _, _, _ = _closed_form_arrays(fam, traj.t)
+        ref_u, _, _, _ = bounded_closed_form(fam, traj.t)
         h_mean = 10.0 / traj.accepted
         pairs.append((h_mean, float(np.max(np.abs(traj.y_u - ref_u)))))
     assert convergence_order(pairs) >= 4.0
@@ -169,7 +170,7 @@ def test_trajectory_monotone_time_and_stats(benchmark4):
     assert fwd.accepted == len(fwd.t) - 1
     assert fwd.rejected >= 0
     # reversibility: backward leg mirrors the forward one
-    ref_u, _, _, _ = _closed_form_arrays(fam, -np.asarray(bwd.t))
+    ref_u, _, _, _ = bounded_closed_form(fam, -np.asarray(bwd.t))
     assert np.max(np.abs(bwd.y_u - ref_u)) <= 1e-6
 
 
@@ -849,7 +850,7 @@ def test_radial_residual_rejects_bad_grid(benchmark4):
         with pytest.raises(ParameterError, match="log rho must be finite"):
             hs.emdenfowler.radial_system_residual(fam, log_rho)
         with pytest.raises(ParameterError, match="log rho must be finite"):
-            hs.weighted_system_residual(fam, p.tau2, log_rho)
+            hs.emdenfowler.weighted_system_residual(fam, p.tau2, log_rho)
         with pytest.raises(ParameterError, match="log rho must be finite"):
             hs.emdenfowler.ef_system_residual(fam, log_rho)
 
@@ -857,7 +858,7 @@ def test_radial_residual_rejects_bad_grid(benchmark4):
 def test_weighted_residual_both_roots(benchmark4):
     p, fam = benchmark4
     for tau in (p.tau1, p.tau2):
-        wu, wv = hs.weighted_system_residual(fam, tau, LOG_GRID)
+        wu, wv = hs.emdenfowler.weighted_system_residual(fam, tau, LOG_GRID)
         assert max(wu, wv) <= 1e-9
 
 
@@ -865,37 +866,47 @@ def test_weighted_residual_rejects_non_root_exponent():
     p = hs.ProblemParams.symmetric(5, 1.125, 1.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
     with pytest.raises(ParameterError):
-        hs.weighted_system_residual(fam, p.delta, LOG_GRID)
+        hs.emdenfowler.weighted_system_residual(fam, p.delta, LOG_GRID)
 
 
 def test_three_encodings_agree(matrix_families):
-    # one solution, three formulations, all residuals at the same tolerance;
-    # the radial and weighted ones also by the r-space oracle, which sums
-    # the undivided equations term by term at the radii r = mu0 rho, and the
-    # phase-plane one also by the theta-form oracle, summed in t = log r
+    # one solution, three formulations, all residuals at the same tolerance,
+    # in the array form of _encoding_residual; the radial and weighted ones
+    # also by the r-space oracle, which sums the undivided equations term by
+    # term at the radii r = mu0 rho, and the phase-plane one also by the
+    # theta-form oracle, summed in t = log r
     for p, mu0, fam in matrix_families:
-        ru, rv = hs.emdenfowler.radial_system_residual(fam, LOG_GRID)
-        assert max(ru, rv) <= 1e-9
+        units = bounded_units(fam.profile, LOG_GRID)
+        assert max(encoding_residual(fam, 0.0, p.gamma, units)) <= 1e-9
         assert max(r_space_residual(fam, 0.0, p.gamma, mu0 * GRID)) <= 1e-9
         for tau in (p.tau1, p.tau2):
-            wu, wv = hs.weighted_system_residual(fam, tau, LOG_GRID)
-            assert max(wu, wv) <= 1e-9
+            assert max(encoding_residual(fam, tau, 0.0, units)) <= 1e-9
             assert max(r_space_residual(fam, tau, 0.0, mu0 * GRID)) <= 1e-9
-        eu, ev = hs.emdenfowler.ef_system_residual(fam, LOG_GRID)
-        assert max(eu, ev) <= 1e-9
+        assert max(encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, units)) <= 1e-9
         t_grid = np.linspace(math.log(mu0) - 14.0, math.log(mu0) + 14.0, 801)
         assert max(phase_plane_residual(fam, t_grid)) <= 1e-9
 
 
-def test_max_normalized_is_the_stacked_form_bit_for_bit():
-    # in-place maxima, the same sum order: max is exact, so the value keeps
-    # its bits (energy_invariant reads it)
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        size = int(rng.integers(1, 50))
-        terms = tuple(rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
-                      for _ in range(int(rng.integers(2, 6))))
-        assert _max_normalized(terms) == max_normalized(terms)
+@pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (3, 0.0, 1.0, 3.0),
+                                  (5, 1.125, 1.0, 5.0 / 3.0), (20, 0.0, 0.3, 1.2),
+                                  (150, 5475.0, 0.0, 1.0135135135135136),
+                                  (150, 0.0, 1.0, 1.0135135135135136)])
+def test_float_residual_is_the_array_form(args):
+    # the residual runs on Python floats, the tests' array form in numpy, in
+    # the same order of operations on the same units: only numpy's exp may
+    # round y^m differently, by an ulp, so the maxima agree to 1e-15
+    p = hs.ProblemParams(*args)
+    for fam in hs.classify(p):
+        units = bounded_units(fam.profile, LOG_GRID)
+        wrappers = {
+            (0.0, p.gamma): hs.emdenfowler.radial_system_residual(fam, LOG_GRID),
+            (p.tau1, 0.0): hs.emdenfowler.weighted_system_residual(fam, p.tau1, LOG_GRID),
+            (p.tau2, 0.0): hs.emdenfowler.weighted_system_residual(fam, p.tau2, LOG_GRID),
+            (p.delta, p.gamma - p.delta * p.delta):
+                hs.emdenfowler.ef_system_residual(fam, LOG_GRID)}
+        for (tau, potential), got in wrappers.items():
+            assert_allclose(got, encoding_residual(fam, tau, potential, units),
+                            rtol=0, atol=1e-15)
 
 
 def test_quotient_limits_integrated(matrix_trajectories):

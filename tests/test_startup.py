@@ -1,8 +1,8 @@
 """Start-up: a lazy ``import hardysys`` that exports only what the package
-runs, a shot and a CLI whose scalar commands load no numpy, and a CLI that
-starts no BLAS threads when it does load it.
+runs, and a package that imports no numpy: no module names it, and every
+command runs, with the same output, where numpy cannot be imported.
 
-Each test runs in a fresh interpreter, since the test process has long since
+Each run is in a fresh interpreter, since the test process has long since
 imported numpy and every submodule.
 """
 
@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "find_positive_roots",
     "full_verification", "hardy_constant", "integrate",
     "proportionality_defect", "shoot_synchronized",
-    "verify_constants_system", "weighted_system_residual",
+    "verify_constants_system",
 }
 
 
@@ -68,7 +68,7 @@ print(json.dumps([half.termination, 'numpy' in sys.modules]))
 
 
 def test_all_keeps_the_public_names():
-    assert len(PUBLIC_NAMES) == 25
+    assert len(PUBLIC_NAMES) == 24
     names = run_python("import json, hardysys; print(json.dumps(hardysys.__all__))")
     assert set(names) == PUBLIC_NAMES
     assert len(names) == len(PUBLIC_NAMES)
@@ -139,21 +139,40 @@ def test_every_exported_function_is_used_by_the_package():
     assert sorted(functions - loaded) == []
 
 
-# --- what a CLI command loads ------------------------------------------------------
+# --- numpy ------------------------------------------------------------------------
+
+
+def test_no_module_imports_numpy():
+    # at any depth, not only at the top of a module
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "hardysys", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(os.path.basename(path), node.lineno) for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert found == []
+
 
 CLI_IN_PROCESS = """
-import contextlib, io, json, os, runpy, sys
+import contextlib, io, json, runpy, sys
+if %r:
+    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
 sys.argv = ["hardysys", *%r]
-with contextlib.redirect_stdout(io.StringIO()):
+out, code = io.StringIO(), 0
+with contextlib.redirect_stdout(out):
     try:
         runpy.run_module("hardysys", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
-        assert exc.code == 0, exc.code
-threads = None
-if os.path.exists("/proc/self/status"):
-    with open("/proc/self/status") as fh:
-        threads = int(next(ln for ln in fh if ln.startswith("Threads:")).split()[1])
-print(json.dumps([threads, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules]))
+        code = exc.code
+loaded = sorted(k for k, m in sys.modules.items() if k.split(".")[0] == "numpy" and m)
+print(json.dumps([code, out.getvalue(), loaded]))
 """
 
 PARAMS = ["--gamma", "0", "--nu", "1"]
@@ -162,17 +181,13 @@ SWEEP = ["sweep", "--n", "3", *PARAMS, "--alpha", "3", "--param", "nu",
          "--start", "0.5", "--stop", "1.5", "--samples", "5"]
 VERIFY = ["verify", "--n", "4", *PARAMS, "--alpha", "2"]
 SHOOT = ["shoot", "--n", "4", *PARAMS, "--alpha", "2"]
-EXPORT = ["export", "--n", "4", *PARAMS, "--alpha", "2"]  # --out is added per test
+EXPORT = ["export", "--n", "4", *PARAMS, "--alpha", "2"]  # --out is added per run
 
 
-def run_cli_in_process(argv, env_update=None):
+def run_cli_in_process(argv, block_numpy):
     """``python -m hardysys argv`` in a fresh interpreter, through runpy; return
-    [threads (None without /proc), OPENBLAS_NUM_THREADS, numpy loaded]."""
-    return run_python(CLI_IN_PROCESS % (argv,), env_update)
-
-
-needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                                reason="reads the thread count from /proc/self/status")
+    [exit code, stdout, the numpy modules it loaded]."""
+    return run_python(CLI_IN_PROCESS % (block_numpy, argv))
 
 
 def test_console_script_target_imports_without_running():
@@ -181,24 +196,21 @@ def test_console_script_target_imports_without_running():
     assert run_python(code) == "hardysys.cli"
 
 
-@pytest.mark.parametrize("argv,loaded", [(CLASSIFY, False), (SWEEP, False), (SHOOT, False),
-                                         (VERIFY, True), (EXPORT, True)],
+@pytest.mark.parametrize("argv", [CLASSIFY, SWEEP, SHOOT, VERIFY, EXPORT],
                          ids=["classify", "sweep", "shoot", "verify", "export"])
-def test_only_array_commands_load_numpy(argv, loaded, tmp_path):
+def test_every_command_runs_without_numpy(argv, tmp_path):
+    # a normal run and one in which numpy cannot be imported exit 0 with the
+    # same stdout, and export writes the same files; neither loads numpy
+    runs = []
+    for block in (False, True):
+        out = tmp_path / ("blocked" if block else "normal")
+        out.mkdir()
+        code, stdout, loaded = run_cli_in_process(
+            [*argv, "--out", str(out / "case")] if argv is EXPORT else argv, block)
+        assert (code, loaded) == (0, [])
+        runs.append((stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert runs[0] == runs[1]
     if argv is EXPORT:
-        argv = [*EXPORT, "--out", str(tmp_path / "case")]
-    assert run_cli_in_process(argv)[2] is loaded
-
-
-@needs_proc
-def test_cli_starts_no_blas_pool():
-    # verify loads numpy, and so OpenBLAS, which starts its worker thread
-    # unless the entry point's one-thread default is in force
-    threads, setting, loaded = run_cli_in_process(VERIFY, {"OPENBLAS_NUM_THREADS": None})
-    assert (threads, setting, loaded) == (1, "1", True)
-
-
-@needs_proc
-def test_cli_keeps_the_callers_blas_setting():
-    _, setting, _ = run_cli_in_process(VERIFY, {"OPENBLAS_NUM_THREADS": "2"})
-    assert setting == "2"
+        assert sorted(runs[0][1]) == ["case.profile.csv", "case.trajectory.csv"]
+    else:
+        assert runs[0][0]

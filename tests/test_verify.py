@@ -11,8 +11,9 @@ import hardysys as hs
 from hardysys import ConvergenceError, ParameterError
 from hardysys.emdenfowler import integrate
 from hardysys.profiles import ScalarProfile
-from reference import (all_terms_residual, convergence_order, fd_derivative,
-                       manifold_coefficients, manifold_series_start)
+from reference import (LOG_RHO_GRID, all_terms_residual, bounded_units, convergence_order,
+                       encoding_residual, fd_derivative, manifold_coefficients,
+                       manifold_series_start)
 
 
 # --- finite-difference oracle -----------------------------------------------
@@ -57,54 +58,24 @@ def test_convergence_order_validation():
         convergence_order([(0.1, 1e-16), (0.05, 1e-16), (0.025, 1e-16)])
 
 
-# --- radial grid -----------------------------------------------------------------
-
-
-def test_log_uniform_grid_contract(monkeypatch, benchmark4):
-    # the grid full_verification passes to the residual holds log rho =
-    # log(r/mu0): the logs of the same 2048 log-uniform points over
-    # [1e-6, 1e6] at every mu0, so mu0 = 1e-+300 forms no radius at all
-    p, _ = benchmark4
-    grids = []
-    weighted = hs.verify.weighted_system_residual
-
-    def capturing_weighted(fam, tau, log_rho):
-        grids.append(log_rho)
-        return weighted(fam, tau, log_rho)
-
-    monkeypatch.setattr(hs.verify, "weighted_system_residual", capturing_weighted)
-    for mu0 in (1.0, 1e-300, 1e300):
-        hs.full_verification(p, mu0)
-    assert len(grids) == 3
-    grid = grids[0]
-    assert len(grid) == 2048
-    assert grid[0] == pytest.approx(math.log(1e-6))
-    assert grid[-1] == pytest.approx(math.log(1e6))
-    steps = np.diff(grid)
-    assert np.all(steps > 0)
-    assert np.max(steps) / np.min(steps) - 1.0 < 1e-10
-    assert grid.tobytes() == np.log(np.geomspace(1e-6, 1e6, 2048)).tobytes()
-    for other in grids[1:]:
-        assert other.tobytes() == grid.tobytes()
-    assert not grid.flags.writeable  # one module constant, never rebuilt
+# --- scale invariance -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
                                   (3, 0.0, 1.0, 3.0), (4, 0.0, 0.0, 2.0),
                                   (150, 5475.0, 0.0, 1.0135135135135136)])
 def test_encoding_residuals_do_not_depend_on_mu0(args):
-    # rescaling by mu0 maps solutions to solutions: the residual on the log
-    # rho grid, the orbit and energy checks on log rho, and asymptotic_u0, the
-    # limit mu0^kappa r^tau1 u = c1 A, read no mu0, so every check keeps the
-    # bits of mu0 = 1
+    # rescaling by mu0 maps solutions to solutions: the orbit checks on log
+    # rho, and asymptotic_u0, the limit mu0^kappa r^tau1 u = c1 A, read no
+    # mu0, so every check keeps the bits of mu0 = 1
     p = hs.ProblemParams(*args)
 
     def values(mu0):
         return [(c.name, c.value.hex()) for c in hs.full_verification(p, mu0).checks]
 
     at_one = values(1.0)
-    # five checks per family, and energy_invariant at nu = 0
-    assert len(at_one) == len(hs.classify(p)) * (5 if p.nu else 6)
+    # four checks per family, at every nu
+    assert len(at_one) == len(hs.classify(p)) * 4
     for mu0 in (0.5, 2.0, 1e-300, 1e300):
         assert values(mu0) == at_one, mu0
 
@@ -112,10 +83,9 @@ def test_encoding_residuals_do_not_depend_on_mu0(args):
 # --- full verification -------------------------------------------------------------
 
 
-#: check names full_verification may emit (the energy one only when nu = 0)
+#: check names full_verification emits for every family
 DOCUMENTED_CHECKS = {
-    "equation_residual", "integration_deviation", "proportionality_defect",
-    "asymptotic_u0", "shooting_recovery", "energy_invariant",
+    "integration_deviation", "proportionality_defect", "asymptotic_u0", "shooting_recovery",
 }
 
 
@@ -128,7 +98,7 @@ def test_full_verification_benchmark4(benchmark4):
     report = hs.full_verification(p, 1.0)
     assert report.overall
     assert report.n_families == 1
-    assert _base_names(report) == DOCUMENTED_CHECKS - {"energy_invariant"}
+    assert _base_names(report) == DOCUMENTED_CHECKS
     assert report.overall == all(c.passed for c in report.checks)
 
 
@@ -144,46 +114,46 @@ def test_full_verification_scalar_regression():
     p = hs.ProblemParams.symmetric(3, 0.1875, 0.0, 3.0)
     report = hs.full_verification(p, 2.0)
     assert report.overall
-    assert "energy_invariant" in {c.name.split(".", 1)[1] for c in report.checks}
+    assert _base_names(report) == DOCUMENTED_CHECKS  # nu = 0 adds none
 
 
 def test_full_verification_flags_perturbed_amplitude(monkeypatch, benchmark4):
     p, _ = benchmark4
     exact = hs.verify.classify
-    # every family 10% too tall: the equations no longer hold
+    # every family 10% too tall: the closed form is no longer the orbit that
+    # shooting traces from the root, which keeps its ray
     monkeypatch.setattr(hs.verify, "classify", lambda p, mu0: [
         replace(f, c1=1.1 * f.c1, c2=1.1 * f.c2) for f in exact(p, mu0)])
     report = hs.full_verification(p, 1.0)
     assert not report.overall
     failed = {c.name.split(".", 1)[1] for c in report.checks if not c.passed}
-    assert "equation_residual" in failed
+    assert failed == {"integration_deviation", "asymptotic_u0", "shooting_recovery"}
 
 
 @pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
                                   (3, 0.0, 1.0, 3.0)])
-def test_residual_checks_detect_constants_or_amplitude_off_by_1e_6(monkeypatch, args):
-    # c1 and c2 both 1e-6 too large, or the amplitude A: each equation's y^m
-    # term is off by about m 1e-6 of its size, and the residual fails; y^m
-    # comes from the profile's log value, so A shows
-    def assert_all_fail(p):
-        checks = hs.full_verification(p, 1.0).checks
-        hits = [c for c in checks if c.name.split(".", 1)[1] == "equation_residual"]
-        assert hits and all(not c.passed and c.value >= 1e-7 for c in hits)
+def test_residual_checks_detect_constants_or_amplitude_off_by_1e_6(args):
+    # the closed-form residual on the log rho grid, the weighted encoding at
+    # tau2: with c1 and c2 both 1e-6 too large, or the amplitude A, each
+    # equation's y^m term is off by about m 1e-6 of its size, and it fails
+    # the 1e-9 bound; y^m comes from the profile's log value, so A shows
+    def assert_all_fail(families):
+        assert families
+        for fam in families:
+            value = max(hs.emdenfowler.weighted_system_residual(
+                fam, fam.profile.params.tau2, LOG_RHO_GRID))
+            assert value >= 1e-7
 
-    exact = hs.verify.classify
-    with monkeypatch.context() as patch:
-        patch.setattr(hs.verify, "classify", lambda p, mu0: [
-            replace(f, c1=f.c1 * (1.0 + 1e-6), c2=f.c2 * (1.0 + 1e-6))
-            for f in exact(p, mu0)])
-        assert_all_fail(hs.ProblemParams(*args))
     p = hs.ProblemParams(*args)
+    assert_all_fail([replace(f, c1=f.c1 * (1.0 + 1e-6), c2=f.c2 * (1.0 + 1e-6))
+                     for f in hs.classify(p)])
     object.__setattr__(p, "amplitude", p.amplitude * (1.0 + 1e-6))  # frozen dataclass
-    assert_all_fail(p)
+    assert_all_fail(hs.classify(p))
 
 
 def test_full_verification_at_n150_raises_no_numpy_warning():
     # n = 150 near the Hardy constant: the r-space residuals overflowed here
-    # into NaN; the bounded ones stay doubles, and no numpy warning is raised
+    # into NaN; every check stays a double, and no warning is raised
     p = hs.ProblemParams(150, 5475.0, 0.0, 1.0135135135135136)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -377,10 +347,11 @@ def _mutants(fam):
 
 def test_equation_residual_fails_every_mutant_any_encoding_fails():
     # the four encodings (plain, weighted at tau1 and tau2, phase plane) sum
-    # one function of rho; equation_residual, the weighted one at tau2 under
-    # the scale max(1, c-terms), fails every mutant that any of them fails,
-    # whether under that scale or under max(1, |terms|) over all five terms
-    log_grid = hs.verify.LOG_RHO_GRID
+    # one function of rho; the residual of the radial equations on the log
+    # rho grid, the weighted one at tau2 under the scale max(1, c-terms),
+    # fails every mutant that any of them fails, whether under that scale or
+    # under max(1, |terms|) over all five terms.  The array form reads the
+    # units through the profile's _bounded_units, which the mutants skew
     escapes, mutants, caught, worst = [], 0, 0, 0.0
     for n, frac, nu, f in MUTATION_BOX:
         ts = hs.critical_exponent(n)
@@ -388,14 +359,16 @@ def test_equation_residual_fails_every_mutant_any_encoding_fails():
         encodings = ((0.0, p.gamma), (p.tau1, 0.0), (p.tau2, 0.0),
                      (p.delta, p.gamma - p.delta * p.delta))
         for fam in hs.classify(p):
-            worst = max(worst, *hs.weighted_system_residual(fam, p.tau2, log_grid))
+            exact = bounded_units(fam.profile, LOG_RHO_GRID)
+            worst = max(worst, *encoding_residual(fam, p.tau2, 0.0, exact))
             for mutant in _mutants(fam):
                 mutants += 1
-                value = max(hs.weighted_system_residual(mutant, p.tau2, log_grid))
-                others = [hs.emdenfowler.radial_system_residual(mutant, log_grid),
-                          hs.weighted_system_residual(mutant, p.tau1, log_grid),
-                          hs.emdenfowler.ef_system_residual(mutant, log_grid)]
-                others += [all_terms_residual(mutant, tau, potential, log_grid)
+                units = (exact if mutant.profile is fam.profile
+                         else bounded_units(mutant.profile, LOG_RHO_GRID))
+                value = max(encoding_residual(mutant, p.tau2, 0.0, units))
+                others = [encoding_residual(mutant, tau, potential, units)
+                          for tau, potential in encodings if tau != p.tau2]
+                others += [all_terms_residual(mutant, tau, potential, units)
                            for tau, potential in encodings]
                 if max(map(max, others)) > 1e-9:
                     caught += 1
@@ -481,37 +454,43 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # 0x1.11bb00a7dfb11p-42, asymptotic_u0 0x1.2c2fffffffa80p-41 ->
 # 0x1.1d3fffffffb09p-41, shooting_recovery 0x1.376431b661134p-43 ->
 # 0x1.36c76d45c0ca4p-43; at n = 3 (first family, both scales) asymptotic_u0
-# 0x1.4a0000000006ap-45 -> 0x1.4800000000069p-45.
+# 0x1.4a0000000006ap-45 -> 0x1.4800000000069p-45.  equation_residual left
+# the report, an identity of the closed form that tier-1 checks on its grid
+# (test_equation_residual_fails_every_mutant_any_encoding_fails), and the
+# closed form and the proportionality defect moved from numpy arrays to
+# Python floats: the values kept are the same bits, and the residual column
+# went (n = 4: 0x1.2053fdd50b108p-50; n = 3, by family: 0x1.0000000000000p-51,
+# 0x1.8000000000000p-52, 0x1.0000000000000p-51; gamma = 0.5:
+# 0x1.7e40000000000p-51; mu0 = 2 as at mu0 = 1).
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
-        "0x1.2053fdd50b108p-50", "0x1.11bb00a7dfb11p-42", "0x0.0p+0",
+        "0x1.11bb00a7dfb11p-42", "0x0.0p+0",
         "0x1.1d3fffffffb09p-41", "0x1.36c76d45c0ca4p-43"),),
     "n3-nu1-alpha3": ((
-        "0x1.0000000000000p-51", "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
+        "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
         "0x1.4800000000069p-45", "0x1.81fbc7620f2f0p-44"), (
-        "0x1.8000000000000p-52", "0x1.807a134be10c5p-44", "0x0.0p+0",
+        "0x1.807a134be10c5p-44", "0x0.0p+0",
         "0x1.3f80000000064p-45", "0x1.807a134be0e83p-44"), (
-        "0x1.0000000000000p-51", "0x1.8273baf301e87p-44", "0x1.1dee0b0f8b07cp-50",
+        "0x1.8273baf301e87p-44", "0x1.1dee0b0f8b07cp-50",
         "0x1.4cc000000006cp-45", "0x1.8302b1f889896p-44")),
     # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
     # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
-        "0x1.7e40000000000p-51", "0x1.dcbf3a650f75dp-43", "0x0.0p+0",
+        "0x1.dcbf3a650f75dp-43", "0x0.0p+0",
         "0x1.11ffffffffedbp-43", "0x1.dc5060796da5cp-43"),),
     # mu0 = 2: no check reads mu0, so these are the bits of mu0 = 1
     "n3-nu1-alpha3-mu2": ((
-        "0x1.0000000000000p-51", "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
+        "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
         "0x1.4800000000069p-45", "0x1.81fbc7620f2f0p-44"), (
-        "0x1.8000000000000p-52", "0x1.807a134be10c5p-44", "0x0.0p+0",
+        "0x1.807a134be10c5p-44", "0x0.0p+0",
         "0x1.3f80000000064p-45", "0x1.807a134be0e83p-44"), (
-        "0x1.0000000000000p-51", "0x1.8273baf301e87p-44", "0x1.1dee0b0f8b07cp-50",
+        "0x1.8273baf301e87p-44", "0x1.1dee0b0f8b07cp-50",
         "0x1.4cc000000006cp-45", "0x1.8302b1f889896p-44")),
 }
 
-# the check order of one coupled (nu > 0) family
+# the check order of one family
 COUPLED_CHECKS = (
-    "equation_residual", "integration_deviation", "proportionality_defect",
-    "asymptotic_u0", "shooting_recovery",
+    "integration_deviation", "proportionality_defect", "asymptotic_u0", "shooting_recovery",
 )
 
 
