@@ -7,9 +7,10 @@ of the parameter it sweeps, and checks the parameters of every sample before
 its first root search.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
-(among them a root of the coupling function beyond the range of a double,
-named by its log s, constants of a root or a term of their system beyond
-it, and an ``export`` profile beyond it), 3 no usable
+(among them a coupling coefficient nu alpha or nu beta beyond the range of
+a double, a root of the coupling function beyond it, named by its log s,
+constants of a root or a term of their system beyond it, and an ``export``
+profile beyond it), 3 no usable
 (non-degenerate) root, 5 unwritable output path (one stderr line,
 ``output error: <message>``, that names the path), 6 integration failed
 (step size underflow, step budget exceeded, floating-point overflow, or a

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, ParameterError
 from .params import ProblemParams
@@ -32,23 +32,16 @@ DEGENERACY_THRESHOLD = 1e-8
 TANGENCY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CouplingRoot:
+class CouplingRoot(namedtuple("CouplingRoot", "c_tilde f_prime is_degenerate")):
     """One positive root of the coupling function."""
 
-    c_tilde: float
-    f_prime: float
-    is_degenerate: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SynchronizedFamily:
+class SynchronizedFamily(namedtuple("SynchronizedFamily", "root c1 c2 profile")):
     """One synchronized solution family (c1 * profile, c2 * profile)."""
 
-    root: CouplingRoot
-    c1: float
-    c2: float
-    profile: ScalarProfile
+    __slots__ = ()
 
     @property
     def c_tilde(self) -> float:

@@ -26,7 +26,7 @@ proportionality defect take and return floats or lists of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IntegrationError, ParameterError, TrajectoryError
 from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
@@ -38,32 +38,28 @@ MIN_STEP = 1e-14
 MAX_STEP = 1.0
 
 
-@dataclass(frozen=True)
-class EFState:
+class EFState(namedtuple("EFState", "y_u p_u y_v p_v")):
     """Phase state (y_u, y_u', y_v, y_v') at one log-radius."""
 
-    y_u: float
-    p_u: float
-    y_v: float
-    p_v: float
+    __slots__ = ()
 
 
-@dataclass
 class EFTrajectory:
     """An integrated trajectory with step statistics.
 
-    The five fields are lists of Python floats, the start and one entry per
-    accepted step.
+    The five fields t, y_u, p_u, y_v and p_v are lists of Python floats, the
+    start and one entry per accepted step; ``termination`` is 'completed',
+    'blowup' or 'extinction'.  The attributes can be reassigned, as
+    ``shoot_synchronized`` does.
     """
 
-    t: list[float]
-    y_u: list[float]
-    p_u: list[float]
-    y_v: list[float]
-    p_v: list[float]
-    accepted: int
-    rejected: int
-    termination: str  # 'completed' | 'blowup' | 'extinction'
+    __slots__ = ("t", "y_u", "p_u", "y_v", "p_v", "accepted", "rejected", "termination")
+
+    def __init__(self, t: list[float], y_u: list[float], p_u: list[float],
+                 y_v: list[float], p_v: list[float], accepted: int, rejected: int,
+                 termination: str):
+        self.t, self.y_u, self.p_u, self.y_v, self.p_v = t, y_u, p_u, y_v, p_v
+        self.accepted, self.rejected, self.termination = accepted, rejected, termination
 
 
 # --- closed-form synchronized trajectories ---------------------------------

@@ -22,7 +22,6 @@ constants derived from (n, gamma) as attributes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
@@ -50,8 +49,43 @@ def _check_dimension(n) -> None:
         raise ParameterError(f"dimension too small: n={n} (need n >= 3)")
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class _Record:
+    """Base of an immutable record whose constructor arguments are ``_fields``:
+    repr, equality and hash on those fields alone, an instance of a subclass
+    never equal to one of its base, and pickling and copying through the
+    constructor.  Assignment and deletion raise AttributeError; ``__init__``
+    sets each slot with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class ProblemParams(_Record):
     """The tuple (n, gamma, nu, alpha) defining one system, with
     beta = 2* - alpha and the constants derived from (n, gamma), computed
     once at construction.
@@ -63,49 +97,47 @@ class ProblemParams:
     * 0 <= gamma < lambda_n (one Hardy coefficient for both equations)
     * nu >= 0 (nu = 0 is the decoupled scalar mode)
     * alpha > 1 and beta > 1
+    * nu alpha and nu beta finite (the coefficients of the coupling function)
+
+    Immutable; repr, equality and hash read (n, gamma, nu, alpha) alone.
     """
 
-    n: int
-    gamma: float
-    nu: float
-    alpha: float
-    beta: float = field(init=False, repr=False, compare=False)
-    two_star: float = field(init=False, repr=False, compare=False)
-    lambda_n: float = field(init=False, repr=False, compare=False)
-    delta: float = field(init=False, repr=False, compare=False)
-    tau1: float = field(init=False, repr=False, compare=False)
-    tau2: float = field(init=False, repr=False, compare=False)
-    kappa: float = field(init=False, repr=False, compare=False)
-    amplitude: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "gamma", "nu", "alpha", "beta", "two_star", "lambda_n",
+                 "delta", "tau1", "tau2", "kappa", "amplitude")
+    _fields = ("n", "gamma", "nu", "alpha")
 
-    def __post_init__(self):
-        _check_dimension(self.n)
-        n = int(self.n)
-        object.__setattr__(self, "n", n)
-        for name in ("gamma", "nu", "alpha"):
-            value = float(getattr(self, name))
+    def __init__(self, n: int, gamma: float, nu: float, alpha: float):
+        _check_dimension(n)
+        n = int(n)
+        gamma, nu, alpha = float(gamma), float(nu), float(alpha)
+        for name, value in (("gamma", gamma), ("nu", nu), ("alpha", alpha)):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
         lam = hardy_constant(n)
-        if not 0.0 <= self.gamma < lam:
+        if not 0.0 <= gamma < lam:
             raise ParameterError(
-                f"gamma out of range: {self.gamma} not in [0, {lam}) "
+                f"gamma out of range: {gamma} not in [0, {lam}) "
                 "(the degenerate endpoint gamma = lambda_n is excluded)"
             )
-        if self.nu < 0:
-            raise ParameterError(f"coupling strength must be nonnegative, got nu={self.nu}")
+        if nu < 0:
+            raise ParameterError(f"coupling strength must be nonnegative, got nu={nu}")
         two_star = critical_exponent(n)
-        object.__setattr__(self, "beta", two_star - self.alpha)
-        if self.alpha <= 1 or self.beta <= 1:
+        beta = two_star - alpha
+        if alpha <= 1 or beta <= 1:
             raise ParameterError(
-                f"exponents must exceed 1, got alpha={self.alpha}, beta={self.beta}"
+                f"exponents must exceed 1, got alpha={alpha}, beta={beta}"
+            )
+        if not math.isfinite(nu * alpha) or not math.isfinite(nu * beta):
+            raise ParameterError(
+                f"the coupling coefficients nu alpha = {nu * alpha} and "
+                f"nu beta = {nu * beta} must be finite"
             )
         delta = (n - 2) / 2.0
-        root = math.sqrt(lam - self.gamma)
+        root = math.sqrt(lam - gamma)
         tau1 = delta - root
         base = n * (n - 2.0 - 2.0 * tau1) ** 2 / (n - 2.0)
-        for name, value in (("two_star", two_star), ("lambda_n", lam),
+        for name, value in (("n", n), ("gamma", gamma), ("nu", nu), ("alpha", alpha),
+                            ("beta", beta), ("two_star", two_star), ("lambda_n", lam),
                             ("delta", delta), ("tau1", tau1),
                             ("tau2", delta + root), ("kappa", delta - tau1),
                             ("amplitude", base ** ((n - 2) / 4.0))):

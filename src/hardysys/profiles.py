@@ -22,25 +22,28 @@ float and returns floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
-from .params import ProblemParams
+from .params import ProblemParams, _Record
 
 #: the least radius ``export`` accepts
 MIN_RADIUS = 1e-300
 
 
-@dataclass(frozen=True)
-class ScalarProfile:
-    """The explicit radial profile at scale mu (Aubin-Talenti bubble if gamma=0)."""
+class ScalarProfile(_Record):
+    """The explicit radial profile at scale mu (Aubin-Talenti bubble if gamma=0).
 
-    params: ProblemParams
-    mu: float = 1.0
+    Immutable; repr, equality and hash read (params, mu).
+    """
 
-    def __post_init__(self):
-        if not 0 < self.mu < math.inf:
-            raise ParameterError(f"scale must be positive and finite, got mu={self.mu}")
+    __slots__ = ("params", "mu")
+    _fields = ("params", "mu")
+
+    def __init__(self, params: ProblemParams, mu: float = 1.0):
+        if not 0 < mu < math.inf:
+            raise ParameterError(f"scale must be positive and finite, got mu={mu}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "mu", mu)
 
     # --- internal pieces -------------------------------------------------
 
@@ -73,11 +76,15 @@ class ScalarProfile:
         (1 + rho^q)^(-delta) in (0, A 2^-delta]; neither depends on mu.
         With L = log(1 + rho^q) from ``_log_terms``, 1 - w = e^(-L) and
         w = e^(t - L), t = q log rho, so each is accurate relative to itself,
-        in its tail as well.
+        in its tail as well.  Where delta L is beyond a double, the three are
+        their limits as rho -> infinity, (1, 0, -inf).
         """
         p = self.params
         t, log1p_term = self._log_terms(rho_log)
-        log_y = math.log(p.amplitude) + p.kappa * rho_log - p.delta * log1p_term
+        decay = p.delta * log1p_term
+        if decay == math.inf:  # t - L, or log y, would be inf - inf
+            return 1.0, 0.0, -math.inf
+        log_y = math.log(p.amplitude) + p.kappa * rho_log - decay
         return math.exp(t - log1p_term), math.exp(-log1p_term), log_y
 
 

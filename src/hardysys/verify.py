@@ -63,7 +63,7 @@ off by 1e-6 (tests/test_verify.py, tests/test_acceptance.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coupling import classify
 from .emdenfowler import (proportionality_defect, shoot_synchronized, _check_shooting_tol,
@@ -71,22 +71,17 @@ from .emdenfowler import (proportionality_defect, shoot_synchronized, _check_sho
 from .params import ProblemParams
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
+class CheckResult(namedtuple("CheckResult", "name value threshold passed")):
+    """One check of one family: its measured value, threshold and verdict."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Deterministic bundle of every per-family check."""
+class VerificationReport(namedtuple("VerificationReport", "params mu0 n_families checks")):
+    """Deterministic bundle of every per-family check; ``checks`` is a tuple
+    of ``CheckResult``."""
 
-    params: ProblemParams
-    mu0: float
-    n_families: int
-    checks: tuple[CheckResult, ...]
+    __slots__ = ()
 
     @property
     def overall(self) -> bool:

@@ -48,7 +48,6 @@ a test checks the package against; no command of the package runs it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -330,9 +329,11 @@ def mirrored(half: EFTrajectory, t0: float) -> EFTrajectory:
         col = np.asarray(col)
         return np.concatenate([col, sign * col[-2::-1]])
 
-    return replace(half, t=t0 + reflect(half.t, -1.0),
-                   y_u=reflect(half.y_u, 1.0), p_u=reflect(half.p_u, -1.0),
-                   y_v=reflect(half.y_v, 1.0), p_v=reflect(half.p_v, -1.0))
+    return EFTrajectory(t=t0 + reflect(half.t, -1.0),
+                        y_u=reflect(half.y_u, 1.0), p_u=reflect(half.p_u, -1.0),
+                        y_v=reflect(half.y_v, 1.0), p_v=reflect(half.p_v, -1.0),
+                        accepted=half.accepted, rejected=half.rejected,
+                        termination=half.termination)
 
 
 def _parabolic_argmax(t: np.ndarray, y: np.ndarray) -> float:

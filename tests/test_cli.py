@@ -147,6 +147,28 @@ def test_constants_beyond_double_range_exit2(command, params, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "4", "--nu", "1e308", "--alpha", "2"],
+    ["classify", "--n", "3", "--nu", "6e307", "--alpha", "3"],
+    ["verify", "--n", "3", "--nu", "6e307", "--alpha", "3"],
+    ["sweep", "--n", "3", "--nu", "1", "--alpha", "3", "--param", "nu",
+     "--start", "1", "--stop", "1e308", "--samples", "3"],
+])
+def test_coupling_coefficient_beyond_a_double_exit2(argv):
+    # nu alpha and nu beta overflowed in the root search, which then found
+    # no root and exited 3, though s = 1 is one
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid parameters: the coupling coefficients nu alpha = inf")
+
+
+def test_classify_largest_coupling_coefficient_finds_the_root():
+    code, out, _ = run_cli(["classify", "--n", "4", "--nu", "1e307", "--alpha", "2"])
+    assert code == 0
+    assert [float(r["c_tilde"]) for r in csv.DictReader(io.StringIO(out))] == [1.0]
+
+
 def test_classify_searches_roots_once(monkeypatch):
     calls = []
     search = hs.coupling.find_positive_roots

@@ -112,6 +112,20 @@ def test_two_sided_exponential_bounds(matrix_families):
         assert np.max(compensated) / np.min(compensated) < 1.01
 
 
+@pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (10, 1.0, 1.0, 1.25)])
+def test_closed_form_is_finite_at_the_ends_of_the_doubles(args):
+    # at log rho = 1e308, q log rho (n = 4) or delta log(1 + rho^q) (n = 10,
+    # gamma > 0) overflows: w = e^(t - L) and log y were inf - inf, so the
+    # exported trajectory read nan; the limits are y = 0 at both ends, with
+    # slope kappa (1 - 2w) y of either sign
+    fam = hs.classify(hs.ProblemParams(*args))[0]
+    y_u, p_u, y_v, p_v = _closed_form_arrays(fam, [-1e308, 1e308])
+    assert y_u == y_v == [0.0, 0.0]
+    assert p_u == p_v == [0.0, 0.0]
+    assert fam.profile._bounded_units(1e308) == (1.0, 0.0, -math.inf)
+    assert fam.profile._bounded_units(-1e308)[:2] == (0.0, 1.0)
+
+
 # --- integration -----------------------------------------------------------------
 
 
@@ -834,10 +848,8 @@ def test_radial_residual_scalar():
 
 
 def test_radial_residual_detects_wrong_amplitude(benchmark4):
-    from dataclasses import replace
-
     _, fam = benchmark4
-    wrong = replace(fam, c1=1.1 * fam.c1, c2=1.1 * fam.c2)
+    wrong = fam._replace(c1=1.1 * fam.c1, c2=1.1 * fam.c2)
     ru, rv = hs.emdenfowler.radial_system_residual(wrong, LOG_GRID)
     assert max(ru, rv) >= 1e-2
 

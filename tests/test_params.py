@@ -1,5 +1,6 @@
-import dataclasses
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -87,15 +88,21 @@ def test_symmetric_constructor_derives_beta():
 
 def test_derived_constants_are_attributes_not_settings():
     p = hs.ProblemParams(4, 0.5, 1.0, 2.0)
-    settable = [f.name for f in dataclasses.fields(p) if f.init]
+    settable = list(inspect.signature(hs.ProblemParams).parameters)
     assert settable == ["n", "gamma", "nu", "alpha"]
     assert repr(p) == "ProblemParams(n=4, gamma=0.5, nu=1.0, alpha=2.0)"
     assert p == hs.ProblemParams.symmetric(4, 0.5, 1.0, 2.0)
     assert p.beta == 2.0
     assert p.lambda_n == hs.hardy_constant(4)
     assert p.kappa == p.delta - p.tau1  # as written, not sqrt(lambda_n - gamma)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         p.kappa = 1.0
+    with pytest.raises(AttributeError):
+        del p.n
+    # equality and hash read the four settings alone, and a copy is equal
+    assert hash(p) == hash(hs.ProblemParams(4, 0.5, 1.0, 2.0))
+    assert p != hs.ProblemParams(4, 0.5, 1.0, 2.5)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 _invalid_tuples = st.one_of(
@@ -134,6 +141,14 @@ def test_non_finite_values_rejected(name, value):
     kwargs["gamma" if name.startswith("gamma") else name] = value
     with pytest.raises(ParameterError):
         hs.ProblemParams(**kwargs)
+
+
+@pytest.mark.parametrize("args", [(4, 0.0, 1e308, 2.0), (3, 0.0, 6e307, 3.0),
+                                  (3, 0.0, 5e307, 1.5)])
+def test_coupling_coefficients_beyond_a_double_rejected(args):
+    # nu alpha or nu beta is inf although nu is finite; in the last, nu beta alone
+    with pytest.raises(ParameterError, match="coupling coefficients"):
+        hs.ProblemParams(*args)
 
 
 @pytest.mark.parametrize("n", [math.nan, math.inf])

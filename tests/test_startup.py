@@ -1,6 +1,7 @@
 """Start-up: a lazy ``import hardysys`` that exports only what the package
-runs, and a package that imports no numpy: no module names it, and every
-command runs, with the same output, where numpy cannot be imported.
+runs, and a package that imports neither numpy nor dataclasses: no module
+names them, every command runs, with the same output, where numpy cannot be
+imported, and no command loads dataclasses or inspect.
 
 Each run is in a fresh interpreter, since the test process has long since
 imported numpy and every submodule.
@@ -142,8 +143,14 @@ def test_every_exported_function_is_used_by_the_package():
 # --- numpy ------------------------------------------------------------------------
 
 
+#: what no module of the package imports: numpy, and dataclasses, whose import
+#: (it loads inspect, ast and dis) and generated methods slow every command's
+#: start-up
+NOT_IMPORTED = {"numpy", "dataclasses"}
+
+
 def test_no_module_imports_numpy():
-    # at any depth, not only at the top of a module
+    # nor dataclasses; at any depth, not only at the top of a module
     found = []
     for path in sorted(glob.glob(os.path.join(SRC, "hardysys", "*.py"))):
         with open(path) as fh:
@@ -156,7 +163,7 @@ def test_no_module_imports_numpy():
             else:
                 continue
             found += [(os.path.basename(path), node.lineno) for name in names
-                      if name.split(".")[0] == "numpy"]
+                      if name.split(".")[0] in NOT_IMPORTED]
     assert found == []
 
 
@@ -171,7 +178,8 @@ with contextlib.redirect_stdout(out):
         runpy.run_module("hardysys", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-loaded = sorted(k for k, m in sys.modules.items() if k.split(".")[0] == "numpy" and m)
+loaded = sorted(k for k, m in sys.modules.items()
+                if m and (k.split(".")[0] == "numpy" or k in ("dataclasses", "inspect")))
 print(json.dumps([code, out.getvalue(), loaded]))
 """
 
@@ -186,7 +194,7 @@ EXPORT = ["export", "--n", "4", *PARAMS, "--alpha", "2"]  # --out is added per r
 
 def run_cli_in_process(argv, block_numpy):
     """``python -m hardysys argv`` in a fresh interpreter, through runpy; return
-    [exit code, stdout, the numpy modules it loaded]."""
+    [exit code, stdout, the modules of numpy, dataclasses and inspect it loaded]."""
     return run_python(CLI_IN_PROCESS % (block_numpy, argv))
 
 
@@ -200,7 +208,8 @@ def test_console_script_target_imports_without_running():
                          ids=["classify", "sweep", "shoot", "verify", "export"])
 def test_every_command_runs_without_numpy(argv, tmp_path):
     # a normal run and one in which numpy cannot be imported exit 0 with the
-    # same stdout, and export writes the same files; neither loads numpy
+    # same stdout, and export writes the same files; neither loads numpy,
+    # dataclasses or inspect
     runs = []
     for block in (False, True):
         out = tmp_path / ("blocked" if block else "normal")

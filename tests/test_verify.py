@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +122,7 @@ def test_full_verification_flags_perturbed_amplitude(monkeypatch, benchmark4):
     # every family 10% too tall: the closed form is no longer the orbit that
     # shooting traces from the root, which keeps its ray
     monkeypatch.setattr(hs.verify, "classify", lambda p, mu0: [
-        replace(f, c1=1.1 * f.c1, c2=1.1 * f.c2) for f in exact(p, mu0)])
+        f._replace(c1=1.1 * f.c1, c2=1.1 * f.c2) for f in exact(p, mu0)])
     report = hs.full_verification(p, 1.0)
     assert not report.overall
     failed = {c.name.split(".", 1)[1] for c in report.checks if not c.passed}
@@ -145,9 +144,9 @@ def test_residual_checks_detect_constants_or_amplitude_off_by_1e_6(args):
             assert value >= 1e-7
 
     p = hs.ProblemParams(*args)
-    assert_all_fail([replace(f, c1=f.c1 * (1.0 + 1e-6), c2=f.c2 * (1.0 + 1e-6))
+    assert_all_fail([f._replace(c1=f.c1 * (1.0 + 1e-6), c2=f.c2 * (1.0 + 1e-6))
                      for f in hs.classify(p)])
-    object.__setattr__(p, "amplitude", p.amplitude * (1.0 + 1e-6))  # frozen dataclass
+    object.__setattr__(p, "amplitude", p.amplitude * (1.0 + 1e-6))  # frozen record
     assert_all_fail(hs.classify(p))
 
 
@@ -244,7 +243,7 @@ def test_asymptotic_checks_detect_a_wrong_amplitude(factor, fails):
     # A off by 1e-5 fails asymptotic_u0, and one off by 1e-7 reads as that
     # offset
     p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
-    object.__setattr__(p, "amplitude", p.amplitude * factor)  # frozen dataclass
+    object.__setattr__(p, "amplitude", p.amplitude * factor)  # frozen record
     for mu0 in (1.0, 1e-300):
         check = {c.name: c for c in hs.full_verification(p, mu0).checks}["f0.asymptotic_u0"]
         assert check.passed is not fails
@@ -259,7 +258,7 @@ def test_proportionality_defect_detects_an_orbit_off_the_ray(monkeypatch):
 
     def off_ray(p, s):
         start = on_ray(p, s)
-        return replace(start, y_v=start.y_v * (1.0 + 1e-6), p_v=start.p_v * (1.0 + 1e-6))
+        return start._replace(y_v=start.y_v * (1.0 + 1e-6), p_v=start.p_v * (1.0 + 1e-6))
 
     monkeypatch.setattr(hs.emdenfowler, "_manifold_start", off_ray)
     checks = {c.name: c for c in
@@ -339,10 +338,10 @@ def _mutants(fam):
     off by 1e-6 of itself (y^m as log y off by 1e-6)."""
     for k1, k2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         for sign in (1.0, -1.0):
-            yield replace(fam, c1=fam.c1 * (1.0 + sign * k1 * 1e-6),
-                          c2=fam.c2 * (1.0 + sign * k2 * 1e-6))
+            yield fam._replace(c1=fam.c1 * (1.0 + sign * k1 * 1e-6),
+                               c2=fam.c2 * (1.0 + sign * k2 * 1e-6))
     for skewed in (_SkewedW, _SkewedY, _SkewedQ):
-        yield replace(fam, profile=skewed(fam.profile.params, fam.profile.mu))
+        yield fam._replace(profile=skewed(fam.profile.params, fam.profile.mu))
 
 
 def test_equation_residual_fails_every_mutant_any_encoding_fails():
