@@ -4,14 +4,17 @@ Every flag a command accepts changes its output.  ``--mu0``, the profile
 scale, is a flag of ``verify`` and ``export`` only: the roots, the constants
 and the shooting amplitude do not depend on it.  ``sweep`` ignores the flag
 of the parameter it sweeps, and checks the parameters of every sample before
-its first root search.
+its first root search.  A sample with a root beyond the range of a double
+is left out of the table, with one line
+``warning: sample <i> (<param> = <value>) skipped: <message>``.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a coupling coefficient nu alpha or nu beta beyond the range of
-a double, a root of the coupling function beyond it, named by its log s,
-constants of a root or a term of their system beyond it, and an ``export``
-profile beyond it), 3 no usable
-(non-degenerate) root, 5 unwritable output path (one stderr line,
+a double, a dimension whose profile amplitude is beyond it, from n = 258 on
+at gamma = 0, a root of the coupling function beyond it, named by its log s
+and in ``sweep`` only when every sample has one, constants of a root or a
+term of their system beyond it, and an ``export`` profile beyond it), 3 no
+usable (non-degenerate) root, 5 unwritable output path (one stderr line,
 ``output error: <message>``, that names the path), 6 integration failed
 (step size underflow, step budget exceeded, floating-point overflow, or a
 shooting run that did not turn).  Exit code 4, once "shooting bracket not
@@ -19,6 +22,9 @@ found", is retired.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
+
+The root search adds its terms left to right, so every command prints the
+same roots, bit for bit, on Python 3.10 to 3.13.
 """
 
 from __future__ import annotations
@@ -172,13 +178,26 @@ def cmd_sweep(args) -> int:
     fixed = {name: getattr(args, name) for name in ("n", "gamma", "nu", "alpha")
              if name != args.param}
     params = [ProblemParams(**fixed, **{args.param: v}) for v in values]
-    roots = [[r for r in find_positive_roots(p) if not r.is_degenerate] for p in params]
+    # a sample whose root search is refused (a root beyond the range of a
+    # double) is left out with a warning, unless every sample is
+    rows, skipped = [], []
+    for i, (value, p) in enumerate(zip(values, params)):
+        try:
+            found = [r for r in find_positive_roots(p) if not r.is_degenerate]
+        except ParameterError as exc:
+            skipped.append((i, value, exc))
+            continue
+        rows.append([i, "%.17g" % value, len(found),
+                     ";".join("%.17g" % r.c_tilde for r in found)])
+    if not rows:
+        raise skipped[0][2]
+    for i, value, exc in skipped:
+        print(f"warning: sample {i} ({args.param} = {value:.17g}) skipped: {exc}",
+              file=sys.stderr)
     with _output(args.out) as (fh,):
         writer = csv.writer(fh)
         writer.writerow(["index", args.param, "root_count", "roots"])
-        for i, (value, found) in enumerate(zip(values, roots)):
-            writer.writerow([i, "%.17g" % value, len(found),
-                             ";".join("%.17g" % r.c_tilde for r in found)])
+        writer.writerows(rows)
     return EXIT_OK
 
 

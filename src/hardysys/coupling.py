@@ -125,13 +125,18 @@ def _sum_roots(coefs: list[float], expos: list[float], lo: float,
     shifted = [a - expos[0] for a in expos[1:]]
     crit = _sum_roots([c * a for c, a in zip(coefs[1:], shifted)], shifted, lo, hi)
     logc = [math.log(abs(c)) for c in coefs]
+    positive = [c > 0 for c in coefs]
 
     def scaled(x: float) -> tuple[float, float]:
-        # G and the sum of its term magnitudes, both over the largest term
+        # G and the sum of its term magnitudes, both over the largest term,
+        # added left to right: sum() of floats rounds differently from 3.12 on
         e = [lc + a * x for lc, a in zip(logc, expos)]
         top = max(e)
-        w = [math.exp(v - top) for v in e]
-        return sum(wi if c > 0 else -wi for wi, c in zip(w, coefs)), sum(w)
+        g = total = 0.0
+        for w, plus in zip([math.exp(v - top) for v in e], positive):
+            g += w if plus else -w
+            total += w
+        return g, total
 
     roots: list[tuple[float, bool]] = []
     a, ga = lo, scaled(lo)[0]

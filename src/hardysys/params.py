@@ -98,6 +98,7 @@ class ProblemParams(_Record):
     * nu >= 0 (nu = 0 is the decoupled scalar mode)
     * alpha > 1 and beta > 1
     * nu alpha and nu beta finite (the coefficients of the coupling function)
+    * the amplitude finite (at gamma = 0, n <= 257)
 
     Immutable; repr, equality and hash read (n, gamma, nu, alpha) alone.
     """
@@ -136,11 +137,18 @@ class ProblemParams(_Record):
         root = math.sqrt(lam - gamma)
         tau1 = delta - root
         base = n * (n - 2.0 - 2.0 * tau1) ** 2 / (n - 2.0)
+        try:
+            amplitude = base ** ((n - 2) / 4.0)
+        except OverflowError:  # from n = 258 on at gamma = 0
+            raise ParameterError(
+                f"dimension too large: the profile amplitude at n={n}, gamma={gamma} "
+                "is beyond the range of a double"
+            ) from None
         for name, value in (("n", n), ("gamma", gamma), ("nu", nu), ("alpha", alpha),
                             ("beta", beta), ("two_star", two_star), ("lambda_n", lam),
                             ("delta", delta), ("tau1", tau1),
                             ("tau2", delta + root), ("kappa", delta - tau1),
-                            ("amplitude", base ** ((n - 2) / 4.0))):
+                            ("amplitude", amplitude)):
             object.__setattr__(self, name, value)
 
     @classmethod

@@ -539,6 +539,35 @@ def test_identically_zero_coupling_function_warns_on_stderr(argv, exit_code):
         "coefficient is zero); no isolated roots exist")
 
 
+SWEEP_PAST_A_DOUBLE = ["sweep", "--n", "4", "--gamma", "0", "--nu", "1.6e-8",
+                       "--alpha", "2", "--param", "alpha"]
+
+
+def test_sweep_skips_a_sample_with_a_root_beyond_a_double():
+    # only alpha = 2.025 has a root beyond the range of a double (log s = 690.8)
+    code, out, err = run_cli([*SWEEP_PAST_A_DOUBLE, "--start", "1.95", "--stop", "2.05",
+                              "--samples", "5"])
+    assert code == 0
+    assert err.splitlines() == [
+        "warning: sample 3 (alpha = 2.0249999999999999) skipped: the coupling "
+        "function has a root at log s = 690.804, beyond the range of a double"]
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["index"] for r in rows] == ["0", "1", "2", "4"]
+    for row in rows:
+        p = hs.ProblemParams(4, 0.0, 1.6e-8, float(row["alpha"]))
+        roots = [f.c_tilde for f in hs.classify(p)]
+        assert int(row["root_count"]) == len(roots)
+        assert [float(s) for s in row["roots"].split(";")] == roots
+
+
+def test_sweep_with_every_root_beyond_a_double_exit2():
+    code, out, err = run_cli([*SWEEP_PAST_A_DOUBLE, "--start", "2.01", "--stop", "2.02",
+                              "--samples", "2"])
+    assert (code, out) == (2, "")
+    assert err == ("invalid parameters: the coupling function has a root at "
+                   "log s = 1726.25, beyond the range of a double\n")
+
+
 def test_sweep_bad_range_exit2():
     code, _, _ = run_cli(["sweep", "--n", "3", "--gamma", "0", "--alpha", "3",
                           "--nu", "1", "--param", "nu", "--start", "0.1",

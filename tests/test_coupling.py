@@ -303,6 +303,23 @@ def test_root_beyond_double_range_raises():
         hs.classify(p, 1.0)
 
 
+@pytest.mark.parametrize("args,expected", [
+    ((3, 0.0, 0.8726445630856866, 3.537011260986959),
+     [("0x1.0c4d9305c8f7dp-1", "0x1.3a019a7a770fap+1"),
+      ("0x1.c811d53acde3ap+0", "-0x1.e838e2a89a790p+1"),
+      ("0x1.1de5c4496ee35p+2", "0x1.c4621a3696700p+4")]),
+    ((4, 0.0, 0.2015080314116346, 2.0058742293118517),
+     [("0x1.fefc5f22ff84cp-1", "0x1.31a9dddf007e4p+0"),
+      ("0x1.e31075142c345p+223", "-0x1.6b37790012000p+216")]),
+])
+def test_root_bits_are_the_same_on_every_python(args, expected):
+    # the search adds its terms left to right; sum() of floats, compensated
+    # from Python 3.12 on, moved each middle and last root here by 3 to 179 ulps
+    roots = hs.find_positive_roots(hs.ProblemParams(*args))
+    assert [(r.c_tilde.hex(), r.f_prime.hex()) for r in roots] == expected
+    assert not any(r.is_degenerate for r in roots)
+
+
 # thresholds of the benchmark's root-box draw: nearer to a tangential root
 # than this, a point's root count is ill-posed
 MIN_ROOT_SLOPE = 1e-3

@@ -151,6 +151,14 @@ def test_coupling_coefficients_beyond_a_double_rejected(args):
         hs.ProblemParams(*args)
 
 
+def test_amplitude_beyond_a_double_rejected():
+    # A = (n (n-2))^((n-2)/4) at gamma = 0 passes the largest double at n = 258
+    p = hs.ProblemParams(257, 0.0, 1.0, hs.critical_exponent(257) / 2.0)
+    assert math.isfinite(p.amplitude)
+    with pytest.raises(ParameterError, match="n=258"):
+        hs.ProblemParams(258, 0.0, 1.0, hs.critical_exponent(258) / 2.0)
+
+
 @pytest.mark.parametrize("n", [math.nan, math.inf])
 def test_non_finite_dimension_rejected(n):
     with pytest.raises(ParameterError):
