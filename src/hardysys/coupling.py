@@ -227,15 +227,23 @@ def verify_constants_system(c1: float, c2: float, p: ProblemParams) -> tuple[flo
 
     ParameterError if c1 or c2 is not positive, or if a power or a term of
     either equation leaves the range of a double, so that a residual is not
-    finite.
+    finite.  Each coupling term, nu alpha c1^(alpha-2) c2^beta and
+    nu beta c1^alpha c2^(beta-2), is one exp of a sum of logs: formed factor
+    by factor, a partial product such as c1^alpha can be subnormal, and lose
+    digits, or overflow while the term is a double.
     """
     if c1 <= 0 or c2 <= 0:
         raise ParameterError(f"constants must be positive, got ({c1}, {c2})")
     ts = p.two_star
-    # float powers raise OverflowError where a product would give inf
+    log1, log2 = math.log(c1), math.log(c2)
+
+    def coupled(factor: float, e1: float, e2: float) -> float:
+        return math.exp(math.log(factor) + e1 * log1 + e2 * log2) if factor else 0.0
+
+    # float powers and exp raise OverflowError where a product would give inf
     try:
-        res1 = abs(c1 ** (ts - 2.0) + p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta - 1.0)
-        res2 = abs(c2 ** (ts - 2.0) + p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0) - 1.0)
+        res1 = abs(c1 ** (ts - 2.0) + coupled(p.nu * p.alpha, p.alpha - 2.0, p.beta) - 1.0)
+        res2 = abs(c2 ** (ts - 2.0) + coupled(p.nu * p.beta, p.alpha, p.beta - 2.0) - 1.0)
     except OverflowError:
         res1 = res2 = math.inf
     if not math.isfinite(res1 + res2):

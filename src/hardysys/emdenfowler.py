@@ -44,22 +44,16 @@ class EFState(namedtuple("EFState", "y_u p_u y_v p_v")):
     __slots__ = ()
 
 
-class EFTrajectory:
+class EFTrajectory(namedtuple(
+        "EFTrajectory", "t y_u p_u y_v p_v accepted rejected termination")):
     """An integrated trajectory with step statistics.
 
     The five fields t, y_u, p_u, y_v and p_v are lists of Python floats, the
     start and one entry per accepted step; ``termination`` is 'completed',
-    'blowup' or 'extinction'.  The attributes can be reassigned, as
-    ``shoot_synchronized`` does.
+    'blowup' or 'extinction'.
     """
 
-    __slots__ = ("t", "y_u", "p_u", "y_v", "p_v", "accepted", "rejected", "termination")
-
-    def __init__(self, t: list[float], y_u: list[float], p_u: list[float],
-                 y_v: list[float], p_v: list[float], accepted: int, rejected: int,
-                 termination: str):
-        self.t, self.y_u, self.p_u, self.y_v, self.p_v = t, y_u, p_u, y_v, p_v
-        self.accepted, self.rejected, self.termination = accepted, rejected, termination
+    __slots__ = ()
 
 
 # --- closed-form synchronized trajectories ---------------------------------
@@ -73,12 +67,11 @@ def _closed_form_arrays(fam: SynchronizedFamily, log_rho):
     y' = kappa (1 - 2w) y, both stable for any |log rho|.  Nothing here reads
     mu0; the maximum sits at log rho = 0.
     """
-    kappa = fam.profile.params.kappa
+    kappa, c1, c2 = fam.profile.params.kappa, fam.c1, fam.c2
     y_u, p_u, y_v, p_v = [], [], [], []
-    for x in log_rho:
-        w, om, log_y = fam.profile._bounded_units(x)
+    for w, om, log_y in zip(*fam.profile._bounded_units(log_rho)):
         base, slope = math.exp(log_y), kappa * (om - w)
-        yu, yv = fam.c1 * base, fam.c2 * base
+        yu, yv = c1 * base, c2 * base
         y_u.append(yu)
         p_u.append(slope * yu)
         y_v.append(yv)
@@ -105,6 +98,31 @@ _BA = (35 / 384, 0.0, 50 / 159, 25 / 192, -243 / 6784, 0.0)
 _EA = (611 / 230400, 0.0, -514 / 83475, 391 / 38400, -4617 / 1356800, -11 / 3360)
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _field(p: ProblemParams):
+    """The field (y_u'', y_v'') at (y_u, y_v), as a closure over ``p``.
+
+    Both components are clamped at zero for the powers (trial stages may dip
+    below zero), and the coupling reads one product
+    y_u^(alpha-1) y_v^(beta-1).
+    """
+    kappa2 = p.delta * p.delta - p.gamma
+    e1, ea, eb = p.two_star - 1.0, p.alpha - 1.0, p.beta - 1.0
+    nua, nub = p.nu * p.alpha, p.nu * p.beta
+
+    def field(yu: float, yv: float) -> tuple[float, float]:
+        cu = 0.0 if yu < 0.0 else yu
+        cv = 0.0 if yv < 0.0 else yv
+        fu = kappa2 * cu - cu ** e1
+        fv = kappa2 * cv - cv ** e1
+        if nua:
+            q = cu ** ea * cv ** eb
+            fu -= nua * q * cv
+            fv -= nub * q * cu
+        return fu, fv
+
+    return field
 
 
 def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
@@ -142,10 +160,10 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     slope stage is built.  It is the same method as the table form
     ``y + h * (a1 * k1 + a2 * k2 + ...)`` on the first-order system, and
     agrees with it to rounding (``test_one_step_matches_the_table_form``,
-    against ``dp5_table_step`` in ``tests/reference.py``).  The kernel is
-    inlined by hand: the coefficients live in local floats, the field
-    (``ef_rhs`` there, with trial stages clamped at zero) is written out at
-    every stage, and ``abs``, ``min`` and ``max`` are comparisons.
+    against ``dp5_table_step`` in ``tests/reference.py``).  The step is
+    unrolled by hand: the coefficients live in local floats, every stage
+    calls the one field of ``_field`` (``ef_rhs`` there, with trial stages
+    clamped at zero), and ``abs``, ``min`` and ``max`` are comparisons.
     """
     if not (0.0 < tol < math.inf):
         raise ParameterError("tolerance must be positive and finite")
@@ -160,13 +178,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
-    kappa2 = p.delta * p.delta - p.gamma
-    kappa = math.sqrt(kappa2)  # the slope scale of y on the decaying tails
-    e1 = p.two_star - 1.0
-    ea = p.alpha - 1.0
-    eb = p.beta - 1.0
-    nua = p.nu * p.alpha
-    nub = p.nu * p.beta
+    kappa = math.sqrt(p.delta * p.delta - p.gamma)  # the slope scale of y on the tails
+    field = _field(p)
     c2, c3, c4, c5 = _C
     g31, = _AA3
     g41, g42 = _AA4
@@ -191,18 +204,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     h = min(MAX_STEP, span, 1e-3) if span > 0 else 0.0
     # float powers raise OverflowError where a product would give inf
     try:
-        # f is the field at a stage state, whose components are clamped at
-        # zero for the powers (trial stages may dip below zero); the coupling
-        # reads one product y_u^(alpha-1) y_v^(beta-1).  Stage 1 is the field
-        # at the step's start (FSAL).
-        cu = 0.0 if yu < 0.0 else yu
-        cv = 0.0 if yv < 0.0 else yv
-        fu1 = kappa2 * cu - cu ** e1
-        fv1 = kappa2 * cv - cv ** e1
-        if nua:
-            q = cu ** ea * cv ** eb
-            fu1 -= nua * q * cv
-            fv1 -= nub * q * cu
+        fu1, fv1 = field(yu, yv)  # stage 1, the field at the step's start (FSAL)
 
         # the remaining sliver below the cutoff is roundoff, not unfinished work
         end_slack = 1e-13 * max(1.0, span)
@@ -214,75 +216,22 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             hh = h * h
             hc2, hc3, hc4, hc5 = h * c2, h * c3, h * c4, h * c5
 
-            # stage 2
-            yu2 = yu + hc2 * pu
-            yv2 = yv + hc2 * pv
-            cu = 0.0 if yu2 < 0.0 else yu2
-            cv = 0.0 if yv2 < 0.0 else yv2
-            fu2 = kappa2 * cu - cu ** e1
-            fv2 = kappa2 * cv - cv ** e1
-            if nua:
-                q = cu ** ea * cv ** eb
-                fu2 -= nua * q * cv
-                fv2 -= nub * q * cu
-            # stage 3
-            yu3 = yu + hc3 * pu + hh * (g31 * fu1)
-            yv3 = yv + hc3 * pv + hh * (g31 * fv1)
-            cu = 0.0 if yu3 < 0.0 else yu3
-            cv = 0.0 if yv3 < 0.0 else yv3
-            fu3 = kappa2 * cu - cu ** e1
-            fv3 = kappa2 * cv - cv ** e1
-            if nua:
-                q = cu ** ea * cv ** eb
-                fu3 -= nua * q * cv
-                fv3 -= nub * q * cu
-            # stage 4
-            yu4 = yu + hc4 * pu + hh * (g41 * fu1 + g42 * fu2)
-            yv4 = yv + hc4 * pv + hh * (g41 * fv1 + g42 * fv2)
-            cu = 0.0 if yu4 < 0.0 else yu4
-            cv = 0.0 if yv4 < 0.0 else yv4
-            fu4 = kappa2 * cu - cu ** e1
-            fv4 = kappa2 * cv - cv ** e1
-            if nua:
-                q = cu ** ea * cv ** eb
-                fu4 -= nua * q * cv
-                fv4 -= nub * q * cu
-            # stage 5
-            yu5 = yu + hc5 * pu + hh * (g51 * fu1 + g52 * fu2 + g53 * fu3)
-            yv5 = yv + hc5 * pv + hh * (g51 * fv1 + g52 * fv2 + g53 * fv3)
-            cu = 0.0 if yu5 < 0.0 else yu5
-            cv = 0.0 if yv5 < 0.0 else yv5
-            fu5 = kappa2 * cu - cu ** e1
-            fv5 = kappa2 * cv - cv ** e1
-            if nua:
-                q = cu ** ea * cv ** eb
-                fu5 -= nua * q * cv
-                fv5 -= nub * q * cu
-            # stage 6 (c_6 = 1)
-            yu6 = yu + h * pu + hh * (g61 * fu1 + g62 * fu2 + g63 * fu3 + g64 * fu4)
-            yv6 = yv + h * pv + hh * (g61 * fv1 + g62 * fv2 + g63 * fv3 + g64 * fv4)
-            cu = 0.0 if yu6 < 0.0 else yu6
-            cv = 0.0 if yv6 < 0.0 else yv6
-            fu6 = kappa2 * cu - cu ** e1
-            fv6 = kappa2 * cv - cv ** e1
-            if nua:
-                q = cu ** ea * cv ** eb
-                fu6 -= nua * q * cv
-                fv6 -= nub * q * cu
+            fu2, fv2 = field(yu + hc2 * pu, yv + hc2 * pv)
+            fu3, fv3 = field(yu + hc3 * pu + hh * (g31 * fu1),
+                             yv + hc3 * pv + hh * (g31 * fv1))
+            fu4, fv4 = field(yu + hc4 * pu + hh * (g41 * fu1 + g42 * fu2),
+                             yv + hc4 * pv + hh * (g41 * fv1 + g42 * fv2))
+            fu5, fv5 = field(yu + hc5 * pu + hh * (g51 * fu1 + g52 * fu2 + g53 * fu3),
+                             yv + hc5 * pv + hh * (g51 * fv1 + g52 * fv2 + g53 * fv3))
+            fu6, fv6 = field(  # c_6 = 1
+                yu + h * pu + hh * (g61 * fu1 + g62 * fu2 + g63 * fu3 + g64 * fu4),
+                yv + h * pv + hh * (g61 * fv1 + g62 * fv2 + g63 * fv3 + g64 * fv4))
             # 5th-order solution
             yu_new = yu + h * pu + hh * (d1 * fu1 + d3 * fu3 + d4 * fu4 + d5 * fu5)
             pu_new = pu + h * (b1 * fu1 + b3 * fu3 + b4 * fu4 + b5 * fu5 + b6 * fu6)
             yv_new = yv + h * pv + hh * (d1 * fv1 + d3 * fv3 + d4 * fv4 + d5 * fv5)
             pv_new = pv + h * (b1 * fv1 + b3 * fv3 + b4 * fv4 + b5 * fv5 + b6 * fv6)
-            # stage 7 = field at the new point (FSAL)
-            cu = 0.0 if yu_new < 0.0 else yu_new
-            cv = 0.0 if yv_new < 0.0 else yv_new
-            fu7 = kappa2 * cu - cu ** e1
-            fv7 = kappa2 * cv - cv ** e1
-            if nua:
-                q = cu ** ea * cv ** eb
-                fu7 -= nua * q * cv
-                fv7 -= nub * q * cu
+            fu7, fv7 = field(yu_new, yv_new)  # stage 7, the field at the new point (FSAL)
 
             err_yu = hh * (v1 * fu1 + v3 * fu3 + v4 * fu4 + v5 * fu5 + v6 * fu6)
             err_pu = h * (w1 * fu1 + w3 * fu3 + w4 * fu4 + w5 * fu5 + w6 * fu6
@@ -492,21 +441,18 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
             f"the unstable manifold did not turn ({traj.termination}, "
             f"y_u' = {p1:.6g} at t = {traj.t[-1]:.6g})")
     # (y, y', y'') of each component at both ends of the last step
-    kappa2, e1 = p.delta * p.delta - p.gamma, p.two_star - 1.0
-    ends = []
-    for own, slope, other, factor, e_own, e_other in (
-            (traj.y_u, traj.p_u, traj.y_v, p.nu * p.alpha, p.alpha - 1.0, p.beta),
-            (traj.y_v, traj.p_v, traj.y_u, p.nu * p.beta, p.beta - 1.0, p.alpha)):
-        for y, q, z in zip(own[-2:], slope[-2:], other[-2:]):
-            ends.append((y, q, kappa2 * y - y ** e1 - factor * y ** e_own * z ** e_other))
+    field = _field(p)
+    fu0, fv0 = field(traj.y_u[-2], traj.y_v[-2])
+    fu1, fv1 = field(traj.y_u[-1], traj.y_v[-1])
     h = traj.t[-1] - traj.t[-2]
-    th, top_u, top_v = _quintic_turn(h, ends[0] + ends[1], ends[2] + ends[3])
-    # the turn replaces the last step's end, in the lists integrate returned
+    th, top_u, top_v = _quintic_turn(
+        h, (traj.y_u[-2], traj.p_u[-2], fu0, traj.y_u[-1], traj.p_u[-1], fu1),
+        (traj.y_v[-2], traj.p_v[-2], fv0, traj.y_v[-1], traj.p_v[-1], fv1))
+    # the turn replaces the last step's end
     shift = traj.t[-2] + th * h
-    traj.t = [t - shift for t in traj.t]
-    traj.t[-1] = traj.p_u[-1] = traj.p_v[-1] = 0.0
-    traj.y_u[-1], traj.y_v[-1] = top_u, top_v
-    return traj
+    return traj._replace(t=[t - shift for t in traj.t[:-1]] + [0.0],
+                         y_u=traj.y_u[:-1] + [top_u], p_u=traj.p_u[:-1] + [0.0],
+                         y_v=traj.y_v[:-1] + [top_v], p_v=traj.p_v[:-1] + [0.0])
 
 
 # --- trajectory diagnostics ---------------------------------------------------
@@ -562,16 +508,16 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     c1, c2 = fam.c1, fam.c2
     equations = ((c1 ** m, p.nu * p.alpha * c1 ** (p.alpha - 2.0) * c2 ** p.beta),
                  (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0)))
+    q = fam.profile._q
     residuals = [0.0, 0.0]
-    for x in log_rho:
-        w, om, log_y = fam.profile._bounded_units(x)
+    for w, om, log_y in zip(*fam.profile._bounded_units(log_rho)):
         y_m = math.exp(m * log_y)
         if tau - p.tau1 <= p.kappa:
             chi = (tau - p.tau1) - 2.0 * p.kappa * w
         else:
             chi = (tau - p.tau2) + 2.0 * p.kappa * om
         # the three terms that both equations share
-        head = (chi * chi - chi - 2.0 * p.kappa * fam.profile._q * w * om
+        head = (chi * chi - chi - 2.0 * p.kappa * q * w * om
                 + (p.n - 1.0 - 2.0 * tau) * chi + potential)
         for i, (own, coupled) in enumerate(equations):
             # y^m > 0, so the larger of the two terms is max(own, coupled) y^m

@@ -12,11 +12,12 @@ profile g = r^tau u has
     r^2 g'' / g  = chi^2 - chi - 2 kappa q w (1 - w),
 
 and y = r^delta u = A rho^kappa (1 + rho^q)^(-delta) does not depend on mu.
-``_bounded_units`` evaluates w, 1 - w and log y at one log rho, the pieces
-from which ``emdenfowler`` builds the radial equations divided by g / r^2,
-where every term is bounded at every n and every mu, and the closed-form
-phase-plane trajectory y, y' = kappa (1 - 2w) y.  Every evaluator takes one
-float and returns floats.
+``_bounded_units`` evaluates w, 1 - w and log y over a sequence of log rho,
+the pieces from which ``emdenfowler`` builds the radial equations divided by
+g / r^2, where every term is bounded at every n and every mu, and the
+closed-form phase-plane trajectory y, y' = kappa (1 - 2w) y; it takes the
+whole sequence and returns lists.  ``_log_value`` and ``asymptotic_limits``
+take and return floats.
 """
 
 from __future__ import annotations
@@ -69,23 +70,37 @@ class ScalarProfile(_Record):
         log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
         return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 
-    def _bounded_units(self, rho_log: float) -> tuple[float, float, float]:
-        """(w, 1 - w, log y) at log rho = log(r/mu), y = r^delta u.
+    def _bounded_units(self, log_rho) -> tuple[list[float], list[float], list[float]]:
+        """Lists (w, 1 - w, log y), one entry per log rho = log(r/mu) in
+        ``log_rho``, y = r^delta u.
 
         w = rho^q / (1 + rho^q) lies in [0, 1] and y = A rho^kappa
         (1 + rho^q)^(-delta) in (0, A 2^-delta]; neither depends on mu.
-        With L = log(1 + rho^q) from ``_log_terms``, 1 - w = e^(-L) and
-        w = e^(t - L), t = q log rho, so each is accurate relative to itself,
-        in its tail as well.  Where delta L is beyond a double, the three are
-        their limits as rho -> infinity, (1, 0, -inf).
+        With L = log(1 + rho^q), written as ``_log_terms`` writes it,
+        1 - w = e^(-L) and w = e^(t - L), t = q log rho, so each is accurate
+        relative to itself, in its tail as well.  Where delta L is beyond a
+        double, the three are their limits as rho -> infinity, (1, 0, -inf).
+        The constants are read once per call, and L is formed inline: a call
+        per point costs the closed form a few percent.
         """
         p = self.params
-        t, log1p_term = self._log_terms(rho_log)
-        decay = p.delta * log1p_term
-        if decay == math.inf:  # t - L, or log y, would be inf - inf
-            return 1.0, 0.0, -math.inf
-        log_y = math.log(p.amplitude) + p.kappa * rho_log - decay
-        return math.exp(t - log1p_term), math.exp(-log1p_term), log_y
+        q, delta, kappa, log_a = self._q, p.delta, p.kappa, math.log(p.amplitude)
+        exp, log1p, inf = math.exp, math.log1p, math.inf
+        ws, oms, log_ys = [], [], []
+        for x in log_rho:
+            t = q * x
+            # L as _log_terms forms it, max(t, 0) + log1p(e^-|t|), without the calls
+            log1p_term = t + log1p(exp(-t)) if t > 0.0 else log1p(exp(t))
+            decay = delta * log1p_term
+            if decay == inf:  # t - L, or log y, would be inf - inf
+                ws.append(1.0)
+                oms.append(0.0)
+                log_ys.append(-inf)
+            else:
+                ws.append(exp(t - log1p_term))
+                oms.append(exp(-log1p_term))
+                log_ys.append(log_a + kappa * x - decay)
+        return ws, oms, log_ys
 
 
 # --- asymptotic limits -----------------------------------------------------

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import sub
 
 from .coupling import classify
 from .emdenfowler import (proportionality_defect, shoot_synchronized, _check_shooting_tol,
@@ -167,7 +168,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         half = shoot_synchronized(p, fam.root, integration_tol)
         ref_u, _, ref_v, _ = _closed_form_arrays(fam, half.t)
         peak = max(half.y_u[-1], half.y_v[-1])
-        deviation = max(abs(y - ref) for y, ref in zip(half.y_u + half.y_v, ref_u + ref_v))
+        deviation = max(map(abs, map(sub, half.y_u + half.y_v, ref_u + ref_v)))
         add(tag + "integration_deviation", deviation / peak, 1e-6)
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 

@@ -5,18 +5,19 @@ a test checks the package against; no command of the package runs it.
 
 * ``fd_derivative`` and ``convergence_order``: the finite-difference oracle
   for every analytic derivative, and the observed order of an error sequence.
-* ``ef_rhs`` and ``ef_energy``: the phase-plane field and the first integral
-  of its scalar case; ``DP5_A``, ``DP5_B``, ``DP5_E`` and ``dp5_table_step``:
-  the Dormand-Prince tableau, exact, and one step of it in table form on
-  ``ef_rhs``, the oracle of the Nystrom kernel of ``integrate``;
+* ``ef_rhs`` and ``ef_energy``: the phase-plane field, the oracle of
+  ``_field``, and the first integral of its scalar case; ``DP5_A``,
+  ``DP5_B``, ``DP5_E`` and ``dp5_table_step``: the Dormand-Prince tableau,
+  exact, and one step of it in table form on ``ef_rhs``, the oracle of the
+  Nystrom kernel of ``integrate``;
   ``closed_form_arrays`` and ``closed_form_accel``: the
   closed-form trajectory and its second derivative, written in
   theta = kappa (t - log mu) / delta; ``exact_ef_solution``: the closed-form
   phase state at one log-radius, a start for integrations from the maximum;
   ``bounded_units`` and ``bounded_closed_form``: the profile's bounded units
-  and the package's closed form on log rho as numpy arrays, read point by
-  point through ``ScalarProfile._bounded_units``, so that a profile subclass
-  that skews them reaches every array built from them;
+  and the package's closed form on log rho as numpy arrays, read through
+  ``ScalarProfile._bounded_units``, so that a profile subclass that skews
+  them reaches every array built from them;
   ``exact_trajectory``: the package's closed form, its bits, sampled on log
   radii as an ``EFTrajectory``, the comparator of the trajectory diagnostics;
   ``phase_plane_residual``: the phase-plane equations summed term by term in
@@ -104,9 +105,11 @@ def convergence_order(errors) -> float:
 def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float]:
     """(y_u', y_u'', y_v', y_v'') of the autonomous system at one state.
 
-    The field that the hand-inlined DP5 kernel of ``integrate`` writes out at
-    every stage (the kernel forms the coupling from one product
-    y_u^(alpha-1) y_v^(beta-1)); ``dp5_table_step`` steps on it.
+    The oracle of ``_field``, the one field that every stage of ``integrate``
+    and both ends of the shot's last step call: that one forms the coupling
+    from one product y_u^(alpha-1) y_v^(beta-1) and clamps a negative
+    component at zero, where this forms it factor by factor and refuses one.
+    ``dp5_table_step`` steps on it.
     """
     if state.y_u < 0 or state.y_v < 0:
         raise ParameterError(
@@ -216,9 +219,8 @@ def exact_ef_solution(fam, t: float) -> EFState:
 
 def bounded_units(profile: ScalarProfile, log_rho):
     """Arrays (w, 1 - w, log y) at each log rho, by ``profile._bounded_units``."""
-    points = [profile._bounded_units(x)
-              for x in np.asarray(log_rho, dtype=float).ravel().tolist()]
-    return tuple(np.array(points, dtype=float).reshape(-1, 3).T)
+    units = profile._bounded_units(np.asarray(log_rho, dtype=float).ravel().tolist())
+    return tuple(np.array(col, dtype=float) for col in units)
 
 
 def bounded_closed_form(fam, log_rho):

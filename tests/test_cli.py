@@ -123,12 +123,12 @@ def test_classify_root_beyond_double_range_exit2():
     assert len(err.splitlines()) == 1
 
 
-#: n = 150 points whose constants c1, c2 (about 1e-306 to 1e-439) or a term
-#: of whose constants system leave the range of a double
+#: n = 150 points whose constants c1, c2 (about 1e-306 to 1e-439) leave the
+#: range of a double, the second at gamma = lambda_150 / 2
 CONSTANTS_BEYOND_A_DOUBLE = (
     ["--n", "150", "--nu", "277032279.5490757", "--alpha", "1.0234711151999298"],
-    ["--n", "150", "--gamma", "3969.915893387126", "--nu", "185766274.20473182",
-     "--alpha", "1.010056960915477"],
+    ["--n", "150", "--gamma", "2738", "--nu", "353442576882.3206",
+     "--alpha", "1.0245123188120597"],
     ["--n", "150", "--nu", "733570424133.4932", "--alpha", "1.0012491346457573"],
 )
 
@@ -147,6 +147,18 @@ def test_constants_beyond_double_range_exit2(command, params, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("params", [
+    ["--n", "150", "--nu", "182797434.30013418", "--alpha", "1.019603784221409"],
+    ["--n", "150", "--gamma", "3969.915893387126", "--nu", "185766274.20473182",
+     "--alpha", "1.010056960915477"],
+])
+def test_constants_near_the_least_normal_double_classify(params):
+    # c1 and c2 are about 1e-306: formed factor by factor, c1^alpha was
+    # subnormal, and the first point ended in a ConvergenceError traceback,
+    # or nu alpha c1^(alpha-2) overflowed, and the second exited 2
+    code, out, err = run_cli(["classify", *params])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2
 @pytest.mark.parametrize("argv", [
     ["classify", "--n", "4", "--nu", "1e308", "--alpha", "2"],
     ["classify", "--n", "3", "--nu", "6e307", "--alpha", "3"],

@@ -188,14 +188,46 @@ def test_verify_constants_system_values():
 
 
 def test_verify_constants_system_beyond_double_range():
-    # c1^alpha at c1 = 1e300, alpha = 1.5 is a power that overflows, and
-    # nu alpha c1^(alpha-2) c2^beta at n = 150 a product that does: both are
-    # refused, not raised as OverflowError or returned as an infinite residual
+    # nu beta c1^alpha c2^(beta-2) at c1 = 1e300, alpha = 1.5, and
+    # nu alpha c1^(alpha-2) c2^beta at n = 150, c1 = 1e-308, about 1e313, are
+    # terms beyond a double: both are refused, not raised as OverflowError or
+    # returned as an infinite residual
     with pytest.raises(ParameterError, match="beyond the range of a double"):
         hs.verify_constants_system(1e300, 1.0, hs.ProblemParams(4, 0.0, 1.0, 1.5))
     p = hs.ProblemParams(150, 3969.915893387126, 185766274.20473182, 1.010056960915477)
     with pytest.raises(ParameterError, match="beyond the range of a double"):
-        hs.verify_constants_system(6.78728e-307, 6.81047e-307, p)
+        hs.verify_constants_system(1e-308, 1.0, p)
+    # there, nu alpha c1^(alpha-2) c2^beta is about 0.2, though nu alpha
+    # c1^(alpha-2) is beyond a double and c2^beta subnormal
+    residuals = hs.verify_constants_system(6.78728e-307, 6.81047e-307, p)
+    assert all(map(math.isfinite, residuals))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_classify_at_large_n_satisfies_the_constants_system():
+    # c1 = 1.24e-306 is a double, but c1^alpha, formed on its own, is a
+    # subnormal with about four digits lost: the residual read 1.8e-12 and
+    # classify raised ConvergenceError.  Over a large-n box, classify either
+    # returns families that satisfy the constants system to 1e-12 or refuses
+    # the point with ParameterError
+    rng = np.random.default_rng(11)
+    points = [(150, 0.0, 182797434.30013418, 1.019603784221409)]
+    for _ in range(300):
+        n = int(rng.choice((50, 100, 150, 200, 250)))
+        ts = hs.critical_exponent(n)
+        points.append((n, float(rng.choice((0.0, 0.5, 0.99))) * hs.hardy_constant(n),
+                       10.0 ** rng.uniform(-3.0, 14.0), rng.uniform(1.0001, ts - 1.0001)))
+    families = 0
+    for point in points:
+        p = hs.ProblemParams(*point)
+        try:
+            fams = hs.classify(p)
+        except ParameterError:
+            continue
+        families += len(fams)
+        for fam in fams:
+            assert max(hs.verify_constants_system(fam.c1, fam.c2, p)) <= 1e-12
+    assert families >= 100
 
 
 def test_constants_beyond_double_range_are_refused():

@@ -9,7 +9,7 @@ import hardysys as hs
 from hardysys import (EFState, ParameterError, TrajectoryError,
                       emdenfowler)
 from hardysys.cli import main
-from hardysys.emdenfowler import (_closed_form_arrays, _manifold_coordinate,
+from hardysys.emdenfowler import (_closed_form_arrays, _field, _manifold_coordinate,
                                   _manifold_start, integrate)
 from reference import (DP5_A, DP5_B, DP5_E, LOG_RHO_GRID, bounded_closed_form,
                        bounded_units, closed_form_accel, closed_form_arrays,
@@ -51,6 +51,25 @@ def test_rhs_decouples_at_zero_nu():
     out_a = ef_rhs(EFState(0.3, 0.1, 0.8, -0.2), p)
     out_b = ef_rhs(EFState(0.9, 0.1, 0.8, -0.2), p)
     assert out_a[2:] == out_b[2:]  # v-equations blind to y_u
+
+
+@pytest.mark.parametrize("args", [(4, 0.0, 0.0, 2.0), (4, 0.0, 1.0, 2.0), (3, 0.1, 0.7, 2.5),
+                                  (10, 4.0, 10.0, 1.1)])
+def test_field_is_the_reference_field(args):
+    # the kernel's one field agrees with ef_rhs, which forms the coupling
+    # factor by factor, within a few ulps of the largest term, and clamps a
+    # negative trial component to zero where ef_rhs refuses it
+    p = hs.ProblemParams(*args)
+    field = _field(p)
+    rng = np.random.default_rng(17)
+    for yu, yv in rng.uniform(0.0, 2.0, size=(50, 2)).tolist() + [[0.0, 0.7], [0.7, 0.0]]:
+        _, ref_u, _, ref_v = ef_rhs(EFState(yu, 0.0, yv, 0.0), p)
+        got = field(yu, yv)
+        scale = max(1.0, yu, yv) ** (p.two_star - 1.0) * max(1.0, p.nu * max(p.alpha, p.beta))
+        assert abs(got[0] - ref_u) <= 8 * math.ulp(scale)
+        assert abs(got[1] - ref_v) <= 8 * math.ulp(scale)
+        assert field(-yu - 0.1, yv) == field(0.0, yv)
+        assert field(yu, -yv - 0.1) == field(yu, 0.0)
 
 
 # --- closed form ----------------------------------------------------------------
@@ -122,8 +141,8 @@ def test_closed_form_is_finite_at_the_ends_of_the_doubles(args):
     y_u, p_u, y_v, p_v = _closed_form_arrays(fam, [-1e308, 1e308])
     assert y_u == y_v == [0.0, 0.0]
     assert p_u == p_v == [0.0, 0.0]
-    assert fam.profile._bounded_units(1e308) == (1.0, 0.0, -math.inf)
-    assert fam.profile._bounded_units(-1e308)[:2] == (0.0, 1.0)
+    assert fam.profile._bounded_units([1e308]) == ([1.0], [0.0], [-math.inf])
+    assert fam.profile._bounded_units([-1e308])[:2] == ([0.0], [1.0])
 
 
 # --- integration -----------------------------------------------------------------

@@ -320,17 +320,17 @@ MUTATION_BOX = ([(n, frac, nu, f) for n in (3, 5, 10, 20) for frac in (0.0, 0.5,
 class _SkewedW(ScalarProfile):
     """The profile with w off by 1e-6 of itself."""
 
-    def _bounded_units(self, rho_log):
-        w, om, log_y = super()._bounded_units(rho_log)
-        return w * (1.0 + 1e-6), om, log_y
+    def _bounded_units(self, log_rho):
+        w, om, log_y = super()._bounded_units(log_rho)
+        return [x * (1.0 + 1e-6) for x in w], om, log_y
 
 
 class _SkewedY(ScalarProfile):
     """The profile with log y, so y^m, off by 1e-6."""
 
-    def _bounded_units(self, rho_log):
-        w, om, log_y = super()._bounded_units(rho_log)
-        return w, om, log_y + 1e-6
+    def _bounded_units(self, log_rho):
+        w, om, log_y = super()._bounded_units(log_rho)
+        return w, om, [x + 1e-6 for x in log_y]
 
 
 def _mutants(fam):
