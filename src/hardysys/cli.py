@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 a double, a dimension whose profile amplitude is beyond it, from n = 258 on
 at gamma = 0, a root of the coupling function beyond it, named by its log s
 and in ``sweep`` only when every sample has one, constants of a root or a
-term of their system beyond it, and an ``export`` profile beyond it), 3 no
+term of their system beyond it, a constants-system residual above 1e-12
+(``ConvergenceError``), and an ``export`` profile beyond it), 3 no
 usable (non-degenerate) root, 5 unwritable output path (one stderr line,
 ``output error: <message>``, that names the path), 6 integration failed
 (step size underflow, step budget exceeded, floating-point overflow, or a
@@ -39,7 +40,7 @@ import sys
 import warnings
 
 from .coupling import classify, find_positive_roots
-from .errors import IntegrationError, ParameterError
+from .errors import ConvergenceError, IntegrationError, ParameterError
 from .params import ProblemParams
 from .profiles import MIN_RADIUS
 
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _print_warning
             return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, ConvergenceError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except OSError as exc:

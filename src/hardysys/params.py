@@ -22,6 +22,7 @@ constants derived from (n, gamma) as attributes:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import ParameterError
 
@@ -49,43 +50,8 @@ def _check_dimension(n) -> None:
         raise ParameterError(f"dimension too small: n={n} (need n >= 3)")
 
 
-class _Record:
-    """Base of an immutable record whose constructor arguments are ``_fields``:
-    repr, equality and hash on those fields alone, an instance of a subclass
-    never equal to one of its base, and pickling and copying through the
-    constructor.  Assignment and deletion raise AttributeError; ``__init__``
-    sets each slot with ``object.__setattr__``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self._fields))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-
-class ProblemParams(_Record):
+class ProblemParams(namedtuple("ProblemParams", "n gamma nu alpha beta two_star lambda_n "
+                                                "delta tau1 tau2 kappa amplitude")):
     """The tuple (n, gamma, nu, alpha) defining one system, with
     beta = 2* - alpha and the constants derived from (n, gamma), computed
     once at construction.
@@ -100,14 +66,16 @@ class ProblemParams(_Record):
     * nu alpha and nu beta finite (the coefficients of the coupling function)
     * the amplitude finite (at gamma = 0, n <= 257)
 
-    Immutable; repr, equality and hash read (n, gamma, nu, alpha) alone.
+    A named tuple of all twelve values, whose repr prints the four inputs.
+    Equality and hash are the tuple's; the eight derived values are
+    functions of the inputs, so the inputs alone decide them.  Pickling,
+    copying and ``_replace`` go through the constructor, which validates
+    again and takes only the inputs; ``_make`` does not.
     """
 
-    __slots__ = ("n", "gamma", "nu", "alpha", "beta", "two_star", "lambda_n",
-                 "delta", "tau1", "tau2", "kappa", "amplitude")
-    _fields = ("n", "gamma", "nu", "alpha")
+    __slots__ = ()
 
-    def __init__(self, n: int, gamma: float, nu: float, alpha: float):
+    def __new__(cls, n: int, gamma: float, nu: float, alpha: float):
         _check_dimension(n)
         n = int(n)
         gamma, nu, alpha = float(gamma), float(nu), float(alpha)
@@ -144,12 +112,17 @@ class ProblemParams(_Record):
                 f"dimension too large: the profile amplitude at n={n}, gamma={gamma} "
                 "is beyond the range of a double"
             ) from None
-        for name, value in (("n", n), ("gamma", gamma), ("nu", nu), ("alpha", alpha),
-                            ("beta", beta), ("two_star", two_star), ("lambda_n", lam),
-                            ("delta", delta), ("tau1", tau1),
-                            ("tau2", delta + root), ("kappa", delta - tau1),
-                            ("amplitude", amplitude)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, n, gamma, nu, alpha, beta, two_star, lam, delta,
+                               tau1, delta + root, delta - tau1, amplitude)
+
+    def __repr__(self) -> str:
+        return "%s(n=%r, gamma=%r, nu=%r, alpha=%r)" % (type(self).__qualname__, *self[:4])
+
+    def __getnewargs__(self):
+        return self[:4]
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self[:4]), **changes))
 
     @classmethod
     def symmetric(cls, n: int, gamma: float, nu: float, alpha: float) -> "ProblemParams":

@@ -23,28 +23,32 @@ take and return floats.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .errors import ParameterError
-from .params import ProblemParams, _Record
+from .params import ProblemParams
 
 #: the least radius ``export`` accepts
 MIN_RADIUS = 1e-300
 
 
-class ScalarProfile(_Record):
+class ScalarProfile(namedtuple("ScalarProfile", "params mu")):
     """The explicit radial profile at scale mu (Aubin-Talenti bubble if gamma=0).
 
-    Immutable; repr, equality and hash read (params, mu).
+    A named tuple: equality and hash are the tuple's, read from (params, mu).
+    Pickling, copying and ``_replace`` go through the constructor, which
+    checks mu; ``_make`` does not.
     """
 
-    __slots__ = ("params", "mu")
-    _fields = ("params", "mu")
+    __slots__ = ()
 
-    def __init__(self, params: ProblemParams, mu: float = 1.0):
+    def __new__(cls, params: ProblemParams, mu: float = 1.0):
         if not 0 < mu < math.inf:
             raise ParameterError(f"scale must be positive and finite, got mu={mu}")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "mu", mu)
+        return super().__new__(cls, params, mu)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self), **changes))
 
     # --- internal pieces -------------------------------------------------
 
@@ -53,20 +57,14 @@ class ScalarProfile(_Record):
         p = self.params
         return 2.0 * p.kappa / p.delta
 
-    def _log_terms(self, rho_log: float) -> tuple[float, float]:
-        """(t, L) = (q log rho, log(1 + rho^q)) at log rho = log(r/mu).
-
-        L is written to stay accurate on both sides of rho = 1; exp sees only
-        -|t|, so neither side overflows.
-        """
-        t = self._q * rho_log
-        return t, max(t, 0.0) + math.log1p(math.exp(-abs(t)))
-
     def _log_value(self, r: float) -> float:
         """log u_mu(r) at one radius r."""
         p = self.params
         rho_log = math.log(r) - math.log(self.mu)
-        _, log1p_term = self._log_terms(rho_log)
+        t = self._q * rho_log
+        # L = log(1 + rho^q), written to stay accurate on both sides of
+        # rho = 1; exp sees only -|t|, so neither side overflows
+        log1p_term = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
         log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
         return log_amp - p.tau1 * rho_log - p.delta * log1p_term
 
@@ -76,7 +74,7 @@ class ScalarProfile(_Record):
 
         w = rho^q / (1 + rho^q) lies in [0, 1] and y = A rho^kappa
         (1 + rho^q)^(-delta) in (0, A 2^-delta]; neither depends on mu.
-        With L = log(1 + rho^q), written as ``_log_terms`` writes it,
+        With L = log(1 + rho^q), written as ``_log_value`` writes it,
         1 - w = e^(-L) and w = e^(t - L), t = q log rho, so each is accurate
         relative to itself, in its tail as well.  Where delta L is beyond a
         double, the three are their limits as rho -> infinity, (1, 0, -inf).
@@ -89,7 +87,7 @@ class ScalarProfile(_Record):
         ws, oms, log_ys = [], [], []
         for x in log_rho:
             t = q * x
-            # L as _log_terms forms it, max(t, 0) + log1p(e^-|t|), without the calls
+            # L as _log_value forms it, max(t, 0) + log1p(e^-|t|), by a branch
             log1p_term = t + log1p(exp(-t)) if t > 0.0 else log1p(exp(t))
             decay = delta * log1p_term
             if decay == inf:  # t - L, or log y, would be inf - inf

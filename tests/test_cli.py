@@ -147,6 +147,22 @@ def test_constants_beyond_double_range_exit2(command, params, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["classify", "verify", "shoot", "export"])
+def test_constants_system_residual_exit2(monkeypatch, command, tmp_path):
+    # a finite constants-system residual above 1e-12 (ConvergenceError) is a
+    # refusal of the point, like every other refusal of constants_from_root,
+    # not a traceback
+    monkeypatch.setattr(hs.coupling, "verify_constants_system",
+                        lambda c1, c2, p: (1e-11, 0.0))
+    extra = ["--out", str(tmp_path / "x")] if command == "export" else []
+    code, out, err = run_cli([command, *N4, *extra])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid parameters: constants system residuals")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("params", [
     ["--n", "150", "--nu", "182797434.30013418", "--alpha", "1.019603784221409"],
     ["--n", "150", "--gamma", "3969.915893387126", "--nu", "185766274.20473182",
@@ -856,6 +872,24 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["c_tilde"] == 1.0
+
+
+# --- console table ----------------------------------------------------------------
+
+with open(os.path.join(os.path.dirname(__file__), os.pardir, ".github",
+                       "console-table.txt")) as fh:
+    CONSOLE_TABLE = [line.split(" ", 1) for line in fh.read().splitlines()
+                     if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("want,args", CONSOLE_TABLE, ids=[args for _, args in CONSOLE_TABLE])
+def test_console_table_row(want, args, tmp_path):
+    # each row of .github/console-table.txt in process, checked as
+    # console-table.sh checks the installed script: the listed exit code, and
+    # no stderr line on exit 0, exactly one otherwise
+    code, _, err = run_cli(shlex.split(args.replace("{tmp}", str(tmp_path))))
+    assert code == int(want), err
+    assert len(err.splitlines()) == (code != 0), err
 
 
 # --- README -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import math
 import pickle
@@ -103,6 +104,21 @@ def test_derived_constants_are_attributes_not_settings():
     assert hash(p) == hash(hs.ProblemParams(4, 0.5, 1.0, 2.0))
     assert p != hs.ProblemParams(4, 0.5, 1.0, 2.5)
     assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.copy(p) == p
+    assert tuple(p)[:4] == (4, 0.5, 1.0, 2.0)
+    # _replace rebuilds through the constructor: it derives again, validates
+    # again, and takes no derived name
+    q = p._replace(alpha=2.5)
+    assert q == hs.ProblemParams(4, 0.5, 1.0, 2.5)
+    assert q.beta == hs.critical_exponent(4) - 2.5
+    with pytest.raises(ParameterError):
+        p._replace(gamma=-1.0)
+    with pytest.raises(TypeError):
+        p._replace(kappa=1.0)
+    profile = hs.ScalarProfile(p, 1.0)
+    with pytest.raises(ParameterError):
+        profile._replace(mu=0.0)
+    assert pickle.loads(pickle.dumps(profile)) == profile
 
 
 _invalid_tuples = st.one_of(
