@@ -9,7 +9,7 @@ after which c2 = (1 + nu beta s^alpha)^(-1/(2*-2)) and c1 = s c2 solve the
 algebraic two-by-two constants system.  In x = log s, f is a sum of at most
 four exponentials; recursion on its critical points isolates every root, with
 no grid or search window, and Newton in s polishes each.  Tangential roots
-(critical points where f vanishes) are reported but flagged degenerate.
+(critical points where f vanishes), and only they, are flagged degenerate.
 All of it runs on Python floats and loads no numpy.
 """
 
@@ -25,10 +25,10 @@ from .params import ProblemParams
 from .profiles import ScalarProfile
 
 # bisection width in x = log s, relative to max(1, |x|); a root is degenerate
-# when |f'| at a sign change, or |f| at a critical point, is this small
-# against the sum of the magnitudes of its terms
+# when |f| at a critical point is this small against the sum of the
+# magnitudes of its terms (a sign change with slope 1e-8 of them has a
+# critical point beside it where |f| is about 5e-17 of them)
 BISECT_WIDTH = 1e-13
-DEGENERACY_THRESHOLD = 1e-8
 TANGENCY_TOL = 1e-10
 
 
@@ -84,17 +84,10 @@ def coupling_f_prime(s: float, p: ProblemParams) -> float:
 
 
 def _f_scale(s: float, p: ProblemParams) -> float:
-    """Sum of term magnitudes of f near s, floored at 1 (local residual scale)."""
+    """Sum of term magnitudes of f near s (local residual scale), at least 1."""
     ts = p.two_star
-    return max(1.0, s ** (ts - 2.0) + p.nu * p.alpha * s ** (p.alpha - 2.0)
-               + 1.0 + p.nu * p.beta * s ** p.alpha)
-
-
-def _fprime_scale(s: float, p: ProblemParams) -> float:
-    ts = p.two_star
-    return max(1.0, (ts - 2.0) * s ** (ts - 3.0)
-               + p.nu * p.alpha * abs(p.alpha - 2.0) * s ** (p.alpha - 3.0)
-               + p.nu * p.beta * p.alpha * s ** (p.alpha - 1.0))
+    return (s ** (ts - 2.0) + p.nu * p.alpha * s ** (p.alpha - 2.0)
+            + 1.0 + p.nu * p.beta * s ** p.alpha)
 
 
 def _merged_terms(p: ProblemParams) -> tuple[list[float], list[float]]:
@@ -159,11 +152,11 @@ def _sum_roots(coefs: list[float], expos: list[float], lo: float,
 
 
 def _root_at(x: float, p: ProblemParams) -> float:
-    """s = e^x; ParameterError if s, or a power or the term sum of f or f' at
-    s, is not a finite normal double."""
+    """s = e^x; ParameterError if s, a power of f or f' at s, the term sum of
+    f or the value of f' there is not a finite normal double."""
     try:
         s = math.exp(x)
-        if s >= sys.float_info.min and math.isfinite(_f_scale(s, p) + _fprime_scale(s, p)):
+        if s >= sys.float_info.min and math.isfinite(_f_scale(s, p) + coupling_f_prime(s, p)):
             return s
     except OverflowError:
         pass
@@ -196,8 +189,8 @@ def find_positive_roots(p: ProblemParams) -> list[CouplingRoot]:
     """All positive roots of f, ascending.
 
     Sign-change roots are bisected in x = log s and polished by Newton in s;
-    those with |f'| at the degeneracy threshold, and all tangential roots,
-    are flagged degenerate.  A root beyond the range of a double raises
+    tangential roots, and only they, are flagged degenerate, however small
+    f' is at a sign change.  A root beyond the range of a double raises
     ParameterError.
     """
     coefs, expos = _merged_terms(p)
@@ -216,9 +209,8 @@ def find_positive_roots(p: ProblemParams) -> list[CouplingRoot]:
     roots = []
     for x, tangential in _sum_roots(coefs, expos, lo - 1.0, hi + 1.0):
         s = _root_at(x, p) if tangential else _polish(_root_at(x, p), p)
-        fps = coupling_f_prime(s, p)
-        degenerate = tangential or abs(fps) <= DEGENERACY_THRESHOLD * _fprime_scale(s, p)
-        roots.append(CouplingRoot(c_tilde=s, f_prime=fps, is_degenerate=degenerate))
+        roots.append(CouplingRoot(c_tilde=s, f_prime=coupling_f_prime(s, p),
+                                  is_degenerate=tangential))
     return roots
 
 

@@ -421,6 +421,24 @@ def test_shoot_and_verify_at_a_tiny_root_exit0():
     assert json.loads(out)["families"] == 2
 
 
+def test_simple_root_with_tiny_slope_keeps_its_family():
+    # the third root, s = 1.93e12, is simple (s f'(s) = -8.4e3), but f' itself
+    # is -4.4e-9: an absolute threshold on |f'| once dropped its family
+    p = hs.ProblemParams(14, 0.0, 3.676e-09, 1.009952)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fams = hs.classify(p)
+    assert caught == []
+    assert len(fams) == 3
+    assert (fams[2].root.c_tilde, fams[2].root.f_prime) == (1931755846419.1572,
+                                                            -4.3617131237597382e-09)
+    code, out, err = run_cli(["shoot", "--n", "14", "--nu", "3.676e-09", "--alpha", "1.009952",
+                              "--root-index", "2"])
+    assert (code, err) == (0, "")
+    lines = dict(ln.split(": ") for ln in out.strip().splitlines())
+    assert float(lines["relative_error"]) <= 0.5e-9
+
+
 def test_shoot_wide_bracket_recovers_amplitude():
     # this case once needed a wide bracket, (0.1, 100), and a loose stage to
     # integrate its far end trial.  The run now climbs from the start on

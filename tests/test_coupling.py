@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import random
 import sys
 import warnings
 
@@ -277,25 +278,39 @@ def test_identically_zero_coupling_function_warns():
     assert roots == []
 
 
-def test_double_root_reported_once_as_degenerate():
-    # f = A + nu B with A = s^4 - 1, B = alpha s^(alpha-2) - beta s^alpha at
-    # n = 3: two roots merge where nu(s) = -A/B is stationary, A'B = AB'
-    alpha, beta = 2.5, 3.5
+FOLD_CASES = [(3, 2.6), (3, 3.4), (5, 1.533), (6, 1.1), (6, 1.25), (6, 1.4), (4, 1.3),
+              (8, 1.2), (14, 1.05)]
 
-    def stationarity(s):
-        a, da = s ** 4 - 1.0, 4.0 * s ** 3
+
+def _folds_in_nu(n, alpha):
+    """(s0, nu*) of each double root of f = A + nu B, A = s^(2*-2) - 1: the
+    zeros of A'B - AB' on a log grid of s in [1e-8, 1e8], bisected, at nu > 0."""
+    ts = hs.critical_exponent(n)
+    beta = ts - alpha
+
+    def parts(s):
+        a, da = s ** (ts - 2.0) - 1.0, (ts - 2.0) * s ** (ts - 3.0)
         b = alpha * s ** (alpha - 2.0) - beta * s ** alpha
         db = alpha * (alpha - 2.0) * s ** (alpha - 3.0) - beta * alpha * s ** (alpha - 1.0)
-        return da * b - a * db
+        return a, b, da * b - a * db
 
-    lo, hi = 0.3, 0.5
-    assert stationarity(lo) * stationarity(hi) < 0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if stationarity(mid) * stationarity(lo) > 0 else (lo, mid)
-    s0 = 0.5 * (lo + hi)
-    nu = -(s0 ** 4 - 1.0) / (alpha * s0 ** (alpha - 2.0) - beta * s0 ** alpha)
-    roots = hs.find_positive_roots(hs.ProblemParams.symmetric(3, 0.0, nu, alpha))
+    folds = []
+    grid = [10.0 ** (k / 50.0) for k in range(-400, 401)]
+    for lo, hi in zip(grid, grid[1:]):
+        if parts(lo)[2] * parts(hi)[2] < 0:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if parts(mid)[2] * parts(lo)[2] > 0 else (lo, mid)
+            a, b, _ = parts(0.5 * (lo + hi))
+            if -a / b > 0:
+                folds.append((0.5 * (lo + hi), -a / b))
+    return folds
+
+
+def test_double_root_reported_once_as_degenerate():
+    # at n = 3, alpha = 2.5 two roots merge at the one fold in nu
+    [(s0, nu)] = _folds_in_nu(3, 2.5)
+    roots = hs.find_positive_roots(hs.ProblemParams.symmetric(3, 0.0, nu, 2.5))
     near = [r for r in roots if abs(r.c_tilde / s0 - 1.0) <= 1e-6]
     assert len(near) == 1 and near[0].is_degenerate
     assert [r.is_degenerate for r in roots] == [True, False]
@@ -311,6 +326,48 @@ def test_triple_root_flagged_degenerate_and_excluded():
     with pytest.warns(RuntimeWarning):
         fams = hs.classify(p, 1.0)
     assert fams == []
+
+
+def test_tangency_flags_every_root_near_a_fold():
+    # approaching each fold in nu from both sides, nu*(1 -+ 10^-k), every root
+    # not flagged tangential keeps G'(x) = s f'(s) above 1e-8 of the sum of
+    # its term magnitudes, sum |c a| s^a (5.6e-6 at least): the tangency test
+    # on G at the critical point catches a merging pair first, so no second
+    # test on f' is needed
+    points = flagged = 0
+    for n, alpha in FOLD_CASES:
+        for _, nu_fold in _folds_in_nu(n, alpha):
+            for k in range(1, 17):
+                for sign in (-1.0, 1.0):
+                    p = hs.ProblemParams(n, 0.0, nu_fold * (1.0 + sign * 10.0 ** -k), alpha)
+                    points += 1
+                    ts = p.two_star
+                    for root in hs.find_positive_roots(p):
+                        flagged += root.is_degenerate
+                        s = root.c_tilde
+                        slope_scale = ((ts - 2.0) * s ** (ts - 2.0)
+                                       + p.nu * p.alpha * abs(p.alpha - 2.0) * s ** (p.alpha - 2.0)
+                                       + p.nu * p.beta * p.alpha * s ** p.alpha)
+                        assert root.is_degenerate or abs(s * root.f_prime) > 1e-8 * slope_scale, \
+                            (n, alpha, p.nu, s)
+    assert points == 256  # eight folds: none at (4, 1.3)
+    assert flagged > 0
+
+
+def test_classify_keeps_every_root_at_tiny_coupling_and_large_n():
+    # n in {8, 14} with nu in [1e-9, 1.3e-8] puts a simple root at s between
+    # 6e11 and 1.3e25, where every term of f' is tiny: none is dropped
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.choice((8, 14))
+        ts = hs.critical_exponent(n)
+        p = hs.ProblemParams(n, 0.0, rng.uniform(1e-9, 1.3e-8),
+                             rng.uniform(1.0001, ts - 1.0001))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fams = hs.classify(p)
+        assert caught == [], p
+        assert len(fams) == len(hs.find_positive_roots(p)), p
 
 
 def test_tiny_coupling_keeps_both_roots():
