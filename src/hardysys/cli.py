@@ -4,7 +4,9 @@ Every flag a command accepts changes its output.  ``--mu0``, the profile
 scale, is a flag of ``verify`` and ``export`` only: the roots, the constants
 and the shooting amplitude do not depend on it.  ``sweep`` ignores the flag
 of the parameter it sweeps, and checks the parameters of every sample before
-its first root search.  A sample with a root beyond the range of a double
+its first root search.  A tangential root is left out of a sample's count
+with ``classify``'s warning line, printed as the sample is searched, before
+any skipped-sample line.  A sample with a root beyond the range of a double
 is left out of the table, with one line
 ``warning: sample <i> (<param> = <value>) skipped: <message>``.
 
@@ -19,7 +21,8 @@ usable (non-degenerate) root, 5 unwritable output path (one stderr line,
 ``output error: <message>``, that names the path), 6 integration failed
 (step size underflow, step budget exceeded, floating-point overflow, or a
 shooting run that did not turn).  Exit code 4, once "shooting bracket not
-found", is retired.
+found", is retired.  Commands return 0 or 1; ``main`` maps refusals to 2, 3,
+5 and 6.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -39,7 +42,7 @@ import os
 import sys
 import warnings
 
-from .coupling import classify, find_positive_roots
+from .coupling import _usable_roots, classify
 from .errors import ConvergenceError, IntegrationError, ParameterError
 from .params import ProblemParams
 from .profiles import MIN_RADIUS
@@ -50,6 +53,10 @@ EXIT_BAD_PARAMS = 2
 EXIT_DEGENERATE_ONLY = 3
 EXIT_UNWRITABLE = 5
 EXIT_INTEGRATION_FAILED = 6
+
+
+class _NoUsableRoot(Exception):
+    """No usable root, so nothing to print: ``main`` exits 3 with the message."""
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
@@ -85,18 +92,15 @@ def _output(*paths):
 
 
 def _families(p, mu0=1.0):
-    """classify's families; no family is a stderr line."""
+    """classify's families, at least one."""
     families = classify(p, mu0)
     if not families:
-        print("no usable root of the coupling function", file=sys.stderr)
+        raise _NoUsableRoot("no usable root of the coupling function")
     return families
 
 
 def cmd_classify(args) -> int:
-    p = _build_params(args)
-    families = _families(p)
-    if not families:
-        return EXIT_DEGENERATE_ONLY
+    families = _families(_build_params(args))
     rows = [{"c_tilde": f.c_tilde, "c1": f.c1, "c2": f.c2,
              "f_prime": f.root.f_prime} for f in families]
     with _output(args.out) as (fh,):
@@ -117,9 +121,7 @@ def cmd_verify(args) -> int:
     p = _build_params(args)
     report = full_verification(p, args.mu0, integration_tol=args.tol)
     if report.n_families == 0:
-        print("no usable root of the coupling function; nothing to verify",
-              file=sys.stderr)
-        return EXIT_DEGENERATE_ONLY
+        raise _NoUsableRoot("no usable root of the coupling function; nothing to verify")
     with _output(args.out) as (fh,):
         if args.format == "json":
             json.dump(report.to_json_dict(), fh, indent=2)
@@ -137,10 +139,8 @@ def cmd_verify(args) -> int:
 
 
 def _selected_family(p, index, mu0=1.0):
-    """The family at ``--root-index``; None, after a message, if there is none."""
+    """The family at ``--root-index``."""
     families = _families(p, mu0)
-    if not families:
-        return None
     if not 0 <= index < len(families):
         raise ParameterError(
             f"root index {index} out of range (found {len(families)} families)")
@@ -152,8 +152,6 @@ def cmd_shoot(args) -> int:
     p = _build_params(args)
     _check_shooting_tol(args.tol)  # before the root search, like verify's
     fam = _selected_family(p, args.root_index)
-    if fam is None:
-        return EXIT_DEGENERATE_ONLY
     recovered = shoot_synchronized(p, fam.root, tol=args.tol).y_u[-1]
     target = fam.peak_amplitude
     rel = abs(recovered - target) / target
@@ -184,7 +182,7 @@ def cmd_sweep(args) -> int:
     rows, skipped = [], []
     for i, (value, p) in enumerate(zip(values, params)):
         try:
-            found = [r for r in find_positive_roots(p) if not r.is_degenerate]
+            found = _usable_roots(p)
         except ParameterError as exc:
             skipped.append((i, value, exc))
             continue
@@ -217,8 +215,6 @@ def cmd_export(args) -> int:
     if not 0 < args.t_halfspan < math.inf:
         raise ParameterError("--t-halfspan must be positive and finite")
     fam = _selected_family(p, args.root_index, args.mu0)
-    if fam is None:
-        return EXIT_DEGENERATE_ONLY
 
     # every table, a header and its columns, is computed before any file is
     # opened
@@ -333,6 +329,9 @@ def main(argv=None) -> int:
     except (ParameterError, ConvergenceError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except _NoUsableRoot as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DEGENERATE_ONLY
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -274,25 +274,25 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
     return c1, c2
 
 
-def classify(p: ProblemParams, mu0: float = 1.0) -> list[SynchronizedFamily]:
-    """One synchronized family per simple positive root of f, shared scale mu0.
-
-    Degenerate (tangential) roots are excluded with a warning: the constants
-    map is still defined there, but the sign-change structure the
-    classification rests on is not.
-    """
-    profile = ScalarProfile(p, mu0)
+def _usable_roots(p: ProblemParams) -> list[CouplingRoot]:
+    """``find_positive_roots(p)`` less its tangential roots, which a warning names."""
     roots = find_positive_roots(p)
     degenerate = [r for r in roots if r.is_degenerate]
     if degenerate:
         warnings.warn("%d degenerate root(s) excluded: %s"
                       % (len(degenerate),
                          ", ".join("%.12g" % r.c_tilde for r in degenerate)),
-                      RuntimeWarning, stacklevel=2)
-    families = []
-    for root in roots:
-        if root.is_degenerate:
-            continue
-        c1, c2 = constants_from_root(root, p)
-        families.append(SynchronizedFamily(root=root, c1=c1, c2=c2, profile=profile))
-    return families
+                      RuntimeWarning, stacklevel=3)
+    return [r for r in roots if not r.is_degenerate]
+
+
+def classify(p: ProblemParams, mu0: float = 1.0) -> list[SynchronizedFamily]:
+    """One synchronized family per simple positive root of f, shared scale mu0.
+
+    Degenerate (tangential) roots are excluded with a warning
+    (``_usable_roots``): the constants map is still defined there, but the
+    sign-change structure the classification rests on is not.
+    """
+    profile = ScalarProfile(p, mu0)
+    return [SynchronizedFamily(root, *constants_from_root(root, p), profile)
+            for root in _usable_roots(p)]

@@ -11,14 +11,14 @@ from reference import mirrored
 
 @pytest.fixture(scope="session")
 def benchmark4():
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     return p, fam
 
 
 @pytest.fixture(scope="session")
 def benchmark3():
-    p = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+    p = hs.ProblemParams(3, 0.0, 1.0, 3.0)
     fams = hs.classify(p, 1.0)
     return p, fams
 
@@ -30,8 +30,7 @@ def matrix_params():
         lam = hs.hardy_constant(n)
         for gamma in (0.0, lam / 2.0):
             for nu in (0.0, 1.0):
-                out.append(hs.ProblemParams.symmetric(
-                    n, gamma, nu, hs.critical_exponent(n) / 2.0))
+                out.append(hs.ProblemParams(n, gamma, nu, hs.critical_exponent(n) / 2.0))
     return out
 
 

@@ -26,7 +26,7 @@ def _report(num, name, ok, detail=""):
 
 def test_criterion_01_root_counts():
     t_start = time.perf_counter()
-    p3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+    p3 = hs.ProblemParams(3, 0.0, 1.0, 3.0)
     fams3 = hs.classify(p3, 1.0)
     expected = ((3.0 - math.sqrt(5.0)) / 2.0, 1.0, (3.0 + math.sqrt(5.0)) / 2.0)
     ok = len(fams3) == 3 and all(
@@ -34,7 +34,7 @@ def test_criterion_01_root_counts():
     elapsed3 = time.perf_counter() - t_start
 
     t_start = time.perf_counter()
-    p4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p4 = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fams4 = hs.classify(p4, 1.0)
     ok = ok and len(fams4) == 1 and abs(fams4[0].c_tilde - 1.0) <= 1e-12
     ok = ok and abs(fams4[0].c1 - 3.0 ** -0.5) <= 1e-12
@@ -62,7 +62,7 @@ def test_criterion_02_exact_solution_residuals(matrix_families):
 
 
 def test_criterion_03_ode_fidelity():
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     start = exact_ef_solution(fam, 0.0)
 
@@ -90,7 +90,7 @@ def test_criterion_04_proportionality(matrix_trajectories):
     for case in matrix_trajectories:
         worst = max(worst, hs.proportionality_defect(case["orbit"],
                                                      case["family"].c_tilde))
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     control_traj = [c for c in matrix_trajectories
                     if c["params"].n == 4 and c["params"].nu == 1.0
@@ -115,13 +115,13 @@ def test_criterion_05_simultaneous_maximum(matrix_trajectories):
 
 def test_criterion_06_shooting_recovery():
     t_start = time.perf_counter()
-    p4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p4 = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam4 = hs.classify(p4, 1.0)[0]
     a4 = hs.shoot_synchronized(p4, fam4.root).y_u[-1]
     target4 = fam4.c1 * p4.amplitude * 2.0 ** (-p4.delta)
     rel4 = abs(a4 - target4) / target4
 
-    p3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+    p3 = hs.ProblemParams(3, 0.0, 1.0, 3.0)
     fam3 = [f for f in hs.classify(p3, 1.0) if abs(f.c_tilde - 1.0) < 1e-9][0]
     a3 = hs.shoot_synchronized(p3, fam3.root).y_u[-1]
     target3 = fam3.c1 * p3.amplitude * 2.0 ** (-p3.delta)
@@ -216,7 +216,7 @@ def test_criterion_09_kelvin_identities():
     for n in (3, 4, 5):
         lam = hs.hardy_constant(n)
         for gamma in (0.0, lam / 2.0):
-            p = hs.ProblemParams.symmetric(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
+            p = hs.ProblemParams(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
             prof = hs.ScalarProfile(p, 1.0)
 
             def once(r, prof=prof, n=n):
@@ -242,7 +242,7 @@ def test_criterion_10_scalar_energy_invariant():
     for n in (3, 4, 5):
         lam = hs.hardy_constant(n)
         for gamma in (0.0, lam / 2.0):
-            p = hs.ProblemParams.symmetric(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
+            p = hs.ProblemParams(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
             fam = hs.classify(p, 1.0)[0]
             t = np.linspace(-20.0, 20.0, 1601)
             y, q, _, _ = _closed_form_arrays(fam, t)

@@ -206,7 +206,6 @@ def test_classify_searches_roots_once(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(hs.coupling, "find_positive_roots", counting)
-    monkeypatch.setattr(hs.cli, "find_positive_roots", counting)
     code, out, _ = run_cli(["classify", "--n", "3", "--gamma", "0",
                             "--nu", "1", "--alpha", "3"])
     assert code == 0
@@ -549,6 +548,19 @@ def test_sweep_records_root_count_transition(tmp_path):
     assert set(counts) == {1, 3}
 
 
+def test_sweep_names_an_excluded_tangential_root():
+    # at nu = 2/3 the only root, s = 1, is tangential: the sample counts no
+    # root and prints the warning classify prints there
+    code, out, err = run_cli(["sweep", "--n", "3", "--nu", "1", "--alpha", "3",
+                              "--param", "nu", "--start", "0.6666666666666666",
+                              "--stop", "1", "--samples", "2"])
+    assert code == 0
+    assert out == ("index,nu,root_count,roots\r\n"
+                   "0,0.66666666666666663,0,\r\n"
+                   "1,1,3,0.38196601125010515;1;2.6180339887498949\r\n")
+    assert err.splitlines() == ["warning: 1 degenerate root(s) excluded: 1"]
+
+
 def test_sweep_through_zero_coupling(tmp_path):
     # samples avoid nu = 1/2, where f = (1-2 nu)(s^2-1) vanishes identically
     out_file = tmp_path / "sweep0.csv"
@@ -623,13 +635,13 @@ def test_sweep_bad_range_exit2():
 
 def _count_root_searches(monkeypatch):
     calls = []
-    search = hs.cli.find_positive_roots
+    search = hs.coupling.find_positive_roots
 
     def counting(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(hs.cli, "find_positive_roots", counting)
+    monkeypatch.setattr(hs.coupling, "find_positive_roots", counting)
     return calls
 
 
@@ -724,7 +736,7 @@ def test_export_round_trip_residual(tmp_path):
     data = np.array([[float(v) for v in ln.split(",")]
                      for ln in out_file.read_text().splitlines()[1:]])
     r, u, v, wt1, wt2 = data.T
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     np.testing.assert_allclose(u, fam.c1 * profile_value(fam.profile, r), rtol=1e-15)
     np.testing.assert_allclose(v, fam.c2 * profile_value(fam.profile, r), rtol=1e-15)

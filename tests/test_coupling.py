@@ -18,11 +18,11 @@ N3_ROOTS = ((3.0 - math.sqrt(5.0)) / 2.0, 1.0, (3.0 + math.sqrt(5.0)) / 2.0)
 
 
 def p3():
-    return hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+    return hs.ProblemParams(3, 0.0, 1.0, 3.0)
 
 
 def p4():
-    return hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    return hs.ProblemParams(4, 0.0, 1.0, 2.0)
 
 
 def test_coupling_f_values():
@@ -32,7 +32,7 @@ def test_coupling_f_values():
 
 
 def test_coupling_f_decoupled_monotone():
-    p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
+    p = hs.ProblemParams(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
     assert hs.coupling_f(1.0, p) == 0.0
     s = np.geomspace(1e-3, 1e3, 200)
     assert np.all(np.diff([hs.coupling_f(x, p) for x in s]) > 0)
@@ -67,7 +67,7 @@ def test_coupling_f_nan_in_nan_out(fn):
 
 def test_coupling_f_prime_values():
     assert hs.coupling_f_prime(1.0, p4()) == -2.0  # d/ds (1 - s^2) at 1
-    pdec = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    pdec = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     assert hs.coupling_f_prime(1.0, pdec) == 2.0   # d/ds (s^2 - 1) at 1
 
 
@@ -106,7 +106,7 @@ def test_find_roots_n3_against_companion_matrix():
 
 
 def test_find_roots_decoupled():
-    p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
+    p = hs.ProblemParams(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
     roots = hs.find_positive_roots(p)
     assert len(roots) == 1
     assert abs(roots[0].c_tilde - 1.0) <= 1e-14
@@ -124,7 +124,7 @@ def test_dense_grid_sign_change_oracle():
     grid = np.geomspace(1e-6, 1e6, 1_000_000)
     for n in (3, 4, 5):
         for nu in (0.0, 1.0):
-            p = hs.ProblemParams.symmetric(n, 0.0, nu, hs.critical_exponent(n) / 2.0)
+            p = hs.ProblemParams(n, 0.0, nu, hs.critical_exponent(n) / 2.0)
             fv = np.array([hs.coupling_f(s, p) for s in grid.tolist()])
             sign_changes = int(np.count_nonzero(fv[:-1] * fv[1:] < 0))
             simple = [r for r in hs.find_positive_roots(p) if not r.is_degenerate]
@@ -133,14 +133,14 @@ def test_dense_grid_sign_change_oracle():
 
 def test_endpoint_sign_classification_matches_evaluation():
     cases = [
-        hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0),    # alpha > 2
-        hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0),    # alpha = 2
-        hs.ProblemParams.symmetric(5, 0.0, 1.0, 5.0 / 3.0),  # alpha < 2
-        hs.ProblemParams.symmetric(4, 0.0, 0.25, 2.0),   # alpha = 2, nu*alpha < 1
-        hs.ProblemParams.symmetric(5, 0.0, 0.0, 5.0 / 3.0),  # decoupled
-        hs.ProblemParams.symmetric(3, 0.0, 1.0, 1.5),    # alpha < 2*-2: f -> +inf
-        hs.ProblemParams.symmetric(3, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^4 - 2 s^2
-        hs.ProblemParams.symmetric(5, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^(4/3) - (2/3) s^2
+        hs.ProblemParams(3, 0.0, 1.0, 3.0),    # alpha > 2
+        hs.ProblemParams(4, 0.0, 1.0, 2.0),    # alpha = 2
+        hs.ProblemParams(5, 0.0, 1.0, 5.0 / 3.0),  # alpha < 2
+        hs.ProblemParams(4, 0.0, 0.25, 2.0),   # alpha = 2, nu*alpha < 1
+        hs.ProblemParams(5, 0.0, 0.0, 5.0 / 3.0),  # decoupled
+        hs.ProblemParams(3, 0.0, 1.0, 1.5),    # alpha < 2*-2: f -> +inf
+        hs.ProblemParams(3, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^4 - 2 s^2
+        hs.ProblemParams(5, 0.0, 0.5, 2.0),    # nu*alpha = 1: s^(4/3) - (2/3) s^2
     ]
     for p in cases:
         lo_sign, hi_sign = endpoint_signs(p)
@@ -157,7 +157,7 @@ def test_constants_from_root_examples():
     mid = [f for f in fams3 if abs(f.c_tilde - 1.0) < 1e-9][0]
     assert_allclose((mid.c1, mid.c2), (2 ** -0.5, 2 ** -0.5), rtol=1e-12)
 
-    pdec = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    pdec = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     famd = hs.classify(pdec, 1.0)[0]
     assert (famd.c1, famd.c2) == (1.0, 1.0)
 
@@ -181,7 +181,7 @@ def test_constants_system_guard_raises(monkeypatch, residuals):
 def test_verify_constants_system_values():
     assert_allclose(hs.verify_constants_system(3 ** -0.5, 3 ** -0.5, p4()),
                     (0.0, 0.0), atol=1e-15)
-    pdec = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    pdec = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     assert hs.verify_constants_system(1.0, 1.0, pdec) == (0.0, 0.0)
     assert_allclose(hs.verify_constants_system(1.0, 1.0, p4()), (2.0, 2.0), rtol=1e-15)
     with pytest.raises(ParameterError):
@@ -272,7 +272,7 @@ def test_classify_constants_independent_of_scale():
 
 def test_identically_zero_coupling_function_warns():
     # alpha = beta = 2 at nu = 1/2: f = (1-2 nu)(s^2-1) collapses to zero
-    p = hs.ProblemParams.symmetric(4, 0.0, 0.5, 2.0)
+    p = hs.ProblemParams(4, 0.0, 0.5, 2.0)
     with pytest.warns(RuntimeWarning, match="identically"):
         roots = hs.find_positive_roots(p)
     assert roots == []
@@ -310,7 +310,7 @@ def _folds_in_nu(n, alpha):
 def test_double_root_reported_once_as_degenerate():
     # at n = 3, alpha = 2.5 two roots merge at the one fold in nu
     [(s0, nu)] = _folds_in_nu(3, 2.5)
-    roots = hs.find_positive_roots(hs.ProblemParams.symmetric(3, 0.0, nu, 2.5))
+    roots = hs.find_positive_roots(hs.ProblemParams(3, 0.0, nu, 2.5))
     near = [r for r in roots if abs(r.c_tilde / s0 - 1.0) <= 1e-6]
     assert len(near) == 1 and near[0].is_degenerate
     assert [r.is_degenerate for r in roots] == [True, False]
@@ -318,7 +318,7 @@ def test_double_root_reported_once_as_degenerate():
 
 def test_triple_root_flagged_degenerate_and_excluded():
     # f = s^4 - 2 s^3 + 2 s - 1 = (s-1)^3 (s+1) at nu = 2/3
-    p = hs.ProblemParams.symmetric(3, 0.0, 2.0 / 3.0, 3.0)
+    p = hs.ProblemParams(3, 0.0, 2.0 / 3.0, 3.0)
     roots = hs.find_positive_roots(p)
     assert len(roots) == 1
     assert roots[0].is_degenerate
@@ -372,7 +372,7 @@ def test_classify_keeps_every_root_at_tiny_coupling_and_large_n():
 
 def test_tiny_coupling_keeps_both_roots():
     # the small root sits near (nu alpha)^(1/(2-alpha)), far below 1e-8
-    p = hs.ProblemParams.symmetric(3, 0.0, 1e-8, 1.05)
+    p = hs.ProblemParams(3, 0.0, 1e-8, 1.05)
     small, large = hs.find_positive_roots(p)
     assert abs(small.c_tilde / 3.99256e-9 - 1.0) <= 1e-5
     assert abs(large.c_tilde - 1.00000001) <= 1e-9
@@ -385,7 +385,7 @@ def test_tiny_coupling_keeps_both_roots():
 
 def test_root_beyond_double_range_raises():
     # alpha near 2 pushes a root out to log s ~ 1269, where e^x overflows
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.6e-8, 2.0136)
+    p = hs.ProblemParams(4, 0.0, 1.6e-8, 2.0136)
     with pytest.raises(ParameterError, match=r"log s = 1269\.\d"):
         hs.find_positive_roots(p)
     with pytest.raises(ParameterError, match="log s"):
@@ -455,7 +455,7 @@ def test_root_counts_match_the_exponential_sum_oracle(monkeypatch):
         largest = max(_log_largest_term(n, nu, alpha, float(s)) for s in expected)
         if LOG_MAX - 3.0 < largest <= LOG_MAX:
             continue  # at the edge of the range of a double
-        p = hs.ProblemParams.symmetric(n, 0.0, nu, alpha)
+        p = hs.ProblemParams(n, 0.0, nu, alpha)
         if largest > LOG_MAX:
             with pytest.raises(ParameterError, match=r"log s = \S+, beyond the range"):
                 hs.find_positive_roots(p)

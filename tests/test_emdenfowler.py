@@ -47,7 +47,7 @@ def test_rhs_matches_closed_form_acceleration(benchmark4):
 
 
 def test_rhs_decouples_at_zero_nu():
-    p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     out_a = ef_rhs(EFState(0.3, 0.1, 0.8, -0.2), p)
     out_b = ef_rhs(EFState(0.9, 0.1, 0.8, -0.2), p)
     assert out_a[2:] == out_b[2:]  # v-equations blind to y_u
@@ -93,7 +93,7 @@ def test_exact_solution_maximum_value(benchmark4):
 
 
 def test_exact_solution_scale_translation():
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam2 = hs.classify(p, 2.0)[0]
     state = exact_ef_solution(fam2, math.log(2.0))
     assert_allclose(state.y_u, math.sqrt(2.0 / 3.0), rtol=1e-14)
@@ -266,9 +266,9 @@ def test_orbit_fields_are_python_floats(benchmark3):
 
 
 def _one_step_cases():
-    n4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
-    n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 2.5)
-    scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    n4 = hs.ProblemParams(4, 0.0, 1.0, 2.0)
+    n3 = hs.ProblemParams(3, 0.0, 1.0, 2.5)
+    scalar = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     return {
         "on-ray-n4": (n4, exact_ef_solution(hs.classify(n4, 1.0)[0], -1.0), 1e-10),
         "off-ray-n3": (n3, EFState(0.6, 0.2, 0.3, -0.1), 1e-10),
@@ -383,10 +383,10 @@ KERNEL_PINS = {
 
 
 def _pinned_run(name):
-    n4 = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    n4 = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam4 = hs.classify(n4, 1.0)[0]
     if name.startswith("n3"):
-        n3 = hs.ProblemParams.symmetric(3, 0.0, 1.0, 3.0)
+        n3 = hs.ProblemParams(3, 0.0, 1.0, 3.0)
         start = exact_ef_solution(hs.classify(n3, 1.0)[0], 0.0)
         if "backward" in name:
             start = _flipped(start)
@@ -399,7 +399,7 @@ def _pinned_run(name):
     if name == "n4-low-blowup-threshold":
         return integrate(exact_ef_solution(fam4, -3.0), (-3.0, 10.0), n4)
     if name == "n4-scalar-forward":
-        scalar = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+        scalar = hs.ProblemParams(4, 0.0, 0.0, 2.0)
         start = exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.0)
         return integrate(start, (0.0, 10.0), scalar)
     if name == "n4-backward-off-maximum":
@@ -577,7 +577,7 @@ def test_trajectory_csv(benchmark4, tmp_path):
 
 def test_scalar_energy_zero_on_homoclinic():
     for n, gamma in ((4, 0.0), (5, 1.125)):
-        p = hs.ProblemParams.symmetric(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
+        p = hs.ProblemParams(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
         fam = hs.classify(p, 1.0)[0]
         t = np.linspace(-20.0, 20.0, 1601)
         y, q, _, _ = _closed_form_arrays(fam, t)
@@ -597,7 +597,7 @@ def test_shoot_recovers_n4_amplitude(benchmark4):
 
 
 def test_shoot_recovers_scalar_amplitude():
-    p = hs.ProblemParams.symmetric(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
+    p = hs.ProblemParams(5, 0.0, 0.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
     a = hs.shoot_synchronized(p, fam.root).y_u[-1]
     target = p.amplitude * 2.0 ** (-p.delta)
@@ -826,7 +826,7 @@ def test_simultaneous_max_off_grid(benchmark4):
 
 
 def test_simultaneous_max_scaled_family():
-    p = hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 1.0, 2.0)
     fam = hs.classify(p, 2.0)[0]
     t0 = math.log(2.0)
     traj = exact_trajectory(fam, np.linspace(t0 - 5.0011, t0 + 4.9989, 4001))
@@ -836,7 +836,7 @@ def test_simultaneous_max_scaled_family():
 
 
 def test_simultaneous_max_scalar_case():
-    p = hs.ProblemParams.symmetric(3, 0.125, 0.0, 3.0)
+    p = hs.ProblemParams(3, 0.125, 0.0, 3.0)
     fam = hs.classify(p, 1.0)[0]
     traj = exact_trajectory(fam, np.linspace(-6.0007, 5.9993, 4001))
     t_u, t_v = simultaneous_max_check(traj)
@@ -860,7 +860,7 @@ def test_radial_residual_benchmark(benchmark4):
 
 
 def test_radial_residual_scalar():
-    p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     fam = hs.classify(p, 1.0)[0]
     ru, rv = hs.emdenfowler.radial_system_residual(fam, LOG_GRID)
     assert max(ru, rv) <= 1e-9
@@ -894,7 +894,7 @@ def test_weighted_residual_both_roots(benchmark4):
 
 
 def test_weighted_residual_rejects_non_root_exponent():
-    p = hs.ProblemParams.symmetric(5, 1.125, 1.0, hs.critical_exponent(5) / 2.0)
+    p = hs.ProblemParams(5, 1.125, 1.0, hs.critical_exponent(5) / 2.0)
     fam = hs.classify(p, 1.0)[0]
     with pytest.raises(ParameterError):
         hs.emdenfowler.weighted_system_residual(fam, p.delta, LOG_GRID)

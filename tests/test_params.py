@@ -32,7 +32,7 @@ def test_small_dimension_rejected():
 
 def _params(n, gamma):
     """A valid system at (n, gamma): nu = 1, alpha = beta = 2*/2."""
-    return hs.ProblemParams.symmetric(n, gamma, 1.0, hs.critical_exponent(n) / 2.0)
+    return hs.ProblemParams(n, gamma, 1.0, hs.critical_exponent(n) / 2.0)
 
 
 def test_tau_exponents_examples():
@@ -80,7 +80,7 @@ def test_tau_vieta_identities(n, frac):
 
 
 def test_symmetric_constructor_derives_beta():
-    p = hs.ProblemParams.symmetric(5, 1.0, 0.5, 2.0)
+    p = hs.ProblemParams(5, 1.0, 0.5, 2.0)
     assert abs(p.alpha + p.beta - hs.critical_exponent(5)) <= 1e-12
     assert p.beta == hs.critical_exponent(5) - 2.0
     assert p.gamma == 1.0
@@ -143,7 +143,7 @@ def test_invalid_tuples_rejected(tup):
 
 
 def test_decoupled_mode_allowed():
-    p = hs.ProblemParams.symmetric(4, 0.5, 0.0, 2.0)
+    p = hs.ProblemParams(4, 0.5, 0.0, 2.0)
     assert p.nu == 0.0
 
 

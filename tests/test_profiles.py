@@ -17,7 +17,7 @@ SAMPLE_RADII = np.array([1e-4, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6])
 
 
 def _profile(n, gamma, mu=1.0):
-    p = hs.ProblemParams.symmetric(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
+    p = hs.ProblemParams(n, gamma, 0.0, hs.critical_exponent(n) / 2.0)
     return ScalarProfile(p, mu)
 
 
@@ -50,7 +50,7 @@ def test_nonpositive_radius_rejected():
 @pytest.mark.parametrize("mu", [0.0, -2.0, math.nan, math.inf])
 def test_scale_must_be_positive_and_finite(mu):
     with pytest.raises(ParameterError, match="scale"):
-        ScalarProfile(hs.ProblemParams.symmetric(4, 0.0, 1.0, 2.0), mu)
+        ScalarProfile(hs.ProblemParams(4, 0.0, 1.0, 2.0), mu)
 
 
 def test_scaling_covariance():
@@ -147,7 +147,7 @@ class _TallProfile(ScalarProfile):
 
 
 def test_wrong_amplitude_breaks_the_equation():
-    p = hs.ProblemParams.symmetric(4, 0.0, 0.0, 2.0)
+    p = hs.ProblemParams(4, 0.0, 0.0, 2.0)
     res = scalar_equation_residual(_TallProfile(p), np.geomspace(0.1, 10, 64))
     assert np.max(res) >= 1e-2
 
@@ -344,7 +344,7 @@ def _limit_gaps(profile):
 
 
 def test_asymptotic_limits_decoupled():
-    p = hs.ProblemParams.symmetric(3, 0.1875, 0.0, 3.0)
+    p = hs.ProblemParams(3, 0.1875, 0.0, 3.0)
     fam = hs.classify(p, 1.0)[0]
     log0, log_inf = asymptotic_limits(fam.profile)
     assert abs(fam.c1 * math.exp(log0) - p.amplitude) <= 1e-6

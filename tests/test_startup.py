@@ -167,6 +167,26 @@ def test_no_module_imports_numpy():
     assert found == []
 
 
+def test_no_module_imports_an_unused_name():
+    # a name a module imports and never reads is a dependency nothing needs
+    unused = []
+    for path in sorted(glob.glob(os.path.join(SRC, "hardysys", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unused += [(os.path.basename(path), line, name)
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 CLI_IN_PROCESS = """
 import contextlib, io, json, runpy, sys
 if %r:

@@ -110,7 +110,7 @@ def test_full_verification_benchmark3(benchmark3):
 
 
 def test_full_verification_scalar_regression():
-    p = hs.ProblemParams.symmetric(3, 0.1875, 0.0, 3.0)
+    p = hs.ProblemParams(3, 0.1875, 0.0, 3.0)
     report = hs.full_verification(p, 2.0)
     assert report.overall
     assert _base_names(report) == DOCUMENTED_CHECKS  # nu = 0 adds none
@@ -404,7 +404,7 @@ def test_report_text_and_json_schema(benchmark4):
 
 def test_report_checks_map_to_documented_invariants(benchmark3):
     p, _ = benchmark3
-    scalar = hs.ProblemParams.symmetric(3, 0.125, 0.0, 3.0)
+    scalar = hs.ProblemParams(3, 0.125, 0.0, 3.0)
     seen = set()
     for report in (hs.full_verification(p, 1.0), hs.full_verification(scalar, 1.0)):
         seen |= _base_names(report)
@@ -505,7 +505,7 @@ REPORT_CASES = {
 @pytest.mark.parametrize("name", sorted(REPORT_PINS))
 def test_report_bitwise_regression(name):
     args, mu0 = REPORT_CASES[name]
-    report = hs.full_verification(hs.ProblemParams.symmetric(*args), mu0)
+    report = hs.full_verification(hs.ProblemParams(*args), mu0)
     expected = [(f"f{i}.{check}", value)
                 for i, values in enumerate(REPORT_PINS[name])
                 for check, value in zip(COUPLED_CHECKS, values)]
