@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "errors": ("ConvergenceError", "IntegrationError", "ParameterError",
-               "TrajectoryError"),
+    "errors": ("IntegrationError", "ParameterError"),
     "params": ("ProblemParams", "critical_exponent", "hardy_constant"),
     "profiles": ("ScalarProfile",),
     "coupling": ("CouplingRoot", "SynchronizedFamily", "classify",

@@ -15,14 +15,15 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 a double, a dimension whose profile amplitude is beyond it, from n = 258 on
 at gamma = 0, a root of the coupling function beyond it, named by its log s
 and in ``sweep`` only when every sample has one, constants of a root or a
-term of their system beyond it, a constants-system residual above 1e-12
-(``ConvergenceError``), and an ``export`` profile beyond it), 3 no
-usable (non-degenerate) root, 5 unwritable output path (one stderr line,
-``output error: <message>``, that names the path), 6 integration failed
-(step size underflow, step budget exceeded, floating-point overflow, or a
-shooting run that did not turn).  Exit code 4, once "shooting bracket not
-found", is retired.  Commands return 0 or 1; ``main`` maps refusals to 2, 3,
-5 and 6.
+term of their system beyond it, a constants-system residual above 1e-12,
+and an ``export`` profile beyond it), 3 no usable root (every root
+degenerate, no root, or f identically zero), 5 unwritable output path (one
+stderr line, ``output error: <message>``, that names the path), 6
+integration failed (step size underflow, step budget exceeded,
+floating-point overflow, or a shooting run that did not turn).  Exit code 4,
+once "shooting bracket not found", is retired.  Commands return 0 or 1;
+``main`` maps refusals to 2, 3, 5 and 6, one exception type each:
+``ParameterError``, ``_NoUsableRoot``, ``OSError`` and ``IntegrationError``.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -43,14 +44,14 @@ import sys
 import warnings
 
 from .coupling import _usable_roots, classify
-from .errors import ConvergenceError, IntegrationError, ParameterError
+from .errors import IntegrationError, ParameterError
 from .params import ProblemParams
 from .profiles import MIN_RADIUS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_PARAMS = 2
-EXIT_DEGENERATE_ONLY = 3
+EXIT_NO_USABLE_ROOT = 3
 EXIT_UNWRITABLE = 5
 EXIT_INTEGRATION_FAILED = 6
 
@@ -326,12 +327,12 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _print_warning
             return args.func(args)
-    except (ParameterError, ConvergenceError) as exc:
+    except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except _NoUsableRoot as exc:
         print(exc, file=sys.stderr)
-        return EXIT_DEGENERATE_ONLY
+        return EXIT_NO_USABLE_ROOT
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -20,7 +20,7 @@ import sys
 import warnings
 from collections import namedtuple
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ParameterError
 from .params import ProblemParams
 from .profiles import ScalarProfile
 
@@ -88,6 +88,13 @@ def _f_scale(s: float, p: ProblemParams) -> float:
     ts = p.two_star
     return (s ** (ts - 2.0) + p.nu * p.alpha * s ** (p.alpha - 2.0)
             + 1.0 + p.nu * p.beta * s ** p.alpha)
+
+
+def _check_root(s: float, p: ProblemParams) -> None:
+    """ParameterError unless |f(s)| is at most 1e-10 of the term sum of f."""
+    residual = abs(coupling_f(s, p))
+    if residual > 1e-10 * _f_scale(s, p):
+        raise ParameterError(f"root residual too large: |f({s:.17g})| = {residual:.3e}")
 
 
 def _merged_terms(p: ProblemParams) -> tuple[list[float], list[float]]:
@@ -249,16 +256,12 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
 
     The second equation of the constants system holds by construction; the
     first follows from f(s) = 0 and is asserted, not assumed.  ParameterError
-    if c1 or c2 is below the least normal double, or if a term of the constants
-    system leaves the doubles (``verify_constants_system``); ConvergenceError
-    if a finite residual exceeds 1e-12.
+    if s is not a root (``_check_root``), if c1 or c2 is below the least
+    normal double, if a term of the constants system leaves the doubles
+    (``verify_constants_system``), or if a finite residual exceeds 1e-12.
     """
     s = root.c_tilde
-    residual = abs(coupling_f(s, p))
-    if residual > 1e-10 * _f_scale(s, p):
-        raise ParameterError(
-            f"root residual too large: |f({s:.17g})| = {residual:.3e}"
-        )
+    _check_root(s, p)
     ts = p.two_star
     c2 = (1.0 + p.nu * p.beta * s ** p.alpha) ** (-1.0 / (ts - 2.0))
     c1 = s * c2
@@ -268,7 +271,7 @@ def constants_from_root(root: CouplingRoot, p: ProblemParams) -> tuple[float, fl
                              "range of a double")
     res1, res2 = verify_constants_system(c1, c2, p)
     if not (res1 <= 1e-12 and res2 <= 1e-12):  # a NaN raises too
-        raise ConvergenceError(
+        raise ParameterError(
             f"constants system residuals ({res1:.3e}, {res2:.3e}) exceed 1e-12"
         )
     return c1, c2

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import IntegrationError, ParameterError, TrajectoryError
-from .coupling import SynchronizedFamily, CouplingRoot, coupling_f, _f_scale
+from .errors import IntegrationError, ParameterError
+from .coupling import SynchronizedFamily, CouplingRoot, _check_root
 from .params import ProblemParams
 
 BLOWUP_THRESHOLD = 1e8
@@ -425,11 +425,11 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
     over which a* is tested to err by at most tol / 2 relative; one outside
     it raises ParameterError before any step (``_check_shooting_tol``, which
     ``full_verification`` and the ``shoot`` command also run before their
-    root search).
+    root search).  So does an s that ``constants_from_root`` would refuse as
+    no root of f (``coupling._check_root``).
     """
     s = root.c_tilde
-    if abs(coupling_f(s, p)) > 1e-8 * _f_scale(s, p):
-        raise ParameterError("shooting requires a root of the coupling function")
+    _check_root(s, p)
     _check_shooting_tol(tol)
     start = _manifold_start(p, s)
     t_end = 2.0 * math.log(1.0 / _RHO0) / ((p.two_star - 2.0) * p.kappa)
@@ -459,9 +459,10 @@ def shoot_synchronized(p: ProblemParams, root: CouplingRoot,
 
 
 def proportionality_defect(traj: EFTrajectory, c_tilde: float) -> float:
-    """sup |y_u - c_tilde * y_v| normalized by sup y_u."""
+    """sup |y_u - c_tilde * y_v| normalized by sup y_u, and 0 where y_u is 0
+    throughout; ParameterError for an empty trajectory."""
     if len(traj.t) == 0:
-        raise TrajectoryError("empty trajectory")
+        raise ParameterError("empty trajectory")
     top = max(traj.y_u)
     if top == 0.0:
         return 0.0

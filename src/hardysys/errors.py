@@ -1,17 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per refusal exit code."""
 
 
 class ParameterError(ValueError):
-    """Invalid problem parameters or a violated operation precondition."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative estimate failed to reach the requested tolerance."""
+    """A refused input (CLI exit 2): invalid problem parameters, a violated
+    operation precondition, or a value beyond the range of a double, a
+    constants-system residual above 1e-12 among them."""
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive integration failed (step-size underflow or step budget exceeded)."""
-
-
-class TrajectoryError(RuntimeError):
-    """A trajectory does not satisfy the preconditions of a post-processing step."""
+    """Adaptive integration failed (CLI exit 6): step-size underflow, the step
+    budget exceeded, floating-point overflow, or a shot that did not turn."""

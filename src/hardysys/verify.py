@@ -48,12 +48,11 @@ it reads 1.2e-6 at n = 4, nu = 1).  A check that tests more will replace it
 (ROADMAP.md, items 10 and 24).
 
 Three invariants are not checks of their own, because no report could fail
-them.  ``constants_from_root`` raises ``ParameterError`` when c1, c2 or a
-term of the constants system leaves the range of a double and
-``ConvergenceError`` when a finite residual exceeds 1e-12 (each exits 2
-from the command line), and c1 = s c2 by construction.  The residual of the
-radial equations at the closed form, in any encoding
-(``emdenfowler._encoding_residual``), reduces to
+them.  ``constants_from_root`` raises ``ParameterError`` (exit 2 from the
+command line) when c1, c2 or a term of the constants system leaves the range
+of a double or a finite residual exceeds 1e-12, and c1 = s c2 by
+construction.  The residual of the radial equations at the closed form, in
+any encoding (``emdenfowler._encoding_residual``), reduces to
 (S - 1) A^m w (1 - w), S the left side of the family's constants equation,
 so it restates that 1e-12; and the first integral H of the scalar case
 (nu = 0) is identically 0 on the closed form.  Tier-1 evaluates both on the

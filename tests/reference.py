@@ -53,7 +53,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from hardysys import ConvergenceError, ParameterError, TrajectoryError
+from hardysys import ParameterError
 from hardysys.coupling import _merged_terms
 from hardysys.emdenfowler import (EFState, EFTrajectory, _RHO0, _closed_form_arrays,
                                   _manifold_coordinate)
@@ -92,9 +92,9 @@ def convergence_order(errors) -> float:
     if np.any(np.diff(h) >= 0):
         raise ValueError("step sizes must be strictly decreasing")
     if np.max(e) < 1e-14:
-        raise ConvergenceError("all errors at the roundoff floor; order undefined")
+        raise ValueError("all errors at the roundoff floor; order undefined")
     if np.any(e <= 0):
-        raise ConvergenceError("nonpositive error entries; order undefined")
+        raise ValueError("nonpositive error entries; order undefined")
     slope, _ = np.polyfit(np.log(h), np.log(e), 1)
     return float(slope)
 
@@ -341,7 +341,7 @@ def mirrored(half: EFTrajectory, t0: float) -> EFTrajectory:
 def _parabolic_argmax(t: np.ndarray, y: np.ndarray) -> float:
     i = int(np.argmax(y))
     if i == 0 or i == len(y) - 1:
-        raise TrajectoryError("maximum on trajectory boundary")
+        raise ValueError("maximum on trajectory boundary")
     dl = t[i] - t[i - 1]
     dr = t[i] - t[i + 1]
     num = dl * dl * (y[i] - y[i + 1]) - dr * dr * (y[i] - y[i - 1])
@@ -354,7 +354,7 @@ def _parabolic_argmax(t: np.ndarray, y: np.ndarray) -> float:
 def simultaneous_max_check(traj: EFTrajectory) -> tuple[float, float]:
     """Interpolated argmax locations of y_u and y_v."""
     if traj.t.size < 3:
-        raise TrajectoryError("trajectory too short for an interior maximum")
+        raise ValueError("trajectory too short for an interior maximum")
     return (_parabolic_argmax(traj.t, traj.y_u),
             _parabolic_argmax(traj.t, traj.y_v))
 

@@ -136,8 +136,8 @@ CONSTANTS_BEYOND_A_DOUBLE = (
 @pytest.mark.parametrize("command", ["classify", "verify", "shoot", "export"])
 @pytest.mark.parametrize("params", CONSTANTS_BEYOND_A_DOUBLE)
 def test_constants_beyond_double_range_exit2(command, params, tmp_path):
-    # they raised OverflowError, ConvergenceError (residual inf) or "constants
-    # must be positive, got (0.0, 0.0)"
+    # they raised OverflowError, an infinite constants-system residual or
+    # "constants must be positive, got (0.0, 0.0)"
     extra = ["--out", str(tmp_path / "x")] if command == "export" else []
     code, out, err = run_cli([command, *params, *extra])
     assert code == 2
@@ -149,8 +149,8 @@ def test_constants_beyond_double_range_exit2(command, params, tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "verify", "shoot", "export"])
 def test_constants_system_residual_exit2(monkeypatch, command, tmp_path):
-    # a finite constants-system residual above 1e-12 (ConvergenceError) is a
-    # refusal of the point, like every other refusal of constants_from_root,
+    # a finite constants-system residual above 1e-12 is a refusal of the
+    # point, a ParameterError like every other refusal of constants_from_root,
     # not a traceback
     monkeypatch.setattr(hs.coupling, "verify_constants_system",
                         lambda c1, c2, p: (1e-11, 0.0))
@@ -170,8 +170,8 @@ def test_constants_system_residual_exit2(monkeypatch, command, tmp_path):
 ])
 def test_constants_near_the_least_normal_double_classify(params):
     # c1 and c2 are about 1e-306: formed factor by factor, c1^alpha was
-    # subnormal, and the first point ended in a ConvergenceError traceback,
-    # or nu alpha c1^(alpha-2) overflowed, and the second exited 2
+    # subnormal, and the first point ended in a traceback, or nu alpha
+    # c1^(alpha-2) overflowed, and the second exited 2
     code, out, err = run_cli(["classify", *params])
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 2
@@ -904,6 +904,26 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)[0]["c_tilde"] == 1.0
 
 
+# --- exit codes -------------------------------------------------------------------
+
+
+def test_one_exit_code_per_exception_type(monkeypatch):
+    # main maps each refusal to one exit code and one stderr line: every type
+    # of hardysys.errors, the no-usable-root refusal and an unwritable path
+    exits = {hs.errors.ParameterError: (2, "invalid parameters: refused"),
+             hs.cli._NoUsableRoot: (3, "refused"),
+             OSError: (5, "output error: refused"),
+             hs.errors.IntegrationError: (6, "integration failed: refused")}
+    error_types = {obj for obj in vars(hs.errors).values() if isinstance(obj, type)}
+    assert error_types <= set(exits)
+    assert len({code for code, _ in exits.values()}) == len(exits)
+    for error, (want, line) in exits.items():
+        def refuse(args):
+            raise error("refused")
+        monkeypatch.setattr(hs.cli, "cmd_classify", refuse)
+        assert run_cli(["classify", *N4]) == (want, "", line + "\n"), error
+
+
 # --- console table ----------------------------------------------------------------
 
 with open(os.path.join(os.path.dirname(__file__), os.pardir, ".github",
@@ -916,10 +936,12 @@ with open(os.path.join(os.path.dirname(__file__), os.pardir, ".github",
 def test_console_table_row(want, args, tmp_path):
     # each row of .github/console-table.txt in process, checked as
     # console-table.sh checks the installed script: the listed exit code, and
-    # no stderr line on exit 0, exactly one otherwise
-    code, _, err = run_cli(shlex.split(args.replace("{tmp}", str(tmp_path))))
+    # no stderr line on exit 0, exactly one and no stdout otherwise
+    code, out, err = run_cli(shlex.split(args.replace("{tmp}", str(tmp_path))))
     assert code == int(want), err
     assert len(err.splitlines()) == (code != 0), err
+    if code != 0:
+        assert out == "", out
 
 
 # --- README -----------------------------------------------------------------------

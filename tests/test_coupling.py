@@ -119,6 +119,21 @@ def test_root_residuals_within_scale():
             assert abs(hs.coupling_f(root.c_tilde, p)) <= 1e-13 * scale
 
 
+def test_polish_stops_where_f_prime_vanishes():
+    # f'(1) is exactly 0.0 at n = 3, nu = 2/3, alpha = 3: no Newton step
+    p = hs.ProblemParams(3, 0.0, 2.0 / 3.0, 3.0)
+    assert hs.coupling_f_prime(1.0, p) == 0.0
+    assert hs.coupling._polish(1.0, p) == 1.0
+
+
+def test_polish_refuses_a_step_longer_than_half_of_s():
+    # at n = 4, nu = 0, f(s) = s^2 - 1: from s = 0.1 the Newton step is
+    # -4.95, longer than s/2 = 0.05, so s is returned as it came
+    p = hs.ProblemParams(4, 0.0, 0.0, 2.0)
+    assert hs.coupling_f(0.1, p) / hs.coupling_f_prime(0.1, p) < -0.5 * 0.1
+    assert hs.coupling._polish(0.1, p) == 0.1
+
+
 def test_dense_grid_sign_change_oracle():
     # the returned simple-root count must match a million-point sign scan
     grid = np.geomspace(1e-6, 1e6, 1_000_000)
@@ -174,7 +189,7 @@ def test_constants_system_guard_raises(monkeypatch, residuals):
     # either equation, raises as a large one does
     monkeypatch.setattr(hs.coupling, "verify_constants_system", lambda c1, c2, p: residuals)
     root = hs.find_positive_roots(p4())[0]
-    with pytest.raises(hs.ConvergenceError):
+    with pytest.raises(ParameterError, match="constants system residuals"):
         hs.constants_from_root(root, p4())
 
 
@@ -208,7 +223,7 @@ def test_verify_constants_system_beyond_double_range():
 def test_classify_at_large_n_satisfies_the_constants_system():
     # c1 = 1.24e-306 is a double, but c1^alpha, formed on its own, is a
     # subnormal with about four digits lost: the residual read 1.8e-12 and
-    # classify raised ConvergenceError.  Over a large-n box, classify either
+    # classify refused the point.  Over a large-n box, classify either
     # returns families that satisfy the constants system to 1e-12 or refuses
     # the point with ParameterError
     rng = np.random.default_rng(11)

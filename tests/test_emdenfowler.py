@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hardysys as hs
-from hardysys import (EFState, ParameterError, TrajectoryError,
-                      emdenfowler)
+from hardysys import EFState, ParameterError, emdenfowler
 from hardysys.cli import main
 from hardysys.emdenfowler import (_closed_form_arrays, _field, _manifold_coordinate,
                                   _manifold_start, integrate)
@@ -619,6 +618,18 @@ def test_shoot_rejects_non_root(benchmark4):
         hs.shoot_synchronized(p, fake)
 
 
+def test_shoot_and_constants_share_one_root_test(benchmark4):
+    # s = 1 + 3e-9 at n = 4, nu = 1, alpha = 2: |f(s)| = 6.0e-9, 1e-9 of the
+    # term sum, above the 1e-10 that decides a root.  Both refuse it, with
+    # one message
+    p, fam = benchmark4
+    near = fam.root._replace(c_tilde=1.0 + 3e-9)
+    for refuse in (hs.constants_from_root, lambda r, p: hs.shoot_synchronized(p, r)):
+        with pytest.raises(ParameterError, match=r"root residual too large: "
+                                                 r"\|f\(1.000000003\)\| = 6.000e-09"):
+            refuse(near, p)
+
+
 def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
     starts = []
 
@@ -812,8 +823,16 @@ def test_proportionality_empty_rejected(benchmark4):
     empty = type(traj)(t=np.array([]), y_u=np.array([]), p_u=np.array([]),
                        y_v=np.array([]), p_v=np.array([]), accepted=0, rejected=0,
                        termination="completed")
-    with pytest.raises(TrajectoryError):
+    with pytest.raises(ParameterError, match="empty trajectory"):
         hs.proportionality_defect(empty, 1.0)
+
+
+def test_proportionality_zero_orbit():
+    # an orbit with y_u = 0 throughout has nothing to normalize by: defect 0
+    zero = hs.EFTrajectory(t=[0.0, 1.0], y_u=[0.0, 0.0], p_u=[0.0, 0.0],
+                           y_v=[0.0, 0.0], p_v=[0.0, 0.0], accepted=1, rejected=0,
+                           termination="completed")
+    assert hs.proportionality_defect(zero, 1.0) == 0.0
 
 
 def test_simultaneous_max_off_grid(benchmark4):
@@ -846,7 +865,7 @@ def test_simultaneous_max_scalar_case():
 def test_simultaneous_max_boundary_error(benchmark4):
     _, fam = benchmark4
     traj = exact_trajectory(fam, np.linspace(1.0, 5.0, 101))  # max at left edge
-    with pytest.raises(TrajectoryError):
+    with pytest.raises(ValueError, match="maximum on trajectory boundary"):
         simultaneous_max_check(traj)
 
 
