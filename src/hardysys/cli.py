@@ -12,7 +12,7 @@ is left out of the table, with one line
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a coupling coefficient nu alpha or nu beta beyond the range of
-a double, a dimension whose profile amplitude is beyond it, from n = 258 on
+a double, a dimension whose amplitude or peak is beyond it, from n = 258 on
 at gamma = 0, a root of the coupling function beyond it, named by its log s
 and in ``sweep`` only when every sample has one, constants of a root or a
 term of their system beyond it, a constants-system residual above 1e-12,

@@ -91,9 +91,9 @@ def _f_scale(s: float, p: ProblemParams) -> float:
 
 
 def _check_root(s: float, p: ProblemParams) -> None:
-    """ParameterError unless |f(s)| is at most 1e-10 of the term sum of f."""
+    """ParameterError unless |f(s)| is at most 1e-10 of the term sum of f (NaN is not)."""
     residual = abs(coupling_f(s, p))
-    if residual > 1e-10 * _f_scale(s, p):
+    if not residual <= 1e-10 * _f_scale(s, p):
         raise ParameterError(f"root residual too large: |f({s:.17g})| = {residual:.3e}")
 
 

@@ -3,11 +3,11 @@
 With y(t) = r^delta u(r), t = log r, the radial system becomes the autonomous
 pair
 
-    y_u'' = (delta^2 - gamma) y_u - y_u^(2*-1) - nu alpha y_u^(alpha-1) y_v^beta
-    y_v'' = (delta^2 - gamma) y_v - y_v^(2*-1) - nu beta  y_u^alpha y_v^(beta-1)
+    y_u'' = kappa^2 y_u - y_u^(2*-1) - nu alpha y_u^(alpha-1) y_v^beta
+    y_v'' = kappa^2 y_v - y_v^(2*-1) - nu beta  y_u^alpha y_v^(beta-1)
 
-whose positive decaying orbits are homoclinic loops of the origin with
-exponential rate kappa = sqrt(delta^2 - gamma).  This module provides the
+with kappa^2 = lambda_n - gamma, whose positive decaying orbits are homoclinic
+loops of the origin with exponential rate kappa.  This module provides the
 closed-form synchronized trajectory as a function of log rho = log(r/mu0),
 an embedded Dormand-Prince 5(4) integrator in Nystrom form (the field does
 not read y') with error-per-unit-step control (global error scales like
@@ -107,7 +107,7 @@ def _field(p: ProblemParams):
     below zero), and the coupling reads one product
     y_u^(alpha-1) y_v^(beta-1).
     """
-    kappa2 = p.delta * p.delta - p.gamma
+    kappa2 = p.lambda_n - p.gamma
     e1, ea, eb = p.two_star - 1.0, p.alpha - 1.0, p.beta - 1.0
     nua, nub = p.nu * p.alpha, p.nu * p.beta
 
@@ -134,7 +134,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     error scale like tol^(5/4).  Each y is scaled by
     tol * (atol + max(|y_old|, |y_new|)) and its slope by
     tol * (atol + max(|y'_old|, |y'_new|, kappa max(|y_old|, |y_new|))),
-    kappa = sqrt(delta^2 - gamma): (y, y'/kappa) on one phase-space scale
+    kappa = sqrt(lambda_n - gamma): (y, y'/kappa) on one phase-space scale
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A slope scaled by
     itself would shrink the steps wherever it passes through zero, as y_u'
     does at the turn that shooting stops at; on the decaying tails,
@@ -167,9 +167,10 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     """
     if not (0.0 < tol < math.inf):
         raise ParameterError("tolerance must be positive and finite")
-    for name in ("y_u", "p_u", "y_v", "p_v"):
-        if not math.isfinite(getattr(initial, name)):
-            raise ParameterError("initial state must be finite")
+    # Python floats: numpy scalars would make every step about twice as slow
+    yu, pu, yv, pv = start = tuple(map(float, initial))
+    if not all(map(math.isfinite, start)):
+        raise ParameterError("initial state must be finite")
 
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t0 <= t1:
@@ -178,7 +179,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
 
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
-    kappa = math.sqrt(p.delta * p.delta - p.gamma)  # the slope scale of y on the tails
+    kappa = p.kappa  # the slope scale of y on the tails
     field = _field(p)
     c2, c3, c4, c5 = _C
     g31, = _AA3
@@ -190,18 +191,13 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     b1, _, b3, b4, b5, b6 = _B
     w1, _, w3, w4, w5, w6, w7 = _E
 
-    # Python floats: numpy scalars would make every step about twice as slow
-    yu, pu = float(initial.y_u), float(initial.p_u)
-    yv, pv = float(initial.y_v), float(initial.p_v)
-
-    ss = [0.0]
-    yus, pus, yvs, pvs = [yu], [pu], [yv], [pv]
+    ts, yus, pus, yvs, pvs = [t0], [yu], [pu], [yv], [pv]
     accepted = rejected = 0
     termination = "completed"
 
     s = 0.0
     atol = 1e-8  # relative to tol; keeps the scale positive on decaying tails
-    h = min(MAX_STEP, span, 1e-3) if span > 0 else 0.0
+    h = min(MAX_STEP, span, 1e-3)
     # float powers raise OverflowError where a product would give inf
     try:
         fu1, fv1 = field(yu, yv)  # stage 1, the field at the step's start (FSAL)
@@ -261,48 +257,43 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             b = pv_new if pv_new >= 0.0 else -pv_new
             q_pv = err_pv / (tol * (atol + (b if b > a else a)))
             enorm = math.sqrt(0.25 * (q_yu ** 2 + q_pu ** 2 + q_yv ** 2 + q_pv ** 2))
+            # the next step's factor, clamped to [0.2, 5]: 5 at enorm = 0, 0.2
+            # at a NaN enorm, and below 0.9 on a rejection, where enorm > h
+            factor = 0.9 * (h / enorm) ** 0.25 if enorm else 5.0
+            factor = factor if factor > 0.2 else 0.2
+            factor = factor if factor < 5.0 else 5.0
 
             if enorm <= h:  # error-per-unit-step acceptance
                 s += h
                 yu, pu, yv, pv = yu_new, pu_new, yv_new, pv_new
                 fu1, fv1 = fu7, fv7
                 accepted += 1
-                stop_reason = None
                 if yu < 0.0 or yv < 0.0:
                     yu, yv = max(yu, 0.0), max(yv, 0.0)
-                    stop_reason = "extinction"
+                    termination = "extinction"
                 elif yu > blowup_threshold or yv > blowup_threshold:
-                    stop_reason = "blowup"
-                ss.append(s)
+                    termination = "blowup"
+                ts.append(t0 + s)
                 yus.append(yu)
                 pus.append(pu)
                 yvs.append(yv)
                 pvs.append(pv)
-                if stop_reason:
-                    termination = stop_reason
+                if termination != "completed" or stop is not None and stop(
+                        ts[-1], yu, pu, yv, pv):
                     break
-                if stop is not None and stop(t0 + s, yu, pu, yv, pv):
-                    break
-                if enorm == 0.0:
-                    factor = 5.0
-                else:  # clamped to [0.2, 5]
-                    factor = 0.9 * (h / enorm) ** 0.25
-                    factor = factor if factor > 0.2 else 0.2
-                    factor = factor if factor < 5.0 else 5.0
                 h = h * factor
                 if not h < MAX_STEP:
                     h = MAX_STEP
             else:
                 rejected += 1
-                factor = 0.9 * (h / enorm) ** 0.25
-                h = h * (factor if factor > 0.2 else 0.2)
+                h = h * factor
                 if h < MIN_STEP:
                     raise IntegrationError(f"step size underflow at t-offset {s:.6g}")
     except OverflowError as exc:
         raise IntegrationError(f"floating-point overflow at t-offset {s:.6g}") from exc
 
     return EFTrajectory(
-        t=[t0 + offset for offset in ss],
+        t=ts,
         y_u=yus,
         p_u=pus,
         y_v=yvs,
@@ -573,4 +564,4 @@ def ef_system_residual(fam: SynchronizedFamily, log_rho) -> tuple[float, float]:
     values do not depend on mu0.
     """
     p = fam.profile.params
-    return _encoding_residual(fam, p.delta, p.gamma - p.delta * p.delta, log_rho)
+    return _encoding_residual(fam, p.delta, p.gamma - p.lambda_n, log_rho)

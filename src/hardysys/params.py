@@ -12,8 +12,8 @@ constants derived from (n, gamma) as attributes:
 * ``two_star``   critical Sobolev exponent 2n/(n-2)
 * ``lambda_n``   best Hardy constant ((n-2)/2)^2
 * ``delta``      (n-2)/2, the decay rate of the log-radius variables
-* ``tau1, tau2`` roots of tau^2 - (n-2) tau + gamma = 0 (inner/outer decay)
-* ``kappa``      sqrt(lambda_n - gamma) = delta - tau1
+* ``kappa``      sqrt(lambda_n - gamma), the saddle rate of the phase plane
+* ``tau1, tau2`` delta -+ kappa, roots of tau^2 - (n-2) tau + gamma = 0
 * ``amplitude``  the closed-form profile amplitude
                  A = (n (n-2-2 tau1)^2 / (n-2))^((n-2)/4), for gamma = 0
                  (n (n-2))^((n-2)/4), the peak of the unit Aubin-Talenti bubble
@@ -22,6 +22,7 @@ constants derived from (n, gamma) as attributes:
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import ParameterError
@@ -29,17 +30,21 @@ from .errors import ParameterError
 
 def hardy_constant(n: int) -> float:
     """Best constant ((n-2)/2)^2 of the Hardy inequality in dimension n."""
-    _check_dimension(n)
-    return ((n - 2) / 2.0) ** 2
+    n = _check_dimension(n)
+    try:
+        return ((n - 2) / 2.0) ** 2
+    except OverflowError:  # n or lambda_n beyond a double, from n = 2.7e154 on
+        raise ParameterError(f"dimension too large: lambda_n at n={n} is beyond the "
+                             "range of a double") from None
 
 
 def critical_exponent(n: int) -> float:
     """Critical Sobolev exponent 2n/(n-2)."""
-    _check_dimension(n)
+    n = _check_dimension(n)
     return 2.0 * n / (n - 2)
 
 
-def _check_dimension(n) -> None:
+def _check_dimension(n) -> int:
     try:
         integral = int(n) == n
     except (ValueError, OverflowError):  # NaN or an infinity
@@ -48,6 +53,7 @@ def _check_dimension(n) -> None:
         raise ParameterError(f"dimension must be an integer, got {n!r}")
     if n < 3:
         raise ParameterError(f"dimension too small: n={n} (need n >= 3)")
+    return int(n)
 
 
 class ProblemParams(namedtuple("ProblemParams", "n gamma nu alpha beta two_star lambda_n "
@@ -64,7 +70,8 @@ class ProblemParams(namedtuple("ProblemParams", "n gamma nu alpha beta two_star 
     * nu >= 0 (nu = 0 is the decoupled scalar mode)
     * alpha > 1 and beta > 1
     * nu alpha and nu beta finite (the coefficients of the coupling function)
-    * the amplitude finite (at gamma = 0, n <= 257)
+    * lambda_n and A finite (at gamma = 0, n <= 257), A and A 2^-delta normal
+      doubles (A underflows near lambda_n at large n; 2^-delta is 0 from n = 2152 on)
 
     A named tuple of all twelve values, whose repr prints the four inputs.
     Equality and hash are the tuple's; the eight derived values are
@@ -76,13 +83,12 @@ class ProblemParams(namedtuple("ProblemParams", "n gamma nu alpha beta two_star 
     __slots__ = ()
 
     def __new__(cls, n: int, gamma: float, nu: float, alpha: float):
-        _check_dimension(n)
+        lam, two_star = hardy_constant(n), critical_exponent(n)  # both check n
         n = int(n)
         gamma, nu, alpha = float(gamma), float(nu), float(alpha)
         for name, value in (("gamma", gamma), ("nu", nu), ("alpha", alpha)):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        lam = hardy_constant(n)
         if not 0.0 <= gamma < lam:
             raise ParameterError(
                 f"gamma out of range: {gamma} not in [0, {lam}) "
@@ -90,7 +96,6 @@ class ProblemParams(namedtuple("ProblemParams", "n gamma nu alpha beta two_star 
             )
         if nu < 0:
             raise ParameterError(f"coupling strength must be nonnegative, got nu={nu}")
-        two_star = critical_exponent(n)
         beta = two_star - alpha
         if alpha <= 1 or beta <= 1:
             raise ParameterError(
@@ -102,18 +107,21 @@ class ProblemParams(namedtuple("ProblemParams", "n gamma nu alpha beta two_star 
                 f"nu beta = {nu * beta} must be finite"
             )
         delta = (n - 2) / 2.0
-        root = math.sqrt(lam - gamma)
-        tau1 = delta - root
+        kappa = math.sqrt(lam - gamma)
+        tau1 = delta - kappa
         base = n * (n - 2.0 - 2.0 * tau1) ** 2 / (n - 2.0)
         try:
             amplitude = base ** ((n - 2) / 4.0)
         except OverflowError:  # from n = 258 on at gamma = 0
+            amplitude = math.inf
+        # the unit peak A 2^-delta <= A, as SynchronizedFamily.peak_amplitude forms it
+        if not sys.float_info.min <= amplitude * 2.0 ** -delta < math.inf:
             raise ParameterError(
                 f"dimension too large: the profile amplitude at n={n}, gamma={gamma} "
                 "is beyond the range of a double"
-            ) from None
+            )
         return super().__new__(cls, n, gamma, nu, alpha, beta, two_star, lam, delta,
-                               tau1, delta + root, delta - tau1, amplitude)
+                               tau1, delta + kappa, kappa, amplitude)
 
     def __repr__(self) -> str:
         return "%s(n=%r, gamma=%r, nu=%r, alpha=%r)" % (type(self).__qualname__, *self[:4])

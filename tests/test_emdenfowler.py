@@ -621,13 +621,14 @@ def test_shoot_rejects_non_root(benchmark4):
 def test_shoot_and_constants_share_one_root_test(benchmark4):
     # s = 1 + 3e-9 at n = 4, nu = 1, alpha = 2: |f(s)| = 6.0e-9, 1e-9 of the
     # term sum, above the 1e-10 that decides a root.  Both refuse it, with
-    # one message
+    # one message, and so a NaN or infinite s, whose residual is NaN
     p, fam = benchmark4
-    near = fam.root._replace(c_tilde=1.0 + 3e-9)
-    for refuse in (hs.constants_from_root, lambda r, p: hs.shoot_synchronized(p, r)):
-        with pytest.raises(ParameterError, match=r"root residual too large: "
-                                                 r"\|f\(1.000000003\)\| = 6.000e-09"):
-            refuse(near, p)
+    cases = {1.0 + 3e-9: r"\|f\(1.000000003\)\| = 6.000e-09",
+             math.nan: r"\|f\(nan\)\| = nan", math.inf: r"\|f\(inf\)\| = nan"}
+    for s, residual in cases.items():
+        for refuse in (hs.constants_from_root, lambda r, p: hs.shoot_synchronized(p, r)):
+            with pytest.raises(ParameterError, match="root residual too large: " + residual):
+                refuse(fam.root._replace(c_tilde=s), p)
 
 
 def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):

@@ -79,6 +79,17 @@ def test_tau_vieta_identities(n, frac):
     assert p.amplitude > 0
 
 
+@pytest.mark.parametrize("n", [*range(3, 21), 150])
+def test_kappa_is_the_rounded_square_root(n):
+    # one kappa, the rounded sqrt(lambda_n - gamma) that integrate reads, and
+    # tau1, tau2 formed from it; near lambda_n, delta - tau1 is not that kappa
+    for frac in (0.0, 0.5, 0.99, 0.9999):
+        p = _params(n, frac * hs.hardy_constant(n))
+        assert p.kappa == math.sqrt(p.lambda_n - p.gamma)
+        assert (p.tau1, p.tau2) == (p.delta - p.kappa, p.delta + p.kappa)
+        assert (p.lambda_n, p.two_star) == (hs.hardy_constant(n), hs.critical_exponent(n))
+
+
 def test_symmetric_constructor_derives_beta():
     p = hs.ProblemParams(5, 1.0, 0.5, 2.0)
     assert abs(p.alpha + p.beta - hs.critical_exponent(5)) <= 1e-12
@@ -95,7 +106,7 @@ def test_derived_constants_are_attributes_not_settings():
     assert p == hs.ProblemParams.symmetric(4, 0.5, 1.0, 2.0)
     assert p.beta == 2.0
     assert p.lambda_n == hs.hardy_constant(4)
-    assert p.kappa == p.delta - p.tau1  # as written, not sqrt(lambda_n - gamma)
+    assert p.kappa == math.sqrt(p.lambda_n - p.gamma)
     with pytest.raises(AttributeError):
         p.kappa = 1.0
     with pytest.raises(AttributeError):
@@ -173,6 +184,22 @@ def test_amplitude_beyond_a_double_rejected():
     assert math.isfinite(p.amplitude)
     with pytest.raises(ParameterError, match="n=258"):
         hs.ProblemParams(258, 0.0, 1.0, hs.critical_exponent(258) / 2.0)
+
+
+@pytest.mark.parametrize("args,message", [
+    # lambda_n beyond a double, and n itself: an OverflowError traceback
+    ((10 ** 155, 0.0, 1.0, 1.0000001), r"lambda_n at n=10{155} is beyond"),
+    ((10 ** 400, 0.0, 1.0, 1.0000001), r"lambda_n at n=10{400} is beyond"),
+    # A is 0.0, its float power having underflowed, and A = 6.9e225 with
+    # 2^-delta = 0.0, so the unit peak is 0.0: a ZeroDivisionError traceback
+    # in shoot and verify
+    ((1000, 249000.99, 1.0, 1.001),
+     r"the profile amplitude at n=1000, gamma=249000.99 is beyond the range of a double$"),
+    ((3000, 2247000.5, 1.0, 1.0006671114076051), r"the profile amplitude at n=3000,"),
+], ids=["n=1e155", "n=1e400", "A=0", "2^-delta=0"])
+def test_dimension_beyond_a_double_rejected(args, message):
+    with pytest.raises(ParameterError, match="^dimension too large: " + message):
+        hs.ProblemParams(*args)
 
 
 @pytest.mark.parametrize("n", [math.nan, math.inf])

@@ -460,7 +460,10 @@ def test_report_checks_map_to_documented_invariants(benchmark3):
 # Python floats: the values kept are the same bits, and the residual column
 # went (n = 4: 0x1.2053fdd50b108p-50; n = 3, by family: 0x1.0000000000000p-51,
 # 0x1.8000000000000p-52, 0x1.0000000000000p-51; gamma = 0.5:
-# 0x1.7e40000000000p-51; mu0 = 2 as at mu0 = 1).
+# 0x1.7e40000000000p-51; mu0 = 2 as at mu0 = 1).  n = 3, gamma = 0.249975
+# was pinned when kappa became the rounded sqrt(lambda_n - gamma) in place of
+# delta - tau1, 2.56 ulp off, which had been the kappa of every layer but
+# the integrator's (f0.integration_deviation read 0x1.47be8acda0f1cp-43).
 REPORT_PINS = {
     "n4-nu1-alpha2": ((
         "0x1.11bb00a7dfb11p-42", "0x0.0p+0",
@@ -472,11 +475,17 @@ REPORT_PINS = {
         "0x1.3f80000000064p-45", "0x1.807a134be0e83p-44"), (
         "0x1.8273baf301e87p-44", "0x1.1dee0b0f8b07cp-50",
         "0x1.4cc000000006cp-45", "0x1.8302b1f889896p-44")),
-    # gamma != 0, where the kernel's delta^2 - gamma and kappa^2 need not
-    # agree to the last bit
     "n4-gamma0.5-nu1-alpha2": ((
         "0x1.dcbf3a650f75dp-43", "0x0.0p+0",
         "0x1.11ffffffffedbp-43", "0x1.dc5060796da5cp-43"),),
+    # gamma = 0.9999 lambda_3, where kappa is smallest
+    "n3-gamma0.249975-nu1-alpha3": ((
+        "0x1.48ca99f7ff843p-43", "0x1.d3dbda67586c4p-52",
+        "0x1.31ffffffffd24p-42", "0x1.4638cbc90f0d8p-44"), (
+        "0x1.4c30cf581b08ap-43", "0x0.0p+0",
+        "0x1.347fffffffd18p-42", "0x1.4994278f96f76p-44"), (
+        "0x1.38bc5c1900155p-43", "0x1.65698dd36dcf3p-51",
+        "0x1.22ffffffffd6ap-42", "0x1.4817e53115b2fp-44")),
     # mu0 = 2: no check reads mu0, so these are the bits of mu0 = 1
     "n3-nu1-alpha3-mu2": ((
         "0x1.8273baf301e87p-44", "0x1.18b71ca4683cap-50",
@@ -498,6 +507,7 @@ REPORT_CASES = {
     "n4-nu1-alpha2": ((4, 0.0, 1.0, 2.0), 1.0),
     "n3-nu1-alpha3": ((3, 0.0, 1.0, 3.0), 1.0),
     "n4-gamma0.5-nu1-alpha2": ((4, 0.5, 1.0, 2.0), 1.0),
+    "n3-gamma0.249975-nu1-alpha3": ((3, 0.249975, 1.0, 3.0), 1.0),
     "n3-nu1-alpha3-mu2": ((3, 0.0, 1.0, 3.0), 2.0),
 }
 
