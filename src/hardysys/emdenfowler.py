@@ -10,13 +10,13 @@ with kappa^2 = lambda_n - gamma, whose positive decaying orbits are homoclinic
 loops of the origin with exponential rate kappa.  This module provides the
 closed-form synchronized trajectory as a function of log rho = log(r/mu0),
 an embedded Dormand-Prince 5(4) integrator in Nystrom form (the field does
-not read y') with error-per-unit-step control (global error scales like
-tol^(5/4), i.e. better than a factor 16 per tolerance decade), the shooting
-trace of each homoclinic orbit from the origin up to its maximum (an oracle
-independent of the closed form, with its turn at rho = 1), and the residual
-of the radial equations at the closed form, in any of their encodings
-(plain, weighted, phase plane): one function of rho, under one
-normalization, evaluated on log rho as the closed form is.
+not read y', and the unrolled stages form it inline) with error-per-unit-step
+control (global error scales like tol^(5/4), i.e. better than a factor 16 per
+tolerance decade), the shooting trace of each homoclinic orbit from the
+origin up to its maximum (an oracle independent of the closed form, with its
+turn at rho = 1), and the residual of the radial equations at the closed
+form, in any of their encodings (plain, weighted, phase plane): one function
+of rho, under one normalization, evaluated on log rho as the closed form is.
 
 Everything here runs on Python floats: the integrator and the shot return
 their orbit as lists, and the closed form, the residuals and the
@@ -64,13 +64,15 @@ def _closed_form_arrays(fam: SynchronizedFamily, log_rho):
     per log rho = log(r/mu0) in ``log_rho``.
 
     From the profile's bounded units: y = c e^(log y) and
-    y' = kappa (1 - 2w) y, both stable for any |log rho|.  Nothing here reads
-    mu0; the maximum sits at log rho = 0.
+    y' = kappa (1 - 2w) y, w and 1 - w the exponentials of their logs, both
+    stable for any |log rho|.  Nothing here reads mu0; the maximum sits at
+    log rho = 0.
     """
     kappa, c1, c2 = fam.profile.params.kappa, fam.c1, fam.c2
+    exp = math.exp
     y_u, p_u, y_v, p_v = [], [], [], []
-    for w, om, log_y in zip(*fam.profile._bounded_units(log_rho)):
-        base, slope = math.exp(log_y), kappa * (om - w)
+    for log_w, log_om, log_y in zip(*fam.profile._bounded_units(log_rho)):
+        base, slope = exp(log_y), kappa * (exp(log_om) - exp(log_w))
         yu, yv = c1 * base, c2 * base
         y_u.append(yu)
         p_u.append(slope * yu)
@@ -161,9 +163,13 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     ``y + h * (a1 * k1 + a2 * k2 + ...)`` on the first-order system, and
     agrees with it to rounding (``test_one_step_matches_the_table_form``,
     against ``dp5_table_step`` in ``tests/reference.py``).  The step is
-    unrolled by hand: the coefficients live in local floats, every stage
-    calls the one field of ``_field`` (``ef_rhs`` there, with trial stages
-    clamped at zero), and ``abs``, ``min`` and ``max`` are comparisons.
+    unrolled by hand: the coefficients and the field's constants live in
+    local floats, and ``abs``, ``min`` and ``max`` are comparisons.  Stage 1,
+    the field at the start, calls ``_field``; stages 2 to 7 form the same
+    field inline, with its floating-point operations in its order: each
+    clamps a trial state below zero at zero, forms kappa^2 y - y^(2*-1) and,
+    under coupling, one product y_u^(alpha-1) y_v^(beta-1).  A call per
+    stage cost about a tenth of a ``verify`` (ROADMAP aim 2).
     """
     if not (0.0 < tol < math.inf):
         raise ParameterError("tolerance must be positive and finite")
@@ -180,7 +186,10 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS
     kappa = p.kappa  # the slope scale of y on the tails
-    field = _field(p)
+    # the field's constants, as _field reads them: stages 2 to 7 form it inline
+    kappa2 = p.lambda_n - p.gamma
+    e1, ea, eb = p.two_star - 1.0, p.alpha - 1.0, p.beta - 1.0
+    nua, nub = p.nu * p.alpha, p.nu * p.beta
     c2, c3, c4, c5 = _C
     g31, = _AA3
     g41, g42 = _AA4
@@ -200,7 +209,7 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     h = min(MAX_STEP, span, 1e-3)
     # float powers raise OverflowError where a product would give inf
     try:
-        fu1, fv1 = field(yu, yv)  # stage 1, the field at the step's start (FSAL)
+        fu1, fv1 = _field(p)(yu, yv)  # stage 1, the field at the step's start (FSAL)
 
         # the remaining sliver below the cutoff is roundoff, not unfinished work
         end_slack = 1e-13 * max(1.0, span)
@@ -212,22 +221,91 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
             hh = h * h
             hc2, hc3, hc4, hc5 = h * c2, h * c3, h * c4, h * c5
 
-            fu2, fv2 = field(yu + hc2 * pu, yv + hc2 * pv)
-            fu3, fv3 = field(yu + hc3 * pu + hh * (g31 * fu1),
-                             yv + hc3 * pv + hh * (g31 * fv1))
-            fu4, fv4 = field(yu + hc4 * pu + hh * (g41 * fu1 + g42 * fu2),
-                             yv + hc4 * pv + hh * (g41 * fv1 + g42 * fv2))
-            fu5, fv5 = field(yu + hc5 * pu + hh * (g51 * fu1 + g52 * fu2 + g53 * fu3),
-                             yv + hc5 * pv + hh * (g51 * fv1 + g52 * fv2 + g53 * fv3))
-            fu6, fv6 = field(  # c_6 = 1
-                yu + h * pu + hh * (g61 * fu1 + g62 * fu2 + g63 * fu3 + g64 * fu4),
-                yv + h * pv + hh * (g61 * fv1 + g62 * fv2 + g63 * fv3 + g64 * fv4))
+            # stages 2 to 6, each the field at its trial state clamped at zero
+            cu = yu + hc2 * pu
+            cv = yv + hc2 * pv
+            if cu < 0.0:
+                cu = 0.0
+            if cv < 0.0:
+                cv = 0.0
+            fu2 = kappa2 * cu - cu ** e1
+            fv2 = kappa2 * cv - cv ** e1
+            if nua:
+                q = cu ** ea * cv ** eb
+                fu2 -= nua * q * cv
+                fv2 -= nub * q * cu
+
+            cu = yu + hc3 * pu + hh * (g31 * fu1)
+            cv = yv + hc3 * pv + hh * (g31 * fv1)
+            if cu < 0.0:
+                cu = 0.0
+            if cv < 0.0:
+                cv = 0.0
+            fu3 = kappa2 * cu - cu ** e1
+            fv3 = kappa2 * cv - cv ** e1
+            if nua:
+                q = cu ** ea * cv ** eb
+                fu3 -= nua * q * cv
+                fv3 -= nub * q * cu
+
+            cu = yu + hc4 * pu + hh * (g41 * fu1 + g42 * fu2)
+            cv = yv + hc4 * pv + hh * (g41 * fv1 + g42 * fv2)
+            if cu < 0.0:
+                cu = 0.0
+            if cv < 0.0:
+                cv = 0.0
+            fu4 = kappa2 * cu - cu ** e1
+            fv4 = kappa2 * cv - cv ** e1
+            if nua:
+                q = cu ** ea * cv ** eb
+                fu4 -= nua * q * cv
+                fv4 -= nub * q * cu
+
+            cu = yu + hc5 * pu + hh * (g51 * fu1 + g52 * fu2 + g53 * fu3)
+            cv = yv + hc5 * pv + hh * (g51 * fv1 + g52 * fv2 + g53 * fv3)
+            if cu < 0.0:
+                cu = 0.0
+            if cv < 0.0:
+                cv = 0.0
+            fu5 = kappa2 * cu - cu ** e1
+            fv5 = kappa2 * cv - cv ** e1
+            if nua:
+                q = cu ** ea * cv ** eb
+                fu5 -= nua * q * cv
+                fv5 -= nub * q * cu
+
+            # c_6 = 1
+            cu = yu + h * pu + hh * (g61 * fu1 + g62 * fu2 + g63 * fu3 + g64 * fu4)
+            cv = yv + h * pv + hh * (g61 * fv1 + g62 * fv2 + g63 * fv3 + g64 * fv4)
+            if cu < 0.0:
+                cu = 0.0
+            if cv < 0.0:
+                cv = 0.0
+            fu6 = kappa2 * cu - cu ** e1
+            fv6 = kappa2 * cv - cv ** e1
+            if nua:
+                q = cu ** ea * cv ** eb
+                fu6 -= nua * q * cv
+                fv6 -= nub * q * cu
+
             # 5th-order solution
             yu_new = yu + h * pu + hh * (d1 * fu1 + d3 * fu3 + d4 * fu4 + d5 * fu5)
             pu_new = pu + h * (b1 * fu1 + b3 * fu3 + b4 * fu4 + b5 * fu5 + b6 * fu6)
             yv_new = yv + h * pv + hh * (d1 * fv1 + d3 * fv3 + d4 * fv4 + d5 * fv5)
             pv_new = pv + h * (b1 * fv1 + b3 * fv3 + b4 * fv4 + b5 * fv5 + b6 * fv6)
-            fu7, fv7 = field(yu_new, yv_new)  # stage 7, the field at the new point (FSAL)
+            # stage 7, the field at the new point (FSAL)
+            cu = yu_new
+            cv = yv_new
+            if cu < 0.0:
+                cu = 0.0
+            if cv < 0.0:
+                cv = 0.0
+            fu7 = kappa2 * cu - cu ** e1
+            fv7 = kappa2 * cv - cv ** e1
+            if nua:
+                q = cu ** ea * cv ** eb
+                fu7 -= nua * q * cv
+                fv7 -= nub * q * cu
 
             err_yu = hh * (v1 * fu1 + v3 * fu3 + v4 * fu4 + v5 * fu5 + v6 * fu6)
             err_pu = h * (w1 * fu1 + w3 * fu3 + w4 * fu4 + w5 * fu5 + w6 * fu6
@@ -476,8 +554,8 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
         chi^2 - chi - 2 kappa q w (1 - w),   (n-1-2 tau) chi,   potential,
         c^m y^m,   nu alpha c^(alpha-2) c_other^beta y^m,
 
-    w, 1 - w and log y from the profile's bounded units, and y^m =
-    exp(m log y).  A log rho that is not finite raises ParameterError.  The
+    w, 1 - w and y^m the exponentials of log w, log(1 - w) and m log y from
+    the profile's bounded units.  A log rho that is not finite raises ParameterError.  The
     coefficients of the last two terms, c^m and nu alpha c^(alpha-2)
     c_other^beta, are those of the family's equation of the constants system
     (``verify_constants_system``), whose left side is their sum; a wrong c1
@@ -502,8 +580,9 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
                  (c2 ** m, p.nu * p.beta * c1 ** p.alpha * c2 ** (p.beta - 2.0)))
     q = fam.profile._q
     residuals = [0.0, 0.0]
-    for w, om, log_y in zip(*fam.profile._bounded_units(log_rho)):
-        y_m = math.exp(m * log_y)
+    exp = math.exp
+    for log_w, log_om, log_y in zip(*fam.profile._bounded_units(log_rho)):
+        w, om, y_m = exp(log_w), exp(log_om), exp(m * log_y)
         if tau - p.tau1 <= p.kappa:
             chi = (tau - p.tau1) - 2.0 * p.kappa * w
         else:

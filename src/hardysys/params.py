@@ -41,7 +41,14 @@ def hardy_constant(n: int) -> float:
 def critical_exponent(n: int) -> float:
     """Critical Sobolev exponent 2n/(n-2)."""
     n = _check_dimension(n)
-    return 2.0 * n / (n - 2)
+    try:
+        two_star = 2.0 * n / (n - 2)
+    except OverflowError:  # n beyond a double, from n = 1.8e308 on
+        two_star = math.inf
+    if two_star == math.inf:  # 2n beyond a double, from n = 9e307 on
+        raise ParameterError(f"dimension too large: 2n at n={n} is beyond the range "
+                             "of a double")
+    return two_star
 
 
 def _check_dimension(n) -> int:

@@ -68,7 +68,7 @@ from operator import sub
 
 from .coupling import classify
 from .emdenfowler import (proportionality_defect, shoot_synchronized, _check_shooting_tol,
-                          _closed_form_arrays, _manifold_coordinate)
+                          _manifold_coordinate)
 from .params import ProblemParams
 
 
@@ -143,7 +143,9 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     ``integration_tol`` from the origin, where errors do not grow like
     e^(kappa t) as they do into the saddle, up to its turn at t = 0.  That
     half orbit, about 70 points, is the orbit of every check, and its times
-    are log rho = log(r/mu0), the argument of ``_closed_form_arrays``.  The
+    are log rho = log(r/mu0), the argument of the profile's bounded units.
+    Only the closed form's y_u and y_v are formed there, c e^(log y) with
+    the bits of ``_closed_form_arrays``: no check reads w or a slope.  The
     start sits at manifold coordinate x0 y_eq (``_manifold_coordinate``) at
     log rho = t[0] of the trace, so mu0^kappa r^tau1 u = e^(-kappa log rho)
     y_u tends to x0 y_eq e^(-kappa t[0]), and the closed form's limit is
@@ -166,9 +168,11 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         s = fam.c_tilde
 
         half = shoot_synchronized(p, fam.root, integration_tol)
-        ref_u, _, ref_v, _ = _closed_form_arrays(fam, half.t)
+        # the closed form's y_u and y_v, c e^(log y) as _closed_form_arrays forms them
+        base = list(map(math.exp, fam.profile._bounded_units(half.t)[2]))
+        ref = [fam.c1 * b for b in base] + [fam.c2 * b for b in base]
         peak = max(half.y_u[-1], half.y_v[-1])
-        deviation = max(map(abs, map(sub, half.y_u + half.y_v, ref_u + ref_v)))
+        deviation = max(map(abs, map(sub, half.y_u + half.y_v, ref)))
         add(tag + "integration_deviation", deviation / peak, 1e-6)
         add(tag + "proportionality_defect", proportionality_defect(half, s), 1e-8)
 

@@ -105,10 +105,11 @@ def convergence_order(errors) -> float:
 def ef_rhs(state: EFState, p: ProblemParams) -> tuple[float, float, float, float]:
     """(y_u', y_u'', y_v', y_v'') of the autonomous system at one state.
 
-    The oracle of ``_field``, the one field that every stage of ``integrate``
-    and both ends of the shot's last step call: that one forms the coupling
-    from one product y_u^(alpha-1) y_v^(beta-1) and clamps a negative
-    component at zero, where this forms it factor by factor and refuses one.
+    The oracle of ``_field``, the field that the first stage of ``integrate``
+    and both ends of the shot's last step call, and that its stages 2 to 7
+    form inline with the same operations: those form the coupling from one
+    product y_u^(alpha-1) y_v^(beta-1) and clamp a negative component at
+    zero, where this forms it factor by factor and refuses one.
     ``dp5_table_step`` steps on it.
     """
     if state.y_u < 0 or state.y_v < 0:
@@ -218,9 +219,15 @@ def exact_ef_solution(fam, t: float) -> EFState:
 
 
 def bounded_units(profile: ScalarProfile, log_rho):
-    """Arrays (w, 1 - w, log y) at each log rho, by ``profile._bounded_units``."""
-    units = profile._bounded_units(np.asarray(log_rho, dtype=float).ravel().tolist())
-    return tuple(np.array(col, dtype=float) for col in units)
+    """Arrays (w, 1 - w, log y) at each log rho, by ``profile._bounded_units``.
+
+    w and 1 - w are ``math.exp`` of the logs that it returns, the bits that
+    the package's closed form and residuals read.
+    """
+    log_w, log_om, log_y = profile._bounded_units(
+        np.asarray(log_rho, dtype=float).ravel().tolist())
+    return (np.array([math.exp(x) for x in log_w]), np.array([math.exp(x) for x in log_om]),
+            np.array(log_y, dtype=float))
 
 
 def bounded_closed_form(fam, log_rho):

@@ -140,8 +140,9 @@ def test_closed_form_is_finite_at_the_ends_of_the_doubles(args):
     y_u, p_u, y_v, p_v = _closed_form_arrays(fam, [-1e308, 1e308])
     assert y_u == y_v == [0.0, 0.0]
     assert p_u == p_v == [0.0, 0.0]
-    assert fam.profile._bounded_units([1e308]) == ([1.0], [0.0], [-math.inf])
-    assert fam.profile._bounded_units([-1e308])[:2] == ([0.0], [1.0])
+    # the logs of (w, 1 - w, y): (1, 0, 0) and (0, 1) in the limits
+    assert fam.profile._bounded_units([1e308]) == ([0.0], [-math.inf], [-math.inf])
+    assert fam.profile._bounded_units([-1e308])[:2] == ([-math.inf], [0.0])
 
 
 # --- integration -----------------------------------------------------------------
@@ -274,6 +275,10 @@ def _one_step_cases():
         "nu0": (scalar, exact_ef_solution(hs.classify(scalar, 1.0)[0], 0.7), 1e-10),
         # y_u + 0.3 h y_u' < 0: stages 3 to 6 are clamped, and so is the end
         "stage-dips-below-zero": (n3, EFState(1e-5, -0.05, 0.4, 0.1), 1e-4),
+        # y + h y' / 5 < 0: every stage from 2 on, and the end, clamp y_u or
+        # y_v, so each of the kernel's clamps is compared
+        "stage-2-dips-below-zero-u": (n3, EFState(1e-5, -0.06, 0.4, 0.1), 1e-4),
+        "stage-2-dips-below-zero-v": (n3, EFState(0.4, 0.1, 1e-5, -0.06), 1e-4),
     }
 
 

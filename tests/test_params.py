@@ -23,6 +23,16 @@ def test_critical_exponent_values():
     assert hs.critical_exponent(6) == 3.0
 
 
+def test_critical_exponent_beyond_a_double():
+    # 2* tends to 2 as n grows: 2.0 to the last bit at n = 1e155, where
+    # lambda_n is beyond a double; 2n is beyond a double from n = 9e307 on,
+    # and n itself from n = 1.8e308 on ("int too large to convert to float")
+    assert hs.critical_exponent(10 ** 155) == 2.0
+    for n in (10 ** 308, 10 ** 400):
+        with pytest.raises(ParameterError, match=f"^dimension too large: 2n at n={n} is beyond"):
+            hs.critical_exponent(n)
+
+
 def test_small_dimension_rejected():
     with pytest.raises(ParameterError):
         hs.hardy_constant(2)

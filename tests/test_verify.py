@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -321,16 +322,16 @@ class _SkewedW(ScalarProfile):
     """The profile with w off by 1e-6 of itself."""
 
     def _bounded_units(self, log_rho):
-        w, om, log_y = super()._bounded_units(log_rho)
-        return [x * (1.0 + 1e-6) for x in w], om, log_y
+        log_w, log_om, log_y = super()._bounded_units(log_rho)
+        return [x + math.log1p(1e-6) for x in log_w], log_om, log_y
 
 
 class _SkewedY(ScalarProfile):
     """The profile with log y, so y^m, off by 1e-6."""
 
     def _bounded_units(self, log_rho):
-        w, om, log_y = super()._bounded_units(log_rho)
-        return w, om, [x + 1e-6 for x in log_y]
+        log_w, log_om, log_y = super()._bounded_units(log_rho)
+        return log_w, log_om, [x + 1e-6 for x in log_y]
 
 
 def _mutants(fam):
@@ -523,10 +524,17 @@ def test_report_bitwise_regression(name):
     assert report.overall
 
 
+#: SHA-256 of the 36 matrix reports' to_text(), in the order of matrix_params
+#: and mu0 in (0.5, 1, 2)
+MATRIX_REPORTS_SHA256 = "c484a9ba7edcb55a28bc7730b233430e265573a0f7ecff6aaf7cd53560e6bd73"
+
+
 def test_matrix_round_step_budget(monkeypatch, matrix_families):
     # a round over the 36 matrix cases integrates each of its 48 families
-    # once, from the start at rho = 1/4, in at most 8,000 accepted steps
-    # (23,940 from the earlier start at eps = (1e-3 tol)^(1/2*))
+    # once, from the start at rho = 1/4, in exactly 3,534 accepted steps and
+    # none rejected (23,940 from the earlier start at eps = (1e-3 tol)^(1/2*)),
+    # and its reports keep their bits: a kernel change that moves one step or
+    # one bit fails here
     runs = []
 
     def counting(*args, **kwargs):
@@ -536,7 +544,12 @@ def test_matrix_round_step_budget(monkeypatch, matrix_families):
     monkeypatch.setattr(hs.emdenfowler, "integrate", counting)
     cases = dict.fromkeys((p, mu0) for p, mu0, _ in matrix_families)
     assert len(cases) == 36
+    digest = hashlib.sha256()
     for p, mu0 in cases:
-        assert hs.full_verification(p, mu0).overall
+        report = hs.full_verification(p, mu0)
+        assert report.overall
+        digest.update(report.to_text().encode())
     assert len(runs) == 48
-    assert sum(r.accepted for r in runs) <= 8000
+    assert sum(r.accepted for r in runs) == 3534
+    assert sum(r.rejected for r in runs) == 0
+    assert digest.hexdigest() == MATRIX_REPORTS_SHA256
