@@ -1,13 +1,13 @@
 """Command-line interface: classify, verify, shoot, sweep, export.
 
 Every flag a command accepts changes its output.  ``--mu0``, the profile
-scale, is a flag of ``verify`` and ``export`` only: the roots, the constants
-and the shooting amplitude do not depend on it.  ``sweep`` ignores the flag
-of the parameter it sweeps, and checks the parameters of every sample before
-its first root search.  A tangential root is left out of a sample's count
-with ``classify``'s warning line, printed as the sample is searched, before
-any skipped-sample line.  A sample with a root beyond the range of a double
-is left out of the table, with one line
+scale, is a flag of ``export`` only: the roots, the constants, the shooting
+amplitude and every check of ``verify`` do not depend on it.  ``sweep``
+ignores the flag of the parameter it sweeps, and checks the parameters of
+every sample before its first root search.  A tangential root is left out
+of a sample's count with ``classify``'s warning line, printed as the sample
+is searched, before any skipped-sample line.  A sample with a root beyond
+the range of a double is left out of the table, with one line
 ``warning: sample <i> (<param> = <value>) skipped: <message>``.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
@@ -120,7 +120,7 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import full_verification
     p = _build_params(args)
-    report = full_verification(p, args.mu0, integration_tol=args.tol)
+    report = full_verification(p, integration_tol=args.tol)
     if report.n_families == 0:
         raise _NoUsableRoot("no usable root of the coupling function; nothing to verify")
     with _output(args.out) as (fh,):
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the full verification battery")
     _add_param_flags(sp)
-    sp.add_argument("--mu0", type=float, default=1.0, help="profile scale")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.add_argument("--out", default=None)
     sp.add_argument("--tol", type=float, default=1e-10,

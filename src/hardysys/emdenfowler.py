@@ -141,12 +141,13 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     itself would shrink the steps wherever it passes through zero, as y_u'
     does at the turn that shooting stops at; on the decaying tails,
     y' ~ -kappa y, the two scales agree.  It runs forward only: a span with
-    t1 < t0 raises ParameterError.  The field is reversible, so the backward
-    leg from (y_u, y_u', y_v, y_v') over (t0, t1) is the forward run from the
-    flipped state (y_u, -y_u', y_v, -y_v') over (-t0, -t1), with t and both
-    slopes negated.  Termination is 'completed', or 'blowup' when a
-    component magnitude passes ``BLOWUP_THRESHOLD``, or 'extinction' when a
-    component goes negative (the state is clamped at zero and reported).
+    t1 < t0, or of a length that is not finite, raises ParameterError.  The
+    field is reversible, so the backward leg from (y_u, y_u', y_v, y_v') over
+    (t0, t1) is the forward run from the flipped state (y_u, -y_u', y_v,
+    -y_v') over (-t0, -t1), with t and both slopes negated.  Termination is
+    'completed', or 'blowup' when a component magnitude passes
+    ``BLOWUP_THRESHOLD``, or 'extinction' when a component goes negative
+    (the state is clamped at zero and reported).
     Past ``MAX_STEPS`` attempted steps, below a step of ``MIN_STEP``, or when
     a float power overflows (a tiny ``tol`` can do that), it raises
     IntegrationError.
@@ -182,6 +183,8 @@ def integrate(initial: EFState, t_span: tuple[float, float], p: ProblemParams,
     if not t0 <= t1:
         raise ParameterError(f"t_span must run forward, got ({t0:g}, {t1:g})")
     span = t1 - t0
+    if not math.isfinite(span):
+        raise ParameterError(f"t_span must be finite, got ({t0:g}, {t1:g})")
 
     # locals, read once: the step loop tests them on every step
     blowup_threshold, max_steps = BLOWUP_THRESHOLD, MAX_STEPS

@@ -72,8 +72,6 @@ def test_classify_invalid_params_exit2():
     (["classify", "--n", "4", "--gamma", "nan", "--nu", "1", "--alpha", "2"], "gamma"),
     (["export", *N4, "--mu0", "nan", "--out", "/nonexistent-dir/x"], "scale"),
     (["export", *N4, "--mu0", "inf", "--out", "/nonexistent-dir/x"], "scale"),
-    (["verify", *N4, "--mu0", "nan"], "scale"),
-    (["verify", *N4, "--mu0", "inf"], "scale"),
     (["sweep", "--n", "3", "--gamma", "0", "--nu", "1", "--alpha", "3", "--param", "nu",
       "--start", "0.1", "--stop", "nan", "--samples", "5"], "nu"),
 ])
@@ -86,10 +84,11 @@ def test_non_finite_parameters_exit2(argv, name):
 
 @pytest.mark.parametrize("argv", [
     ["classify", *N4], ["shoot", *N4],
-    ["sweep", *N4, "--param", "nu", "--start", "0.1", "--stop", "2", "--samples", "3"]])
+    ["sweep", *N4, "--param", "nu", "--start", "0.1", "--stop", "2", "--samples", "3"],
+    ["verify", *N4]])
 def test_mu0_refused_where_unread(argv):
-    # roots, constants and the shooting amplitude do not depend on the
-    # scale: only verify and export take --mu0
+    # roots, constants, the shooting amplitude and every check of verify do
+    # not depend on the scale: only export takes --mu0
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, redirect_stderr(err):
         main([*argv, "--mu0", "2"])
@@ -291,24 +290,28 @@ def test_verify_text_format():
     assert out.rstrip().endswith("overall: pass")
 
 
+def _scaled_checks(p, mu0):
+    """full_verification at scale mu0, which must warn of nothing and pass:
+    the value of each check by name."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = hs.full_verification(p, mu0)
+    assert report.overall
+    return {c.name: c.value for c in report.checks}
+
+
 @pytest.mark.parametrize("mu0", ["1e5", "1e-5"])
 def test_verify_far_scale_exit0(mu0):
     # far from mu0 = 1, the limits at fixed radii 1e-8..1e8 would not be
     # reached; the orbit's limits are carried to t0 = log mu0 exactly
-    code, out, err = run_cli(["verify", *N4, "--mu0", mu0])
-    assert (code, err) == (0, "")
-    report = json.loads(out)
-    assert report["overall"] is True
+    _scaled_checks(hs.ProblemParams(4, 0.0, 1.0, 2.0), float(mu0))
 
 
 def test_verify_scale_past_the_range_of_a_double_exit0():
     # n = 6: kappa = 2, so mu0^-kappa = 1e-600 and the limit at 0 are not
     # doubles; the gap is taken in logs.  The orbit's limit reads 1.4e-12
     # here, as at mu0 = 1: the scale costs nothing
-    code, out, err = run_cli(["verify", "--n", "6", "--gamma", "0", "--nu", "0",
-                              "--alpha", "1.5", "--mu0", "1e300"])
-    assert (code, err) == (0, "")
-    checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+    checks = _scaled_checks(hs.ProblemParams(6, 0.0, 0.0, 1.5), 1e300)
     assert checks["f0.asymptotic_u0"] <= 1e-11
 
 
@@ -316,10 +319,8 @@ def test_verify_extreme_scale_no_overflow_warning():
     # the radii of the checks lie so far below mu = 1e150 that (r/mu)^-q
     # overflows, and mu0^kappa is no double at 1e-250 and 1e300: neither may
     # be evaluated.  The orbit's limits read 2.4e-12, as at mu0 = 1
-    for mu0 in ("1e150", "1e-250", "1e300"):
-        code, out, err = run_cli(["verify", *N4, "--mu0", mu0])
-        assert (code, err) == (0, "")
-        checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+    for mu0 in (1e150, 1e-250, 1e300):
+        checks = _scaled_checks(hs.ProblemParams(4, 0.0, 1.0, 2.0), mu0)
         assert checks["f0.asymptotic_u0"] <= 1e-11
 
 

@@ -562,6 +562,18 @@ def test_integration_rejects_backward_span(benchmark4):
             integrate(start, span, p)
 
 
+def test_integration_rejects_infinite_span(benchmark4):
+    # an infinite span would make the end slack, 1e-13 span, infinite: the
+    # step loop would never run, and the start alone would come back as
+    # 'completed'
+    p, fam = benchmark4
+    start = exact_ef_solution(fam, 0.0)
+    for span in ((0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf),
+                 (math.inf, math.inf)):
+        with pytest.raises(ParameterError, match="t_span must be finite"):
+            integrate(start, span, p)
+
+
 def test_trajectory_csv(benchmark4, tmp_path):
     # export --what trajectory at N = 5 on [-1, 1]: 2 floor(N/2) + 1 rows
     _, fam = benchmark4

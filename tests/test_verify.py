@@ -67,17 +67,19 @@ def test_convergence_order_validation():
 def test_encoding_residuals_do_not_depend_on_mu0(args):
     # rescaling by mu0 maps solutions to solutions: the orbit checks on log
     # rho, and asymptotic_u0, the limit mu0^kappa r^tau1 u = c1 A, read no
-    # mu0, so every check keeps the bits of mu0 = 1
+    # mu0, and the report does not name it, so every report is the one of
+    # mu0 = 1, text and JSON alike
     p = hs.ProblemParams(*args)
 
-    def values(mu0):
-        return [(c.name, c.value.hex()) for c in hs.full_verification(p, mu0).checks]
+    def outputs(mu0):
+        report = hs.full_verification(p, mu0)
+        return report.to_text(), json.dumps(report.to_json_dict())
 
-    at_one = values(1.0)
+    at_one = outputs(1.0)
     # four checks per family, at every nu
-    assert len(at_one) == len(hs.classify(p)) * 4
+    assert at_one[0].count("check: ") == len(hs.classify(p)) * 4
     for mu0 in (0.5, 2.0, 1e-300, 1e300):
-        assert values(mu0) == at_one, mu0
+        assert outputs(mu0) == at_one, mu0
 
 
 # --- full verification -------------------------------------------------------------
@@ -380,6 +382,17 @@ def test_equation_residual_fails_every_mutant_any_encoding_fails():
     assert worst <= 1e-10
 
 
+def test_report_without_a_family_fails():
+    # n = 3, nu = 2/3, alpha = 3: the one root, s = 1, is tangential, so no
+    # family is checked, and a report that checked nothing does not pass
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        report = hs.full_verification(hs.ProblemParams(3, 0.0, 2.0 / 3.0, 3.0))
+    assert (report.n_families, report.checks) == (0, ())
+    assert report.overall is False
+    assert report.to_text().endswith("families: 0\noverall: fail\n")
+    assert report.to_json_dict()["overall"] is False
+
+
 def test_report_deterministic(benchmark4):
     p, _ = benchmark4
     a = hs.full_verification(p, 1.0)
@@ -397,7 +410,7 @@ def test_report_text_and_json_schema(benchmark4):
     assert text.count("check: ") == len(report.checks)
     assert "\ngamma: 0\nnu: 1\n" in text  # one Hardy coefficient
     payload = report.to_json_dict()
-    assert list(payload) == ["params", "mu0", "families", "checks", "overall"]
+    assert list(payload) == ["params", "families", "checks", "overall"]
     assert list(payload["params"]) == ["n", "gamma", "nu", "alpha", "beta"]
     for entry in payload["checks"]:
         assert list(entry) == ["name", "value", "threshold", "passed"]
@@ -525,8 +538,9 @@ def test_report_bitwise_regression(name):
 
 
 #: SHA-256 of the 36 matrix reports' to_text(), in the order of matrix_params
-#: and mu0 in (0.5, 1, 2)
-MATRIX_REPORTS_SHA256 = "c484a9ba7edcb55a28bc7730b233430e265573a0f7ecff6aaf7cd53560e6bd73"
+#: and mu0 in (0.5, 1, 2); recorded again (from c484a9ba...e6bd73) when the
+#: report stopped naming mu0, so that its 12 parameter sets read 12 texts
+MATRIX_REPORTS_SHA256 = "f0efe0ffa50660fadc475cf9d28b087f9faf144f44a3bc6ad99bc1624fa1a1f8"
 
 
 def test_matrix_round_step_budget(monkeypatch, matrix_families):
