@@ -8,7 +8,10 @@ every sample before its first root search.  A tangential root is left out
 of a sample's count with ``classify``'s warning line, printed as the sample
 is searched, before any skipped-sample line.  A sample with a root beyond
 the range of a double is left out of the table, with one line
-``warning: sample <i> (<param> = <value>) skipped: <message>``.
+``warning: sample <i> (<param> = <value>) skipped: <message>``.  An infinite
+``--start`` or ``--stop``, or ends whose difference is beyond a double, is
+refused naming both.  Every CSV table, stdout or file, has one dialect:
+17 significant digits and lines ended with ``\\r\\n``.
 
 Exit codes: 0 success, 1 failed verification check, 2 invalid parameters
 (among them a coupling coefficient nu alpha or nu beta beyond the range of
@@ -92,6 +95,16 @@ def _output(*paths):
         yield handles
 
 
+def _write_csv(fh, header, rows):
+    """The one CSV writer: a header row, then the rows, every cell not
+    already a string written with 17 significant digits, and every line ended
+    with csv's default \\r\\n."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([c if isinstance(c, str) else "%.17g" % c for c in row]
+                     for row in rows)
+
+
 def _families(p, mu0=1.0):
     """classify's families, at least one."""
     families = classify(p, mu0)
@@ -101,19 +114,14 @@ def _families(p, mu0=1.0):
 
 
 def cmd_classify(args) -> int:
-    families = _families(_build_params(args))
-    rows = [{"c_tilde": f.c_tilde, "c1": f.c1, "c2": f.c2,
-             "f_prime": f.root.f_prime} for f in families]
+    header = ("c_tilde", "c1", "c2", "f_prime")
+    rows = [(f.c_tilde, f.c1, f.c2, f.root.f_prime) for f in _families(_build_params(args))]
     with _output(args.out) as (fh,):
         if args.format == "json":
-            json.dump(rows, fh, indent=2)
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2)
             fh.write("\n")
         else:
-            writer = csv.writer(fh)
-            writer.writerow(["c_tilde", "c1", "c2", "f_prime"])
-            for row in rows:
-                writer.writerow(["%.17g" % row[k]
-                                 for k in ("c_tilde", "c1", "c2", "f_prime")])
+            _write_csv(fh, header, rows)
     return EXIT_OK
 
 
@@ -128,12 +136,10 @@ def cmd_verify(args) -> int:
             json.dump(report.to_json_dict(), fh, indent=2)
             fh.write("\n")
         elif args.format == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(["name", "value", "threshold", "passed"])
-            for c in report.checks:
-                writer.writerow([c.name, "%.17g" % c.value, "%.17g" % c.threshold,
-                                 "true" if c.passed else "false"])
-            writer.writerow(["overall", "", "", "true" if report.overall else "false"])
+            rows = [(c.name, c.value, c.threshold, "true" if c.passed else "false")
+                    for c in report.checks]
+            rows.append(("overall", "", "", "true" if report.overall else "false"))
+            _write_csv(fh, ("name", "value", "threshold", "passed"), rows)
         else:
             fh.write(report.to_text())
     return EXIT_OK if report.overall else EXIT_CHECK_FAILED
@@ -172,6 +178,11 @@ def _samples(start, stop, count):
 def cmd_sweep(args) -> int:
     if args.samples < 2:
         raise ParameterError("a sweep needs at least two samples")
+    # an infinite end or width makes sample 0 start + 0*inf = nan; a nan end
+    # is left to the parameter check, which names the parameter
+    if any(map(math.isinf, (args.start, args.stop, args.stop - args.start))):
+        raise ParameterError("--start, --stop and their difference must be finite, "
+                             f"got {args.start:g} and {args.stop:g}")
     values = _samples(args.start, args.stop, args.samples)
     # every sample is checked before the first root search; the swept
     # parameter's own flag is never read
@@ -187,17 +198,14 @@ def cmd_sweep(args) -> int:
         except ParameterError as exc:
             skipped.append((i, value, exc))
             continue
-        rows.append([i, "%.17g" % value, len(found),
-                     ";".join("%.17g" % r.c_tilde for r in found)])
+        rows.append((i, value, len(found), ";".join("%.17g" % r.c_tilde for r in found)))
     if not rows:
         raise skipped[0][2]
     for i, value, exc in skipped:
         print(f"warning: sample {i} ({args.param} = {value:.17g}) skipped: {exc}",
               file=sys.stderr)
     with _output(args.out) as (fh,):
-        writer = csv.writer(fh)
-        writer.writerow(["index", args.param, "root_count", "roots"])
-        writer.writerows(rows)
+        _write_csv(fh, ("index", args.param, "root_count", "roots"), rows)
     return EXIT_OK
 
 
@@ -238,19 +246,17 @@ def cmd_export(args) -> int:
             raise ParameterError(
                 f"the profile table exceeds the range of a double on [{lo:g}, {hi:g}]"
             ) from None
-        tables["profile"] = ("r,u,v,r_tau1_u,r_tau2_u", columns)
+        tables["profile"] = (("r", "u", "v", "r_tau1_u", "r_tau2_u"), columns)
     if args.what != "profile":
         # t = log r, symmetric about t0 = log mu0; the closed form reads log rho
         t0 = math.log(args.mu0)
         half = _samples(0.0, args.t_halfspan, args.t_points // 2 + 1)
         t = [t0 - h for h in reversed(half[1:])] + [t0 + h for h in half]
-        tables["trajectory"] = ("t,y_u,p_u,y_v,p_v",
+        tables["trajectory"] = (("t", "y_u", "p_u", "y_v", "p_v"),
                                 (t, *_closed_form_arrays(fam, [x - t0 for x in t])))
     with _output(*(_export_path(args, what) for what in tables)) as handles:
         for (header, columns), fh in zip(tables.values(), handles):
-            fh.write(header + "\n")
-            for vals in zip(*columns):
-                fh.write(",".join("%.17g" % x for x in vals) + "\n")
+            _write_csv(fh, header, zip(*columns))
     return EXIT_OK
 
 

@@ -634,6 +634,20 @@ def test_sweep_bad_range_exit2():
     assert code == 2
 
 
+@pytest.mark.parametrize("param", ["nu", "alpha"])
+@pytest.mark.parametrize("start,stop", [("0", "inf"), ("-inf", "1"), ("-inf", "inf"),
+                                        ("-1e308", "1e308")])
+def test_sweep_infinite_range_exit2(param, start, stop):
+    # an infinite end, or ends whose difference overflows, made sample 0
+    # start + 0*inf = nan; the refusal names the range, not that nan
+    code, out, err = run_cli(["sweep", "--n", "3", "--nu", "1", "--alpha", "3",
+                              "--param", param, f"--start={start}", f"--stop={stop}",
+                              "--samples", "3"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "--start" in err and "nan" not in err
+
+
 def _count_root_searches(monkeypatch):
     calls = []
     search = hs.coupling.find_positive_roots
@@ -892,6 +906,31 @@ def test_export_deterministic(tmp_path):
     assert run_cli(["export", *N4, "--what", "profile", "--out", str(a)])[0] == 0
     assert run_cli(["export", *N4, "--what", "profile", "--out", str(b)])[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- CSV dialect ------------------------------------------------------------------
+
+
+def test_every_csv_ends_its_lines_with_crlf(tmp_path):
+    # classify, verify --format csv, sweep and both export tables: one writer,
+    # one dialect, every line ended with \r\n and no bare \n
+    commands = {
+        "classify.csv": ["classify", "--n", "3", "--nu", "1", "--alpha", "3"],
+        "verify.csv": ["verify", *N4, "--format", "csv"],
+        "sweep.csv": ["sweep", *N4, "--param", "nu", "--start", "0.1", "--stop", "2",
+                      "--samples", "3"],
+        "both": ["export", *N4, "--grid-n", "5", "--t-points", "4"],
+    }
+    for name, argv in commands.items():
+        assert run_cli([*argv, "--out", str(tmp_path / name)])[0] == 0, name
+    paths = sorted(tmp_path.iterdir())
+    assert [p.name for p in paths] == ["both.profile.csv", "both.trajectory.csv",
+                                       "classify.csv", "sweep.csv", "verify.csv"]
+    for path in paths:
+        data = path.read_bytes()
+        lines = data.split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) > 2, path.name
+        assert not any(b"\n" in line or b"\r" in line for line in lines), path.name
 
 
 # --- module entry point -----------------------------------------------------------

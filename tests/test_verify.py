@@ -64,7 +64,7 @@ def test_convergence_order_validation():
 @pytest.mark.parametrize("args", [(4, 0.0, 1.0, 2.0), (5, 1.125, 1.0, 5.0 / 3.0),
                                   (3, 0.0, 1.0, 3.0), (4, 0.0, 0.0, 2.0),
                                   (150, 5475.0, 0.0, 1.0135135135135136)])
-def test_encoding_residuals_do_not_depend_on_mu0(args):
+def test_report_does_not_depend_on_mu0(args):
     # rescaling by mu0 maps solutions to solutions: the orbit checks on log
     # rho, and asymptotic_u0, the limit mu0^kappa r^tau1 u = c1 A, read no
     # mu0, and the report does not name it, so every report is the one of
