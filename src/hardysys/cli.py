@@ -23,10 +23,10 @@ and an ``export`` profile beyond it), 3 no usable root (every root
 degenerate, no root, or f identically zero), 5 unwritable output path (one
 stderr line, ``output error: <message>``, that names the path), 6
 integration failed (step size underflow, step budget exceeded,
-floating-point overflow, or a shooting run that did not turn).  Exit code 4,
-once "shooting bracket not found", is retired.  Commands return 0 or 1;
-``main`` maps refusals to 2, 3, 5 and 6, one exception type each:
-``ParameterError``, ``_NoUsableRoot``, ``OSError`` and ``IntegrationError``.
+floating-point overflow, or a shooting run that did not turn).  Exit code 4
+is not used.  Commands return 0 or 1; ``main`` maps refusals to 2, 3, 5 and
+6, one exception type each: ``ParameterError``, ``_NoUsableRoot``,
+``OSError`` and ``IntegrationError``.
 
 Every warning the library raises is printed to stderr as one line,
 ``warning: <message>``, when it is raised.
@@ -49,7 +49,7 @@ import warnings
 from .coupling import _usable_roots, classify
 from .errors import IntegrationError, ParameterError
 from .params import ProblemParams
-from .profiles import MIN_RADIUS
+from .profiles import MIN_RADIUS, _closed_form_arrays
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -215,7 +215,6 @@ def _export_path(args, what):
 
 
 def cmd_export(args) -> int:
-    from .emdenfowler import _closed_form_arrays
     p = _build_params(args)
     if not MIN_RADIUS <= args.grid_lo < args.grid_hi < math.inf:
         raise ParameterError("the grid needs 1e-300 <= --grid-lo < --grid-hi < inf")
@@ -236,7 +235,7 @@ def cmd_export(args) -> int:
         r = [lo, *(10.0 ** x for x in inner), hi]
         # r^tau u = c exp(log U + tau log r): r^tau2 alone overflows where u
         # underflows
-        log_u = [fam.profile._log_value(x) for x in r]
+        log_u = fam.profile._log_values(r)
         try:
             columns = (r, [fam.c1 * math.exp(a) for a in log_u],
                        [fam.c2 * math.exp(a) for a in log_u],
@@ -344,7 +343,3 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION_FAILED
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,20 +7,20 @@ pair
     y_v'' = kappa^2 y_v - y_v^(2*-1) - nu beta  y_u^alpha y_v^(beta-1)
 
 with kappa^2 = lambda_n - gamma, whose positive decaying orbits are homoclinic
-loops of the origin with exponential rate kappa.  This module provides the
-closed-form synchronized trajectory as a function of log rho = log(r/mu0),
-an embedded Dormand-Prince 5(4) integrator in Nystrom form (the field does
-not read y', and the unrolled stages form it inline) with error-per-unit-step
+loops of the origin with exponential rate kappa.  This module provides an
+embedded Dormand-Prince 5(4) integrator in Nystrom form (the field does not
+read y', and the unrolled stages form it inline) with error-per-unit-step
 control (global error scales like tol^(5/4), i.e. better than a factor 16 per
 tolerance decade), the shooting trace of each homoclinic orbit from the
 origin up to its maximum (an oracle independent of the closed form, with its
 turn at rho = 1), and the residual of the radial equations at the closed
 form, in any of their encodings (plain, weighted, phase plane): one function
-of rho, under one normalization, evaluated on log rho as the closed form is.
+of rho, under one normalization, evaluated on log rho = log(r/mu0) from the
+bounded units of ``profiles``, which also owns the closed-form trajectory.
 
 Everything here runs on Python floats: the integrator and the shot return
-their orbit as lists, and the closed form, the residuals and the
-proportionality defect take and return floats or lists of them.
+their orbit as lists, and the residuals and the proportionality defect take
+and return floats or lists of them.
 """
 
 from __future__ import annotations
@@ -54,31 +54,6 @@ class EFTrajectory(namedtuple(
     """
 
     __slots__ = ()
-
-
-# --- closed-form synchronized trajectories ---------------------------------
-
-
-def _closed_form_arrays(fam: SynchronizedFamily, log_rho):
-    """Lists (y_u, p_u, y_v, p_v) of the closed form y = c r^delta U, one entry
-    per log rho = log(r/mu0) in ``log_rho``.
-
-    From the profile's bounded units: y = c e^(log y) and
-    y' = kappa (1 - 2w) y, w and 1 - w the exponentials of their logs, both
-    stable for any |log rho|.  Nothing here reads mu0; the maximum sits at
-    log rho = 0.
-    """
-    kappa, c1, c2 = fam.profile.params.kappa, fam.c1, fam.c2
-    exp = math.exp
-    y_u, p_u, y_v, p_v = [], [], [], []
-    for log_w, log_om, log_y in zip(*fam.profile._bounded_units(log_rho)):
-        base, slope = exp(log_y), kappa * (exp(log_om) - exp(log_w))
-        yu, yv = c1 * base, c2 * base
-        y_u.append(yu)
-        p_u.append(slope * yu)
-        y_v.append(yv)
-        p_v.append(slope * yv)
-    return y_u, p_u, y_v, p_v
 
 
 # --- adaptive integration ----------------------------------------------------
@@ -551,7 +526,7 @@ def _encoding_residual(fam: SynchronizedFamily, tau: float, potential: float,
     Each equation g'' + (n-1-2 tau) g'/r + potential g/r^2
     + r^(-m tau) (g^(2*-1) + coupling), m = 2* - 2, is divided by c g / r^2,
     c the component's constant.  At each log rho = log(r/mu0) in
-    ``log_rho``, as in ``_closed_form_arrays``, that leaves five terms
+    ``log_rho``, as in ``profiles._closed_form_arrays``, that leaves five terms
     bounded at every n and every mu0 (``profiles``):
 
         chi^2 - chi - 2 kappa q w (1 - w),   (n-1-2 tau) chi,   potential,

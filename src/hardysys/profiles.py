@@ -13,11 +13,11 @@ profile g = r^tau u has
 
 and y = r^delta u = A rho^kappa (1 + rho^q)^(-delta) does not depend on mu.
 ``_bounded_units`` evaluates log w, log(1 - w) and log y over a sequence of
-log rho, the pieces from which ``emdenfowler`` builds the radial equations
-divided by g / r^2, where every term is bounded at every n and every mu, and
-the closed-form phase-plane trajectory y, y' = kappa (1 - 2w) y; it takes the
-whole sequence and returns lists.  ``_log_value`` and ``asymptotic_limits``
-take and return floats.
+log rho, the one place that forms L = log(1 + rho^q) = -log(1 - w).  From
+them ``_log_values`` builds log u, ``_closed_form_arrays`` a family's
+phase-plane trajectory y, y' = kappa (1 - 2w) y, and ``emdenfowler`` the
+radial equations divided by g / r^2, every term bounded at every n and mu;
+each takes a sequence and returns lists.
 """
 
 from __future__ import annotations
@@ -57,16 +57,15 @@ class ScalarProfile(namedtuple("ScalarProfile", "params mu")):
         p = self.params
         return 2.0 * p.kappa / p.delta
 
-    def _log_value(self, r: float) -> float:
-        """log u_mu(r) at one radius r."""
+    def _log_values(self, radii) -> list[float]:
+        """log u_mu(r) per radius r in ``radii``: log(A mu^-delta) - tau1 log rho
+        + delta log(1 - w), log(1 - w) = -L read from ``_bounded_units``."""
         p = self.params
-        rho_log = math.log(r) - math.log(self.mu)
-        t = self._q * rho_log
-        # L = log(1 + rho^q), written to stay accurate on both sides of
-        # rho = 1; exp sees only -|t|, so neither side overflows
-        log1p_term = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
-        log_amp = math.log(p.amplitude) - p.delta * math.log(self.mu)
-        return log_amp - p.tau1 * rho_log - p.delta * log1p_term
+        log_mu = math.log(self.mu)
+        log_rho = [math.log(r) - log_mu for r in radii]
+        log_amp, tau1, delta = math.log(p.amplitude) - p.delta * log_mu, p.tau1, p.delta
+        return [log_amp - tau1 * x + delta * log_om
+                for x, log_om in zip(log_rho, self._bounded_units(log_rho)[1])]
 
     def _bounded_units(self, log_rho) -> tuple[list[float], list[float], list[float]]:
         """Lists (log w, log(1 - w), log y), one entry per log rho = log(r/mu)
@@ -74,14 +73,14 @@ class ScalarProfile(namedtuple("ScalarProfile", "params mu")):
 
         w = rho^q / (1 + rho^q) lies in [0, 1] and y = A rho^kappa
         (1 + rho^q)^(-delta) in (0, A 2^-delta]; neither depends on mu.
-        With L = log(1 + rho^q), written as ``_log_value`` writes it,
-        log(1 - w) = -L and log w = t - L, t = q log rho, so w and 1 - w, as
-        their exponentials, are each accurate relative to itself, in its tail
-        as well.  Where delta L is beyond a double, the three are the logs of
-        their limits as rho -> infinity, (0, -inf, -inf).  Callers
-        exponentiate only what they read: ``verify`` reads y alone.  The
-        constants are read once per call, and L is formed inline: a call per
-        point costs the closed form a few percent.
+        With L = log(1 + rho^q), log(1 - w) = -L and log w = t - L,
+        t = q log rho, so w and 1 - w, as their exponentials, are each
+        accurate relative to itself, in its tail as well.  Where delta L is
+        beyond a double, the three are the logs of their limits as
+        rho -> infinity, (0, -inf, -inf).  Callers exponentiate only what
+        they read: ``verify`` reads y alone.  The constants are read once per
+        call, and L is formed inline: a call per point costs the closed form
+        a few percent.
         """
         p = self.params
         q, delta, kappa, log_a = self._q, p.delta, p.kappa, math.log(p.amplitude)
@@ -89,7 +88,7 @@ class ScalarProfile(namedtuple("ScalarProfile", "params mu")):
         log_ws, log_oms, log_ys = [], [], []
         for x in log_rho:
             t = q * x
-            # L as _log_value forms it, max(t, 0) + log1p(e^-|t|), by a branch
+            # L = max(t, 0) + log1p(e^-|t|) by a branch: exp sees only -|t|
             log1p_term = t + log1p(exp(-t)) if t > 0.0 else log1p(exp(t))
             decay = delta * log1p_term
             if decay == inf:  # t - L, or log y, would be inf - inf
@@ -101,6 +100,31 @@ class ScalarProfile(namedtuple("ScalarProfile", "params mu")):
                 log_oms.append(-log1p_term)
                 log_ys.append(log_a + kappa * x - decay)
         return log_ws, log_oms, log_ys
+
+
+# --- closed-form synchronized trajectories ---------------------------------
+
+
+def _closed_form_arrays(fam, log_rho):
+    """Lists (y_u, p_u, y_v, p_v) of the closed form y = c r^delta U, one entry
+    per log rho = log(r/mu0) in ``log_rho``.
+
+    From the profile's bounded units: y = c e^(log y) and
+    y' = kappa (1 - 2w) y, w and 1 - w the exponentials of their logs, both
+    stable for any |log rho|.  Nothing here reads mu0; the maximum sits at
+    log rho = 0.
+    """
+    kappa, c1, c2 = fam.profile.params.kappa, fam.c1, fam.c2
+    exp = math.exp
+    y_u, p_u, y_v, p_v = [], [], [], []
+    for log_w, log_om, log_y in zip(*fam.profile._bounded_units(log_rho)):
+        base, slope = exp(log_y), kappa * (exp(log_om) - exp(log_w))
+        yu, yv = c1 * base, c2 * base
+        y_u.append(yu)
+        p_u.append(slope * yu)
+        y_v.append(yv)
+        p_v.append(slope * yv)
+    return y_u, p_u, y_v, p_v
 
 
 # --- asymptotic limits -----------------------------------------------------

@@ -144,8 +144,8 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
     e^(kappa t) as they do into the saddle, up to its turn at t = 0.  That
     half orbit, about 70 points, is the orbit of every check, and its times
     are log rho = log(r/mu0), the argument of the profile's bounded units.
-    Only the closed form's y_u and y_v are formed there, c e^(log y) with
-    the bits of ``_closed_form_arrays``: no check reads w or a slope.  The
+    Only the closed form's y_u and y_v are formed there, c e^(log y) with the
+    bits of ``profiles._closed_form_arrays``: no check reads w or a slope.  The
     start sits at manifold coordinate x0 y_eq (``_manifold_coordinate``) at
     log rho = t[0] of the trace, so mu0^kappa r^tau1 u = e^(-kappa log rho)
     y_u tends to x0 y_eq e^(-kappa t[0]), and the closed form's limit is
@@ -168,7 +168,7 @@ def full_verification(p: ProblemParams, mu0: float = 1.0, *,
         s = fam.c_tilde
 
         half = shoot_synchronized(p, fam.root, integration_tol)
-        # the closed form's y_u and y_v, c e^(log y) as _closed_form_arrays forms them
+        # the closed form's y_u and y_v, c e^(log y), the bits of _closed_form_arrays
         base = list(map(math.exp, fam.profile._bounded_units(half.t)[2]))
         ref = [fam.c1 * b for b in base] + [fam.c2 * b for b in base]
         peak = max(half.y_u[-1], half.y_v[-1])

@@ -28,7 +28,7 @@ a test checks the package against; no command of the package runs it.
   form in ``_manifold_start``.
 * ``mirrored``: the shooting trace reflected at its turn, the whole orbit;
   ``simultaneous_max_check``: the interpolated argmax of each component.
-* ``log_values`` and ``profile_value``: ``ScalarProfile._log_value`` over an
+* ``log_values`` and ``profile_value``: ``ScalarProfile._log_values`` over an
   array of radii, and the scalar profile's value u_mu(r); ``aubin_talenti_value``,
   ``linear_radial_part``, ``scalar_equation_residual``, ``kelvin_transform``
   and ``weighted_transform``: the scalar profile from other directions.
@@ -55,10 +55,9 @@ import numpy as np
 
 from hardysys import ParameterError
 from hardysys.coupling import _merged_terms
-from hardysys.emdenfowler import (EFState, EFTrajectory, _RHO0, _closed_form_arrays,
-                                  _manifold_coordinate)
+from hardysys.emdenfowler import EFState, EFTrajectory, _RHO0, _manifold_coordinate
 from hardysys.params import ProblemParams
-from hardysys.profiles import MIN_RADIUS, ScalarProfile
+from hardysys.profiles import MIN_RADIUS, ScalarProfile, _closed_form_arrays
 
 # --- finite differences and convergence orders ---------------------------------
 
@@ -379,9 +378,9 @@ def _as_radii(r):
 
 
 def log_values(profile: ScalarProfile, r):
-    """log u_mu(r), ``profile._log_value`` at each of the radii ``r``, as an array."""
+    """log u_mu(r), ``profile._log_values`` at each of the radii ``r``, as an array."""
     arr = np.asarray(r, dtype=float)
-    return np.array([profile._log_value(x) for x in arr.reshape(-1).tolist()],
+    return np.array(profile._log_values(arr.reshape(-1).tolist()),
                     dtype=float).reshape(arr.shape)
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import hardysys as hs
-from hardysys.emdenfowler import _closed_form_arrays, integrate
+from hardysys.emdenfowler import integrate
+from hardysys.profiles import _closed_form_arrays
 from reference import (LOG_RHO_GRID, bounded_closed_form, bounded_units, convergence_order,
                        ef_energy, encoding_residual, exact_ef_solution, fd_derivative,
                        hardy_weight, hardy_weight_dx1, kelvin_transform, profile_value,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -439,10 +440,8 @@ def test_simple_root_with_tiny_slope_keeps_its_family():
     assert float(lines["relative_error"]) <= 0.5e-9
 
 
-def test_shoot_wide_bracket_recovers_amplitude():
-    # this case once needed a wide bracket, (0.1, 100), and a loose stage to
-    # integrate its far end trial.  The run now climbs from the start on
-    # the unstable manifold up to a*, with no end trial at all
+def test_shoot_cli_recovers_the_n3_amplitude():
+    # the run climbs from its start on the unstable manifold up to a*
     code, out, err = run_cli(["shoot", "--n", "3", "--gamma", "0", "--nu", "1",
                               "--alpha", "3"])
     assert (code, err) == (0, "")
@@ -899,6 +898,29 @@ def test_export_matches_the_numpy_reference(tmp_path, flags, mu0, grid_lo, grid_
     assert t.tobytes() == t_ref.tobytes()
     for got, want in zip(columns, bounded_closed_form(fam, t_ref - t0)):
         assert _ulp_distance(got, want).max() <= 4
+
+
+#: SHA-256 of both files of ``export --what both``, the profile table then the
+#: trajectory table, at three flag sets of the console table: the closed form
+#: and the log profile pinned to the bit, where the numpy reference above
+#: allows 4 to 32 ulps
+EXPORT_SHA256 = {
+    "n4": "9ea8d0a9ab6508b6de457e06642c4723828d9699e75db0dd7e0fc6a9f3c642ac",
+    "n4-mu1e300": "5abbc6c4cc7169411fa79692830ff4fc6ca4acde4a3a08831e21e1d55324f174",
+    "n150": "0619207359240a1a38c84d70f5f5b11d4636aa6ee458c0ac54f999da2dabfcf5",
+}
+
+
+@pytest.mark.parametrize("case, flags", [
+    ("n4", N4), ("n4-mu1e300", [*N4, "--mu0", "1e300"]), ("n150", [*N150, "--grid-lo", "1e-3"])],
+    ids=list(EXPORT_SHA256))
+def test_export_keeps_its_bytes(tmp_path, case, flags):
+    out = tmp_path / "case"
+    assert main(["export", *flags, "--what", "both", "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for what in ("profile", "trajectory"):
+        digest.update((tmp_path / f"case.{what}.csv").read_bytes())
+    assert digest.hexdigest() == EXPORT_SHA256[case]
 
 
 def test_export_deterministic(tmp_path):

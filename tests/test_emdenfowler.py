@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 import hardysys as hs
 from hardysys import EFState, ParameterError, emdenfowler
 from hardysys.cli import main
-from hardysys.emdenfowler import (_closed_form_arrays, _field, _manifold_coordinate,
-                                  _manifold_start, integrate)
+from hardysys.emdenfowler import _field, _manifold_coordinate, _manifold_start, integrate
+from hardysys.profiles import _closed_form_arrays
 from reference import (DP5_A, DP5_B, DP5_E, LOG_RHO_GRID, bounded_closed_form,
                        bounded_units, closed_form_accel, closed_form_arrays,
                        convergence_order, dp5_table_step, encoding_residual, ef_energy,
@@ -525,7 +525,7 @@ def test_shoot_tolerance_bound(benchmark4):
             hs.shoot_synchronized(p, fam.root, tol=tol)
 
 
-def test_shoot_loose_tolerance_is_single_stage(monkeypatch, benchmark4):
+def test_shoot_runs_once_at_its_tolerance(monkeypatch, benchmark4):
     # at any tolerance, 1e-7 included, a shot is one run at that tolerance
     p, fam = benchmark4
     tols = []
@@ -648,7 +648,7 @@ def test_shoot_and_constants_share_one_root_test(benchmark4):
                 refuse(fam.root._replace(c_tilde=s), p)
 
 
-def test_shoot_trial_budget(monkeypatch, benchmark4, benchmark3):
+def test_shoot_is_one_run_per_root(monkeypatch, benchmark4, benchmark3):
     starts = []
 
     def counting(initial, *args, **kwargs):
@@ -677,12 +677,11 @@ def test_shoot_run_that_does_not_turn_raises(benchmark4, monkeypatch):
         hs.shoot_synchronized(p, fam.root)
 
 
-def test_shoot_bracket_failure(monkeypatch, benchmark4):
-    # the span (0, t_end) brackets the turning time as a bracket once held
-    # a*: on the exact orbit rho = x^m / (2 2*) grows like e^(m kappa t) from
-    # 1/4 at the start to 1 at the turn, half the span.  A span cut to just
-    # below half ends before the turn, and the shot raises; one cut to just
-    # above half turns at that time
+def test_shoot_raises_when_the_span_ends_before_the_turn(monkeypatch, benchmark4):
+    # on the exact orbit rho = x^m / (2 2*) grows like e^(m kappa t) from 1/4
+    # at the start to 1 at the turn, half the span (0, t_end).  A span cut to
+    # just below half ends before the turn, and the shot raises; one cut to
+    # just above half turns at that time
     p, fam = benchmark4
     turn = math.log(4.0) / ((p.two_star - 2.0) * p.kappa)
     for fraction in (0.49, 0.51):
@@ -698,7 +697,7 @@ def test_shoot_bracket_failure(monkeypatch, benchmark4):
             assert abs(hs.shoot_synchronized(p, fam.root).t[0] + turn) <= 1e-9 * turn
 
 
-def test_shoot_bracket_wholly_below_homoclinic(monkeypatch, benchmark4):
+def test_shoot_raises_when_the_run_stops_below_the_turn(monkeypatch, benchmark4):
     # a* = sqrt(2/3) ~ 0.8165, ray equilibrium 1/sqrt(3) ~ 0.577.  y_u climbs
     # until the turn, so a run stopped at 0.8 (above the equilibrium) or 0.5
     # (below it) reached only amplitudes below a*, and the shot raises

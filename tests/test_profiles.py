@@ -142,8 +142,8 @@ def test_collapsed_linear_part_matches_term_assembly():
 class _TallProfile(ScalarProfile):
     """The profile 10% too tall: u^(2*-1) grows by 1.1^(2*-1), the linear part by 1.1."""
 
-    def _log_value(self, r):
-        return super()._log_value(r) + math.log(1.1)
+    def _log_values(self, radii):
+        return [x + math.log(1.1) for x in super()._log_values(radii)]
 
 
 def test_wrong_amplitude_breaks_the_equation():

@@ -199,7 +199,7 @@ with contextlib.redirect_stdout(out):
     except SystemExit as exc:
         code = exc.code
 loaded = sorted(k for k, m in sys.modules.items()
-                if m and (k.split(".")[0] == "numpy" or k in ("dataclasses", "inspect")))
+                if m and (k.split(".")[0] == "numpy" or k in %r))
 print(json.dumps([code, out.getvalue(), loaded]))
 """
 
@@ -212,10 +212,10 @@ SHOOT = ["shoot", "--n", "4", *PARAMS, "--alpha", "2"]
 EXPORT = ["export", "--n", "4", *PARAMS, "--alpha", "2"]  # --out is added per run
 
 
-def run_cli_in_process(argv, block_numpy):
+def run_cli_in_process(argv, block_numpy, watched=("dataclasses", "inspect")):
     """``python -m hardysys argv`` in a fresh interpreter, through runpy; return
-    [exit code, stdout, the modules of numpy, dataclasses and inspect it loaded]."""
-    return run_python(CLI_IN_PROCESS % (block_numpy, argv))
+    [exit code, stdout, the modules of numpy and of ``watched`` it loaded]."""
+    return run_python(CLI_IN_PROCESS % (block_numpy, argv, watched))
 
 
 def test_console_script_target_imports_without_running():
@@ -243,3 +243,19 @@ def test_every_command_runs_without_numpy(argv, tmp_path):
         assert sorted(runs[0][1]) == ["case.profile.csv", "case.trajectory.csv"]
     else:
         assert runs[0][0]
+
+
+#: the layers that not every command runs, the costliest modules to import
+LAYERS = ("hardysys.emdenfowler", "hardysys.verify")
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (CLASSIFY, []), (SWEEP, []), (EXPORT, []),
+    (SHOOT, ["hardysys.emdenfowler"]), (VERIFY, list(LAYERS))],
+    ids=["classify", "sweep", "export", "shoot", "verify"])
+def test_each_command_loads_only_the_layers_it_runs(argv, layers, tmp_path):
+    # export writes both tables from the closed form in profiles: it
+    # integrates nothing, so it loads neither the integrator nor the verifier
+    code, _, loaded = run_cli_in_process(
+        [*argv, "--out", str(tmp_path / "case")] if argv is EXPORT else argv, False, LAYERS)
+    assert (code, loaded) == (0, layers)
